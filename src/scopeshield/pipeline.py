@@ -7,8 +7,16 @@ emit, parallel. Stage-3 tasks depend only on their own file plus the small
 frozen-name context, so outputs are byte-identical for any worker count or
 scheduling order. Each file's output is written as soon as it is ready; no
 whole-program state is retained.
+
+Each file gets one string table, one decoder and one property-slot map,
+injected together after the file's directive prologue. The cyclic garbage
+collector is paused while a file is processed and restored to its prior
+state afterwards: ASTs and scope trees are acyclic and freed by reference
+counting, while collections triggered mid-file would rescan a heap that
+grows with the file.
 """
 
+import gc
 import json
 import os
 import resource
@@ -20,13 +28,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .depgraph import build_dependency_graph, link_cross_file, partition_graph
-from .errors import (
-    FatalConfigError,
-    LexError,
-    ParseError,
-    ScopeShieldError,
-    UnsupportedSyntax,
-)
+from .errors import FatalConfigError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
 from .minify import minify_tokens
@@ -40,7 +42,6 @@ from .transforms import (
     encode_strings,
     rewrite_property_access,
 )
-from .units import DEFAULT_MIN_UNIT_BYTES, plan_units
 
 JS_SUFFIXES = (".js", ".mjs")
 
@@ -57,7 +58,6 @@ class ObfuscationConfig:
     allowlist_path: str = None
     engine: str = "node {file}"
     seed: int = 0  # reserved, unused by default
-    min_unit_bytes: int = DEFAULT_MIN_UNIT_BYTES
     instrument_decode: bool = False
     dump_renames: bool = False
     dump_scopes: bool = False
@@ -107,27 +107,36 @@ def _init_worker(context):
     _CTX.update(context)
 
 
+# per-file problems: the file is copied verbatim and the run goes on
+_FILE_FAILURES = (ScopeShieldError, UnicodeDecodeError, RecursionError)
+
+
+def _file_failure(rel_path, exc):
+    """(status, message) of one of the ``_FILE_FAILURES``."""
+    if isinstance(exc, UnsupportedSyntax):
+        return "unsupported", str(exc)
+    if isinstance(exc, RecursionError):
+        return "unsupported", f"{rel_path}: nesting too deep to analyze; not supported"
+    if isinstance(exc, UnicodeDecodeError):
+        return "error", f"{rel_path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+    return "error", str(exc)
+
+
 def _summarize_file(rel_path):
     """Stage 1: lex+minify+parse one file, returning its summary or error."""
     cfg = _CTX["config"]
-    text = (Path(cfg.input_root) / rel_path).read_text(encoding="utf-8")
     started = time.perf_counter()
     try:
+        text = (Path(cfg.input_root) / rel_path).read_text(encoding="utf-8")
         # summaries are unaffected by minification, so stage 1 skips it
         tokens = tokenize(text, rel_path)
         _root, summary = parse(tokens, rel_path)
-    except UnsupportedSyntax as exc:
+    except _FILE_FAILURES as exc:
+        status, error = _file_failure(rel_path, exc)
         return {
             "file": rel_path,
-            "status": "unsupported",
-            "error": str(exc),
-            "ms": (time.perf_counter() - started) * 1000.0,
-        }
-    except (LexError, ParseError) as exc:
-        return {
-            "file": rel_path,
-            "status": "error",
-            "error": str(exc),
+            "status": status,
+            "error": error,
             "ms": (time.perf_counter() - started) * 1000.0,
         }
     return {
@@ -138,8 +147,22 @@ def _summarize_file(rel_path):
     }
 
 
-def _unit_key(rel_path, unit_id):
-    return zlib.crc32(f"{rel_path}:{unit_id}".encode("utf-8")) & 0xFF
+def _file_key(rel_path):
+    # the ":0" suffix keeps the output bytes of earlier versions for files
+    # that already had a single string table
+    return zlib.crc32(f"{rel_path}:0".encode("utf-8")) & 0xFF
+
+
+def preamble_offset(root):
+    """Where the file's preamble goes: after any directive prologue, so an
+    injected declaration cannot demote "use strict"."""
+    offset = 0
+    for stmt in root.children:
+        if stmt.kind == "expr-stmt" and stmt.children and stmt.children[0].kind == "string-lit":
+            offset = stmt.end
+            continue
+        return max(offset, stmt.start) if offset else stmt.start
+    return offset
 
 
 def _transform_file(rel_path):
@@ -147,9 +170,9 @@ def _transform_file(rel_path):
     cfg = _CTX["config"]
     frozen = _CTX["frozen"].get(rel_path, ())
     allowlist = _CTX["allowlist"]
-    text = (Path(cfg.input_root) / rel_path).read_text(encoding="utf-8")
     phases = {"parse": 0.0, "rename": 0.0, "transform": 0.0, "emit": 0.0}
     try:
+        text = (Path(cfg.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         tokens = tokenize(text, rel_path)
         if cfg.minify:
@@ -175,52 +198,44 @@ def _transform_file(rel_path):
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        units = plan_units(root, tree, len(mtext), cfg.min_unit_bytes)
-        if units and (cfg.encode_strings or cfg.rewrite_properties):
+        if root.children and (cfg.encode_strings or cfg.rewrite_properties):
             used = set(allowlist)
             for occ in tree.occurrences:
                 binding = tree.resolve(occ.name, occ.scope_id)
                 used.add(rmap.name_or_original(binding))
                 used.add(occ.name)
             fresh = name_sequence(frozenset(used))
-            str_candidates = collect_strings(root) if cfg.encode_strings else []
-            prop_candidates = (
-                collect_property_accesses(root) if cfg.rewrite_properties else []
-            )
-            preamble_parts = []
-            hoist_at = units[0].insert_at
-            for unit in units:
-                if cfg.rewrite_properties:
-                    prop_patches, prop_pre, _slots = rewrite_property_access(
-                        unit, fresh, tree, candidates=prop_candidates, hoist_at=hoist_at
-                    )
-                    patches.extend(prop_patches)
-                    if prop_pre:
-                        preamble_parts.append(prop_pre)
-                if cfg.encode_strings:
-                    str_patches, str_pre, _table = encode_strings(
-                        unit,
-                        _unit_key(rel_path, unit.unit_id),
-                        fresh,
-                        tree,
-                        mtext,
-                        candidates=str_candidates,
-                        instrument=cfg.instrument_decode,
-                    )
-                    patches.extend(str_patches)
-                    if str_pre:
-                        preamble_parts.append(str_pre)
-            if preamble_parts:
-                patches.append(Patch(hoist_at, hoist_at, "".join(preamble_parts) + "\n"))
+            in_dynamic_region = tree.dynamic_region()
+            preamble = ""
+            # slot names are drawn before the string-table names
+            if cfg.rewrite_properties:
+                prop_patches, prop_pre, _slots = rewrite_property_access(
+                    fresh, in_dynamic_region, candidates=collect_property_accesses(root)
+                )
+                patches.extend(prop_patches)
+                preamble += prop_pre
+            if cfg.encode_strings:
+                str_patches, str_pre, _table = encode_strings(
+                    _file_key(rel_path),
+                    fresh,
+                    in_dynamic_region,
+                    mtext,
+                    candidates=collect_strings(root),
+                    instrument=cfg.instrument_decode,
+                )
+                patches.extend(str_patches)
+                preamble += str_pre
+            if preamble:
+                offset = preamble_offset(root)
+                patches.append(Patch(offset, offset, preamble + "\n"))
         phases["transform"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
         out_text = emit(mtext, patches)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
-    except UnsupportedSyntax as exc:
-        return {"file": rel_path, "status": "unsupported", "error": str(exc), "phases": phases}
-    except (LexError, ParseError, ScopeShieldError) as exc:
-        return {"file": rel_path, "status": "error", "error": str(exc), "phases": phases}
+    except _FILE_FAILURES as exc:
+        status, error = _file_failure(rel_path, exc)
+        return {"file": rel_path, "status": status, "error": error, "phases": phases}
     result = {"file": rel_path, "status": "ok", "text": out_text, "phases": phases}
     if cfg.dump_renames:
         result["rename_dump"] = rmap.dump_lines()
@@ -229,17 +244,30 @@ def _transform_file(rel_path):
     return result
 
 
+def _gc_paused(task, item):
+    """Run ``task(item)`` with the cyclic collector off, then restore the
+    collector's prior state."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return task(item)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _run_tasks(task, items, context, workers):
-    """Run ``task`` over items, in-process when workers == 1."""
+    """Run ``task`` over items, in-process when workers == 1, each item with
+    the cyclic collector paused."""
     if workers <= 1 or len(items) <= 1:
         _init_worker(context)
         for item in items:
-            yield task(item)
+            yield _gc_paused(task, item)
         return
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(context,)
     ) as pool:
-        futures = [pool.submit(task, item) for item in items]
+        futures = [pool.submit(_gc_paused, task, item) for item in items]
         for future in as_completed(futures):
             yield future.result()
 

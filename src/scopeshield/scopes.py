@@ -11,6 +11,8 @@ lexical declaration. Scopes lexically containing eval, `with` or a Function
 constructor call are flagged dynamic, ancestors included.
 """
 
+from bisect import bisect_right
+
 from .errors import UnknownScope, UnsupportedSyntax
 
 GLOBAL_SCOPE = -1
@@ -173,6 +175,48 @@ class ScopeTree:
             sid = self.nodes[sid].parent
         return False
 
+    def dynamic_region(self):
+        """Predicate ``pos -> bool`` equal to ``dynamic_upward(scope_at(pos))``
+        for every position, built in one walk of the tree.
+
+        The walk carries each scope's reachable extent (its span clipped to
+        its ancestors', the positions at which ``scope_at`` descends into it)
+        and stops at the first dynamic scope on a path: all of that scope's
+        reachable extent is dynamic. The extents are merged into sorted,
+        disjoint intervals, so a query is one bisect.
+        """
+        if self.nodes[self.root].is_dynamic:
+            return lambda pos: True
+        extents = []
+        stack = [(self.root, float("-inf"), float("inf"))]
+        while stack:
+            sid, lo, hi = stack.pop()
+            for child in self.nodes[sid].children:
+                node = self.nodes[child]
+                child_lo = max(lo, node.start)
+                child_hi = min(hi, node.end)
+                if child_lo >= child_hi:
+                    continue
+                if node.is_dynamic:
+                    extents.append((child_lo, child_hi))
+                else:
+                    stack.append((child, child_lo, child_hi))
+        extents.sort()
+        starts = []
+        ends = []
+        for lo, hi in extents:
+            if ends and lo <= ends[-1]:
+                ends[-1] = max(ends[-1], hi)
+            else:
+                starts.append(lo)
+                ends.append(hi)
+
+        def inside(pos):
+            idx = bisect_right(starts, pos) - 1
+            return idx >= 0 and pos < ends[idx]
+
+        return inside
+
     def scopes_with_dynamic_inside(self):
         """Scopes whose subtree (self included) contains a dynamic scope.
 
@@ -190,7 +234,8 @@ class ScopeTree:
         return tainted
 
     def scope_at(self, pos):
-        """Innermost scope whose span contains ``pos``."""
+        """Innermost scope whose span contains ``pos``; a linear scan of each
+        level's children, so per-node callers use ``dynamic_region``."""
         sid = self.root
         while True:
             found = None

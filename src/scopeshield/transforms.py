@@ -1,14 +1,19 @@
-"""Performance-preserving obfuscation transforms, applied per unit as patches.
+"""Performance-preserving obfuscation transforms, applied per file as patches.
 
-String literals are replaced by indexed calls into a per-unit decoder whose
-table is decoded exactly once behind a guard variable; later calls read the
-cache. Static property accesses ``obj.prop`` become ``obj[v]`` with ``v`` a
-hoisted variable holding the property name, so the rewritten access stays a
-direct variable lookup.
+String literals are replaced by indexed calls into the file's one decoder,
+whose table is decoded exactly once behind a guard variable; later calls read
+the cache. Static property accesses ``obj.prop`` become ``obj[v]`` with ``v``
+a hoisted variable holding the property name (one per distinct name in the
+file), so the rewritten access stays a direct variable lookup.
 
 All preamble code is hoist-safe: the decoder and its state are function/var
 declarations, so calls from anywhere in the module (including code that runs
 before the preamble's position) behave correctly.
+
+Candidates inside a dynamic region (a scope containing ``eval``, ``with`` or
+a ``Function`` call, or nested in one) are skipped. Both transforms take the
+file's ``ScopeTree.dynamic_region`` predicate, built once per file, so they
+stay linear in the file size.
 """
 
 import base64
@@ -21,7 +26,7 @@ INSTRUMENT_COUNTER = "__scopeshieldDecodes"
 
 
 class StringTable:
-    """Per-unit encoded string table and the names of its runtime pieces."""
+    """Per-file encoded string table and the names of its runtime pieces."""
 
     __slots__ = ("entries", "key", "table", "guard", "cache", "decoder", "xform")
 
@@ -36,12 +41,11 @@ class StringTable:
 
 
 class PropertySlot:
-    __slots__ = ("property_name", "var_name", "hoist_at")
+    __slots__ = ("property_name", "var_name")
 
-    def __init__(self, property_name, var_name, hoist_at):
+    def __init__(self, property_name, var_name):
         self.property_name = property_name
         self.var_name = var_name
-        self.hoist_at = hoist_at
 
 
 def encode_payload(value, key):
@@ -124,12 +128,8 @@ def collect_property_accesses(root):
     return [n for n in out if id(n) not in skip]
 
 
-def _in_dynamic_region(tree, pos):
-    return tree.dynamic_upward(tree.scope_at(pos))
-
-
-def encode_strings(unit, key, fresh_names, tree, source, candidates=None, root=None, instrument=False):
-    """Encode the unit's eligible string literals.
+def encode_strings(key, fresh_names, in_dynamic_region, source, candidates=None, root=None, instrument=False):
+    """Encode the file's eligible string literals into one table.
 
     Returns (patches, preamble text, StringTable or None). Literals shorter
     than 2 characters, literals with exotic escapes, non-UTF-8-encodable
@@ -142,8 +142,6 @@ def encode_strings(unit, key, fresh_names, tree, source, candidates=None, root=N
     patches = []
     picked = []
     for node in candidates:
-        if not unit.contains(node.start, node.end):
-            continue
         raw = source[node.start : node.end]
         try:
             value = _string_value(raw)
@@ -155,7 +153,7 @@ def encode_strings(unit, key, fresh_names, tree, source, candidates=None, root=N
             value.encode("utf-8")
         except UnicodeEncodeError:
             continue
-        if _in_dynamic_region(tree, node.start):
+        if in_dynamic_region(node.start):
             continue
         picked.append((node, value))
     if not picked:
@@ -163,6 +161,7 @@ def encode_strings(unit, key, fresh_names, tree, source, candidates=None, root=N
 
     names = (next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names))
     string_table = StringTable(key, *names)
+    calls = []  # table index -> decoder call text
     for node, value in picked:
         idx = index_of.get(value)
         if idx is None:
@@ -171,7 +170,8 @@ def encode_strings(unit, key, fresh_names, tree, source, candidates=None, root=N
             payload = encode_payload(value, key)
             table.append(payload)
             string_table.entries.append((value, payload))
-        call = f"{string_table.decoder}({idx})"
+            calls.append(f"{string_table.decoder}({idx})")
+        call = calls[idx]
         # a quote needs no separator from a preceding keyword (return"x"),
         # but the decoder call does
         if node.start > 0 and (source[node.start - 1].isalnum() or source[node.start - 1] in "_$"):
@@ -181,33 +181,30 @@ def encode_strings(unit, key, fresh_names, tree, source, candidates=None, root=N
     return patches, preamble, string_table
 
 
-def rewrite_property_access(unit, fresh_names, tree, candidates=None, root=None, hoist_at=None):
-    """Rewrite the unit's ``obj.prop`` accesses to ``obj[v]``.
+def rewrite_property_access(fresh_names, in_dynamic_region, candidates=None, root=None):
+    """Rewrite the file's ``obj.prop`` accesses to ``obj[v]``.
 
     Returns (patches, preamble text, PropertySlot list); one slot per
-    distinct property name in the unit. ``hoist_at`` records where the
-    caller will inject the slot declarations (the top of the enclosing
-    function scope, i.e. the module top for top-level units).
+    distinct property name in the file, declared by the preamble, which the
+    caller injects at the module top.
     """
     if candidates is None:
         candidates = collect_property_accesses(root)
-    if hoist_at is None:
-        hoist_at = unit.insert_at
-    slots = {}
+    access_text = {}  # property name -> "[slot]"
+    slots = []
     patches = []
     for node in candidates:
+        if in_dynamic_region(node.start):
+            continue
+        text = access_text.get(node.name)
+        if text is None:
+            slot = PropertySlot(node.name, next(fresh_names))
+            slots.append(slot)
+            text = access_text[node.name] = f"[{slot.var_name}]"
         span = node.value
-        if not unit.contains(span[0], span[1]):
-            continue
-        if _in_dynamic_region(tree, node.start):
-            continue
-        slot = slots.get(node.name)
-        if slot is None:
-            slot = PropertySlot(node.name, next(fresh_names), hoist_at)
-            slots[node.name] = slot
-        patches.append(Patch(span[0], span[1], f"[{slot.var_name}]"))
+        patches.append(Patch(span[0], span[1], text))
     if not slots:
         return [], "", []
-    ordered = sorted(slots.values(), key=lambda s: s.var_name)
+    ordered = sorted(slots, key=lambda s: s.var_name)
     decls = ",".join(f'{s.var_name}="{s.property_name}"' for s in ordered)
     return patches, f"var {decls};", ordered

@@ -1,11 +1,24 @@
+import gc
 import json
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
 
+import scopeshield.pipeline as pipeline
+from scopeshield.bench import synth_module
 from scopeshield.errors import FatalConfigError
-from scopeshield.pipeline import ObfuscationConfig, dump_dir_for, obfuscate_project, write_report
+from scopeshield.lexer import tokenize
+from scopeshield.minify import minify
+from scopeshield.parser import parse_ast
+from scopeshield.pipeline import (
+    ObfuscationConfig,
+    dump_dir_for,
+    obfuscate_project,
+    preamble_offset,
+    write_report,
+)
 
 from conftest import run_node
 from corpusgen import build_corpus
@@ -156,6 +169,10 @@ def test_config_file_round_trip_and_unknown_key(tmp_path):
     cfg_path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(FatalConfigError):
         ObfuscationConfig.from_file(cfg_path)
+    # a config written for per-unit planning is refused, not silently ignored
+    cfg_path.write_text(json.dumps({"min_unit_bytes": 4096}))
+    with pytest.raises(FatalConfigError):
+        ObfuscationConfig.from_file(cfg_path)
 
 
 def test_rename_dump_written(tmp_path):
@@ -259,3 +276,119 @@ def test_output_tree_mirrors_input(tmp_path):
     src_files = {p.relative_to(tmp_path / "src").as_posix() for p in (tmp_path / "src").rglob("*") if p.is_file()}
     out_files = {p.relative_to(tmp_path / "out").as_posix() for p in (tmp_path / "out").rglob("*") if p.is_file()}
     assert src_files == out_files
+
+
+# ---- per-file faults never abort the run ----
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_invalid_utf8_file_copied_verbatim_and_reported(tmp_path, workers):
+    src = tmp_path / "src"
+    write_project(src, {"good.js": "var fine = 1;\nconsole.log(fine);"})
+    latin1 = "var caf\u00e9 = 'cr\u00e8me';\n".encode("latin-1")
+    (src / "latin1.js").write_bytes(latin1)
+    out = tmp_path / "out"
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+    )
+    assert (out / "latin1.js").read_bytes() == latin1
+    assert report["files_transformed"] == 1 and report["files_copied"] == 1
+    assert [e["file"] for e in report["errors"]] == ["latin1.js"]
+    assert "UTF-8" in report["errors"][0]["error"]
+    assert run_node(path=out / "good.js") == "1\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_too_deep_nesting_copied_verbatim_as_unsupported(tmp_path, workers):
+    deep = "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n"
+    src = tmp_path / "src"
+    write_project(src, {"deep.js": deep, "good.js": "var fine = 1;\nconsole.log(fine);"})
+    out = tmp_path / "out"
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+    )
+    assert (out / "deep.js").read_text() == deep
+    assert report["errors"] == []
+    assert report["files_transformed"] == 1 and report["files_copied"] == 1
+    assert any("deep.js" in w and "not supported" in w for w in report["warnings"])
+
+
+# ---- one preamble per file ----
+
+def test_preamble_offset_skips_directives():
+    def offset(src):
+        root, _ = parse_ast(tokenize(src, "t.js"), "t.js")
+        return preamble_offset(root)
+
+    src = '"use strict";\n"use asm";\nvar x = 1;'
+    assert offset(src) == src.index("var")
+    assert offset("var x = 1;") == 0
+
+
+def test_one_decoder_and_slot_map_per_file(tmp_path):
+    text = minify(synth_module(11, 40 * 1024))
+    write_project(tmp_path / "src", {"app.js": '"use strict";' + text})
+    out = tmp_path / "out"
+    obfuscate_project(ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out)))
+    result = (out / "app.js").read_text()
+    assert result.startswith('"use strict";var ')
+    assert result.count("String.fromCharCode(55296") == 1  # one decoder body
+    assert result.count('="length"') == 1  # one slot per property name
+
+
+def test_empty_file_gets_no_preamble(tmp_path):
+    write_project(tmp_path / "src", {"empty.js": "", "blank.js": "\n\n"})
+    out = tmp_path / "out"
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out))
+    )
+    assert report["files_transformed"] == 2 and report["errors"] == []
+    assert (out / "empty.js").read_text() == ""
+    assert "var " not in (out / "blank.js").read_text()
+
+
+# ---- cyclic GC is paused per file and restored ----
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored_and_paused_during_files(tmp_path, monkeypatch, enabled):
+    write_project(tmp_path / "src", {"a.js": "var a = 1;", "b.js": "var b = 'two';"})
+    seen = []
+    original = pipeline.tokenize
+
+    def recording_tokenize(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "tokenize", recording_tokenize)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        obfuscate_project(
+            ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
+        )
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen and not any(seen)
+
+
+# ---- per-file time is linear in file size ----
+
+@pytest.mark.slow
+def test_per_file_time_grows_linearly(tmp_path):
+    """Quadrupling one minified file's size at workers=1 costs at most 6x."""
+    times = {}
+    for label, size in (("256k", 256 * 1024), ("1m", 1024 * 1024)):
+        src = tmp_path / f"src_{label}"
+        write_project(src, {"app.js": minify(synth_module(4242, size))})
+        runs = []
+        for rep in range(2):
+            started = time.perf_counter()
+            obfuscate_project(
+                ObfuscationConfig(
+                    input_root=str(src), output_root=str(tmp_path / f"out_{label}_{rep}")
+                )
+            )
+            runs.append(time.perf_counter() - started)
+        times[label] = min(runs)
+    ratio = times["1m"] / times["256k"]
+    assert ratio <= 6.0, f"time(1 MB)/time(256 KB) = {ratio:.2f} exceeds 6 ({times})"

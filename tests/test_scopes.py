@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from scopeshield.errors import UnknownScope
 from scopeshield.lexer import tokenize
+from scopeshield.nodes import walk
 from scopeshield.parser import parse_ast
 from scopeshield.scopes import (
     BLOCK,
@@ -11,6 +14,10 @@ from scopeshield.scopes import (
     build_scope_tree,
     scope_flags,
 )
+
+
+from corpusgen import GENERATORS
+from treegen import random_scope_tree
 
 
 def tree_of(src, file_id="t.js"):
@@ -169,3 +176,68 @@ def test_independently_renameable_scopes_never_touch_dynamic_ones():
             and other.end <= tree.nodes[sid].end
         ]
         assert not any(tree.nodes[d].is_dynamic for d in descendants)
+
+
+# ---- dynamic_region against the scope_at oracle ----
+
+def assert_region_matches_oracle(tree, positions):
+    inside = tree.dynamic_region()
+    for pos in positions:
+        expected = tree.dynamic_upward(tree.scope_at(pos))
+        assert inside(pos) == expected, f"pos {pos} in {tree.file_id}"
+
+
+def test_dynamic_region_matches_oracle_on_random_trees():
+    rng = random.Random(0xD1CE)
+    for _ in range(300):
+        tree = random_scope_tree(rng, max_depth=6, max_bindings=20)
+        for node in tree.nodes:
+            node.is_dynamic = rng.random() < (0.02 if node.id == tree.root else 0.25)
+        positions = {occ.start for occ in tree.occurrences}
+        for node in tree.nodes:
+            for edge in (node.start, node.end):
+                positions.update((edge - 1, edge, edge + 1))
+        assert_region_matches_oracle(tree, sorted(positions))
+
+
+def program_positions(src, file_id):
+    root, _ = parse_ast(tokenize(src, file_id), file_id)
+    tree = build_scope_tree(root, file_id)
+    nodes = [n for n in walk(root) if n.kind in ("string-lit", "member-access")]
+    return tree, [n.start for n in nodes]
+
+
+def test_dynamic_region_matches_oracle_on_programs():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(3):
+        for gen in GENERATORS:
+            for file_id, src in gen(rng).items():
+                tree, positions = program_positions(src, file_id)
+                assert_region_matches_oracle(tree, positions)
+                checked += len(positions)
+    assert checked > 0
+
+
+def test_dynamic_region_nested_dynamic_scopes_sharing_a_start():
+    # the module (eval) and the function at offset 0 (with) are both dynamic
+    # and start together; the literals after the function lie only in the
+    # module's extent
+    src = 'function f(o){with(o){o.k="in-with"}}eval("1");var s="after",t=s.length;'
+    tree, positions = program_positions(src, "shared.js")
+    fn = tree.nodes[1]
+    assert tree.nodes[tree.root].is_dynamic and fn.is_dynamic
+    assert tree.nodes[tree.root].start == fn.start == 0
+    assert any(pos > fn.end for pos in positions)
+    assert_region_matches_oracle(tree, positions)
+    assert all(tree.dynamic_region()(pos) for pos in positions)
+
+    src = (
+        'function f(){eval("a");function g(o){with(o){o.h="x"}}return "y".length}'
+        'var z="out",w=z.length;'
+    )
+    tree, positions = program_positions(src, "nested.js")
+    inside = tree.dynamic_region()
+    assert_region_matches_oracle(tree, positions)
+    assert inside(src.index('"x"')) and inside(src.index('"y"'))
+    assert not inside(src.index('"out"')) and not inside(src.index(".length;"))

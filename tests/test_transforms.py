@@ -1,8 +1,9 @@
 import random
 
 from scopeshield.lexer import tokenize
-from scopeshield.parser import parse_ast
+from scopeshield.parser import _string_value, parse_ast
 from scopeshield.patches import Patch, emit
+from scopeshield.pipeline import preamble_offset
 from scopeshield.renamer import name_sequence
 from scopeshield.scopes import build_scope_tree
 from scopeshield.transforms import (
@@ -14,16 +15,15 @@ from scopeshield.transforms import (
     encode_strings,
     rewrite_property_access,
 )
-from scopeshield.units import plan_units
 
 from conftest import run_node
+from corpusgen import GENERATORS
 
 
 def setup(src, file_id="t.js"):
     root, _ = parse_ast(tokenize(src, file_id), file_id)
     tree = build_scope_tree(root, file_id)
-    units = plan_units(root, tree, len(src))
-    return root, tree, units
+    return root, tree
 
 
 def fresh():
@@ -31,20 +31,13 @@ def fresh():
 
 
 def apply_strings(src, instrument=False, key=7):
-    root, tree, units = setup(src)
-    names = fresh()
-    patches = []
-    preambles = []
-    for unit in units:
-        p, pre, _table = encode_strings(
-            unit, key, names, tree, src, root=root, instrument=instrument
-        )
-        patches.extend(p)
-        if pre:
-            preambles.append(pre)
-    if preambles:
-        insert = units[0].insert_at
-        patches.append(Patch(insert, insert, "".join(preambles) + "\n"))
+    root, tree = setup(src)
+    patches, preamble, _table = encode_strings(
+        key, fresh(), tree.dynamic_region(), src, root=root, instrument=instrument
+    )
+    if preamble:
+        insert = preamble_offset(root)
+        patches.append(Patch(insert, insert, preamble + "\n"))
     return emit(src, patches)
 
 
@@ -64,8 +57,8 @@ def test_payload_round_trip():
 
 def test_no_literals_no_preamble():
     src = "var count = 1 + 2;"
-    root, tree, units = setup(src)
-    patches, preamble, table = encode_strings(units[0], 7, fresh(), tree, src, root=root)
+    root, tree = setup(src)
+    patches, preamble, table = encode_strings(7, fresh(), tree.dynamic_region(), src, root=root)
     assert patches == [] and preamble == "" and table is None
 
 
@@ -83,8 +76,8 @@ def test_decode_runs_once_for_thousand_calls():
 
 def test_duplicate_literals_share_one_table_entry():
     src = 'var a = "dup"; var b = "dup"; var c = "other";'
-    root, tree, units = setup(src)
-    _patches, _pre, table = encode_strings(units[0], 3, fresh(), tree, src, root=root)
+    root, tree = setup(src)
+    _patches, _pre, table = encode_strings(3, fresh(), tree.dynamic_region(), src, root=root)
     # oracle: table length equals the number of distinct eligible literals
     distinct = {"dup", "other"}
     assert len(table.entries) == len(distinct)
@@ -137,8 +130,8 @@ def test_unicode_survives_the_js_decoder():
 def test_property_access_rewritten_via_hoisted_slot():
     src = "player.score += 1;\nconsole.log(player.score);"
     src = "var player = {score: 41};\n" + src
-    root, tree, units = setup(src)
-    patches, preamble, slots = rewrite_property_access(units[0], fresh(), tree, root=root)
+    root, tree = setup(src)
+    patches, preamble, slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
     assert len(slots) == 2  # score, log
     score_slot = next(s for s in slots if s.property_name == "score")
     assert f'{score_slot.var_name}="score"' in preamble
@@ -149,8 +142,8 @@ def test_property_access_rewritten_via_hoisted_slot():
 
 def test_no_member_accesses_no_patches():
     src = "var plain = 1 + 2;"
-    root, tree, units = setup(src)
-    patches, preamble, slots = rewrite_property_access(units[0], fresh(), tree, root=root)
+    root, tree = setup(src)
+    patches, preamble, slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
     assert patches == [] and preamble == "" and slots == []
 
 
@@ -160,8 +153,8 @@ def test_repeated_accesses_share_slot():
         "o.score += 1; o.score += 2; o.score += 3; o.score += 4; o.score *= 2;\n"
         "console.log(o.score);"
     )
-    root, tree, units = setup(src)
-    _patches, _pre, slots = rewrite_property_access(units[0], fresh(), tree, root=root)
+    root, tree = setup(src)
+    _patches, _pre, slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
     # count-oracle: one slot per distinct property name
     names = {n.name for n in collect_property_accesses(root)}
     assert len(slots) == len(names)
@@ -169,8 +162,8 @@ def test_repeated_accesses_share_slot():
 
 def test_delete_targets_skipped():
     src = "var o = {a: 1, b: 2};\ndelete o.a;\nconsole.log(o.b, o.a);"
-    root, tree, units = setup(src)
-    patches, preamble, _slots = rewrite_property_access(units[0], fresh(), tree, root=root)
+    root, tree = setup(src)
+    patches, preamble, _slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
     out = emit(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
     assert "delete o.a" in out
     assert run_node(code=out) == "2 undefined\n"
@@ -181,7 +174,27 @@ def test_method_calls_keep_this_binding():
         "var counter = {n: 10, bump: function (d) { this.n += d; return this.n; }};\n"
         "console.log(counter.bump(5), counter.n);"
     )
-    root, tree, units = setup(src)
-    patches, preamble, _slots = rewrite_property_access(units[0], fresh(), tree, root=root)
+    root, tree = setup(src)
+    patches, preamble, _slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
     out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
     assert run_node(code=out) == "15 15\n"
+
+
+def test_every_candidate_outside_dynamic_regions_rewritten():
+    # one table and one slot map cover the whole file: each eligible
+    # candidate is patched exactly once, whatever its position
+    rng = random.Random(17)
+    for gen in GENERATORS:
+        for file_id, src in gen(rng).items():
+            root, tree = setup(src, file_id)
+            inside = tree.dynamic_region()
+            props = [n for n in collect_property_accesses(root) if not inside(n.start)]
+            patches, _pre, _slots = rewrite_property_access(fresh(), inside, root=root)
+            assert sorted(p.start for p in patches) == sorted(n.value[0] for n in props)
+            strings = [
+                n
+                for n in collect_strings(root)
+                if not inside(n.start) and len(_string_value(src[n.start : n.end])) >= 2
+            ]
+            patches, _pre, _table = encode_strings(7, fresh(), inside, src, root=root)
+            assert sorted(p.start for p in patches) == sorted(n.start for n in strings)
