@@ -11,13 +11,12 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .depgraph import build_dependency_graph, format_graph_report, link_cross_file, partition_graph
+from .depgraph import build_dependency_graph, format_graph_report, link_cross_file
 from .equivalence import load_cases, run_differential, write_verdicts
 from .errors import ConflictingExport, EngineNotFound, FatalConfigError, LexError, ParseError
 from .externals import load_allowlist
 from .lexer import tokenize
 from .metrics import measure_tree_pair
-from .minify import minify_tokens
 from .parser import parse
 from .pipeline import (
     ObfuscationConfig,
@@ -67,7 +66,6 @@ def build_parser():
 
     an = sub.add_parser("analyze", help="scope/dependency diagnostics")
     an.add_argument("--in", dest="input_root", required=True)
-    an.add_argument("--threads", type=int, default=None)
     an.add_argument("--allowlist")
     an.add_argument("--dump-scopes", action="store_true", help="print per-file scope trees")
 
@@ -146,20 +144,12 @@ def cmd_analyze(args):
             print(f"== {rel}")
             print(format_scope_report(tree))
     graph = build_dependency_graph(summaries, allowlist)
-    imap = partition_graph(
-        graph,
-        args.threads or _default_threads(),
-        {s.file_id: s.size for s in summaries},
-    )
     try:
-        markers, _frozen = link_cross_file(summaries, graph, imap, allowlist)
+        _unresolved, frozen_by_file = link_cross_file(summaries, allowlist)
     except ConflictingExport as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 3
-    print(format_graph_report(graph, imap))
-    print(f"boundary markers: {len(markers)}")
-    for marker in markers:
-        print(f"  {marker!r}")
+    print(format_graph_report(graph, frozen_by_file))
     return 2 if had_errors else 0
 
 

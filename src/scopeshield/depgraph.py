@@ -1,22 +1,20 @@
-"""Cross-file dependency graph, edge-cut partitioning, boundary linking.
+"""Cross-file dependency graph and linking.
 
 Files are graph nodes. Import relationships give directed edges labelled with
 the imported names; two files touching the same non-environment undeclared
-global share an implicit-global edge. Partitioning assigns files to at most
-``k`` partitions with a deterministic greedy that keeps shared names together
-while balancing partition load, and reports the resulting cut weight (the
-number of names crossing partitions).
+global share an implicit-global edge. The graph is a diagnostic for
+``analyze``; obfuscation needs only the link.
 
-Linking produces boundary markers: every name visible across files gets a
-frozen output name (its original spelling), which is all later phases need
-to rename files independently.
+Linking decides which module-level names of each file must keep their
+original spelling, which is all the per-file obfuscation needs to rename
+files independently: the locals behind the file's own exports, which the
+file knows alone, and module declarations that another file reads as free
+globals, which only the whole project shows.
 """
 
 import posixpath
-from math import ceil
 
 from .errors import ConflictingExport
-from .scopes import Binding, global_binding
 
 
 class DependencyGraph:
@@ -34,13 +32,6 @@ class DependencyGraph:
         if not names:
             return
         self.edges.setdefault((src, dst), set()).update(names)
-
-    def neighbors(self, file_id):
-        for (a, b), names in self.edges.items():
-            if a == file_id:
-                yield b, names
-            elif b == file_id:
-                yield a, names
 
 
 def resolve_import(importer, path, known_files):
@@ -99,176 +90,38 @@ def build_dependency_graph(summaries, allowlist=()):
     return graph
 
 
-class IndependenceMap:
-    """File -> partition assignment plus the achieved cut weight. Per-scope
-    independently-renameable flags live with the per-file trees (see
-    scopes.scope_flags) and are filled in where trees exist."""
-
-    def __init__(self, partitions, cut_weight, k):
-        self.partitions = partitions
-        self.cut_weight = cut_weight
-        self.k = k
-
-    def partition_of(self, file_id):
-        return self.partitions[file_id]
-
-    def files_in(self, pid):
-        return sorted(f for f, p in self.partitions.items() if p == pid)
+def export_locals(summary):
+    """The module-level names a file freezes on its own: the locals behind
+    its exports."""
+    return {local for local, _exported in summary.export_pairs}
 
 
-def _components(graph):
-    parent = {f: f for f in graph.files}
+def link_cross_file(summaries, allowlist=()):
+    """Resolve cross-file visibility into per-file frozen names.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    comp = {}
-    for f in graph.files:
-        comp[f] = find(f)
-    return comp
-
-
-def partition_graph(graph, k, sizes=None):
-    """Deterministic greedy partitioning into at most ``k`` partitions.
-
-    Files are ordered by (component, size desc, path) and each goes to the
-    open partition where it shares the most names with already-placed files,
-    ties broken by load then partition id. Open means under the balanced
-    capacity ceil(total/k), so work spreads even when everything is one
-    component.
-    """
-    if k < 1:
-        raise ValueError("worker count must be >= 1")
-    sizes = sizes or {}
-    partitions = {}
-    if not graph.files:
-        return IndependenceMap(partitions, 0, k)
-    if k == 1:
-        for f in graph.files:
-            partitions[f] = 0
-        return IndependenceMap(partitions, 0, k)
-
-    comp = _components(graph)
-    weight = {f: max(sizes.get(f, 1), 1) for f in graph.files}
-    total = sum(weight.values())
-    capacity = ceil(total / k)
-    order = sorted(graph.files, key=lambda f: (comp[f], -weight[f], f))
-    load = [0] * k
-
-    for f in order:
-        affinity = [0] * k
-        for other, names in graph.neighbors(f):
-            pid = partitions.get(other)
-            if pid is not None:
-                affinity[pid] += len(names)
-        open_pids = [p for p in range(k) if load[p] < capacity]
-        if not open_pids:
-            open_pids = list(range(k))
-        best = min(open_pids, key=lambda p: (-affinity[p], load[p], p))
-        partitions[f] = best
-        load[best] += weight[f]
-
-    cut = 0
-    for (a, b), names in graph.edges.items():
-        if partitions[a] != partitions[b]:
-            cut += len(names)
-    return IndependenceMap(partitions, cut, k)
-
-
-class BoundaryMarker:
-    """A name visible across files/partitions, with its pinned output name."""
-
-    __slots__ = ("identifier", "owner_partition", "consumer_partitions", "binding", "frozen_name")
-
-    def __init__(self, identifier, owner_partition, consumer_partitions, binding, frozen_name):
-        self.identifier = identifier
-        self.owner_partition = owner_partition
-        self.consumer_partitions = tuple(sorted(set(consumer_partitions)))
-        self.binding = binding
-        self.frozen_name = frozen_name
-
-    def __repr__(self):
-        return (
-            f"BoundaryMarker({self.identifier!r}, p{self.owner_partition} -> "
-            f"{list(self.consumer_partitions)}, frozen={self.frozen_name!r})"
-        )
-
-
-MODULE_SCOPE_ID = 0  # module scope is always the first scope a tree creates
-
-
-def link_cross_file(summaries, graph, imap, allowlist=()):
-    """Resolve cross-file visibility into markers and per-file frozen names.
-
-    Returns (markers, frozen_by_file). frozen_by_file maps file id -> set of
-    module-level names that must keep their original spelling: the locals
-    behind exports, module declarations leaking as implicit globals, and the
-    locals of unresolved imports. Raises ConflictingExport when one name is
-    declared at module scope in several files while also consumed as an
-    implicit global elsewhere.
+    Returns (unresolved, frozen_by_file). ``unresolved`` lists the
+    (importer, path) pairs that match no file; their imports stay external.
+    ``frozen_by_file`` maps each file id to {name: reason} for the
+    module-level names that must keep their spelling: "export" for the
+    locals behind exports (``export_locals``), and "read as implicit global
+    by <files>" for a module declaration that other files read free. Import
+    bindings need no entry: the renamer keeps them unconditionally. Raises
+    ConflictingExport when one name is declared at module scope in several
+    files while also read as an implicit global elsewhere.
     """
     by_file = {s.file_id: s for s in summaries}
+    files = sorted(by_file)
     env = set(allowlist)
-    markers = []
-    frozen_by_file = {f: set() for f in by_file}
-
-    export_pairs = {f: getattr(s, "export_pairs", [(n, n) for n in s.exports]) for f, s in by_file.items()}
-
-    # exports consumed through import edges
-    imported_names = {}
-    for file_id in sorted(by_file):
-        for path, names in by_file[file_id].imports:
-            target = resolve_import(file_id, path, set(by_file))
-            if target is None or target == file_id:
-                continue
-            for name in names:
-                imported_names.setdefault((target, name), []).append(file_id)
-
-    for exporter in sorted(by_file):
-        pairs = sorted(set(export_pairs[exporter]))
-        for local, exported in pairs:
-            frozen_by_file[exporter].add(local)
-            consumers = imported_names.get((exporter, exported), [])
-            if not consumers:
-                continue
-            marker = BoundaryMarker(
-                exported,
-                imap.partition_of(exporter),
-                [imap.partition_of(c) for c in consumers],
-                Binding(exporter, MODULE_SCOPE_ID, local),
-                exported,
-            )
-            markers.append(marker)
-
-    # unresolved imports: local bindings stay external, names frozen
-    for importer, path in graph.unresolved:
-        for src, names in by_file[importer].imports:
-            if src != path:
-                continue
-            for name in names:
-                markers.append(
-                    BoundaryMarker(
-                        name,
-                        imap.partition_of(importer),
-                        [imap.partition_of(importer)],
-                        global_binding(name),
-                        name,
-                    )
-                )
-
-    # implicit globals: names read free somewhere and either shared with
-    # another file's free use or declared at another file's module scope
+    unresolved = []
+    frozen_by_file = {}
     free_by_name = {}
     declared_by_name = {}
-    for file_id in sorted(by_file):
+    for file_id in files:
         summary = by_file[file_id]
+        for path, _names in summary.imports:
+            if resolve_import(file_id, path, by_file) is None:
+                unresolved.append((file_id, path))
+        frozen_by_file[file_id] = dict.fromkeys(sorted(export_locals(summary)), "export")
         for name in summary.free_names:
             if name not in env:
                 free_by_name.setdefault(name, []).append(file_id)
@@ -278,49 +131,33 @@ def link_cross_file(summaries, graph, imap, allowlist=()):
 
     for name in sorted(free_by_name):
         readers = free_by_name[name]
-        declarers = [f for f in declared_by_name.get(name, []) if f not in readers]
+        reader_set = set(readers)
+        declarers = [f for f in declared_by_name.get(name, ()) if f not in reader_set]
+        if len(declarers) > 1:
+            raise ConflictingExport(
+                f"{name!r} is declared at module scope in {declarers} and "
+                f"consumed as an implicit global by {readers}"
+            )
         if declarers:
-            if len(declarers) > 1:
-                raise ConflictingExport(
-                    f"{name!r} is declared at module scope in {declarers} and "
-                    f"consumed as an implicit global by {readers}"
-                )
-            owner = declarers[0]
-            frozen_by_file[owner].add(name)
-            markers.append(
-                BoundaryMarker(
-                    name,
-                    imap.partition_of(owner),
-                    [imap.partition_of(r) for r in readers],
-                    Binding(owner, MODULE_SCOPE_ID, name),
-                    name,
-                )
+            frozen_by_file[declarers[0]].setdefault(
+                name, "read as implicit global by " + ", ".join(readers)
             )
-        elif len(readers) >= 2:
-            owner = readers[0]
-            markers.append(
-                BoundaryMarker(
-                    name,
-                    imap.partition_of(owner),
-                    [imap.partition_of(r) for r in readers],
-                    global_binding(name),
-                    name,
-                )
-            )
-    return markers, frozen_by_file
+    return unresolved, frozen_by_file
 
 
-def format_graph_report(graph, imap=None):
-    """Plain-text dependency graph dump for the analyze subcommand."""
+def format_graph_report(graph, frozen_by_file):
+    """Plain-text dependency graph dump for the analyze subcommand, with
+    each file's frozen names and why they keep their spelling."""
     lines = [f"files: {len(graph.files)}"]
     for f in graph.files:
-        part = f" partition={imap.partition_of(f)}" if imap is not None else ""
-        lines.append(f"  {f}{part}")
+        lines.append(f"  {f}")
     lines.append(f"edges: {len(graph.edges)}")
     for (a, b), names in sorted(graph.edges.items()):
         lines.append(f"  {a} -> {b}: {', '.join(sorted(names))}")
     for importer, path in graph.unresolved:
         lines.append(f"  unresolved: {importer} imports {path!r}")
-    if imap is not None:
-        lines.append(f"cut weight: {imap.cut_weight}")
+    lines.append(f"frozen names: {sum(len(names) for names in frozen_by_file.values())}")
+    for f in sorted(frozen_by_file):
+        for name, reason in sorted(frozen_by_file[f].items()):
+            lines.append(f"  {f}: {name} ({reason})")
     return "\n".join(lines)

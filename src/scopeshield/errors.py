@@ -59,10 +59,6 @@ class ConflictingExport(ScopeShieldError):
     """The same name is exported by several files and consumed ambiguously."""
 
 
-class MarkerConflict(ScopeShieldError):
-    """Two partitions assigned different names to one boundary binding."""
-
-
 class ZeroInput(ScopeShieldError):
     pass
 

@@ -60,7 +60,6 @@ class FileSummary:
         "exports",
         "export_pairs",
         "dynamic_sites",
-        "size",
     )
 
     def __init__(self, file_id):
@@ -71,7 +70,6 @@ class FileSummary:
         self.exports = []
         self.export_pairs = []  # (local binding, exported name) for named exports
         self.dynamic_sites = []
-        self.size = 0
 
     def __repr__(self):
         return (
@@ -81,18 +79,11 @@ class FileSummary:
 
 
 def parse_ast(tokens, file_id="<input>"):
-    """Parse a token stream into an AST root, skipping summary extraction.
+    """Parse a token stream into (AST root, partial FileSummary).
 
-    Returns (root, dynamic site spans); callers that need the FileSummary
-    use ``parse``.
+    The summary holds what the parser sees: imports, exports and dynamic
+    sites. ``summarize`` adds the facts that need the scope tree.
     """
-    parser = _Parser(tokens, file_id)
-    root = parser.parse_program()
-    return root, parser.dynamic_sites
-
-
-def parse(tokens, file_id="<input>"):
-    """Parse a token stream into (AST root, FileSummary)."""
     parser = _Parser(tokens, file_id)
     root = parser.parse_program()
     summary = FileSummary(file_id)
@@ -100,11 +91,12 @@ def parse(tokens, file_id="<input>"):
     summary.exports = parser.exports
     summary.export_pairs = parser.export_pairs
     summary.dynamic_sites = parser.dynamic_sites
-    summary.size = parser.end_offset
-    # declared globals and free names need scope resolution
-    from .scopes import build_scope_tree
+    return root, summary
 
-    tree = build_scope_tree(root, file_id)
+
+def summarize(summary, tree):
+    """Complete a summary from ``parse_ast`` with the file's scope tree:
+    module-level declarations and the names read free."""
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
     free = set()
     for occ in tree.occurrences:
@@ -112,7 +104,15 @@ def parse(tokens, file_id="<input>"):
         if binding.is_global():
             free.add(occ.name)
     summary.free_names = sorted(free)
-    return root, summary
+    return summary
+
+
+def parse(tokens, file_id="<input>"):
+    """Parse a token stream into (AST root, FileSummary)."""
+    from .scopes import build_scope_tree
+
+    root, summary = parse_ast(tokens, file_id)
+    return root, summarize(summary, build_scope_tree(root, file_id))
 
 
 class _Parser:

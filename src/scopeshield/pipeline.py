@@ -1,12 +1,16 @@
 """End-to-end obfuscation pipeline.
 
-Three stages following the analysis design: (1) per-file parse + summary,
-parallel; (2) a single-threaded link step building the dependency graph,
-partition assignment and boundary markers; (3) per-file rename + transform +
-emit, parallel. Stage-3 tasks depend only on their own file plus the small
-frozen-name context, so outputs are byte-identical for any worker count or
-scheduling order. Each file's output is written as soon as it is ready; no
-whole-program state is retained.
+One pass per file, then a link, then a redo of the few files the link
+changes. A file's output is a pure function of the file and its frozen
+names: the module-level names that keep their spelling. Each file task
+lexes, minifies, parses and scopes its file once, takes its summary from
+that same tree, and renames, transforms and emits under the frozen names the
+file knows alone (the locals behind its own exports). After every summary is
+in, a single linear link adds the names only the whole project shows: module
+declarations that another file reads as free globals. Only the files whose
+frozen set grew are run again, with the final set, on the same worker pool.
+Outputs are written as they arrive and no text is retained, so output bytes
+are identical for any worker count or scheduling order.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -18,21 +22,21 @@ grows with the file.
 
 import gc
 import json
-import os
 import resource
 import shutil
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .depgraph import build_dependency_graph, link_cross_file, partition_graph
-from .errors import FatalConfigError, ScopeShieldError, UnsupportedSyntax
+from .depgraph import export_locals, link_cross_file
+from .errors import ConflictingExport, FatalConfigError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
 from .minify import minify_tokens
-from .parser import parse, parse_ast
+from .parser import parse_ast, summarize
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
 from .scopes import build_scope_tree, format_scope_report
@@ -57,7 +61,6 @@ class ObfuscationConfig:
     minify: bool = True
     allowlist_path: str = None
     engine: str = "node {file}"
-    seed: int = 0  # reserved, unused by default
     instrument_decode: bool = False
     dump_renames: bool = False
     dump_scopes: bool = False
@@ -122,31 +125,6 @@ def _file_failure(rel_path, exc):
     return "error", str(exc)
 
 
-def _summarize_file(rel_path):
-    """Stage 1: lex+minify+parse one file, returning its summary or error."""
-    cfg = _CTX["config"]
-    started = time.perf_counter()
-    try:
-        text = (Path(cfg.input_root) / rel_path).read_text(encoding="utf-8")
-        # summaries are unaffected by minification, so stage 1 skips it
-        tokens = tokenize(text, rel_path)
-        _root, summary = parse(tokens, rel_path)
-    except _FILE_FAILURES as exc:
-        status, error = _file_failure(rel_path, exc)
-        return {
-            "file": rel_path,
-            "status": status,
-            "error": error,
-            "ms": (time.perf_counter() - started) * 1000.0,
-        }
-    return {
-        "file": rel_path,
-        "status": "ok",
-        "summary": summary,
-        "ms": (time.perf_counter() - started) * 1000.0,
-    }
-
-
 def _file_key(rel_path):
     # the ":0" suffix keeps the output bytes of earlier versions for files
     # that already had a single string table
@@ -165,27 +143,39 @@ def preamble_offset(root):
     return offset
 
 
-def _transform_file(rel_path):
-    """Stage 3: full per-file pipeline; returns output text and phase times."""
-    cfg = _CTX["config"]
-    frozen = _CTX["frozen"].get(rel_path, ())
-    allowlist = _CTX["allowlist"]
-    phases = {"parse": 0.0, "rename": 0.0, "transform": 0.0, "emit": 0.0}
+WORKER_PHASES = ("parse", "rename", "transform", "emit")
+
+
+def process_file(config, allowlist, rel_path, frozen=None):
+    """Obfuscate one file: lex, minify, parse and scope it once, then
+    rename, transform and emit.
+
+    ``frozen`` holds the module-level names that keep their spelling; None
+    means the locals behind the file's own exports, which is all one file
+    can know alone. Returns a dict with the file, its status, the worker
+    milliseconds per phase, the FileSummary once the scope tree exists (even
+    if a later phase fails), and either the output text or the error.
+    """
+    phases = dict.fromkeys(WORKER_PHASES, 0.0)
+    result = {"file": rel_path, "status": "ok", "worker_ms": phases}
     try:
-        text = (Path(cfg.input_root) / rel_path).read_text(encoding="utf-8")
+        text = (Path(config.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         tokens = tokenize(text, rel_path)
-        if cfg.minify:
+        if config.minify:
             mtext, tokens = minify_tokens(tokens)
         else:
             mtext = text
-        root, _dynamic = parse_ast(tokens, rel_path)
+        root, summary = parse_ast(tokens, rel_path)
         tree = build_scope_tree(root, rel_path)
+        result["summary"] = summarize(summary, tree)
+        if frozen is None:
+            frozen = export_locals(summary)
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
         patches = []
-        if cfg.rename:
+        if config.rename:
             rmap = rename_tree(tree, frozen_module_names=frozen, allowlist=allowlist)
             violations = check_safety([tree], rmap)
             if violations:
@@ -198,7 +188,7 @@ def _transform_file(rel_path):
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        if root.children and (cfg.encode_strings or cfg.rewrite_properties):
+        if root.children and (config.encode_strings or config.rewrite_properties):
             used = set(allowlist)
             for occ in tree.occurrences:
                 binding = tree.resolve(occ.name, occ.scope_id)
@@ -208,20 +198,20 @@ def _transform_file(rel_path):
             in_dynamic_region = tree.dynamic_region()
             preamble = ""
             # slot names are drawn before the string-table names
-            if cfg.rewrite_properties:
+            if config.rewrite_properties:
                 prop_patches, prop_pre, _slots = rewrite_property_access(
                     fresh, in_dynamic_region, candidates=collect_property_accesses(root)
                 )
                 patches.extend(prop_patches)
                 preamble += prop_pre
-            if cfg.encode_strings:
+            if config.encode_strings:
                 str_patches, str_pre, _table = encode_strings(
                     _file_key(rel_path),
                     fresh,
                     in_dynamic_region,
                     mtext,
                     candidates=collect_strings(root),
-                    instrument=cfg.instrument_decode,
+                    instrument=config.instrument_decode,
                 )
                 patches.extend(str_patches)
                 preamble += str_pre
@@ -234,42 +224,52 @@ def _transform_file(rel_path):
         out_text = emit(mtext, patches)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
     except _FILE_FAILURES as exc:
-        status, error = _file_failure(rel_path, exc)
-        return {"file": rel_path, "status": status, "error": error, "phases": phases}
-    result = {"file": rel_path, "status": "ok", "text": out_text, "phases": phases}
-    if cfg.dump_renames:
+        result["status"], result["error"] = _file_failure(rel_path, exc)
+        return result
+    result["text"] = out_text
+    if config.dump_renames:
         result["rename_dump"] = rmap.dump_lines()
-    if cfg.dump_scopes:
+    if config.dump_scopes:
         result["scope_dump"] = format_scope_report(tree)
     return result
 
 
-def _gc_paused(task, item):
-    """Run ``task(item)`` with the cyclic collector off, then restore the
+def _gc_paused(task, *args):
+    """Run ``task(*args)`` with the cyclic collector off, then restore the
     collector's prior state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return task(item)
+        return task(*args)
     finally:
         if enabled:
             gc.enable()
 
 
-def _run_tasks(task, items, context, workers):
-    """Run ``task`` over items, in-process when workers == 1, each item with
-    the cyclic collector paused."""
-    if workers <= 1 or len(items) <= 1:
+def _file_task(rel_path, frozen):
+    return _gc_paused(process_file, _CTX["config"], _CTX["allowlist"], rel_path, frozen)
+
+
+@contextmanager
+def _file_runner(context, workers):
+    """Yield ``run(jobs)``: it runs ``process_file`` over (rel path, frozen)
+    jobs and yields the results as they finish, each with the cyclic
+    collector paused. In-process when workers == 1; otherwise on one process
+    pool that serves every call for the whole run."""
+    if workers <= 1:
         _init_worker(context)
-        for item in items:
-            yield _gc_paused(task, item)
+        yield lambda jobs: (_file_task(*job) for job in jobs)
         return
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(context,)
     ) as pool:
-        futures = [pool.submit(_gc_paused, task, item) for item in items]
-        for future in as_completed(futures):
-            yield future.result()
+
+        def run(jobs):
+            futures = [pool.submit(_file_task, *job) for job in jobs]
+            for future in as_completed(futures):
+                yield future.result()
+
+        yield run
 
 
 def _peak_memory_bytes():
@@ -287,8 +287,11 @@ def obfuscate_project(config):
     """Run the whole pipeline; returns the run report dict.
 
     File-level problems (lexical, syntactic, unsupported constructs) never
-    abort the run: those files are copied through verbatim and reported.
+    abort the run: those files are copied through verbatim and reported. A
+    ConflictingExport from the link is fatal: the JS outputs already written
+    are deleted before it propagates.
     """
+    started = time.perf_counter()
     if not config.input_root or not Path(config.input_root).is_dir():
         raise FatalConfigError(f"input root {config.input_root!r} is not a directory")
     if not config.output_root:
@@ -303,99 +306,119 @@ def obfuscate_project(config):
 
     js_files, other_files = discover_files(config.input_root)
     sizes = {}
-    input_bytes = 0
     for rel in js_files + other_files:
-        size = (in_root / rel).stat().st_size
-        sizes[rel] = size
-        input_bytes += size
+        sizes[rel] = (in_root / rel).stat().st_size
 
+    wall_ms = dict.fromkeys(("discover", "files", "link", "redo", "copy", "total"), 0.0)
+    worker_ms = dict.fromkeys(WORKER_PHASES, 0.0)
     report = {
         "files_total": len(js_files) + len(other_files),
         "files_transformed": 0,
         "files_copied": 0,
-        "cut_weight": 0,
-        "phase_times_ms": {"parse": 0.0, "pasa": 0.0, "rename": 0.0, "transform": 0.0, "emit": 0.0},
+        "files_redone": 0,
+        "wall_ms": wall_ms,
+        "worker_ms": worker_ms,
         "peak_memory_bytes": 0,
         "output_bytes": 0,
-        "input_bytes": input_bytes,
+        "input_bytes": sum(sizes.values()),
         "errors": [],
         "warnings": [],
         "config": asdict(config),
     }
+    wall_ms["discover"] = (time.perf_counter() - started) * 1000.0
 
-    # stage 1: parallel parse + summaries
-    t0 = time.perf_counter()
-    context = {"config": config, "frozen": {}, "allowlist": allowlist}
-    summaries = []
-    skipped = {}  # rel path -> (category, message); all copied verbatim
-    ordered = sorted(js_files, key=lambda f: (-sizes[f], f))
-    for result in _run_tasks(_summarize_file, ordered, context, config.workers):
-        if result["status"] == "ok":
-            summaries.append(result["summary"])
-        else:
-            skipped[result["file"]] = (result["status"], result["error"])
-    report["phase_times_ms"]["parse"] = (time.perf_counter() - t0) * 1000.0
-
-    # stage 2: dependency graph, partitioning, boundary linking
-    t0 = time.perf_counter()
-    graph = build_dependency_graph(summaries, allowlist)
-    good_sizes = {s.file_id: sizes[s.file_id] for s in summaries}
-    imap = partition_graph(graph, config.workers, good_sizes)
-    markers, frozen_by_file = link_cross_file(summaries, graph, imap, allowlist)
-    for importer, path in graph.unresolved:
-        report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
-    report["cut_weight"] = imap.cut_weight
-    report["partitions"] = dict(sorted(imap.partitions.items()))
-    report["boundary_markers"] = len(markers)
-    report["phase_times_ms"]["pasa"] = (time.perf_counter() - t0) * 1000.0
-
-    # stage 3: parallel rename + transform + emit, largest files first
-    context = {"config": config, "frozen": frozen_by_file, "allowlist": allowlist}
-    work = sorted((f for f in js_files if f not in skipped), key=lambda f: (-sizes[f], f))
     dump_root = (
         dump_dir_for(config.output_root)
         if (config.dump_renames or config.dump_scopes)
         else None
     )
-    for result in _run_tasks(_transform_file, work, context, config.workers):
+    written = {}  # rel path -> bytes this run wrote there
+    skipped = {}  # rel path -> (category, message); all copied verbatim
+    summaries = {}
+
+    def record(result):
+        """Write one file task's output, or note why the file is skipped."""
         rel = result["file"]
+        for phase, ms in result["worker_ms"].items():
+            worker_ms[phase] += ms
+        if result["status"] != "ok":
+            skipped[rel] = (result["status"], result["error"])
+            written.pop(rel, None)  # the verbatim copy replaces it
+            return
+        skipped.pop(rel, None)
         target = out_root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        if result["status"] == "ok":
-            target.write_text(result["text"], encoding="utf-8")
-            report["files_transformed"] += 1
-            for phase, ms in result["phases"].items():
-                report["phase_times_ms"][phase] += ms
-            if dump_root is not None and "rename_dump" in result:
-                dump_path = dump_root / "renames" / (rel + ".tsv")
-                dump_path.parent.mkdir(parents=True, exist_ok=True)
-                dump_path.write_text("\n".join(result["rename_dump"]) + "\n", encoding="utf-8")
-            if dump_root is not None and "scope_dump" in result:
-                dump_path = dump_root / "scopes" / (rel + ".txt")
-                dump_path.parent.mkdir(parents=True, exist_ok=True)
-                dump_path.write_text(result["scope_dump"] + "\n", encoding="utf-8")
-        else:
-            skipped[rel] = (result["status"], result["error"])
+        data = result["text"].encode("utf-8")
+        target.write_bytes(data)
+        written[rel] = len(data)
+        if "rename_dump" in result:
+            _write_dump(dump_root / "renames" / (rel + ".tsv"), "\n".join(result["rename_dump"]))
+        if "scope_dump" in result:
+            _write_dump(dump_root / "scopes" / (rel + ".txt"), result["scope_dump"])
 
-    # verbatim copies: non-JS files and any file a stage refused
+    context = {"config": config, "allowlist": allowlist}
+    largest_first = sorted(js_files, key=lambda f: (-sizes[f], f))
+    with _file_runner(context, config.workers if len(js_files) > 1 else 1) as run:
+        # one pass per file under the frozen names each file knows alone
+        t0 = time.perf_counter()
+        for result in run((rel, None) for rel in largest_first):
+            if "summary" in result:
+                summaries[result["file"]] = result["summary"]
+            record(result)
+        wall_ms["files"] = (time.perf_counter() - t0) * 1000.0
+
+        t0 = time.perf_counter()
+        try:
+            unresolved, frozen_by_file = link_cross_file(summaries.values(), allowlist)
+        except ConflictingExport:
+            for rel in written:
+                (out_root / rel).unlink()
+                if dump_root is not None:
+                    (dump_root / "renames" / (rel + ".tsv")).unlink(missing_ok=True)
+                    (dump_root / "scopes" / (rel + ".txt")).unlink(missing_ok=True)
+            raise
+        for importer, path in unresolved:
+            report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
+        wall_ms["link"] = (time.perf_counter() - t0) * 1000.0
+
+        # redo the files whose frozen set the link grew
+        t0 = time.perf_counter()
+        redo = []
+        if config.rename:
+            for rel in largest_first:
+                final = frozen_by_file.get(rel)
+                if final is not None and final.keys() != export_locals(summaries[rel]):
+                    redo.append((rel, frozenset(final)))
+        for result in run(redo):
+            record(result)
+        report["files_redone"] = len(redo)
+        wall_ms["redo"] = (time.perf_counter() - t0) * 1000.0
+    report["files_transformed"] = len(written)
+
+    # verbatim copies: non-JS files and any file a task refused
+    t0 = time.perf_counter()
     for rel in other_files + sorted(skipped):
         target = out_root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(in_root / rel, target)
+        written[rel] = sizes[rel]
         report["files_copied"] += 1
     for rel, (category, message) in sorted(skipped.items()):
         if category == "unsupported":
             report["warnings"].append(f"copied verbatim: {message}")
         else:
             report["errors"].append({"file": rel, "error": message})
+    wall_ms["copy"] = (time.perf_counter() - t0) * 1000.0
 
-    output_bytes = 0
-    for path in out_root.rglob("*"):
-        if path.is_file():
-            output_bytes += path.stat().st_size
-    report["output_bytes"] = output_bytes
+    report["output_bytes"] = sum(written.values())
     report["peak_memory_bytes"] = _peak_memory_bytes()
+    wall_ms["total"] = (time.perf_counter() - started) * 1000.0
     return report
+
+
+def _write_dump(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_report(report, output_root):

@@ -14,8 +14,8 @@ binding changed.
 
 from itertools import product
 
-from .errors import MarkerConflict, OrderViolation
-from .scopes import GLOBAL_SCOPE, Binding, global_binding
+from .errors import OrderViolation
+from .scopes import Binding
 from .tokens import RESERVED_WORDS
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -174,45 +174,6 @@ def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, a
             forbidden.add(candidate)
             rename_map.assign(binding, candidate, decl.usage)
     return rename_map
-
-
-def rename_partition(trees, markers=(), frozen_by_file=None, allowlist=(), subtree_refs=True):
-    """Rename every file tree of one partition and merge the results.
-
-    Files in a partition share no renameable bindings (cross-file names are
-    frozen by the linking phase), so each tree is renamed independently
-    against the shared frozen context.
-    """
-    frozen_by_file = frozen_by_file or {}
-    maps = []
-    for tree in trees:
-        pinned = frozen_by_file.get(tree.file_id, ())
-        maps.append(rename_tree(tree, pinned, allowlist, subtree_refs))
-    return merge_maps(maps, markers)
-
-
-def merge_maps(maps, markers=()):
-    """Union of per-partition maps; marker bindings must agree everywhere."""
-    merged = RenameMap()
-    for rename_map in maps:
-        for binding, name in rename_map.items():
-            existing = merged.get(binding)
-            if existing is not None and existing != name:
-                raise MarkerConflict(
-                    f"{binding} renamed to both {existing!r} and {name!r}"
-                )
-            merged.assign(binding, name, rename_map.usage.get(binding, 0))
-    for marker in markers:
-        existing = merged.get(marker.binding)
-        if existing is not None and existing != marker.frozen_name:
-            raise MarkerConflict(
-                f"boundary name {marker.identifier!r} frozen as "
-                f"{marker.frozen_name!r} but partition assigned {existing!r}"
-            )
-        merged.assign(
-            marker.binding, marker.frozen_name, merged.usage.get(marker.binding, 0)
-        )
-    return merged
 
 
 class SafetyViolation:

@@ -157,14 +157,29 @@ def test_analyze_subcommand(tmp_path, capsys):
     project(
         tmp_path / "src",
         {
-            "a.js": 'import {f} from "./b.js"; console.log(f());',
-            "b.js": "export function f(){ return 1; }",
+            "a.js": 'import {f} from "./b.js"; console.log(f(), Registry);',
+            "b.js": "export function f(){ return 1; }\nvar Registry = {};",
         },
     )
-    rc = cli.main(["analyze", "--in", str(tmp_path / "src"), "--dump-scopes", "--threads", "2"])
+    rc = cli.main(["analyze", "--in", str(tmp_path / "src"), "--dump-scopes"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "module#0" in out
-    assert "a.js -> b.js: f" in out
-    assert "boundary markers: 1" in out
-    assert "cut weight:" in out
+    assert "a.js -> b.js: Registry, f" in out
+    assert "frozen names: 2" in out
+    assert "  b.js: f (export)" in out
+    assert "  b.js: Registry (read as implicit global by a.js)" in out
+    assert "partition" not in out and "marker" not in out
+    # the worker count only fed the partitioner, which is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--in", str(tmp_path / "src"), "--threads", "2"])
+    assert exc.value.code == cli.USAGE_EXIT
+
+
+def test_analyze_conflicting_export_exits_3(tmp_path, capsys):
+    project(
+        tmp_path / "src",
+        {"a.js": "var Dup = 1;", "b.js": "var Dup = 2;", "c.js": "console.log(Dup);"},
+    )
+    assert cli.main(["analyze", "--in", str(tmp_path / "src")]) == 3
+    assert "'Dup' is declared at module scope" in capsys.readouterr().err

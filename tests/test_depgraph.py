@@ -1,26 +1,23 @@
-from itertools import product
-
 import pytest
 
 from scopeshield.depgraph import (
-    BoundaryMarker,
     build_dependency_graph,
+    export_locals,
+    format_graph_report,
     link_cross_file,
-    partition_graph,
     resolve_import,
 )
 from scopeshield.errors import ConflictingExport
 from scopeshield.parser import FileSummary
 
 
-def make_summary(file_id, imports=(), exports=(), declared=(), free=(), size=100):
+def make_summary(file_id, imports=(), exports=(), declared=(), free=()):
     s = FileSummary(file_id)
     s.imports = list(imports)
     s.exports = list(exports)
     s.export_pairs = [(n, n) for n in exports]
     s.declared_globals = list(declared)
     s.free_names = list(free)
-    s.size = size
     return s
 
 
@@ -64,128 +61,93 @@ def test_resolve_import_paths():
     assert resolve_import("main.js", "left-pad", files) is None
 
 
-def test_k1_single_partition_zero_cut():
-    a = make_summary("a.js", imports=[("./b.js", ["f"])])
-    b = make_summary("b.js", exports=["f"])
-    graph = build_dependency_graph([a, b])
-    imap = partition_graph(graph, 1)
-    assert set(imap.partitions.values()) == {0}
-    assert imap.cut_weight == 0
-
-
-def test_disconnected_components_split_cleanly():
-    a = make_summary("a.js", imports=[("./b.js", ["f"])])
-    b = make_summary("b.js", exports=["f"])
-    c = make_summary("c.js", imports=[("./d.js", ["g"])])
-    d = make_summary("d.js", exports=["g"])
-    graph = build_dependency_graph([a, b, c, d])
-    imap = partition_graph(graph, 2)
-    # exhaustive: no edge crosses partitions
-    for (x, y), _names in graph.edges.items():
-        assert imap.partition_of(x) == imap.partition_of(y)
-    assert imap.cut_weight == 0
-    assert len(set(imap.partitions.values())) == 2
-
-
-def test_chain_cut_weight_matches_brute_force():
-    a = make_summary("a.js", imports=[("./b.js", ["f"])])
-    b = make_summary("b.js", exports=["f"], imports=[("./c.js", ["g"])])
-    c = make_summary("c.js", exports=["g"])
-    graph = build_dependency_graph([a, b, c])
-    imap = partition_graph(graph, 2)
-
-    def cut_of(assign):
-        return sum(
-            len(names)
-            for (x, y), names in graph.edges.items()
-            if assign[x] != assign[y]
-        )
-
-    # brute force over all 2-partitions that actually use both partitions
-    best = min(
-        cut_of(dict(zip(graph.files, combo)))
-        for combo in product([0, 1], repeat=3)
-        if len(set(combo)) == 2
-    )
-    assert best == 1
-    assert imap.cut_weight == 1  # one edge crosses, never two
-
-
-def test_partition_deterministic_under_input_order():
+def test_link_deterministic_under_input_order():
     files = [
-        make_summary("a.js", imports=[("./b.js", ["f"])], size=300),
-        make_summary("b.js", exports=["f"], size=200),
-        make_summary("c.js", free=["Shared"], size=100),
-        make_summary("d.js", free=["Shared"], size=400),
+        make_summary("a.js", imports=[("./b.js", ["f"]), ("./gone.js", ["g"])]),
+        make_summary("b.js", exports=["f"], declared=["f", "Shared"]),
+        make_summary("c.js", free=["Shared"]),
+        make_summary("d.js", free=["Shared"]),
     ]
-    graph1 = build_dependency_graph(files)
-    imap1 = partition_graph(graph1, 2, {s.file_id: s.size for s in files})
-    graph2 = build_dependency_graph(list(reversed(files)))
-    imap2 = partition_graph(graph2, 2, {s.file_id: s.size for s in files})
-    assert imap1.partitions == imap2.partitions
-    assert imap1.cut_weight == imap2.cut_weight
+    forward = link_cross_file(files)
+    backward = link_cross_file(list(reversed(files)))
+    assert forward == backward
+    assert forward[0] == [("a.js", "./gone.js")]
+    assert list(forward[1]) == ["a.js", "b.js", "c.js", "d.js"]
 
 
 def test_marker_for_consumed_export():
     a = make_summary("a.js", imports=[("./b.js", ["f"])])
     b = make_summary("b.js", exports=["f"])
-    graph = build_dependency_graph([a, b])
-    imap = partition_graph(graph, 2)
-    markers, frozen = link_cross_file([a, b], graph, imap)
-    consumed = [m for m in markers if m.identifier == "f"]
-    assert len(consumed) == 1
-    marker = consumed[0]
-    assert marker.owner_partition == imap.partition_of("b.js")
-    assert marker.consumer_partitions == (imap.partition_of("a.js"),)
-    assert marker.frozen_name == "f"
-    assert "f" in frozen["b.js"]
+    unresolved, frozen = link_cross_file([a, b])
+    assert unresolved == []
+    assert frozen == {"a.js": {}, "b.js": {"f": "export"}}
+    assert set(frozen["b.js"]) == export_locals(b)
+
+
+def test_export_frozen_under_its_local_name():
+    b = make_summary("b.js", exports=["api"])
+    b.export_pairs = [("impl", "api")]
+    _unresolved, frozen = link_cross_file([b])
+    assert frozen == {"b.js": {"impl": "export"}}
 
 
 def test_marker_for_shared_undeclared_global_is_frozen_to_original():
+    # a global read free by two files and declared by neither belongs to no
+    # file: nothing to freeze, since free names are never renamed
     a = make_summary("a.js", free=["GameGlobal"])
     b = make_summary("b.js", free=["GameGlobal"])
-    graph = build_dependency_graph([a, b])
-    imap = partition_graph(graph, 2)
-    markers, _ = link_cross_file([a, b], graph, imap)
-    assert [m.frozen_name for m in markers] == ["GameGlobal"]
-    assert markers[0].binding.is_global()
+    _unresolved, frozen = link_cross_file([a, b])
+    assert frozen == {"a.js": {}, "b.js": {}}
 
 
 def test_no_cross_names_means_no_markers():
     a = make_summary("a.js", declared=["x"])
     b = make_summary("b.js", declared=["y"])
-    graph = build_dependency_graph([a, b])
-    imap = partition_graph(graph, 2)
-    markers, frozen = link_cross_file([a, b], graph, imap)
-    assert markers == []
-    assert frozen == {"a.js": set(), "b.js": set()}
+    unresolved, frozen = link_cross_file([a, b])
+    assert unresolved == []
+    assert frozen == {"a.js": {}, "b.js": {}}
 
 
 def test_module_declaration_read_as_implicit_global_gets_frozen():
     a = make_summary("a.js", declared=["Registry"])
     b = make_summary("b.js", free=["Registry"])
-    graph = build_dependency_graph([a, b])
-    imap = partition_graph(graph, 2)
-    markers, frozen = link_cross_file([a, b], graph, imap)
-    assert "Registry" in frozen["a.js"]
-    assert any(m.identifier == "Registry" and not m.binding.is_global() for m in markers)
+    c = make_summary("c.js", free=["Registry"])
+    _unresolved, frozen = link_cross_file([a, b, c])
+    assert frozen["a.js"] == {"Registry": "read as implicit global by b.js, c.js"}
+    assert len(frozen["a.js"]) > len(export_locals(a))
+
+
+def test_export_reason_wins_over_implicit_global():
+    a = make_summary("a.js", exports=["Api"], declared=["Api"])
+    b = make_summary("b.js", free=["Api"])
+    _unresolved, frozen = link_cross_file([a, b])
+    assert frozen["a.js"] == {"Api": "export"}
 
 
 def test_conflicting_export_detected():
     a = make_summary("a.js", declared=["Dup"])
     b = make_summary("b.js", declared=["Dup"])
     c = make_summary("c.js", free=["Dup"])
-    graph = build_dependency_graph([a, b, c])
-    imap = partition_graph(graph, 2)
     with pytest.raises(ConflictingExport):
-        link_cross_file([a, b, c], graph, imap)
+        link_cross_file([a, b, c])
 
 
 def test_allowlist_names_never_create_edges_or_markers():
-    a = make_summary("a.js", free=["console", "Math"])
-    b = make_summary("b.js", free=["console"])
+    a = make_summary("a.js", free=["console", "Math"], declared=["Math"])
+    b = make_summary("b.js", free=["console"], declared=["console"])
     graph = build_dependency_graph([a, b], allowlist={"console", "Math"})
     assert graph.edges == {}
-    imap = partition_graph(graph, 2)
-    markers, _ = link_cross_file([a, b], graph, imap, allowlist={"console", "Math"})
-    assert markers == []
+    _unresolved, frozen = link_cross_file([a, b], allowlist={"console", "Math"})
+    assert frozen == {"a.js": {}, "b.js": {}}
+
+
+def test_graph_report_lists_frozen_names_with_reasons():
+    a = make_summary("a.js", imports=[("./b.js", ["f"])], free=["Registry"])
+    b = make_summary("b.js", exports=["f"], declared=["f", "Registry"])
+    graph = build_dependency_graph([a, b])
+    _unresolved, frozen = link_cross_file([a, b])
+    text = format_graph_report(graph, frozen)
+    assert "a.js -> b.js: Registry, f" in text
+    assert "frozen names: 2" in text
+    assert "  b.js: Registry (read as implicit global by a.js)" in text
+    assert "  b.js: f (export)" in text

@@ -8,10 +8,11 @@ import pytest
 
 import scopeshield.pipeline as pipeline
 from scopeshield.bench import synth_module
-from scopeshield.errors import FatalConfigError
+from scopeshield.errors import ConflictingExport, FatalConfigError
+from scopeshield.externals import load_allowlist
 from scopeshield.lexer import tokenize
 from scopeshield.minify import minify
-from scopeshield.parser import parse_ast
+from scopeshield.parser import parse, parse_ast
 from scopeshield.pipeline import (
     ObfuscationConfig,
     dump_dir_for,
@@ -133,18 +134,34 @@ def test_report_schema_and_write(tmp_path):
         "files_total",
         "files_transformed",
         "files_copied",
-        "cut_weight",
-        "phase_times_ms",
+        "files_redone",
+        "wall_ms",
+        "worker_ms",
         "peak_memory_bytes",
         "output_bytes",
         "input_bytes",
     ):
         assert key in report
-    for phase in ("parse", "pasa", "rename", "transform", "emit"):
-        assert phase in report["phase_times_ms"]
+    for key in ("cut_weight", "partitions", "boundary_markers", "phase_times_ms"):
+        assert key not in report
+    assert set(report["wall_ms"]) == {"discover", "files", "link", "redo", "copy", "total"}
+    assert set(report["worker_ms"]) == {"parse", "rename", "transform", "emit"}
+    assert report["wall_ms"]["total"] >= report["wall_ms"]["files"] > 0
+    assert report["files_redone"] == 0
+    assert report["output_bytes"] == (tmp_path / "out" / "a.js").stat().st_size
     assert report["peak_memory_bytes"] > 0
     path = write_report(report, tmp_path / "out")
     assert json.loads(path.read_text())["files_total"] == 1
+
+
+def test_output_bytes_count_only_this_run(tmp_path):
+    write_project(tmp_path / "src", {"a.js": "var alpha = 1;", "data.txt": "plain"})
+    out = tmp_path / "out"
+    write_project(out, {"stale.js": "x" * 5000, "old/left.txt": "y" * 300})
+    report = obfuscate_project(ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out)))
+    fresh = (out / "a.js").stat().st_size + (out / "data.txt").stat().st_size
+    assert report["output_bytes"] == fresh
+    assert (out / "stale.js").is_file()  # left alone, but not counted
 
 
 def test_fatal_config_errors(tmp_path):
@@ -173,6 +190,10 @@ def test_config_file_round_trip_and_unknown_key(tmp_path):
     cfg_path.write_text(json.dumps({"min_unit_bytes": 4096}))
     with pytest.raises(FatalConfigError):
         ObfuscationConfig.from_file(cfg_path)
+    # the seed field is gone: nothing read it
+    cfg_path.write_text(json.dumps({"seed": 0}))
+    with pytest.raises(FatalConfigError):
+        ObfuscationConfig.from_file(cfg_path)
 
 
 def test_rename_dump_written(tmp_path):
@@ -188,9 +209,9 @@ def test_rename_dump_written(tmp_path):
 
 
 def test_phase_merge_invariant_across_partition_counts(tmp_path):
-    """Per-file resolution plus markers gives the same outcome whether the
-    program is analyzed as one partition or several: the emitted bytes and
-    the boundary decisions must be identical for k=1 and k=4."""
+    """Per-file resolution plus the link gives the same outcome in-process
+    and on a pool: the emitted bytes and the redo decisions must be
+    identical for workers=1 and workers=4."""
     files = {
         "a.js": 'import {f} from "./b.js";\nGameHub.total = f(2);\nconsole.log(GameHub.total);',
         "b.js": "export function f(x){ var local = x + 1; return local; }",
@@ -211,7 +232,7 @@ def test_phase_merge_invariant_across_partition_counts(tmp_path):
         )
         outputs.append(read_tree(out))
     assert outputs[0] == outputs[1]
-    assert reports[0]["boundary_markers"] == reports[1]["boundary_markers"]
+    assert reports[0]["files_redone"] == reports[1]["files_redone"]
 
 
 def test_scope_dump_written(tmp_path):
@@ -375,20 +396,109 @@ def test_gc_state_restored_and_paused_during_files(tmp_path, monkeypatch, enable
 
 @pytest.mark.slow
 def test_per_file_time_grows_linearly(tmp_path):
-    """Quadrupling one minified file's size at workers=1 costs at most 6x."""
+    """Quadrupling one minified file's size at workers=1 costs at most 6x,
+    from 256 KB to 1 MB and from 1 MB to 4 MB."""
     times = {}
-    for label, size in (("256k", 256 * 1024), ("1m", 1024 * 1024)):
+    for label, size in (("256k", 256 * 1024), ("1m", 1024 * 1024), ("4m", 4 * 1024 * 1024)):
         src = tmp_path / f"src_{label}"
         write_project(src, {"app.js": minify(synth_module(4242, size))})
         runs = []
         for rep in range(2):
+            out = tmp_path / f"out_{label}"
             started = time.perf_counter()
-            obfuscate_project(
-                ObfuscationConfig(
-                    input_root=str(src), output_root=str(tmp_path / f"out_{label}_{rep}")
-                )
-            )
+            obfuscate_project(ObfuscationConfig(input_root=str(src), output_root=str(out)))
             runs.append(time.perf_counter() - started)
         times[label] = min(runs)
-    ratio = times["1m"] / times["256k"]
-    assert ratio <= 6.0, f"time(1 MB)/time(256 KB) = {ratio:.2f} exceeds 6 ({times})"
+    for small, large in (("256k", "1m"), ("1m", "4m")):
+        ratio = times[large] / times[small]
+        assert ratio <= 6.0, f"time({large})/time({small}) = {ratio:.2f} exceeds 6 ({times})"
+
+
+# ---- one pass per file, a link, and a redo of the files it changes ----
+
+SHARED_GLOBAL_PROJECT = {
+    "a.js": "var shared = 40;\nfunction bump(step){ var next = shared + step; return next; }\nbump(1);",
+    "b.js": "console.log(shared + 2);",
+}
+
+
+def test_redo_path_keeps_cross_file_global_and_matches_direct_run(tmp_path):
+    src = tmp_path / "src"
+    write_project(src, SHARED_GLOBAL_PROJECT)
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        report = obfuscate_project(
+            ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+        )
+        assert report["files_redone"] == 1
+        assert report["files_transformed"] == 2 and report["errors"] == []
+        outputs.append(read_tree(out))
+    assert outputs[0] == outputs[1]
+    a_out = outputs[0]["a.js"].decode("utf-8")
+    assert "var shared=" in a_out and "next" not in a_out
+    # the redone file equals one task run with its final frozen set
+    config = ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "unused"))
+    direct = pipeline.process_file(config, load_allowlist(None), "a.js", frozenset({"shared"}))
+    assert direct["text"] == a_out
+    # the first pass alone would have renamed it
+    local = pipeline.process_file(config, load_allowlist(None), "a.js")
+    assert "var shared=" not in local["text"]
+
+
+def test_no_rename_run_needs_no_redo(tmp_path):
+    # without renaming, no output depends on the frozen names
+    src = tmp_path / "src"
+    write_project(src, SHARED_GLOBAL_PROJECT)
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "out"), rename=False)
+    )
+    assert report["files_redone"] == 0 and report["files_transformed"] == 2
+
+
+def test_unresolved_import_warned_and_kept(tmp_path):
+    src = tmp_path / "src"
+    write_project(src, {"app.js": 'import {helper} from "./missing.js";\nvar local = helper(1);'})
+    report = obfuscate_project(ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "out")))
+    assert report["warnings"] == ["app.js: unresolved import './missing.js' treated as external"]
+    out = (tmp_path / "out" / "app.js").read_text()
+    assert "{helper}" in out.replace(" ", "") and "helper(1)" in out and "local" not in out
+
+
+def test_conflicting_export_leaves_no_js_output(tmp_path):
+    src = tmp_path / "src"
+    write_project(
+        src,
+        {
+            "a.js": "var Dup = 1;\nvar own = 2;",
+            "b.js": "var Dup = 3;",
+            "c.js": "console.log(Dup);",
+            "notes.txt": "kept in the input only",
+        },
+    )
+    out = tmp_path / "out"
+    for workers in (1, 2):
+        with pytest.raises(ConflictingExport):
+            obfuscate_project(
+                ObfuscationConfig(
+                    input_root=str(src), output_root=str(out), workers=workers, dump_renames=True
+                )
+            )
+        assert not list(out.rglob("*.js"))
+        assert not list(dump_dir_for(out).rglob("*.tsv"))
+
+
+def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
+    build_corpus(tmp_path / "src", count=200)
+    config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
+    allowlist = load_allowlist(None)
+    js_files, _others = pipeline.discover_files(config.input_root)
+    assert len(js_files) >= 200
+    for rel in js_files:
+        result = pipeline.process_file(config, allowlist, rel)
+        assert result["status"] == "ok", result
+        text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
+        _root, expected = parse(tokenize(text, rel), rel)
+        got = result["summary"]
+        for field in ("imports", "exports", "export_pairs", "declared_globals", "free_names"):
+            assert getattr(got, field) == getattr(expected, field), (rel, field)

@@ -3,8 +3,7 @@ from itertools import product
 
 import pytest
 
-from scopeshield.errors import MarkerConflict, OrderViolation
-from scopeshield.depgraph import BoundaryMarker
+from scopeshield.errors import OrderViolation
 from scopeshield.lexer import tokenize
 from scopeshield.parser import parse_ast
 from scopeshield.patches import emit
@@ -14,7 +13,6 @@ from scopeshield.renamer import (
     check_safety,
     cost,
     forbidden_set,
-    merge_maps,
     name_sequence,
     pool_name,
     rename_patches,
@@ -135,43 +133,6 @@ def test_deterministic():
     assert dict(m1.items()) == dict(m2.items())
 
 
-# ---- merge ----
-
-def test_merge_disjoint_maps_is_union():
-    m1, m2 = RenameMap(), RenameMap()
-    m1.assign(Binding("a.js", 0, "x"), "a", 2)
-    m2.assign(Binding("b.js", 0, "y"), "a", 3)
-    merged = merge_maps([m1, m2])
-    assert len(merged) == 2
-    assert merged.usage[Binding("a.js", 0, "x")] == 2
-
-
-def test_merge_enforces_marker_freeze():
-    m1 = RenameMap()
-    binding = Binding("b.js", 0, "f")
-    marker = BoundaryMarker("f", 0, [1], binding, "f")
-    merged = merge_maps([m1], [marker])
-    assert merged.get(binding) == "f"
-
-
-def test_merge_detects_marker_conflict():
-    m1 = RenameMap()
-    binding = Binding("b.js", 0, "f")
-    m1.assign(binding, "zz")
-    marker = BoundaryMarker("f", 0, [1], binding, "f")
-    with pytest.raises(MarkerConflict):
-        merge_maps([m1], [marker])
-
-
-def test_merge_detects_disagreeing_maps():
-    binding = Binding("a.js", 0, "x")
-    m1, m2 = RenameMap(), RenameMap()
-    m1.assign(binding, "a")
-    m2.assign(binding, "b")
-    with pytest.raises(MarkerConflict):
-        merge_maps([m1, m2])
-
-
 # ---- safety oracle ----
 
 def test_identity_map_is_safe():
@@ -264,29 +225,6 @@ def brute_force_min_cost(tree, alphabet="ab", pool_size=8, usage=1):
         if best is None or total < best:
             best = total
     return best
-
-
-def test_partition_count_does_not_change_the_merged_map():
-    # the same three files renamed as one partition and as three partitions
-    # must merge to identical maps, and both must pass the safety oracle
-    sources = {
-        "a.js": "function alpha(n){ var acc = n * 2; return acc; } console.log(alpha(3));",
-        "b.js": "function beta(){ let hidden = 5; return hidden; }",
-        "c.js": "var shared = 1; function gamma(){ return shared + 1; }",
-    }
-    from scopeshield.renamer import rename_partition
-
-    def trees():
-        return [tree_of(src, file_id) for file_id, src in sorted(sources.items())]
-
-    single = rename_partition(trees(), allowlist={"console"})
-    per_file_maps = [
-        rename_partition([tree], allowlist={"console"}) for tree in trees()
-    ]
-    split = merge_maps(per_file_maps)
-    assert dict(single.items()) == dict(split.items())
-    assert check_safety(trees(), single) == []
-    assert check_safety(trees(), split) == []
 
 
 def test_greedy_matches_brute_force_on_small_trees():
