@@ -145,11 +145,11 @@ def cmd_analyze(args):
             print(format_scope_report(tree))
     graph = build_dependency_graph(summaries, allowlist)
     try:
-        _unresolved, frozen_by_file = link_cross_file(summaries, allowlist)
+        unresolved, frozen_by_file = link_cross_file(summaries, allowlist)
     except ConflictingExport as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 3
-    print(format_graph_report(graph, frozen_by_file))
+    print(format_graph_report(graph, unresolved, frozen_by_file))
     return 2 if had_errors else 0
 
 

@@ -20,13 +20,12 @@ from .errors import ConflictingExport
 class DependencyGraph:
     """files: sorted ids; edges: (src, dst) -> set of shared names. Import
     edges point importer -> exporter; implicit-global edges use the sorted
-    file pair. ``unresolved`` lists (importer, path) pairs that matched no
-    file and are treated as external."""
+    file pair. Imports that match no file make no edge; ``link_cross_file``
+    lists them."""
 
     def __init__(self):
         self.files = []
         self.edges = {}
-        self.unresolved = []
 
     def add_edge(self, src, dst, names):
         if not names:
@@ -47,6 +46,23 @@ def resolve_import(importer, path, known_files):
     return None
 
 
+def _global_name_index(by_file, files, env):
+    """(free_by_name, declared_by_name): for each non-environment name, the
+    files that read it free and the files that declare it at module scope,
+    in ``files`` order."""
+    free_by_name = {}
+    declared_by_name = {}
+    for file_id in files:
+        summary = by_file[file_id]
+        for name in summary.free_names:
+            if name not in env:
+                free_by_name.setdefault(name, []).append(file_id)
+        for name in summary.declared_globals:
+            if name not in env:
+                declared_by_name.setdefault(name, []).append(file_id)
+    return free_by_name, declared_by_name
+
+
 def build_dependency_graph(summaries, allowlist=()):
     """Build the file graph from per-file summaries.
 
@@ -56,29 +72,14 @@ def build_dependency_graph(summaries, allowlist=()):
     graph = DependencyGraph()
     by_file = {s.file_id: s for s in summaries}
     graph.files = sorted(by_file)
-    known = set(graph.files)
-    env = set(allowlist)
 
     for file_id in graph.files:
-        summary = by_file[file_id]
-        for path, names in summary.imports:
-            target = resolve_import(file_id, path, known)
-            if target is None:
-                graph.unresolved.append((file_id, path))
-            elif target != file_id:
+        for path, names in by_file[file_id].imports:
+            target = resolve_import(file_id, path, by_file)
+            if target is not None and target != file_id:
                 graph.add_edge(file_id, target, names)
 
-    free_by_name = {}
-    declared_by_name = {}
-    for file_id in graph.files:
-        summary = by_file[file_id]
-        for name in summary.free_names:
-            if name not in env:
-                free_by_name.setdefault(name, []).append(file_id)
-        for name in summary.declared_globals:
-            if name not in env:
-                declared_by_name.setdefault(name, []).append(file_id)
-
+    free_by_name, declared_by_name = _global_name_index(by_file, graph.files, set(allowlist))
     for name, readers in sorted(free_by_name.items()):
         declarers = declared_by_name.get(name, [])
         involved = sorted(set(readers) | set(declarers))
@@ -96,6 +97,15 @@ def export_locals(summary):
     return {local for local, _exported in summary.export_pairs}
 
 
+def shares_script_globals(summary):
+    """True for a script (no import or export) that declares module-level
+    names. A script's declarations are globals that other files may read, so
+    only the link knows which of them keep their spelling. A module's
+    declarations are module-scoped; the link freezes one only when another
+    file happens to read the same name free."""
+    return not summary.imports and not summary.exports and bool(summary.declared_globals)
+
+
 def link_cross_file(summaries, allowlist=()):
     """Resolve cross-file visibility into per-file frozen names.
 
@@ -111,24 +121,16 @@ def link_cross_file(summaries, allowlist=()):
     """
     by_file = {s.file_id: s for s in summaries}
     files = sorted(by_file)
-    env = set(allowlist)
     unresolved = []
     frozen_by_file = {}
-    free_by_name = {}
-    declared_by_name = {}
     for file_id in files:
         summary = by_file[file_id]
         for path, _names in summary.imports:
             if resolve_import(file_id, path, by_file) is None:
                 unresolved.append((file_id, path))
         frozen_by_file[file_id] = dict.fromkeys(sorted(export_locals(summary)), "export")
-        for name in summary.free_names:
-            if name not in env:
-                free_by_name.setdefault(name, []).append(file_id)
-        for name in summary.declared_globals:
-            if name not in env:
-                declared_by_name.setdefault(name, []).append(file_id)
 
+    free_by_name, declared_by_name = _global_name_index(by_file, files, set(allowlist))
     for name in sorted(free_by_name):
         readers = free_by_name[name]
         reader_set = set(readers)
@@ -145,16 +147,18 @@ def link_cross_file(summaries, allowlist=()):
     return unresolved, frozen_by_file
 
 
-def format_graph_report(graph, frozen_by_file):
-    """Plain-text dependency graph dump for the analyze subcommand, with
-    each file's frozen names and why they keep their spelling."""
+def format_graph_report(graph, unresolved, frozen_by_file):
+    """Plain-text dependency graph dump for the analyze subcommand, from
+    ``build_dependency_graph`` and the two results of ``link_cross_file``:
+    unresolved imports, and each file's frozen names with why they keep
+    their spelling."""
     lines = [f"files: {len(graph.files)}"]
     for f in graph.files:
         lines.append(f"  {f}")
     lines.append(f"edges: {len(graph.edges)}")
     for (a, b), names in sorted(graph.edges.items()):
         lines.append(f"  {a} -> {b}: {', '.join(sorted(names))}")
-    for importer, path in graph.unresolved:
+    for importer, path in unresolved:
         lines.append(f"  unresolved: {importer} imports {path!r}")
     lines.append(f"frozen names: {sum(len(names) for names in frozen_by_file.values())}")
     for f in sorted(frozen_by_file):

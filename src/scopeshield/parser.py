@@ -98,12 +98,7 @@ def summarize(summary, tree):
     """Complete a summary from ``parse_ast`` with the file's scope tree:
     module-level declarations and the names read free."""
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
-    free = set()
-    for occ in tree.occurrences:
-        binding = tree.resolve(occ.name, occ.scope_id)
-        if binding.is_global():
-            free.add(occ.name)
-    summary.free_names = sorted(free)
+    summary.free_names = sorted(tree.free_names)
     return summary
 
 

@@ -1,16 +1,21 @@
 """End-to-end obfuscation pipeline.
 
-One pass per file, then a link, then a redo of the few files the link
-changes. A file's output is a pure function of the file and its frozen
+One pass per file, then a link, then a second run of the files the link
+may change. A file's output is a pure function of the file and its frozen
 names: the module-level names that keep their spelling. Each file task
-lexes, minifies, parses and scopes its file once, takes its summary from
-that same tree, and renames, transforms and emits under the frozen names the
-file knows alone (the locals behind its own exports). After every summary is
-in, a single linear link adds the names only the whole project shows: module
-declarations that another file reads as free globals. Only the files whose
-frozen set grew are run again, with the final set, on the same worker pool.
-Outputs are written as they arrive and no text is retained, so output bytes
-are identical for any worker count or scheduling order.
+lexes, minifies, parses and scopes its file once and takes its summary from
+that same tree. Most files are then renamed, transformed and emitted at
+once, under the frozen names the file knows alone (the locals behind its own
+exports). A script that declares module-level names is deferred instead:
+those names are globals other files may read, so the task stops after the
+summary. After every summary is in, a single linear link adds the names only
+the whole project shows: module declarations that another file reads as
+free globals. The deferred files, and any module whose frozen set grew, are
+then run with the final set on the same worker pool. So a deferred file
+costs two parses, and a module pays the second one only when another file
+reads one of its module-level names free. Outputs are written as they arrive
+and no text is retained, so output bytes are identical for any worker count
+or scheduling order.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -31,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .depgraph import export_locals, link_cross_file
+from .depgraph import export_locals, link_cross_file, shares_script_globals
 from .errors import ConflictingExport, FatalConfigError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
@@ -152,7 +157,9 @@ def process_file(config, allowlist, rel_path, frozen=None):
 
     ``frozen`` holds the module-level names that keep their spelling; None
     means the locals behind the file's own exports, which is all one file
-    can know alone. Returns a dict with the file, its status, the worker
+    can know alone. With None, a renaming run stops after the summary of a
+    file that ``shares_script_globals``, with status "deferred": its output
+    waits for the link. Returns a dict with the file, its status, the worker
     milliseconds per phase, the FileSummary once the scope tree exists (even
     if a later phase fails), and either the output text or the error.
     """
@@ -169,9 +176,12 @@ def process_file(config, allowlist, rel_path, frozen=None):
         root, summary = parse_ast(tokens, rel_path)
         tree = build_scope_tree(root, rel_path)
         result["summary"] = summarize(summary, tree)
-        if frozen is None:
-            frozen = export_locals(summary)
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
+        if frozen is None:
+            if config.rename and shares_script_globals(summary):
+                result["status"] = "deferred"
+                return result
+            frozen = export_locals(summary)
 
         t0 = time.perf_counter()
         patches = []
@@ -315,6 +325,7 @@ def obfuscate_project(config):
         "files_total": len(js_files) + len(other_files),
         "files_transformed": 0,
         "files_copied": 0,
+        "files_deferred": 0,
         "files_redone": 0,
         "wall_ms": wall_ms,
         "worker_ms": worker_ms,
@@ -335,12 +346,17 @@ def obfuscate_project(config):
     written = {}  # rel path -> bytes this run wrote there
     skipped = {}  # rel path -> (category, message); all copied verbatim
     summaries = {}
+    deferred = set()  # rel paths whose first task stopped after the summary
 
     def record(result):
-        """Write one file task's output, or note why the file is skipped."""
+        """Write one file task's output, or note why the file is skipped or
+        deferred."""
         rel = result["file"]
         for phase, ms in result["worker_ms"].items():
             worker_ms[phase] += ms
+        if result["status"] == "deferred":
+            deferred.add(rel)
+            return
         if result["status"] != "ok":
             skipped[rel] = (result["status"], result["error"])
             written.pop(rel, None)  # the verbatim copy replaces it
@@ -359,7 +375,8 @@ def obfuscate_project(config):
     context = {"config": config, "allowlist": allowlist}
     largest_first = sorted(js_files, key=lambda f: (-sizes[f], f))
     with _file_runner(context, config.workers if len(js_files) > 1 else 1) as run:
-        # one pass per file under the frozen names each file knows alone
+        # one pass per file under the frozen names each file knows alone, or
+        # a summary only for the deferred scripts
         t0 = time.perf_counter()
         for result in run((rel, None) for rel in largest_first):
             if "summary" in result:
@@ -381,17 +398,21 @@ def obfuscate_project(config):
             report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
         wall_ms["link"] = (time.perf_counter() - t0) * 1000.0
 
-        # redo the files whose frozen set the link grew
+        # run the deferred files, and redo the modules whose frozen set the
+        # link grew, under their final frozen names
         t0 = time.perf_counter()
-        redo = []
+        second = []
         if config.rename:
             for rel in largest_first:
                 final = frozen_by_file.get(rel)
-                if final is not None and final.keys() != export_locals(summaries[rel]):
-                    redo.append((rel, frozenset(final)))
-        for result in run(redo):
+                if rel in deferred or (
+                    final is not None and final.keys() != export_locals(summaries[rel])
+                ):
+                    second.append((rel, frozenset(final)))
+        report["files_deferred"] = len(deferred)
+        report["files_redone"] = len(second) - len(deferred)
+        for result in run(second):
             record(result)
-        report["files_redone"] = len(redo)
         wall_ms["redo"] = (time.perf_counter() - t0) * 1000.0
     report["files_transformed"] = len(written)
 

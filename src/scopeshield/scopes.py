@@ -131,6 +131,7 @@ class ScopeTree:
         self.nodes = []
         self.root = 0
         self.occurrences = []
+        self.free_names = set()  # names some occurrence reads as a global
 
     def new_scope(self, kind, parent, start, end):
         node = ScopeNode(len(self.nodes), kind, parent, start, end)
@@ -253,16 +254,20 @@ class ScopeTree:
 
 def build_scope_tree(root, file_id):
     """Walk an AST into a ScopeTree with declarations, references,
-    occurrences and dynamic flags; usage counts are resolved at the end."""
+    occurrences and dynamic flags; usage counts and free names are resolved
+    at the end."""
     tree = ScopeTree(file_id)
     module = tree.new_scope(MODULE, None, root.start, root.end)
     builder = _Builder(tree)
     for stmt in root.children:
         builder.walk(stmt, module.id, module.id)
-    # usage counts: every occurrence resolving to a declaration increments it
+    # every occurrence resolving to a declaration increments its usage count;
+    # the others read a global
     for occ in tree.occurrences:
         binding = tree.resolve(occ.name, occ.scope_id)
-        if not binding.is_global():
+        if binding.is_global():
+            tree.free_names.add(occ.name)
+        else:
             tree.nodes[binding.scope_id].declarations[binding.name].usage += 1
     return tree
 

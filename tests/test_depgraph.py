@@ -6,6 +6,7 @@ from scopeshield.depgraph import (
     format_graph_report,
     link_cross_file,
     resolve_import,
+    shares_script_globals,
 )
 from scopeshield.errors import ConflictingExport
 from scopeshield.parser import FileSummary
@@ -49,8 +50,18 @@ def test_self_contained_files_have_no_edges():
 
 def test_unresolved_import_recorded():
     a = make_summary("a.js", imports=[("./missing.js", ["gone"])])
-    graph = build_dependency_graph([a])
-    assert graph.unresolved == [("a.js", "./missing.js")]
+    assert build_dependency_graph([a]).edges == {}
+    unresolved, _frozen = link_cross_file([a])
+    assert unresolved == [("a.js", "./missing.js")]
+
+
+def test_only_scripts_with_declarations_share_script_globals():
+    assert shares_script_globals(make_summary("s.js", declared=["x"]))
+    assert not shares_script_globals(make_summary("r.js", free=["x"]))
+    assert not shares_script_globals(make_summary("e.js", exports=["x"], declared=["x", "y"]))
+    assert not shares_script_globals(
+        make_summary("i.js", imports=[("./e.js", ["x"])], declared=["y"])
+    )
 
 
 def test_resolve_import_paths():
@@ -142,11 +153,14 @@ def test_allowlist_names_never_create_edges_or_markers():
 
 
 def test_graph_report_lists_frozen_names_with_reasons():
-    a = make_summary("a.js", imports=[("./b.js", ["f"])], free=["Registry"])
+    a = make_summary(
+        "a.js", imports=[("./b.js", ["f"]), ("./gone.js", ["g"])], free=["Registry"]
+    )
     b = make_summary("b.js", exports=["f"], declared=["f", "Registry"])
     graph = build_dependency_graph([a, b])
-    _unresolved, frozen = link_cross_file([a, b])
-    text = format_graph_report(graph, frozen)
+    unresolved, frozen = link_cross_file([a, b])
+    text = format_graph_report(graph, unresolved, frozen)
+    assert "  unresolved: a.js imports './gone.js'" in text
     assert "a.js -> b.js: Registry, f" in text
     assert "frozen names: 2" in text
     assert "  b.js: Registry (read as implicit global by a.js)" in text
