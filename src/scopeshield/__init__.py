@@ -1,7 +1,7 @@
 """scopeshield: scope-aware parallel JavaScript obfuscator.
 
 Pipeline: lossless lexing and span-faithful patching, per-file scope
-analysis, cross-file dependency linking with frozen boundary names,
+analysis, boundary names (exports, script globals) frozen per file,
 shortest-identifier renaming with an independent safety oracle, and
 performance-preserving string/property transforms, plus metrics and a
 differential equivalence harness.

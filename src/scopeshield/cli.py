@@ -11,17 +11,24 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .depgraph import build_dependency_graph, format_graph_report, link_cross_file
+from .depgraph import (
+    build_dependency_graph,
+    format_graph_report,
+    frozen_names,
+    unresolved_imports,
+)
 from .equivalence import load_cases, run_differential, write_verdicts
-from .errors import ConflictingExport, EngineNotFound, FatalConfigError, LexError, ParseError
+from .errors import EngineNotFound, FatalConfigError
 from .externals import load_allowlist
 from .lexer import tokenize
 from .metrics import measure_tree_pair
-from .parser import parse
+from .parser import parse_ast, summarize
 from .pipeline import (
+    FILE_FAILURES,
     ObfuscationConfig,
     discover_files,
     dump_dir_for,
+    file_failure,
     obfuscate_project,
     write_report,
 )
@@ -111,7 +118,7 @@ def cmd_obfuscate(args):
     try:
         config = _config_from_args(args)
         report = obfuscate_project(config)
-    except (FatalConfigError, ConflictingExport) as exc:
+    except FatalConfigError as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 3
     path = write_report(report, config.output_root)
@@ -130,26 +137,21 @@ def cmd_analyze(args):
     summaries = []
     had_errors = False
     for rel in js_files:
-        text = (root / rel).read_text(encoding="utf-8")
         try:
-            tokens = tokenize(text, rel)
-            ast, summary = parse(tokens, rel)
-        except (LexError, ParseError) as exc:
-            print(f"{rel}: {exc}")
+            text = (root / rel).read_text(encoding="utf-8")
+            ast, summary = parse_ast(tokenize(text, rel), rel)
+            tree = build_scope_tree(ast, rel)
+        except FILE_FAILURES as exc:
+            print(file_failure(rel, exc)[1])
             had_errors = True
             continue
-        summaries.append(summary)
+        summaries.append(summarize(summary, tree))
         if args.dump_scopes:
-            tree = build_scope_tree(ast, rel)
             print(f"== {rel}")
             print(format_scope_report(tree))
     graph = build_dependency_graph(summaries, allowlist)
-    try:
-        unresolved, frozen_by_file = link_cross_file(summaries, allowlist)
-    except ConflictingExport as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
-        return 3
-    print(format_graph_report(graph, unresolved, frozen_by_file))
+    frozen_by_file = {s.file_id: frozen_names(s) for s in summaries}
+    print(format_graph_report(graph, unresolved_imports(summaries), frozen_by_file))
     return 2 if had_errors else 0
 
 

@@ -1,26 +1,25 @@
-"""Cross-file dependency graph and linking.
+"""Cross-file dependency graph and frozen names.
 
 Files are graph nodes. Import relationships give directed edges labelled with
-the imported names; two files touching the same non-environment undeclared
-global share an implicit-global edge. The graph is a diagnostic for
-``analyze``; obfuscation needs only the link.
+the imported names; files touching the same non-environment global share an
+implicit-global edge. The graph is a diagnostic for ``analyze``; obfuscation
+needs only each file's frozen names and the list of unresolved imports.
 
-Linking decides which module-level names of each file must keep their
-original spelling, which is all the per-file obfuscation needs to rename
-files independently: the locals behind the file's own exports, which the
-file knows alone, and module declarations that another file reads as free
-globals, which only the whole project shows.
+Which module-level names of a file keep their original spelling follows from
+the file alone (``frozen_names``). A module's declarations are module-scoped:
+only the locals behind its exports are visible to other files. A script (no
+``import`` or ``export``) declares its module-level names in the one global
+namespace that all scripts share, so all of them keep their spelling, as
+Terser and UglifyJS do by default.
 """
 
 import posixpath
-
-from .errors import ConflictingExport
 
 
 class DependencyGraph:
     """files: sorted ids; edges: (src, dst) -> set of shared names. Import
     edges point importer -> exporter; implicit-global edges use the sorted
-    file pair. Imports that match no file make no edge; ``link_cross_file``
+    file pair. Imports that match no file make no edge; ``unresolved_imports``
     lists them."""
 
     def __init__(self):
@@ -46,112 +45,70 @@ def resolve_import(importer, path, known_files):
     return None
 
 
-def _global_name_index(by_file, files, env):
-    """(free_by_name, declared_by_name): for each non-environment name, the
-    files that read it free and the files that declare it at module scope,
-    in ``files`` order."""
-    free_by_name = {}
-    declared_by_name = {}
-    for file_id in files:
-        summary = by_file[file_id]
-        for name in summary.free_names:
-            if name not in env:
-                free_by_name.setdefault(name, []).append(file_id)
-        for name in summary.declared_globals:
-            if name not in env:
-                declared_by_name.setdefault(name, []).append(file_id)
-    return free_by_name, declared_by_name
+def is_script(summary):
+    """True for a file with no import or export: its module-level
+    declarations are globals."""
+    return not summary.imports and not summary.exports
+
+
+def frozen_names(summary):
+    """{name: reason} for the module-level names of one file that keep their
+    spelling: a module's export locals ("export"), or every module-level
+    declaration of a script ("script global"). Import bindings need no entry:
+    the renamer keeps them unconditionally."""
+    if is_script(summary):
+        return dict.fromkeys(summary.declared_globals, "script global")
+    return dict.fromkeys(sorted({local for local, _exported in summary.export_pairs}), "export")
+
+
+def unresolved_imports(summaries):
+    """The (importer, path) pairs that match no file, in file order; their
+    imports stay external."""
+    by_file = {s.file_id: s for s in summaries}
+    return [
+        (file_id, path)
+        for file_id in sorted(by_file)
+        for path, _names in by_file[file_id].imports
+        if resolve_import(file_id, path, by_file) is None
+    ]
 
 
 def build_dependency_graph(summaries, allowlist=()):
     """Build the file graph from per-file summaries.
 
     Environment names from the allowlist never create implicit-global edges;
-    they are frozen unconditionally and need no coordination.
+    they are frozen unconditionally and need no coordination. Only scripts
+    declare globals: a module's declarations make no edge.
     """
     graph = DependencyGraph()
     by_file = {s.file_id: s for s in summaries}
     graph.files = sorted(by_file)
+    env = set(allowlist)
 
+    involved_by_name = {}  # global -> files that read it free or declare it
+    read_free = set()
     for file_id in graph.files:
-        for path, names in by_file[file_id].imports:
+        summary = by_file[file_id]
+        for path, names in summary.imports:
             target = resolve_import(file_id, path, by_file)
             if target is not None and target != file_id:
                 graph.add_edge(file_id, target, names)
+        declared = summary.declared_globals if is_script(summary) else []
+        for name in summary.free_names + declared:
+            involved_by_name.setdefault(name, set()).add(file_id)
+        read_free.update(summary.free_names)
 
-    free_by_name, declared_by_name = _global_name_index(by_file, graph.files, set(allowlist))
-    for name, readers in sorted(free_by_name.items()):
-        declarers = declared_by_name.get(name, [])
-        involved = sorted(set(readers) | set(declarers))
-        if len(involved) < 2:
-            continue
-        first = involved[0]
+    for name in sorted(read_free - env):
+        involved = sorted(involved_by_name[name])
         for other in involved[1:]:
-            graph.add_edge(first, other, {name})
+            graph.add_edge(involved[0], other, {name})
     return graph
-
-
-def export_locals(summary):
-    """The module-level names a file freezes on its own: the locals behind
-    its exports."""
-    return {local for local, _exported in summary.export_pairs}
-
-
-def shares_script_globals(summary):
-    """True for a script (no import or export) that declares module-level
-    names. A script's declarations are globals that other files may read, so
-    only the link knows which of them keep their spelling. A module's
-    declarations are module-scoped; the link freezes one only when another
-    file happens to read the same name free."""
-    return not summary.imports and not summary.exports and bool(summary.declared_globals)
-
-
-def link_cross_file(summaries, allowlist=()):
-    """Resolve cross-file visibility into per-file frozen names.
-
-    Returns (unresolved, frozen_by_file). ``unresolved`` lists the
-    (importer, path) pairs that match no file; their imports stay external.
-    ``frozen_by_file`` maps each file id to {name: reason} for the
-    module-level names that must keep their spelling: "export" for the
-    locals behind exports (``export_locals``), and "read as implicit global
-    by <files>" for a module declaration that other files read free. Import
-    bindings need no entry: the renamer keeps them unconditionally. Raises
-    ConflictingExport when one name is declared at module scope in several
-    files while also read as an implicit global elsewhere.
-    """
-    by_file = {s.file_id: s for s in summaries}
-    files = sorted(by_file)
-    unresolved = []
-    frozen_by_file = {}
-    for file_id in files:
-        summary = by_file[file_id]
-        for path, _names in summary.imports:
-            if resolve_import(file_id, path, by_file) is None:
-                unresolved.append((file_id, path))
-        frozen_by_file[file_id] = dict.fromkeys(sorted(export_locals(summary)), "export")
-
-    free_by_name, declared_by_name = _global_name_index(by_file, files, set(allowlist))
-    for name in sorted(free_by_name):
-        readers = free_by_name[name]
-        reader_set = set(readers)
-        declarers = [f for f in declared_by_name.get(name, ()) if f not in reader_set]
-        if len(declarers) > 1:
-            raise ConflictingExport(
-                f"{name!r} is declared at module scope in {declarers} and "
-                f"consumed as an implicit global by {readers}"
-            )
-        if declarers:
-            frozen_by_file[declarers[0]].setdefault(
-                name, "read as implicit global by " + ", ".join(readers)
-            )
-    return unresolved, frozen_by_file
 
 
 def format_graph_report(graph, unresolved, frozen_by_file):
     """Plain-text dependency graph dump for the analyze subcommand, from
-    ``build_dependency_graph`` and the two results of ``link_cross_file``:
-    unresolved imports, and each file's frozen names with why they keep
-    their spelling."""
+    ``build_dependency_graph``, ``unresolved_imports`` and each file's
+    ``frozen_names``."""
     lines = [f"files: {len(graph.files)}"]
     for f in graph.files:
         lines.append(f"  {f}")

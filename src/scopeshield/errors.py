@@ -55,10 +55,6 @@ class OrderViolation(ScopeShieldError):
     """An ancestor scope was not renamed before one of its descendants."""
 
 
-class ConflictingExport(ScopeShieldError):
-    """The same name is exported by several files and consumed ambiguously."""
-
-
 class ZeroInput(ScopeShieldError):
     pass
 

@@ -9,8 +9,9 @@ Out of subset (raises UnsupportedSyntax so the file is copied through
 verbatim): labeled statements, destructuring, generators, async/await,
 class fields, optional chaining, dynamic import(), computed method names.
 
-The same pass records everything the cross-file analysis needs: imports,
-exports and dynamic sites (eval, with, Function constructor).
+The same pass records the imports and exports the cross-file analysis needs.
+Dynamic sites (eval, with, Function constructor) are flagged by the scope
+builder.
 """
 
 from .errors import ParseError, UnsupportedSyntax
@@ -59,7 +60,6 @@ class FileSummary:
         "imports",
         "exports",
         "export_pairs",
-        "dynamic_sites",
     )
 
     def __init__(self, file_id):
@@ -69,7 +69,6 @@ class FileSummary:
         self.imports = []
         self.exports = []
         self.export_pairs = []  # (local binding, exported name) for named exports
-        self.dynamic_sites = []
 
     def __repr__(self):
         return (
@@ -81,8 +80,8 @@ class FileSummary:
 def parse_ast(tokens, file_id="<input>"):
     """Parse a token stream into (AST root, partial FileSummary).
 
-    The summary holds what the parser sees: imports, exports and dynamic
-    sites. ``summarize`` adds the facts that need the scope tree.
+    The summary holds what the parser sees: imports and exports.
+    ``summarize`` adds the facts that need the scope tree.
     """
     parser = _Parser(tokens, file_id)
     root = parser.parse_program()
@@ -90,7 +89,6 @@ def parse_ast(tokens, file_id="<input>"):
     summary.imports = parser.imports
     summary.exports = parser.exports
     summary.export_pairs = parser.export_pairs
-    summary.dynamic_sites = parser.dynamic_sites
     return root, summary
 
 
@@ -128,7 +126,6 @@ class _Parser:
         self.nl_before = nl
         self.i = 0
         self.end_offset = tokens[-1].end if tokens else 0
-        self.dynamic_sites = []
         self.imports = []
         self.exports = []
         self.export_pairs = []
@@ -587,9 +584,7 @@ class _Parser:
         expr = self.parse_expression()
         self.expect(")")
         body = self.parse_statement()
-        node = Node("with", kw.start, body.end, children=[expr, body])
-        self.dynamic_sites.append((kw.start, body.end))
-        return node
+        return Node("with", kw.start, body.end, children=[expr, body])
 
     # ---- modules ----
 
@@ -863,11 +858,6 @@ class _Parser:
             if allow_call and t.kind == PUNCT and t.text == "(":
                 args, rp = self.parse_arguments()
                 expr = Node("call", expr.start, rp.end, children=[expr] + args)
-                if expr.children[0].kind == "identifier-ref" and expr.children[0].name in (
-                    "eval",
-                    "Function",
-                ):
-                    self.dynamic_sites.append((expr.start, expr.end))
                 continue
             if t.kind == TEMPLATE and t.text.startswith("`"):
                 tpl = self.parse_template()
@@ -1013,10 +1003,7 @@ class _Parser:
         if self.at("("):
             args, rp = self.parse_arguments()
             end = rp.end
-        node = Node("new", kw.start, end, children=[callee] + args)
-        if callee.kind == "identifier-ref" and callee.name == "Function":
-            self.dynamic_sites.append((node.start, node.end))
-        return self.parse_call_member(node)
+        return self.parse_call_member(Node("new", kw.start, end, children=[callee] + args))
 
     def parse_template(self):
         first = self.advance()

@@ -1,21 +1,13 @@
 """End-to-end obfuscation pipeline.
 
-One pass per file, then a link, then a second run of the files the link
-may change. A file's output is a pure function of the file and its frozen
-names: the module-level names that keep their spelling. Each file task
-lexes, minifies, parses and scopes its file once and takes its summary from
-that same tree. Most files are then renamed, transformed and emitted at
-once, under the frozen names the file knows alone (the locals behind its own
-exports). A script that declares module-level names is deferred instead:
-those names are globals other files may read, so the task stops after the
-summary. After every summary is in, a single linear link adds the names only
-the whole project shows: module declarations that another file reads as
-free globals. The deferred files, and any module whose frozen set grew, are
-then run with the final set on the same worker pool. So a deferred file
-costs two parses, and a module pays the second one only when another file
-reads one of its module-level names free. Outputs are written as they arrive
-and no text is retained, so output bytes are identical for any worker count
-or scheduling order.
+One pass per file. A file's output is a pure function of the file: its
+frozen names, the module-level names that keep their spelling, come from its
+own summary (``depgraph.frozen_names``). Each file task lexes, minifies,
+parses and scopes its file once, takes its summary from that same tree, then
+renames, transforms and emits it. Outputs are written as they arrive and no
+text is retained, so output bytes are identical for any worker count or
+scheduling order. Once every summary is in, the unresolved imports are
+reported.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -32,12 +24,11 @@ import shutil
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .depgraph import export_locals, link_cross_file, shares_script_globals
-from .errors import ConflictingExport, FatalConfigError, ScopeShieldError, UnsupportedSyntax
+from .depgraph import frozen_names, unresolved_imports
+from .errors import FatalConfigError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
 from .minify import minify_tokens
@@ -116,11 +107,11 @@ def _init_worker(context):
 
 
 # per-file problems: the file is copied verbatim and the run goes on
-_FILE_FAILURES = (ScopeShieldError, UnicodeDecodeError, RecursionError)
+FILE_FAILURES = (ScopeShieldError, UnicodeDecodeError, RecursionError)
 
 
-def _file_failure(rel_path, exc):
-    """(status, message) of one of the ``_FILE_FAILURES``."""
+def file_failure(rel_path, exc):
+    """(status, message) of one of the ``FILE_FAILURES``."""
     if isinstance(exc, UnsupportedSyntax):
         return "unsupported", str(exc)
     if isinstance(exc, RecursionError):
@@ -151,17 +142,13 @@ def preamble_offset(root):
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
 
 
-def process_file(config, allowlist, rel_path, frozen=None):
+def process_file(config, allowlist, rel_path):
     """Obfuscate one file: lex, minify, parse and scope it once, then
-    rename, transform and emit.
+    rename (keeping the file's ``frozen_names``), transform and emit.
 
-    ``frozen`` holds the module-level names that keep their spelling; None
-    means the locals behind the file's own exports, which is all one file
-    can know alone. With None, a renaming run stops after the summary of a
-    file that ``shares_script_globals``, with status "deferred": its output
-    waits for the link. Returns a dict with the file, its status, the worker
-    milliseconds per phase, the FileSummary once the scope tree exists (even
-    if a later phase fails), and either the output text or the error.
+    Returns a dict with the file, its status, the worker milliseconds per
+    phase, the FileSummary once the scope tree exists (even if a later phase
+    fails), and either the output text or the error.
     """
     phases = dict.fromkeys(WORKER_PHASES, 0.0)
     result = {"file": rel_path, "status": "ok", "worker_ms": phases}
@@ -177,16 +164,13 @@ def process_file(config, allowlist, rel_path, frozen=None):
         tree = build_scope_tree(root, rel_path)
         result["summary"] = summarize(summary, tree)
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
-        if frozen is None:
-            if config.rename and shares_script_globals(summary):
-                result["status"] = "deferred"
-                return result
-            frozen = export_locals(summary)
 
         t0 = time.perf_counter()
         patches = []
         if config.rename:
-            rmap = rename_tree(tree, frozen_module_names=frozen, allowlist=allowlist)
+            rmap = rename_tree(
+                tree, frozen_module_names=frozen_names(summary), allowlist=allowlist
+            )
             violations = check_safety([tree], rmap)
             if violations:
                 raise ScopeShieldError(
@@ -233,8 +217,8 @@ def process_file(config, allowlist, rel_path, frozen=None):
         t0 = time.perf_counter()
         out_text = emit(mtext, patches)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
-    except _FILE_FAILURES as exc:
-        result["status"], result["error"] = _file_failure(rel_path, exc)
+    except FILE_FAILURES as exc:
+        result["status"], result["error"] = file_failure(rel_path, exc)
         return result
     result["text"] = out_text
     if config.dump_renames:
@@ -256,30 +240,24 @@ def _gc_paused(task, *args):
             gc.enable()
 
 
-def _file_task(rel_path, frozen):
-    return _gc_paused(process_file, _CTX["config"], _CTX["allowlist"], rel_path, frozen)
+def _file_task(rel_path):
+    return _gc_paused(process_file, _CTX["config"], _CTX["allowlist"], rel_path)
 
 
-@contextmanager
-def _file_runner(context, workers):
-    """Yield ``run(jobs)``: it runs ``process_file`` over (rel path, frozen)
-    jobs and yields the results as they finish, each with the cyclic
-    collector paused. In-process when workers == 1; otherwise on one process
-    pool that serves every call for the whole run."""
+def _run_files(context, workers, rel_paths):
+    """Run ``process_file`` once per path and yield the results as they
+    finish, each with the cyclic collector paused. In-process when
+    workers == 1; otherwise on one process pool."""
     if workers <= 1:
         _init_worker(context)
-        yield lambda jobs: (_file_task(*job) for job in jobs)
+        yield from map(_file_task, rel_paths)
         return
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(context,)
     ) as pool:
-
-        def run(jobs):
-            futures = [pool.submit(_file_task, *job) for job in jobs]
-            for future in as_completed(futures):
-                yield future.result()
-
-        yield run
+        futures = [pool.submit(_file_task, rel) for rel in rel_paths]
+        for future in as_completed(futures):
+            yield future.result()
 
 
 def _peak_memory_bytes():
@@ -297,9 +275,7 @@ def obfuscate_project(config):
     """Run the whole pipeline; returns the run report dict.
 
     File-level problems (lexical, syntactic, unsupported constructs) never
-    abort the run: those files are copied through verbatim and reported. A
-    ConflictingExport from the link is fatal: the JS outputs already written
-    are deleted before it propagates.
+    abort the run: those files are copied through verbatim and reported.
     """
     started = time.perf_counter()
     if not config.input_root or not Path(config.input_root).is_dir():
@@ -319,14 +295,12 @@ def obfuscate_project(config):
     for rel in js_files + other_files:
         sizes[rel] = (in_root / rel).stat().st_size
 
-    wall_ms = dict.fromkeys(("discover", "files", "link", "redo", "copy", "total"), 0.0)
+    wall_ms = dict.fromkeys(("discover", "files", "link", "copy", "total"), 0.0)
     worker_ms = dict.fromkeys(WORKER_PHASES, 0.0)
     report = {
         "files_total": len(js_files) + len(other_files),
         "files_transformed": 0,
         "files_copied": 0,
-        "files_deferred": 0,
-        "files_redone": 0,
         "wall_ms": wall_ms,
         "worker_ms": worker_ms,
         "peak_memory_bytes": 0,
@@ -345,23 +319,20 @@ def obfuscate_project(config):
     )
     written = {}  # rel path -> bytes this run wrote there
     skipped = {}  # rel path -> (category, message); all copied verbatim
-    summaries = {}
-    deferred = set()  # rel paths whose first task stopped after the summary
-
-    def record(result):
-        """Write one file task's output, or note why the file is skipped or
-        deferred."""
+    summaries = []
+    context = {"config": config, "allowlist": allowlist}
+    largest_first = sorted(js_files, key=lambda f: (-sizes[f], f))
+    t0 = time.perf_counter()
+    workers = config.workers if len(js_files) > 1 else 1
+    for result in _run_files(context, workers, largest_first):
         rel = result["file"]
         for phase, ms in result["worker_ms"].items():
             worker_ms[phase] += ms
-        if result["status"] == "deferred":
-            deferred.add(rel)
-            return
+        if "summary" in result:
+            summaries.append(result["summary"])
         if result["status"] != "ok":
             skipped[rel] = (result["status"], result["error"])
-            written.pop(rel, None)  # the verbatim copy replaces it
-            return
-        skipped.pop(rel, None)
+            continue
         target = out_root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         data = result["text"].encode("utf-8")
@@ -371,50 +342,13 @@ def obfuscate_project(config):
             _write_dump(dump_root / "renames" / (rel + ".tsv"), "\n".join(result["rename_dump"]))
         if "scope_dump" in result:
             _write_dump(dump_root / "scopes" / (rel + ".txt"), result["scope_dump"])
-
-    context = {"config": config, "allowlist": allowlist}
-    largest_first = sorted(js_files, key=lambda f: (-sizes[f], f))
-    with _file_runner(context, config.workers if len(js_files) > 1 else 1) as run:
-        # one pass per file under the frozen names each file knows alone, or
-        # a summary only for the deferred scripts
-        t0 = time.perf_counter()
-        for result in run((rel, None) for rel in largest_first):
-            if "summary" in result:
-                summaries[result["file"]] = result["summary"]
-            record(result)
-        wall_ms["files"] = (time.perf_counter() - t0) * 1000.0
-
-        t0 = time.perf_counter()
-        try:
-            unresolved, frozen_by_file = link_cross_file(summaries.values(), allowlist)
-        except ConflictingExport:
-            for rel in written:
-                (out_root / rel).unlink()
-                if dump_root is not None:
-                    (dump_root / "renames" / (rel + ".tsv")).unlink(missing_ok=True)
-                    (dump_root / "scopes" / (rel + ".txt")).unlink(missing_ok=True)
-            raise
-        for importer, path in unresolved:
-            report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
-        wall_ms["link"] = (time.perf_counter() - t0) * 1000.0
-
-        # run the deferred files, and redo the modules whose frozen set the
-        # link grew, under their final frozen names
-        t0 = time.perf_counter()
-        second = []
-        if config.rename:
-            for rel in largest_first:
-                final = frozen_by_file.get(rel)
-                if rel in deferred or (
-                    final is not None and final.keys() != export_locals(summaries[rel])
-                ):
-                    second.append((rel, frozenset(final)))
-        report["files_deferred"] = len(deferred)
-        report["files_redone"] = len(second) - len(deferred)
-        for result in run(second):
-            record(result)
-        wall_ms["redo"] = (time.perf_counter() - t0) * 1000.0
+    wall_ms["files"] = (time.perf_counter() - t0) * 1000.0
     report["files_transformed"] = len(written)
+
+    t0 = time.perf_counter()
+    for importer, path in unresolved_imports(summaries):
+        report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
+    wall_ms["link"] = (time.perf_counter() - t0) * 1000.0
 
     # verbatim copies: non-JS files and any file a task refused
     t0 = time.perf_counter()

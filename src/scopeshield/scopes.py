@@ -442,22 +442,6 @@ class _Builder:
             self.walk(child, scope_id, fn_scope_id)
 
 
-def scope_flags(tree, frozen_module_names=()):
-    """Per-scope independently-renameable flag: false when a dynamic scope
-    sits anywhere above or below, or for a module scope exposing
-    boundary-visible names."""
-    flags = {}
-    frozen = set(frozen_module_names)
-    tainted = tree.scopes_with_dynamic_inside()
-    for sid in tree.preorder():
-        node = tree.nodes[sid]
-        flag = sid not in tainted and not tree.dynamic_upward(sid)
-        if sid == tree.root and frozen and (set(node.declarations) & frozen):
-            flag = False
-        flags[sid] = flag
-    return flags
-
-
 def format_scope_report(tree):
     """Indented one-scope-per-line dump for the analyze/--dump-scopes CLI."""
     lines = []

@@ -159,16 +159,19 @@ def test_analyze_subcommand(tmp_path, capsys):
         {
             "a.js": 'import {f} from "./b.js"; console.log(f(), Registry);',
             "b.js": "export function f(){ return 1; }\nvar Registry = {};",
+            "c.js": "var Registry = {};",
         },
     )
     rc = cli.main(["analyze", "--in", str(tmp_path / "src"), "--dump-scopes"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "module#0" in out
-    assert "a.js -> b.js: Registry, f" in out
+    assert "a.js -> b.js: f" in out
+    assert "a.js -> c.js: Registry" in out
     assert "frozen names: 2" in out
     assert "  b.js: f (export)" in out
-    assert "  b.js: Registry (read as implicit global by a.js)" in out
+    assert "  c.js: Registry (script global)" in out
+    assert "b.js: Registry" not in out  # module scope is not global
     assert "partition" not in out and "marker" not in out
     # the worker count only fed the partitioner, which is gone
     with pytest.raises(SystemExit) as exc:
@@ -176,10 +179,29 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert exc.value.code == cli.USAGE_EXIT
 
 
-def test_analyze_conflicting_export_exits_3(tmp_path, capsys):
+def test_analyze_scripts_declaring_one_global_keep_it_in_each(tmp_path, capsys):
     project(
         tmp_path / "src",
         {"a.js": "var Dup = 1;", "b.js": "var Dup = 2;", "c.js": "console.log(Dup);"},
     )
-    assert cli.main(["analyze", "--in", str(tmp_path / "src")]) == 3
-    assert "'Dup' is declared at module scope" in capsys.readouterr().err
+    assert cli.main(["analyze", "--in", str(tmp_path / "src")]) == 0
+    out = capsys.readouterr().out
+    assert "  a.js: Dup (script global)" in out
+    assert "  b.js: Dup (script global)" in out
+
+
+def test_analyze_reports_bad_files_and_goes_on(tmp_path, capsys):
+    src = tmp_path / "src"
+    project(
+        src,
+        {
+            "deep.js": "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+            "good.js": "var fine = 1;\nconsole.log(fine);",
+        },
+    )
+    (src / "latin1.js").write_bytes("var caf\u00e9 = 'cr\u00e8me';\n".encode("latin-1"))
+    assert cli.main(["analyze", "--in", str(src)]) == 2
+    out = capsys.readouterr().out
+    assert "deep.js: nesting too deep to analyze; not supported" in out
+    assert "latin1.js: not valid UTF-8" in out
+    assert "files: 1\n  good.js" in out

@@ -1,14 +1,10 @@
-import pytest
-
 from scopeshield.depgraph import (
     build_dependency_graph,
-    export_locals,
     format_graph_report,
-    link_cross_file,
+    frozen_names,
     resolve_import,
-    shares_script_globals,
+    unresolved_imports,
 )
-from scopeshield.errors import ConflictingExport
 from scopeshield.parser import FileSummary
 
 
@@ -27,6 +23,10 @@ def test_import_edge():
     b = make_summary("b.js", exports=["f"], declared=["f"])
     graph = build_dependency_graph([a, b])
     assert graph.edges == {("a.js", "b.js"): {"f"}}
+
+
+def frozen_by_file(summaries):
+    return {s.file_id: frozen_names(s) for s in summaries}
 
 
 def test_shared_implicit_global_edge():
@@ -51,17 +51,21 @@ def test_self_contained_files_have_no_edges():
 def test_unresolved_import_recorded():
     a = make_summary("a.js", imports=[("./missing.js", ["gone"])])
     assert build_dependency_graph([a]).edges == {}
-    unresolved, _frozen = link_cross_file([a])
-    assert unresolved == [("a.js", "./missing.js")]
+    assert unresolved_imports([a]) == [("a.js", "./missing.js")]
 
 
 def test_only_scripts_with_declarations_share_script_globals():
-    assert shares_script_globals(make_summary("s.js", declared=["x"]))
-    assert not shares_script_globals(make_summary("r.js", free=["x"]))
-    assert not shares_script_globals(make_summary("e.js", exports=["x"], declared=["x", "y"]))
-    assert not shares_script_globals(
-        make_summary("i.js", imports=[("./e.js", ["x"])], declared=["y"])
-    )
+    # a script's module-level names are globals, so all keep their spelling;
+    # a module keeps only its export locals
+    assert frozen_names(make_summary("s.js", declared=["x", "y"])) == {
+        "x": "script global",
+        "y": "script global",
+    }
+    assert frozen_names(make_summary("r.js", free=["x"])) == {}
+    assert frozen_names(make_summary("e.js", exports=["x"], declared=["x", "y"])) == {
+        "x": "export"
+    }
+    assert frozen_names(make_summary("i.js", imports=[("./e.js", ["x"])], declared=["y"])) == {}
 
 
 def test_resolve_import_paths():
@@ -79,27 +83,24 @@ def test_link_deterministic_under_input_order():
         make_summary("c.js", free=["Shared"]),
         make_summary("d.js", free=["Shared"]),
     ]
-    forward = link_cross_file(files)
-    backward = link_cross_file(list(reversed(files)))
-    assert forward == backward
-    assert forward[0] == [("a.js", "./gone.js")]
-    assert list(forward[1]) == ["a.js", "b.js", "c.js", "d.js"]
+    backward = list(reversed(files))
+    assert unresolved_imports(files) == unresolved_imports(backward) == [("a.js", "./gone.js")]
+    graph = build_dependency_graph(files)
+    assert graph.edges == build_dependency_graph(backward).edges
+    assert graph.edges == {("a.js", "b.js"): {"f"}, ("c.js", "d.js"): {"Shared"}}
 
 
 def test_marker_for_consumed_export():
     a = make_summary("a.js", imports=[("./b.js", ["f"])])
     b = make_summary("b.js", exports=["f"])
-    unresolved, frozen = link_cross_file([a, b])
-    assert unresolved == []
-    assert frozen == {"a.js": {}, "b.js": {"f": "export"}}
-    assert set(frozen["b.js"]) == export_locals(b)
+    assert unresolved_imports([a, b]) == []
+    assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {"f": "export"}}
 
 
 def test_export_frozen_under_its_local_name():
     b = make_summary("b.js", exports=["api"])
     b.export_pairs = [("impl", "api")]
-    _unresolved, frozen = link_cross_file([b])
-    assert frozen == {"b.js": {"impl": "export"}}
+    assert frozen_names(b) == {"impl": "export"}
 
 
 def test_marker_for_shared_undeclared_global_is_frozen_to_original():
@@ -107,40 +108,47 @@ def test_marker_for_shared_undeclared_global_is_frozen_to_original():
     # file: nothing to freeze, since free names are never renamed
     a = make_summary("a.js", free=["GameGlobal"])
     b = make_summary("b.js", free=["GameGlobal"])
-    _unresolved, frozen = link_cross_file([a, b])
-    assert frozen == {"a.js": {}, "b.js": {}}
+    assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {}}
 
 
 def test_no_cross_names_means_no_markers():
-    a = make_summary("a.js", declared=["x"])
-    b = make_summary("b.js", declared=["y"])
-    unresolved, frozen = link_cross_file([a, b])
-    assert unresolved == []
-    assert frozen == {"a.js": {}, "b.js": {}}
+    # modules without exports: every module-level name is renameable
+    a = make_summary("a.js", imports=[("./b.js", [])], declared=["x"])
+    b = make_summary("b.js", imports=[("./a.js", [])], declared=["y"])
+    assert unresolved_imports([a, b]) == []
+    assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {}}
 
 
-def test_module_declaration_read_as_implicit_global_gets_frozen():
-    a = make_summary("a.js", declared=["Registry"])
+def test_module_declaration_read_free_elsewhere_stays_renameable():
+    # module scope is not global: a file reading the name free never sees
+    # the module's binding, so the module renames it and no edge joins them
+    a = make_summary("a.js", exports=["api"], declared=["api", "Registry"])
     b = make_summary("b.js", free=["Registry"])
-    c = make_summary("c.js", free=["Registry"])
-    _unresolved, frozen = link_cross_file([a, b, c])
-    assert frozen["a.js"] == {"Registry": "read as implicit global by b.js, c.js"}
-    assert len(frozen["a.js"]) > len(export_locals(a))
+    assert frozen_names(a) == {"api": "export"}
+    assert build_dependency_graph([a, b]).edges == {}
 
 
 def test_export_reason_wins_over_implicit_global():
     a = make_summary("a.js", exports=["Api"], declared=["Api"])
     b = make_summary("b.js", free=["Api"])
-    _unresolved, frozen = link_cross_file([a, b])
-    assert frozen["a.js"] == {"Api": "export"}
+    assert frozen_by_file([a, b])["a.js"] == {"Api": "export"}
 
 
-def test_conflicting_export_detected():
+def test_scripts_declaring_one_global_each_keep_it():
+    # two scripts declaring one global and a third reading it: each
+    # declaration keeps its spelling, and all three share an edge
     a = make_summary("a.js", declared=["Dup"])
     b = make_summary("b.js", declared=["Dup"])
     c = make_summary("c.js", free=["Dup"])
-    with pytest.raises(ConflictingExport):
-        link_cross_file([a, b, c])
+    assert frozen_by_file([a, b, c]) == {
+        "a.js": {"Dup": "script global"},
+        "b.js": {"Dup": "script global"},
+        "c.js": {},
+    }
+    assert build_dependency_graph([a, b, c]).edges == {
+        ("a.js", "b.js"): {"Dup"},
+        ("a.js", "c.js"): {"Dup"},
+    }
 
 
 def test_allowlist_names_never_create_edges_or_markers():
@@ -148,8 +156,11 @@ def test_allowlist_names_never_create_edges_or_markers():
     b = make_summary("b.js", free=["console"], declared=["console"])
     graph = build_dependency_graph([a, b], allowlist={"console", "Math"})
     assert graph.edges == {}
-    _unresolved, frozen = link_cross_file([a, b], allowlist={"console", "Math"})
-    assert frozen == {"a.js": {}, "b.js": {}}
+    # a script keeps its own declarations whether or not they are allowlisted
+    assert frozen_by_file([a, b]) == {
+        "a.js": {"Math": "script global"},
+        "b.js": {"console": "script global"},
+    }
 
 
 def test_graph_report_lists_frozen_names_with_reasons():
@@ -157,11 +168,13 @@ def test_graph_report_lists_frozen_names_with_reasons():
         "a.js", imports=[("./b.js", ["f"]), ("./gone.js", ["g"])], free=["Registry"]
     )
     b = make_summary("b.js", exports=["f"], declared=["f", "Registry"])
-    graph = build_dependency_graph([a, b])
-    unresolved, frozen = link_cross_file([a, b])
-    text = format_graph_report(graph, unresolved, frozen)
+    c = make_summary("c.js", declared=["Registry"])
+    summaries = [a, b, c]
+    graph = build_dependency_graph(summaries)
+    text = format_graph_report(graph, unresolved_imports(summaries), frozen_by_file(summaries))
     assert "  unresolved: a.js imports './gone.js'" in text
-    assert "a.js -> b.js: Registry, f" in text
+    assert "a.js -> b.js: f" in text
+    assert "a.js -> c.js: Registry" in text
     assert "frozen names: 2" in text
-    assert "  b.js: Registry (read as implicit global by a.js)" in text
     assert "  b.js: f (export)" in text
+    assert "  c.js: Registry (script global)" in text

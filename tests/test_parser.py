@@ -6,12 +6,18 @@ from scopeshield.errors import ParseError, UnsupportedSyntax
 from scopeshield.lexer import tokenize
 from scopeshield.nodes import walk
 from scopeshield.parser import parse, parse_ast, _string_value
+from scopeshield.scopes import build_scope_tree
 
 from corpusgen import GENERATORS
 
 
 def parse_src(src, file_id="t.js"):
     return parse(tokenize(src, file_id), file_id)
+
+
+def dynamic_scopes(src, file_id="t.js"):
+    root, _summary = parse_ast(tokenize(src, file_id), file_id)
+    return [node for node in build_scope_tree(root, file_id).nodes if node.is_dynamic]
 
 
 def test_import_export_summary():
@@ -22,10 +28,9 @@ def test_import_export_summary():
 
 def test_eval_call_is_a_dynamic_site():
     src = "function g(){ eval(s) }"
-    _ast, summary = parse_src(src)
-    assert len(summary.dynamic_sites) == 1
-    start, end = summary.dynamic_sites[0]
-    assert src[start:end] == "eval(s)"
+    (scope,) = dynamic_scopes(src)
+    assert scope.kind == "function"
+    assert "eval(s)" in src[scope.start:scope.end]
 
 
 def test_declared_globals_and_free_names():
@@ -37,13 +42,13 @@ def test_declared_globals_and_free_names():
 
 
 def test_with_statement_is_dynamic():
-    _ast, summary = parse_src("with (o) { x = 1; }")
-    assert len(summary.dynamic_sites) == 1
+    assert [scope.kind for scope in dynamic_scopes("with (o) { x = 1; }")] == ["module"]
 
 
 def test_function_constructor_is_dynamic():
-    _ast, summary = parse_src('var f = new Function("return 1");')
-    assert len(summary.dynamic_sites) == 1
+    assert [scope.kind for scope in dynamic_scopes('var f = new Function("return 1");')] == [
+        "module"
+    ]
 
 
 def test_span_containment_over_corpus():
@@ -171,8 +176,7 @@ DYNAMIC_SNIPPETS = [
 def test_every_dynamic_construct_detected():
     # recall must be 100% on the hand-written snippet corpus
     for snippet in DYNAMIC_SNIPPETS:
-        _ast, summary = parse_src(snippet)
-        assert summary.dynamic_sites, f"missed dynamic site in {snippet!r}"
+        assert dynamic_scopes(snippet), f"missed dynamic site in {snippet!r}"
 
 
 def test_string_value_decoding():

@@ -8,7 +8,7 @@ import pytest
 
 import scopeshield.pipeline as pipeline
 from scopeshield.bench import synth_module
-from scopeshield.errors import ConflictingExport, FatalConfigError
+from scopeshield.errors import FatalConfigError
 from scopeshield.externals import load_allowlist
 from scopeshield.lexer import tokenize
 from scopeshield.minify import minify
@@ -42,7 +42,7 @@ def read_tree(root):
 
 
 def test_rename_only_local_var(tmp_path):
-    write_project(tmp_path / "src", {"one.js": "var x=1;\nconsole.log(x);"})
+    write_project(tmp_path / "src", {"one.js": "function f(){var x=1;\nconsole.log(x);}\nf();"})
     cfg = ObfuscationConfig(
         input_root=str(tmp_path / "src"),
         output_root=str(tmp_path / "out"),
@@ -51,7 +51,7 @@ def test_rename_only_local_var(tmp_path):
     )
     report = obfuscate_project(cfg)
     out = (tmp_path / "out" / "one.js").read_text()
-    assert out == "var a=1;\nconsole.log(a);"
+    assert out == "function f(){var a=1;\nconsole.log(a);}\nf();"
     assert report["files_transformed"] == 1
     assert run_node(path=tmp_path / "out" / "one.js") == "1\n"
 
@@ -134,8 +134,6 @@ def test_report_schema_and_write(tmp_path):
         "files_total",
         "files_transformed",
         "files_copied",
-        "files_deferred",
-        "files_redone",
         "wall_ms",
         "worker_ms",
         "peak_memory_bytes",
@@ -143,13 +141,18 @@ def test_report_schema_and_write(tmp_path):
         "input_bytes",
     ):
         assert key in report
-    for key in ("cut_weight", "partitions", "boundary_markers", "phase_times_ms"):
+    for key in (
+        "cut_weight",
+        "partitions",
+        "boundary_markers",
+        "phase_times_ms",
+        "files_deferred",
+        "files_redone",
+    ):
         assert key not in report
-    assert set(report["wall_ms"]) == {"discover", "files", "link", "redo", "copy", "total"}
+    assert set(report["wall_ms"]) == {"discover", "files", "link", "copy", "total"}
     assert set(report["worker_ms"]) == {"parse", "rename", "transform", "emit"}
     assert report["wall_ms"]["total"] >= report["wall_ms"]["files"] > 0
-    # a.js is a script with a global: deferred to after the link
-    assert (report["files_deferred"], report["files_redone"]) == (1, 0)
     assert report["output_bytes"] == (tmp_path / "out" / "a.js").stat().st_size
     assert report["peak_memory_bytes"] > 0
     path = write_report(report, tmp_path / "out")
@@ -211,9 +214,9 @@ def test_rename_dump_written(tmp_path):
 
 
 def test_phase_merge_invariant_across_partition_counts(tmp_path):
-    """Per-file resolution plus the link gives the same outcome in-process
-    and on a pool: the emitted bytes and the redo decisions must be
-    identical for workers=1 and workers=4."""
+    """Per-file processing gives the same outcome in-process and on a pool:
+    the emitted bytes and the report counts must be identical for workers=1
+    and workers=4."""
     files = {
         "a.js": 'import {f} from "./b.js";\nGameHub.total = f(2);\nconsole.log(GameHub.total);',
         "b.js": "export function f(x){ var local = x + 1; return local; }",
@@ -234,7 +237,7 @@ def test_phase_merge_invariant_across_partition_counts(tmp_path):
         )
         outputs.append(read_tree(out))
     assert outputs[0] == outputs[1]
-    for key in ("files_deferred", "files_redone"):
+    for key in ("files_transformed", "files_copied", "warnings", "errors"):
         assert reports[0][key] == reports[1][key]
 
 
@@ -417,71 +420,83 @@ def test_per_file_time_grows_linearly(tmp_path):
         assert ratio <= 6.0, f"time({large})/time({small}) = {ratio:.2f} exceeds 6 ({times})"
 
 
-# ---- one pass per file, a link, and a second run of the files it changes ----
+# ---- a file's frozen names come from the file alone ----
 
 SHARED_GLOBAL_PROJECT = {
     "a.js": "var shared = 40;\nfunction bump(step){ var next = shared + step; return next; }\nbump(1);",
     "b.js": "console.log(shared + 2);",
 }
 
-# a module's declarations are module-scoped, but the link still freezes one
-# that another file reads free
+# a module's declarations are module-scoped: b.js reads another `shared`
 MODULE_COLLISION_PROJECT = {
     "a.js": "var shared = 40;\nexport function bump(step){ var next = shared + step; return next; }",
     "b.js": "console.log(shared + 2);",
 }
 
+# two scripts declare the same global and a third reads it
+SHARED_DECLARATION_PROJECT = {
+    "a.js": "var Dup = 1;\nvar own = 2;",
+    "b.js": "var Dup = 3;",
+    "c.js": "console.log(Dup);",
+}
 
-def _check_second_run(tmp_path, files, final_frozen, deferred, redone):
-    """Run ``files`` at workers 1 and 2: the counts match, ``shared`` keeps
-    its spelling in a.js, and a.js equals one task run with its final frozen
-    set, where the frozen names of a.js alone would have renamed it."""
+# scripts loaded into one realm share one global namespace
+CONCATENATED_SCRIPTS = {
+    "a.js": 'var counter=1;function show(){console.log("counter",counter)}',
+    "b.js": 'var total=2;console.log("total",total)',
+    "main.js": "show();",
+}
+
+
+def _outputs_at_workers_1_and_2(tmp_path, files, **options):
+    """Run ``files`` at workers 1 and 2, check that both runs transform every
+    file without errors and emit the same bytes; return the output tree."""
     src = tmp_path / "src"
     write_project(src, files)
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"out{workers}"
         report = obfuscate_project(
-            ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+            ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers, **options)
         )
-        assert (report["files_deferred"], report["files_redone"]) == (deferred, redone)
-        assert report["files_transformed"] == 2 and report["errors"] == []
+        assert report["files_transformed"] == len(files) and report["errors"] == []
         outputs.append(read_tree(out))
     assert outputs[0] == outputs[1]
-    a_out = outputs[0]["a.js"].decode("utf-8")
-    assert "var shared=" in a_out and "next" not in a_out
-    config = ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "unused"))
-    allowlist = load_allowlist(None)
-    direct = pipeline.process_file(config, allowlist, "a.js", frozenset(final_frozen))
-    assert direct["text"] == a_out
-    local = pipeline.process_file(config, allowlist, "a.js", frozenset(final_frozen - {"shared"}))
-    assert "var shared=" not in local["text"]
+    return {rel: data.decode("utf-8") for rel, data in outputs[0].items()}
 
 
-def test_script_with_globals_is_deferred_and_matches_direct_run(tmp_path):
-    _check_second_run(tmp_path, SHARED_GLOBAL_PROJECT, {"shared"}, deferred=1, redone=0)
-    # the first pass stops after the summary
+def test_script_keeps_its_globals_and_matches_direct_run(tmp_path):
+    out = _outputs_at_workers_1_and_2(tmp_path, SHARED_GLOBAL_PROJECT)
+    assert "var shared=" in out["a.js"] and "function bump(" in out["a.js"]
+    assert "next" not in out["a.js"]
     config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "unused"))
-    first = pipeline.process_file(config, load_allowlist(None), "a.js")
-    assert first["status"] == "deferred" and "text" not in first
-    assert first["summary"].declared_globals == ["bump", "shared"]
+    direct = pipeline.process_file(config, load_allowlist(None), "a.js")
+    assert direct["text"] == out["a.js"]
+    assert direct["summary"].declared_globals == ["bump", "shared"]
 
 
-def test_module_read_free_elsewhere_is_redone_and_matches_direct_run(tmp_path):
-    _check_second_run(
-        tmp_path, MODULE_COLLISION_PROJECT, {"bump", "shared"}, deferred=0, redone=1
+def test_concatenated_scripts_keep_their_globals_apart(tmp_path, node):
+    out = _outputs_at_workers_1_and_2(
+        tmp_path, CONCATENATED_SCRIPTS, encode_strings=False, rewrite_properties=False
     )
+    order = ("a.js", "b.js", "main.js")
+    original = run_node(code="\n".join(CONCATENATED_SCRIPTS[rel] for rel in order))
+    assert original == "total 2\ncounter 1\n"
+    assert run_node(code="\n".join(out[rel] for rel in order)) == original
 
 
-def test_no_rename_run_needs_no_redo(tmp_path):
-    # without renaming, no output depends on the frozen names
-    src = tmp_path / "src"
-    write_project(src, SHARED_GLOBAL_PROJECT)
-    report = obfuscate_project(
-        ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "out"), rename=False)
-    )
-    assert report["files_deferred"] == report["files_redone"] == 0
-    assert report["files_transformed"] == 2
+def test_module_declaration_read_free_elsewhere_is_renamed(tmp_path):
+    out = _outputs_at_workers_1_and_2(tmp_path, MODULE_COLLISION_PROJECT)
+    assert "function bump(" in out["a.js"]
+    assert "shared" not in out["a.js"] and "next" not in out["a.js"]
+    assert "shared" in out["b.js"]
+
+
+def test_scripts_declaring_one_global_keep_it_in_each(tmp_path):
+    out = _outputs_at_workers_1_and_2(tmp_path, SHARED_DECLARATION_PROJECT)
+    assert "var Dup=" in out["a.js"] and "var own=" in out["a.js"]
+    assert "var Dup=" in out["b.js"]
+    assert "Dup" in out["c.js"]
 
 
 def test_unresolved_import_warned_and_kept(tmp_path):
@@ -493,29 +508,6 @@ def test_unresolved_import_warned_and_kept(tmp_path):
     assert "{helper}" in out.replace(" ", "") and "helper(1)" in out and "local" not in out
 
 
-def test_conflicting_export_leaves_no_js_output(tmp_path):
-    src = tmp_path / "src"
-    write_project(
-        src,
-        {
-            "a.js": "var Dup = 1;\nvar own = 2;",
-            "b.js": "var Dup = 3;",
-            "c.js": "console.log(Dup);",
-            "notes.txt": "kept in the input only",
-        },
-    )
-    out = tmp_path / "out"
-    for workers in (1, 2):
-        with pytest.raises(ConflictingExport):
-            obfuscate_project(
-                ObfuscationConfig(
-                    input_root=str(src), output_root=str(out), workers=workers, dump_renames=True
-                )
-            )
-        assert not list(out.rglob("*.js"))
-        assert not list(dump_dir_for(out).rglob("*.tsv"))
-
-
 def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
     build_corpus(tmp_path / "src", count=200)
     config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
@@ -524,7 +516,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
     assert len(js_files) >= 200
     for rel in js_files:
         result = pipeline.process_file(config, allowlist, rel)
-        assert result["status"] in ("ok", "deferred"), result
+        assert result["status"] == "ok", result
         text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
         _root, expected = parse(tokenize(text, rel), rel)
         got = result["summary"]

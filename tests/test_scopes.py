@@ -12,7 +12,6 @@ from scopeshield.scopes import (
     GLOBAL_SCOPE,
     MODULE,
     build_scope_tree,
-    scope_flags,
 )
 
 
@@ -128,23 +127,6 @@ def test_scope_at_and_dynamic_upward():
     assert tree.dynamic_upward(inner.id)  # nested inside the eval scope
 
 
-def test_scope_flags():
-    src = "function dirty(){ eval(s); } function clean(){ var ok; }"
-    tree = tree_of(src)
-    flags = scope_flags(tree)
-    dirty = next(n for n in tree.nodes if n.is_dynamic)
-    clean = next(n for n in tree.nodes if "ok" in n.declarations)
-    assert not flags[dirty.id]
-    assert not flags[tree.root]  # contains a dynamic scope
-    assert flags[clean.id]
-
-
-def test_module_scope_flag_false_when_exporting(tmp_path):
-    tree = tree_of("export function api(){} function priv(){}")
-    flags = scope_flags(tree, frozen_module_names={"api"})
-    assert not flags[tree.root]
-
-
 def test_var_redeclaring_catch_param_is_rejected():
     # `var e` inside catch(e) writes the catch binding; renaming the pair
     # apart would change behavior, so the file must take the verbatim path
@@ -153,29 +135,6 @@ def test_var_redeclaring_catch_param_is_rejected():
     with pytest.raises(UnsupportedSyntax):
         tree_of("try { f(); } catch (e) { var e = 1; }")
     tree_of("try { f(); } catch (e) { var other = 1; }")  # benign form is fine
-
-
-def test_independently_renameable_scopes_never_touch_dynamic_ones():
-    # property over a mixed source: a flagged scope has no dynamic scope
-    # above it and none below it
-    src = (
-        "function top(){ function mid(){ eval(x); } function safe(){ var v; } }\n"
-        "function clean(){ function deeper(){ var w; } }\n"
-    )
-    tree = tree_of(src)
-    flags = scope_flags(tree)
-    for sid, flag in flags.items():
-        if not flag:
-            continue
-        assert not tree.dynamic_upward(sid)
-        descendants = [
-            other.id
-            for other in tree.nodes
-            if other.id != sid
-            and tree.nodes[sid].start <= other.start
-            and other.end <= tree.nodes[sid].end
-        ]
-        assert not any(tree.nodes[d].is_dynamic for d in descendants)
 
 
 # ---- dynamic_region against the scope_at oracle ----
