@@ -142,8 +142,10 @@ def cmd_analyze(args):
             ast, summary = parse_ast(tokenize(text, rel), rel)
             tree = build_scope_tree(ast, rel)
         except FILE_FAILURES as exc:
-            print(file_failure(rel, exc)[1])
-            had_errors = True
+            # as in obfuscate: an unsupported file is a warning, not an error
+            status, message = file_failure(rel, exc)
+            print(message)
+            had_errors = had_errors or status == "error"
             continue
         summaries.append(summarize(summary, tree))
         if args.dump_scopes:

@@ -108,6 +108,12 @@ def parse(tokens, file_id="<input>"):
     return root, summarize(summary, build_scope_tree(root, file_id))
 
 
+# None sentinels after the last token let the cursor read without a bounds
+# check: the deepest lookahead is peek(1), and one more covers a cursor that
+# advanced onto the first sentinel
+_SENTINELS = 3
+
+
 class _Parser:
     def __init__(self, tokens, file_id):
         self.file_id = file_id
@@ -122,7 +128,8 @@ class _Parser:
             sig.append(t)
             nl.append(saw_nl)
             saw_nl = False
-        self.toks = sig
+        self.n_toks = len(sig)
+        self.toks = sig + [None] * _SENTINELS
         self.nl_before = nl
         self.i = 0
         self.end_offset = tokens[-1].end if tokens else 0
@@ -133,16 +140,15 @@ class _Parser:
     # ---- token helpers ----
 
     def peek(self, k=0):
-        j = self.i + k
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks[self.i + k]
 
     def at(self, text):
         # contextual keywords (from, as, get, set) lex as identifiers
-        t = self.peek()
+        t = self.toks[self.i]
         return t is not None and t.text == text and t.kind in (PUNCT, KEYWORD, IDENT)
 
     def at_kind(self, kind):
-        t = self.peek()
+        t = self.toks[self.i]
         return t is not None and t.kind == kind
 
     def advance(self):
@@ -944,7 +950,7 @@ class _Parser:
         # at '(' : find the matching ')' and look for '=>'
         depth = 0
         j = self.i
-        while j < len(self.toks):
+        while j < self.n_toks:
             text = self.toks[j].text
             kind = self.toks[j].kind
             if kind == PUNCT:
@@ -953,7 +959,7 @@ class _Parser:
                 elif text == ")" or text == "]" or text == "}":
                     depth -= 1
                     if depth == 0:
-                        nxt = self.toks[j + 1] if j + 1 < len(self.toks) else None
+                        nxt = self.toks[j + 1]
                         return nxt is not None and nxt.kind == PUNCT and nxt.text == "=>"
             j += 1
         return False

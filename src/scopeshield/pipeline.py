@@ -4,10 +4,12 @@ One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
 own summary (``depgraph.frozen_names``). Each file task lexes, minifies,
 parses and scopes its file once, takes its summary from that same tree, then
-renames, transforms and emits it. Outputs are written as they arrive and no
-text is retained, so output bytes are identical for any worker count or
-scheduling order. Once every summary is in, the unresolved imports are
-reported.
+renames, transforms and emits it. On a process pool the largest-first file
+list goes out in consecutive chunks, one task each and about
+``TASKS_PER_WORKER`` tasks per worker, so that many small files do not cost
+the parent one future each. Outputs are written as they arrive and no text is
+retained, so output bytes are identical for any worker count or scheduling
+order. Once every summary is in, the unresolved imports are reported.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -185,8 +187,7 @@ def process_file(config, allowlist, rel_path):
         if root.children and (config.encode_strings or config.rewrite_properties):
             used = set(allowlist)
             for occ in tree.occurrences:
-                binding = tree.resolve(occ.name, occ.scope_id)
-                used.add(rmap.name_or_original(binding))
+                used.add(rmap.name_or_original(occ.binding))
                 used.add(occ.name)
             fresh = name_sequence(frozenset(used))
             in_dynamic_region = tree.dynamic_region()
@@ -244,10 +245,27 @@ def _file_task(rel_path):
     return _gc_paused(process_file, _CTX["config"], _CTX["allowlist"], rel_path)
 
 
+def _chunk_task(rel_paths):
+    return [_file_task(rel) for rel in rel_paths]
+
+
+# pool tasks per worker: enough to balance the load, few enough that the
+# parent's per-future cost stays small next to the files' work
+TASKS_PER_WORKER = 32
+
+
+def chunked(rel_paths, workers):
+    """Split ``rel_paths`` into consecutive chunks, at most
+    ``workers * TASKS_PER_WORKER`` of them and each at least one path."""
+    size = max(1, -(-len(rel_paths) // (workers * TASKS_PER_WORKER)))
+    return [rel_paths[i : i + size] for i in range(0, len(rel_paths), size)]
+
+
 def _run_files(context, workers, rel_paths):
     """Run ``process_file`` once per path and yield the results as they
     finish, each with the cyclic collector paused. In-process when
-    workers == 1; otherwise on one process pool."""
+    workers == 1; otherwise on one process pool, one task per chunk of
+    consecutive paths."""
     if workers <= 1:
         _init_worker(context)
         yield from map(_file_task, rel_paths)
@@ -255,15 +273,13 @@ def _run_files(context, workers, rel_paths):
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(context,)
     ) as pool:
-        futures = [pool.submit(_file_task, rel) for rel in rel_paths]
+        futures = [pool.submit(_chunk_task, chunk) for chunk in chunked(rel_paths, workers)]
         for future in as_completed(futures):
-            yield future.result()
+            yield from future.result()
 
 
-def _peak_memory_bytes():
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) * 1024
+def _peak_memory_bytes(who):
+    return resource.getrusage(who).ru_maxrss * 1024
 
 
 def dump_dir_for(output_root):
@@ -304,6 +320,7 @@ def obfuscate_project(config):
         "wall_ms": wall_ms,
         "worker_ms": worker_ms,
         "peak_memory_bytes": 0,
+        "peak_worker_memory_bytes": 0,
         "output_bytes": 0,
         "input_bytes": sum(sizes.values()),
         "errors": [],
@@ -366,7 +383,9 @@ def obfuscate_project(config):
     wall_ms["copy"] = (time.perf_counter() - t0) * 1000.0
 
     report["output_bytes"] = sum(written.values())
-    report["peak_memory_bytes"] = _peak_memory_bytes()
+    report["peak_memory_bytes"] = _peak_memory_bytes(resource.RUSAGE_SELF)
+    if workers > 1:
+        report["peak_worker_memory_bytes"] = _peak_memory_bytes(resource.RUSAGE_CHILDREN)
     wall_ms["total"] = (time.perf_counter() - started) * 1000.0
     return report
 

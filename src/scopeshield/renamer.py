@@ -7,9 +7,10 @@ outer binding that is referenced anywhere in the scope's subtree (the subtree
 part closes the shadow-capture gap a naive "visible here" rule leaves open),
 plus every frozen name visible there.
 
-``check_safety`` is an independent oracle: it re-resolves every identifier
-occurrence in the renamed scope structure and reports any occurrence whose
-binding changed.
+Every occurrence's binding is read from ``occ.binding``, which the scope
+tree resolved once. ``check_safety`` is an independent oracle: it resolves
+every occurrence again, by its own walk under the renamed names, and reports
+any occurrence whose stored binding that walk does not reach.
 """
 
 from itertools import product
@@ -91,7 +92,7 @@ def ancestor_reference_map(tree, subtree_refs=True):
     """
     refs = {sid: set() for sid in range(len(tree.nodes))}
     for occ in tree.occurrences:
-        binding = tree.resolve(occ.name, occ.scope_id)
+        binding = occ.binding
         if binding.scope_id == occ.scope_id and not binding.is_global():
             continue
         if not subtree_refs:
@@ -190,7 +191,8 @@ class SafetyViolation:
 
 
 def check_safety(trees, rename_map):
-    """Re-resolve every occurrence under the renamed scope structure.
+    """Resolve every occurrence again under the renamed names, by a walk of
+    its own, and compare the result with the occurrence's stored binding.
 
     Returns a list of violations; empty means the renaming preserves every
     resolution. Also flags non-injective renaming within one scope.
@@ -215,7 +217,7 @@ def check_safety(trees, rename_map):
                 mapping[new_name] = binding
             renamed_decls.append(mapping)
         for occ in tree.occurrences:
-            binding = tree.resolve(occ.name, occ.scope_id)
+            binding = occ.binding
             new_name = rename_map.name_or_original(binding)
             resolved = None
             sid = occ.scope_id
@@ -265,8 +267,7 @@ def rename_patches(tree, rename_map):
 
     patches = []
     for occ in tree.occurrences:
-        binding = tree.resolve(occ.name, occ.scope_id)
-        new_name = rename_map.name_or_original(binding)
+        new_name = rename_map.name_or_original(occ.binding)
         if new_name == occ.name:
             continue
         if occ.style == "shorthand":

@@ -37,12 +37,14 @@ class Binding:
     """Identity of a declaration: (file, scope, name); global when scope_id
     is GLOBAL_SCOPE."""
 
-    __slots__ = ("file_id", "scope_id", "name")
+    __slots__ = ("file_id", "scope_id", "name", "_hash")
 
     def __init__(self, file_id, scope_id, name):
         self.file_id = file_id
         self.scope_id = scope_id
         self.name = name
+        # bindings key every rename-map lookup: hash the triple once
+        self._hash = hash((file_id, scope_id, name))
 
     def is_global(self):
         return self.scope_id == GLOBAL_SCOPE
@@ -51,11 +53,14 @@ class Binding:
         return (self.file_id, self.scope_id, self.name)
 
     def __hash__(self):
-        return hash((self.file_id, self.scope_id, self.name))
+        return self._hash
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, Binding)
+            and self._hash == other._hash
             and self.file_id == other.file_id
             and self.scope_id == other.scope_id
             and self.name == other.name
@@ -86,9 +91,10 @@ class Declaration:
 
 
 class Occurrence:
-    """One identifier occurrence that may need rewriting."""
+    """One identifier occurrence that may need rewriting; ``binding`` is set
+    by ``ScopeTree.resolve_occurrences``."""
 
-    __slots__ = ("name", "start", "end", "scope_id", "style")
+    __slots__ = ("name", "start", "end", "scope_id", "style", "binding")
 
     def __init__(self, name, start, end, scope_id, style=None):
         self.name = name
@@ -96,6 +102,7 @@ class Occurrence:
         self.end = end
         self.scope_id = scope_id
         self.style = style  # None | "decl" | "shorthand"
+        self.binding = None
 
 
 class ScopeNode:
@@ -152,6 +159,24 @@ class ScopeTree:
                 return Binding(self.file_id, sid, name)
             sid = node.parent
         return global_binding(name)
+
+    def resolve_occurrences(self):
+        """Resolve every occurrence once and store its Binding in
+        ``occ.binding``. An occurrence that resolves to a declaration bumps
+        that declaration's usage count; the others read a global, and their
+        names are collected in ``free_names``."""
+        resolve = self.resolve
+        nodes = self.nodes
+        free_names = self.free_names
+        # occurrences of one declaration share one Binding object
+        interned = {}
+        for occ in self.occurrences:
+            binding = resolve(occ.name, occ.scope_id)
+            binding = occ.binding = interned.setdefault(binding, binding)
+            if binding.scope_id == GLOBAL_SCOPE:
+                free_names.add(occ.name)
+            else:
+                nodes[binding.scope_id].declarations[occ.name].usage += 1
 
     def ancestors(self, scope_id):
         sid = self.nodes[scope_id].parent
@@ -254,21 +279,13 @@ class ScopeTree:
 
 def build_scope_tree(root, file_id):
     """Walk an AST into a ScopeTree with declarations, references,
-    occurrences and dynamic flags; usage counts and free names are resolved
-    at the end."""
+    occurrences and dynamic flags, then resolve each occurrence once."""
     tree = ScopeTree(file_id)
     module = tree.new_scope(MODULE, None, root.start, root.end)
     builder = _Builder(tree)
     for stmt in root.children:
         builder.walk(stmt, module.id, module.id)
-    # every occurrence resolving to a declaration increments its usage count;
-    # the others read a global
-    for occ in tree.occurrences:
-        binding = tree.resolve(occ.name, occ.scope_id)
-        if binding.is_global():
-            tree.free_names.add(occ.name)
-        else:
-            tree.nodes[binding.scope_id].declarations[binding.name].usage += 1
+    tree.resolve_occurrences()
     return tree
 
 

@@ -205,3 +205,20 @@ def test_analyze_reports_bad_files_and_goes_on(tmp_path, capsys):
     assert "deep.js: nesting too deep to analyze; not supported" in out
     assert "latin1.js: not valid UTF-8" in out
     assert "files: 1\n  good.js" in out
+
+
+def test_analyze_unsupported_only_exits_0(tmp_path, capsys):
+    # obfuscate copies such files with a warning and exits 0; analyze agrees
+    src = tmp_path / "src"
+    project(
+        src,
+        {
+            "labeled.js": "outer: for(;;) { break outer; }",
+            "deep.js": "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+            "good.js": "var fine = 1;\nconsole.log(fine);",
+        },
+    )
+    assert cli.main(["analyze", "--in", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert "not supported" in out and "deep.js: nesting too deep" in out
+    assert "files: 1\n  good.js" in out

@@ -2,6 +2,7 @@ import gc
 import json
 import subprocess
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from scopeshield.externals import load_allowlist
 from scopeshield.lexer import tokenize
 from scopeshield.minify import minify
 from scopeshield.parser import parse, parse_ast
+from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
     ObfuscationConfig,
     dump_dir_for,
@@ -137,6 +139,7 @@ def test_report_schema_and_write(tmp_path):
         "wall_ms",
         "worker_ms",
         "peak_memory_bytes",
+        "peak_worker_memory_bytes",
         "output_bytes",
         "input_bytes",
     ):
@@ -155,6 +158,7 @@ def test_report_schema_and_write(tmp_path):
     assert report["wall_ms"]["total"] >= report["wall_ms"]["files"] > 0
     assert report["output_bytes"] == (tmp_path / "out" / "a.js").stat().st_size
     assert report["peak_memory_bytes"] > 0
+    assert report["peak_worker_memory_bytes"] == 0  # no pool at workers=1
     path = write_report(report, tmp_path / "out")
     assert json.loads(path.read_text())["files_total"] == 1
 
@@ -522,3 +526,105 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
         got = result["summary"]
         for field in ("imports", "exports", "export_pairs", "declared_globals", "free_names"):
             assert getattr(got, field) == getattr(expected, field), (rel, field)
+
+
+# ---- the pool runs chunks of files; each occurrence is resolved once ----
+
+def test_chunks_cover_the_list_in_order():
+    paths = [f"f{i}.js" for i in range(2001)]
+    chunks = pipeline.chunked(paths, 2)
+    assert len(chunks) <= 2 * pipeline.TASKS_PER_WORKER
+    assert [rel for chunk in chunks for rel in chunk] == paths
+    assert pipeline.chunked(paths[:64], 2) == [[rel] for rel in paths[:64]]
+    assert pipeline.chunked(paths[:3], 8) == [[rel] for rel in paths[:3]]
+    assert pipeline.chunked([], 2) == []
+
+
+def test_chunked_pool_matches_in_process_run(tmp_path, monkeypatch):
+    """About 300 tiny files at workers=2 go out several per task. A file that
+    is not UTF-8 and an unsupported one are copied; their chunk-mates are
+    still transformed, and every JS file comes back exactly once."""
+    files = {
+        f"m{i:03d}.js": f"function f{i}(){{var local={i};return local+1;}}console.log(f{i}());"
+        for i in range(300)
+    }
+    # the two bad files are the largest, so they share the first chunk
+    pad = "//" + "x" * 200
+    files["weird.js"] = "outer: for(;;) { break outer; }" + pad
+    src = tmp_path / "src"
+    write_project(src, files)
+    latin1 = ("var caf\u00e9 = 1;" + pad).encode("latin-1")
+    (src / "latin1.js").write_bytes(latin1)
+
+    chunks = []
+    original_chunked = pipeline.chunked
+
+    def recording_chunked(rel_paths, workers):
+        result = original_chunked(rel_paths, workers)
+        chunks.extend(result)
+        return result
+
+    returned = Counter()
+    original_run = pipeline._run_files
+
+    def recording_run(*args):
+        for result in original_run(*args):
+            returned[result["file"]] += 1
+            yield result
+
+    monkeypatch.setattr(pipeline, "chunked", recording_chunked)
+    monkeypatch.setattr(pipeline, "_run_files", recording_run)
+    outputs, reports = [], []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        reports.append(
+            obfuscate_project(ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers))
+        )
+        outputs.append(read_tree(out))
+    assert outputs[0] == outputs[1]
+    for key in ("files_total", "files_transformed", "files_copied", "warnings", "errors"):
+        assert reports[0][key] == reports[1][key], key
+    assert reports[1]["files_transformed"] == 300 and reports[1]["files_copied"] == 2
+    assert [e["file"] for e in reports[1]["errors"]] == ["latin1.js"]
+    assert any("weird.js" in w for w in reports[1]["warnings"])
+    assert reports[1]["peak_worker_memory_bytes"] > 0
+
+    js = set(files) | {"latin1.js"}
+    assert returned == Counter({rel: 2 for rel in js})  # once per run
+    assert set(outputs[1]) == js
+    assert sorted(rel for chunk in chunks for rel in chunk) == sorted(js)
+    assert max(len(chunk) for chunk in chunks) > 1
+    bad_files = ("latin1.js", "weird.js")
+    for bad in bad_files:
+        chunk = next(chunk for chunk in chunks if bad in chunk)
+        mates = [rel for rel in chunk if rel not in bad_files]
+        assert mates
+        for rel in mates:
+            assert outputs[1][rel] != files[rel].encode("utf-8") and b"local" not in outputs[1][rel]
+    assert outputs[1]["latin1.js"] == latin1
+    assert outputs[1]["weird.js"] == files["weird.js"].encode("utf-8")
+
+
+def test_process_file_resolves_each_occurrence_once(tmp_path, monkeypatch):
+    write_project(tmp_path / "src", {"app.js": minify(synth_module(5, 16 * 1024))})
+    calls = Counter()
+    original_resolve = ScopeTree.resolve
+
+    def counting_resolve(self, name, scope_id):
+        calls["resolve"] += 1
+        return original_resolve(self, name, scope_id)
+
+    trees = []
+    original_build = pipeline.build_scope_tree
+
+    def recording_build(*args):
+        trees.append(original_build(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(ScopeTree, "resolve", counting_resolve)
+    monkeypatch.setattr(pipeline, "build_scope_tree", recording_build)
+    config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
+    result = pipeline.process_file(config, load_allowlist(None), "app.js")
+    assert result["status"] == "ok" and "text" in result
+    assert len(trees) == 1 and trees[0].occurrences
+    assert calls["resolve"] == len(trees[0].occurrences)

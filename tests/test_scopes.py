@@ -11,11 +11,12 @@ from scopeshield.scopes import (
     FUNCTION,
     GLOBAL_SCOPE,
     MODULE,
+    Binding,
     build_scope_tree,
 )
 
 
-from corpusgen import GENERATORS
+from corpusgen import GENERATORS, build_corpus
 from treegen import random_scope_tree
 
 
@@ -200,3 +201,34 @@ def test_dynamic_region_nested_dynamic_scopes_sharing_a_start():
     assert_region_matches_oracle(tree, positions)
     assert inside(src.index('"x"')) and inside(src.index('"y"'))
     assert not inside(src.index('"out"')) and not inside(src.index(".length;"))
+
+
+# ---- each occurrence is resolved once, when the tree is built ----
+
+def assert_stored_bindings_match_resolve(tree):
+    assert tree.occurrences
+    for occ in tree.occurrences:
+        assert occ.binding == tree.resolve(occ.name, occ.scope_id), (tree.file_id, occ.name, occ.start)
+
+
+def test_stored_binding_matches_resolve_on_corpus_programs(tmp_path):
+    build_corpus(tmp_path, count=200)
+    paths = sorted(tmp_path.rglob("*.js"))
+    assert len(paths) >= 200
+    for path in paths:
+        rel = path.relative_to(tmp_path).as_posix()
+        assert_stored_bindings_match_resolve(tree_of(path.read_text(encoding="utf-8"), rel))
+
+
+def test_stored_binding_matches_resolve_on_random_trees():
+    rng = random.Random(0xB1D)
+    for _ in range(300):
+        assert_stored_bindings_match_resolve(random_scope_tree(rng, max_depth=6, max_bindings=20))
+
+
+def test_binding_equality_is_by_value():
+    a = Binding("a.js", 1, "x")
+    assert a == Binding("a.js", 1, "x") and hash(a) == hash(Binding("a.js", 1, "x"))
+    assert a != Binding("a.js", 2, "x") and a != Binding("b.js", 1, "x")
+    assert a != Binding("a.js", 1, "y") and a != ("a.js", 1, "x")
+    assert len({a, Binding("a.js", 1, "x"), Binding("a.js", 1, "y")}) == 2

@@ -63,10 +63,7 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
             pos = scope.start + rng.randrange(0, 80)
             tree.occurrences.append(Occurrence(name, pos, pos + len(name), scope.id))
 
-    for occ in tree.occurrences:
-        binding = tree.resolve(occ.name, occ.scope_id)
-        if not binding.is_global():
-            tree.nodes[binding.scope_id].declarations[binding.name].usage += 1
+    tree.resolve_occurrences()
     return tree
 
 
