@@ -12,7 +12,6 @@ from .errors import ScopeShieldError
 from .lexer import tokenize
 from .metrics import cyclomatic_complexity, nid, size_inflation
 from .minify import minify
-from .parser import parse
 from .patches import Patch, emit
 from .pipeline import ObfuscationConfig, obfuscate_project
 from .renamer import RenameMap, check_safety, cost, pool_name, rename_tree
@@ -34,7 +33,6 @@ __all__ = [
     "minify",
     "nid",
     "obfuscate_project",
-    "parse",
     "pool_name",
     "rename_tree",
     "run_differential",

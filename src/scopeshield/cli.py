@@ -1,4 +1,4 @@
-"""Command-line front end: obfuscate, analyze, metrics, verify, bench.
+"""Command-line front end: obfuscate, analyze, metrics, verify.
 
 Exit codes: 0 success, 2 file-level errors or failed verification,
 3 fatal configuration/engine problems, 64 usage errors.
@@ -10,7 +10,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import bench as bench_mod
 from .depgraph import (
     build_dependency_graph,
     format_graph_report,
@@ -20,19 +19,18 @@ from .depgraph import (
 from .equivalence import load_cases, run_differential, write_verdicts
 from .errors import EngineNotFound, FatalConfigError
 from .externals import load_allowlist
-from .lexer import tokenize
 from .metrics import measure_tree_pair
-from .parser import parse_ast, summarize
 from .pipeline import (
     FILE_FAILURES,
     ObfuscationConfig,
     discover_files,
     dump_dir_for,
     file_failure,
+    front_end,
     obfuscate_project,
     write_report,
 )
-from .scopes import build_scope_tree, format_scope_report
+from .scopes import format_scope_report
 
 USAGE_EXIT = 64
 
@@ -86,11 +84,6 @@ def build_parser():
     ve.add_argument("--cases", required=True, help="case manifest JSON")
     ve.add_argument("--engine", default="node {file}")
     ve.add_argument("--threads", type=int, default=None)
-
-    be = sub.add_parser("bench", help="synthetic corpus scaling run")
-    be.add_argument("--out", required=True, help="working directory")
-    be.add_argument("--total-mb", type=float, default=10.0)
-    be.add_argument("--worker-counts", default="1,2,4,8")
     return parser
 
 
@@ -128,7 +121,11 @@ def cmd_obfuscate(args):
 
 
 def cmd_analyze(args):
-    allowlist = load_allowlist(args.allowlist)
+    try:
+        allowlist = load_allowlist(args.allowlist)
+    except FatalConfigError as exc:
+        print(f"fatal: {exc}", file=sys.stderr)
+        return 3
     root = Path(args.input_root)
     if not root.is_dir():
         print(f"fatal: {root} is not a directory", file=sys.stderr)
@@ -139,15 +136,15 @@ def cmd_analyze(args):
     for rel in js_files:
         try:
             text = (root / rel).read_text(encoding="utf-8")
-            ast, summary = parse_ast(tokenize(text, rel), rel)
-            tree = build_scope_tree(ast, rel)
+            # unminified, so --dump-scopes spans are offsets into the file as written
+            _text, _ast, tree, summary = front_end(text, rel, minify=False)
         except FILE_FAILURES as exc:
             # as in obfuscate: an unsupported file is a warning, not an error
             status, message = file_failure(rel, exc)
             print(message)
             had_errors = had_errors or status == "error"
             continue
-        summaries.append(summarize(summary, tree))
+        summaries.append(summary)
         if args.dump_scopes:
             print(f"== {rel}")
             print(format_scope_report(tree))
@@ -192,20 +189,6 @@ def cmd_verify(args):
     return 0 if summary["equivalent"] == summary["cases"] else 2
 
 
-def cmd_bench(args):
-    out = Path(args.out)
-    corpus = out / "corpus"
-    total_bytes = int(args.total_mb * 1024 * 1024)
-    written = bench_mod.generate_scaling_corpus(corpus, total_bytes)
-    print(f"corpus: {corpus} ({written} bytes)")
-    counts = [int(c) for c in args.worker_counts.split(",") if c.strip()]
-    rows = bench_mod.run_scaling(corpus, out / "runs", counts)
-    print(bench_mod.scaling_table(rows))
-    path = bench_mod.write_scaling_json(rows, out / "scaling.json")
-    print(f"scaling data: {path}")
-    return 0
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -214,7 +197,6 @@ def main(argv=None):
         "analyze": cmd_analyze,
         "metrics": cmd_metrics,
         "verify": cmd_verify,
-        "bench": cmd_bench,
     }
     return handlers[args.command](args)
 

@@ -6,6 +6,8 @@ default and can be replaced by an allowlist file (one name per line, '#'
 comments).
 """
 
+from .errors import FatalConfigError
+
 DEFAULT_EXTERNAL_NAMES = frozenset(
     """
     console Math JSON Object Array String Number Boolean Symbol BigInt Date
@@ -32,9 +34,13 @@ def load_allowlist(path=None):
     """The default set, optionally extended by names from a file."""
     names = set(DEFAULT_EXTERNAL_NAMES)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                entry = line.split("#", 1)[0].strip()
-                if entry:
-                    names.add(entry)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise FatalConfigError(f"cannot read allowlist {path}: {exc}") from exc
+        for line in lines:
+            entry = line.split("#", 1)[0].strip()
+            if entry:
+                names.add(entry)
     return frozenset(names)

@@ -100,14 +100,6 @@ def summarize(summary, tree):
     return summary
 
 
-def parse(tokens, file_id="<input>"):
-    """Parse a token stream into (AST root, FileSummary)."""
-    from .scopes import build_scope_tree
-
-    root, summary = parse_ast(tokens, file_id)
-    return root, summarize(summary, build_scope_tree(root, file_id))
-
-
 # None sentinels after the last token let the cursor read without a bounds
 # check: the deepest lookahead is peek(1), and one more covers a cursor that
 # advanced onto the first sentinel
@@ -146,10 +138,6 @@ class _Parser:
         # contextual keywords (from, as, get, set) lex as identifiers
         t = self.toks[self.i]
         return t is not None and t.text == text and t.kind in (PUNCT, KEYWORD, IDENT)
-
-    def at_kind(self, kind):
-        t = self.toks[self.i]
-        return t is not None and t.kind == kind
 
     def advance(self):
         t = self.toks[self.i]
@@ -195,6 +183,8 @@ class _Parser:
 
     def parse_statement(self):
         t = self.peek()
+        if t is None:
+            self.error("unexpected end of input")
         if t.kind == PUNCT:
             if t.text == "{":
                 return self.parse_block()

@@ -58,15 +58,21 @@ class ObfuscationConfig:
     rewrite_properties: bool = True
     minify: bool = True
     allowlist_path: str = None
-    engine: str = "node {file}"
     instrument_decode: bool = False
     dump_renames: bool = False
     dump_scopes: bool = False
 
     @classmethod
     def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise FatalConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise FatalConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise FatalConfigError(f"config {path} must hold a JSON object")
         unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
         if unknown:
             raise FatalConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -141,12 +147,26 @@ def preamble_offset(root):
     return offset
 
 
+def front_end(text, rel_path, minify):
+    """Lex, optionally minify, parse and scope one file.
+
+    Returns (the text the spans refer to, AST root, ScopeTree, FileSummary);
+    that text is the minified one when ``minify`` is set, else ``text``.
+    """
+    tokens = tokenize(text, rel_path)
+    if minify:
+        text, tokens = minify_tokens(tokens)
+    root, summary = parse_ast(tokens, rel_path)
+    tree = build_scope_tree(root, rel_path)
+    return text, root, tree, summarize(summary, tree)
+
+
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
 
 
 def process_file(config, allowlist, rel_path):
-    """Obfuscate one file: lex, minify, parse and scope it once, then
-    rename (keeping the file's ``frozen_names``), transform and emit.
+    """Obfuscate one file: run its ``front_end`` once, then rename
+    (keeping the file's ``frozen_names``), transform and emit.
 
     Returns a dict with the file, its status, the worker milliseconds per
     phase, the FileSummary once the scope tree exists (even if a later phase
@@ -157,14 +177,8 @@ def process_file(config, allowlist, rel_path):
     try:
         text = (Path(config.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
-        tokens = tokenize(text, rel_path)
-        if config.minify:
-            mtext, tokens = minify_tokens(tokens)
-        else:
-            mtext = text
-        root, summary = parse_ast(tokens, rel_path)
-        tree = build_scope_tree(root, rel_path)
-        result["summary"] = summarize(summary, tree)
+        mtext, root, tree, summary = front_end(text, rel_path, config.minify)
+        result["summary"] = summary
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()

@@ -49,9 +49,6 @@ class Binding:
     def is_global(self):
         return self.scope_id == GLOBAL_SCOPE
 
-    def key(self):
-        return (self.file_id, self.scope_id, self.name)
-
     def __hash__(self):
         return self._hash
 
@@ -114,7 +111,6 @@ class ScopeNode:
         "start",
         "end",
         "declarations",
-        "references",
         "is_dynamic",
     )
 
@@ -126,7 +122,6 @@ class ScopeNode:
         self.start = start
         self.end = end
         self.declarations = {}
-        self.references = {}
         self.is_dynamic = False
 
 
@@ -177,12 +172,6 @@ class ScopeTree:
                 free_names.add(occ.name)
             else:
                 nodes[binding.scope_id].declarations[occ.name].usage += 1
-
-    def ancestors(self, scope_id):
-        sid = self.nodes[scope_id].parent
-        while sid is not None:
-            yield sid
-            sid = self.nodes[sid].parent
 
     def preorder(self):
         stack = [self.root]
@@ -278,8 +267,8 @@ class ScopeTree:
 
 
 def build_scope_tree(root, file_id):
-    """Walk an AST into a ScopeTree with declarations, references,
-    occurrences and dynamic flags, then resolve each occurrence once."""
+    """Walk an AST into a ScopeTree with declarations, occurrences and
+    dynamic flags, then resolve each occurrence once."""
     tree = ScopeTree(file_id)
     module = tree.new_scope(MODULE, None, root.start, root.end)
     builder = _Builder(tree)
@@ -305,8 +294,6 @@ class _Builder:
         self.tree.occurrences.append(Occurrence(name, span[0], span[1], scope_id, "decl"))
 
     def reference(self, scope_id, name, start, end, style=None):
-        refs = self.tree.nodes[scope_id].references
-        refs.setdefault(name, []).append((start, end))
         self.tree.occurrences.append(Occurrence(name, start, end, scope_id, style))
 
     def mark_dynamic(self, scope_id):

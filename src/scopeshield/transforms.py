@@ -128,15 +128,14 @@ def collect_property_accesses(root):
     return [n for n in out if id(n) not in skip]
 
 
-def encode_strings(key, fresh_names, in_dynamic_region, source, candidates=None, root=None, instrument=False):
-    """Encode the file's eligible string literals into one table.
+def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, instrument=False):
+    """Encode the file's eligible string literals, ``candidates`` (from
+    ``collect_strings``), into one table.
 
     Returns (patches, preamble text, StringTable or None). Literals shorter
     than 2 characters, literals with exotic escapes, non-UTF-8-encodable
     values and anything inside a dynamic region are skipped.
     """
-    if candidates is None:
-        candidates = collect_strings(root)
     table = []
     index_of = {}
     patches = []
@@ -181,15 +180,14 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates=None,
     return patches, preamble, string_table
 
 
-def rewrite_property_access(fresh_names, in_dynamic_region, candidates=None, root=None):
-    """Rewrite the file's ``obj.prop`` accesses to ``obj[v]``.
+def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
+    """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (from
+    ``collect_property_accesses``), to ``obj[v]``.
 
     Returns (patches, preamble text, PropertySlot list); one slot per
     distinct property name in the file, declared by the preamble, which the
     caller injects at the module top.
     """
-    if candidates is None:
-        candidates = collect_property_accesses(root)
     access_text = {}  # property name -> "[slot]"
     slots = []
     patches = []

@@ -1,17 +1,13 @@
-"""Synthetic scaling corpus and the worker-count benchmark.
+"""Synthetic scaling corpus for the size, growth and NID tests.
 
 The corpus is a set of independent modules (no imports, no shared globals)
 generated deterministically from per-file seeds, so runs are reproducible and
 every file can be processed without coordination.
 """
 
-import json
 import random
-import time
 from math import ceil
 from pathlib import Path
-
-from .pipeline import ObfuscationConfig, obfuscate_project
 
 _NOUNS = (
     "order entry player score level bonus item cache packet frame sprite "
@@ -85,47 +81,3 @@ def generate_scaling_corpus(root, total_bytes, file_bytes=65536, seed=1):
         path.write_text(text, encoding="utf-8")
         written += len(text)
     return written
-
-
-def run_scaling(corpus_root, out_base, worker_counts=(1, 2, 4, 8), config=None):
-    """Obfuscate the corpus once per worker count; returns timing rows."""
-    rows = []
-    out_base = Path(out_base)
-    for workers in worker_counts:
-        cfg_kwargs = dict(config.__dict__) if config is not None else {}
-        cfg_kwargs.update(
-            input_root=str(corpus_root),
-            output_root=str(out_base / f"workers_{workers}"),
-            workers=workers,
-        )
-        cfg = ObfuscationConfig(**cfg_kwargs)
-        started = time.perf_counter()
-        report = obfuscate_project(cfg)
-        elapsed = time.perf_counter() - started
-        rows.append({"workers": workers, "seconds": round(elapsed, 3), "report": report})
-    return rows
-
-
-def scaling_table(rows):
-    base = rows[0]["seconds"]
-    lines = [f"{'workers':>8} {'seconds':>9} {'speedup':>8}"]
-    for row in rows:
-        speedup = base / row["seconds"] if row["seconds"] else float("inf")
-        lines.append(f"{row['workers']:>8} {row['seconds']:>9.3f} {speedup:>7.2f}x")
-    return "\n".join(lines)
-
-
-def write_scaling_json(rows, path):
-    slim = [
-        {
-            "workers": row["workers"],
-            "seconds": row["seconds"],
-            "files": row["report"]["files_total"],
-            "input_bytes": row["report"]["input_bytes"],
-            "output_bytes": row["report"]["output_bytes"],
-            "peak_memory_bytes": row["report"]["peak_memory_bytes"],
-        }
-        for row in rows
-    ]
-    Path(path).write_text(json.dumps(slim, indent=2), encoding="utf-8")
-    return path

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from scopeshield.bench import generate_scaling_corpus, synth_module
 from scopeshield.equivalence import TestCase, run_differential
 from scopeshield.metrics import lzma_compressor, measure_tree_pair, nid
 from scopeshield.minify import minify
@@ -35,6 +34,7 @@ from scopeshield.transforms import INSTRUMENT_COUNTER
 
 from conftest import run_node
 from corpusgen import build_corpus
+from scalegen import generate_scaling_corpus, synth_module
 from treegen import random_scope_tree, uniform_usage
 
 CORES = len(os.sched_getaffinity(0))

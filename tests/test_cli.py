@@ -64,6 +64,36 @@ def test_obfuscate_exit_3_on_fatal(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--allowlist", None),
+        ("--allowlist", b"caf\xe9\n"),
+        ("--config", None),
+        ("--config", b"{not json"),
+        ("--config", b"7"),
+        ("--config", b'{"engine": "node {file}"}'),
+    ],
+)
+def test_obfuscate_exit_3_on_bad_config_or_allowlist(tmp_path, capsys, flag, content):
+    project(tmp_path / "src", {"a.js": "var a = 1;"})
+    path = tmp_path / "settings"
+    if content is not None:
+        path.write_bytes(content)
+    rc = cli.main(
+        ["obfuscate", "--in", str(tmp_path / "src"), "--out", str(tmp_path / "dist"), flag, str(path)]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("fatal: ")
+
+
+def test_analyze_exit_3_on_missing_allowlist(tmp_path, capsys):
+    project(tmp_path / "src", {"a.js": "var a = 1;"})
+    rc = cli.main(["analyze", "--in", str(tmp_path / "src"), "--allowlist", str(tmp_path / "missing.txt")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("fatal: cannot read allowlist")
+
+
 def test_flag_overrides_win_over_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"workers": 2, "encode_strings": True}))
@@ -141,18 +171,6 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert data["aggregate"]["files"] == 1
 
 
-def test_bench_subcommand(tmp_path, capsys):
-    rc = cli.main(
-        ["bench", "--out", str(tmp_path / "bench"), "--total-mb", "0.15", "--worker-counts", "1,2"]
-    )
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "workers" in out and "speedup" in out
-    assert (tmp_path / "bench" / "scaling.json").is_file()
-    data = json.loads((tmp_path / "bench" / "scaling.json").read_text())
-    assert [row["workers"] for row in data] == [1, 2]
-
-
 def test_analyze_subcommand(tmp_path, capsys):
     project(
         tmp_path / "src",
@@ -196,15 +214,18 @@ def test_analyze_reports_bad_files_and_goes_on(tmp_path, capsys):
         src,
         {
             "deep.js": "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n",
-            "good.js": "var fine = 1;\nconsole.log(fine);",
+            "cut.js": "if (a) { f(); } else",
+            "good.js": "export function fine(){ return 1; }\nconsole.log(fine());",
         },
     )
     (src / "latin1.js").write_bytes("var caf\u00e9 = 'cr\u00e8me';\n".encode("latin-1"))
     assert cli.main(["analyze", "--in", str(src)]) == 2
     out = capsys.readouterr().out
     assert "deep.js: nesting too deep to analyze; not supported" in out
+    assert "cut.js:20: unexpected end of input" in out
     assert "latin1.js: not valid UTF-8" in out
     assert "files: 1\n  good.js" in out
+    assert "  good.js: fine (export)" in out
 
 
 def test_analyze_unsupported_only_exits_0(tmp_path, capsys):

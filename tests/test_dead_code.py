@@ -1,0 +1,52 @@
+"""Every function, class and method in the package has a use in the package.
+
+A name counts as used when some module of ``src/scopeshield`` mentions it as
+a bare name or as an attribute. Public names in ``__init__.__all__``, dunders
+and the few helpers listed in ``KEPT`` are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scopeshield"
+
+KEPT = {
+    "scope_at": "reference that test_scopes checks dynamic_region against",
+    "dynamic_upward": "reference that test_scopes checks dynamic_region against",
+    "decode_payload": "Python mirror of the JS decoder, the round-trip oracle for encode_payload",
+    "bzip2_compressor": "public second compressor for NID, next to the default LZMA one",
+    "save_cases": "writes the case manifest that load_cases and `verify --cases` read",
+}
+
+
+def _exported():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_definition_is_used_in_the_package():
+    defined = {}
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exempt = _exported() | set(KEPT)
+    dead = {
+        name: where
+        for name, where in defined.items()
+        if name not in used
+        and name not in exempt
+        and not (name.startswith("__") and name.endswith("__"))
+    }
+    assert dead == {}
+    assert set(KEPT) <= set(defined), "a kept helper no longer exists"

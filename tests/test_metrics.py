@@ -95,7 +95,7 @@ def test_nid_worked_formula_example():
 
 
 def test_nid_identical_inputs_near_zero():
-    from scopeshield.bench import synth_module
+    from scalegen import synth_module
 
     text = synth_module(3, 8192).encode()
     assert len(text) >= 4096

@@ -5,14 +5,16 @@ import pytest
 from scopeshield.errors import ParseError, UnsupportedSyntax
 from scopeshield.lexer import tokenize
 from scopeshield.nodes import walk
-from scopeshield.parser import parse, parse_ast, _string_value
+from scopeshield.parser import parse_ast, _string_value
+from scopeshield.pipeline import front_end
 from scopeshield.scopes import build_scope_tree
 
 from corpusgen import GENERATORS
 
 
 def parse_src(src, file_id="t.js"):
-    return parse(tokenize(src, file_id), file_id)
+    _text, root, _tree, summary = front_end(src, file_id, minify=False)
+    return root, summary
 
 
 def dynamic_scopes(src, file_id="t.js"):

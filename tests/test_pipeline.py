@@ -8,12 +8,11 @@ from pathlib import Path
 import pytest
 
 import scopeshield.pipeline as pipeline
-from scopeshield.bench import synth_module
 from scopeshield.errors import FatalConfigError
 from scopeshield.externals import load_allowlist
 from scopeshield.lexer import tokenize
 from scopeshield.minify import minify
-from scopeshield.parser import parse, parse_ast
+from scopeshield.parser import parse_ast
 from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
     ObfuscationConfig,
@@ -25,6 +24,7 @@ from scopeshield.pipeline import (
 
 from conftest import run_node
 from corpusgen import build_corpus
+from scalegen import synth_module
 
 
 def write_project(root, files):
@@ -203,6 +203,10 @@ def test_config_file_round_trip_and_unknown_key(tmp_path):
     cfg_path.write_text(json.dumps({"seed": 0}))
     with pytest.raises(FatalConfigError):
         ObfuscationConfig.from_file(cfg_path)
+    # so is the engine field: `verify --engine` names the engine
+    cfg_path.write_text(json.dumps({"engine": "node {file}"}))
+    with pytest.raises(FatalConfigError, match="unknown config keys"):
+        ObfuscationConfig.from_file(cfg_path)
 
 
 def test_rename_dump_written(tmp_path):
@@ -266,7 +270,7 @@ def test_memory_grows_sublinearly_with_corpus_size(tmp_path):
     import subprocess
     import sys
 
-    from scopeshield.bench import generate_scaling_corpus
+    from scalegen import generate_scaling_corpus
 
     peaks = {}
     for label, files in (("n", 24), ("2n", 48)):
@@ -341,6 +345,33 @@ def test_too_deep_nesting_copied_verbatim_as_unsupported(tmp_path, workers):
     assert report["errors"] == []
     assert report["files_transformed"] == 1 and report["files_copied"] == 1
     assert any("deep.js" in w and "not supported" in w for w in report["warnings"])
+
+
+# a statement cut off at end of input
+TRUNCATED_FILES = {
+    "else.js": "if (a) { f(); } else",
+    "if.js": "if (a)",
+    "for.js": "for (;;)",
+    "while.js": "while (a)",
+    "do.js": "do",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_truncated_files_copied_verbatim_as_errors(tmp_path, workers):
+    good = "function run(){var local=1;return local;}\nconsole.log(run());"
+    src = tmp_path / "src"
+    write_project(src, {**TRUNCATED_FILES, "good.js": good})
+    out = tmp_path / "out"
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+    )
+    assert sorted(e["file"] for e in report["errors"]) == sorted(TRUNCATED_FILES)
+    assert all("unexpected end of input" in e["error"] for e in report["errors"])
+    for rel, text in TRUNCATED_FILES.items():
+        assert (out / rel).read_text() == text
+    assert report["files_transformed"] == 1
+    assert "local" not in (out / "good.js").read_text()
 
 
 # ---- one preamble per file ----
@@ -522,7 +553,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
         result = pipeline.process_file(config, allowlist, rel)
         assert result["status"] == "ok", result
         text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
-        _root, expected = parse(tokenize(text, rel), rel)
+        _text, _root, _tree, expected = pipeline.front_end(text, rel, minify=False)
         got = result["summary"]
         for field in ("imports", "exports", "export_pairs", "declared_globals", "free_names"):
             assert getattr(got, field) == getattr(expected, field), (rel, field)

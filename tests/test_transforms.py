@@ -30,11 +30,19 @@ def fresh():
     return name_sequence(excluded=frozenset())
 
 
+def encode(src, root, tree, key, instrument=False):
+    return encode_strings(
+        key, fresh(), tree.dynamic_region(), src, collect_strings(root), instrument=instrument
+    )
+
+
+def rewrite_props(root, tree):
+    return rewrite_property_access(fresh(), tree.dynamic_region(), collect_property_accesses(root))
+
+
 def apply_strings(src, instrument=False, key=7):
     root, tree = setup(src)
-    patches, preamble, _table = encode_strings(
-        key, fresh(), tree.dynamic_region(), src, root=root, instrument=instrument
-    )
+    patches, preamble, _table = encode(src, root, tree, key, instrument)
     if preamble:
         insert = preamble_offset(root)
         patches.append(Patch(insert, insert, preamble + "\n"))
@@ -58,7 +66,7 @@ def test_payload_round_trip():
 def test_no_literals_no_preamble():
     src = "var count = 1 + 2;"
     root, tree = setup(src)
-    patches, preamble, table = encode_strings(7, fresh(), tree.dynamic_region(), src, root=root)
+    patches, preamble, table = encode(src, root, tree, 7)
     assert patches == [] and preamble == "" and table is None
 
 
@@ -77,7 +85,7 @@ def test_decode_runs_once_for_thousand_calls():
 def test_duplicate_literals_share_one_table_entry():
     src = 'var a = "dup"; var b = "dup"; var c = "other";'
     root, tree = setup(src)
-    _patches, _pre, table = encode_strings(3, fresh(), tree.dynamic_region(), src, root=root)
+    _patches, _pre, table = encode(src, root, tree, 3)
     # oracle: table length equals the number of distinct eligible literals
     distinct = {"dup", "other"}
     assert len(table.entries) == len(distinct)
@@ -131,7 +139,7 @@ def test_property_access_rewritten_via_hoisted_slot():
     src = "player.score += 1;\nconsole.log(player.score);"
     src = "var player = {score: 41};\n" + src
     root, tree = setup(src)
-    patches, preamble, slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
+    patches, preamble, slots = rewrite_props(root, tree)
     assert len(slots) == 2  # score, log
     score_slot = next(s for s in slots if s.property_name == "score")
     assert f'{score_slot.var_name}="score"' in preamble
@@ -143,7 +151,7 @@ def test_property_access_rewritten_via_hoisted_slot():
 def test_no_member_accesses_no_patches():
     src = "var plain = 1 + 2;"
     root, tree = setup(src)
-    patches, preamble, slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
+    patches, preamble, slots = rewrite_props(root, tree)
     assert patches == [] and preamble == "" and slots == []
 
 
@@ -154,7 +162,7 @@ def test_repeated_accesses_share_slot():
         "console.log(o.score);"
     )
     root, tree = setup(src)
-    _patches, _pre, slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
+    _patches, _pre, slots = rewrite_props(root, tree)
     # count-oracle: one slot per distinct property name
     names = {n.name for n in collect_property_accesses(root)}
     assert len(slots) == len(names)
@@ -163,7 +171,7 @@ def test_repeated_accesses_share_slot():
 def test_delete_targets_skipped():
     src = "var o = {a: 1, b: 2};\ndelete o.a;\nconsole.log(o.b, o.a);"
     root, tree = setup(src)
-    patches, preamble, _slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
+    patches, preamble, _slots = rewrite_props(root, tree)
     out = emit(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
     assert "delete o.a" in out
     assert run_node(code=out) == "2 undefined\n"
@@ -175,7 +183,7 @@ def test_method_calls_keep_this_binding():
         "console.log(counter.bump(5), counter.n);"
     )
     root, tree = setup(src)
-    patches, preamble, _slots = rewrite_property_access(fresh(), tree.dynamic_region(), root=root)
+    patches, preamble, _slots = rewrite_props(root, tree)
     out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
     assert run_node(code=out) == "15 15\n"
 
@@ -188,13 +196,15 @@ def test_every_candidate_outside_dynamic_regions_rewritten():
         for file_id, src in gen(rng).items():
             root, tree = setup(src, file_id)
             inside = tree.dynamic_region()
-            props = [n for n in collect_property_accesses(root) if not inside(n.start)]
-            patches, _pre, _slots = rewrite_property_access(fresh(), inside, root=root)
+            candidates = collect_property_accesses(root)
+            props = [n for n in candidates if not inside(n.start)]
+            patches, _pre, _slots = rewrite_property_access(fresh(), inside, candidates)
             assert sorted(p.start for p in patches) == sorted(n.value[0] for n in props)
+            candidates = collect_strings(root)
             strings = [
                 n
-                for n in collect_strings(root)
+                for n in candidates
                 if not inside(n.start) and len(_string_value(src[n.start : n.end])) >= 2
             ]
-            patches, _pre, _table = encode_strings(7, fresh(), inside, src, root=root)
+            patches, _pre, _table = encode_strings(7, fresh(), inside, src, candidates)
             assert sorted(p.start for p in patches) == sorted(n.start for n in strings)
