@@ -18,8 +18,7 @@ from .errors import CompressorFailure, ZeroInput
 from .lexer import tokenize
 from .nodes import walk
 from .parser import parse_ast
-
-JS_SUFFIXES = (".js", ".mjs")
+from .pipeline import JS_SUFFIXES
 
 
 def size_inflation(input_bytes, output_bytes):

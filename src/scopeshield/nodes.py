@@ -26,8 +26,9 @@ Node conventions, by kind:
   string-lit         aux in {None, "key", "path", "directive"}
   call/new           children = [callee, args...]
   import-decl        value = dict(source, default, namespace, names)
-  export-decl        value = dict(source, names, default, declaration);
-                     children = [declared node] for `export <decl>` forms
+  export-decl        children = [declared node] for `export <decl>` and
+                     `export default` forms, an identifier-ref (aux =
+                     "export") per local for bare `export {a, b}`, else []
   if                 children = [cond, then] or [cond, then, else]
   for                children = [init, cond, update, body] ("empty" when absent)
   for-in/for-of      children = [target, iterable, body]

@@ -96,7 +96,7 @@ def summarize(summary, tree):
     """Complete a summary from ``parse_ast`` with the file's scope tree:
     module-level declarations and the names read free."""
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
-    summary.free_names = sorted(tree.free_names)
+    summary.free_names = sorted(tree.globals)
     return summary
 
 
@@ -153,6 +153,14 @@ class _Parser:
         t = self.peek()
         offset = t.start if t is not None else self.end_offset
         raise ParseError(message, self.file_id, offset)
+
+    def string_value(self, t):
+        """Value of the string token ``t``; a malformed escape in it is a
+        ParseError."""
+        try:
+            return _string_value(t.text)
+        except ValueError as exc:
+            raise ParseError(f"bad string literal: {exc}", self.file_id, t.start) from None
 
     def unsupported(self, message):
         t = self.peek()
@@ -590,7 +598,7 @@ class _Parser:
         t = self.peek()
         if t is not None and t.kind == STRING:
             self.advance()
-            info["source"] = _string_value(t.text)
+            info["source"] = self.string_value(t)
             src_end = t.end
         else:
             if t is not None and t.kind == IDENT:
@@ -621,7 +629,7 @@ class _Parser:
                         if local_tok is None or local_tok.kind != IDENT:
                             self.error("expected local alias")
                         self.advance()
-                    ext_name = _string_value(ext.text) if ext.kind == STRING else ext.text
+                    ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
                     info["names"].append(
                         (ext_name, local_tok.text, (local_tok.start, local_tok.end))
                     )
@@ -633,7 +641,7 @@ class _Parser:
             if src is None or src.kind != STRING:
                 self.error("expected module path string")
             self.advance()
-            info["source"] = _string_value(src.text)
+            info["source"] = self.string_value(src)
             src_end = src.end
         self.consume_semicolon()
         imported = []
@@ -647,14 +655,11 @@ class _Parser:
 
     def parse_export(self):
         kw = self.expect("export")
-        info = {"source": None, "names": [], "default": False, "declaration": None}
         t = self.peek()
         if t is None:
             self.error("unterminated export")
         if t.text == "default" and t.kind == KEYWORD:
             self.advance()
-            info["default"] = True
-            inner = None
             if self.at("function"):
                 inner = self.parse_function_decl()
             elif self.at("class"):
@@ -663,35 +668,25 @@ class _Parser:
                 inner = self.parse_expression()
                 self.consume_semicolon()
             self.exports.append("default")
-            node = Node("export-decl", kw.start, inner.end, value=info, children=[inner])
-            info["declaration"] = inner.kind
-            return node
-        if t.kind == KEYWORD and t.text in ("var", "let", "const"):
-            inner = self.parse_var_decl()
-            self.consume_semicolon()
-            for decl in inner.children:
-                info["names"].append((decl.name, decl.name))
-                self.exports.append(decl.name)
-                self.export_pairs.append((decl.name, decl.name))
-            info["declaration"] = inner.kind
-            return Node("export-decl", kw.start, inner.end, value=info, children=[inner])
-        if t.kind == KEYWORD and t.text == "function":
-            inner = self.parse_function_decl()
-            info["names"].append((inner.name, inner.name))
-            info["declaration"] = inner.kind
-            self.exports.append(inner.name)
-            self.export_pairs.append((inner.name, inner.name))
-            return Node("export-decl", kw.start, inner.end, value=info, children=[inner])
-        if t.kind == KEYWORD and t.text == "class":
-            inner = self.parse_class(decl=True)
-            info["names"].append((inner.name, inner.name))
-            info["declaration"] = inner.kind
-            self.exports.append(inner.name)
-            self.export_pairs.append((inner.name, inner.name))
-            return Node("export-decl", kw.start, inner.end, value=info, children=[inner])
+            return Node("export-decl", kw.start, inner.end, children=[inner])
+        if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class"):
+            if t.text == "function":
+                inner = self.parse_function_decl()
+                names = [inner.name]
+            elif t.text == "class":
+                inner = self.parse_class(decl=True)
+                names = [inner.name]
+            else:
+                inner = self.parse_var_decl()
+                self.consume_semicolon()
+                names = [decl.name for decl in inner.children]
+            for name in names:
+                self.exports.append(name)
+                self.export_pairs.append((name, name))
+            return Node("export-decl", kw.start, inner.end, children=[inner])
         if t.text == "{":
             self.advance()
-            locals_ = []
+            specifiers = []  # (local token, exported name)
             while not self.at("}"):
                 lt = self.peek()
                 if lt is None or lt.kind not in (IDENT, KEYWORD):
@@ -704,33 +699,30 @@ class _Parser:
                     if et is None or et.kind not in (IDENT, KEYWORD, STRING):
                         self.error("expected export alias")
                     self.advance()
-                    exported = _string_value(et.text) if et.kind == STRING else et.text
-                info["names"].append((lt.text, exported))
-                locals_.append((lt.text, (lt.start, lt.end)))
+                    exported = self.string_value(et) if et.kind == STRING else et.text
+                specifiers.append((lt, exported))
                 if self.at(","):
                     self.advance()
-            rb = self.expect("}")
-            end = rb.end
+            end = self.expect("}").end
+            source = None
             if self.at("from"):
                 self.advance()
                 src = self.peek()
                 if src is None or src.kind != STRING:
                     self.error("expected module path string")
                 self.advance()
-                info["source"] = _string_value(src.text)
-                self.imports.append((info["source"], [loc for loc, _ in info["names"]]))
+                source = self.string_value(src)
+                self.imports.append((source, [lt.text for lt, _ in specifiers]))
                 end = src.end
             self.consume_semicolon()
-            for local, exported in info["names"]:
+            node = Node("export-decl", kw.start, end)
+            for lt, exported in specifiers:
                 self.exports.append(exported)
-                if info["source"] is None:
-                    self.export_pairs.append((local, exported))
-            node = Node("export-decl", kw.start, end, value=info)
-            if info["source"] is None:
-                # bare `export {a, b}`: the locals are references to module bindings
-                for local, span in locals_:
+                if source is None:
+                    # bare `export {a, b}`: the locals are references to module bindings
+                    self.export_pairs.append((lt.text, exported))
                     node.children.append(
-                        Node("identifier-ref", span[0], span[1], name=local, aux="export")
+                        Node("identifier-ref", lt.start, lt.end, name=lt.text, aux="export")
                     )
             return node
         self.error("unsupported export form")
@@ -1112,11 +1104,27 @@ _SIMPLE_ESCAPES = {
 }
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _code_point(digits, width=None):
+    """The character a hex escape's digits name; ValueError unless they are
+    hex digits (exactly ``width`` of them when given, at least one otherwise)
+    naming a code point up to U+10FFFF."""
+    if not digits or not _HEX_DIGITS.issuperset(digits) or width not in (None, len(digits)):
+        raise ValueError(f"malformed hex escape digits {digits!r}")
+    code = int(digits, 16)
+    if code > 0x10FFFF:
+        raise ValueError(f"code point {digits!r} above U+10FFFF")
+    return chr(code)
+
+
 def _string_value(raw):
     """Decode a JavaScript string literal (including the quotes) to its value.
 
-    Raises ValueError for escapes outside the supported set; callers treat
-    such literals as ineligible rather than failing the file.
+    Raises ValueError for every malformed escape and for legacy octal
+    escapes; callers treat such literals as ineligible (or, for module
+    paths and specifiers, the file as unparsable) rather than guessing.
     """
     body = raw[1:-1]
     if "\\" not in body:
@@ -1136,15 +1144,17 @@ def _string_value(raw):
         esc = body[i]
         if esc == "u":
             if i + 1 < n and body[i + 1] == "{":
-                j = body.index("}", i)
-                out.append(chr(int(body[i + 2 : j], 16)))
+                j = body.find("}", i)
+                if j < 0:
+                    raise ValueError("unterminated \\u{ escape")
+                out.append(_code_point(body[i + 2 : j]))
                 i = j + 1
                 continue
-            out.append(chr(int(body[i + 1 : i + 5], 16)))
+            out.append(_code_point(body[i + 1 : i + 5], 4))
             i += 5
             continue
         if esc == "x":
-            out.append(chr(int(body[i + 1 : i + 3], 16)))
+            out.append(_code_point(body[i + 1 : i + 3], 2))
             i += 3
             continue
         if esc == "\r":
@@ -1152,12 +1162,12 @@ def _string_value(raw):
                 i += 1
             i += 1
             continue
+        if esc.isdigit() and (esc != "0" or (i + 1 < n and body[i + 1].isdigit())):
+            raise ValueError("legacy octal escape")
         if esc in _SIMPLE_ESCAPES:
             out.append(_SIMPLE_ESCAPES[esc])
             i += 1
             continue
-        if esc.isdigit():
-            raise ValueError("legacy octal escape")
         out.append(esc)
         i += 1
     return "".join(out)

@@ -73,9 +73,17 @@ class ObfuscationConfig:
             raise FatalConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise FatalConfigError(f"config {path} must hold a JSON object")
-        unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise FatalConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            field = fields[key]
+            # exact type: a bool is no int; null only where it is the default
+            if type(value) is not field.type and not (value is None and field.default is None):
+                raise FatalConfigError(
+                    f"config key {key!r} must be {field.type.__name__}, not {json.dumps(value)}"
+                )
         return cls(**data)
 
     def merged(self, overrides):
@@ -103,15 +111,6 @@ def discover_files(input_root):
         else:
             other_files.append(rel)
     return js_files, other_files
-
-
-# worker-global context (populated by the pool initializer after fork)
-_CTX = {}
-
-
-def _init_worker(context):
-    _CTX.clear()
-    _CTX.update(context)
 
 
 # per-file problems: the file is copied verbatim and the run goes on
@@ -255,12 +254,8 @@ def _gc_paused(task, *args):
             gc.enable()
 
 
-def _file_task(rel_path):
-    return _gc_paused(process_file, _CTX["config"], _CTX["allowlist"], rel_path)
-
-
-def _chunk_task(rel_paths):
-    return [_file_task(rel) for rel in rel_paths]
+def _chunk_task(config, allowlist, rel_paths):
+    return [_gc_paused(process_file, config, allowlist, rel) for rel in rel_paths]
 
 
 # pool tasks per worker: enough to balance the load, few enough that the
@@ -275,19 +270,20 @@ def chunked(rel_paths, workers):
     return [rel_paths[i : i + size] for i in range(0, len(rel_paths), size)]
 
 
-def _run_files(context, workers, rel_paths):
+def _run_files(config, allowlist, workers, rel_paths):
     """Run ``process_file`` once per path and yield the results as they
     finish, each with the cyclic collector paused. In-process when
     workers == 1; otherwise on one process pool, one task per chunk of
     consecutive paths."""
     if workers <= 1:
-        _init_worker(context)
-        yield from map(_file_task, rel_paths)
+        for rel in rel_paths:
+            yield _gc_paused(process_file, config, allowlist, rel)
         return
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(context,)
-    ) as pool:
-        futures = [pool.submit(_chunk_task, chunk) for chunk in chunked(rel_paths, workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(_chunk_task, config, allowlist, chunk)
+            for chunk in chunked(rel_paths, workers)
+        ]
         for future in as_completed(futures):
             yield from future.result()
 
@@ -351,11 +347,10 @@ def obfuscate_project(config):
     written = {}  # rel path -> bytes this run wrote there
     skipped = {}  # rel path -> (category, message); all copied verbatim
     summaries = []
-    context = {"config": config, "allowlist": allowlist}
     largest_first = sorted(js_files, key=lambda f: (-sizes[f], f))
     t0 = time.perf_counter()
     workers = config.workers if len(js_files) > 1 else 1
-    for result in _run_files(context, workers, largest_first):
+    for result in _run_files(config, allowlist, workers, largest_first):
         rel = result["file"]
         for phase, ms in result["worker_ms"].items():
             worker_ms[phase] += ms

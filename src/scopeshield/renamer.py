@@ -44,7 +44,7 @@ def pool_name(index, excluded=frozenset(), alphabet=ALPHABET):
 
 
 class RenameMap:
-    """Binding -> output name, with usage counts for the cost metric.
+    """Binding -> output name.
 
     Bindings absent from the map are implicitly frozen to their original
     name; ``name_or_original`` makes that total.
@@ -52,11 +52,9 @@ class RenameMap:
 
     def __init__(self):
         self.names = {}
-        self.usage = {}
 
-    def assign(self, binding, name, usage=0):
+    def assign(self, binding, name):
         self.names[binding] = name
-        self.usage[binding] = usage
 
     def get(self, binding):
         return self.names.get(binding)
@@ -105,7 +103,7 @@ def ancestor_reference_map(tree, subtree_refs=True):
     return refs
 
 
-def forbidden_set(tree, scope_id, rename_map, anc_refs=None, extra_frozen=(), subtree_refs=True):
+def forbidden_set(tree, scope_id, rename_map, anc_refs=None, subtree_refs=True):
     """Names scope ``scope_id`` may not hand out.
 
     Raises OrderViolation when an outer binding has not been renamed yet,
@@ -113,7 +111,7 @@ def forbidden_set(tree, scope_id, rename_map, anc_refs=None, extra_frozen=(), su
     """
     if anc_refs is None:
         anc_refs = ancestor_reference_map(tree, subtree_refs)
-    forbidden = set(extra_frozen)
+    forbidden = set()
     for binding in anc_refs[scope_id]:
         if binding.is_global():
             forbidden.add(binding.name)
@@ -138,13 +136,14 @@ def frozen_bindings(tree, frozen_module_names=()):
     frozen = set()
     pinned = set(frozen_module_names)
     tainted = tree.scopes_with_dynamic_inside()
-    for sid in tree.preorder():
-        node = tree.nodes[sid]
-        for name, decl in node.declarations.items():
-            if sid in tainted or decl.category == "import":
-                frozen.add(Binding(tree.file_id, sid, name))
-            elif sid == tree.root and name in pinned:
-                frozen.add(Binding(tree.file_id, sid, name))
+    for node in tree.nodes:
+        for name, binding in node.declarations.items():
+            if (
+                node.id in tainted
+                or binding.category == "import"
+                or (node.id == tree.root and name in pinned)
+            ):
+                frozen.add(binding)
     return frozen
 
 
@@ -159,21 +158,19 @@ def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, a
         if not node.declarations:
             continue
         forbidden = forbidden_set(tree, sid, rename_map, anc_refs)
-        for name, decl in node.declarations.items():
-            if Binding(tree.file_id, sid, name) in frozen:
+        for name, binding in node.declarations.items():
+            if binding in frozen:
                 forbidden.add(name)
         names = name_sequence(pool_excluded, alphabet)
-        ordered = sorted(node.declarations.values(), key=lambda d: d.rank())
-        for decl in ordered:
-            binding = Binding(tree.file_id, sid, decl.name)
+        for binding in sorted(node.declarations.values(), key=Binding.rank):
             if binding in frozen:
-                rename_map.assign(binding, decl.name, decl.usage)
+                rename_map.assign(binding, binding.name)
                 continue
             candidate = next(names)
             while candidate in forbidden:
                 candidate = next(names)
             forbidden.add(candidate)
-            rename_map.assign(binding, candidate, decl.usage)
+            rename_map.assign(binding, candidate)
     return rename_map
 
 
@@ -202,15 +199,14 @@ def check_safety(trees, rename_map):
         renamed_decls = []
         for node in tree.nodes:
             mapping = {}
-            for name in node.declarations:
-                binding = Binding(tree.file_id, node.id, name)
+            for name, binding in node.declarations.items():
                 new_name = rename_map.name_or_original(binding)
                 if new_name in mapping:
                     violations.append(
                         SafetyViolation(
                             tree.file_id,
                             name,
-                            node.declarations[name].span,
+                            binding.span,
                             f"scope {node.id} maps two declarations to {new_name!r}",
                         )
                     )
@@ -237,7 +233,7 @@ def check_safety(trees, rename_map):
                             f"{new_name!r} no longer resolves to a declaration",
                         )
                     )
-            elif resolved != binding:
+            elif resolved is not binding:
                 violations.append(
                     SafetyViolation(
                         tree.file_id,
@@ -251,10 +247,7 @@ def check_safety(trees, rename_map):
 
 def cost(rename_map):
     """Total weighted length: sum of |output name| * usage per binding."""
-    total = 0
-    for binding, name in rename_map.items():
-        total += len(name) * rename_map.usage.get(binding, 0)
-    return total
+    return sum(len(name) * binding.usage for binding, name in rename_map.items())
 
 
 def rename_patches(tree, rename_map):

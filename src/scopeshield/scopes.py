@@ -1,8 +1,8 @@
 """Lexical scope analysis: scope tree construction and identifier resolution.
 
 Each file gets its own tree rooted at a module scope. Names that resolve past
-the module root belong to the (implicit, program-wide) global scope and are
-represented by a Binding with ``scope_id == GLOBAL_SCOPE``.
+the module root belong to the (implicit, program-wide) global scope; the tree
+keeps one Binding with ``scope_id == GLOBAL_SCOPE`` for each such name.
 
 var declarations hoist to the nearest function or module scope; let/const,
 class and (module code is strict) function declarations bind in the nearest
@@ -34,57 +34,35 @@ _CATEGORY_RANK = {
 
 
 class Binding:
-    """Identity of a declaration: (file, scope, name); global when scope_id
-    is GLOBAL_SCOPE."""
+    """One declaration: the file, scope and name it binds, its declaring
+    span, category and order, and how many occurrences resolve to it.
 
-    __slots__ = ("file_id", "scope_id", "name", "_hash")
+    A global (``scope_id == GLOBAL_SCOPE``) is the tree's one record of a
+    name read free. Bindings compare by identity: a declaration has exactly
+    one Binding, which its scope's ``declarations`` holds.
+    """
 
-    def __init__(self, file_id, scope_id, name):
+    __slots__ = ("file_id", "scope_id", "name", "span", "category", "order", "usage")
+
+    def __init__(self, file_id, scope_id, name, span=None, category=None, order=0):
         self.file_id = file_id
         self.scope_id = scope_id
-        self.name = name
-        # bindings key every rename-map lookup: hash the triple once
-        self._hash = hash((file_id, scope_id, name))
-
-    def is_global(self):
-        return self.scope_id == GLOBAL_SCOPE
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            isinstance(other, Binding)
-            and self._hash == other._hash
-            and self.file_id == other.file_id
-            and self.scope_id == other.scope_id
-            and self.name == other.name
-        )
-
-    def __repr__(self):
-        if self.is_global():
-            return f"<global:{self.name}>"
-        return f"<{self.file_id}#{self.scope_id}:{self.name}>"
-
-
-def global_binding(name):
-    return Binding(None, GLOBAL_SCOPE, name)
-
-
-class Declaration:
-    __slots__ = ("name", "span", "category", "order", "usage")
-
-    def __init__(self, name, span, category, order):
         self.name = name
         self.span = span
         self.category = category
         self.order = order
         self.usage = 0
 
+    def is_global(self):
+        return self.scope_id == GLOBAL_SCOPE
+
     def rank(self):
         return (_CATEGORY_RANK.get(self.category, 4), self.order)
+
+    def __repr__(self):
+        if self.is_global():
+            return f"<global:{self.name}>"
+        return f"<{self.file_id}#{self.scope_id}:{self.name}>"
 
 
 class Occurrence:
@@ -133,7 +111,7 @@ class ScopeTree:
         self.nodes = []
         self.root = 0
         self.occurrences = []
-        self.free_names = set()  # names some occurrence reads as a global
+        self.globals = {}  # name read free -> its global Binding
 
     def new_scope(self, kind, parent, start, end):
         node = ScopeNode(len(self.nodes), kind, parent, start, end)
@@ -143,35 +121,30 @@ class ScopeTree:
         return node
 
     def resolve(self, name, scope_id):
-        """Def-style recursive resolution to a Binding; falls through to the
-        global marker when no scope on the chain declares the name."""
+        """Def-style recursive resolution to the declaring scope's Binding;
+        falls through to the tree's global Binding for the name (made on
+        first use) when no scope on the chain declares it."""
         if scope_id < 0 or scope_id >= len(self.nodes):
             raise UnknownScope(f"scope {scope_id} not in tree of {self.file_id}")
         sid = scope_id
         while sid is not None:
             node = self.nodes[sid]
-            if name in node.declarations:
-                return Binding(self.file_id, sid, name)
+            binding = node.declarations.get(name)
+            if binding is not None:
+                return binding
             sid = node.parent
-        return global_binding(name)
+        binding = self.globals.get(name)
+        if binding is None:
+            binding = self.globals[name] = Binding(self.file_id, GLOBAL_SCOPE, name)
+        return binding
 
     def resolve_occurrences(self):
-        """Resolve every occurrence once and store its Binding in
-        ``occ.binding``. An occurrence that resolves to a declaration bumps
-        that declaration's usage count; the others read a global, and their
-        names are collected in ``free_names``."""
+        """Resolve every occurrence once, store its Binding in
+        ``occ.binding`` and count the occurrence in that Binding's usage."""
         resolve = self.resolve
-        nodes = self.nodes
-        free_names = self.free_names
-        # occurrences of one declaration share one Binding object
-        interned = {}
         for occ in self.occurrences:
-            binding = resolve(occ.name, occ.scope_id)
-            binding = occ.binding = interned.setdefault(binding, binding)
-            if binding.scope_id == GLOBAL_SCOPE:
-                free_names.add(occ.name)
-            else:
-                nodes[binding.scope_id].declarations[occ.name].usage += 1
+            binding = occ.binding = resolve(occ.name, occ.scope_id)
+            binding.usage += 1
 
     def preorder(self):
         stack = [self.root]
@@ -290,7 +263,7 @@ class _Builder:
         decls = self.tree.nodes[scope_id].declarations
         if name not in decls:
             self.order += 1
-            decls[name] = Declaration(name, span, category, self.order)
+            decls[name] = Binding(self.tree.file_id, scope_id, name, span, category, self.order)
         self.tree.occurrences.append(Occurrence(name, span[0], span[1], scope_id, "decl"))
 
     def reference(self, scope_id, name, start, end, style=None):

@@ -25,29 +25,6 @@ from .patches import Patch
 INSTRUMENT_COUNTER = "__scopeshieldDecodes"
 
 
-class StringTable:
-    """Per-file encoded string table and the names of its runtime pieces."""
-
-    __slots__ = ("entries", "key", "table", "guard", "cache", "decoder", "xform")
-
-    def __init__(self, key, table, guard, cache, decoder, xform):
-        self.entries = []  # (original value, encoded payload)
-        self.key = key
-        self.table = table
-        self.guard = guard
-        self.cache = cache
-        self.decoder = decoder
-        self.xform = xform
-
-
-class PropertySlot:
-    __slots__ = ("property_name", "var_name")
-
-    def __init__(self, property_name, var_name):
-        self.property_name = property_name
-        self.var_name = var_name
-
-
 def encode_payload(value, key):
     """XOR the UTF-8 bytes with a rolling key, then base64."""
     data = value.encode("utf-8")
@@ -132,9 +109,10 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
     """Encode the file's eligible string literals, ``candidates`` (from
     ``collect_strings``), into one table.
 
-    Returns (patches, preamble text, StringTable or None). Literals shorter
-    than 2 characters, literals with exotic escapes, non-UTF-8-encodable
-    values and anything inside a dynamic region are skipped.
+    Returns (patches, preamble text, the table's payloads or None).
+    Literals shorter than 2 characters, literals with malformed or legacy
+    escapes, non-UTF-8-encodable values and anything inside a dynamic region
+    are skipped.
     """
     table = []
     index_of = {}
@@ -144,7 +122,7 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
         raw = source[node.start : node.end]
         try:
             value = _string_value(raw)
-        except (ValueError, IndexError):
+        except ValueError:
             continue
         if len(value) < 2:
             continue
@@ -159,17 +137,15 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
         return [], "", None
 
     names = (next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names))
-    string_table = StringTable(key, *names)
+    decoder = names[3]  # names: table, guard, cache, decoder, transform
     calls = []  # table index -> decoder call text
     for node, value in picked:
         idx = index_of.get(value)
         if idx is None:
             idx = len(table)
             index_of[value] = idx
-            payload = encode_payload(value, key)
-            table.append(payload)
-            string_table.entries.append((value, payload))
-            calls.append(f"{string_table.decoder}({idx})")
+            table.append(encode_payload(value, key))
+            calls.append(f"{decoder}({idx})")
         call = calls[idx]
         # a quote needs no separator from a preceding keyword (return"x"),
         # but the decoder call does
@@ -177,18 +153,18 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
             call = " " + call
         patches.append(Patch(node.start, node.end, call))
     preamble = decoder_preamble(table, key, names, instrument)
-    return patches, preamble, string_table
+    return patches, preamble, table
 
 
 def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
     """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (from
     ``collect_property_accesses``), to ``obj[v]``.
 
-    Returns (patches, preamble text, PropertySlot list); one slot per
-    distinct property name in the file, declared by the preamble, which the
-    caller injects at the module top.
+    Returns (patches, preamble text, [(slot var, property name)] sorted by
+    slot var); one slot per distinct property name in the file, declared by
+    the preamble, which the caller injects at the module top.
     """
-    access_text = {}  # property name -> "[slot]"
+    access_text = {}  # property name -> "[slot var]"
     slots = []
     patches = []
     for node in candidates:
@@ -196,13 +172,13 @@ def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
             continue
         text = access_text.get(node.name)
         if text is None:
-            slot = PropertySlot(node.name, next(fresh_names))
-            slots.append(slot)
-            text = access_text[node.name] = f"[{slot.var_name}]"
+            var = next(fresh_names)
+            slots.append((var, node.name))
+            text = access_text[node.name] = f"[{var}]"
         span = node.value
         patches.append(Patch(span[0], span[1], text))
     if not slots:
         return [], "", []
-    ordered = sorted(slots, key=lambda s: s.var_name)
-    decls = ",".join(f'{s.var_name}="{s.property_name}"' for s in ordered)
-    return patches, f"var {decls};", ordered
+    slots.sort()
+    decls = ",".join(f'{var}="{prop}"' for var, prop in slots)
+    return patches, f"var {decls};", slots

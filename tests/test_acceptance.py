@@ -29,7 +29,7 @@ from scopeshield.renamer import (
     rename_patches,
     rename_tree,
 )
-from scopeshield.scopes import Binding, build_scope_tree
+from scopeshield.scopes import build_scope_tree
 from scopeshield.transforms import INSTRUMENT_COUNTER
 
 from conftest import run_node
@@ -136,13 +136,13 @@ def brute_force_min_cost(tree, alphabet="ab", pool_size=6):
     bindings = []
     for scope in tree.nodes:
         for name in sorted(scope.declarations):
-            bindings.append(Binding(tree.file_id, scope.id, name))
+            bindings.append(scope.declarations[name])
     pool = [pool_name(i, alphabet=alphabet) for i in range(pool_size)]
     best = None
     for combo in product(pool, repeat=len(bindings)):
         candidate = RenameMap()
         for binding, new_name in zip(bindings, combo):
-            candidate.assign(binding, new_name, 1)
+            candidate.assign(binding, new_name)
         if check_safety([tree], candidate):
             continue
         total = cost(candidate)

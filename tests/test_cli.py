@@ -73,6 +73,10 @@ def test_obfuscate_exit_3_on_fatal(tmp_path):
         ("--config", b"{not json"),
         ("--config", b"7"),
         ("--config", b'{"engine": "node {file}"}'),
+        ("--config", b'{"workers": "two"}'),
+        ("--config", b'{"workers": true}'),
+        ("--config", b'{"rename": "no"}'),
+        ("--config", b'{"allowlist_path": 0}'),
     ],
 )
 def test_obfuscate_exit_3_on_bad_config_or_allowlist(tmp_path, capsys, flag, content):
@@ -215,6 +219,8 @@ def test_analyze_reports_bad_files_and_goes_on(tmp_path, capsys):
         {
             "deep.js": "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n",
             "cut.js": "if (a) { f(); } else",
+            "octal.js": 'import x from "./a\\1.js";',
+            "brace.js": 'import x from "./\\u{zz}.js";',
             "good.js": "export function fine(){ return 1; }\nconsole.log(fine());",
         },
     )
@@ -224,6 +230,8 @@ def test_analyze_reports_bad_files_and_goes_on(tmp_path, capsys):
     assert "deep.js: nesting too deep to analyze; not supported" in out
     assert "cut.js:20: unexpected end of input" in out
     assert "latin1.js: not valid UTF-8" in out
+    assert "octal.js:14: bad string literal: legacy octal escape" in out
+    assert "brace.js:14: bad string literal: malformed hex escape digits 'zz'" in out
     assert "files: 1\n  good.js" in out
     assert "  good.js: fine (export)" in out
 

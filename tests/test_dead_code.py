@@ -1,8 +1,11 @@
-"""Every function, class and method in the package has a use in the package.
+"""Every function, class and method in the package has a use in the package,
+and every ``__slots__`` entry is read somewhere in it.
 
 A name counts as used when some module of ``src/scopeshield`` mentions it as
 a bare name or as an attribute. Public names in ``__init__.__all__``, dunders
-and the few helpers listed in ``KEPT`` are exempt.
+and the few helpers listed in ``KEPT`` are exempt. A slot counts as read only
+when some module loads it as an attribute (``x.slot`` in a ``Load``
+context); a slot that is only ever written is state nothing reads.
 """
 
 import ast
@@ -29,11 +32,16 @@ def _exported():
     return set()
 
 
+def _modules():
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_definition_is_used_in_the_package():
     defined = {}
     used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path, module in _modules():
+        for node in ast.walk(module):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.setdefault(node.name, f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.Name):
@@ -50,3 +58,22 @@ def test_every_definition_is_used_in_the_package():
     }
     assert dead == {}
     assert set(KEPT) <= set(defined), "a kept helper no longer exists"
+
+
+def test_every_slot_is_read_in_the_package():
+    slots = {}
+    read = set()
+    for path, module in _modules():
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+                    ):
+                        for name in ast.literal_eval(stmt.value):
+                            slots[f"{node.name}.{name}"] = f"{path.name}:{stmt.lineno}"
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert slots, "no __slots__ found: the scan is broken"
+    unread = {slot: where for slot, where in slots.items() if slot.split(".")[1] not in read}
+    assert unread == {}

@@ -207,18 +207,34 @@ def test_config_file_round_trip_and_unknown_key(tmp_path):
     cfg_path.write_text(json.dumps({"engine": "node {file}"}))
     with pytest.raises(FatalConfigError, match="unknown config keys"):
         ObfuscationConfig.from_file(cfg_path)
+    # each value has its field's JSON type: a bool is no int, and only
+    # allowlist_path may be null
+    for key, value in [("workers", "two"), ("workers", True), ("rename", "no"),
+                       ("allowlist_path", 0), ("minify", None)]:
+        cfg_path.write_text(json.dumps({key: value}))
+        with pytest.raises(FatalConfigError, match=f"config key '{key}' must be "):
+            ObfuscationConfig.from_file(cfg_path)
+    cfg_path.write_text(json.dumps({"allowlist_path": None, "input_root": "src"}))
+    assert ObfuscationConfig.from_file(cfg_path).allowlist_path is None
 
 
 def test_rename_dump_written(tmp_path):
-    write_project(tmp_path / "src", {"a.js": "function f(x){ return x; }"})
+    write_project(
+        tmp_path / "src",
+        {
+            "a.js": "function f(x){ return x; }",
+            "b.js": "export function g(y){ let z = y; { let y2 = z; return y2; } }",
+        },
+    )
     out = tmp_path / "out"
     obfuscate_project(
         ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out), dump_renames=True)
     )
-    dump = dump_dir_for(out) / "renames" / "a.js.tsv"
-    assert dump.is_file()
-    parsed = [line.split("\t") for line in dump.read_text().strip().splitlines()]
-    assert any(orig == "x" and new == "a" for _sid, orig, new in parsed)
+    dumps = dump_dir_for(out) / "renames"
+    assert (dumps / "a.js.tsv").read_text() == "a.js#0\tf\tf\na.js#1\tx\ta\n"
+    assert (dumps / "b.js.tsv").read_text() == (
+        "b.js#0\tg\tg\nb.js#1\ty\ta\nb.js#1\tz\tb\nb.js#2\ty2\ta\n"
+    )
 
 
 def test_phase_merge_invariant_across_partition_counts(tmp_path):
@@ -372,6 +388,35 @@ def test_truncated_files_copied_verbatim_as_errors(tmp_path, workers):
         assert (out / rel).read_text() == text
     assert report["files_transformed"] == 1
     assert "local" not in (out / "good.js").read_text()
+
+
+# a malformed escape in a module path or specifier makes the file an error
+# copied verbatim; in an ordinary literal it only keeps that literal unencoded
+BAD_ESCAPE_FILES = {
+    "octal.js": 'import x from "./a\\1.js";\nx();',
+    "brace.js": 'import x from "./\\u{zz}.js";\nx();',
+    "spec.js": 'import {"\\x4" as y} from "./g.js";\ny();',
+    "alias.js": 'var v = 1;\nexport {v as "\\u{110000}"};',
+}
+BAD_LITERAL_FILE = 'var s = "\\u{FFFFFFFFFFFFFFFFFFFFFFFF}x", t = "\\01ab", u = "plain text";\nu += t;'
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bad_escapes_do_not_abort_the_run(tmp_path, workers):
+    src = tmp_path / "src"
+    write_project(src, {**BAD_ESCAPE_FILES, "lit.js": BAD_LITERAL_FILE})
+    out = tmp_path / "out"
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+    )
+    assert sorted(e["file"] for e in report["errors"]) == sorted(BAD_ESCAPE_FILES)
+    assert all("bad string literal" in e["error"] for e in report["errors"])
+    for rel, text in BAD_ESCAPE_FILES.items():
+        assert (out / rel).read_text() == text
+    assert report["files_transformed"] == 1
+    lit = (out / "lit.js").read_text()
+    assert '"\\u{FFFFFFFFFFFFFFFFFFFFFFFF}x"' in lit and '"\\01ab"' in lit
+    assert '"plain text"' not in lit
 
 
 # ---- one preamble per file ----

@@ -18,7 +18,7 @@ from scopeshield.renamer import (
     rename_patches,
     rename_tree,
 )
-from scopeshield.scopes import Binding, build_scope_tree, global_binding
+from scopeshield.scopes import Binding, build_scope_tree
 from scopeshield.tokens import RESERVED_WORDS
 
 from conftest import run_node
@@ -28,6 +28,11 @@ from treegen import random_scope_tree, uniform_usage
 def tree_of(src, file_id="t.js"):
     root, _ = parse_ast(tokenize(src, file_id), file_id)
     return build_scope_tree(root, file_id)
+
+
+def declared(tree, scope_id, name):
+    """The Binding scope ``scope_id`` holds for ``name``."""
+    return tree.nodes[scope_id].declarations[name]
 
 
 # ---- name pool ----
@@ -69,8 +74,8 @@ def test_forbidden_empty_for_root_without_markers():
 def test_forbidden_contains_renamed_ancestor_referenced_inside():
     tree = tree_of("var outer = 1; function f(){ return outer; }")
     rmap = RenameMap()
-    rmap.assign(Binding("t.js", 0, "outer"), "a")
-    rmap.assign(Binding("t.js", 0, "f"), "b")
+    rmap.assign(declared(tree, 0, "outer"), "a")
+    rmap.assign(declared(tree, 0, "f"), "b")
     fn_scope = 1
     assert "a" in forbidden_set(tree, fn_scope, rmap)
 
@@ -81,8 +86,8 @@ def test_unreferenced_ancestor_name_is_reusable():
     rmap = rename_tree(tree)
     # neither module binding is referenced inside f, so f restarts at "a"
     # even though a module binding already took it
-    assert rmap.get(Binding("t.js", 1, "mine")) == "a"
-    assert "a" in {rmap.get(Binding("t.js", 0, "f")), rmap.get(Binding("t.js", 0, "outer"))}
+    assert rmap.get(declared(tree, 1, "mine")) == "a"
+    assert "a" in {rmap.get(declared(tree, 0, "f")), rmap.get(declared(tree, 0, "outer"))}
     assert check_safety([tree], rmap) == []
 
 
@@ -97,31 +102,31 @@ def test_order_violation_when_ancestor_unrenamed():
 def test_params_then_vars_get_shortest_names():
     tree = tree_of("function f(alpha){var beta=alpha; return beta}")
     rmap = rename_tree(tree)
-    assert rmap.get(Binding("t.js", 1, "alpha")) == "a"
-    assert rmap.get(Binding("t.js", 1, "beta")) == "b"
-    assert rmap.get(Binding("t.js", 0, "f")) == "a"  # module level, not exported
+    assert rmap.get(declared(tree, 1, "alpha")) == "a"
+    assert rmap.get(declared(tree, 1, "beta")) == "b"
+    assert rmap.get(declared(tree, 0, "f")) == "a"  # module level, not exported
     assert check_safety([tree], rmap) == []
 
 
 def test_sibling_functions_reuse_the_same_short_name():
     tree = tree_of("function f(){ var one; } function g(){ var two; }")
     rmap = rename_tree(tree)
-    assert rmap.get(Binding("t.js", 1, "one")) == "a"
-    assert rmap.get(Binding("t.js", 2, "two")) == "a"
+    assert rmap.get(declared(tree, 1, "one")) == "a"
+    assert rmap.get(declared(tree, 2, "two")) == "a"
 
 
 def test_dynamic_scope_keeps_names():
     tree = tree_of("function f(){ var secret = 1; return eval('secret'); }")
     rmap = rename_tree(tree)
-    assert rmap.get(Binding("t.js", 1, "secret")) == "secret"
-    assert rmap.get(Binding("t.js", 0, "f")) == "f"  # visible at the eval
+    assert rmap.get(declared(tree, 1, "secret")) == "secret"
+    assert rmap.get(declared(tree, 0, "f")) == "f"  # visible at the eval
 
 
 def test_frozen_module_names_and_allowlist():
     tree = tree_of("var keep = 1; var ren = 2; console.log(keep + ren);")
     rmap = rename_tree(tree, frozen_module_names={"keep"}, allowlist={"console"})
-    assert rmap.get(Binding("t.js", 0, "keep")) == "keep"
-    assert rmap.get(Binding("t.js", 0, "ren")) == "a"
+    assert rmap.get(declared(tree, 0, "keep")) == "keep"
+    assert rmap.get(declared(tree, 0, "ren")) == "a"
     assert check_safety([tree], rmap) == []
 
 
@@ -130,7 +135,7 @@ def test_deterministic():
     tree1, tree2 = tree_of(src), tree_of(src)
     m1 = rename_tree(tree1)
     m2 = rename_tree(tree2)
-    assert dict(m1.items()) == dict(m2.items())
+    assert m1.dump_lines() == m2.dump_lines()
 
 
 # ---- safety oracle ----
@@ -145,9 +150,9 @@ def test_capture_is_flagged():
     # references x: the reference now resolves to the inner declaration
     tree = tree_of("var x = 1; function f(){ var y = 2; return x + y; }")
     bad = RenameMap()
-    bad.assign(Binding("t.js", 0, "x"), "a")
-    bad.assign(Binding("t.js", 0, "f"), "f")
-    bad.assign(Binding("t.js", 1, "y"), "a")
+    bad.assign(declared(tree, 0, "x"), "a")
+    bad.assign(declared(tree, 0, "f"), "f")
+    bad.assign(declared(tree, 1, "y"), "a")
     violations = check_safety([tree], bad)
     assert violations and any("captured" in v.reason for v in violations)
 
@@ -155,8 +160,8 @@ def test_capture_is_flagged():
 def test_non_injective_scope_is_flagged():
     tree = tree_of("var p = 1; var q = 2; console.log(p + q);")
     bad = RenameMap()
-    bad.assign(Binding("t.js", 0, "p"), "a")
-    bad.assign(Binding("t.js", 0, "q"), "a")
+    bad.assign(declared(tree, 0, "p"), "a")
+    bad.assign(declared(tree, 0, "q"), "a")
     violations = check_safety([tree], bad)
     assert any("two declarations" in v.reason for v in violations)
 
@@ -193,32 +198,38 @@ def test_renamer_output_safe_on_random_trees():
 
 # ---- cost ----
 
+def used_binding(name, usage):
+    binding = Binding("a.js", 0, name)
+    binding.usage = usage
+    return binding
+
+
 def test_cost_single_binding():
     m = RenameMap()
-    m.assign(Binding("a.js", 0, "x"), "a", 3)
+    m.assign(used_binding("x", 3), "a")
     assert cost(m) == 3
 
 
 def test_cost_weighted_lengths():
     m = RenameMap()
-    m.assign(Binding("a.js", 0, "x"), "a", 2)
-    m.assign(Binding("a.js", 0, "y"), "aa", 1)
+    m.assign(used_binding("x", 2), "a")
+    m.assign(used_binding("y", 1), "aa")
     assert cost(m) == 2 * 1 + 1 * 2
 
 
-def brute_force_min_cost(tree, alphabet="ab", pool_size=8, usage=1):
+def brute_force_min_cost(tree, alphabet="ab", pool_size=8):
     """Enumerate every safe assignment from a finite pool; independent of the
     greedy path."""
     bindings = []
     for node in tree.nodes:
         for name in sorted(node.declarations):
-            bindings.append(Binding(tree.file_id, node.id, name))
+            bindings.append(node.declarations[name])
     pool = [pool_name(i, alphabet=alphabet) for i in range(pool_size)]
     best = None
     for combo in product(pool, repeat=len(bindings)):
         candidate = RenameMap()
         for binding, new_name in zip(bindings, combo):
-            candidate.assign(binding, new_name, usage)
+            candidate.assign(binding, new_name)
         if check_safety([tree], candidate):
             continue
         total = cost(candidate)

@@ -208,7 +208,7 @@ def test_dynamic_region_nested_dynamic_scopes_sharing_a_start():
 def assert_stored_bindings_match_resolve(tree):
     assert tree.occurrences
     for occ in tree.occurrences:
-        assert occ.binding == tree.resolve(occ.name, occ.scope_id), (tree.file_id, occ.name, occ.start)
+        assert occ.binding is tree.resolve(occ.name, occ.scope_id), (tree.file_id, occ.name, occ.start)
 
 
 def test_stored_binding_matches_resolve_on_corpus_programs(tmp_path):
@@ -226,9 +226,24 @@ def test_stored_binding_matches_resolve_on_random_trees():
         assert_stored_bindings_match_resolve(random_scope_tree(rng, max_depth=6, max_bindings=20))
 
 
-def test_binding_equality_is_by_value():
-    a = Binding("a.js", 1, "x")
-    assert a == Binding("a.js", 1, "x") and hash(a) == hash(Binding("a.js", 1, "x"))
-    assert a != Binding("a.js", 2, "x") and a != Binding("b.js", 1, "x")
-    assert a != Binding("a.js", 1, "y") and a != ("a.js", 1, "x")
-    assert len({a, Binding("a.js", 1, "x"), Binding("a.js", 1, "y")}) == 2
+def test_each_declaration_is_one_binding_that_resolve_returns():
+    src = "var x = 1; function f(x){ var y = x; { let x = y; x; } return console.log(x); } f(x);"
+    tree = tree_of(src, "one.js")
+    declared = [b for node in tree.nodes for b in node.declarations.values()]
+    assert len(declared) == len({id(b) for b in declared}) == 5
+    for node in tree.nodes:
+        for name, binding in node.declarations.items():
+            assert isinstance(binding, Binding)
+            assert (binding.file_id, binding.scope_id, binding.name) == ("one.js", node.id, name)
+            assert tree.resolve(name, node.id) is binding
+            for child in node.children:
+                if name not in tree.nodes[child].declarations:
+                    assert tree.resolve(name, child) is binding
+    # a name read free resolves to the tree's one global Binding, wherever it is read
+    console = tree.resolve("console", 0)
+    assert console.is_global() and console is tree.resolve("console", 1)
+    assert tree.globals == {"console": console}
+    # bindings compare by identity, not by their (file, scope, name) triple
+    copy = Binding("one.js", 0, "x")
+    assert copy != tree.nodes[0].declarations["x"]
+    assert len({copy, tree.nodes[0].declarations["x"]}) == 2

@@ -88,7 +88,7 @@ def test_duplicate_literals_share_one_table_entry():
     _patches, _pre, table = encode(src, root, tree, 3)
     # oracle: table length equals the number of distinct eligible literals
     distinct = {"dup", "other"}
-    assert len(table.entries) == len(distinct)
+    assert len(table) == len(distinct)
 
 
 def test_short_strings_and_directives_skipped():
@@ -141,10 +141,11 @@ def test_property_access_rewritten_via_hoisted_slot():
     root, tree = setup(src)
     patches, preamble, slots = rewrite_props(root, tree)
     assert len(slots) == 2  # score, log
-    score_slot = next(s for s in slots if s.property_name == "score")
-    assert f'{score_slot.var_name}="score"' in preamble
+    assert slots == sorted(slots)
+    score_var = next(var for var, prop in slots if prop == "score")
+    assert f'{score_var}="score"' in preamble
     out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
-    assert f"player[{score_slot.var_name}]+=1" in out.replace(" ", "")
+    assert f"player[{score_var}]+=1" in out.replace(" ", "")
     assert run_node(code=out) == "42\n"
 
 

@@ -6,7 +6,7 @@ consistent; usage counts follow the same convention as the real builder
 (the declaration site counts as an occurrence).
 """
 
-from scopeshield.scopes import MODULE, FUNCTION, BLOCK, Declaration, Occurrence, ScopeTree
+from scopeshield.scopes import MODULE, FUNCTION, BLOCK, Binding, Occurrence, ScopeTree
 
 NAMES = ["item", "count", "value", "node", "temp", "data", "res", "key", "idx", "acc"]
 GLOBALS = ["console", "Math", "GameGlobal", "JSON"]
@@ -43,8 +43,8 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
             continue
         order += 1
         start = scope.start + len(scope.declarations) + 1
-        decl = Declaration(name, (start, start + len(name)), rng.choice(["var", "lexical", "param"]), order)
-        scope.declarations[name] = decl
+        category = rng.choice(["var", "lexical", "param"])
+        scope.declarations[name] = Binding(file_id, scope.id, name, (start, start + len(name)), category, order)
         tree.occurrences.append(Occurrence(name, start, start + len(name), scope.id, "decl"))
         placed += 1
 
@@ -71,6 +71,6 @@ def uniform_usage(tree, usage=1):
     """Overwrite usage counts so every binding weighs the same (the
     assumption behind the greedy-optimality property)."""
     for node in tree.nodes:
-        for decl in node.declarations.values():
-            decl.usage = usage
+        for binding in node.declarations.values():
+            binding.usage = usage
     return tree
