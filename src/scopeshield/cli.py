@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 file-level errors or failed verification,
 3 fatal configuration/engine problems, 64 usage errors.
-Worker count defaults to the SCOPESHIELD_THREADS environment variable.
+The worker count is --threads, else the config file's "workers", else the
+SCOPESHIELD_THREADS environment variable, else the CPU count.
 """
 
 import argparse
@@ -89,13 +90,13 @@ def build_parser():
 
 def _config_from_args(args):
     if args.config:
-        config = ObfuscationConfig.from_file(args.config)
+        config = ObfuscationConfig.from_file(args.config, workers=_default_threads())
     else:
-        config = ObfuscationConfig()
+        config = ObfuscationConfig(workers=_default_threads())
     overrides = {
         "input_root": args.input_root,
         "output_root": args.output_root,
-        "workers": args.threads if args.threads is not None else (config.workers or _default_threads()),
+        "workers": args.threads,
         "allowlist_path": args.allowlist,
         "rename": False if args.no_rename else None,
         "encode_strings": False if args.no_strings else None,
@@ -150,7 +151,7 @@ def cmd_analyze(args):
             print(format_scope_report(tree))
     graph = build_dependency_graph(summaries, allowlist)
     frozen_by_file = {s.file_id: frozen_names(s) for s in summaries}
-    print(format_graph_report(graph, unresolved_imports(summaries), frozen_by_file))
+    print(format_graph_report(graph, unresolved_imports(summaries, js_files), frozen_by_file))
     return 2 if had_errors else 0
 
 

@@ -61,15 +61,16 @@ def frozen_names(summary):
     return dict.fromkeys(sorted({local for local, _exported in summary.export_pairs}), "export")
 
 
-def unresolved_imports(summaries):
-    """The (importer, path) pairs that match no file, in file order; their
-    imports stay external."""
-    by_file = {s.file_id: s for s in summaries}
+def unresolved_imports(summaries, files):
+    """The (importer, path) pairs of the summaries that match none of
+    ``files``, the project's JS files (copied ones too), in file order;
+    their imports stay external."""
+    known = set(files)
     return [
-        (file_id, path)
-        for file_id in sorted(by_file)
-        for path, _names in by_file[file_id].imports
-        if resolve_import(file_id, path, by_file) is None
+        (summary.file_id, path)
+        for summary in sorted(summaries, key=lambda s: s.file_id)
+        for path, _names in summary.imports
+        if resolve_import(summary.file_id, path, known) is None
     ]
 
 

@@ -102,7 +102,8 @@ def _run_one(engine, root, case):
     except FileNotFoundError as exc:
         raise EngineNotFound(f"engine command {argv[0]!r} not found") from exc
     if proc.returncode != 0:
-        return "error", proc.stdout, proc.stderr.strip().splitlines()[-1] if proc.stderr else f"exit {proc.returncode}"
+        lines = proc.stderr.strip().splitlines()
+        return "error", proc.stdout, lines[-1] if lines else f"exit {proc.returncode}"
     return "ok", proc.stdout, ""
 
 

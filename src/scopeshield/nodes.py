@@ -23,12 +23,14 @@ Node conventions, by kind:
   member-access      children = [object]; name = property; value = span of
                      ".property" for patching
   computed-member    children = [object, index]
-  string-lit         aux in {None, "key", "path", "directive"}
+  string-lit         aux in {None, "key", "directive"}
   call/new           children = [callee, args...]
   import-decl        value = dict(source, default, namespace, names)
   export-decl        children = [declared node] for `export <decl>` and
-                     `export default` forms, an identifier-ref (aux =
-                     "export") per local for bare `export {a, b}`, else []
+                     `export default` forms (an anonymous default function
+                     or class is a function-expr or class-expr), an
+                     identifier-ref (aux = "export") per local for bare
+                     `export {a, b}`, else []
   if                 children = [cond, then] or [cond, then, else]
   for                children = [init, cond, update, body] ("empty" when absent)
   for-in/for-of      children = [target, iterable, body]

@@ -3,7 +3,9 @@
 Supported: var/let/const, function declarations and expressions, arrows,
 classes with methods/getters/setters, blocks, all common statements,
 template literals with interpolation, import/export with relative string
-paths, member access, object/array literals.
+paths (at the top level only, as in a module; `export default` takes a named
+or anonymous function or class, or an expression), member access,
+object/array literals.
 
 Out of subset (raises UnsupportedSyntax so the file is copied through
 verbatim): labeled statements, destructuring, generators, async/await,
@@ -43,7 +45,6 @@ _LOGICAL_OPS = frozenset({"&&", "||", "??"})
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "**=", "<<=", ">>=", ">>>=", "&=", "|=", "^=", "&&=", "||=", "??="}
 )
-_UNARY_OPS = frozenset({"!", "~", "+", "-", "typeof", "void", "delete"})
 
 
 class FileSummary:
@@ -149,10 +150,9 @@ class _Parser:
             self.error(f"expected {text!r}")
         return self.advance()
 
-    def error(self, message):
+    def error(self, message, exc=ParseError):
         t = self.peek()
-        offset = t.start if t is not None else self.end_offset
-        raise ParseError(message, self.file_id, offset)
+        raise exc(message, self.file_id, t.start if t is not None else self.end_offset)
 
     def string_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
@@ -163,9 +163,27 @@ class _Parser:
             raise ParseError(f"bad string literal: {exc}", self.file_id, t.start) from None
 
     def unsupported(self, message):
+        self.error(message, UnsupportedSyntax)
+
+    def binding_name(self, message, pattern=None):
+        """Read the identifier token a binding declares. Where JS allows a
+        destructuring pattern there (``pattern`` names the site), `{` or `[`
+        is UnsupportedSyntax; any other token is a ParseError(``message``)."""
         t = self.peek()
-        offset = t.start if t is not None else self.end_offset
-        raise UnsupportedSyntax(message, self.file_id, offset)
+        if t is not None and t.kind == IDENT:
+            self.advance()
+            return t
+        if pattern is not None and t is not None and t.kind == PUNCT and t.text in ("{", "["):
+            self.unsupported(f"destructuring {pattern} are not supported")
+        self.error(message)
+
+    def module_path(self):
+        """Read a module path string; returns (its token, its value)."""
+        t = self.peek()
+        if t is None or t.kind != STRING:
+            self.error("expected module path string")
+        self.advance()
+        return t, self.string_value(t)
 
     def newline_before_current(self):
         return self.i < len(self.nl_before) and self.nl_before[self.i]
@@ -186,8 +204,18 @@ class _Parser:
     def parse_program(self):
         stmts = []
         while self.peek() is not None:
-            stmts.append(self.parse_statement())
+            if self.at("export"):
+                stmts.append(self.parse_export())
+            elif self.at("import") and not self.is_import_expression():
+                stmts.append(self.parse_import())
+            else:
+                stmts.append(self.parse_statement())
         return Node("program", 0, self.end_offset, children=stmts)
+
+    def is_import_expression(self):
+        # at `import`: dynamic import() and import.meta are expressions
+        nxt = self.peek(1)
+        return nxt is not None and nxt.kind == PUNCT and nxt.text in ("(", ".")
 
     def parse_statement(self):
         t = self.peek()
@@ -206,7 +234,7 @@ class _Parser:
                 self.consume_semicolon()
                 return node
             if text == "function":
-                return self.parse_function_decl()
+                return self.parse_function(decl=True)
             if text == "class":
                 return self.parse_class(decl=True)
             if text == "if":
@@ -237,14 +265,8 @@ class _Parser:
                 return Node(tok.text, tok.start, tok.end)
             if text == "with":
                 return self.parse_with()
-            if text == "import":
-                if self.peek(1) is not None and self.peek(1).text == "(":
-                    self.unsupported("dynamic import() is not supported")
-                if self.peek(1) is not None and self.peek(1).text == ".":
-                    self.unsupported("import.meta is not supported")
-                return self.parse_import()
-            if text == "export":
-                return self.parse_export()
+            if text == "export" or (text == "import" and not self.is_import_expression()):
+                self.error(f"'{text}' is only allowed at the top level of a module")
             if text == "debugger":
                 tok = self.advance()
                 self.consume_semicolon()
@@ -276,12 +298,7 @@ class _Parser:
         kw = self.advance()
         declarators = []
         while True:
-            name_tok = self.peek()
-            if name_tok is None or name_tok.kind != IDENT:
-                if name_tok is not None and name_tok.kind == PUNCT and name_tok.text in ("{", "["):
-                    self.unsupported("destructuring declarations are not supported")
-                self.error("expected identifier in declaration")
-            self.advance()
+            name_tok = self.binding_name("expected identifier in declaration", "declarations")
             decl = Node(
                 "declarator",
                 name_tok.start,
@@ -302,22 +319,23 @@ class _Parser:
         end = declarators[-1].end
         return Node("var-decl", kw.start, end, name=kw.text, children=declarators)
 
-    def parse_function_decl(self):
+    def parse_function(self, decl):
+        """A function declaration (``decl``; its name is required) or
+        expression (name optional)."""
         kw = self.expect("function")
         if self.at("*"):
             self.unsupported("generator functions are not supported")
-        name_tok = self.peek()
-        if name_tok is None or name_tok.kind != IDENT:
-            self.error("expected function name")
-        self.advance()
+        name_tok = None
+        if decl or (self.peek() is not None and self.peek().kind == IDENT):
+            name_tok = self.binding_name("expected function name")
         params = self.parse_params()
         body = self.parse_block()
         return Node(
-            "function-decl",
+            "function-decl" if decl else "function-expr",
             kw.start,
             body.end,
-            name=name_tok.text,
-            value=(name_tok.start, name_tok.end),
+            name=name_tok and name_tok.text,
+            value=name_tok and (name_tok.start, name_tok.end),
             children=params + [body],
         )
 
@@ -329,12 +347,7 @@ class _Parser:
             if self.at("..."):
                 self.advance()
                 rest = True
-            t = self.peek()
-            if t is None or t.kind != IDENT:
-                if t is not None and t.kind == PUNCT and t.text in ("{", "["):
-                    self.unsupported("destructuring parameters are not supported")
-                self.error("expected parameter name")
-            self.advance()
+            t = self.binding_name("expected parameter name", "parameters")
             param = Node(
                 "param",
                 t.start,
@@ -356,20 +369,15 @@ class _Parser:
 
     def parse_class(self, decl):
         kw = self.expect("class")
-        name = None
-        name_span = None
-        t = self.peek()
-        if t is not None and t.kind == IDENT:
-            self.advance()
-            name = t.text
-            name_span = (t.start, t.end)
-        elif decl:
-            self.error("expected class name")
+        name_tok = None
+        if decl or (self.peek() is not None and self.peek().kind == IDENT):
+            name_tok = self.binding_name("expected class name")
         children = []
         has_extends = False
         if self.at("extends"):
             self.advance()
-            children.append(self.parse_unary_chain_for_extends())
+            # a LeftHandSideExpression
+            children.append(self.parse_call_member(self.parse_primary()))
             has_extends = True
         self.expect("{")
         while not self.at("}"):
@@ -382,15 +390,11 @@ class _Parser:
             "class" if decl else "class-expr",
             kw.start,
             rbrace.end,
-            name=name,
-            value=name_span,
+            name=name_tok and name_tok.text,
+            value=name_tok and (name_tok.start, name_tok.end),
             children=children,
             aux=has_extends or None,
         )
-
-    def parse_unary_chain_for_extends(self):
-        # extends clause takes a LeftHandSideExpression
-        return self.parse_call_member(self.parse_primary())
 
     def parse_class_member(self):
         start_tok = self.peek()
@@ -415,16 +419,14 @@ class _Parser:
         self.advance()
         if not self.at("("):
             self.unsupported("class fields are not supported")
+        return self.parse_method(start_tok.start, name_tok.text, role)
+
+    def parse_method(self, start, name, role):
+        """Params and body of a class or object-literal method starting at
+        ``start``; ``name`` is the property name (None when computed)."""
         params = self.parse_params()
         body = self.parse_block()
-        return Node(
-            "method",
-            start_tok.start,
-            body.end,
-            name=name_tok.text,
-            children=params + [body],
-            aux=role,
-        )
+        return Node("method", start, body.end, name=name, children=params + [body], aux=role)
 
     def parse_if(self):
         kw = self.expect("if")
@@ -505,31 +507,21 @@ class _Parser:
         self.expect("{")
         cases = []
         while not self.at("}"):
-            if self.at("case"):
-                ck = self.advance()
-                test = self.parse_expression()
-                self.expect(":")
-                stmts = self.parse_case_body()
-                end = stmts[-1].end if stmts else ck.end
-                cases.append(Node("case", ck.start, end, children=[test] + stmts))
-            elif self.at("default"):
-                ck = self.advance()
-                self.expect(":")
-                stmts = self.parse_case_body()
-                end = stmts[-1].end if stmts else ck.end
-                cases.append(Node("case", ck.start, end, children=stmts, aux="default"))
-            else:
+            if not (self.at("case") or self.at("default")):
                 self.error("expected 'case' or 'default'")
+            ck = self.advance()
+            test = [self.parse_expression()] if ck.text == "case" else []
+            self.expect(":")
+            stmts = []
+            while not (self.at("case") or self.at("default") or self.at("}")):
+                if self.peek() is None:
+                    self.error("unterminated switch body")
+                stmts.append(self.parse_statement())
+            end = stmts[-1].end if stmts else ck.end
+            aux = None if test else "default"
+            cases.append(Node("case", ck.start, end, children=test + stmts, aux=aux))
         rbrace = self.expect("}")
         return Node("switch", kw.start, rbrace.end, children=[disc] + cases)
-
-    def parse_case_body(self):
-        stmts = []
-        while not (self.at("case") or self.at("default") or self.at("}")):
-            if self.peek() is None:
-                self.error("unterminated switch body")
-            stmts.append(self.parse_statement())
-        return stmts
 
     def parse_try(self):
         kw = self.expect("try")
@@ -538,21 +530,15 @@ class _Parser:
         end = block.end
         if self.at("catch"):
             ck = self.advance()
-            name = None
-            name_span = None
+            t = None
             if self.at("("):
                 self.advance()
-                t = self.peek()
-                if t is None or t.kind != IDENT:
-                    self.unsupported("catch parameter must be a plain identifier")
-                self.advance()
-                name = t.text
-                name_span = (t.start, t.end)
+                t = self.binding_name("expected catch parameter name", "catch parameters")
                 self.expect(")")
             cblock = self.parse_block()
-            children.append(
-                Node("catch", ck.start, cblock.end, name=name, value=name_span, children=[cblock])
-            )
+            name, span = (t.text, (t.start, t.end)) if t else (None, None)
+            catch = Node("catch", ck.start, cblock.end, name=name, value=span, children=[cblock])
+            children.append(catch)
             end = cblock.end
         if self.at("finally"):
             self.advance()
@@ -596,24 +582,16 @@ class _Parser:
         kw = self.expect("import")
         info = {"source": None, "default": None, "namespace": None, "names": []}
         t = self.peek()
-        if t is not None and t.kind == STRING:
-            self.advance()
-            info["source"] = self.string_value(t)
-            src_end = t.end
-        else:
-            if t is not None and t.kind == IDENT:
-                self.advance()
+        if t is None or t.kind != STRING:
+            if not (self.at("*") or self.at("{")):
+                t = self.binding_name("expected import binding")
                 info["default"] = (t.text, (t.start, t.end))
                 if self.at(","):
                     self.advance()
-                    t = self.peek()
             if self.at("*"):
                 self.advance()
                 self.expect("as")
-                nt = self.peek()
-                if nt is None or nt.kind != IDENT:
-                    self.error("expected namespace alias")
-                self.advance()
+                nt = self.binding_name("expected namespace alias")
                 info["namespace"] = (nt.text, (nt.start, nt.end))
             elif self.at("{"):
                 self.advance()
@@ -625,10 +603,7 @@ class _Parser:
                     local_tok = ext
                     if self.at("as"):
                         self.advance()
-                        local_tok = self.peek()
-                        if local_tok is None or local_tok.kind != IDENT:
-                            self.error("expected local alias")
-                        self.advance()
+                        local_tok = self.binding_name("expected local alias")
                     ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
                     info["names"].append(
                         (ext_name, local_tok.text, (local_tok.start, local_tok.end))
@@ -637,12 +612,7 @@ class _Parser:
                         self.advance()
                 self.expect("}")
             self.expect("from")
-            src = self.peek()
-            if src is None or src.kind != STRING:
-                self.error("expected module path string")
-            self.advance()
-            info["source"] = self.string_value(src)
-            src_end = src.end
+        src, info["source"] = self.module_path()
         self.consume_semicolon()
         imported = []
         if info["default"] is not None:
@@ -651,7 +621,7 @@ class _Parser:
             imported.append("*")
         imported.extend(ext for ext, _local, _span in info["names"])
         self.imports.append((info["source"], imported))
-        return Node("import-decl", kw.start, src_end, value=info)
+        return Node("import-decl", kw.start, src.end, value=info)
 
     def parse_export(self):
         kw = self.expect("export")
@@ -660,26 +630,22 @@ class _Parser:
             self.error("unterminated export")
         if t.text == "default" and t.kind == KEYWORD:
             self.advance()
-            if self.at("function"):
-                inner = self.parse_function_decl()
-            elif self.at("class"):
-                inner = self.parse_class(decl=True)
+            if self.at("function") or self.at("class"):
+                # a declaration, so no call or member suffix; an anonymous one binds no name
+                nxt = self.peek(1)
+                named = nxt is not None and nxt.kind == IDENT
+                inner = self.parse_statement() if named else self.parse_primary()
             else:
                 inner = self.parse_expression()
                 self.consume_semicolon()
             self.exports.append("default")
             return Node("export-decl", kw.start, inner.end, children=[inner])
         if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class"):
-            if t.text == "function":
-                inner = self.parse_function_decl()
-                names = [inner.name]
-            elif t.text == "class":
-                inner = self.parse_class(decl=True)
-                names = [inner.name]
-            else:
-                inner = self.parse_var_decl()
-                self.consume_semicolon()
+            inner = self.parse_statement()
+            if inner.kind == "var-decl":
                 names = [decl.name for decl in inner.children]
+            else:
+                names = [inner.name]
             for name in names:
                 self.exports.append(name)
                 self.export_pairs.append((name, name))
@@ -707,11 +673,7 @@ class _Parser:
             source = None
             if self.at("from"):
                 self.advance()
-                src = self.peek()
-                if src is None or src.kind != STRING:
-                    self.error("expected module path string")
-                self.advance()
-                source = self.string_value(src)
+                src, source = self.module_path()
                 self.imports.append((source, [lt.text for lt, _ in specifiers]))
                 end = src.end
             self.consume_semicolon()
@@ -874,9 +836,10 @@ class _Parser:
             self.error("unexpected end of input")
         if t.kind == IDENT:
             nxt = self.peek(1)
-            if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>":
-                return self.parse_arrow([self.parse_single_param()])
             self.advance()
+            if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>":
+                param = Node("param", t.start, t.end, name=t.text, value=(t.start, t.end))
+                return self.parse_arrow([param])
             return Node("identifier-ref", t.start, t.end, name=t.text)
         if t.kind == NUMBER:
             self.advance()
@@ -900,7 +863,7 @@ class _Parser:
                 self.advance()
                 return Node("super", t.start, t.end)
             if t.text == "function":
-                return self.parse_function_expr()
+                return self.parse_function(decl=False)
             if t.text == "class":
                 return self.parse_class(decl=False)
             if t.text == "new":
@@ -908,6 +871,9 @@ class _Parser:
             if t.text in ("async", "await", "yield"):
                 self.unsupported(f"'{t.text}' is not supported")
             if t.text == "import":
+                nxt = self.peek(1)
+                if nxt is not None and nxt.text == ".":
+                    self.unsupported("import.meta is not supported")
                 self.unsupported("dynamic import() is not supported")
             self.error(f"unexpected keyword {t.text!r}")
         if t.kind == PUNCT:
@@ -923,10 +889,6 @@ class _Parser:
             if t.text == "{":
                 return self.parse_object()
         self.error(f"unexpected token {t.text!r}")
-
-    def parse_single_param(self):
-        t = self.advance()
-        return Node("param", t.start, t.end, name=t.text, value=(t.start, t.end))
 
     def is_arrow_ahead(self):
         # at '(' : find the matching ')' and look for '=>'
@@ -958,28 +920,6 @@ class _Parser:
             body = self.parse_assign()
             aux = "expr"
         return Node("arrow", start, body.end, children=params + [body], aux=aux)
-
-    def parse_function_expr(self):
-        kw = self.expect("function")
-        if self.at("*"):
-            self.unsupported("generator functions are not supported")
-        name = None
-        name_span = None
-        t = self.peek()
-        if t is not None and t.kind == IDENT:
-            self.advance()
-            name = t.text
-            name_span = (t.start, t.end)
-        params = self.parse_params()
-        body = self.parse_block()
-        return Node(
-            "function-expr",
-            kw.start,
-            body.end,
-            name=name,
-            value=name_span,
-            children=params + [body],
-        )
 
     def parse_new(self):
         kw = self.expect("new")
@@ -1059,43 +999,33 @@ class _Parser:
             key_expr = self.parse_assign()
             self.expect("]")
             if self.at("("):
-                params = self.parse_params()
-                body = self.parse_block()
-                fn = Node("method", t.start, body.end, children=params + [body], aux=role or "method")
-                return Node(
-                    "property", t.start, body.end, children=[key_expr, fn], aux="computed"
-                )
-            self.expect(":")
-            value = self.parse_assign()
+                value = self.parse_method(t.start, None, role or "method")
+            else:
+                self.expect(":")
+                value = self.parse_assign()
             return Node("property", t.start, value.end, children=[key_expr, value], aux="computed")
         if t.kind not in (IDENT, KEYWORD, STRING, NUMBER):
             self.error("expected property key")
         self.advance()
-        key_node = None
+        key = []
         if t.kind == STRING:
-            key_node = Node("string-lit", t.start, t.end, aux="key")
+            key = [Node("string-lit", t.start, t.end, aux="key")]
         elif t.kind == NUMBER:
-            key_node = Node("num-lit", t.start, t.end, aux="key")
+            key = [Node("num-lit", t.start, t.end, aux="key")]
         if role is not None or self.at("("):
-            params = self.parse_params()
-            body = self.parse_block()
-            fn = Node("method", t.start, body.end, name=t.text, children=params + [body], aux=role or "method")
-            prop = Node("property", t.start, body.end, name=t.text, children=[fn], aux=role or "method")
-            if key_node is not None:
-                prop.children.insert(0, key_node)
-            return prop
-        if self.at(":"):
+            role = role or "method"
+            value = self.parse_method(t.start, t.text, role)
+        elif self.at(":"):
             self.advance()
+            role = "init"
             value = self.parse_assign()
-            prop = Node("property", t.start, value.end, name=t.text, children=[value], aux="init")
-            if key_node is not None:
-                prop.children.insert(0, key_node)
-            return prop
-        # shorthand { name }
-        if t.kind != IDENT:
-            self.error("expected ':' after property key")
-        ref = Node("identifier-ref", t.start, t.end, name=t.text, aux="shorthand")
-        return Node("property", t.start, t.end, name=t.text, children=[ref], aux="shorthand")
+        else:
+            # shorthand { name }
+            if t.kind != IDENT:
+                self.error("expected ':' after property key")
+            role = "shorthand"
+            value = Node("identifier-ref", t.start, t.end, name=t.text, aux="shorthand")
+        return Node("property", t.start, value.end, name=t.text, children=key + [value], aux=role)
 
 
 _SIMPLE_ESCAPES = {

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .depgraph import frozen_names, unresolved_imports
-from .errors import FatalConfigError, ScopeShieldError, UnsupportedSyntax
+from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
 from .minify import minify_tokens
@@ -63,7 +63,9 @@ class ObfuscationConfig:
     dump_scopes: bool = False
 
     @classmethod
-    def from_file(cls, path):
+    def from_file(cls, path, **defaults):
+        """The config a JSON file gives; fields it leaves out take
+        ``defaults``, else the field defaults."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -84,7 +86,7 @@ class ObfuscationConfig:
                 raise FatalConfigError(
                     f"config key {key!r} must be {field.type.__name__}, not {json.dumps(value)}"
                 )
-        return cls(**data)
+        return cls(**{**defaults, **data})
 
     def merged(self, overrides):
         data = asdict(self)
@@ -151,13 +153,26 @@ def front_end(text, rel_path, minify):
 
     Returns (the text the spans refer to, AST root, ScopeTree, FileSummary);
     that text is the minified one when ``minify`` is set, else ``text``.
+    A ParseError (UnsupportedSyntax included) always gives an offset into
+    ``text`` as read, so it reads the same with and without ``minify``.
     """
     tokens = tokenize(text, rel_path)
-    if minify:
-        text, tokens = minify_tokens(tokens)
+    if not minify:
+        return (text,) + _parse_and_scope(tokens, rel_path)
+    mtext, tokens = minify_tokens(tokens)  # frees the unminified tokens
+    try:
+        return (mtext,) + _parse_and_scope(tokens, rel_path)
+    except ParseError:
+        # minifying keeps the significant tokens and the line breaks between
+        # them, so parsing the text as read raises the same error
+        _parse_and_scope(tokenize(text, rel_path), rel_path)
+        raise
+
+
+def _parse_and_scope(tokens, rel_path):
     root, summary = parse_ast(tokens, rel_path)
     tree = build_scope_tree(root, rel_path)
-    return text, root, tree, summarize(summary, tree)
+    return root, tree, summarize(summary, tree)
 
 
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
@@ -372,7 +387,7 @@ def obfuscate_project(config):
     report["files_transformed"] = len(written)
 
     t0 = time.perf_counter()
-    for importer, path in unresolved_imports(summaries):
+    for importer, path in unresolved_imports(summaries, js_files):
         report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
     wall_ms["link"] = (time.perf_counter() - t0) * 1000.0
 

@@ -251,9 +251,6 @@ def build_scope_tree(root, file_id):
     return tree
 
 
-_LEXICAL_DECL_KINDS = ("class", "function-decl")
-
-
 class _Builder:
     def __init__(self, tree):
         self.tree = tree
@@ -292,14 +289,8 @@ class _Builder:
         for stmt in stmts:
             if stmt.kind == "var-decl" and stmt.name in ("let", "const"):
                 return True
-            if stmt.kind in _LEXICAL_DECL_KINDS:
+            if stmt.kind in ("class", "function-decl"):
                 return True
-            if stmt.kind == "export-decl" and stmt.children:
-                inner = stmt.children[0]
-                if inner.kind in _LEXICAL_DECL_KINDS or (
-                    inner.kind == "var-decl" and inner.name in ("let", "const")
-                ):
-                    return True
         return False
 
     def walk_function(self, node, parent_scope, params_and_body, name_in_own_scope=None):

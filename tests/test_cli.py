@@ -119,6 +119,29 @@ def test_flag_overrides_win_over_config(tmp_path):
     assert '"text-here"' in (tmp_path / "dist" / "a.js").read_text()
 
 
+@pytest.mark.parametrize(
+    "config, threads, expected",
+    [
+        (None, None, 2),  # the environment
+        ({"minify": True}, None, 2),  # a config file without workers
+        ({"workers": 1}, None, 1),  # the config file beats the environment
+        ({"workers": 1}, "3", 3),  # the flag beats both
+    ],
+)
+def test_worker_count_priority(tmp_path, monkeypatch, config, threads, expected):
+    monkeypatch.setenv("SCOPESHIELD_THREADS", "2")
+    project(tmp_path / "src", {"a.js": "var a = 1;"})
+    argv = ["obfuscate", "--in", str(tmp_path / "src"), "--out", str(tmp_path / "dist")]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    if threads is not None:
+        argv += ["--threads", threads]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "dist.report.json").read_text())
+    assert report["config"]["workers"] == expected
+
+
 def test_threads_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("SCOPESHIELD_THREADS", "3")
     assert cli._default_threads() == 3
@@ -251,3 +274,47 @@ def test_analyze_unsupported_only_exits_0(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "not supported" in out and "deep.js: nesting too deep" in out
     assert "files: 1\n  good.js" in out
+
+
+def test_obfuscate_and_analyze_report_offsets_into_the_input(tmp_path, capsys):
+    # obfuscate minifies before it parses; its messages must still point
+    # into the file as written, as analyze's do
+    src = tmp_path / "src"
+    files = {
+        "labeled.js": "// a comment minifying drops\nvar a = 1;\nloop: for (;;) { break loop; }\n",
+        "broken.js": "/* header */\nvar ok = 1;\nvar = 2;\n",
+        "catch.js": "// x\ntry { f(); } catch (e) { var e = 1; }\n",
+    }
+    project(src, files)
+    warning = f"labeled.js:{files['labeled.js'].index('loop:')}: labeled statements are not supported"
+    error = f"broken.js:{files['broken.js'].index('= 2')}: expected identifier in declaration"
+    rebind = f"catch.js:{files['catch.js'].index('e = 1')}: var 'e' redeclares a catch parameter"
+    argv = ["obfuscate", "--in", str(src), "--out", str(tmp_path / "dist"), "--threads", "1"]
+    assert cli.main(argv) == 2
+    report = json.loads((tmp_path / "dist.report.json").read_text())
+    assert sorted(report["warnings"]) == [f"copied verbatim: {rebind}", f"copied verbatim: {warning}"]
+    assert report["errors"] == [{"file": "broken.js", "error": error}]
+    capsys.readouterr()
+    assert cli.main(["analyze", "--in", str(src)]) == 2
+    assert capsys.readouterr().out.splitlines()[:3] == [error, rebind, warning]
+
+
+def test_import_of_a_copied_file_is_not_unresolved(tmp_path, capsys):
+    src = tmp_path / "src"
+    project(
+        src,
+        {
+            "a.js": 'import {f} from "./b.js";\nimport {g} from "./gone.js";\nconsole.log(f(), g());\n',
+            "b.js": "export function f() { return 1; }\nvar = 2;\n",
+        },
+    )
+    argv = ["obfuscate", "--in", str(src), "--out", str(tmp_path / "dist"), "--threads", "1"]
+    assert cli.main(argv) == 2
+    report = json.loads((tmp_path / "dist.report.json").read_text())
+    assert report["warnings"] == ["a.js: unresolved import './gone.js' treated as external"]
+    assert [error["file"] for error in report["errors"]] == ["b.js"]
+    capsys.readouterr()
+    assert cli.main(["analyze", "--in", str(src)]) == 2
+    out = capsys.readouterr().out
+    assert "  unresolved: a.js imports './gone.js'" in out
+    assert "'./b.js'" not in out

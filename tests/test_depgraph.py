@@ -51,7 +51,10 @@ def test_self_contained_files_have_no_edges():
 def test_unresolved_import_recorded():
     a = make_summary("a.js", imports=[("./missing.js", ["gone"])])
     assert build_dependency_graph([a]).edges == {}
-    assert unresolved_imports([a]) == [("a.js", "./missing.js")]
+    assert unresolved_imports([a], ["a.js"]) == [("a.js", "./missing.js")]
+    # a project file resolves an import even when it has no summary (it
+    # was copied verbatim)
+    assert unresolved_imports([a], ["a.js", "missing.js"]) == []
 
 
 def test_only_scripts_with_declarations_share_script_globals():
@@ -84,7 +87,12 @@ def test_link_deterministic_under_input_order():
         make_summary("d.js", free=["Shared"]),
     ]
     backward = list(reversed(files))
-    assert unresolved_imports(files) == unresolved_imports(backward) == [("a.js", "./gone.js")]
+    ids = [s.file_id for s in files]
+    assert (
+        unresolved_imports(files, ids)
+        == unresolved_imports(backward, ids[::-1])
+        == [("a.js", "./gone.js")]
+    )
     graph = build_dependency_graph(files)
     assert graph.edges == build_dependency_graph(backward).edges
     assert graph.edges == {("a.js", "b.js"): {"f"}, ("c.js", "d.js"): {"Shared"}}
@@ -93,7 +101,7 @@ def test_link_deterministic_under_input_order():
 def test_marker_for_consumed_export():
     a = make_summary("a.js", imports=[("./b.js", ["f"])])
     b = make_summary("b.js", exports=["f"])
-    assert unresolved_imports([a, b]) == []
+    assert unresolved_imports([a, b], ["a.js", "b.js"]) == []
     assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {"f": "export"}}
 
 
@@ -115,7 +123,7 @@ def test_no_cross_names_means_no_markers():
     # modules without exports: every module-level name is renameable
     a = make_summary("a.js", imports=[("./b.js", [])], declared=["x"])
     b = make_summary("b.js", imports=[("./a.js", [])], declared=["y"])
-    assert unresolved_imports([a, b]) == []
+    assert unresolved_imports([a, b], ["a.js", "b.js"]) == []
     assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {}}
 
 
@@ -171,7 +179,8 @@ def test_graph_report_lists_frozen_names_with_reasons():
     c = make_summary("c.js", declared=["Registry"])
     summaries = [a, b, c]
     graph = build_dependency_graph(summaries)
-    text = format_graph_report(graph, unresolved_imports(summaries), frozen_by_file(summaries))
+    unresolved = unresolved_imports(summaries, ["a.js", "b.js", "c.js"])
+    text = format_graph_report(graph, unresolved, frozen_by_file(summaries))
     assert "  unresolved: a.js imports './gone.js'" in text
     assert "a.js -> b.js: f" in text
     assert "a.js -> c.js: Registry" in text

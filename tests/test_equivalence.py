@@ -77,6 +77,16 @@ def test_error_side_reported(tmp_path, node):
     assert verdicts[0]["detail"].startswith("obfuscated:")
 
 
+def test_blank_stderr_reports_the_exit_code(tmp_path, node):
+    project(tmp_path / "orig", {"m.js": "console.log(1);"})
+    project(tmp_path / "obf", {"m.js": 'process.stderr.write("\\n"); process.exitCode = 1;'})
+    verdicts, summary = run_differential(
+        tmp_path / "orig", tmp_path / "obf", [TestCase(entry="m.js")]
+    )
+    assert summary["errors"] == 1
+    assert verdicts[0]["detail"] == "obfuscated: exit 1"
+
+
 def test_timeout_verdict(tmp_path, node):
     project(tmp_path / "orig", {"m.js": "for(;;){}"})
     project(tmp_path / "obf", {"m.js": "for(;;){}"})

@@ -120,6 +120,9 @@ def test_parse_error_offset_and_fail_safe_contract():
         "async function f() {}",
         "function* gen() {}",
         "const p = import('./x.js');",
+        "import('./x.js');",
+        "function f() { import('./x.js'); }",
+        "import.meta.url;",
         "a?.b;",
         "class C { field = 1; }",
     ],
@@ -188,3 +191,79 @@ def test_string_value_decoding():
     assert _string_value('"\\x41"') == "A"
     with pytest.raises(ValueError):
         _string_value('"\\7"')  # legacy octal stays unsupported
+
+
+# every place a binding name is read; NAME marks it, and the flag says
+# whether JS allows a destructuring pattern there
+BINDING_SITES = [
+    ("var NAME = 1;", True),
+    ("let a = 1, NAME = 2;", True),
+    ("for (const NAME of xs) {}", True),
+    ("function f(NAME) {}", True),
+    ("function f(a, ...NAME) {}", True),
+    ("var g = (a, NAME = 1) => a;", True),
+    ("var o = {m(NAME) {}};", True),
+    ("try {} catch (NAME) {}", True),
+    ("function NAME() {}", False),
+    ("var f = function NAME() {};", False),
+    ("class NAME {}", False),
+    ("export function NAME() {}", False),
+    ("export class NAME {}", False),
+    ("import NAME, * as ns from './a.js';", False),
+    ("import * as NAME from './a.js';", False),
+    ("import {a as NAME} from './a.js';", False),
+]
+
+
+@pytest.mark.parametrize("site, pattern_allowed", BINDING_SITES)
+def test_every_binding_position_reads_one_identifier(site, pattern_allowed):
+    parse_src(site.replace("NAME", "x"))
+    for pattern in ("{a}", "[a]"):
+        expected = UnsupportedSyntax if pattern_allowed else ParseError
+        with pytest.raises(ParseError) as err:
+            parse_src(site.replace("NAME", pattern))
+        assert type(err.value) is expected
+    for other in ("5", "if", "'s'"):
+        with pytest.raises(ParseError) as err:
+            parse_src(site.replace("NAME", other))
+        assert type(err.value) is ParseError
+
+
+@pytest.mark.parametrize(
+    "src, kind",
+    [
+        ("export default function() { return 1; }", "function-expr"),
+        ("export default function () {}\n(1);", "function-expr"),
+        ("export default class { m() { return 2; } }", "class-expr"),
+        ("export default class extends Base {}", "class-expr"),
+        ("export default function main() {}", "function-decl"),
+        ("export default class Main {}", "class"),
+    ],
+)
+def test_export_default_function_or_class_may_be_anonymous(src, kind):
+    ast, summary = parse_src(src)
+    inner = ast.children[0].children[0]
+    assert inner.kind == kind
+    assert summary.exports == ["default"] and summary.export_pairs == []
+    # an anonymous default binds no name; a named one binds its name
+    assert summary.declared_globals == ([inner.name] if inner.name else [])
+    if src.endswith("(1);"):
+        assert [stmt.kind for stmt in ast.children] == ["export-decl", "expr-stmt"]
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "{ export var x = 1; }",
+        "function f() { import a from './a.js'; }",
+        "if (a) export default 1;",
+        "if (a) import './a.js';",
+        "while (a) export {a};",
+        "switch (a) { case 1: export function f() {} }",
+    ],
+)
+def test_module_items_only_at_top_level(src):
+    with pytest.raises(ParseError) as err:
+        parse_src(src)
+    assert type(err.value) is ParseError
+    assert "only allowed at the top level" in str(err.value)

@@ -22,7 +22,7 @@ from scopeshield.pipeline import (
     write_report,
 )
 
-from conftest import run_node
+from conftest import NODE, run_node
 from corpusgen import build_corpus
 from scalegen import synth_module
 
@@ -586,6 +586,31 @@ def test_unresolved_import_warned_and_kept(tmp_path):
     assert report["warnings"] == ["app.js: unresolved import './missing.js' treated as external"]
     out = (tmp_path / "out" / "app.js").read_text()
     assert "{helper}" in out.replace(" ", "") and "helper(1)" in out and "local" not in out
+
+
+ANONYMOUS_DEFAULTS_PROJECT = {
+    "package.json": '{"type": "module"}\n',
+    "f.js": "export default function () { var base = 40; return base; }\n",
+    "k.js": "export default class extends Array { get two() { return 2; } }\n",
+    "main.js": 'import f from "./f.js";\nimport K from "./k.js";\nconsole.log(f() + new K().two);\n',
+    # a module item below the top level is a syntax error
+    "nested.js": "if (globalThis.flag) export default 1;\n",
+}
+
+
+def test_anonymous_default_exports_are_obfuscated(tmp_path):
+    src, out = tmp_path / "src", tmp_path / "out"
+    write_project(src, ANONYMOUS_DEFAULTS_PROJECT)
+    report = obfuscate_project(ObfuscationConfig(input_root=str(src), output_root=str(out)))
+    assert report["files_transformed"] == 3 and report["warnings"] == []
+    assert [error["file"] for error in report["errors"]] == ["nested.js"]
+    assert "only allowed at the top level" in report["errors"][0]["error"]
+    assert (out / "nested.js").read_bytes() == (src / "nested.js").read_bytes()
+    assert "base" not in (out / "f.js").read_text()
+    if NODE is not None:
+        expected = run_node(path=src / "main.js", cwd=src)
+        assert expected == "42\n"
+        assert run_node(path=out / "main.js", cwd=out) == expected
 
 
 def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
