@@ -1,10 +1,11 @@
 """scopeshield: scope-aware parallel JavaScript obfuscator.
 
-Pipeline: lossless lexing and span-faithful patching, per-file scope
-analysis, boundary names (exports, script globals) frozen per file,
-shortest-identifier renaming with an independent safety oracle, and
-performance-preserving string/property transforms, plus metrics and a
-differential equivalence harness.
+Pipeline: one lexing pass that emits the significant tokens and minifies
+in the same pass, span-faithful patching, per-file scope analysis, boundary
+names (exports, script globals) frozen per file, shortest-identifier
+renaming with an independent safety oracle, and performance-preserving
+string/property transforms, plus metrics and a differential equivalence
+harness.
 """
 
 from .equivalence import TestCase, run_differential

@@ -1,16 +1,20 @@
-"""Lossless tokenizer for the supported JavaScript subset.
+"""One-pass tokenizer and minifier for the supported JavaScript subset.
 
-Every byte of the input ends up in exactly one token, so concatenating
-``token.text`` over the stream reproduces the file. Template literals with
-interpolation are emitted as several ``template-literal`` chunks with the
-interpolated expressions lexed normally in between.
+``tokenize`` emits the significant tokens only and notes which of them a
+line break precedes; every run of whitespace and comments between two
+tokens is consumed as one gap and never becomes a token. The result also
+carries the text its spans index. Without ``minify`` that is the input,
+where each gap lexes to no token. With ``minify`` the same pass writes the
+minified text: the input runs between gaps are copied, each gap becomes one
+separator, and the spans are shifted to index that text. Template literals
+with interpolation are emitted as several ``template-literal`` chunks with
+the interpolated expressions lexed normally in between.
 """
 
 import re
 
 from .errors import InvalidCharacter, UnterminatedString, UnterminatedTemplate
 from .tokens import (
-    COMMENT,
     IDENT,
     KEYWORD,
     KEYWORDS,
@@ -20,20 +24,7 @@ from .tokens import (
     STRING,
     TEMPLATE,
     Token,
-    WHITESPACE,
-)
-
-_WS_RE = re.compile(r"[ \t\v\f\r\n ﻿  ]+")
-_IDENT_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_NUMBER_RE = re.compile(
-    r"0[xX][0-9a-fA-F]+n?|0[bB][01]+n?|0[oO][0-7]+n?"
-    r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?n?"
-)
-_DQUOTE_RE = re.compile(r'"(?:[^"\\\n\r]|\\[\s\S])*"')
-_SQUOTE_RE = re.compile(r"'(?:[^'\\\n\r]|\\[\s\S])*'")
-_LINE_COMMENT_RE = re.compile(r"//[^\n\r  ]*")
-_REGEX_RE = re.compile(
-    r"/(?:[^/\\\[\n\r]|\\[^\n\r]|\[(?:[^\]\\\n\r]|\\[^\n\r])*\])+/[A-Za-z]*"
+    TokenList,
 )
 
 _PUNCT_4 = frozenset({">>>="})
@@ -46,11 +37,44 @@ _PUNCT_2 = frozenset(
 )
 _PUNCT_1 = frozenset("{}()[];,<>+-*/%&|^!~?:=.")
 
-_WS_CHARS = frozenset(" \t\v\f\r\n ﻿  ")
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_DIGITS = frozenset("0123456789")
+# a template chunk's text after its opening ` or `}`, up to its closing `
+# or the `${` of an interpolation
+_TEMPLATE_BODY = r"(?:[^`\\$]|\\[\s\S]|\$(?!\{))*(?:`|\$\{)"
+# every punctuator but `/` and `/=`, longest first; `?.` before a digit is
+# `?` and a number (`a?.5:b`)
+_OTHER_PUNCT = "|".join(
+    [
+        re.escape(p) + ("(?![0-9])" if p == "?." else "")
+        for p in sorted(_PUNCT_4 | _PUNCT_3 | _PUNCT_2 - {"/="}, key=lambda p: (-len(p), p))
+    ]
+    + ["[%s]" % re.escape("".join(sorted(_PUNCT_1 - {"/"})))]
+)
+# One alternative per token class; ``tokenize`` dispatches on the group
+# number. Every character starts a match, so the matches are contiguous.
+_TOKEN_RE = re.compile(
+    "|".join(
+        [
+            # 1: a gap of whitespace and comments
+            r"((?:[ \t\v\f\r\n\xa0\ufeff\u2028\u2029]+|//[^\n\r\u2028\u2029]*|/\*[\s\S]*?\*/)+)",
+            r"(/\*)",  # 2: a block comment that never closes
+            r"([A-Za-z_$][A-Za-z0-9_$]*)",  # 3: an identifier or keyword
+            r"(0[xX][0-9a-fA-F]+n?|0[bB][01]+n?|0[oO][0-7]+n?"  # 4: a number
+            r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?n?)",
+            r"""("(?:[^"\\\n\r]|\\[\s\S])*"|'(?:[^'\\\n\r]|\\[\s\S])*')""",  # 5: a string
+            r"(/=?)",  # 6: a regular expression when an operator precedes it
+            "(%s)" % _OTHER_PUNCT,  # 7
+            "(`%s)" % _TEMPLATE_BODY,  # 8: a template chunk
+            r"([\s\S])",  # 9: any other character, an error
+        ]
+    )
+)
+_REGEX_RE = re.compile(
+    r"/(?:[^/\\\[\n\r]|\\[^\n\r]|\[(?:[^\]\\\n\r]|\\[^\n\r])*\])+/[A-Za-z]*"
+)
+# the template chunk that resumes at the `}` closing an interpolation
+_TEMPLATE_RESUME = re.compile(r"\}" + _TEMPLATE_BODY)
 
-# Tokens after which a `/` starts a regular expression rather than division.
+# Keywords after which a `/` starts a regular expression rather than division.
 _REGEX_AFTER_KEYWORD = frozenset(
     """
     return typeof instanceof in of new delete void throw case do else yield
@@ -61,155 +85,170 @@ _REGEX_AFTER_KEYWORD = frozenset(
 # right for object literals and harmless for blocks in practice.
 _NO_REGEX_AFTER_PUNCT = frozenset({")", "]", "}", "++", "--"})
 
+_WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 
-def tokenize(source, file_id="<input>"):
-    """Split ``source`` into a lossless token list.
+
+def tokenize(source, file_id="<input>", minify=False):
+    """The significant tokens of ``source``, as a TokenList.
+
+    Without ``minify`` the spans index ``source``. With ``minify``, comments
+    are dropped and each gap between two tokens becomes ``"\\n"`` if it held
+    a line break (so automatic semicolon insertion and restricted
+    productions behave as in the input), else ``" "`` where the two tokens
+    would merge or re-shape without one, else nothing; the spans index that
+    text, which re-tokenizes to the same tokens and line breaks.
 
     Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter with
-    the file id and offset of the problem.
+    the file id and the offset of the problem in ``source``.
     """
-    tokens = []
+    tokens = TokenList()
+    tokens.nl_before = nl_before = set()
     append = tokens.append
-    pos = 0
-    n = len(source)
+    keywords = KEYWORDS
     # Each entry: [`{` nesting depth inside one interpolation, template start]
     template_stack = []
-    prev_kind = None
-    prev_text = None
-
-    while pos < n:
-        ch = source[pos]
-
-        if ch in _IDENT_START:
-            m = _IDENT_RE.match(source, pos)
-            end = m.end()
+    prev = None  # the last token
+    gap = None  # the whitespace and comments before the next token, if any
+    nl = False  # a line break in that gap
+    delta = 0  # offset in the output text minus offset in ``source``
+    parts = []  # minify: the output text so far
+    copied = 0  # minify: ``source`` is copied up to here
+    # where the next token starts: the matches are contiguous, so this is the
+    # end of the last match, and a token's start shares that int object
+    pos = 0
+    restart = True
+    while restart:
+        restart = False
+        # a regular expression or a resumed template chunk ends this scan,
+        # and the next one starts behind it
+        for m in _TOKEN_RE.finditer(source, pos):
+            group = m.lastindex
+            if group == 1:
+                gap = m.group()
+                nl = "\n" in gap or "\r" in gap
+                pos = m.end()
+                continue
             text = m.group()
-            kind = KEYWORD if text in KEYWORDS else IDENT
-            append(Token(kind, text, pos, end))
-            prev_kind, prev_text = kind, text
-            pos = end
-            continue
-
-        if ch in _WS_CHARS:
-            m = _WS_RE.match(source, pos)
             end = m.end()
-            append(Token(WHITESPACE, source[pos:end], pos, end))
-            pos = end
-            continue
-
-        if ch in _DIGITS or (ch == "." and pos + 1 < n and source[pos + 1] in _DIGITS):
-            m = _NUMBER_RE.match(source, pos)
-            end = m.end()
-            append(Token(NUMBER, source[pos:end], pos, end))
-            prev_kind, prev_text = NUMBER, None
-            pos = end
-            continue
-
-        if ch == '"' or ch == "'":
-            m = (_DQUOTE_RE if ch == '"' else _SQUOTE_RE).match(source, pos)
-            if m is None:
+            # the most frequent classes first: punctuators, then words
+            if group == 7:
+                kind = PUNCT
+                if template_stack:
+                    top = template_stack[-1]
+                    if text == "{":
+                        top[0] += 1
+                    elif text == "}":
+                        if top[0]:
+                            top[0] -= 1
+                        else:
+                            template_stack.pop()
+                            m = _TEMPLATE_RESUME.match(source, pos)
+                            if m is None:
+                                raise UnterminatedTemplate(
+                                    "unterminated template literal", file_id, pos
+                                )
+                            kind = TEMPLATE
+                            text = m.group()
+                            end = m.end()
+                            if text[-1] == "{":
+                                template_stack.append([0, pos])
+                            restart = True
+            elif group == 3:
+                kind = KEYWORD if text in keywords else IDENT
+            elif group == 4:
+                kind = NUMBER
+            elif group == 5:
+                kind = STRING
+            elif group == 6:
+                kind = PUNCT
+                if _regex_allowed(prev):
+                    m = _REGEX_RE.match(source, pos)
+                    if m is not None:
+                        kind = REGEX
+                        text = m.group()
+                        end = m.end()
+                        restart = True
+            elif group == 8:
+                kind = TEMPLATE
+                if text[-1] == "{":
+                    template_stack.append([0, pos])
+            elif group == 2:
+                raise InvalidCharacter("unterminated block comment", file_id, pos)
+            elif text == '"' or text == "'":
                 raise UnterminatedString("unterminated string literal", file_id, pos)
-            end = m.end()
-            append(Token(STRING, source[pos:end], pos, end))
-            prev_kind, prev_text = STRING, None
+            elif text == "`":
+                raise UnterminatedTemplate("unterminated template literal", file_id, pos)
+            else:
+                raise InvalidCharacter(f"unexpected character {text!r}", file_id, pos)
+            if gap is not None:
+                if minify:
+                    if prev is None:
+                        sep = ""
+                    elif nl:
+                        sep = "\n"
+                    elif _needs_space(prev, kind, text):
+                        sep = " "
+                    else:
+                        sep = ""
+                    if gap != sep:  # a minified input needs no copy
+                        parts.append(source[copied : pos - len(gap)])
+                        parts.append(sep)
+                        copied = pos
+                        delta += len(sep) - len(gap)
+                    nl = sep == "\n"
+                if nl:
+                    nl_before.add(len(tokens))
+                    nl = False
+                gap = None
+            if delta:
+                prev = Token(kind, text, pos + delta, end + delta)
+            else:  # no new int objects
+                prev = Token(kind, text, pos, end)
+            append(prev)
             pos = end
-            continue
-
-        if ch == "/":
-            nxt = source[pos + 1] if pos + 1 < n else ""
-            if nxt == "/":
-                m = _LINE_COMMENT_RE.match(source, pos)
-                end = m.end()
-                append(Token(COMMENT, source[pos:end], pos, end))
-                pos = end
-                continue
-            if nxt == "*":
-                end = source.find("*/", pos + 2)
-                if end < 0:
-                    raise InvalidCharacter("unterminated block comment", file_id, pos)
-                end += 2
-                append(Token(COMMENT, source[pos:end], pos, end))
-                pos = end
-                continue
-            if _regex_allowed(prev_kind, prev_text):
-                m = _REGEX_RE.match(source, pos)
-                if m is not None:
-                    end = m.end()
-                    append(Token(REGEX, source[pos:end], pos, end))
-                    prev_kind, prev_text = REGEX, None
-                    pos = end
-                    continue
-            # fall through to punctuator handling for / and /=
-
-        if ch == "`":
-            pos = _scan_template(source, pos, file_id, append, template_stack)
-            prev_kind, prev_text = TEMPLATE, None
-            continue
-
-        if ch == "}" and template_stack and template_stack[-1][0] == 0:
-            template_stack.pop()
-            pos = _scan_template(source, pos, file_id, append, template_stack)
-            prev_kind, prev_text = TEMPLATE, None
-            continue
-
-        chunk = source[pos : pos + 4]
-        if chunk in _PUNCT_4:
-            text = chunk
-        elif chunk[:3] in _PUNCT_3:
-            text = chunk[:3]
-        elif chunk[:2] in _PUNCT_2:
-            text = chunk[:2]
-        elif ch in _PUNCT_1:
-            text = ch
-        else:
-            raise InvalidCharacter(f"unexpected character {ch!r}", file_id, pos)
-        if template_stack:
-            if text == "{":
-                template_stack[-1][0] += 1
-            elif text == "}":
-                template_stack[-1][0] -= 1
-        end = pos + len(text)
-        append(Token(PUNCT, text, pos, end))
-        prev_kind, prev_text = PUNCT, text
-        pos = end
+            if restart:
+                break
 
     if template_stack:
         raise UnterminatedTemplate(
             "unterminated template literal", file_id, template_stack[-1][1]
         )
+    if minify:
+        parts.append(source[copied : len(source) - len(gap or "")])
+        tokens.text = "".join(parts)
+    else:
+        tokens.text = source
     return tokens
 
 
-def _regex_allowed(prev_kind, prev_text):
-    if prev_kind is None:
+def _regex_allowed(prev):
+    """Whether a `/` after the token ``prev`` starts a regular expression."""
+    if prev is None:
         return True
-    if prev_kind == PUNCT:
-        return prev_text not in _NO_REGEX_AFTER_PUNCT
-    if prev_kind == KEYWORD:
-        return prev_text in _REGEX_AFTER_KEYWORD
+    if prev.kind == PUNCT:
+        return prev.text not in _NO_REGEX_AFTER_PUNCT
+    if prev.kind == KEYWORD:
+        return prev.text in _REGEX_AFTER_KEYWORD
     return False
 
 
-def _scan_template(source, start, file_id, append, template_stack):
-    """Scan one template chunk starting at ``` ` ``` or at a resuming ``}``.
-
-    Emits a single template-literal token covering the chunk. If the chunk
-    ends in ``${``, an interpolation context is pushed so the main loop lexes
-    the embedded expression normally.
-    """
-    i = start + 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\\":
-            i += 2
-            continue
-        if ch == "`":
-            append(Token(TEMPLATE, source[start : i + 1], start, i + 1))
-            return i + 1
-        if ch == "$" and i + 1 < n and source[i + 1] == "{":
-            append(Token(TEMPLATE, source[start : i + 2], start, i + 2))
-            template_stack.append([0, start])
-            return i + 2
-        i += 1
-    raise UnterminatedTemplate("unterminated template literal", file_id, start)
+def _needs_space(prev, kind, text):
+    """True when dropping all whitespace between the token ``prev`` and the
+    next token (``kind``, ``text``) would merge or re-shape tokens on a
+    later re-tokenization."""
+    if prev.kind in _WORDLIKE or prev.kind == REGEX:
+        if kind in _WORDLIKE:
+            return True
+    if prev.kind == NUMBER and text.startswith("."):
+        return True
+    a = prev.text
+    if a.endswith(".") and (kind == NUMBER or text.startswith(".")):
+        return True
+    if a.endswith("/") and (text.startswith("/") or text.startswith("*")):
+        return True
+    if prev.kind == PUNCT and kind in (PUNCT, REGEX):
+        joined = a + text
+        for size, table in ((4, _PUNCT_4), (3, _PUNCT_3), (2, _PUNCT_2)):
+            if len(a) < size <= len(joined) and joined[:size] in table:
+                return True
+    return False

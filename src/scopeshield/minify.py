@@ -1,86 +1,15 @@
-"""Conservative whitespace/comment stripping pre-pass.
+"""Conservative whitespace/comment stripping.
 
 Comments are removed and whitespace runs collapsed, but line breaks between
 tokens are never deleted outright (only deduplicated), so automatic-semicolon
 insertion and restricted productions behave exactly as in the input. The
-result re-tokenizes to the same significant token sequence.
+result re-tokenizes to the same significant tokens. ``tokenize`` does the
+work, in the pass that lexes the file.
 """
 
 from .lexer import tokenize
-from .tokens import (
-    COMMENT,
-    IDENT,
-    KEYWORD,
-    NUMBER,
-    PUNCT,
-    REGEX,
-    Token,
-    WHITESPACE,
-)
-from .lexer import _PUNCT_2, _PUNCT_3, _PUNCT_4
-
-_WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
-
-
-def _needs_space(prev, nxt):
-    """True when dropping all whitespace between prev and nxt would merge or
-    re-shape tokens on a later re-tokenization."""
-    if prev.kind in _WORDLIKE or prev.kind == REGEX:
-        if nxt.kind in _WORDLIKE:
-            return True
-    if prev.kind == NUMBER and nxt.text.startswith("."):
-        return True
-    a, b = prev.text, nxt.text
-    if a.endswith("/") and (b.startswith("/") or b.startswith("*")):
-        return True
-    if prev.kind == PUNCT and nxt.kind in (PUNCT, REGEX):
-        joined = a + b
-        for size, table in ((4, _PUNCT_4), (3, _PUNCT_3), (2, _PUNCT_2)):
-            if len(a) < size <= len(joined) and joined[:size] in table:
-                return True
-    return False
-
-
-def minify_tokens(tokens):
-    """Minify a token stream; returns (text, tokens with rebased spans)."""
-    out_tokens = []
-    parts = []
-    pos = 0
-    prev = None
-    pending_ws = False
-    pending_nl = False
-    for tok in tokens:
-        if tok.kind == WHITESPACE:
-            pending_ws = True
-            if "\n" in tok.text or "\r" in tok.text:
-                pending_nl = True
-            continue
-        if tok.kind == COMMENT:
-            pending_ws = True
-            if "\n" in tok.text or "\r" in tok.text:
-                pending_nl = True
-            continue
-        if prev is not None and pending_ws:
-            if pending_nl:
-                sep = "\n"
-            elif _needs_space(prev, tok):
-                sep = " "
-            else:
-                sep = ""
-            if sep:
-                out_tokens.append(Token(WHITESPACE, sep, pos, pos + len(sep)))
-                parts.append(sep)
-                pos += len(sep)
-        pending_ws = pending_nl = False
-        moved = Token(tok.kind, tok.text, pos, pos + len(tok.text))
-        out_tokens.append(moved)
-        parts.append(tok.text)
-        pos = moved.end
-        prev = moved
-    return "".join(parts), out_tokens
 
 
 def minify(source, file_id="<input>"):
     """Minify source text; lexical errors propagate to the caller."""
-    text, _ = minify_tokens(tokenize(source, file_id))
-    return text
+    return tokenize(source, file_id, minify=True).text

@@ -18,17 +18,7 @@ builder.
 
 from .errors import ParseError, UnsupportedSyntax
 from .nodes import Node
-from .tokens import (
-    COMMENT,
-    IDENT,
-    KEYWORD,
-    NUMBER,
-    PUNCT,
-    REGEX,
-    STRING,
-    TEMPLATE,
-    WHITESPACE,
-)
+from .tokens import IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
 # binary operator precedence; higher binds tighter
 _BINARY_PREC = {
@@ -79,7 +69,7 @@ class FileSummary:
 
 
 def parse_ast(tokens, file_id="<input>"):
-    """Parse a token stream into (AST root, partial FileSummary).
+    """Parse a ``tokenize`` result into (AST root, partial FileSummary).
 
     The summary holds what the parser sees: imports and exports.
     ``summarize`` adds the facts that need the scope tree.
@@ -110,22 +100,11 @@ _SENTINELS = 3
 class _Parser:
     def __init__(self, tokens, file_id):
         self.file_id = file_id
-        sig = []
-        nl = []
-        saw_nl = False
-        for t in tokens:
-            if t.kind == WHITESPACE or t.kind == COMMENT:
-                if "\n" in t.text or "\r" in t.text:
-                    saw_nl = True
-                continue
-            sig.append(t)
-            nl.append(saw_nl)
-            saw_nl = False
-        self.n_toks = len(sig)
-        self.toks = sig + [None] * _SENTINELS
-        self.nl_before = nl
+        self.n_toks = len(tokens)
+        self.toks = tokens + [None] * _SENTINELS
         self.i = 0
-        self.end_offset = tokens[-1].end if tokens else 0
+        self.nl_before = tokens.nl_before
+        self.end_offset = len(tokens.text)
         self.imports = []
         self.exports = []
         self.export_pairs = []
@@ -186,7 +165,7 @@ class _Parser:
         return t, self.string_value(t)
 
     def newline_before_current(self):
-        return self.i < len(self.nl_before) and self.nl_before[self.i]
+        return self.i in self.nl_before
 
     def consume_semicolon(self):
         t = self.peek()
@@ -399,8 +378,9 @@ class _Parser:
     def parse_class_member(self):
         start_tok = self.peek()
         role = "method"
-        if self.at("static"):
-            self.advance()
+        nxt = self.peek(1)
+        if self.at("static") and not (nxt is not None and nxt.kind == PUNCT and nxt.text == "("):
+            self.advance()  # a modifier; `static(` names a method
         t = self.peek()
         if t is not None and t.kind == IDENT and t.text in ("get", "set"):
             nxt = self.peek(1)
@@ -599,11 +579,14 @@ class _Parser:
                     ext = self.peek()
                     if ext is None or ext.kind not in (IDENT, KEYWORD, STRING):
                         self.error("expected import specifier")
-                    self.advance()
-                    local_tok = ext
-                    if self.at("as"):
+                    nxt = self.peek(1)
+                    if nxt is not None and nxt.kind == IDENT and nxt.text == "as":
+                        self.advance()
                         self.advance()
                         local_tok = self.binding_name("expected local alias")
+                    else:
+                        # the imported name is the local binding too
+                        local_tok = self.binding_name("expected 'as' after import specifier")
                     ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
                     info["names"].append(
                         (ext_name, local_tok.text, (local_tok.start, local_tok.end))
@@ -640,8 +623,8 @@ class _Parser:
                 self.consume_semicolon()
             self.exports.append("default")
             return Node("export-decl", kw.start, inner.end, children=[inner])
-        if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class"):
-            inner = self.parse_statement()
+        if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class", "async"):
+            inner = self.parse_statement()  # `async function` is UnsupportedSyntax
             if inner.kind == "var-decl":
                 names = [decl.name for decl in inner.children]
             else:

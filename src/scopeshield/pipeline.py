@@ -2,12 +2,14 @@
 
 One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
-own summary (``depgraph.frozen_names``). Each file task lexes, minifies,
-parses and scopes its file once, takes its summary from that same tree, then
-renames, transforms and emits it. On a process pool the largest-first file
-list goes out in consecutive chunks, one task each and about
-``TASKS_PER_WORKER`` tasks per worker, so that many small files do not cost
-the parent one future each. Outputs are written as they arrive and no text is
+own summary (``depgraph.frozen_names``). Each file task lexes and minifies
+its file in one pass, which yields the significant tokens the parser reads,
+parses and scopes it once, takes its summary from that same tree, then
+renames, transforms (both transforms take their candidates from one AST
+walk) and emits it. On a process pool the largest-first file list goes out
+in consecutive chunks, one task each and about ``TASKS_PER_WORKER`` tasks
+per worker, so that many small files do not cost the parent one future
+each. Outputs are written as they arrive and no text is
 retained, so output bytes are identical for any worker count or scheduling
 order. Once every summary is in, the unresolved imports are reported.
 
@@ -33,17 +35,11 @@ from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
-from .minify import minify_tokens
 from .parser import parse_ast, summarize
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
 from .scopes import build_scope_tree, format_scope_report
-from .transforms import (
-    collect_property_accesses,
-    collect_strings,
-    encode_strings,
-    rewrite_property_access,
-)
+from .transforms import collect_candidates, encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
 
@@ -149,30 +145,30 @@ def preamble_offset(root):
 
 
 def front_end(text, rel_path, minify):
-    """Lex, optionally minify, parse and scope one file.
+    """Lex (and, with ``minify``, minify), parse and scope one file.
 
     Returns (the text the spans refer to, AST root, ScopeTree, FileSummary);
     that text is the minified one when ``minify`` is set, else ``text``.
     A ParseError (UnsupportedSyntax included) always gives an offset into
     ``text`` as read, so it reads the same with and without ``minify``.
     """
-    tokens = tokenize(text, rel_path)
-    if not minify:
-        return (text,) + _parse_and_scope(tokens, rel_path)
-    mtext, tokens = minify_tokens(tokens)  # frees the unminified tokens
     try:
-        return (mtext,) + _parse_and_scope(tokens, rel_path)
+        return _front_end(text, rel_path, minify)
     except ParseError:
-        # minifying keeps the significant tokens and the line breaks between
-        # them, so parsing the text as read raises the same error
-        _parse_and_scope(tokenize(text, rel_path), rel_path)
+        if minify:
+            # minifying keeps the significant tokens and the line breaks
+            # between them, so the text as read raises the same error
+            _front_end(text, rel_path, False)
         raise
 
 
-def _parse_and_scope(tokens, rel_path):
+def _front_end(text, rel_path, minify):
+    tokens = tokenize(text, rel_path, minify)
     root, summary = parse_ast(tokens, rel_path)
+    spans_text = tokens.text
+    del tokens  # no token list outlives the parse
     tree = build_scope_tree(root, rel_path)
-    return root, tree, summarize(summary, tree)
+    return spans_text, root, tree, summarize(summary, tree)
 
 
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
@@ -220,10 +216,11 @@ def process_file(config, allowlist, rel_path):
             fresh = name_sequence(frozenset(used))
             in_dynamic_region = tree.dynamic_region()
             preamble = ""
+            strings, accesses = collect_candidates(root)
             # slot names are drawn before the string-table names
             if config.rewrite_properties:
                 prop_patches, prop_pre, _slots = rewrite_property_access(
-                    fresh, in_dynamic_region, candidates=collect_property_accesses(root)
+                    fresh, in_dynamic_region, accesses
                 )
                 patches.extend(prop_patches)
                 preamble += prop_pre
@@ -233,7 +230,7 @@ def process_file(config, allowlist, rel_path):
                     fresh,
                     in_dynamic_region,
                     mtext,
-                    candidates=collect_strings(root),
+                    strings,
                     instrument=config.instrument_decode,
                 )
                 patches.extend(str_patches)

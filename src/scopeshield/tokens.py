@@ -2,11 +2,10 @@
 
 
 class Token:
-    """One lexical token.
+    """One significant lexical token.
 
-    ``text`` is the exact source slice, so concatenating the text of all
-    tokens of a file reproduces the file. Spans are half-open offsets into
-    the decoded source text.
+    ``text`` is the exact slice of the file text the spans index: half-open
+    offsets into it.
     """
 
     __slots__ = ("kind", "text", "start", "end")
@@ -20,14 +19,18 @@ class Token:
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r}, {self.start}, {self.end})"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Token)
-            and self.kind == other.kind
-            and self.text == other.text
-            and self.start == other.start
-            and self.end == other.end
-        )
+
+class TokenList(list):
+    """A file's significant tokens. ``text`` is the text their spans index
+    and ``nl_before`` the set of indexes of the tokens a line break
+    precedes.
+
+    The flags live here, not in a fifth Token slot, which would move every
+    Token from the 64-byte to the 80-byte allocator size class: peak RSS
+    on a 1 MB minified file was 2 MiB higher with the slot.
+    """
+
+    __slots__ = ("text", "nl_before")
 
 
 # Token kinds
@@ -38,8 +41,6 @@ NUMBER = "numeric-literal"
 TEMPLATE = "template-literal"
 PUNCT = "punctuator"
 REGEX = "regex-literal"
-COMMENT = "comment"
-WHITESPACE = "whitespace"
 
 KEYWORDS = frozenset(
     """

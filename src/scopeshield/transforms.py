@@ -18,7 +18,6 @@ stay linear in the file size.
 
 import base64
 
-from .nodes import walk
 from .parser import _string_value
 from .patches import Patch
 
@@ -82,32 +81,45 @@ def decoder_preamble(table, key, names, instrument=False):
     return body + _DECODER_JS.format(X=x, K=key)
 
 
-def collect_strings(root):
-    """Encodable string-literal nodes (object keys, module paths and
-    directive-position strings excluded by the parser's aux marks)."""
-    return [n for n in walk(root) if n.kind == "string-lit" and n.aux is None]
+def collect_candidates(root):
+    """The file's transform candidates, from one pre-order walk: (encodable
+    string-literal nodes, dot member accesses eligible for slot rewriting).
 
-
-def collect_property_accesses(root):
-    """Dot member accesses eligible for slot rewriting: not a delete target,
-    not on ``super``."""
-    skip = set()
-    out = []
-    for node in walk(root):
-        if node.kind == "unary" and node.name == "delete":
+    Object keys, module paths and directive-position strings are excluded
+    by the parser's aux marks; so are accesses on ``super`` and the target
+    of a ``delete``, parenthesized or not, which the walk reaches after the
+    ``delete`` itself.
+    """
+    strings = []
+    accesses = []
+    deleted = set()  # ids of member accesses that a `delete` targets
+    stack = [root]
+    pop = stack.pop
+    push = stack.extend
+    while stack:
+        node = pop()
+        kind = node.kind
+        if kind == "string-lit":
+            if node.aux is None:
+                strings.append(node)
+            continue
+        if kind == "member-access":
+            if node.children[0].kind != "super" and id(node) not in deleted:
+                accesses.append(node)
+        elif kind == "unary" and node.name == "delete":
             target = node.children[0]
             while target.kind == "paren":
                 target = target.children[0]
             if target.kind == "member-access":
-                skip.add(id(target))
-        elif node.kind == "member-access" and node.children[0].kind != "super":
-            out.append(node)
-    return [n for n in out if id(n) not in skip]
+                deleted.add(id(target))
+        if node.children:
+            push(reversed(node.children))
+    return strings, accesses
 
 
 def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, instrument=False):
-    """Encode the file's eligible string literals, ``candidates`` (from
-    ``collect_strings``), into one table.
+    """Encode the file's eligible string literals, ``candidates`` (the
+    strings of ``collect_candidates``), into one table.
 
     Returns (patches, preamble text, the table's payloads or None).
     Literals shorter than 2 characters, literals with malformed or legacy
@@ -157,8 +169,8 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
 
 
 def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
-    """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (from
-    ``collect_property_accesses``), to ``obj[v]``.
+    """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (the
+    accesses of ``collect_candidates``), to ``obj[v]``.
 
     Returns (patches, preamble text, [(slot var, property name)] sorted by
     slot var); one slot per distinct property name in the file, declared by

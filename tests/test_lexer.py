@@ -4,7 +4,7 @@ import pytest
 
 from scopeshield.errors import InvalidCharacter, UnterminatedString, UnterminatedTemplate
 from scopeshield.lexer import tokenize
-from scopeshield.tokens import COMMENT, IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE, WHITESPACE
+from scopeshield.tokens import IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
 from corpusgen import GENERATORS
 
@@ -13,14 +13,41 @@ def kinds(tokens):
     return [t.kind for t in tokens]
 
 
+def gaps(text, tokens):
+    """The text before each token, and after the last one."""
+    ends = [0] + [t.end for t in tokens]
+    starts = [t.start for t in tokens] + [len(text)]
+    return [text[end:start] for end, start in zip(ends, starts)]
+
+
+def assert_lossless(text, tokens):
+    """Every token is the slice of ``text`` its span names, the spans are
+    in order, and every gap around them lexes to no token; ``nl_before``
+    names the tokens whose gap holds a line break."""
+    assert tokens.text == text
+    end = 0
+    for tok in tokens:
+        assert end <= tok.start < tok.end
+        assert text[tok.start : tok.end] == tok.text
+        end = tok.end
+    between = gaps(text, tokens)
+    assert all(tokenize(gap) == [] for gap in between)
+    assert tokens.nl_before == {
+        i for i, gap in enumerate(between[:-1]) if "\n" in gap or "\r" in gap
+    }
+
+
 def test_simple_statement_token_kinds():
     tokens = tokenize("var a=1;")
-    assert kinds(tokens) == [KEYWORD, WHITESPACE, IDENT, PUNCT, NUMBER, PUNCT]
-    assert [t.text for t in tokens] == ["var", " ", "a", "=", "1", ";"]
+    assert kinds(tokens) == [KEYWORD, IDENT, PUNCT, NUMBER, PUNCT]
+    assert [t.text for t in tokens] == ["var", "a", "=", "1", ";"]
+    assert [(t.start, t.end) for t in tokens] == [(0, 3), (4, 5), (5, 6), (6, 7), (7, 8)]
 
 
 def test_empty_input_gives_empty_sequence():
     assert tokenize("") == []
+    assert tokenize("").text == ""
+    assert tokenize("  // only a comment\n", minify=True) == []
 
 
 def test_round_trip_over_generated_corpus():
@@ -28,24 +55,27 @@ def test_round_trip_over_generated_corpus():
     for gen in GENERATORS:
         for _ in range(5):
             for text in gen(rng).values():
-                tokens = tokenize(text)
-                assert "".join(t.text for t in tokens) == text
+                assert_lossless(text, tokenize(text))
 
 
 def test_spans_are_monotonic_and_cover_input():
     src = 'function f(x) { return x + "one" + `t${x}` / 2; } // done'
     tokens = tokenize(src)
-    cursor = 0
-    for tok in tokens:
-        assert tok.start == cursor
-        assert tok.end > tok.start or tok.text == ""
-        assert src[tok.start : tok.end] == tok.text
-        cursor = tok.end
-    assert cursor == len(src)
+    assert_lossless(src, tokens)
+    assert set(gaps(src, tokens)) == {"", " ", " // done"}
+
+
+def test_line_break_flags():
+    src = "a\n/* one\n */ b /* two */ c // three\r\n  d\re"
+    tokens = tokenize(src)
+    assert [t.text for t in tokens] == ["a", "b", "c", "d", "e"]
+    assert tokens.nl_before == {1, 3, 4}
+    assert tokenize("\n\nx").nl_before == {0}
+    assert tokenize("\n\nx", minify=True).nl_before == set()
 
 
 def test_template_interpolation_is_chunked():
-    tokens = [t for t in tokenize("`a${x}b${y}c`") if t.kind != WHITESPACE]
+    tokens = tokenize("`a${x}b${y}c`")
     assert kinds(tokens) == [TEMPLATE, IDENT, TEMPLATE, IDENT, TEMPLATE]
     assert tokens[0].text == "`a${"
     assert tokens[2].text == "}b${"
@@ -54,25 +84,28 @@ def test_template_interpolation_is_chunked():
 
 def test_template_with_nested_braces():
     src = "`v${ {a: 1}.a }w`"
-    tokens = [t for t in tokenize(src) if t.kind != WHITESPACE]
+    tokens = tokenize(src)
     assert tokens[0].kind == TEMPLATE
     assert tokens[-1].kind == TEMPLATE
-    assert "".join(t.text for t in tokenize(src)) == src
+    assert_lossless(src, tokens)
 
 
 def test_regex_vs_division():
-    toks = [t for t in tokenize("a = b / c / d;") if t.kind != WHITESPACE]
-    assert REGEX not in kinds(toks)
-    toks = [t for t in tokenize("a = /b+/g.test(s);") if t.kind != WHITESPACE]
-    assert kinds(toks)[2] == REGEX
-    toks = [t for t in tokenize("return /ab[/]c/;") if t.kind != WHITESPACE]
-    assert kinds(toks)[1] == REGEX
+    assert REGEX not in kinds(tokenize("a = b / c / d;"))
+    assert kinds(tokenize("a = /b+/g.test(s);"))[2] == REGEX
+    toks = tokenize("return /ab[/]c/;")
+    assert kinds(toks)[1] == REGEX and toks[1].text == "/ab[/]c/"
+    # a comment between a value and the `/` changes nothing
+    assert REGEX not in kinds(tokenize("a /* c */ / b / c"))
+    assert kinds(tokenize("x = /* c */ /b/g"))[2] == REGEX
 
 
 def test_comments_and_strings():
     src = "/* block */ 'it\\'s' // tail"
     toks = tokenize(src)
-    assert kinds(toks) == [COMMENT, WHITESPACE, STRING, WHITESPACE, COMMENT]
+    assert kinds(toks) == [STRING]
+    assert (toks[0].text, toks[0].start, toks.nl_before) == ("'it\\'s'", 12, set())
+    assert tokenize(src, minify=True).text == "'it\\'s'"
 
 
 def test_unterminated_string_reports_offset():
@@ -94,9 +127,20 @@ def test_invalid_character():
     with pytest.raises(InvalidCharacter) as err:
         tokenize("var a = 1 # 2", file_id="f.js")
     assert err.value.offset == 10
+    # a block comment that never closes is no regular expression either
+    for src in ("a /* open", "x = /* open/"):
+        with pytest.raises(InvalidCharacter) as err:
+            tokenize(src, minify=True)
+        assert err.value.offset == src.index("/*")
 
 
 def test_numeric_forms():
     src = "1 2.5 .5 1e3 0x1F 0b101 0o17 10n 1.e2"
     toks = [t for t in tokenize(src) if t.kind == NUMBER]
     assert [t.text for t in toks] == ["1", "2.5", ".5", "1e3", "0x1F", "0b101", "0o17", "10n", "1.e2"]
+
+
+def test_question_dot_before_a_digit_is_a_conditional():
+    toks = tokenize("a?.5:b")
+    assert [t.text for t in toks] == ["a", "?", ".5", ":", "b"]
+    assert [t.text for t in tokenize("a?.b")] == ["a", "?.", "b"]

@@ -3,16 +3,20 @@ import subprocess
 
 import pytest
 
-from scopeshield.minify import minify, minify_tokens
+from hypothesis import example, given, settings, strategies as st
+
+from scopeshield.errors import LexError
+from scopeshield.minify import minify
 from scopeshield.lexer import tokenize
-from scopeshield.tokens import COMMENT, WHITESPACE
 
 from conftest import run_node
 from corpusgen import GENERATORS
 
 
 def significant(tokens):
-    return [(t.kind, t.text) for t in tokens if t.kind not in (WHITESPACE, COMMENT)]
+    """(kind, text, line break before) per token. A line break before the
+    first token separates it from nothing, and minifying drops it."""
+    return [(t.kind, t.text, i > 0 and i in tokens.nl_before) for i, t in enumerate(tokens)]
 
 
 def test_strips_comments_and_indentation():
@@ -36,6 +40,53 @@ def test_significant_tokens_preserved_across_corpus():
             out = minify(text)
             assert significant(tokenize(out)) == significant(tokenize(text))
             assert len(out) <= len(text)
+
+
+def assert_relexes_alike(text):
+    """The minified text lexes to the tokens, spans and line breaks the
+    minifying pass gave, and minifying it again changes nothing."""
+    minified = tokenize(text, minify=True)
+    relexed = tokenize(minified.text)
+    assert [(t.kind, t.text, t.start, t.end) for t in relexed] == [
+        (t.kind, t.text, t.start, t.end) for t in minified
+    ]
+    assert relexed.nl_before == minified.nl_before
+    assert minify(minified.text) == minified.text
+    assert significant(minified) == significant(tokenize(text))
+
+
+def test_minified_text_relexes_to_the_same_tokens():
+    rng = random.Random(5)
+    for gen in GENERATORS:
+        for _ in range(3):
+            for text in gen(rng).values():
+                assert_relexes_alike(text)
+
+
+# tokens and gaps whose neighbours can merge, re-shape or change the lexical
+# context when the whitespace between them goes
+FRAGMENTS = [
+    "a", "in", "return", "typeof", "1", "1.", ".5", "0x1F", "10n", "'s'", '"d"',
+    "/", "/=", "/re/g", "*", "+", "++", "-", "--", "<", "<<", ">", ">>", ">>>", "=",
+    "==", "!", "?", "?.", "??", ".", "...", "&", "|", "(", ")", "[", "]", "{", "}",
+    ",", ";", ":", "`t`", "`a${", "}b`", " ", "  ", "\n", "\r\n", "\t",
+    "/* c */", "/*\n*/", "// c\n",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS), max_size=12))
+@example(["a", "?", " ", ".5", ":", "1"])
+@example(["a", ".", " ", "1"])
+@example(["a", "?.", " ", "1"])
+@example([".", ".", " ", "."])
+def test_minify_relexes_alike_on_fragment_soup(fragments):
+    text = "".join(fragments)
+    try:
+        tokenize(text)
+    except LexError:
+        return
+    assert_relexes_alike(text)
 
 
 def test_newlines_are_kept_for_asi():

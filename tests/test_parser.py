@@ -84,6 +84,25 @@ def test_import_forms():
     ]
 
 
+@pytest.mark.parametrize("src", ['import {default} from "./a.js";', 'import {"a-b"} from "./a.js";'])
+def test_import_specifier_without_as_must_be_an_identifier(src):
+    # the imported name would be the local binding, and neither is one
+    with pytest.raises(ParseError) as err:
+        parse_src(src)
+    assert type(err.value) is ParseError
+    assert err.value.offset == src.index("{") + 1
+
+
+def test_a_method_may_be_named_static():
+    src = "class A { static() { return 1; } static static() { return 2; } }"
+    root, _summary = parse_src(src)
+    methods = [node for node in walk(root) if node.kind == "method"]
+    assert [(m.name, src[m.start : m.end]) for m in methods] == [
+        ("static", "static() { return 1; }"),
+        ("static", "static static() { return 2; }"),
+    ]
+
+
 def test_export_forms():
     src = (
         "export var a = 1, b = 2;\n"
@@ -118,6 +137,7 @@ def test_parse_error_offset_and_fail_safe_contract():
         "loop: for(;;) break loop;",
         "var [a, b] = pair;",
         "async function f() {}",
+        "export async function f() {}",
         "function* gen() {}",
         "const p = import('./x.js');",
         "import('./x.js');",

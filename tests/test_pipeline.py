@@ -114,6 +114,52 @@ def test_unsupported_file_is_warning_not_error(tmp_path):
     assert any("not supported" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_export_async_function_is_a_warning_not_an_error(tmp_path, workers):
+    exported = "export async function f() {}\n"
+    write_project(tmp_path / "src", {"a.js": exported, "b.js": "var b = 1;\n"})
+    report = obfuscate_project(
+        ObfuscationConfig(
+            input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"), workers=workers
+        )
+    )
+    assert (tmp_path / "out" / "a.js").read_text() == exported
+    assert report["errors"] == [] and report["files_copied"] == 1
+    assert report["warnings"] == ["copied verbatim: a.js:7: 'async' is not supported"]
+
+
+def test_import_specifier_without_as_is_an_error(tmp_path):
+    files = {
+        "default.js": 'import {default} from "./a.js";\n',
+        "string.js": 'import {"a-b"} from "./a.js";\n',
+    }
+    write_project(tmp_path / "src", {**files, "a.js": "export default 1;\n"})
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
+    )
+    assert [(e["file"], e["error"]) for e in report["errors"]] == [
+        ("default.js", "default.js:8: expected 'as' after import specifier"),
+        ("string.js", "string.js:8: expected 'as' after import specifier"),
+    ]
+    for rel, text in files.items():
+        assert (tmp_path / "out" / rel).read_text() == text
+
+
+def test_method_named_static_runs_the_same(tmp_path):
+    src = (
+        "class A { static() { return 1; } static static() { return 2; } }\n"
+        "console.log(new A().static(), A.static());\n"
+    )
+    write_project(tmp_path / "src", {"a.js": src})
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
+    )
+    assert report["errors"] == [] and report["files_transformed"] == 1
+    out = (tmp_path / "out" / "a.js").read_text()
+    assert out != src
+    assert run_node(code=out) == run_node(code=src) == "1 2\n"
+
+
 def test_non_js_files_copied(tmp_path):
     write_project(
         tmp_path / "src",

@@ -8,8 +8,7 @@ from scopeshield.renamer import name_sequence
 from scopeshield.scopes import build_scope_tree
 from scopeshield.transforms import (
     INSTRUMENT_COUNTER,
-    collect_property_accesses,
-    collect_strings,
+    collect_candidates,
     decode_payload,
     encode_payload,
     encode_strings,
@@ -32,12 +31,12 @@ def fresh():
 
 def encode(src, root, tree, key, instrument=False):
     return encode_strings(
-        key, fresh(), tree.dynamic_region(), src, collect_strings(root), instrument=instrument
+        key, fresh(), tree.dynamic_region(), src, collect_candidates(root)[0], instrument=instrument
     )
 
 
 def rewrite_props(root, tree):
-    return rewrite_property_access(fresh(), tree.dynamic_region(), collect_property_accesses(root))
+    return rewrite_property_access(fresh(), tree.dynamic_region(), collect_candidates(root)[1])
 
 
 def apply_strings(src, instrument=False, key=7):
@@ -165,8 +164,21 @@ def test_repeated_accesses_share_slot():
     root, tree = setup(src)
     _patches, _pre, slots = rewrite_props(root, tree)
     # count-oracle: one slot per distinct property name
-    names = {n.name for n in collect_property_accesses(root)}
+    names = {n.name for n in collect_candidates(root)[1]}
     assert len(slots) == len(names)
+
+
+def test_candidates_in_source_order_without_super_or_delete_targets():
+    src = (
+        'class B extends A { m() { return super.x + this.y; } }\n'
+        'var o = {"k": "key", n: 1};\n'
+        "delete (o.a); delete ((o.b).c); delete o.d;\n"
+        'o.e = "one" + "two";'
+    )
+    root, _tree = setup(src)
+    strings, accesses = collect_candidates(root)
+    assert [src[n.start : n.end] for n in strings] == ['"key"', '"one"', '"two"']
+    assert [n.name for n in accesses] == ["y", "b", "e"]
 
 
 def test_delete_targets_skipped():
@@ -197,15 +209,14 @@ def test_every_candidate_outside_dynamic_regions_rewritten():
         for file_id, src in gen(rng).items():
             root, tree = setup(src, file_id)
             inside = tree.dynamic_region()
-            candidates = collect_property_accesses(root)
-            props = [n for n in candidates if not inside(n.start)]
-            patches, _pre, _slots = rewrite_property_access(fresh(), inside, candidates)
+            strings, accesses = collect_candidates(root)
+            props = [n for n in accesses if not inside(n.start)]
+            patches, _pre, _slots = rewrite_property_access(fresh(), inside, accesses)
             assert sorted(p.start for p in patches) == sorted(n.value[0] for n in props)
-            candidates = collect_strings(root)
-            strings = [
+            eligible = [
                 n
-                for n in candidates
+                for n in strings
                 if not inside(n.start) and len(_string_value(src[n.start : n.end])) >= 2
             ]
-            patches, _pre, _table = encode_strings(7, fresh(), inside, src, candidates)
-            assert sorted(p.start for p in patches) == sorted(n.start for n in strings)
+            patches, _pre, _table = encode_strings(7, fresh(), inside, src, strings)
+            assert sorted(p.start for p in patches) == sorted(n.start for n in eligible)
