@@ -175,7 +175,7 @@ def cmd_verify(args):
             workers=args.threads or _default_threads(),
             rename_dump_root=dump_dir_for(args.obf),
         )
-    except EngineNotFound as exc:
+    except (EngineNotFound, FatalConfigError) as exc:
         print(f"fatal: {exc}", file=sys.stderr)
         return 3
     path = Path(args.obf).parent / (Path(args.obf).name + ".verdicts.jsonl")

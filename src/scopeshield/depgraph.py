@@ -8,7 +8,8 @@ needs only each file's frozen names and the list of unresolved imports.
 Which module-level names of a file keep their original spelling follows from
 the file alone (``frozen_names``). A module's declarations are module-scoped:
 only the locals behind its exports are visible to other files. A script (no
-``import`` or ``export``) declares its module-level names in the one global
+``import`` or ``export`` declaration, not even ``export {}``, and not an
+``.mjs`` file) declares its module-level names in the one global
 namespace that all scripts share, so all of them keep their spelling, as
 Terser and UglifyJS do by default.
 """
@@ -46,9 +47,9 @@ def resolve_import(importer, path, known_files):
 
 
 def is_script(summary):
-    """True for a file with no import or export: its module-level
-    declarations are globals."""
-    return not summary.imports and not summary.exports
+    """True for a file with no import or export declaration that is not an
+    ``.mjs`` file: its module-level declarations are globals."""
+    return not summary.module_syntax and not summary.file_id.endswith(".mjs")
 
 
 def frozen_names(summary):

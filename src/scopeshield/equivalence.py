@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .errors import EngineNotFound
+from .errors import EngineNotFound, FatalConfigError
 
 
 @dataclass
@@ -30,11 +30,34 @@ class TestCase:
 
 
 def load_cases(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    """The cases of a JSON manifest: a list of case objects, or an object
+    whose "cases" key holds one. FatalConfigError for a file that cannot be
+    read or is not such a manifest."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise FatalConfigError(f"cannot read cases {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise FatalConfigError(f"cases {path} is not valid JSON: {exc}") from exc
     if isinstance(data, dict):
-        data = data["cases"]
-    return [TestCase(**entry) for entry in data]
+        data = data.get("cases")
+    if not isinstance(data, list):
+        raise FatalConfigError(f"cases {path} must hold a list of cases")
+    cases = []
+    for entry in data:
+        try:
+            case = TestCase(**entry)  # not an object, or an unknown or missing key
+        except TypeError as exc:
+            raise FatalConfigError(f"malformed case in {path}: {exc}") from exc
+        for name, spec in TestCase.__dataclass_fields__.items():
+            kind = (int, float) if spec.type is float else spec.type
+            if not isinstance(getattr(case, name), kind):
+                raise FatalConfigError(f"case key {name!r} in {path} must be {spec.type.__name__}")
+        if case.mode not in ("exact", "normalized"):
+            raise FatalConfigError(f"case mode in {path} must be 'exact' or 'normalized'")
+        cases.append(case)
+    return cases
 
 
 def save_cases(cases, path):
@@ -120,7 +143,8 @@ def run_differential(
 
     Each verdict: {entry, status, detail} with status one of equivalent |
     divergent | error | timeout. Divergent verdicts carry the first
-    differing output line and, when available, the rename-map dump path.
+    differing output line and, when that file exists, the rename-map dump
+    path.
     """
     # absolute roots: the engine runs with cwd at the tree root, so a
     # relative root would make the entry path resolve against itself
@@ -159,7 +183,8 @@ def run_differential(
             verdict.update(status="divergent", detail=_first_diff(out_a, out_b))
             if rename_dump_root is not None:
                 dump = Path(rename_dump_root) / "renames" / (case.entry + ".tsv")
-                verdict["rename_dump"] = str(dump)
+                if dump.is_file():
+                    verdict["rename_dump"] = str(dump)
         return verdict
 
     if workers > 1 and len(cases) > 1:

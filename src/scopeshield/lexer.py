@@ -18,6 +18,7 @@ from .tokens import (
     IDENT,
     KEYWORD,
     KEYWORDS,
+    LINE_TERMINATORS,
     NUMBER,
     PUNCT,
     REGEX,
@@ -55,12 +56,13 @@ _TOKEN_RE = re.compile(
     "|".join(
         [
             # 1: a gap of whitespace and comments
-            r"((?:[ \t\v\f\r\n\xa0\ufeff\u2028\u2029]+|//[^\n\r\u2028\u2029]*|/\*[\s\S]*?\*/)+)",
+            r"((?:[ \t\v\f\xa0\ufeff{0}]+|//[^{0}]*|/\*[\s\S]*?\*/)+)".format(LINE_TERMINATORS),
             r"(/\*)",  # 2: a block comment that never closes
             r"([A-Za-z_$][A-Za-z0-9_$]*)",  # 3: an identifier or keyword
             r"(0[xX][0-9a-fA-F]+n?|0[bB][01]+n?|0[oO][0-7]+n?"  # 4: a number
             r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?n?)",
-            r"""("(?:[^"\\\n\r]|\\[\s\S])*"|'(?:[^'\\\n\r]|\\[\s\S])*')""",  # 5: a string
+            # 5: a string; U+2028 and U+2029 may stand in one unescaped
+            r"""("(?:[^"\\\n\r]|\\[\s\S])*"|'(?:[^'\\\n\r]|\\[\s\S])*')""",
             r"(/=?)",  # 6: a regular expression when an operator precedes it
             "(%s)" % _OTHER_PUNCT,  # 7
             "(`%s)" % _TEMPLATE_BODY,  # 8: a template chunk
@@ -69,8 +71,9 @@ _TOKEN_RE = re.compile(
     )
 )
 _REGEX_RE = re.compile(
-    r"/(?:[^/\\\[\n\r]|\\[^\n\r]|\[(?:[^\]\\\n\r]|\\[^\n\r])*\])+/[A-Za-z]*"
+    r"/(?:[^/\\\[{0}]|\\[^{0}]|\[(?:[^\]\\{0}]|\\[^{0}])*\])+/[A-Za-z]*".format(LINE_TERMINATORS)
 )
+_LINE_TERMINATOR_RE = re.compile("[%s]" % LINE_TERMINATORS)
 # the template chunk that resumes at the `}` closing an interpolation
 _TEMPLATE_RESUME = re.compile(r"\}" + _TEMPLATE_BODY)
 
@@ -125,7 +128,7 @@ def tokenize(source, file_id="<input>", minify=False):
             group = m.lastindex
             if group == 1:
                 gap = m.group()
-                nl = "\n" in gap or "\r" in gap
+                nl = _LINE_TERMINATOR_RE.search(gap) is not None
                 pos = m.end()
                 continue
             text = m.group()

@@ -91,7 +91,7 @@ def nid(x, y, compressor=lzma_compressor):
 class MetricsReport:
     """Per-file and aggregate metrics for an original/obfuscated tree pair."""
 
-    def __init__(self, compressor_name="lzma"):
+    def __init__(self, compressor_name):
         self.files = []  # dicts, one per file
         self.compressor_name = compressor_name
 
@@ -150,8 +150,9 @@ class MetricsReport:
 
 
 def measure_tree_pair(original_root, obfuscated_root, compressor=lzma_compressor, with_complexity=True):
-    """Compare two mirrored trees file by file (JS files only)."""
-    report = MetricsReport()
+    """Compare two mirrored trees file by file (JS files only). The report
+    names the compressor after its function, less a ``_compressor`` suffix."""
+    report = MetricsReport(getattr(compressor, "__name__", "custom").removesuffix("_compressor"))
     orig = Path(original_root)
     obf = Path(obfuscated_root)
     for path in sorted(orig.rglob("*")):

@@ -5,11 +5,14 @@ classes with methods/getters/setters, blocks, all common statements,
 template literals with interpolation, import/export with relative string
 paths (at the top level only, as in a module; `export default` takes a named
 or anonymous function or class, or an expression), member access,
-object/array literals.
+object/array literals. Each repeated shape has one production: every
+comma list (``delimited``: one comma between items, one trailing comma
+allowed), every ``( expression )`` head and the get/set accessor prefix.
 
 Out of subset (raises UnsupportedSyntax so the file is copied through
 verbatim): labeled statements, destructuring, generators, async/await,
-class fields, optional chaining, dynamic import(), computed method names.
+class fields, optional chaining, dynamic import(), computed class member
+names.
 
 The same pass records the imports and exports the cross-file analysis needs.
 Dynamic sites (eval, with, Function constructor) are flagged by the scope
@@ -18,7 +21,7 @@ builder.
 
 from .errors import ParseError, UnsupportedSyntax
 from .nodes import Node
-from .tokens import IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
+from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
 # binary operator precedence; higher binds tighter
 _BINARY_PREC = {
@@ -31,6 +34,9 @@ _BINARY_PREC = {
     "*": 10, "/": 10, "%": 10,
     "**": 11,
 }
+_MODULE_ITEMS = frozenset({"import-decl", "export-decl"})
+# the tokens that may name a property or method
+_PROPERTY_NAME_KINDS = frozenset({IDENT, KEYWORD, STRING, NUMBER})
 _LOGICAL_OPS = frozenset({"&&", "||", "??"})
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "**=", "<<=", ">>=", ">>>=", "&=", "|=", "^=", "&&=", "||=", "??="}
@@ -42,6 +48,8 @@ class FileSummary:
 
     ``imports`` holds (source path, [imported names]) pairs where a default
     import appears as "default" and a namespace import as "*".
+    ``module_syntax`` is True when the file has an import or export
+    declaration.
     """
 
     __slots__ = (
@@ -49,7 +57,7 @@ class FileSummary:
         "declared_globals",
         "free_names",
         "imports",
-        "exports",
+        "module_syntax",
         "export_pairs",
     )
 
@@ -58,13 +66,14 @@ class FileSummary:
         self.declared_globals = []
         self.free_names = []
         self.imports = []
-        self.exports = []
+        self.module_syntax = False
         self.export_pairs = []  # (local binding, exported name) for named exports
 
     def __repr__(self):
         return (
             f"FileSummary({self.file_id}, globals={self.declared_globals}, "
-            f"free={self.free_names}, imports={self.imports}, exports={self.exports})"
+            f"free={self.free_names}, imports={self.imports}, "
+            f"module_syntax={self.module_syntax})"
         )
 
 
@@ -78,7 +87,7 @@ def parse_ast(tokens, file_id="<input>"):
     root = parser.parse_program()
     summary = FileSummary(file_id)
     summary.imports = parser.imports
-    summary.exports = parser.exports
+    summary.module_syntax = any(stmt.kind in _MODULE_ITEMS for stmt in root.children)
     summary.export_pairs = parser.export_pairs
     return root, summary
 
@@ -106,7 +115,6 @@ class _Parser:
         self.nl_before = tokens.nl_before
         self.end_offset = len(tokens.text)
         self.imports = []
-        self.exports = []
         self.export_pairs = []
 
     # ---- token helpers ----
@@ -155,6 +163,50 @@ class _Parser:
         if pattern is not None and t is not None and t.kind == PUNCT and t.text in ("{", "["):
             self.unsupported(f"destructuring {pattern} are not supported")
         self.error(message)
+
+    def optional_name(self, decl, message):
+        """The name token of a function or class: required for a declaration
+        (``decl``), optional for an expression (None when absent)."""
+        t = self.peek()
+        if decl or (t is not None and t.kind == IDENT):
+            return self.binding_name(message)
+        return None
+
+    def delimited(self, open_, close, item):
+        """Read ``open_ item, item, ... close`` with one comma between two
+        items and at most one after the last; returns (the items, the
+        ``close`` token)."""
+        self.expect(open_)
+        items = []
+        while not self.at(close):
+            items.append(item())
+            if self.at(","):
+                self.advance()
+            elif not self.at(close):
+                self.error(f"expected ',' or {close!r}")
+        return items, self.advance()
+
+    def paren_head(self):
+        """Read the ``( expression )`` after if, while, do-while, switch and
+        with; returns the expression."""
+        self.expect("(")
+        expr = self.parse_expression()
+        self.expect(")")
+        return expr
+
+    def accessor_role(self):
+        """At ``get`` or ``set`` followed by a property name or ``[``:
+        consume it and return "get" or "set". Otherwise None, and the word
+        (if any) is a property name itself."""
+        t = self.peek()
+        if t is not None and t.kind == IDENT and t.text in ("get", "set"):
+            nxt = self.peek(1)
+            if nxt is not None and (
+                nxt.kind in _PROPERTY_NAME_KINDS or (nxt.kind == PUNCT and nxt.text == "[")
+            ):
+                self.advance()
+                return t.text
+        return None
 
     def module_path(self):
         """Read a module path string; returns (its token, its value)."""
@@ -250,8 +302,6 @@ class _Parser:
                 tok = self.advance()
                 self.consume_semicolon()
                 return Node("other-statement", tok.start, tok.end, name="debugger")
-            if text in ("async", "await", "yield"):
-                self.unsupported(f"'{text}' is not supported")
         if t.kind == IDENT:
             nxt = self.peek(1)
             if nxt is not None and nxt.kind == PUNCT and nxt.text == ":":
@@ -304,9 +354,7 @@ class _Parser:
         kw = self.expect("function")
         if self.at("*"):
             self.unsupported("generator functions are not supported")
-        name_tok = None
-        if decl or (self.peek() is not None and self.peek().kind == IDENT):
-            name_tok = self.binding_name("expected function name")
+        name_tok = self.optional_name(decl, "expected function name")
         params = self.parse_params()
         body = self.parse_block()
         return Node(
@@ -319,38 +367,26 @@ class _Parser:
         )
 
     def parse_params(self):
-        self.expect("(")
-        params = []
-        while not self.at(")"):
-            rest = False
-            if self.at("..."):
-                self.advance()
-                rest = True
-            t = self.binding_name("expected parameter name", "parameters")
-            param = Node(
-                "param",
-                t.start,
-                t.end,
-                name=t.text,
-                value=(t.start, t.end),
-                aux="rest" if rest else None,
-            )
-            if self.at("="):
-                self.advance()
-                default = self.parse_assign()
-                param.children.append(default)
-                param.end = default.end
-            params.append(param)
-            if self.at(","):
-                self.advance()
-        self.expect(")")
-        return params
+        return self.delimited("(", ")", self.parse_param)[0]
+
+    def parse_param(self):
+        """One parameter: ``name``, ``name = default`` or ``...name``."""
+        rest = self.at("...") and self.advance()
+        t = self.binding_name("expected parameter name", "parameters")
+        if rest and not self.at(")"):
+            self.error("a rest parameter must be the last, with no default or trailing comma")
+        aux = "rest" if rest else None
+        param = Node("param", t.start, t.end, name=t.text, value=(t.start, t.end), aux=aux)
+        if self.at("="):
+            self.advance()
+            default = self.parse_assign()
+            param.children.append(default)
+            param.end = default.end
+        return param
 
     def parse_class(self, decl):
         kw = self.expect("class")
-        name_tok = None
-        if decl or (self.peek() is not None and self.peek().kind == IDENT):
-            name_tok = self.binding_name("expected class name")
+        name_tok = self.optional_name(decl, "expected class name")
         children = []
         has_extends = False
         if self.at("extends"):
@@ -377,16 +413,10 @@ class _Parser:
 
     def parse_class_member(self):
         start_tok = self.peek()
-        role = "method"
         nxt = self.peek(1)
         if self.at("static") and not (nxt is not None and nxt.kind == PUNCT and nxt.text == "("):
             self.advance()  # a modifier; `static(` names a method
-        t = self.peek()
-        if t is not None and t.kind == IDENT and t.text in ("get", "set"):
-            nxt = self.peek(1)
-            if nxt is not None and nxt.text != "(":
-                role = t.text
-                self.advance()
+        role = self.accessor_role() or "method"
         if self.at("*"):
             self.unsupported("generator methods are not supported")
         name_tok = self.peek()
@@ -394,7 +424,7 @@ class _Parser:
             self.error("unterminated class body")
         if name_tok.kind == PUNCT and name_tok.text == "[":
             self.unsupported("computed method names are not supported")
-        if name_tok.kind not in (IDENT, KEYWORD, STRING, NUMBER):
+        if name_tok.kind not in _PROPERTY_NAME_KINDS:
             self.error("expected method name")
         self.advance()
         if not self.at("("):
@@ -410,9 +440,7 @@ class _Parser:
 
     def parse_if(self):
         kw = self.expect("if")
-        self.expect("(")
-        cond = self.parse_expression()
-        self.expect(")")
+        cond = self.paren_head()
         then = self.parse_statement()
         children = [cond, then]
         end = then.end
@@ -461,9 +489,7 @@ class _Parser:
 
     def parse_while(self):
         kw = self.expect("while")
-        self.expect("(")
-        cond = self.parse_expression()
-        self.expect(")")
+        cond = self.paren_head()
         body = self.parse_statement()
         return Node("while", kw.start, body.end, children=[cond, body])
 
@@ -471,19 +497,15 @@ class _Parser:
         kw = self.expect("do")
         body = self.parse_statement()
         self.expect("while")
-        self.expect("(")
-        cond = self.parse_expression()
-        rp = self.expect(")")
-        end = rp.end
+        cond = self.paren_head()
+        end = self.toks[self.i - 1].end  # the `)`
         if self.at(";"):
             end = self.advance().end
         return Node("do-while", kw.start, end, children=[body, cond])
 
     def parse_switch(self):
         kw = self.expect("switch")
-        self.expect("(")
-        disc = self.parse_expression()
-        self.expect(")")
+        disc = self.paren_head()
         self.expect("{")
         cases = []
         while not self.at("}"):
@@ -550,9 +572,7 @@ class _Parser:
 
     def parse_with(self):
         kw = self.expect("with")
-        self.expect("(")
-        expr = self.parse_expression()
-        self.expect(")")
+        expr = self.paren_head()
         body = self.parse_statement()
         return Node("with", kw.start, body.end, children=[expr, body])
 
@@ -574,26 +594,7 @@ class _Parser:
                 nt = self.binding_name("expected namespace alias")
                 info["namespace"] = (nt.text, (nt.start, nt.end))
             elif self.at("{"):
-                self.advance()
-                while not self.at("}"):
-                    ext = self.peek()
-                    if ext is None or ext.kind not in (IDENT, KEYWORD, STRING):
-                        self.error("expected import specifier")
-                    nxt = self.peek(1)
-                    if nxt is not None and nxt.kind == IDENT and nxt.text == "as":
-                        self.advance()
-                        self.advance()
-                        local_tok = self.binding_name("expected local alias")
-                    else:
-                        # the imported name is the local binding too
-                        local_tok = self.binding_name("expected 'as' after import specifier")
-                    ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
-                    info["names"].append(
-                        (ext_name, local_tok.text, (local_tok.start, local_tok.end))
-                    )
-                    if self.at(","):
-                        self.advance()
-                self.expect("}")
+                info["names"] = self.delimited("{", "}", self.parse_import_specifier)[0]
             self.expect("from")
         src, info["source"] = self.module_path()
         self.consume_semicolon()
@@ -605,6 +606,23 @@ class _Parser:
         imported.extend(ext for ext, _local, _span in info["names"])
         self.imports.append((info["source"], imported))
         return Node("import-decl", kw.start, src.end, value=info)
+
+    def parse_import_specifier(self):
+        """``name`` or ``name as local``; returns (imported name, local
+        name, local span)."""
+        ext = self.peek()
+        if ext is None or ext.kind not in (IDENT, KEYWORD, STRING):
+            self.error("expected import specifier")
+        nxt = self.peek(1)
+        if nxt is not None and nxt.kind == IDENT and nxt.text == "as":
+            self.advance()
+            self.advance()
+            local_tok = self.binding_name("expected local alias")
+        else:
+            # the imported name is the local binding too
+            local_tok = self.binding_name("expected 'as' after import specifier")
+        ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
+        return ext_name, local_tok.text, (local_tok.start, local_tok.end)
 
     def parse_export(self):
         kw = self.expect("export")
@@ -621,7 +639,6 @@ class _Parser:
             else:
                 inner = self.parse_expression()
                 self.consume_semicolon()
-            self.exports.append("default")
             return Node("export-decl", kw.start, inner.end, children=[inner])
         if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class", "async"):
             inner = self.parse_statement()  # `async function` is UnsupportedSyntax
@@ -630,29 +647,11 @@ class _Parser:
             else:
                 names = [inner.name]
             for name in names:
-                self.exports.append(name)
                 self.export_pairs.append((name, name))
             return Node("export-decl", kw.start, inner.end, children=[inner])
         if t.text == "{":
-            self.advance()
-            specifiers = []  # (local token, exported name)
-            while not self.at("}"):
-                lt = self.peek()
-                if lt is None or lt.kind not in (IDENT, KEYWORD):
-                    self.error("expected export specifier")
-                self.advance()
-                exported = lt.text
-                if self.at("as"):
-                    self.advance()
-                    et = self.peek()
-                    if et is None or et.kind not in (IDENT, KEYWORD, STRING):
-                        self.error("expected export alias")
-                    self.advance()
-                    exported = self.string_value(et) if et.kind == STRING else et.text
-                specifiers.append((lt, exported))
-                if self.at(","):
-                    self.advance()
-            end = self.expect("}").end
+            specifiers, rbrace = self.delimited("{", "}", self.parse_export_specifier)
+            end = rbrace.end
             source = None
             if self.at("from"):
                 self.advance()
@@ -662,7 +661,6 @@ class _Parser:
             self.consume_semicolon()
             node = Node("export-decl", kw.start, end)
             for lt, exported in specifiers:
-                self.exports.append(exported)
                 if source is None:
                     # bare `export {a, b}`: the locals are references to module bindings
                     self.export_pairs.append((lt.text, exported))
@@ -671,6 +669,23 @@ class _Parser:
                     )
             return node
         self.error("unsupported export form")
+
+    def parse_export_specifier(self):
+        """``name`` or ``name as exported``; returns (the local token, the
+        exported name)."""
+        lt = self.peek()
+        if lt is None or lt.kind not in (IDENT, KEYWORD):
+            self.error("expected export specifier")
+        self.advance()
+        exported = lt.text
+        if self.at("as"):
+            self.advance()
+            et = self.peek()
+            if et is None or et.kind not in (IDENT, KEYWORD, STRING):
+                self.error("expected export alias")
+            self.advance()
+            exported = self.string_value(et) if et.kind == STRING else et.text
+        return lt, exported
 
     # ---- expressions ----
 
@@ -799,19 +814,16 @@ class _Parser:
             return expr
 
     def parse_arguments(self):
-        self.expect("(")
-        args = []
-        while not self.at(")"):
-            if self.at("..."):
-                s = self.advance()
-                arg = self.parse_assign()
-                args.append(Node("spread", s.start, arg.end, children=[arg]))
-            else:
-                args.append(self.parse_assign())
-            if self.at(","):
-                self.advance()
-        rp = self.expect(")")
-        return args, rp
+        """The arguments of a call or ``new``; returns (them, the `)`)."""
+        return self.delimited("(", ")", self.parse_element)
+
+    def parse_element(self):
+        """An argument or array element: an expression or a ``...`` spread."""
+        if self.at("..."):
+            s = self.advance()
+            expr = self.parse_assign()
+            return Node("spread", s.start, expr.end, children=[expr])
+        return self.parse_assign()
 
     def parse_primary(self):
         t = self.peek()
@@ -819,10 +831,9 @@ class _Parser:
             self.error("unexpected end of input")
         if t.kind == IDENT:
             nxt = self.peek(1)
-            self.advance()
             if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>":
-                param = Node("param", t.start, t.end, name=t.text, value=(t.start, t.end))
-                return self.parse_arrow([param])
+                return self.parse_arrow([self.parse_param()])
+            self.advance()
             return Node("identifier-ref", t.start, t.end, name=t.text)
         if t.kind == NUMBER:
             self.advance()
@@ -934,33 +945,20 @@ class _Parser:
                 return node
 
     def parse_array(self):
-        lb = self.expect("[")
-        elements = []
-        while not self.at("]"):
-            if self.at(","):
-                hole = self.advance()
-                elements.append(Node("empty", hole.start, hole.start))
-                continue
-            if self.at("..."):
-                s = self.advance()
-                expr = self.parse_assign()
-                elements.append(Node("spread", s.start, expr.end, children=[expr]))
-            else:
-                elements.append(self.parse_assign())
-            if self.at(","):
-                self.advance()
-        rb = self.expect("]")
-        return Node("array", lb.start, rb.end, children=elements)
+        start = self.peek().start
+        elements, rb = self.delimited("[", "]", self.parse_array_element)
+        return Node("array", start, rb.end, children=elements)
+
+    def parse_array_element(self):
+        if self.at(","):  # a hole: an empty node at its comma
+            t = self.peek()
+            return Node("empty", t.start, t.start)
+        return self.parse_element()
 
     def parse_object(self):
-        lb = self.expect("{")
-        props = []
-        while not self.at("}"):
-            props.append(self.parse_property())
-            if self.at(","):
-                self.advance()
-        rb = self.expect("}")
-        return Node("object", lb.start, rb.end, children=props)
+        start = self.peek().start
+        props, rb = self.delimited("{", "}", self.parse_property)
+        return Node("object", start, rb.end, children=props)
 
     def parse_property(self):
         t = self.peek()
@@ -970,24 +968,20 @@ class _Parser:
             self.advance()
             expr = self.parse_assign()
             return Node("property", t.start, expr.end, children=[expr], aux="spread")
-        role = None
-        if t.kind == IDENT and t.text in ("get", "set"):
-            nxt = self.peek(1)
-            if nxt is not None and (nxt.kind in (IDENT, KEYWORD, STRING, NUMBER)):
-                role = t.text
-                self.advance()
-                t = self.peek()
+        role = self.accessor_role()
+        if role is not None:
+            t = self.peek()
         if t.kind == PUNCT and t.text == "[":
             self.advance()
             key_expr = self.parse_assign()
             self.expect("]")
-            if self.at("("):
+            if role is not None or self.at("("):
                 value = self.parse_method(t.start, None, role or "method")
             else:
                 self.expect(":")
                 value = self.parse_assign()
             return Node("property", t.start, value.end, children=[key_expr, value], aux="computed")
-        if t.kind not in (IDENT, KEYWORD, STRING, NUMBER):
+        if t.kind not in _PROPERTY_NAME_KINDS:
             self.error("expected property key")
         self.advance()
         key = []
@@ -1013,7 +1007,8 @@ class _Parser:
 
 _SIMPLE_ESCAPES = {
     "n": "\n", "t": "\t", "r": "\r", "b": "\b", "f": "\f", "v": "\v",
-    "0": "\0", "'": "'", '"': '"', "\\": "\\", "`": "`", "\n": "", "\r": "",
+    "0": "\0", "'": "'", '"': '"', "\\": "\\", "`": "`",
+    **dict.fromkeys(LINE_TERMINATORS, ""),  # a line continuation
 }
 
 

@@ -33,6 +33,10 @@ class TokenList(list):
     __slots__ = ("text", "nl_before")
 
 
+# JavaScript's LineTerminator characters: LF, CR, LINE SEPARATOR (U+2028) and
+# PARAGRAPH SEPARATOR (U+2029)
+LINE_TERMINATORS = "\n\r\u2028\u2029"
+
 # Token kinds
 IDENT = "identifier"
 KEYWORD = "keyword"

@@ -187,6 +187,56 @@ def test_verify_engine_not_found(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        None,  # missing
+        b"{not json",
+        b'{"cases": [{"entry": "m.js", "bogus": 1}]}',
+        b'{"cases": [{"args": []}]}',
+        b'[{"entry": 5}]',
+        b'[{"entry": "m.js", "mode": "fuzzy"}]',
+        b'["m.js"]',
+        b'{"entry": "m.js"}',
+    ],
+)
+def test_verify_exit_3_on_bad_manifest(tmp_path, capsys, manifest):
+    project(tmp_path / "src", {"m.js": "1;"})
+    project(tmp_path / "obf", {"m.js": "1;"})
+    cases = tmp_path / "cases.json"
+    if manifest is not None:
+        cases.write_bytes(manifest)
+    rc = cli.main(
+        ["verify", "--orig", str(tmp_path / "src"), "--obf", str(tmp_path / "obf"),
+         "--cases", str(cases)]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("fatal: ")
+
+
+def test_verify_names_the_rename_dump_only_when_it_exists(tmp_path, node, capsys):
+    project(tmp_path / "src", {"m.js": 'var value = "same";\nconsole.log(value);'})
+    save_cases([TestCase(entry="m.js")], tmp_path / "cases.json")
+    for dump_flag in ([], ["--dump-renames"]):
+        obf = tmp_path / ("obf" + "".join(dump_flag))
+        argv = ["obfuscate", "--in", str(tmp_path / "src"), "--out", str(obf), "--threads", "1"]
+        assert cli.main(argv + dump_flag) == 0
+        (obf / "m.js").write_text('console.log("changed");')  # make the run diverge
+        rc = cli.main(
+            ["verify", "--orig", str(tmp_path / "src"), "--obf", str(obf),
+             "--cases", str(tmp_path / "cases.json"), "--threads", "1"]
+        )
+        assert rc == 2
+        verdict = json.loads((obf.parent / (obf.name + ".verdicts.jsonl")).read_text())
+        assert verdict["status"] == "divergent"
+        dump = obf.parent / (obf.name + ".dumps") / "renames" / "m.js.tsv"
+        if dump_flag:
+            assert dump.is_file() and verdict["rename_dump"] == str(dump)
+        else:
+            assert "rename_dump" not in verdict
+    capsys.readouterr()
+
+
 def test_metrics_subcommand(tmp_path, capsys):
     project(tmp_path / "src", {"a.js": "var alpha = 1;"})
     project(tmp_path / "obf", {"a.js": "var a=1;"})

@@ -11,7 +11,7 @@ from scopeshield.parser import FileSummary
 def make_summary(file_id, imports=(), exports=(), declared=(), free=()):
     s = FileSummary(file_id)
     s.imports = list(imports)
-    s.exports = list(exports)
+    s.module_syntax = bool(imports or exports)
     s.export_pairs = [(n, n) for n in exports]
     s.declared_globals = list(declared)
     s.free_names = list(free)
@@ -187,3 +187,15 @@ def test_graph_report_lists_frozen_names_with_reasons():
     assert "frozen names: 2" in text
     assert "  b.js: f (export)" in text
     assert "  c.js: Registry (script global)" in text
+
+
+def test_empty_export_and_mjs_make_a_module():
+    from scopeshield.pipeline import front_end
+
+    text = "function helperFunction() {}\n"
+    assert frozen_names(front_end(text, "a.js", minify=False)[3]) == {
+        "helperFunction": "script global"
+    }
+    for src, rel in ((text + "export {};\n", "a.js"), (text, "a.mjs"), (text, "lib/a.mjs")):
+        summary = front_end(src, rel, minify=False)[3]
+        assert frozen_names(summary) == {}

@@ -44,7 +44,15 @@ def test_divergence_detected_with_first_diff(tmp_path, node):
     verdict = verdicts[0]
     assert verdict["status"] == "divergent"
     assert "line 1" in verdict["detail"]
-    assert verdict["rename_dump"].endswith("m.js.tsv")
+    assert "rename_dump" not in verdict  # no dump was written
+    dump = tmp_path / "obf.dumps" / "renames" / "m.js.tsv"
+    dump.parent.mkdir(parents=True)
+    dump.write_text("m.js#0\tx\ta\n")
+    verdicts, _summary = run_differential(
+        tmp_path / "orig", tmp_path / "obf", [TestCase(entry="m.js")],
+        rename_dump_root=tmp_path / "obf.dumps",
+    )
+    assert verdicts[0]["rename_dump"] == str(dump)
 
 
 def test_capture_bug_detected(tmp_path, node):

@@ -33,7 +33,7 @@ def assert_lossless(text, tokens):
     between = gaps(text, tokens)
     assert all(tokenize(gap) == [] for gap in between)
     assert tokens.nl_before == {
-        i for i, gap in enumerate(between[:-1]) if "\n" in gap or "\r" in gap
+        i for i, gap in enumerate(between[:-1]) if any(c in gap for c in "\n\r\u2028\u2029")
     }
 
 
@@ -72,6 +72,21 @@ def test_line_break_flags():
     assert tokens.nl_before == {1, 3, 4}
     assert tokenize("\n\nx").nl_before == {0}
     assert tokenize("\n\nx", minify=True).nl_before == set()
+
+
+def test_line_and_paragraph_separators_break_lines():
+    src = "a\u2028b /* \u2029 */ c // d\u2028e"
+    tokens = tokenize(src)
+    assert [t.text for t in tokens] == ["a", "b", "c", "e"]
+    assert tokens.nl_before == {1, 2, 3}
+    assert_lossless(src, tokens)
+    assert tokenize(src, minify=True).text == "a\nb\nc\ne"
+    # a regular expression literal cannot hold one; a string literal can
+    assert REGEX not in kinds(tokenize("x = /a\u2028b/"))
+    with pytest.raises(InvalidCharacter):
+        tokenize("x = /a\\\u2029b/")  # nor after a backslash
+    assert REGEX not in kinds(tokenize("x = /[\u2028]/"))
+    assert kinds(tokenize('"a\u2028b\u2029c"')) == [STRING]
 
 
 def test_template_interpolation_is_chunked():

@@ -9,6 +9,7 @@ from scopeshield.metrics import (
     bzip2_compressor,
     complexity_of_source,
     cyclomatic_complexity,
+    measure_tree_pair,
     nid,
     size_inflation,
 )
@@ -114,3 +115,14 @@ def test_nid_roughly_symmetric():
     x = ("var alpha = 1;\n" * 400).encode()
     y = bytes(rng.randrange(256) for _ in range(3000)) + x[:2000]
     assert abs(nid(x, y) - nid(y, x)) <= 0.05
+
+
+def test_report_records_the_compressor_it_used(tmp_path):
+    for side, text in (("orig", "var alpha = 1;"), ("obf", "var a=1;")):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "a.js").write_text(text)
+    pair = (tmp_path / "orig", tmp_path / "obf")
+    assert measure_tree_pair(*pair).aggregate()["compressor"] == "lzma"
+    report = measure_tree_pair(*pair, compressor=bzip2_compressor)
+    assert report.aggregate()["compressor"] == "bzip2"
+    assert "aggregate NID (bzip2)" in report.to_table()

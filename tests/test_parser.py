@@ -1,4 +1,6 @@
+import json
 import random
+import subprocess
 
 import pytest
 
@@ -6,10 +8,11 @@ from scopeshield.errors import ParseError, UnsupportedSyntax
 from scopeshield.lexer import tokenize
 from scopeshield.nodes import walk
 from scopeshield.parser import parse_ast, _string_value
-from scopeshield.pipeline import front_end
+from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import build_scope_tree
+from scopeshield.tokens import PUNCT
 
-from corpusgen import GENERATORS
+from corpusgen import GENERATORS, build_corpus
 
 
 def parse_src(src, file_id="t.js"):
@@ -25,7 +28,7 @@ def dynamic_scopes(src, file_id="t.js"):
 def test_import_export_summary():
     _ast, summary = parse_src('import {x} from "./a.js"; export function f(){}')
     assert summary.imports == [("./a.js", ["x"])]
-    assert summary.exports == ["f"]
+    assert summary.module_syntax
 
 
 def test_eval_call_is_a_dynamic_site():
@@ -112,16 +115,15 @@ def test_export_forms():
         "export default function main() { return a; }\n"
     )
     _ast, summary = parse_src(src)
-    assert summary.exports == ["a", "b", "K", "out", "default"]
-    assert ("inner", "out") in summary.export_pairs
+    assert summary.module_syntax and summary.imports == []
+    assert summary.export_pairs == [("a", "a"), ("b", "b"), ("K", "K"), ("inner", "out")]
     assert all(local != "main" for local, _ in summary.export_pairs)
 
 
 def test_reexport_counts_as_import_edge():
     _ast, summary = parse_src('export {helper} from "./dep.js";')
     assert summary.imports == [("./dep.js", ["helper"])]
-    assert summary.exports == ["helper"]
-    assert summary.export_pairs == []
+    assert summary.module_syntax and summary.export_pairs == []
 
 
 def test_parse_error_offset_and_fail_safe_contract():
@@ -264,7 +266,7 @@ def test_export_default_function_or_class_may_be_anonymous(src, kind):
     ast, summary = parse_src(src)
     inner = ast.children[0].children[0]
     assert inner.kind == kind
-    assert summary.exports == ["default"] and summary.export_pairs == []
+    assert summary.module_syntax and summary.export_pairs == []
     # an anonymous default binds no name; a named one binds its name
     assert summary.declared_globals == ([inner.name] if inner.name else [])
     if src.endswith("(1);"):
@@ -287,3 +289,158 @@ def test_module_items_only_at_top_level(src):
         parse_src(src)
     assert type(err.value) is ParseError
     assert "only allowed at the top level" in str(err.value)
+
+
+# one comma-list production: a missing comma is a ParseError at the token
+# after the item, and only an array may hold an empty item (a hole)
+MISSING_COMMAS = [
+    "function f(a b){}",
+    "f(1 2)",
+    "[1 2]",
+    "({a:1 b:2})",
+    'import {a b} from "./x.js"',
+    "export {a b}",
+    "new F(1 2)",
+    "var g = (a b) => a;",
+    "class A { m(a b) {} }",
+]
+
+
+@pytest.mark.parametrize("src", MISSING_COMMAS)
+def test_list_items_need_a_comma_between_them(src):
+    with pytest.raises(ParseError) as err:
+        parse_src(src)
+    assert type(err.value) is ParseError
+    assert err.value.offset == src.index(" b" if " b" in src else " 2") + 1
+    assert "expected ','" in str(err.value)
+
+
+@pytest.mark.parametrize("src", ["f(a,,b)", "function f(a,,) {}", "({a:1,,})", "f(,)"])
+def test_an_empty_list_item_is_an_error_outside_arrays(src):
+    with pytest.raises(ParseError):
+        parse_src(src)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "function f(...a, b) {}",
+        "function f(...a,) {}",
+        "var g = (...a, b) => 1;",
+        "function f(...a = 1) {}",
+    ],
+)
+def test_a_rest_parameter_comes_last(src):
+    with pytest.raises(ParseError, match="rest parameter must be the last"):
+        parse_src(src)
+
+
+def shape(node):
+    return (node.kind, node.start, node.end, [shape(child) for child in node.children])
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("f(a,)", ("call", 0, 5, [("identifier-ref", 0, 1, []), ("identifier-ref", 2, 3, [])])),
+        (
+            "[,1,,]",
+            ("array", 0, 6, [("empty", 1, 1, []), ("num-lit", 2, 3, []), ("empty", 4, 4, [])]),
+        ),
+        ("[,]", ("array", 0, 3, [("empty", 1, 1, [])])),
+        ("[...a,]", ("array", 0, 7, [("spread", 1, 5, [("identifier-ref", 4, 5, [])])])),
+        (
+            "({a:1,})",
+            ("paren", 0, 8, [("object", 1, 7, [("property", 2, 5, [("num-lit", 4, 5, [])])])]),
+        ),
+        (
+            "(function (a, b = 1,) {})",
+            (
+                "paren", 0, 25,
+                [("function-expr", 1, 24, [
+                    ("param", 11, 12, []),
+                    ("param", 14, 19, [("num-lit", 18, 19, [])]),
+                    ("block", 22, 24, []),
+                ])],
+            ),
+        ),
+    ],
+)
+def test_trailing_commas_and_holes(src, expected):
+    ast, _summary = parse_src(src)
+    assert shape(ast.children[0].children[0]) == expected
+
+
+def test_trailing_commas_in_module_specifier_lists():
+    _ast, summary = parse_src('import {a, b as c,} from "./x.js";\nvar d;\nexport {d, c as e,};')
+    assert summary.imports == [("./x.js", ["a", "b"])]
+    assert summary.export_pairs == [("d", "d"), ("c", "e")]
+
+
+def test_get_and_set_prefix_one_rule_for_objects_and_classes():
+    ast, _summary = parse_src(
+        "var o = {get [k]() { return 1; }, set [k](v) {}, get x() {}, get: 1, set() {}, get};"
+    )
+    props = [node for node in walk(ast) if node.kind == "property"]
+    assert [(p.name, p.aux, p.children[-1].kind, p.children[-1].aux) for p in props] == [
+        (None, "computed", "method", "get"),
+        (None, "computed", "method", "set"),
+        ("x", "get", "method", "get"),
+        ("get", "init", "num-lit", None),
+        ("set", "method", "method", "method"),
+        ("get", "shorthand", "identifier-ref", "shorthand"),
+    ]
+    ast, _summary = parse_src("class A { get() {} set(v) {} get x() {} static set y(v) {} }")
+    assert [(m.name, m.aux) for m in walk(ast) if m.kind == "method"] == [
+        ("get", "method"), ("set", "method"), ("x", "get"), ("y", "set"),
+    ]
+    with pytest.raises(UnsupportedSyntax, match="computed method names"):
+        parse_src("class A { get [k]() {} }")
+    with pytest.raises(ParseError):
+        parse_src("({get [k]: 1})")  # an accessor needs its parameter list
+
+
+def test_line_continuations_join_the_lines():
+    for terminator in ("\n", "\r", "\r\n", "\u2028", "\u2029"):
+        assert _string_value(f'"ab\\{terminator}cd"') == "abcd"
+    # unescaped, U+2028 and U+2029 are part of the string
+    assert _string_value('"a\u2028b\u2029c"') == "a\u2028b\u2029c"
+    root, _summary = parse_src('var s = "a\u2028b";')
+    assert [node.kind for node in walk(root)][-1] == "string-lit"
+
+
+# compiles each source of the JSON list on stdin as a script; prints whether each compiled
+_NODE_COMPILES = (
+    'const vm = require("vm");'
+    'const sources = JSON.parse(require("fs").readFileSync(0, "utf8"));'
+    "process.stdout.write(JSON.stringify(sources.map((s) => {"
+    "  try { new vm.Script(s); return true; } catch (e) { return false; } })));"
+)
+
+
+def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node):
+    # every script of a small corpus with one `,` token deleted
+    build_corpus(tmp_path, count=60)
+    mutants = []
+    for path in sorted(tmp_path.rglob("*.js")):
+        text = path.read_text(encoding="utf-8")
+        if front_end(text, "m.js", minify=False)[3].module_syntax:
+            continue  # vm.Script compiles scripts only
+        for tok in tokenize(text):
+            if tok.kind == PUNCT and tok.text == ",":
+                mutants.append(text[: tok.start] + text[tok.end :])
+    proc = subprocess.run(
+        [node, "-e", _NODE_COMPILES], input=json.dumps(mutants), capture_output=True, text=True
+    )
+    node_accepts = json.loads(proc.stdout)
+
+    def accepts(text):
+        try:
+            front_end(text, "m.js", minify=True)
+        except FILE_FAILURES:
+            return False
+        return True
+
+    assert len(mutants) > 300 and node_accepts.count(False) > 300
+    wrong = [text for text, ok in zip(mutants, node_accepts) if accepts(text) != ok]
+    assert wrong == []

@@ -671,7 +671,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
         text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
         _text, _root, _tree, expected = pipeline.front_end(text, rel, minify=False)
         got = result["summary"]
-        for field in ("imports", "exports", "export_pairs", "declared_globals", "free_names"):
+        for field in ("imports", "module_syntax", "export_pairs", "declared_globals", "free_names"):
             assert getattr(got, field) == getattr(expected, field), (rel, field)
 
 
@@ -775,3 +775,89 @@ def test_process_file_resolves_each_occurrence_once(tmp_path, monkeypatch):
     assert result["status"] == "ok" and "text" in result
     assert len(trees) == 1 and trees[0].occurrences
     assert calls["resolve"] == len(trees[0].occurrences)
+
+
+# ---- one comma-list production ----
+
+MISSING_COMMA_FILES = {
+    "params.js": "function f(a b) {}\n",
+    "args.js": "f(1 2);\n",
+    "array.js": "var a = [1 2];\n",
+    "object.js": "var o = ({a: 1 b: 2});\n",
+    "import.js": 'import {a b} from "./x.js";\n',
+    "export.js": "var a, b;\nexport {a b};\n",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_missing_commas_copied_verbatim_as_errors(tmp_path, workers):
+    src, out = tmp_path / "src", tmp_path / "out"
+    write_project(src, {**MISSING_COMMA_FILES, "x.js": "export var a = 1, b = 2;\n"})
+    report = obfuscate_project(
+        ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+    )
+    assert sorted(e["file"] for e in report["errors"]) == sorted(MISSING_COMMA_FILES)
+    assert all("expected ','" in e["error"] for e in report["errors"])
+    for rel, text in MISSING_COMMA_FILES.items():
+        assert (out / rel).read_text() == text
+    assert report["files_transformed"] == 1
+
+
+def test_computed_accessors_run_the_same(tmp_path, node):
+    src = (
+        'function main() {\n  var key = "total";\n'
+        "  var store = {items: [1, 2, 3], get [key]() { return this.items.length; },\n"
+        "    set [key](value) { this.items.push(value); }};\n"
+        "  store[key] = 4;\n"
+        "  console.log(store.total, Object.keys(store).join());\n}\nmain();\n"
+    )
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert "store" not in out
+    assert run_node(code=out) == run_node(code=src) == "4 items,total\n"
+
+
+# ---- U+2028 and U+2029 are line terminators ----
+
+def test_line_separators_end_statements_after_obfuscation(tmp_path, node):
+    src = "var a = 1 var b = 2 console.log(a + b)\n"
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert run_node(code=out) == run_node(code=src) == "3\n"
+
+
+def test_line_continuation_at_a_line_separator(tmp_path, node):
+    src = 'var s = "ab\\ cd", t = "ef gh";\nconsole.log(s.length, s, t.length);\n'
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert '"ab' not in out  # the literal is encoded
+    assert run_node(code=out) == run_node(code=src) == "4 abcd 5\n"
+
+
+# ---- `export {}` and `.mjs` make a file a module ----
+
+EMPTY_EXPORT_PROJECT = {
+    "package.json": '{"type": "module"}\n',
+    "a.js": "function helperFunction(value) { return value * 2; }\n"
+    "console.log(helperFunction(21));\nexport {};\n",
+    "b.mjs": "function otherHelper(value) { return value + 1; }\nconsole.log(otherHelper(1));\n",
+    "main.mjs": 'import "./a.js";\nimport "./b.mjs";\n',
+}
+
+
+def test_empty_export_and_mjs_files_are_modules(tmp_path):
+    src = tmp_path / "src"
+    write_project(src, EMPTY_EXPORT_PROJECT)
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        report = obfuscate_project(
+            ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+        )
+        assert report["files_transformed"] == 3 and report["errors"] == []
+        outputs.append(read_tree(out))
+    assert outputs[0] == outputs[1]
+    out = tmp_path / "out1"
+    assert "helperFunction" not in (out / "a.js").read_text()
+    assert "otherHelper" not in (out / "b.mjs").read_text()
+    if NODE is not None:
+        expected = run_node(path=src / "main.mjs", cwd=src)
+        assert expected == "42\n2\n"
+        assert run_node(path=out / "main.mjs", cwd=out) == expected
