@@ -16,7 +16,7 @@ from .minify import minify
 from .patches import Patch, emit
 from .pipeline import ObfuscationConfig, obfuscate_project
 from .renamer import RenameMap, check_safety, cost, pool_name, rename_tree
-from .scopes import Binding, ScopeTree, build_scope_tree
+from .scopes import Binding, ScopeTree
 
 __all__ = [
     "Binding",
@@ -26,7 +26,6 @@ __all__ = [
     "ScopeShieldError",
     "ScopeTree",
     "TestCase",
-    "build_scope_tree",
     "check_safety",
     "cost",
     "cyclomatic_complexity",

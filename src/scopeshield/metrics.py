@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .errors import CompressorFailure, ZeroInput
 from .lexer import tokenize
-from .nodes import walk
-from .parser import parse_ast
+from .parser import parse
 from .pipeline import JS_SUFFIXES
 
 
@@ -28,38 +27,16 @@ def size_inflation(input_bytes, output_bytes):
     return (output_bytes - input_bytes) / input_bytes * 100.0
 
 
-_DECISION_KINDS = frozenset(
-    {"if", "for", "for-in", "for-of", "while", "do-while", "catch", "ternary"}
-)
-_FUNCTION_KINDS = frozenset({"function-decl", "function-expr", "arrow", "method"})
-
-
-def cyclomatic_complexity(root):
+def cyclomatic_complexity(text, file_id="<input>"):
     """1 for the body itself plus 1 per decision point (if, loops, case
-    clauses, catch, ternary, && and ||) plus 1 per nested function.
+    clauses, catch, ternary, && and ||) plus 1 per function, as the parser
+    counts them in the source ``text``.
 
-    Applied to a whole program this equals the sum over all functions plus
-    the module body; applied to a single function node it gives that
-    function's own McCabe number.
+    This equals the sum of every function's McCabe number plus the module
+    body's.
     """
-    total = 1
-    for node in walk(root):
-        kind = node.kind
-        if kind in _FUNCTION_KINDS:
-            if node is not root:
-                total += 1
-        elif kind in _DECISION_KINDS:
-            total += 1
-        elif kind == "case" and node.aux != "default":
-            total += 1
-        elif kind == "logical" and node.name in ("&&", "||"):
-            total += 1
-    return total
-
-
-def complexity_of_source(text, file_id="<input>"):
-    root, _ = parse_ast(tokenize(text, file_id), file_id)
-    return cyclomatic_complexity(root)
+    _tree, _candidates, summary = parse(tokenize(text, file_id), file_id)
+    return 1 + summary.branch_points
 
 
 def bzip2_compressor(data):
@@ -180,6 +157,6 @@ def measure_tree_pair(original_root, obfuscated_root, compressor=lzma_compressor
 
 def _try_complexity(data, file_id):
     try:
-        return complexity_of_source(data.decode("utf-8"), file_id)
+        return cyclomatic_complexity(data.decode("utf-8"), file_id)
     except Exception:
         return None

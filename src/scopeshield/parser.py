@@ -1,5 +1,58 @@
 """Recursive-descent parser for the supported JavaScript subset.
 
+The parser builds no syntax tree. As it reduces each production it records
+the facts the later layers read, and nothing else:
+
+  scopes          through a ``ScopeBuilder``: it enters and leaves scopes,
+                  declares names, records references and marks a scope
+                  dynamic; the builder resolves the occurrences once the
+                  file has parsed, because hoisting needs the whole file
+  candidates      the string literals the string transform may encode and
+                  the ``obj.prop`` accesses the property transform may
+                  rewrite, in pre-order, and the preamble offset
+  summary         imports, exports, ``module_syntax``, the module-level
+                  names and the free names the cross-file analysis reads,
+                  and the branch points of the complexity metric
+
+Spans are half-open offsets into the text the tokens index. Expression
+productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
+is all a parent production reads; statement productions return their end,
+which excludes a semicolon they consumed.
+
+Facts by construct:
+
+  function declaration   name declared in the enclosing scope ("function"),
+                         then a function scope from `function` to `}`
+  function expression    a function scope; its name, if any, declared in
+                         it ("fnexpr")
+  arrow, method          a function scope from the first parameter, or the
+                         method's first token, to the end of the body
+  parameter              declared in the function scope ("param"); its
+                         default is read in that scope
+  var / let / const      `var` declares in the nearest function or module
+                         scope ("var"), let/const in the current one
+                         ("lexical"); each name before its initializer
+  class declaration      name declared in the current scope ("lexical");
+                         a class expression's name binds nothing
+  block                  a block scope only if it directly holds a let,
+                         const, class or function declaration; function
+                         and catch bodies are their own scope's statements
+  for (let / const ...)  a block scope from `for` to the end of the body
+  catch                  a block scope from `catch` to its `}`; the
+                         parameter is declared in it ("catch")
+  import                 each local declared in the module scope ("import")
+  identifier             a reference; style "shorthand" in `{x}` and
+                         "export" for a local of a bare `export {x}`
+  eval(...), Function(...), new Function, with
+                         the current scope is dynamic
+  string literal         a candidate, unless it is an object key, a module
+                         path or a whole expression statement (a directive)
+  a.b                    a candidate, unless the object is `super` or the
+                         access is the operand of `delete`, parenthesized
+                         or not
+  branch points          if, each loop, catch, ?:, a case with a test, &&,
+                         || and every function
+
 Supported: var/let/const, function declarations and expressions, arrows,
 classes with methods/getters/setters, blocks, all common statements,
 template literals with interpolation, import/export with relative string
@@ -13,14 +66,10 @@ Out of subset (raises UnsupportedSyntax so the file is copied through
 verbatim): labeled statements, destructuring, generators, async/await,
 class fields, optional chaining, dynamic import(), computed class member
 names.
-
-The same pass records the imports and exports the cross-file analysis needs.
-Dynamic sites (eval, with, Function constructor) are flagged by the scope
-builder.
 """
 
 from .errors import ParseError, UnsupportedSyntax
-from .nodes import Node
+from .scopes import BLOCK, FUNCTION, ScopeBuilder
 from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
 # binary operator precedence; higher binds tighter
@@ -34,22 +83,34 @@ _BINARY_PREC = {
     "*": 10, "/": 10, "%": 10,
     "**": 11,
 }
-_MODULE_ITEMS = frozenset({"import-decl", "export-decl"})
 # the tokens that may name a property or method
 _PROPERTY_NAME_KINDS = frozenset({IDENT, KEYWORD, STRING, NUMBER})
-_LOGICAL_OPS = frozenset({"&&", "||", "??"})
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "**=", "<<=", ">>=", ">>>=", "&=", "|=", "^=", "&&=", "||=", "??="}
 )
+# the first keyword of a statement that makes its block a scope
+_LEXICAL_STATEMENTS = frozenset({"let", "const", "class", "function"})
+
+# What an expression production tells its parent. _REF through _TARGET are
+# the assignment targets.
+_OTHER = 0
+_REF = 1  # an identifier reference
+_CALLEE = 2  # a reference to eval or Function: a call makes its scope dynamic
+_MEMBER = 3  # a dot access: the last access candidate recorded
+_PAREN_MEMBER = 4  # a parenthesized _MEMBER or _PAREN_MEMBER
+_TARGET = 5  # a computed access, a dot access on super, any parenthesized expression
+_STRING = 6  # a string literal: the last string candidate recorded
+_SUPER = 7
 
 
 class FileSummary:
-    """Per-file facts consumed by the cross-file analysis.
+    """Per-file facts consumed by the cross-file analysis and the metrics.
 
     ``imports`` holds (source path, [imported names]) pairs where a default
     import appears as "default" and a namespace import as "*".
     ``module_syntax`` is True when the file has an import or export
-    declaration.
+    declaration. ``branch_points`` counts the decision points and functions
+    that ``metrics.cyclomatic_complexity`` adds to 1.
     """
 
     __slots__ = (
@@ -59,6 +120,7 @@ class FileSummary:
         "imports",
         "module_syntax",
         "export_pairs",
+        "branch_points",
     )
 
     def __init__(self, file_id):
@@ -68,6 +130,7 @@ class FileSummary:
         self.imports = []
         self.module_syntax = False
         self.export_pairs = []  # (local binding, exported name) for named exports
+        self.branch_points = 0
 
     def __repr__(self):
         return (
@@ -77,45 +140,63 @@ class FileSummary:
         )
 
 
-def parse_ast(tokens, file_id="<input>"):
-    """Parse a ``tokenize`` result into (AST root, partial FileSummary).
+class Candidates:
+    """What the transforms read: ``strings``, the (start, end) spans of the
+    encodable string literals, and ``accesses``, one (start of the access,
+    start of its `.`, end, property name) per rewritable ``obj.prop``, both
+    in pre-order; and ``preamble_offset``, where the preamble goes: after
+    the directive prologue, so an injected declaration cannot demote
+    "use strict"."""
 
-    The summary holds what the parser sees: imports and exports.
-    ``summarize`` adds the facts that need the scope tree.
+    __slots__ = ("strings", "accesses", "preamble_offset")
+
+    def __init__(self, strings, accesses, preamble_offset):
+        self.strings = strings
+        self.accesses = accesses
+        self.preamble_offset = preamble_offset
+
+
+def parse(tokens, file_id="<input>"):
+    """Parse a ``tokenize`` result into (ScopeTree, Candidates, FileSummary).
+
+    The parser appends its end sentinels to ``tokens`` and removes them
+    again; it keeps no reference to the tokens once it returns.
     """
     parser = _Parser(tokens, file_id)
-    root = parser.parse_program()
-    summary = FileSummary(file_id)
-    summary.imports = parser.imports
-    summary.module_syntax = any(stmt.kind in _MODULE_ITEMS for stmt in root.children)
-    summary.export_pairs = parser.export_pairs
-    return root, summary
-
-
-def summarize(summary, tree):
-    """Complete a summary from ``parse_ast`` with the file's scope tree:
-    module-level declarations and the names read free."""
+    try:
+        preamble_offset = parser.parse_program()
+    finally:
+        del tokens[parser.n_toks :]
+    if parser.scopes.catch_redeclared is not None:
+        raise parser.scopes.catch_redeclared
+    tree = parser.scopes.finish()
+    summary = parser.summary
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
     summary.free_names = sorted(tree.globals)
-    return summary
+    # a.b.c records .b before .c; pre-order puts the wider access first
+    parser.accesses.sort(key=lambda access: (access[0], -access[2]))
+    return tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
 # None sentinels after the last token let the cursor read without a bounds
 # check: the deepest lookahead is peek(1), and one more covers a cursor that
 # advanced onto the first sentinel
-_SENTINELS = 3
+_SENTINELS = (None, None, None)
 
 
 class _Parser:
     def __init__(self, tokens, file_id):
         self.file_id = file_id
         self.n_toks = len(tokens)
-        self.toks = tokens + [None] * _SENTINELS
+        tokens.extend(_SENTINELS)
+        self.toks = tokens
         self.i = 0
         self.nl_before = tokens.nl_before
         self.end_offset = len(tokens.text)
-        self.imports = []
-        self.export_pairs = []
+        self.scopes = ScopeBuilder(file_id, self.end_offset)
+        self.summary = FileSummary(file_id)
+        self.strings = []
+        self.accesses = []
 
     # ---- token helpers ----
 
@@ -132,14 +213,20 @@ class _Parser:
         self.i += 1
         return t
 
+    def last_end(self):
+        """The end of the last token consumed."""
+        return self.toks[self.i - 1].end
+
     def expect(self, text):
         if not self.at(text):
             self.error(f"expected {text!r}")
         return self.advance()
 
-    def error(self, message, exc=ParseError):
-        t = self.peek()
-        raise exc(message, self.file_id, t.start if t is not None else self.end_offset)
+    def error(self, message, exc=ParseError, offset=None):
+        if offset is None:
+            t = self.peek()
+            offset = t.start if t is not None else self.end_offset
+        raise exc(message, self.file_id, offset)
 
     def string_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
@@ -188,11 +275,10 @@ class _Parser:
 
     def paren_head(self):
         """Read the ``( expression )`` after if, while, do-while, switch and
-        with; returns the expression."""
+        with."""
         self.expect("(")
-        expr = self.parse_expression()
+        self.parse_expression()
         self.expect(")")
-        return expr
 
     def accessor_role(self):
         """At ``get`` or ``set`` followed by a property name or ``[``:
@@ -209,12 +295,12 @@ class _Parser:
         return None
 
     def module_path(self):
-        """Read a module path string; returns (its token, its value)."""
+        """Read a module path string; returns its value."""
         t = self.peek()
         if t is None or t.kind != STRING:
             self.error("expected module path string")
         self.advance()
-        return t, self.string_value(t)
+        return self.string_value(t)
 
     def newline_before_current(self):
         return self.i in self.nl_before
@@ -233,15 +319,28 @@ class _Parser:
     # ---- program / statements ----
 
     def parse_program(self):
-        stmts = []
+        """Read every statement; returns the preamble offset: the start of
+        the first statement that is not a directive, else the end of the
+        last directive, else 0."""
+        offset = 0
+        prologue = True
         while self.peek() is not None:
+            t = self.peek()
             if self.at("export"):
-                stmts.append(self.parse_export())
+                self.parse_export()
+                self.summary.module_syntax = True
             elif self.at("import") and not self.is_import_expression():
-                stmts.append(self.parse_import())
+                self.parse_import()
+                self.summary.module_syntax = True
             else:
-                stmts.append(self.parse_statement())
-        return Node("program", 0, self.end_offset, children=stmts)
+                end = self.parse_statement()
+                if prologue and t.kind == STRING and end == t.end:
+                    offset = end
+                    continue
+            if prologue:
+                offset = t.start
+                prologue = False
+        return offset
 
     def is_import_expression(self):
         # at `import`: dynamic import() and import.meta are expressions
@@ -249,25 +348,29 @@ class _Parser:
         return nxt is not None and nxt.kind == PUNCT and nxt.text in ("(", ".")
 
     def parse_statement(self):
+        """Read one statement; returns its end, which excludes a `;` it
+        consumed."""
         t = self.peek()
         if t is None:
             self.error("unexpected end of input")
         if t.kind == PUNCT:
             if t.text == "{":
-                return self.parse_block()
+                return self.parse_block(scoped=True)
             if t.text == ";":
-                tok = self.advance()
-                return Node("empty", tok.start, tok.end)
+                return self.advance().end
         if t.kind == KEYWORD:
             text = t.text
             if text in ("var", "let", "const"):
-                node = self.parse_var_decl()
+                self.parse_var_decl()
+                end = self.last_end()
                 self.consume_semicolon()
-                return node
+                return end
             if text == "function":
-                return self.parse_function(decl=True)
+                self.parse_function(decl=True)
+                return self.last_end()
             if text == "class":
-                return self.parse_class(decl=True)
+                self.parse_class(decl=True)
+                return self.last_end()
             if text == "if":
                 return self.parse_if()
             if text == "for":
@@ -293,7 +396,7 @@ class _Parser:
                 ):
                     self.unsupported("labeled break/continue is not supported")
                 self.consume_semicolon()
-                return Node(tok.text, tok.start, tok.end)
+                return tok.end
             if text == "with":
                 return self.parse_with()
             if text == "export" or (text == "import" and not self.is_import_expression()):
@@ -301,72 +404,77 @@ class _Parser:
             if text == "debugger":
                 tok = self.advance()
                 self.consume_semicolon()
-                return Node("other-statement", tok.start, tok.end, name="debugger")
+                return tok.end
         if t.kind == IDENT:
             nxt = self.peek(1)
             if nxt is not None and nxt.kind == PUNCT and nxt.text == ":":
                 self.unsupported("labeled statements are not supported")
-        expr = self.parse_expression()
-        self.consume_semicolon()
-        if expr.kind == "string-lit":
+        if self.parse_expression() == _STRING:
             # directive prologue candidates ("use strict") must stay verbatim
-            expr.aux = "directive"
-        return Node("expr-stmt", expr.start, expr.end, children=[expr])
+            self.strings.pop()
+        end = self.last_end()
+        self.consume_semicolon()
+        return end
 
-    def parse_block(self):
+    def parse_block(self, scoped):
+        """Read ``{ statements }``; returns the end of the `}`. A statement
+        block (``scoped``) is a scope if it directly holds a lexical
+        declaration; a function or catch body is its scope's statements."""
         lbrace = self.expect("{")
-        stmts = []
+        lexical = False
+        if scoped:
+            self.scopes.enter(BLOCK, lbrace.start)
         while not self.at("}"):
-            if self.peek() is None:
+            t = self.peek()
+            if t is None:
                 self.error("unterminated block")
-            stmts.append(self.parse_statement())
-        rbrace = self.expect("}")
-        return Node("block", lbrace.start, rbrace.end, children=stmts)
+            if t.kind == KEYWORD and t.text in _LEXICAL_STATEMENTS:
+                lexical = True
+            self.parse_statement()
+        end = self.advance().end
+        if scoped:
+            self.scopes.leave(end, keep=lexical)
+        return end
 
     def parse_var_decl(self, no_in=False):
+        """Returns the declared names."""
         kw = self.advance()
-        declarators = []
+        scopes = self.scopes
+        names = []
         while True:
             name_tok = self.binding_name("expected identifier in declaration", "declarations")
-            decl = Node(
-                "declarator",
-                name_tok.start,
-                name_tok.end,
-                name=name_tok.text,
-                value=(name_tok.start, name_tok.end),
-            )
+            if kw.text == "var":
+                scopes.declare_var(name_tok)
+            else:
+                scopes.declare(name_tok, "lexical")
+            names.append(name_tok.text)
             if self.at("="):
                 self.advance()
-                init = self.parse_assign(no_in=no_in)
-                decl.children.append(init)
-                decl.end = init.end
-            declarators.append(decl)
+                self.parse_assign(no_in=no_in)
             if self.at(","):
                 self.advance()
                 continue
-            break
-        end = declarators[-1].end
-        return Node("var-decl", kw.start, end, name=kw.text, children=declarators)
+            return names
 
     def parse_function(self, decl):
         """A function declaration (``decl``; its name is required) or
-        expression (name optional)."""
+        expression (name optional); returns the name token or None."""
         kw = self.expect("function")
         if self.at("*"):
             self.unsupported("generator functions are not supported")
         name_tok = self.optional_name(decl, "expected function name")
-        params = self.parse_params()
-        body = self.parse_block()
-        return Node(
-            "function-decl" if decl else "function-expr",
-            kw.start,
-            body.end,
-            name=name_tok and name_tok.text,
-            value=name_tok and (name_tok.start, name_tok.end),
-            children=params + [body],
-        )
+        if decl:
+            self.scopes.declare(name_tok, "function")
+        self.summary.branch_points += 1
+        self.scopes.enter(FUNCTION, kw.start)
+        if name_tok is not None and not decl:
+            self.scopes.declare(name_tok, "fnexpr")
+        self.parse_params()
+        self.scopes.leave(self.parse_block(scoped=False))
+        return name_tok
 
     def parse_params(self):
+        """Returns one flag per parameter: whether it is a rest parameter."""
         return self.delimited("(", ")", self.parse_param)[0]
 
     def parse_param(self):
@@ -375,41 +483,31 @@ class _Parser:
         t = self.binding_name("expected parameter name", "parameters")
         if rest and not self.at(")"):
             self.error("a rest parameter must be the last, with no default or trailing comma")
-        aux = "rest" if rest else None
-        param = Node("param", t.start, t.end, name=t.text, value=(t.start, t.end), aux=aux)
+        self.scopes.declare(t, "param")
         if self.at("="):
             self.advance()
-            default = self.parse_assign()
-            param.children.append(default)
-            param.end = default.end
-        return param
+            self.parse_assign()
+        return bool(rest)
 
     def parse_class(self, decl):
-        kw = self.expect("class")
+        """Returns the name token or None."""
+        self.expect("class")
         name_tok = self.optional_name(decl, "expected class name")
-        children = []
-        has_extends = False
+        if decl:
+            self.scopes.declare(name_tok, "lexical")
         if self.at("extends"):
             self.advance()
             # a LeftHandSideExpression
-            children.append(self.parse_call_member(self.parse_primary()))
-            has_extends = True
+            t = self.peek()
+            self.parse_call_member(self.parse_primary(), t.start)
         self.expect("{")
         while not self.at("}"):
             if self.at(";"):
                 self.advance()
                 continue
-            children.append(self.parse_class_member())
-        rbrace = self.expect("}")
-        return Node(
-            "class" if decl else "class-expr",
-            kw.start,
-            rbrace.end,
-            name=name_tok and name_tok.text,
-            value=name_tok and (name_tok.start, name_tok.end),
-            children=children,
-            aux=has_extends or None,
-        )
+            self.parse_class_member()
+        self.advance()
+        return name_tok
 
     def parse_class_member(self):
         start_tok = self.peek()
@@ -429,130 +527,121 @@ class _Parser:
         self.advance()
         if not self.at("("):
             self.unsupported("class fields are not supported")
-        return self.parse_method(start_tok.start, name_tok.text, role)
+        self.parse_method(start_tok.start, role)
 
-    def parse_method(self, start, name, role):
+    def parse_method(self, start, role):
         """Params and body of a class or object-literal method starting at
-        ``start``; ``name`` is the property name (None when computed)."""
-        params = self.parse_params()
-        body = self.parse_block()
-        return Node("method", start, body.end, name=name, children=params + [body], aux=role)
+        ``start``; ``role`` is "method", "get" or "set"."""
+        self.summary.branch_points += 1
+        self.scopes.enter(FUNCTION, start)
+        self.parse_params()
+        self.scopes.leave(self.parse_block(scoped=False))
 
     def parse_if(self):
-        kw = self.expect("if")
-        cond = self.paren_head()
-        then = self.parse_statement()
-        children = [cond, then]
-        end = then.end
+        self.expect("if")
+        self.summary.branch_points += 1
+        self.paren_head()
+        end = self.parse_statement()
         if self.at("else"):
             self.advance()
-            alt = self.parse_statement()
-            children.append(alt)
-            end = alt.end
-        return Node("if", kw.start, end, children=children)
+            end = self.parse_statement()
+        return end
 
     def parse_for(self):
         kw = self.expect("for")
+        self.summary.branch_points += 1
         self.expect("(")
-        init = None
+        scoped = False
+        t = self.peek()
         if self.at(";"):
             pass
-        elif self.peek() is not None and self.peek().kind == KEYWORD and self.peek().text in (
-            "var",
-            "let",
-            "const",
-        ):
-            init = self.parse_var_decl(no_in=True)
+        elif t is not None and t.kind == KEYWORD and t.text in ("var", "let", "const"):
+            if t.text != "var":
+                scoped = True
+                self.scopes.enter(BLOCK, kw.start)
+            self.parse_var_decl(no_in=True)
         else:
-            init = self.parse_expression(no_in=True)
+            self.parse_expression(no_in=True)
         t = self.peek()
         if t is not None and (t.text == "in" or t.text == "of"):
-            loop_kind = "for-in" if t.text == "in" else "for-of"
             self.advance()
-            iterable = self.parse_assign() if loop_kind == "for-of" else self.parse_expression()
+            if t.text == "of":
+                self.parse_assign()
+            else:
+                self.parse_expression()
             self.expect(")")
-            body = self.parse_statement()
-            return Node(loop_kind, kw.start, body.end, children=[init, iterable, body])
-        self.expect(";")
-        cond = None if self.at(";") else self.parse_expression()
-        self.expect(";")
-        update = None if self.at(")") else self.parse_expression()
-        rparen = self.expect(")")
-        body = self.parse_statement()
-        children = [
-            init if init is not None else Node("empty", kw.end, kw.end),
-            cond if cond is not None else Node("empty", rparen.start, rparen.start),
-            update if update is not None else Node("empty", rparen.start, rparen.start),
-            body,
-        ]
-        return Node("for", kw.start, body.end, children=children)
+        else:
+            self.expect(";")
+            if not self.at(";"):
+                self.parse_expression()
+            self.expect(";")
+            if not self.at(")"):
+                self.parse_expression()
+            self.expect(")")
+        end = self.parse_statement()
+        if scoped:
+            self.scopes.leave(end)
+        return end
 
     def parse_while(self):
-        kw = self.expect("while")
-        cond = self.paren_head()
-        body = self.parse_statement()
-        return Node("while", kw.start, body.end, children=[cond, body])
+        self.expect("while")
+        self.summary.branch_points += 1
+        self.paren_head()
+        return self.parse_statement()
 
     def parse_do_while(self):
-        kw = self.expect("do")
-        body = self.parse_statement()
+        self.expect("do")
+        self.summary.branch_points += 1
+        self.parse_statement()
         self.expect("while")
-        cond = self.paren_head()
-        end = self.toks[self.i - 1].end  # the `)`
+        self.paren_head()
         if self.at(";"):
-            end = self.advance().end
-        return Node("do-while", kw.start, end, children=[body, cond])
+            self.advance()
+        return self.last_end()
 
     def parse_switch(self):
-        kw = self.expect("switch")
-        disc = self.paren_head()
+        self.expect("switch")
+        self.paren_head()
         self.expect("{")
-        cases = []
         while not self.at("}"):
             if not (self.at("case") or self.at("default")):
                 self.error("expected 'case' or 'default'")
-            ck = self.advance()
-            test = [self.parse_expression()] if ck.text == "case" else []
+            if self.advance().text == "case":
+                self.parse_expression()
+                self.summary.branch_points += 1
             self.expect(":")
-            stmts = []
             while not (self.at("case") or self.at("default") or self.at("}")):
                 if self.peek() is None:
                     self.error("unterminated switch body")
-                stmts.append(self.parse_statement())
-            end = stmts[-1].end if stmts else ck.end
-            aux = None if test else "default"
-            cases.append(Node("case", ck.start, end, children=test + stmts, aux=aux))
-        rbrace = self.expect("}")
-        return Node("switch", kw.start, rbrace.end, children=[disc] + cases)
+                self.parse_statement()
+        return self.advance().end
 
     def parse_try(self):
-        kw = self.expect("try")
-        block = self.parse_block()
-        children = [block]
-        end = block.end
+        self.expect("try")
+        end = self.parse_block(scoped=True)
+        handled = False
         if self.at("catch"):
             ck = self.advance()
-            t = None
+            self.summary.branch_points += 1
+            self.scopes.enter(BLOCK, ck.start)
             if self.at("("):
                 self.advance()
                 t = self.binding_name("expected catch parameter name", "catch parameters")
                 self.expect(")")
-            cblock = self.parse_block()
-            name, span = (t.text, (t.start, t.end)) if t else (None, None)
-            catch = Node("catch", ck.start, cblock.end, name=name, value=span, children=[cblock])
-            children.append(catch)
-            end = cblock.end
+                self.scopes.declare(t, "catch")
+            end = self.parse_block(scoped=False)
+            self.scopes.leave(end)
+            handled = True
         if self.at("finally"):
             self.advance()
-            fblock = self.parse_block()
-            children.append(fblock)
-            end = fblock.end
-        if len(children) == 1:
+            end = self.parse_block(scoped=True)
+            handled = True
+        if not handled:
             self.error("try requires catch or finally")
-        return Node("try", kw.start, end, children=children)
+        return end
 
     def parse_return_like(self, kind, require_arg=False):
-        kw = self.advance()
+        self.advance()
         t = self.peek()
         has_arg = not (
             t is None
@@ -561,55 +650,46 @@ class _Parser:
         )
         if require_arg and not has_arg:
             self.error(f"{kind} requires an argument")
-        children = []
-        end = kw.end
         if has_arg:
-            expr = self.parse_expression()
-            children.append(expr)
-            end = expr.end
+            self.parse_expression()
+        end = self.last_end()
         self.consume_semicolon()
-        return Node(kind, kw.start, end, children=children)
+        return end
 
     def parse_with(self):
-        kw = self.expect("with")
-        expr = self.paren_head()
-        body = self.parse_statement()
-        return Node("with", kw.start, body.end, children=[expr, body])
+        self.expect("with")
+        self.scopes.mark_dynamic()
+        self.paren_head()
+        return self.parse_statement()
 
     # ---- modules ----
 
     def parse_import(self):
-        kw = self.expect("import")
-        info = {"source": None, "default": None, "namespace": None, "names": []}
+        self.expect("import")
+        imported = []
         t = self.peek()
         if t is None or t.kind != STRING:
             if not (self.at("*") or self.at("{")):
                 t = self.binding_name("expected import binding")
-                info["default"] = (t.text, (t.start, t.end))
+                self.scopes.declare(t, "import")
+                imported.append("default")
                 if self.at(","):
                     self.advance()
             if self.at("*"):
                 self.advance()
                 self.expect("as")
-                nt = self.binding_name("expected namespace alias")
-                info["namespace"] = (nt.text, (nt.start, nt.end))
+                self.scopes.declare(self.binding_name("expected namespace alias"), "import")
+                imported.append("*")
             elif self.at("{"):
-                info["names"] = self.delimited("{", "}", self.parse_import_specifier)[0]
+                imported.extend(self.delimited("{", "}", self.parse_import_specifier)[0])
             self.expect("from")
-        src, info["source"] = self.module_path()
+        source = self.module_path()
         self.consume_semicolon()
-        imported = []
-        if info["default"] is not None:
-            imported.append("default")
-        if info["namespace"] is not None:
-            imported.append("*")
-        imported.extend(ext for ext, _local, _span in info["names"])
-        self.imports.append((info["source"], imported))
-        return Node("import-decl", kw.start, src.end, value=info)
+        self.summary.imports.append((source, imported))
 
     def parse_import_specifier(self):
-        """``name`` or ``name as local``; returns (imported name, local
-        name, local span)."""
+        """``name`` or ``name as local``; declares the local and returns the
+        imported name."""
         ext = self.peek()
         if ext is None or ext.kind not in (IDENT, KEYWORD, STRING):
             self.error("expected import specifier")
@@ -622,10 +702,11 @@ class _Parser:
             # the imported name is the local binding too
             local_tok = self.binding_name("expected 'as' after import specifier")
         ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
-        return ext_name, local_tok.text, (local_tok.start, local_tok.end)
+        self.scopes.declare(local_tok, "import")
+        return ext_name
 
     def parse_export(self):
-        kw = self.expect("export")
+        self.expect("export")
         t = self.peek()
         if t is None:
             self.error("unterminated export")
@@ -634,40 +715,41 @@ class _Parser:
             if self.at("function") or self.at("class"):
                 # a declaration, so no call or member suffix; an anonymous one binds no name
                 nxt = self.peek(1)
-                named = nxt is not None and nxt.kind == IDENT
-                inner = self.parse_statement() if named else self.parse_primary()
+                if nxt is not None and nxt.kind == IDENT:
+                    self.parse_statement()
+                else:
+                    self.parse_primary()
             else:
-                inner = self.parse_expression()
+                self.parse_expression()
                 self.consume_semicolon()
-            return Node("export-decl", kw.start, inner.end, children=[inner])
+            return
         if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class", "async"):
-            inner = self.parse_statement()  # `async function` is UnsupportedSyntax
-            if inner.kind == "var-decl":
-                names = [decl.name for decl in inner.children]
+            if t.text == "function":
+                names = [self.parse_function(decl=True).text]
+            elif t.text == "class":
+                names = [self.parse_class(decl=True).text]
+            elif t.text == "async":
+                self.unsupported("'async' is not supported")
             else:
-                names = [inner.name]
+                names = self.parse_var_decl()
+                self.consume_semicolon()
             for name in names:
-                self.export_pairs.append((name, name))
-            return Node("export-decl", kw.start, inner.end, children=[inner])
+                self.summary.export_pairs.append((name, name))
+            return
         if t.text == "{":
-            specifiers, rbrace = self.delimited("{", "}", self.parse_export_specifier)
-            end = rbrace.end
-            source = None
+            specifiers = self.delimited("{", "}", self.parse_export_specifier)[0]
             if self.at("from"):
                 self.advance()
-                src, source = self.module_path()
-                self.imports.append((source, [lt.text for lt, _ in specifiers]))
-                end = src.end
+                source = self.module_path()
+                self.summary.imports.append((source, [lt.text for lt, _ in specifiers]))
+                self.consume_semicolon()
+                return
             self.consume_semicolon()
-            node = Node("export-decl", kw.start, end)
             for lt, exported in specifiers:
-                if source is None:
-                    # bare `export {a, b}`: the locals are references to module bindings
-                    self.export_pairs.append((lt.text, exported))
-                    node.children.append(
-                        Node("identifier-ref", lt.start, lt.end, name=lt.text, aux="export")
-                    )
-            return node
+                # bare `export {a, b}`: the locals are references to module bindings
+                self.summary.export_pairs.append((lt.text, exported))
+                self.scopes.reference(lt, "export")
+            return
         self.error("unsupported export form")
 
     def parse_export_specifier(self):
@@ -687,84 +769,84 @@ class _Parser:
             exported = self.string_value(et) if et.kind == STRING else et.text
         return lt, exported
 
-    # ---- expressions ----
+    # ---- expressions: each returns its kind tag ----
 
     def parse_expression(self, no_in=False):
-        expr = self.parse_assign(no_in=no_in)
+        tag = self.parse_assign(no_in=no_in)
         if not self.at(","):
-            return expr
-        exprs = [expr]
+            return tag
         while self.at(","):
             self.advance()
-            exprs.append(self.parse_assign(no_in=no_in))
-        return Node("sequence", exprs[0].start, exprs[-1].end, children=exprs)
+            self.parse_assign(no_in=no_in)
+        return _OTHER
 
     def parse_assign(self, no_in=False):
-        left = self.parse_conditional(no_in=no_in)
-        t = self.peek()
+        tag = self.parse_conditional(no_in=no_in)
+        t = self.toks[self.i]
         if t is not None and t.kind == PUNCT and t.text in _ASSIGN_OPS:
-            if left.kind not in ("identifier-ref", "member-access", "computed-member", "paren"):
+            if not _REF <= tag <= _TARGET:
                 self.error("invalid assignment target")
             self.advance()
-            right = self.parse_assign(no_in=no_in)
-            return Node("assign", left.start, right.end, name=t.text, children=[left, right])
-        return left
+            self.parse_assign(no_in=no_in)
+            return _OTHER
+        return tag
 
     def parse_conditional(self, no_in=False):
-        cond = self.parse_binary(1, no_in=no_in)
+        tag = self.parse_binary(1, no_in=no_in)
         if self.at("?"):
             self.advance()
-            consequent = self.parse_assign()
+            self.summary.branch_points += 1
+            self.parse_assign()
             self.expect(":")
-            alternate = self.parse_assign(no_in=no_in)
-            return Node(
-                "ternary", cond.start, alternate.end, children=[cond, consequent, alternate]
-            )
-        return cond
+            self.parse_assign(no_in=no_in)
+            return _OTHER
+        return tag
 
     def parse_binary(self, min_prec, no_in=False):
-        left = self.parse_unary()
+        tag = self.parse_unary()
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             if t is None:
-                return left
+                return tag
             op = t.text
             if op == "in" and no_in:
-                return left
+                return tag
             if t.kind == PUNCT or (t.kind == KEYWORD and op in ("in", "instanceof")):
                 prec = _BINARY_PREC.get(op)
                 if prec is None or prec < min_prec:
-                    return left
+                    return tag
                 self.advance()
                 if op == "**":
-                    right = self.parse_binary(prec, no_in=no_in)  # right-assoc
+                    self.parse_binary(prec, no_in=no_in)  # right-assoc
                 else:
-                    right = self.parse_binary(prec + 1, no_in=no_in)
-                kind = "logical" if op in _LOGICAL_OPS else "binary"
-                left = Node(kind, left.start, right.end, name=op, children=[left, right])
+                    self.parse_binary(prec + 1, no_in=no_in)
+                if op == "&&" or op == "||":
+                    self.summary.branch_points += 1
+                tag = _OTHER
                 continue
-            return left
+            return tag
 
     def parse_unary(self):
-        t = self.peek()
+        t = self.toks[self.i]
         if t is not None and (
             (t.kind == PUNCT and t.text in ("!", "~", "+", "-"))
             or (t.kind == KEYWORD and t.text in ("typeof", "void", "delete"))
         ):
             self.advance()
-            operand = self.parse_unary()
-            return Node("unary", t.start, operand.end, name=t.text, children=[operand])
+            tag = self.parse_unary()
+            if t.text == "delete" and (tag == _MEMBER or tag == _PAREN_MEMBER):
+                self.accesses.pop()  # deleting obj[v] would delete the wrong name
+            return _OTHER
         if t is not None and t.kind == PUNCT and t.text in ("++", "--"):
             self.advance()
-            operand = self.parse_unary()
-            return Node(
-                "update", t.start, operand.end, name=t.text, children=[operand], aux="prefix"
-            )
+            self.parse_unary()
+            return _OTHER
         return self.parse_postfix()
 
     def parse_postfix(self):
-        expr = self.parse_call_member(self.parse_primary())
-        t = self.peek()
+        t = self.toks[self.i]
+        tag = self.parse_call_member(self.parse_primary(), t.start)
+        t = self.toks[self.i]
         if (
             t is not None
             and t.kind == PUNCT
@@ -772,94 +854,92 @@ class _Parser:
             and not self.newline_before_current()
         ):
             self.advance()
-            return Node("update", expr.start, t.end, name=t.text, children=[expr], aux="postfix")
-        return expr
+            return _OTHER
+        return tag
 
-    def parse_call_member(self, expr, allow_call=True):
+    def parse_call_member(self, tag, start, allow_call=True):
+        """The member, call and tagged-template suffixes of the expression
+        with kind ``tag`` that starts at ``start``."""
         while True:
-            t = self.peek()
+            t = self.toks[self.i]
             if t is None:
-                return expr
+                return tag
             if t.kind == PUNCT and t.text == "?.":
                 self.unsupported("optional chaining is not supported")
             if t.kind == PUNCT and t.text == ".":
                 dot = self.advance()
-                prop = self.peek()
+                prop = self.toks[self.i]
                 if prop is None or prop.kind not in (IDENT, KEYWORD):
                     self.error("expected property name")
                 self.advance()
-                expr = Node(
-                    "member-access",
-                    expr.start,
-                    prop.end,
-                    name=prop.text,
-                    value=(dot.start, prop.end),
-                    children=[expr],
-                )
+                if tag == _SUPER:
+                    tag = _TARGET
+                else:
+                    self.accesses.append((start, dot.start, prop.end, prop.text))
+                    tag = _MEMBER
                 continue
             if t.kind == PUNCT and t.text == "[":
                 self.advance()
-                index = self.parse_expression()
-                rb = self.expect("]")
-                expr = Node("computed-member", expr.start, rb.end, children=[expr, index])
+                self.parse_expression()
+                self.expect("]")
+                tag = _TARGET
                 continue
             if allow_call and t.kind == PUNCT and t.text == "(":
-                args, rp = self.parse_arguments()
-                expr = Node("call", expr.start, rp.end, children=[expr] + args)
+                if tag == _CALLEE:
+                    self.scopes.mark_dynamic()
+                self.parse_arguments()
+                tag = _OTHER
                 continue
             if t.kind == TEMPLATE and t.text.startswith("`"):
-                tpl = self.parse_template()
-                expr = Node("tagged-template", expr.start, tpl.end, children=[expr, tpl])
+                self.parse_template()
+                tag = _OTHER
                 continue
-            return expr
+            return tag
 
     def parse_arguments(self):
-        """The arguments of a call or ``new``; returns (them, the `)`)."""
-        return self.delimited("(", ")", self.parse_element)
+        """The arguments of a call or ``new``."""
+        self.delimited("(", ")", self.parse_element)
 
     def parse_element(self):
         """An argument or array element: an expression or a ``...`` spread."""
         if self.at("..."):
-            s = self.advance()
-            expr = self.parse_assign()
-            return Node("spread", s.start, expr.end, children=[expr])
-        return self.parse_assign()
+            self.advance()
+        self.parse_assign()
 
     def parse_primary(self):
-        t = self.peek()
+        t = self.toks[self.i]
         if t is None:
             self.error("unexpected end of input")
         if t.kind == IDENT:
-            nxt = self.peek(1)
+            nxt = self.toks[self.i + 1]
             if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>":
-                return self.parse_arrow([self.parse_param()])
+                return self.parse_arrow(single=True)
             self.advance()
-            return Node("identifier-ref", t.start, t.end, name=t.text)
-        if t.kind == NUMBER:
+            self.scopes.reference(t)
+            return _CALLEE if t.text == "eval" or t.text == "Function" else _REF
+        if t.kind == NUMBER or t.kind == REGEX:
             self.advance()
-            return Node("num-lit", t.start, t.end)
+            return _OTHER
         if t.kind == STRING:
             self.advance()
-            return Node("string-lit", t.start, t.end)
-        if t.kind == REGEX:
-            self.advance()
-            return Node("regex-lit", t.start, t.end)
+            self.strings.append((t.start, t.end))
+            return _STRING
         if t.kind == TEMPLATE:
-            return self.parse_template()
+            self.parse_template()
+            return _OTHER
         if t.kind == KEYWORD:
-            if t.text in ("true", "false", "null"):
+            if t.text in ("true", "false", "null", "this"):
                 self.advance()
-                return Node("literal", t.start, t.end, name=t.text)
-            if t.text == "this":
-                self.advance()
-                return Node("this", t.start, t.end)
+                return _OTHER
             if t.text == "super":
                 self.advance()
-                return Node("super", t.start, t.end)
+                return _SUPER
             if t.text == "function":
-                return self.parse_function(decl=False)
+                self.parse_function(decl=False)
+                return _OTHER
             if t.text == "class":
-                return self.parse_class(decl=False)
+                self.parse_class(decl=False)
+                return _OTHER
             if t.text == "new":
                 return self.parse_new()
             if t.text in ("async", "await", "yield"):
@@ -873,15 +953,17 @@ class _Parser:
         if t.kind == PUNCT:
             if t.text == "(":
                 if self.is_arrow_ahead():
-                    return self.parse_arrow(None)
-                lp = self.advance()
-                inner = self.parse_expression()
-                rp = self.expect(")")
-                return Node("paren", lp.start, rp.end, children=[inner])
+                    return self.parse_arrow(single=False)
+                self.advance()
+                tag = self.parse_expression()
+                self.expect(")")
+                return _PAREN_MEMBER if tag == _MEMBER or tag == _PAREN_MEMBER else _TARGET
             if t.text == "[":
-                return self.parse_array()
+                self.delimited("[", "]", self.parse_array_element)
+                return _OTHER
             if t.text == "{":
-                return self.parse_object()
+                self.delimited("{", "}", self.parse_property)
+                return _OTHER
         self.error(f"unexpected token {t.text!r}")
 
     def is_arrow_ahead(self):
@@ -902,63 +984,51 @@ class _Parser:
             j += 1
         return False
 
-    def parse_arrow(self, params):
-        start = self.peek().start if params is None else params[0].start
-        if params is None:
-            params = self.parse_params()
+    def parse_arrow(self, single):
+        """An arrow function whose parameter list is one identifier
+        (``single``) or parenthesized."""
+        self.summary.branch_points += 1
+        self.scopes.enter(FUNCTION, self.peek().start)
+        if single:
+            self.parse_param()
+        else:
+            self.parse_params()
         self.expect("=>")
         if self.at("{"):
-            body = self.parse_block()
-            aux = None
+            self.parse_block(scoped=False)
         else:
-            body = self.parse_assign()
-            aux = "expr"
-        return Node("arrow", start, body.end, children=params + [body], aux=aux)
+            self.parse_assign()
+        self.scopes.leave(self.last_end())
+        return _OTHER
 
     def parse_new(self):
         kw = self.expect("new")
         if self.at("."):
             self.unsupported("new.target is not supported")
-        callee = self.parse_call_member(self.parse_primary(), allow_call=False)
-        args = []
-        end = callee.end
+        t = self.peek()
+        if self.parse_call_member(self.parse_primary(), t.start, allow_call=False) == _CALLEE:
+            self.scopes.mark_dynamic()
         if self.at("("):
-            args, rp = self.parse_arguments()
-            end = rp.end
-        return self.parse_call_member(Node("new", kw.start, end, children=[callee] + args))
+            self.parse_arguments()
+        return self.parse_call_member(_OTHER, kw.start)
 
     def parse_template(self):
         first = self.advance()
-        node = Node("template", first.start, first.end)
         if first.text.endswith("`") and len(first.text) >= 2:
-            return node
+            return
         # chunk ends with "${": expressions follow until a chunk closes with `
         while True:
-            expr = self.parse_expression()
-            node.children.append(expr)
+            self.parse_expression()
             t = self.peek()
             if t is None or t.kind != TEMPLATE:
                 self.error("unterminated template literal")
             self.advance()
             if t.text.endswith("`"):
-                node.end = t.end
-                return node
-
-    def parse_array(self):
-        start = self.peek().start
-        elements, rb = self.delimited("[", "]", self.parse_array_element)
-        return Node("array", start, rb.end, children=elements)
+                return
 
     def parse_array_element(self):
-        if self.at(","):  # a hole: an empty node at its comma
-            t = self.peek()
-            return Node("empty", t.start, t.start)
-        return self.parse_element()
-
-    def parse_object(self):
-        start = self.peek().start
-        props, rb = self.delimited("{", "}", self.parse_property)
-        return Node("object", start, rb.end, children=props)
+        if not self.at(","):  # else a hole
+            self.parse_element()
 
     def parse_property(self):
         t = self.peek()
@@ -966,43 +1036,34 @@ class _Parser:
             self.error("unterminated object literal")
         if t.kind == PUNCT and t.text == "...":
             self.advance()
-            expr = self.parse_assign()
-            return Node("property", t.start, expr.end, children=[expr], aux="spread")
+            self.parse_assign()
+            return
         role = self.accessor_role()
         if role is not None:
             t = self.peek()
         if t.kind == PUNCT and t.text == "[":
             self.advance()
-            key_expr = self.parse_assign()
+            self.parse_assign()
             self.expect("]")
             if role is not None or self.at("("):
-                value = self.parse_method(t.start, None, role or "method")
+                self.parse_method(t.start, role or "method")
             else:
                 self.expect(":")
-                value = self.parse_assign()
-            return Node("property", t.start, value.end, children=[key_expr, value], aux="computed")
+                self.parse_assign()
+            return
         if t.kind not in _PROPERTY_NAME_KINDS:
             self.error("expected property key")
-        self.advance()
-        key = []
-        if t.kind == STRING:
-            key = [Node("string-lit", t.start, t.end, aux="key")]
-        elif t.kind == NUMBER:
-            key = [Node("num-lit", t.start, t.end, aux="key")]
+        self.advance()  # a key, never a string candidate
         if role is not None or self.at("("):
-            role = role or "method"
-            value = self.parse_method(t.start, t.text, role)
+            self.parse_method(t.start, role or "method")
         elif self.at(":"):
             self.advance()
-            role = "init"
-            value = self.parse_assign()
+            self.parse_assign()
         else:
             # shorthand { name }
             if t.kind != IDENT:
                 self.error("expected ':' after property key")
-            role = "shorthand"
-            value = Node("identifier-ref", t.start, t.end, name=t.text, aux="shorthand")
-        return Node("property", t.start, value.end, name=t.text, children=key + [value], aux=role)
+            self.scopes.reference(t, "shorthand")
 
 
 _SIMPLE_ESCAPES = {

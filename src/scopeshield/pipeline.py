@@ -4,9 +4,9 @@ One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
 own summary (``depgraph.frozen_names``). Each file task lexes and minifies
 its file in one pass, which yields the significant tokens the parser reads,
-parses and scopes it once, takes its summary from that same tree, then
-renames, transforms (both transforms take their candidates from one AST
-walk) and emits it. On a process pool the largest-first file list goes out
+and parses it once: the parser builds no syntax tree but the file's facts,
+its scope tree, its transform candidates and its summary. The task then
+renames, transforms and emits it. On a process pool the largest-first file list goes out
 in consecutive chunks, one task each and about ``TASKS_PER_WORKER`` tasks
 per worker, so that many small files do not cost the parent one future
 each. Outputs are written as they arrive and no text is
@@ -16,9 +16,9 @@ order. Once every summary is in, the unresolved imports are reported.
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
 collector is paused while a file is processed and restored to its prior
-state afterwards: ASTs and scope trees are acyclic and freed by reference
-counting, while collections triggered mid-file would rescan a heap that
-grows with the file.
+state afterwards: scope trees are acyclic and freed by reference counting,
+while collections triggered mid-file would rescan a heap that grows with
+the file.
 """
 
 import gc
@@ -35,11 +35,11 @@ from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .lexer import tokenize
-from .parser import parse_ast, summarize
+from .parser import parse
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
-from .scopes import build_scope_tree, format_scope_report
-from .transforms import collect_candidates, encode_strings, rewrite_property_access
+from .scopes import format_scope_report
+from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
 
@@ -132,25 +132,14 @@ def _file_key(rel_path):
     return zlib.crc32(f"{rel_path}:0".encode("utf-8")) & 0xFF
 
 
-def preamble_offset(root):
-    """Where the file's preamble goes: after any directive prologue, so an
-    injected declaration cannot demote "use strict"."""
-    offset = 0
-    for stmt in root.children:
-        if stmt.kind == "expr-stmt" and stmt.children and stmt.children[0].kind == "string-lit":
-            offset = stmt.end
-            continue
-        return max(offset, stmt.start) if offset else stmt.start
-    return offset
-
-
 def front_end(text, rel_path, minify):
-    """Lex (and, with ``minify``, minify), parse and scope one file.
+    """Lex (and, with ``minify``, minify) and parse one file.
 
-    Returns (the text the spans refer to, AST root, ScopeTree, FileSummary);
-    that text is the minified one when ``minify`` is set, else ``text``.
-    A ParseError (UnsupportedSyntax included) always gives an offset into
-    ``text`` as read, so it reads the same with and without ``minify``.
+    Returns (the text the spans refer to, ScopeTree, Candidates,
+    FileSummary); that text is the minified one when ``minify`` is set, else
+    ``text``. No token outlives the parse. A ParseError (UnsupportedSyntax
+    included) always gives an offset into ``text`` as read, so it reads the
+    same with and without ``minify``.
     """
     try:
         return _front_end(text, rel_path, minify)
@@ -164,11 +153,8 @@ def front_end(text, rel_path, minify):
 
 def _front_end(text, rel_path, minify):
     tokens = tokenize(text, rel_path, minify)
-    root, summary = parse_ast(tokens, rel_path)
     spans_text = tokens.text
-    del tokens  # no token list outlives the parse
-    tree = build_scope_tree(root, rel_path)
-    return spans_text, root, tree, summarize(summary, tree)
+    return (spans_text, *parse(tokens, rel_path))
 
 
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
@@ -187,7 +173,7 @@ def process_file(config, allowlist, rel_path):
     try:
         text = (Path(config.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
-        mtext, root, tree, summary = front_end(text, rel_path, config.minify)
+        mtext, tree, candidates, summary = front_end(text, rel_path, config.minify)
         result["summary"] = summary
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
@@ -208,7 +194,9 @@ def process_file(config, allowlist, rel_path):
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        if root.children and (config.encode_strings or config.rewrite_properties):
+        if (candidates.strings or candidates.accesses) and (
+            config.encode_strings or config.rewrite_properties
+        ):
             used = set(allowlist)
             for occ in tree.occurrences:
                 used.add(rmap.name_or_original(occ.binding))
@@ -216,11 +204,10 @@ def process_file(config, allowlist, rel_path):
             fresh = name_sequence(frozenset(used))
             in_dynamic_region = tree.dynamic_region()
             preamble = ""
-            strings, accesses = collect_candidates(root)
             # slot names are drawn before the string-table names
             if config.rewrite_properties:
                 prop_patches, prop_pre, _slots = rewrite_property_access(
-                    fresh, in_dynamic_region, accesses
+                    fresh, in_dynamic_region, candidates.accesses
                 )
                 patches.extend(prop_patches)
                 preamble += prop_pre
@@ -230,13 +217,13 @@ def process_file(config, allowlist, rel_path):
                     fresh,
                     in_dynamic_region,
                     mtext,
-                    strings,
+                    candidates.strings,
                     instrument=config.instrument_decode,
                 )
                 patches.extend(str_patches)
                 preamble += str_pre
             if preamble:
-                offset = preamble_offset(root)
+                offset = candidates.preamble_offset
                 patches.append(Patch(offset, offset, preamble + "\n"))
         phases["transform"] = (time.perf_counter() - t0) * 1000.0
 

@@ -1,6 +1,8 @@
 """Lexical scope analysis: scope tree construction and identifier resolution.
 
-Each file gets its own tree rooted at a module scope. Names that resolve past
+The parser builds each file's tree as it reads, through a ``ScopeBuilder``;
+no syntax tree is walked. Each file gets its own tree rooted at a module
+scope. Names that resolve past
 the module root belong to the (implicit, program-wide) global scope; the tree
 keeps one Binding with ``scope_id == GLOBAL_SCOPE`` for each such name.
 
@@ -239,175 +241,137 @@ class ScopeTree:
             sid = found
 
 
-def build_scope_tree(root, file_id):
-    """Walk an AST into a ScopeTree with declarations, occurrences and
-    dynamic flags, then resolve each occurrence once."""
-    tree = ScopeTree(file_id)
-    module = tree.new_scope(MODULE, None, root.start, root.end)
-    builder = _Builder(tree)
-    for stmt in root.children:
-        builder.walk(stmt, module.id, module.id)
-    tree.resolve_occurrences()
-    return tree
+class ScopeBuilder:
+    """Builds a file's ScopeTree from the parser's calls, in source order.
 
+    The parser enters and leaves scopes, declares names (a ``var`` into the
+    nearest function or module scope, everything else into the current
+    scope), records references and marks the current scope dynamic.
+    ``finish`` then resolves every occurrence once, as hoisting needs.
 
-class _Builder:
-    def __init__(self, tree):
-        self.tree = tree
+    A statement block is entered like any scope, because whether it directly
+    holds a lexical declaration is known only at its `}`. Leaving it with
+    ``keep=False`` elides it: its child scopes, dynamic flag and
+    declarations (a lexical one nested in a bare `if` or `case` body) go to
+    its parent, and ``finish`` renumbers the remaining scopes in pre-order
+    and moves the occurrences read in it to the parent.
+    """
+
+    def __init__(self, file_id, end):
+        self.file_id = file_id
+        self.tree = ScopeTree(file_id)
+        self.nodes = self.tree.nodes
+        self.occurrences = self.tree.occurrences
+        self.scope = self.function = self.tree.new_scope(MODULE, None, 0, end)
+        self.outer = []  # (scope, function scope) of each scope entered
         self.order = 0
+        self.elided = False
+        # an elision dropped a later declaration of a name its parent holds,
+        # so the orders skip numbers the parent's walk order never used
+        self.renumber = False
+        # the first `var` that redeclares a catch parameter; raised by the
+        # parser only once the whole file has parsed
+        self.catch_redeclared = None
 
-    def declare(self, scope_id, name, span, category):
-        decls = self.tree.nodes[scope_id].declarations
+    def enter(self, kind, start):
+        self.outer.append((self.scope, self.function))
+        self.scope = self.tree.new_scope(kind, self.scope.id, start, start)
+        if kind == FUNCTION:
+            self.function = self.scope
+
+    def leave(self, end, keep=True):
+        node = self.scope
+        node.end = end
+        self.scope, self.function = self.outer.pop()
+        if not keep:
+            self._elide(node)
+
+    def _elide(self, node):
+        parent = self.scope  # the node is the last child entered in it
+        parent.children.pop()
+        parent.children.extend(node.children)
+        for child in node.children:
+            self.nodes[child].parent = parent.id
+        if node.is_dynamic:
+            parent.is_dynamic = True
+        decls = parent.declarations
+        for name, binding in node.declarations.items():
+            kept = decls.get(name)
+            if kept is not None:
+                self.renumber = True
+                if kept.order < binding.order:
+                    continue
+            binding.scope_id = parent.id
+            decls[name] = binding
+        node.kind = None
+        self.elided = True
+
+    def declare(self, tok, category):
+        self._declare(self.scope, tok, category)
+
+    def declare_var(self, tok):
+        """A ``var`` name binds in the function scope. `catch (e) { var e }`
+        writes the catch binding, not the hoisted var; renaming the two apart
+        would change behavior, so such a file takes the verbatim-copy
+        path."""
+        if self.catch_redeclared is None:
+            node = self.scope
+            while node is not self.function:
+                existing = node.declarations.get(tok.text)
+                if existing is not None and existing.category == "catch":
+                    self.catch_redeclared = UnsupportedSyntax(
+                        f"var {tok.text!r} redeclares a catch parameter", self.file_id, tok.start
+                    )
+                    break
+                node = self.nodes[node.parent]
+        self._declare(self.function, tok, "var")
+
+    def _declare(self, node, tok, category):
+        name = tok.text
+        decls = node.declarations
         if name not in decls:
             self.order += 1
-            decls[name] = Binding(self.tree.file_id, scope_id, name, span, category, self.order)
-        self.tree.occurrences.append(Occurrence(name, span[0], span[1], scope_id, "decl"))
+            decls[name] = Binding(
+                self.file_id, node.id, name, (tok.start, tok.end), category, self.order
+            )
+        self.occurrences.append(Occurrence(name, tok.start, tok.end, node.id, "decl"))
 
-    def reference(self, scope_id, name, start, end, style=None):
-        self.tree.occurrences.append(Occurrence(name, start, end, scope_id, style))
+    def reference(self, tok, style=None):
+        self.occurrences.append(Occurrence(tok.text, tok.start, tok.end, self.scope.id, style))
 
-    def mark_dynamic(self, scope_id):
+    def mark_dynamic(self):
         # direct presence only; freezing walks ancestors separately
-        self.tree.nodes[scope_id].is_dynamic = True
+        self.scope.is_dynamic = True
 
-    def reject_catch_param_rebinding(self, decl, scope_id, fn_scope_id):
-        """`catch (e) { var e = 1 }` writes the catch binding, not the
-        hoisted var; renaming the two apart would change behavior, so the
-        file takes the verbatim-copy path."""
-        sid = scope_id
-        while sid is not None and sid != fn_scope_id:
-            existing = self.tree.nodes[sid].declarations.get(decl.name)
-            if existing is not None and existing.category == "catch":
-                raise UnsupportedSyntax(
-                    f"var {decl.name!r} redeclares a catch parameter",
-                    self.tree.file_id,
-                    decl.value[0],
-                )
-            sid = self.tree.nodes[sid].parent
-
-    def block_needs_scope(self, stmts):
-        for stmt in stmts:
-            if stmt.kind == "var-decl" and stmt.name in ("let", "const"):
-                return True
-            if stmt.kind in ("class", "function-decl"):
-                return True
-        return False
-
-    def walk_function(self, node, parent_scope, params_and_body, name_in_own_scope=None):
-        scope = self.tree.new_scope(FUNCTION, parent_scope, node.start, node.end)
-        sid = scope.id
-        if name_in_own_scope is not None:
-            self.declare(sid, name_in_own_scope, node.value, "fnexpr")
-        *params, body = params_and_body
-        for p in params:
-            self.declare(sid, p.name, p.value, "param")
-            for default in p.children:
-                self.walk(default, sid, sid)
-        if body.kind == "block":
-            for stmt in body.children:
-                self.walk(stmt, sid, sid)
-        else:
-            self.walk(body, sid, sid)
-
-    def walk(self, node, scope_id, fn_scope_id):
-        kind = node.kind
-
-        if kind == "identifier-ref":
-            self.reference(scope_id, node.name, node.start, node.end, node.aux)
-            return
-
-        if kind == "var-decl":
-            target = fn_scope_id if node.name == "var" else scope_id
-            category = "var" if node.name == "var" else "lexical"
-            for decl in node.children:
-                if node.name == "var":
-                    self.reject_catch_param_rebinding(decl, scope_id, target)
-                self.declare(target, decl.name, decl.value, category)
-                for init in decl.children:
-                    self.walk(init, scope_id, fn_scope_id)
-            return
-
-        if kind == "function-decl":
-            self.declare(scope_id, node.name, node.value, "function")
-            self.walk_function(node, scope_id, node.children)
-            return
-
-        if kind == "function-expr":
-            self.walk_function(node, scope_id, node.children, name_in_own_scope=node.name)
-            return
-
-        if kind == "arrow" or kind == "method":
-            self.walk_function(node, scope_id, node.children)
-            return
-
-        if kind == "class" or kind == "class-expr":
-            if kind == "class" and node.name is not None:
-                self.declare(scope_id, node.name, node.value, "lexical")
-            children = node.children
-            if node.aux and children:
-                self.walk(children[0], scope_id, fn_scope_id)
-                children = children[1:]
-            for member in children:
-                self.walk(member, scope_id, fn_scope_id)
-            return
-
-        if kind == "block":
-            if self.block_needs_scope(node.children):
-                scope = self.tree.new_scope(BLOCK, scope_id, node.start, node.end)
-                inner = scope.id
-            else:
-                inner = scope_id
-            for stmt in node.children:
-                self.walk(stmt, inner, fn_scope_id)
-            return
-
-        if kind in ("for", "for-in", "for-of"):
-            head = node.children[0]
-            if head.kind == "var-decl" and head.name in ("let", "const"):
-                scope = self.tree.new_scope(BLOCK, scope_id, node.start, node.end)
-                inner = scope.id
-            else:
-                inner = scope_id
-            for child in node.children:
-                self.walk(child, inner, fn_scope_id)
-            return
-
-        if kind == "catch":
-            scope = self.tree.new_scope(BLOCK, scope_id, node.start, node.end)
-            if node.name is not None:
-                self.declare(scope.id, node.name, node.value, "catch")
-            for stmt in node.children[0].children:
-                self.walk(stmt, scope.id, fn_scope_id)
-            return
-
-        if kind == "import-decl":
-            info = node.value
-            if info["default"] is not None:
-                name, span = info["default"]
-                self.declare(scope_id, name, span, "import")
-            if info["namespace"] is not None:
-                name, span = info["namespace"]
-                self.declare(scope_id, name, span, "import")
-            for _ext, local, span in info["names"]:
-                self.declare(scope_id, local, span, "import")
-            return
-
-        if kind == "with":
-            self.mark_dynamic(scope_id)
-            for child in node.children:
-                self.walk(child, scope_id, fn_scope_id)
-            return
-
-        if kind == "call" or kind == "new":
-            callee = node.children[0]
-            if callee.kind == "identifier-ref" and callee.name in ("eval", "Function"):
-                self.mark_dynamic(scope_id)
-            for child in node.children:
-                self.walk(child, scope_id, fn_scope_id)
-            return
-
-        for child in node.children:
-            self.walk(child, scope_id, fn_scope_id)
+    def finish(self):
+        """The tree, with elided blocks gone and every occurrence resolved."""
+        nodes = self.nodes
+        if self.elided:
+            remap = []  # scope id at entry -> id in the tree
+            kept = []
+            for node in nodes:
+                if node.kind is None:
+                    remap.append(remap[node.parent])
+                else:
+                    remap.append(len(kept))
+                    kept.append(node)
+            for node in kept:
+                node.id = remap[node.id]
+                if node.parent is not None:
+                    node.parent = remap[node.parent]
+                node.children = [remap[child] for child in node.children]
+                for binding in node.declarations.values():
+                    binding.scope_id = node.id
+            nodes[:] = kept
+            for occ in self.occurrences:
+                occ.scope_id = remap[occ.scope_id]
+        if self.renumber:
+            bindings = [b for node in nodes for b in node.declarations.values()]
+            bindings.sort(key=lambda b: b.order)
+            for order, binding in enumerate(bindings, 1):
+                binding.order = order
+        self.tree.resolve_occurrences()
+        return self.tree
 
 
 def format_scope_report(tree):

@@ -81,45 +81,9 @@ def decoder_preamble(table, key, names, instrument=False):
     return body + _DECODER_JS.format(X=x, K=key)
 
 
-def collect_candidates(root):
-    """The file's transform candidates, from one pre-order walk: (encodable
-    string-literal nodes, dot member accesses eligible for slot rewriting).
-
-    Object keys, module paths and directive-position strings are excluded
-    by the parser's aux marks; so are accesses on ``super`` and the target
-    of a ``delete``, parenthesized or not, which the walk reaches after the
-    ``delete`` itself.
-    """
-    strings = []
-    accesses = []
-    deleted = set()  # ids of member accesses that a `delete` targets
-    stack = [root]
-    pop = stack.pop
-    push = stack.extend
-    while stack:
-        node = pop()
-        kind = node.kind
-        if kind == "string-lit":
-            if node.aux is None:
-                strings.append(node)
-            continue
-        if kind == "member-access":
-            if node.children[0].kind != "super" and id(node) not in deleted:
-                accesses.append(node)
-        elif kind == "unary" and node.name == "delete":
-            target = node.children[0]
-            while target.kind == "paren":
-                target = target.children[0]
-            if target.kind == "member-access":
-                deleted.add(id(target))
-        if node.children:
-            push(reversed(node.children))
-    return strings, accesses
-
-
 def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, instrument=False):
     """Encode the file's eligible string literals, ``candidates`` (the
-    strings of ``collect_candidates``), into one table.
+    (start, end) spans of ``Candidates.strings``), into one table.
 
     Returns (patches, preamble text, the table's payloads or None).
     Literals shorter than 2 characters, literals with malformed or legacy
@@ -130,8 +94,8 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
     index_of = {}
     patches = []
     picked = []
-    for node in candidates:
-        raw = source[node.start : node.end]
+    for start, end in candidates:
+        raw = source[start:end]
         try:
             value = _string_value(raw)
         except ValueError:
@@ -142,16 +106,16 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
             value.encode("utf-8")
         except UnicodeEncodeError:
             continue
-        if in_dynamic_region(node.start):
+        if in_dynamic_region(start):
             continue
-        picked.append((node, value))
+        picked.append((start, end, value))
     if not picked:
         return [], "", None
 
     names = (next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names))
     decoder = names[3]  # names: table, guard, cache, decoder, transform
     calls = []  # table index -> decoder call text
-    for node, value in picked:
+    for start, end, value in picked:
         idx = index_of.get(value)
         if idx is None:
             idx = len(table)
@@ -161,16 +125,17 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
         call = calls[idx]
         # a quote needs no separator from a preceding keyword (return"x"),
         # but the decoder call does
-        if node.start > 0 and (source[node.start - 1].isalnum() or source[node.start - 1] in "_$"):
+        if start > 0 and (source[start - 1].isalnum() or source[start - 1] in "_$"):
             call = " " + call
-        patches.append(Patch(node.start, node.end, call))
+        patches.append(Patch(start, end, call))
     preamble = decoder_preamble(table, key, names, instrument)
     return patches, preamble, table
 
 
 def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
     """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (the
-    accesses of ``collect_candidates``), to ``obj[v]``.
+    (start, `.` start, end, property name) tuples of
+    ``Candidates.accesses``), to ``obj[v]``.
 
     Returns (patches, preamble text, [(slot var, property name)] sorted by
     slot var); one slot per distinct property name in the file, declared by
@@ -179,16 +144,15 @@ def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
     access_text = {}  # property name -> "[slot var]"
     slots = []
     patches = []
-    for node in candidates:
-        if in_dynamic_region(node.start):
+    for start, dot, end, name in candidates:
+        if in_dynamic_region(start):
             continue
-        text = access_text.get(node.name)
+        text = access_text.get(name)
         if text is None:
             var = next(fresh_names)
-            slots.append((var, node.name))
-            text = access_text[node.name] = f"[{var}]"
-        span = node.value
-        patches.append(Patch(span[0], span[1], text))
+            slots.append((var, name))
+            text = access_text[name] = f"[{var}]"
+        patches.append(Patch(dot, end, text))
     if not slots:
         return [], "", []
     slots.sort()

@@ -17,10 +17,8 @@ import pytest
 from scopeshield.equivalence import TestCase, run_differential
 from scopeshield.metrics import lzma_compressor, measure_tree_pair, nid
 from scopeshield.minify import minify
-from scopeshield.lexer import tokenize
-from scopeshield.parser import parse_ast
 from scopeshield.patches import emit
-from scopeshield.pipeline import ObfuscationConfig, obfuscate_project
+from scopeshield.pipeline import ObfuscationConfig, front_end, obfuscate_project
 from scopeshield.renamer import (
     RenameMap,
     check_safety,
@@ -29,7 +27,6 @@ from scopeshield.renamer import (
     rename_patches,
     rename_tree,
 )
-from scopeshield.scopes import build_scope_tree
 from scopeshield.transforms import INSTRUMENT_COUNTER
 
 from conftest import run_node
@@ -116,8 +113,7 @@ def test_c2_oracle_flags_capture_when_tightening_disabled(node):
         "function f() { var local = 2; function g() { return outer; } return g() + local; }\n"
         "console.log(f());\n"
     )
-    root, _ = parse_ast(tokenize(src, "cap.js"), "cap.js")
-    tree = build_scope_tree(root, "cap.js")
+    tree = front_end(src, "cap.js", minify=False)[1]
     naive = rename_tree(tree, subtree_refs=False)
     violations = check_safety([tree], naive)
     assert violations, "check_safety must flag the hand-built capture"

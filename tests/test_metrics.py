@@ -4,17 +4,16 @@ import random
 import pytest
 
 from scopeshield.errors import ZeroInput
-from scopeshield.lexer import tokenize
 from scopeshield.metrics import (
     bzip2_compressor,
-    complexity_of_source,
     cyclomatic_complexity,
     measure_tree_pair,
     nid,
     size_inflation,
 )
-from scopeshield.parser import parse_ast
 from scopeshield.patches import emit
+from scopeshield.pipeline import front_end
+from scopeshield.scopes import FUNCTION
 
 
 def test_inflation_basic():
@@ -38,10 +37,12 @@ def test_inflation_two_decimal_exactness():
 # ---- cyclomatic complexity ----
 
 def complexity_of_function(src):
-    root, _ = parse_ast(tokenize(src), "t.js")
-    fn = root.children[0]
-    assert fn.kind == "function-decl"
-    return cyclomatic_complexity(fn)
+    """The McCabe number of the one function ``src`` declares: the
+    program's number less the 1 of the module body."""
+    _text, tree, _candidates, summary = front_end(src, "t.js", minify=False)
+    assert summary.declared_globals == ["f"]
+    assert [node.kind for node in tree.nodes].count(FUNCTION) == 1
+    return cyclomatic_complexity(src) - 1
 
 
 def test_straight_line_function_is_one():
@@ -70,13 +71,13 @@ def test_decision_point_kinds_counted():
 
 def test_program_value_sums_functions_and_module_body():
     src = "if (flag) { run(); }\nfunction f(){ if (x) y(); }\nfunction g(){}"
-    assert complexity_of_source(src) == (1 + 1) + (1 + 1) + 1
+    assert cyclomatic_complexity(src) == (1 + 1) + (1 + 1) + 1
 
 
 def test_complexity_invariant_under_renaming():
     src = "function walker(tree){ if (tree.left) { return walker(tree.left); } return tree; }"
     renamed = src.replace("walker", "a").replace("tree", "b")
-    assert complexity_of_source(src) == complexity_of_source(renamed)
+    assert cyclomatic_complexity(src) == cyclomatic_complexity(renamed)
 
 
 # ---- NID ----

@@ -6,27 +6,31 @@ import pytest
 
 from scopeshield.errors import ParseError, UnsupportedSyntax
 from scopeshield.lexer import tokenize
-from scopeshield.nodes import walk
-from scopeshield.parser import parse_ast, _string_value
+from scopeshield.parser import _string_value
 from scopeshield.pipeline import FILE_FAILURES, front_end
-from scopeshield.scopes import build_scope_tree
+from scopeshield.scopes import FUNCTION
 from scopeshield.tokens import PUNCT
 
 from corpusgen import GENERATORS, build_corpus
 
 
 def parse_src(src, file_id="t.js"):
-    _text, root, _tree, summary = front_end(src, file_id, minify=False)
-    return root, summary
+    """(ScopeTree, Candidates, FileSummary) of ``src`` as written."""
+    return front_end(src, file_id, minify=False)[1:]
 
 
 def dynamic_scopes(src, file_id="t.js"):
-    root, _summary = parse_ast(tokenize(src, file_id), file_id)
-    return [node for node in build_scope_tree(root, file_id).nodes if node.is_dynamic]
+    tree, _candidates, _summary = parse_src(src, file_id)
+    return [node for node in tree.nodes if node.is_dynamic]
+
+
+def function_scope_texts(src):
+    tree, _candidates, _summary = parse_src(src)
+    return [src[node.start : node.end] for node in tree.nodes if node.kind == FUNCTION]
 
 
 def test_import_export_summary():
-    _ast, summary = parse_src('import {x} from "./a.js"; export function f(){}')
+    _tree, _candidates, summary = parse_src('import {x} from "./a.js"; export function f(){}')
     assert summary.imports == [("./a.js", ["x"])]
     assert summary.module_syntax
 
@@ -41,7 +45,7 @@ def test_eval_call_is_a_dynamic_site():
 def test_declared_globals_and_free_names():
     # manual scope walk: q is declared at module scope; console resolves
     # nowhere on the chain, so it is the only free name
-    _ast, summary = parse_src("var q = 1; console.log(q)")
+    _tree, _candidates, summary = parse_src("var q = 1; console.log(q)")
     assert summary.declared_globals == ["q"]
     assert summary.free_names == ["console"]
 
@@ -57,18 +61,32 @@ def test_function_constructor_is_dynamic():
 
 
 def test_span_containment_over_corpus():
+    # every scope lies in its parent, every occurrence in its scope, and the
+    # candidates are in pre-order: by start, the wider access first
     rng = random.Random(11)
     for gen in GENERATORS:
         for text in gen(rng).values():
-            root, _ = parse_ast(tokenize(text), "c.js")
-            stack = [root]
-            while stack:
-                node = stack.pop()
+            tree, candidates, _summary = parse_src(text, "c.js")
+            assert tree.nodes[tree.root].start == 0 and tree.nodes[tree.root].end == len(text)
+            for node in tree.nodes:
                 for child in node.children:
+                    child = tree.nodes[child]
+                    assert child.parent == node.id
                     assert node.start <= child.start <= child.end <= node.end, (
                         f"{child.kind} escapes {node.kind} in {text[:40]!r}"
                     )
-                    stack.append(child)
+            for occ in tree.occurrences:
+                scope = tree.nodes[occ.scope_id]
+                assert scope.start <= occ.start < occ.end <= scope.end
+                assert text[occ.start : occ.end] == occ.name
+            for start, end in candidates.strings:
+                assert text[start] == text[end - 1] and text[start] in "'\""
+            for start, dot, end, name in candidates.accesses:
+                assert start < dot < end and text[dot] == "." and text[dot:end].endswith(name)
+            starts = [start for start, _end in candidates.strings]
+            assert starts == sorted(starts)
+            keys = [(start, -end) for start, _dot, end, _name in candidates.accesses]
+            assert keys == sorted(keys)
 
 
 def test_import_forms():
@@ -78,7 +96,7 @@ def test_import_forms():
         'import {one, two as alias} from "./c.js";\n'
         'import "./side.js";\n'
     )
-    _ast, summary = parse_src(src)
+    _tree, _candidates, summary = parse_src(src)
     assert summary.imports == [
         ("./a.js", ["default"]),
         ("./b.js", ["*"]),
@@ -98,11 +116,9 @@ def test_import_specifier_without_as_must_be_an_identifier(src):
 
 def test_a_method_may_be_named_static():
     src = "class A { static() { return 1; } static static() { return 2; } }"
-    root, _summary = parse_src(src)
-    methods = [node for node in walk(root) if node.kind == "method"]
-    assert [(m.name, src[m.start : m.end]) for m in methods] == [
-        ("static", "static() { return 1; }"),
-        ("static", "static static() { return 2; }"),
+    assert function_scope_texts(src) == [
+        "static() { return 1; }",
+        "static static() { return 2; }",
     ]
 
 
@@ -114,14 +130,14 @@ def test_export_forms():
         "export {inner as out};\n"
         "export default function main() { return a; }\n"
     )
-    _ast, summary = parse_src(src)
+    _tree, _candidates, summary = parse_src(src)
     assert summary.module_syntax and summary.imports == []
     assert summary.export_pairs == [("a", "a"), ("b", "b"), ("K", "K"), ("inner", "out")]
     assert all(local != "main" for local, _ in summary.export_pairs)
 
 
 def test_reexport_counts_as_import_edge():
-    _ast, summary = parse_src('export {helper} from "./dep.js";')
+    _tree, _candidates, summary = parse_src('export {helper} from "./dep.js";')
     assert summary.imports == [("./dep.js", ["helper"])]
     assert summary.module_syntax and summary.export_pairs == []
 
@@ -155,34 +171,35 @@ def test_unsupported_constructs_raise(src):
 
 
 def test_shorthand_property_marked():
-    ast, _ = parse_src("var x = 1; var o = {x};")
-    shorthand = [n for n in walk(ast) if n.kind == "identifier-ref" and n.aux == "shorthand"]
-    assert len(shorthand) == 1
+    tree, _candidates, _summary = parse_src("var x = 1; var o = {x};")
+    shorthand = [occ for occ in tree.occurrences if occ.style == "shorthand"]
+    assert [(occ.name, occ.start, occ.binding.name) for occ in shorthand] == [("x", 20, "x")]
 
 
 def test_member_access_patch_span():
     src = "player.score += 1;"
-    ast, _ = parse_src(src)
-    member = next(n for n in walk(ast) if n.kind == "member-access")
-    assert member.name == "score"
-    assert src[member.value[0] : member.value[1]] == ".score"
+    _tree, candidates, _summary = parse_src(src)
+    ((start, dot, end, name),) = candidates.accesses
+    assert (start, name) == (0, "score")
+    assert src[dot:end] == ".score"
 
 
 def test_directive_strings_marked():
-    ast, _ = parse_src('"use strict"; var a = "real";')
-    strings = [n for n in walk(ast) if n.kind == "string-lit"]
-    assert [n.aux for n in strings] == ["directive", None]
+    src = '"use strict"; var a = "real";'
+    _tree, candidates, _summary = parse_src(src)
+    assert [src[start:end] for start, end in candidates.strings] == ['"real"']
+    assert candidates.preamble_offset == src.index("var")
 
 
 def test_object_keys_marked():
-    ast, _ = parse_src('var o = {"key": "value", 2: "two"};')
-    strings = [n for n in walk(ast) if n.kind == "string-lit"]
-    assert sorted(str(n.aux) for n in strings) == ["None", "None", "key"]
+    src = 'var o = {"key": "value", 2: "two"};'
+    _tree, candidates, _summary = parse_src(src)
+    assert [src[start:end] for start, end in candidates.strings] == ['"value"', '"two"']
 
 
 def test_asi_without_semicolons():
     src = "var a = 1\nvar b = 2\nconsole.log(a + b)"
-    _ast, summary = parse_src(src)
+    _tree, _candidates, summary = parse_src(src)
     assert summary.declared_globals == ["a", "b"]
 
 
@@ -252,25 +269,26 @@ def test_every_binding_position_reads_one_identifier(site, pattern_allowed):
 
 
 @pytest.mark.parametrize(
-    "src, kind",
+    "src, name, functions",
     [
-        ("export default function() { return 1; }", "function-expr"),
-        ("export default function () {}\n(1);", "function-expr"),
-        ("export default class { m() { return 2; } }", "class-expr"),
-        ("export default class extends Base {}", "class-expr"),
-        ("export default function main() {}", "function-decl"),
-        ("export default class Main {}", "class"),
+        ("export default function() { return 1; }", None, 1),
+        ("export default function () {}\n(1);", None, 1),
+        ("export default class { m() { return 2; } }", None, 1),
+        ("export default class extends Base {}", None, 0),
+        ("export default function main() {}", "main", 1),
+        ("export default class Main {}", "Main", 0),
     ],
 )
-def test_export_default_function_or_class_may_be_anonymous(src, kind):
-    ast, summary = parse_src(src)
-    inner = ast.children[0].children[0]
-    assert inner.kind == kind
+def test_export_default_function_or_class_may_be_anonymous(src, name, functions):
+    tree, _candidates, summary = parse_src(src)
     assert summary.module_syntax and summary.export_pairs == []
     # an anonymous default binds no name; a named one binds its name
-    assert summary.declared_globals == ([inner.name] if inner.name else [])
+    assert summary.declared_globals == ([name] if name else [])
+    assert [node.kind for node in tree.nodes].count(FUNCTION) == functions
     if src.endswith("(1);"):
-        assert [stmt.kind for stmt in ast.children] == ["export-decl", "expr-stmt"]
+        # `(1)` is a statement of its own, not a call of the function: as
+        # a parenthesized expression it is an assignment target, a call is not
+        parse_src(src.replace("(1);", "(1) = 2;"))
 
 
 @pytest.mark.parametrize(
@@ -335,64 +353,59 @@ def test_a_rest_parameter_comes_last(src):
         parse_src(src)
 
 
-def shape(node):
-    return (node.kind, node.start, node.end, [shape(child) for child in node.children])
+def facts(src):
+    """The scopes (kind, start, end) and the occurrences (name, start,
+    style, declaring scope) of ``src``."""
+    tree, _candidates, _summary = parse_src(src)
+    scopes = [(node.kind, node.start, node.end) for node in tree.nodes]
+    occurrences = [
+        (occ.name, occ.start, occ.style, occ.binding.scope_id) for occ in tree.occurrences
+    ]
+    return scopes, occurrences
 
 
 @pytest.mark.parametrize(
     "src, expected",
     [
-        ("f(a,)", ("call", 0, 5, [("identifier-ref", 0, 1, []), ("identifier-ref", 2, 3, [])])),
-        (
-            "[,1,,]",
-            ("array", 0, 6, [("empty", 1, 1, []), ("num-lit", 2, 3, []), ("empty", 4, 4, [])]),
-        ),
-        ("[,]", ("array", 0, 3, [("empty", 1, 1, [])])),
-        ("[...a,]", ("array", 0, 7, [("spread", 1, 5, [("identifier-ref", 4, 5, [])])])),
-        (
-            "({a:1,})",
-            ("paren", 0, 8, [("object", 1, 7, [("property", 2, 5, [("num-lit", 4, 5, [])])])]),
-        ),
+        ("f(a,)", ([("module", 0, 5)], [("f", 0, None, -1), ("a", 2, None, -1)])),
+        ("[,1,,]", ([("module", 0, 6)], [])),
+        ("[,]", ([("module", 0, 3)], [])),
+        ("[...a,]", ([("module", 0, 7)], [("a", 4, None, -1)])),
+        ("({a:1,})", ([("module", 0, 8)], [])),
         (
             "(function (a, b = 1,) {})",
             (
-                "paren", 0, 25,
-                [("function-expr", 1, 24, [
-                    ("param", 11, 12, []),
-                    ("param", 14, 19, [("num-lit", 18, 19, [])]),
-                    ("block", 22, 24, []),
-                ])],
+                [("module", 0, 25), ("function", 1, 24)],
+                [("a", 11, "decl", 1), ("b", 14, "decl", 1)],
             ),
         ),
     ],
 )
 def test_trailing_commas_and_holes(src, expected):
-    ast, _summary = parse_src(src)
-    assert shape(ast.children[0].children[0]) == expected
+    assert facts(src) == expected
 
 
 def test_trailing_commas_in_module_specifier_lists():
-    _ast, summary = parse_src('import {a, b as c,} from "./x.js";\nvar d;\nexport {d, c as e,};')
+    _tree, _candidates, summary = parse_src('import {a, b as c,} from "./x.js";\nvar d;\nexport {d, c as e,};')
     assert summary.imports == [("./x.js", ["a", "b"])]
     assert summary.export_pairs == [("d", "d"), ("c", "e")]
 
 
 def test_get_and_set_prefix_one_rule_for_objects_and_classes():
-    ast, _summary = parse_src(
-        "var o = {get [k]() { return 1; }, set [k](v) {}, get x() {}, get: 1, set() {}, get};"
-    )
-    props = [node for node in walk(ast) if node.kind == "property"]
-    assert [(p.name, p.aux, p.children[-1].kind, p.children[-1].aux) for p in props] == [
-        (None, "computed", "method", "get"),
-        (None, "computed", "method", "set"),
-        ("x", "get", "method", "get"),
-        ("get", "init", "num-lit", None),
-        ("set", "method", "method", "method"),
-        ("get", "shorthand", "identifier-ref", "shorthand"),
+    # a method's scope starts at its name, or at the `[` of a computed one;
+    # `get: 1` is a property and `get` alone a shorthand reference
+    src = "var o = {get [k]() { return 1; }, set [k](v) {}, get x() {}, get: 1, set() {}, get};"
+    assert function_scope_texts(src) == [
+        "[k]() { return 1; }", "[k](v) {}", "x() {}", "set() {}",
     ]
-    ast, _summary = parse_src("class A { get() {} set(v) {} get x() {} static set y(v) {} }")
-    assert [(m.name, m.aux) for m in walk(ast) if m.kind == "method"] == [
-        ("get", "method"), ("set", "method"), ("x", "get"), ("y", "set"),
+    _scopes, occurrences = facts(src)
+    assert [(name, style) for name, _start, style, _scope in occurrences] == [
+        ("o", "decl"), ("k", None), ("k", None), ("v", "decl"), ("get", "shorthand"),
+    ]
+    # a class member's scope starts at its first token, modifiers included
+    src = "class A { get() {} set(v) {} get x() {} static set y(v) {} }"
+    assert function_scope_texts(src) == [
+        "get() {}", "set(v) {}", "get x() {}", "static set y(v) {}",
     ]
     with pytest.raises(UnsupportedSyntax, match="computed method names"):
         parse_src("class A { get [k]() {} }")
@@ -405,8 +418,9 @@ def test_line_continuations_join_the_lines():
         assert _string_value(f'"ab\\{terminator}cd"') == "abcd"
     # unescaped, U+2028 and U+2029 are part of the string
     assert _string_value('"a\u2028b\u2029c"') == "a\u2028b\u2029c"
-    root, _summary = parse_src('var s = "a\u2028b";')
-    assert [node.kind for node in walk(root)][-1] == "string-lit"
+    src = 'var s = "a\u2028b";'
+    _tree, candidates, _summary = parse_src(src)
+    assert candidates.strings == [(8, len(src) - 1)]
 
 
 # compiles each source of the JSON list on stdin as a script; prints whether each compiled

@@ -12,13 +12,12 @@ from scopeshield.errors import FatalConfigError
 from scopeshield.externals import load_allowlist
 from scopeshield.lexer import tokenize
 from scopeshield.minify import minify
-from scopeshield.parser import parse_ast
 from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
     ObfuscationConfig,
     dump_dir_for,
+    front_end,
     obfuscate_project,
-    preamble_offset,
     write_report,
 )
 
@@ -469,8 +468,7 @@ def test_bad_escapes_do_not_abort_the_run(tmp_path, workers):
 
 def test_preamble_offset_skips_directives():
     def offset(src):
-        root, _ = parse_ast(tokenize(src, "t.js"), "t.js")
-        return preamble_offset(root)
+        return front_end(src, "t.js", minify=False)[2].preamble_offset
 
     src = '"use strict";\n"use asm";\nvar x = 1;'
     assert offset(src) == src.index("var")
@@ -669,7 +667,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
         result = pipeline.process_file(config, allowlist, rel)
         assert result["status"] == "ok", result
         text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
-        _text, _root, _tree, expected = pipeline.front_end(text, rel, minify=False)
+        _text, _tree, _candidates, expected = pipeline.front_end(text, rel, minify=False)
         got = result["summary"]
         for field in ("imports", "module_syntax", "export_pairs", "declared_globals", "free_names"):
             assert getattr(got, field) == getattr(expected, field), (rel, field)
@@ -762,14 +760,15 @@ def test_process_file_resolves_each_occurrence_once(tmp_path, monkeypatch):
         return original_resolve(self, name, scope_id)
 
     trees = []
-    original_build = pipeline.build_scope_tree
+    original_parse = pipeline.parse
 
-    def recording_build(*args):
-        trees.append(original_build(*args))
-        return trees[-1]
+    def recording_parse(*args):
+        facts = original_parse(*args)
+        trees.append(facts[0])
+        return facts
 
     monkeypatch.setattr(ScopeTree, "resolve", counting_resolve)
-    monkeypatch.setattr(pipeline, "build_scope_tree", recording_build)
+    monkeypatch.setattr(pipeline, "parse", recording_parse)
     config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
     result = pipeline.process_file(config, load_allowlist(None), "app.js")
     assert result["status"] == "ok" and "text" in result

@@ -4,9 +4,8 @@ from itertools import product
 import pytest
 
 from scopeshield.errors import OrderViolation
-from scopeshield.lexer import tokenize
-from scopeshield.parser import parse_ast
 from scopeshield.patches import emit
+from scopeshield.pipeline import front_end
 from scopeshield.renamer import (
     RenameMap,
     ancestor_reference_map,
@@ -18,7 +17,7 @@ from scopeshield.renamer import (
     rename_patches,
     rename_tree,
 )
-from scopeshield.scopes import Binding, build_scope_tree
+from scopeshield.scopes import Binding
 from scopeshield.tokens import RESERVED_WORDS
 
 from conftest import run_node
@@ -26,8 +25,7 @@ from treegen import random_scope_tree, uniform_usage
 
 
 def tree_of(src, file_id="t.js"):
-    root, _ = parse_ast(tokenize(src, file_id), file_id)
-    return build_scope_tree(root, file_id)
+    return front_end(src, file_id, minify=False)[1]
 
 
 def declared(tree, scope_id, name):

@@ -3,16 +3,13 @@ import random
 import pytest
 
 from scopeshield.errors import UnknownScope
-from scopeshield.lexer import tokenize
-from scopeshield.nodes import walk
-from scopeshield.parser import parse_ast
+from scopeshield.pipeline import front_end
 from scopeshield.scopes import (
     BLOCK,
     FUNCTION,
     GLOBAL_SCOPE,
     MODULE,
     Binding,
-    build_scope_tree,
 )
 
 
@@ -21,8 +18,7 @@ from treegen import random_scope_tree
 
 
 def tree_of(src, file_id="t.js"):
-    root, _ = parse_ast(tokenize(src, file_id), file_id)
-    return build_scope_tree(root, file_id)
+    return front_end(src, file_id, minify=False)[1]
 
 
 def test_nested_function_and_block_scopes():
@@ -161,10 +157,13 @@ def test_dynamic_region_matches_oracle_on_random_trees():
 
 
 def program_positions(src, file_id):
-    root, _ = parse_ast(tokenize(src, file_id), file_id)
-    tree = build_scope_tree(root, file_id)
-    nodes = [n for n in walk(root) if n.kind in ("string-lit", "member-access")]
-    return tree, [n.start for n in nodes]
+    """The tree and the positions the transforms query: each candidate's
+    start, plus each occurrence's."""
+    _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
+    positions = [start for start, _end in candidates.strings]
+    positions += [start for start, _dot, _end, _name in candidates.accesses]
+    positions += [occ.start for occ in tree.occurrences]
+    return tree, positions
 
 
 def test_dynamic_region_matches_oracle_on_programs():

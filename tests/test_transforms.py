@@ -1,14 +1,11 @@
 import random
 
-from scopeshield.lexer import tokenize
-from scopeshield.parser import _string_value, parse_ast
+from scopeshield.parser import _string_value
 from scopeshield.patches import Patch, emit
-from scopeshield.pipeline import preamble_offset
+from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
-from scopeshield.scopes import build_scope_tree
 from scopeshield.transforms import (
     INSTRUMENT_COUNTER,
-    collect_candidates,
     decode_payload,
     encode_payload,
     encode_strings,
@@ -20,30 +17,30 @@ from corpusgen import GENERATORS
 
 
 def setup(src, file_id="t.js"):
-    root, _ = parse_ast(tokenize(src, file_id), file_id)
-    tree = build_scope_tree(root, file_id)
-    return root, tree
+    """(Candidates, ScopeTree) of ``src`` as written."""
+    _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
+    return candidates, tree
 
 
 def fresh():
     return name_sequence(excluded=frozenset())
 
 
-def encode(src, root, tree, key, instrument=False):
+def encode(src, candidates, tree, key, instrument=False):
     return encode_strings(
-        key, fresh(), tree.dynamic_region(), src, collect_candidates(root)[0], instrument=instrument
+        key, fresh(), tree.dynamic_region(), src, candidates.strings, instrument=instrument
     )
 
 
-def rewrite_props(root, tree):
-    return rewrite_property_access(fresh(), tree.dynamic_region(), collect_candidates(root)[1])
+def rewrite_props(candidates, tree):
+    return rewrite_property_access(fresh(), tree.dynamic_region(), candidates.accesses)
 
 
 def apply_strings(src, instrument=False, key=7):
-    root, tree = setup(src)
-    patches, preamble, _table = encode(src, root, tree, key, instrument)
+    candidates, tree = setup(src)
+    patches, preamble, _table = encode(src, candidates, tree, key, instrument)
     if preamble:
-        insert = preamble_offset(root)
+        insert = candidates.preamble_offset
         patches.append(Patch(insert, insert, preamble + "\n"))
     return emit(src, patches)
 
@@ -64,8 +61,8 @@ def test_payload_round_trip():
 
 def test_no_literals_no_preamble():
     src = "var count = 1 + 2;"
-    root, tree = setup(src)
-    patches, preamble, table = encode(src, root, tree, 7)
+    candidates, tree = setup(src)
+    patches, preamble, table = encode(src, candidates, tree, 7)
     assert patches == [] and preamble == "" and table is None
 
 
@@ -83,8 +80,8 @@ def test_decode_runs_once_for_thousand_calls():
 
 def test_duplicate_literals_share_one_table_entry():
     src = 'var a = "dup"; var b = "dup"; var c = "other";'
-    root, tree = setup(src)
-    _patches, _pre, table = encode(src, root, tree, 3)
+    candidates, tree = setup(src)
+    _patches, _pre, table = encode(src, candidates, tree, 3)
     # oracle: table length equals the number of distinct eligible literals
     distinct = {"dup", "other"}
     assert len(table) == len(distinct)
@@ -137,8 +134,8 @@ def test_unicode_survives_the_js_decoder():
 def test_property_access_rewritten_via_hoisted_slot():
     src = "player.score += 1;\nconsole.log(player.score);"
     src = "var player = {score: 41};\n" + src
-    root, tree = setup(src)
-    patches, preamble, slots = rewrite_props(root, tree)
+    candidates, tree = setup(src)
+    patches, preamble, slots = rewrite_props(candidates, tree)
     assert len(slots) == 2  # score, log
     assert slots == sorted(slots)
     score_var = next(var for var, prop in slots if prop == "score")
@@ -150,8 +147,8 @@ def test_property_access_rewritten_via_hoisted_slot():
 
 def test_no_member_accesses_no_patches():
     src = "var plain = 1 + 2;"
-    root, tree = setup(src)
-    patches, preamble, slots = rewrite_props(root, tree)
+    candidates, tree = setup(src)
+    patches, preamble, slots = rewrite_props(candidates, tree)
     assert patches == [] and preamble == "" and slots == []
 
 
@@ -161,10 +158,10 @@ def test_repeated_accesses_share_slot():
         "o.score += 1; o.score += 2; o.score += 3; o.score += 4; o.score *= 2;\n"
         "console.log(o.score);"
     )
-    root, tree = setup(src)
-    _patches, _pre, slots = rewrite_props(root, tree)
+    candidates, tree = setup(src)
+    _patches, _pre, slots = rewrite_props(candidates, tree)
     # count-oracle: one slot per distinct property name
-    names = {n.name for n in collect_candidates(root)[1]}
+    names = {name for _start, _dot, _end, name in candidates.accesses}
     assert len(slots) == len(names)
 
 
@@ -175,16 +172,15 @@ def test_candidates_in_source_order_without_super_or_delete_targets():
         "delete (o.a); delete ((o.b).c); delete o.d;\n"
         'o.e = "one" + "two";'
     )
-    root, _tree = setup(src)
-    strings, accesses = collect_candidates(root)
-    assert [src[n.start : n.end] for n in strings] == ['"key"', '"one"', '"two"']
-    assert [n.name for n in accesses] == ["y", "b", "e"]
+    candidates, _tree = setup(src)
+    assert [src[start:end] for start, end in candidates.strings] == ['"key"', '"one"', '"two"']
+    assert [name for _start, _dot, _end, name in candidates.accesses] == ["y", "b", "e"]
 
 
 def test_delete_targets_skipped():
     src = "var o = {a: 1, b: 2};\ndelete o.a;\nconsole.log(o.b, o.a);"
-    root, tree = setup(src)
-    patches, preamble, _slots = rewrite_props(root, tree)
+    candidates, tree = setup(src)
+    patches, preamble, _slots = rewrite_props(candidates, tree)
     out = emit(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
     assert "delete o.a" in out
     assert run_node(code=out) == "2 undefined\n"
@@ -195,8 +191,8 @@ def test_method_calls_keep_this_binding():
         "var counter = {n: 10, bump: function (d) { this.n += d; return this.n; }};\n"
         "console.log(counter.bump(5), counter.n);"
     )
-    root, tree = setup(src)
-    patches, preamble, _slots = rewrite_props(root, tree)
+    candidates, tree = setup(src)
+    patches, preamble, _slots = rewrite_props(candidates, tree)
     out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
     assert run_node(code=out) == "15 15\n"
 
@@ -207,16 +203,16 @@ def test_every_candidate_outside_dynamic_regions_rewritten():
     rng = random.Random(17)
     for gen in GENERATORS:
         for file_id, src in gen(rng).items():
-            root, tree = setup(src, file_id)
+            candidates, tree = setup(src, file_id)
             inside = tree.dynamic_region()
-            strings, accesses = collect_candidates(root)
-            props = [n for n in accesses if not inside(n.start)]
+            strings, accesses = candidates.strings, candidates.accesses
+            props = [dot for start, dot, _end, _name in accesses if not inside(start)]
             patches, _pre, _slots = rewrite_property_access(fresh(), inside, accesses)
-            assert sorted(p.start for p in patches) == sorted(n.value[0] for n in props)
+            assert sorted(p.start for p in patches) == sorted(props)
             eligible = [
-                n
-                for n in strings
-                if not inside(n.start) and len(_string_value(src[n.start : n.end])) >= 2
+                start
+                for start, end in strings
+                if not inside(start) and len(_string_value(src[start:end])) >= 2
             ]
             patches, _pre, _table = encode_strings(7, fresh(), inside, src, strings)
-            assert sorted(p.start for p in patches) == sorted(n.start for n in eligible)
+            assert sorted(p.start for p in patches) == sorted(eligible)
