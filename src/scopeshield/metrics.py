@@ -15,9 +15,7 @@ import lzma
 from pathlib import Path
 
 from .errors import CompressorFailure, ZeroInput
-from .lexer import tokenize
-from .parser import parse
-from .pipeline import JS_SUFFIXES
+from .pipeline import JS_SUFFIXES, front_end
 
 
 def size_inflation(input_bytes, output_bytes):
@@ -35,8 +33,7 @@ def cyclomatic_complexity(text, file_id="<input>"):
     This equals the sum of every function's McCabe number plus the module
     body's.
     """
-    _tree, _candidates, summary = parse(tokenize(text, file_id), file_id)
-    return 1 + summary.branch_points
+    return 1 + front_end(text, file_id, minify=False)[3].branch_points
 
 
 def bzip2_compressor(data):

@@ -531,10 +531,16 @@ class _Parser:
 
     def parse_method(self, start, role):
         """Params and body of a class or object-literal method starting at
-        ``start``; ``role`` is "method", "get" or "set"."""
+        ``start``; ``role`` is "method", "get" or "set". A getter takes no
+        parameter and a setter exactly one, which is not a rest parameter."""
         self.summary.branch_points += 1
         self.scopes.enter(FUNCTION, start)
-        self.parse_params()
+        lparen = self.peek()
+        rests = self.parse_params()
+        if role == "get" and rests:
+            self.error("a getter takes no parameters", offset=lparen.start)
+        if role == "set" and rests != [False]:
+            self.error("a setter takes exactly one parameter, not a rest one", offset=lparen.start)
         self.scopes.leave(self.parse_block(scoped=False))
 
     def parse_if(self):

@@ -25,7 +25,10 @@ import gc
 import json
 import resource
 import shutil
+import sys
+import threading
 import time
+import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
@@ -111,7 +114,8 @@ def discover_files(input_root):
     return js_files, other_files
 
 
-# per-file problems: the file is copied verbatim and the run goes on
+# per-file problems: the file is copied verbatim and the run goes on; any
+# other exception in a file task is an "internal-error", copied the same way
 FILE_FAILURES = (ScopeShieldError, UnicodeDecodeError, RecursionError)
 
 
@@ -132,6 +136,15 @@ def _file_key(rel_path):
     return zlib.crc32(f"{rel_path}:0".encode("utf-8")) & 0xFF
 
 
+# A file nested too deeply for the default recursion limit (about 60
+# callbacks `f(function(){...})` or 150 parentheses) is parsed again on one
+# helper thread with this much stack and this recursion limit: enough for
+# 1,000 nested callbacks. Deeper files still raise RecursionError and are
+# copied as unsupported.
+DEEP_STACK_BYTES = 256 * 1024 * 1024
+DEEP_RECURSION_LIMIT = 20_000
+
+
 def front_end(text, rel_path, minify):
     """Lex (and, with ``minify``, minify) and parse one file.
 
@@ -139,8 +152,17 @@ def front_end(text, rel_path, minify):
     FileSummary); that text is the minified one when ``minify`` is set, else
     ``text``. No token outlives the parse. A ParseError (UnsupportedSyntax
     included) always gives an offset into ``text`` as read, so it reads the
-    same with and without ``minify``.
+    same with and without ``minify``. A file that exceeds the recursion
+    limit is parsed again on a deep stack.
     """
+    try:
+        return _front_end_offsets_as_read(text, rel_path, minify)
+    except RecursionError:
+        pass  # retried outside the handler, so the first attempt is freed
+    return _on_deep_stack(_front_end_offsets_as_read, text, rel_path, minify)
+
+
+def _front_end_offsets_as_read(text, rel_path, minify):
     try:
         return _front_end(text, rel_path, minify)
     except ParseError:
@@ -157,6 +179,34 @@ def _front_end(text, rel_path, minify):
     return (spans_text, *parse(tokens, rel_path))
 
 
+def _on_deep_stack(task, *args):
+    """``task(*args)`` on one helper thread with ``DEEP_STACK_BYTES`` of
+    stack under ``DEEP_RECURSION_LIMIT``; both settings are restored
+    afterwards. Returns its result or raises its exception."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, task(*args)))
+        except BaseException as exc:  # handed to the calling thread
+            outcome.append((False, exc))
+
+    limit = sys.getrecursionlimit()
+    stack_size = threading.stack_size(DEEP_STACK_BYTES)
+    sys.setrecursionlimit(DEEP_RECURSION_LIMIT)
+    try:
+        helper = threading.Thread(target=run, name="scopeshield-deep-parse")
+        helper.start()
+        helper.join()
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(stack_size)
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
 
 
@@ -166,7 +216,9 @@ def process_file(config, allowlist, rel_path):
 
     Returns a dict with the file, its status, the worker milliseconds per
     phase, the FileSummary once the scope tree exists (even if a later phase
-    fails), and either the output text or the error.
+    fails), and either the output text or the error. Any other exception
+    than the ``FILE_FAILURES`` is an "internal-error" whose error keeps the
+    traceback; the file is copied verbatim like any failed file.
     """
     phases = dict.fromkeys(WORKER_PHASES, 0.0)
     result = {"file": rel_path, "status": "ok", "worker_ms": phases}
@@ -230,14 +282,18 @@ def process_file(config, allowlist, rel_path):
         t0 = time.perf_counter()
         out_text = emit(mtext, patches)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
+        if config.dump_renames:
+            result["rename_dump"] = rmap.dump_lines()
+        if config.dump_scopes:
+            result["scope_dump"] = format_scope_report(tree)
     except FILE_FAILURES as exc:
         result["status"], result["error"] = file_failure(rel_path, exc)
         return result
+    except Exception as exc:
+        result["status"] = "internal-error"
+        result["error"] = f"{rel_path}: internal error: {exc!r}\n{traceback.format_exc()}"
+        return result
     result["text"] = out_text
-    if config.dump_renames:
-        result["rename_dump"] = rmap.dump_lines()
-    if config.dump_scopes:
-        result["scope_dump"] = format_scope_report(tree)
     return result
 
 
@@ -299,8 +355,9 @@ def dump_dir_for(output_root):
 def obfuscate_project(config):
     """Run the whole pipeline; returns the run report dict.
 
-    File-level problems (lexical, syntactic, unsupported constructs) never
-    abort the run: those files are copied through verbatim and reported.
+    File-level problems (lexical, syntactic, unsupported constructs, and
+    any exception inside a file task) never abort the run: those files are
+    copied through verbatim and reported.
     """
     started = time.perf_counter()
     if not config.input_root or not Path(config.input_root).is_dir():

@@ -377,14 +377,12 @@ class ScopeBuilder:
 def format_scope_report(tree):
     """Indented one-scope-per-line dump for the analyze/--dump-scopes CLI."""
     lines = []
-
-    def visit(sid, depth):
+    stack = [(tree.root, 0)]
+    while stack:
+        sid, depth = stack.pop()
         node = tree.nodes[sid]
         decls = ", ".join(sorted(node.declarations)) or "-"
         dyn = " dynamic" if node.is_dynamic else ""
         lines.append(f"{'  ' * depth}{node.kind}#{sid} [{node.start},{node.end}){dyn}: {decls}")
-        for child in node.children:
-            visit(child, depth + 1)
-
-    visit(tree.root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(lines)

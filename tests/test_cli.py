@@ -326,6 +326,25 @@ def test_analyze_unsupported_only_exits_0(tmp_path, capsys):
     assert "files: 1\n  good.js" in out
 
 
+def test_analyze_parses_deep_callbacks_as_obfuscate_does(tmp_path, capsys):
+    # 500 nested callbacks parse on a deep stack in both commands; 3,000
+    # parentheses are still too deep for either
+    deep = "f(function () {\n" * 500 + "g();\n" + "});\n" * 500
+    parens = "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n"
+    src = tmp_path / "src"
+    project(src, {"deep.js": deep, "parens.js": parens})
+    assert cli.main(["analyze", "--in", str(src)]) == 0
+    out = capsys.readouterr().out
+    assert "parens.js: nesting too deep to analyze; not supported" in out
+    assert "files: 1\n  deep.js" in out
+    argv = ["obfuscate", "--in", str(src), "--out", str(tmp_path / "dist"), "--threads", "1"]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "dist.report.json").read_text())
+    assert report["warnings"] == ["copied verbatim: parens.js: nesting too deep to analyze; not supported"]
+    assert report["files_transformed"] == 1
+    assert (tmp_path / "dist" / "deep.js").read_text() != deep
+
+
 def test_obfuscate_and_analyze_report_offsets_into_the_input(tmp_path, capsys):
     # obfuscate minifies before it parses; its messages must still point
     # into the file as written, as analyze's do

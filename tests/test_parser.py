@@ -432,6 +432,41 @@ _NODE_COMPILES = (
 )
 
 
+def node_compiles(node, sources):
+    proc = subprocess.run(
+        [node, "-e", _NODE_COMPILES], input=json.dumps(sources), capture_output=True, text=True
+    )
+    return json.loads(proc.stdout)
+
+
+ACCESSORS = [
+    "({get a(b) {}})",
+    "({set a() {}})",
+    "class A { set a(x, y) {} }",
+    "({set a(...x) {}})",
+    "({get [k](x) {}})",
+    "class A { static get a(x) {} }",
+    "({set a(x = 1) {}})",
+    "({get a() {}, set a(v) {}})",
+    "class A { static get a() {} set b(v) {} get(x, y) {} set(...z) {} }",
+]
+
+
+def test_accessor_arity_checked_where_node_checks_it(node):
+    node_accepts = node_compiles(node, ACCESSORS)
+    assert node_accepts.count(False) == 6
+    for src, ok in zip(ACCESSORS, node_accepts):
+        if ok:
+            front_end(src, "a.js", minify=True)
+            continue
+        with pytest.raises(ParseError) as err:
+            front_end(src, "a.js", minify=True)
+        assert type(err.value) is ParseError
+        assert "takes" in str(err.value)
+        # at the parameter list: the `(` after the accessor's name
+        assert src[err.value.offset] == "(" and src[err.value.offset - 1] in "a]"
+
+
 def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node):
     # every script of a small corpus with one `,` token deleted
     build_corpus(tmp_path, count=60)
@@ -443,10 +478,7 @@ def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node
         for tok in tokenize(text):
             if tok.kind == PUNCT and tok.text == ",":
                 mutants.append(text[: tok.start] + text[tok.end :])
-    proc = subprocess.run(
-        [node, "-e", _NODE_COMPILES], input=json.dumps(mutants), capture_output=True, text=True
-    )
-    node_accepts = json.loads(proc.stdout)
+    node_accepts = node_compiles(node, mutants)
 
     def accepts(text):
         try:

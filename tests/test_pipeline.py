@@ -1,12 +1,17 @@
 import gc
 import json
+import multiprocessing
 import subprocess
+import sys
+import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import scopeshield.cli as cli
 import scopeshield.pipeline as pipeline
 from scopeshield.errors import FatalConfigError
 from scopeshield.externals import load_allowlist
@@ -406,6 +411,89 @@ def test_too_deep_nesting_copied_verbatim_as_unsupported(tmp_path, workers):
     assert report["errors"] == []
     assert report["files_transformed"] == 1 and report["files_copied"] == 1
     assert any("deep.js" in w and "not supported" in w for w in report["warnings"])
+
+
+# 500 nested callbacks: far past the default recursion limit
+DEEP_CALLBACKS = (
+    "function f(g) { return g(); }\nvar depth = 0;\n"
+    + "f(function () { depth += 1;\n" * 500
+    + "});\n" * 500
+    + "console.log('callback depth', depth);\n"
+)
+
+
+def test_deep_callbacks_obfuscated_on_a_deep_stack(tmp_path):
+    src = tmp_path / "src"
+    write_project(src, {"deep.js": DEEP_CALLBACKS, "good.js": "var fine = 1;\nconsole.log(fine);"})
+    limit = sys.getrecursionlimit()
+    outputs = {}
+    for workers in (1, 2):
+        out = tmp_path / f"out{workers}"
+        report = obfuscate_project(
+            ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers)
+        )
+        assert report["errors"] == [] and report["warnings"] == []
+        assert report["files_transformed"] == 2
+        outputs[workers] = read_tree(out)
+    # the helper thread's settings do not leak
+    assert sys.getrecursionlimit() == limit and threading.stack_size() == 0
+    assert outputs[1] == outputs[2]
+    deep = outputs[1]["deep.js"].decode("utf-8")
+    assert "callback depth" not in deep  # the string is encoded: obfuscated, not copied
+    if NODE is not None:
+        expected = run_node(path=src / "deep.js")
+        assert expected == "callback depth 500\n"
+        assert run_node(path=tmp_path / "out1" / "deep.js") == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_internal_error_copies_the_file_and_the_run_goes_on(tmp_path, monkeypatch, workers):
+    # a pool worker is forked, so it inherits the patched layer
+    assert multiprocessing.get_start_method() == "fork"
+    original = pipeline.rename_patches
+
+    def failing(tree, rename_map):
+        if tree.file_id == "bad.js":
+            raise RuntimeError("injected layer failure")
+        return original(tree, rename_map)
+
+    monkeypatch.setattr(pipeline, "rename_patches", failing)
+    files = {
+        "bad.js": "var local = 'payload text';\nconsole.log(local);\n",
+        "good.js": "var other = 'second text';\nconsole.log(other.length);\n",
+        "third.js": "function add(a, b) { return a + b; }\nconsole.log(add(1, 2));\n",
+    }
+    src, out = tmp_path / "src", tmp_path / "out"
+    write_project(src, files)
+    argv = ["obfuscate", "--in", str(src), "--out", str(out), "--threads", str(workers)]
+    assert cli.main(argv) == 2
+    report = json.loads((tmp_path / "out.report.json").read_text())
+    assert (out / "bad.js").read_text() == files["bad.js"]
+    ((entry),) = report["errors"]
+    assert entry["file"] == "bad.js"
+    assert entry["error"].startswith("bad.js: internal error: RuntimeError('injected layer failure')")
+    assert "Traceback (most recent call last)" in entry["error"]
+    assert "in failing" in entry["error"]
+    assert report["files_transformed"] == 2 and report["files_copied"] == 1
+    for rel in ("good.js", "third.js"):
+        assert (out / rel).read_text() != files[rel]
+
+
+def test_front_end_peak_memory_per_input_byte():
+    # traced peak of one front end on a 256 KB minified module. With the
+    # token list and an AST alive at once it was 59.4 B per input byte; a
+    # front end that holds only the tokens, the scope tree and the
+    # candidates peaks at 43.4. The bound sits between the two: it fails if
+    # a tree-sized structure comes back, and leaves room for allocator noise.
+    text = minify(synth_module(5, 256 * 1024))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        facts = front_end(text, "m.js", minify=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert facts and peak / len(text) < 51.0
 
 
 # a statement cut off at end of input
