@@ -222,11 +222,9 @@ class _Parser:
             self.error(f"expected {text!r}")
         return self.advance()
 
-    def error(self, message, exc=ParseError, offset=None):
-        if offset is None:
-            t = self.peek()
-            offset = t.start if t is not None else self.end_offset
-        raise exc(message, self.file_id, offset)
+    def error(self, message, exc=ParseError):
+        t = self.peek()
+        raise exc(message, self.file_id, t.start if t is not None else self.end_offset)
 
     def string_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
@@ -538,9 +536,11 @@ class _Parser:
         lparen = self.peek()
         rests = self.parse_params()
         if role == "get" and rests:
-            self.error("a getter takes no parameters", offset=lparen.start)
+            raise ParseError("a getter takes no parameters", self.file_id, lparen.start)
         if role == "set" and rests != [False]:
-            self.error("a setter takes exactly one parameter, not a rest one", offset=lparen.start)
+            raise ParseError(
+                "a setter takes exactly one parameter, not a rest one", self.file_id, lparen.start
+            )
         self.scopes.leave(self.parse_block(scoped=False))
 
     def parse_if(self):

@@ -6,12 +6,12 @@ own summary (``depgraph.frozen_names``). Each file task lexes and minifies
 its file in one pass, which yields the significant tokens the parser reads,
 and parses it once: the parser builds no syntax tree but the file's facts,
 its scope tree, its transform candidates and its summary. The task then
-renames, transforms and emits it. On a process pool the largest-first file list goes out
-in consecutive chunks, one task each and about ``TASKS_PER_WORKER`` tasks
-per worker, so that many small files do not cost the parent one future
-each. Outputs are written as they arrive and no text is
-retained, so output bytes are identical for any worker count or scheduling
-order. Once every summary is in, the unresolved imports are reported.
+renames, transforms and emits it. On a process pool the largest-first file
+list goes out in consecutive chunks, one task each and about
+``TASKS_PER_WORKER`` tasks per worker, so that many small files do not cost
+the parent one future each. Outputs are written as they arrive and no text
+is retained, so output bytes are identical for any worker count or
+scheduling order. Once every summary is in, the unresolved imports are reported.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -246,9 +246,7 @@ def process_file(config, allowlist, rel_path):
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        if (candidates.strings or candidates.accesses) and (
-            config.encode_strings or config.rewrite_properties
-        ):
+        if config.encode_strings or config.rewrite_properties:
             used = set(allowlist)
             for occ in tree.occurrences:
                 used.add(rmap.name_or_original(occ.binding))
