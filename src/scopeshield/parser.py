@@ -159,14 +159,14 @@ class Candidates:
 def parse(tokens, file_id="<input>"):
     """Parse a ``tokenize`` result into (ScopeTree, Candidates, FileSummary).
 
-    The parser appends its end sentinels to ``tokens`` and removes them
-    again; it keeps no reference to the tokens once it returns.
+    The parse consumes ``tokens``: it drops each token soon after reading
+    it and leaves the list empty.
     """
     parser = _Parser(tokens, file_id)
     try:
         preamble_offset = parser.parse_program()
     finally:
-        del tokens[parser.n_toks :]
+        del tokens[:]
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
     tree = parser.scopes.finish()
@@ -209,8 +209,12 @@ class _Parser:
         return t is not None and t.text == text and t.kind in (PUNCT, KEYWORD, IDENT)
 
     def advance(self):
-        t = self.toks[self.i]
-        self.i += 1
+        i = self.i
+        t = self.toks[i]
+        # the parser reads no token before the last one consumed, so the one
+        # before it is dropped: its memory is reused while the parse goes on
+        self.toks[i - 1] = None
+        self.i = i + 1
         return t
 
     def last_end(self):

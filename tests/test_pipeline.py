@@ -482,9 +482,10 @@ def test_internal_error_copies_the_file_and_the_run_goes_on(tmp_path, monkeypatc
 def test_front_end_peak_memory_per_input_byte():
     # traced peak of one front end on a 256 KB minified module. With the
     # token list and an AST alive at once it was 59.4 B per input byte; a
-    # front end that holds only the tokens, the scope tree and the
-    # candidates peaks at 43.4. The bound sits between the two: it fails if
-    # a tree-sized structure comes back, and leaves room for allocator noise.
+    # parser that builds only the scope tree and the candidates, and drops
+    # each token once read, peaks at 30.7. The bound sits between the two:
+    # it fails if a tree-sized structure comes back, and leaves room for
+    # allocator noise.
     text = minify(synth_module(5, 256 * 1024))
     gc.collect()
     tracemalloc.start()
@@ -493,7 +494,7 @@ def test_front_end_peak_memory_per_input_byte():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert facts and peak / len(text) < 51.0
+    assert facts and peak / len(text) < 45.0
 
 
 # a statement cut off at end of input
