@@ -286,9 +286,9 @@ def test_export_default_function_or_class_may_be_anonymous(src, name, functions)
     assert summary.declared_globals == ([name] if name else [])
     assert [node.kind for node in tree.nodes].count(FUNCTION) == functions
     if src.endswith("(1);"):
-        # `(1)` is a statement of its own, not a call of the function: as
-        # a parenthesized expression it is an assignment target, a call is not
-        parse_src(src.replace("(1);", "(1) = 2;"))
+        # `(1)` is a statement of its own, not a call of the function: in
+        # its place `(a) = 2` parses, and a call is no assignment target
+        parse_src(src.replace("(1);", "(a) = 2;"))
 
 
 @pytest.mark.parametrize(
