@@ -266,8 +266,8 @@ class ScopeBuilder:
         self.outer = []  # (scope, function scope) of each scope entered
         self.order = 0
         self.elided = False
-        # an elision dropped a later declaration of a name its parent holds,
-        # so the orders skip numbers the parent's walk order never used
+        # an elision dropped a binding whose name its parent already held;
+        # its order number was given out, so finish closes the gap
         self.renumber = False
         # the first `var` that redeclares a catch parameter; raised by the
         # parser only once the whole file has parsed

@@ -32,6 +32,29 @@ def test_nested_function_and_block_scopes():
     assert block.parent == fn.id and fn.parent == module.id
 
 
+def test_block_scope_only_for_direct_lexical_declarations():
+    # a block is a scope only if a let/const/class/function statement is
+    # directly in it; a declaration nested deeper binds in the scope around
+    tree = tree_of("{ if (a) function f(){} }")
+    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION]
+    assert tree.nodes[0].declarations["f"].category == "function"
+    tree = tree_of("{ if (a) function f(){} let q; }")
+    assert [n.kind for n in tree.nodes] == [MODULE, BLOCK, FUNCTION]
+    assert sorted(tree.nodes[1].declarations) == ["f", "q"]
+    tree = tree_of("{ { let a; } b(); }")
+    assert [(n.kind, n.parent) for n in tree.nodes] == [(MODULE, None), (BLOCK, 0)]
+    assert [(o.name, o.scope_id) for o in tree.occurrences] == [("a", 1), ("b", 0)]
+    # the first declaration of a name in source order makes its binding, and
+    # the orders count the bindings without a gap
+    tree = tree_of("function g(){ { if (a) function f(){} var f; } f(); var h; }")
+    fn = tree.nodes[1]
+    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION, FUNCTION]
+    assert [(b.name, b.category, b.order) for b in sorted(fn.declarations.values(), key=Binding.rank)] == [
+        ("f", "function", 2), ("h", "var", 3),
+    ]
+    assert tree.nodes[0].declarations["g"].order == 1
+
+
 def test_file_without_functions_has_single_module_scope():
     tree = tree_of("var a = 1; let b = 2; const c = a + b;")
     assert len(tree.nodes) == 1
