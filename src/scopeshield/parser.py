@@ -25,8 +25,11 @@ Facts by construct:
                          then a function scope from `function` to `}`
   function expression    a function scope; its name, if any, declared in
                          it ("fnexpr")
-  arrow, method          a function scope from the first parameter, or the
-                         method's first token, to the end of the body
+  arrow                  a function scope from its parameter or `(` to
+                         the end of its body
+  method                 a function scope to the end of its body, from its
+                         first token in a class (modifiers included), from
+                         its name or `[` in an object literal
   parameter              declared in the function scope ("param"); its
                          default is read in that scope
   var / let / const      `var` declares in the nearest function or module
