@@ -2,9 +2,9 @@
 
 The parser builds each file's tree as it reads, through a ``ScopeBuilder``;
 no syntax tree is walked. Each file gets its own tree rooted at a module
-scope. Names that resolve past
-the module root belong to the (implicit, program-wide) global scope; the tree
-keeps one Binding with ``scope_id == GLOBAL_SCOPE`` for each such name.
+scope. Names that resolve past the module root belong to the (implicit,
+program-wide) global scope; the tree keeps one Binding with
+``scope_id == GLOBAL_SCOPE`` for each such name.
 
 var declarations hoist to the nearest function or module scope; let/const,
 class and (module code is strict) function declarations bind in the nearest
