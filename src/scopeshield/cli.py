@@ -67,7 +67,6 @@ def build_parser():
     ob.add_argument("--no-prop-access", action="store_true")
     ob.add_argument("--no-minify", action="store_true")
     ob.add_argument("--allowlist", help="external-name allowlist file")
-    ob.add_argument("--dump-scopes", action="store_true")
     ob.add_argument("--dump-renames", action="store_true")
 
     an = sub.add_parser("analyze", help="scope/dependency diagnostics")
@@ -102,7 +101,6 @@ def _config_from_args(args):
         "encode_strings": False if args.no_strings else None,
         "rewrite_properties": False if args.no_prop_access else None,
         "minify": False if args.no_minify else None,
-        "dump_scopes": True if args.dump_scopes else None,
         "dump_renames": True if args.dump_renames else None,
     }
     return config.merged(overrides)

@@ -9,7 +9,10 @@ the facts the later layers read, and nothing else:
                   file has parsed, because hoisting needs the whole file
   candidates      the string literals the string transform may encode and
                   the ``obj.prop`` accesses the property transform may
-                  rewrite, in pre-order, and the preamble offset
+                  rewrite, in pre-order, and the preamble offset; leaving
+                  a scope that holds a dynamic site drops the candidates
+                  read in it or below it, and the module scope is checked
+                  once the file has parsed
   summary         imports, exports, ``module_syntax``, the module-level
                   names and the free names the cross-file analysis reads,
                   and the branch points of the complexity metric
@@ -49,10 +52,12 @@ Facts by construct:
   eval(...), Function(...), new Function, with
                          the current scope is dynamic
   string literal         a candidate, unless it is an object key, a module
-                         path or a whole expression statement (a directive)
-  a.b                    a candidate, unless the object is `super` or the
-                         access is the operand of `delete`, parenthesized
-                         or not
+                         path or a whole expression statement (a directive),
+                         or is read in a dynamic scope or below one
+  a.b                    a candidate, unless the object is `super`, the
+                         access is the operand of `delete` (parenthesized
+                         or not), or it is read in a dynamic scope or below
+                         one
   branch points          if, each loop, catch, ?:, a case with a test, &&,
                          || and every function
 
@@ -101,7 +106,7 @@ _REF = 1  # an identifier reference
 _CALLEE = 2  # a reference to eval or Function: a call makes its scope dynamic
 _MEMBER = 3  # a dot access: the last access candidate recorded
 _PAREN_MEMBER = 4  # a parenthesized _MEMBER or _PAREN_MEMBER
-_TARGET = 5  # a computed access, a dot access on super, any parenthesized expression
+_TARGET = 5  # a computed access, a dot access on super, a parenthesized target
 _STRING = 6  # a string literal: the last string candidate recorded
 _SUPER = 7
 
@@ -147,9 +152,9 @@ class Candidates:
     """What the transforms read: ``strings``, the (start, end) spans of the
     encodable string literals, and ``accesses``, one (start of the access,
     start of its `.`, end, property name) per rewritable ``obj.prop``, both
-    in pre-order; and ``preamble_offset``, where the preamble goes: after
-    the directive prologue, so an injected declaration cannot demote
-    "use strict"."""
+    in pre-order and none read where a dynamic site can see it; and
+    ``preamble_offset``, where the preamble goes: after the directive
+    prologue, so an injected declaration cannot demote "use strict"."""
 
     __slots__ = ("strings", "accesses", "preamble_offset")
 
@@ -173,6 +178,9 @@ def parse(tokens, file_id="<input>"):
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
     tree = parser.scopes.finish()
+    if tree.nodes[tree.root].is_dynamic:
+        # a dynamic site at the top level sees every candidate
+        del parser.strings[:], parser.accesses[:]
     summary = parser.summary
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
     summary.free_names = sorted(tree.globals)
@@ -200,6 +208,8 @@ class _Parser:
         self.summary = FileSummary(file_id)
         self.strings = []
         self.accesses = []
+        # the candidate counts when each open scope was entered
+        self.marks = []
 
     # ---- token helpers ----
 
@@ -233,13 +243,25 @@ class _Parser:
         t = self.peek()
         raise exc(message, self.file_id, t.start if t is not None else self.end_offset)
 
-    def string_value(self, t):
+    def literal_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
         ParseError."""
         try:
-            return _string_value(t.text)
+            return string_value(t.text)
         except ValueError as exc:
             raise ParseError(f"bad string literal: {exc}", self.file_id, t.start) from None
+
+    def enter_scope(self, kind, start):
+        self.scopes.enter(kind, start)
+        self.marks.append((len(self.strings), len(self.accesses)))
+
+    def leave_scope(self, end, keep=True):
+        """Leave the current scope. If a dynamic site is in it, drop the
+        candidates read since it was entered, in it or below it: that code
+        may read them as written."""
+        strings, accesses = self.marks.pop()
+        if self.scopes.leave(end, keep):
+            del self.strings[strings:], self.accesses[accesses:]
 
     def unsupported(self, message):
         self.error(message, UnsupportedSyntax)
@@ -305,7 +327,7 @@ class _Parser:
         if t is None or t.kind != STRING:
             self.error("expected module path string")
         self.advance()
-        return self.string_value(t)
+        return self.literal_value(t)
 
     def newline_before_current(self):
         return self.i in self.nl_before
@@ -428,7 +450,7 @@ class _Parser:
         lbrace = self.expect("{")
         lexical = False
         if scoped:
-            self.scopes.enter(BLOCK, lbrace.start)
+            self.enter_scope(BLOCK, lbrace.start)
         while not self.at("}"):
             t = self.peek()
             if t is None:
@@ -438,7 +460,7 @@ class _Parser:
             self.parse_statement()
         end = self.advance().end
         if scoped:
-            self.scopes.leave(end, keep=lexical)
+            self.leave_scope(end, keep=lexical)
         return end
 
     def parse_var_decl(self, no_in=False):
@@ -471,11 +493,11 @@ class _Parser:
         if decl:
             self.scopes.declare(name_tok, "function")
         self.summary.branch_points += 1
-        self.scopes.enter(FUNCTION, kw.start)
+        self.enter_scope(FUNCTION, kw.start)
         if name_tok is not None and not decl:
             self.scopes.declare(name_tok, "fnexpr")
         self.parse_params()
-        self.scopes.leave(self.parse_block(scoped=False))
+        self.leave_scope(self.parse_block(scoped=False))
         return name_tok
 
     def parse_params(self):
@@ -539,7 +561,7 @@ class _Parser:
         ``start``; ``role`` is "method", "get" or "set". A getter takes no
         parameter and a setter exactly one, which is not a rest parameter."""
         self.summary.branch_points += 1
-        self.scopes.enter(FUNCTION, start)
+        self.enter_scope(FUNCTION, start)
         lparen = self.peek()
         rests = self.parse_params()
         if role == "get" and rests:
@@ -548,7 +570,7 @@ class _Parser:
             raise ParseError(
                 "a setter takes exactly one parameter, not a rest one", self.file_id, lparen.start
             )
-        self.scopes.leave(self.parse_block(scoped=False))
+        self.leave_scope(self.parse_block(scoped=False))
 
     def parse_if(self):
         self.expect("if")
@@ -571,7 +593,7 @@ class _Parser:
         elif t is not None and t.kind == KEYWORD and t.text in ("var", "let", "const"):
             if t.text != "var":
                 scoped = True
-                self.scopes.enter(BLOCK, kw.start)
+                self.enter_scope(BLOCK, kw.start)
             self.parse_var_decl(no_in=True)
         else:
             self.parse_expression(no_in=True)
@@ -593,7 +615,7 @@ class _Parser:
             self.expect(")")
         end = self.parse_statement()
         if scoped:
-            self.scopes.leave(end)
+            self.leave_scope(end)
         return end
 
     def parse_while(self):
@@ -636,14 +658,14 @@ class _Parser:
         if self.at("catch"):
             ck = self.advance()
             self.summary.branch_points += 1
-            self.scopes.enter(BLOCK, ck.start)
+            self.enter_scope(BLOCK, ck.start)
             if self.at("("):
                 self.advance()
                 t = self.binding_name("expected catch parameter name", "catch parameters")
                 self.expect(")")
                 self.scopes.declare(t, "catch")
             end = self.parse_block(scoped=False)
-            self.scopes.leave(end)
+            self.leave_scope(end)
             handled = True
         if self.at("finally"):
             self.advance()
@@ -714,7 +736,7 @@ class _Parser:
         else:
             # the imported name is the local binding too
             local_tok = self.binding_name("expected 'as' after import specifier")
-        ext_name = self.string_value(ext) if ext.kind == STRING else ext.text
+        ext_name = self.literal_value(ext) if ext.kind == STRING else ext.text
         self.scopes.declare(local_tok, "import")
         return ext_name
 
@@ -759,7 +781,10 @@ class _Parser:
                 return
             self.consume_semicolon()
             for lt, exported in specifiers:
-                # bare `export {a, b}`: the locals are references to module bindings
+                # bare `export {a, b}`: the locals are references to module
+                # bindings, which no reserved word can name
+                if lt.kind == KEYWORD:
+                    raise ParseError(f"cannot export reserved word {lt.text!r}", self.file_id, lt.start)
                 self.summary.export_pairs.append((lt.text, exported))
                 self.scopes.reference(lt, "export")
             return
@@ -779,7 +804,7 @@ class _Parser:
             if et is None or et.kind not in (IDENT, KEYWORD, STRING):
                 self.error("expected export alias")
             self.advance()
-            exported = self.string_value(et) if et.kind == STRING else et.text
+            exported = self.literal_value(et) if et.kind == STRING else et.text
         return lt, exported
 
     # ---- expressions: each returns its kind tag ----
@@ -970,7 +995,11 @@ class _Parser:
                 self.advance()
                 tag = self.parse_expression()
                 self.expect(")")
-                return _PAREN_MEMBER if tag == _MEMBER or tag == _PAREN_MEMBER else _TARGET
+                if tag == _MEMBER or tag == _PAREN_MEMBER:
+                    return _PAREN_MEMBER
+                if tag == _CALLEE:
+                    return _CALLEE  # (eval)(s) is a direct eval too
+                return _TARGET if _REF <= tag <= _TARGET else _OTHER
             if t.text == "[":
                 self.delimited("[", "]", self.parse_array_element)
                 return _OTHER
@@ -1001,7 +1030,7 @@ class _Parser:
         """An arrow function whose parameter list is one identifier
         (``single``) or parenthesized."""
         self.summary.branch_points += 1
-        self.scopes.enter(FUNCTION, self.peek().start)
+        self.enter_scope(FUNCTION, self.peek().start)
         if single:
             self.parse_param()
         else:
@@ -1011,7 +1040,7 @@ class _Parser:
             self.parse_block(scoped=False)
         else:
             self.parse_assign()
-        self.scopes.leave(self.last_end())
+        self.leave_scope(self.last_end())
         return _OTHER
 
     def parse_new(self):
@@ -1101,7 +1130,7 @@ def _code_point(digits, width=None):
     return chr(code)
 
 
-def _string_value(raw):
+def string_value(raw):
     """Decode a JavaScript string literal (including the quotes) to its value.
 
     Raises ValueError for every malformed escape and for legacy octal

@@ -41,7 +41,6 @@ from .lexer import tokenize
 from .parser import parse
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
-from .scopes import format_scope_report
 from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
@@ -59,7 +58,6 @@ class ObfuscationConfig:
     allowlist_path: str = None
     instrument_decode: bool = False
     dump_renames: bool = False
-    dump_scopes: bool = False
 
     @classmethod
     def from_file(cls, path, **defaults):
@@ -252,12 +250,11 @@ def process_file(config, allowlist, rel_path):
                 used.add(rmap.name_or_original(occ.binding))
                 used.add(occ.name)
             fresh = name_sequence(frozenset(used))
-            in_dynamic_region = tree.dynamic_region()
             preamble = ""
             # slot names are drawn before the string-table names
             if config.rewrite_properties:
                 prop_patches, prop_pre, _slots = rewrite_property_access(
-                    fresh, in_dynamic_region, candidates.accesses
+                    fresh, candidates.accesses
                 )
                 patches.extend(prop_patches)
                 preamble += prop_pre
@@ -265,7 +262,6 @@ def process_file(config, allowlist, rel_path):
                 str_patches, str_pre, _table = encode_strings(
                     _file_key(rel_path),
                     fresh,
-                    in_dynamic_region,
                     mtext,
                     candidates.strings,
                     instrument=config.instrument_decode,
@@ -282,8 +278,6 @@ def process_file(config, allowlist, rel_path):
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
         if config.dump_renames:
             result["rename_dump"] = rmap.dump_lines()
-        if config.dump_scopes:
-            result["scope_dump"] = format_scope_report(tree)
     except FILE_FAILURES as exc:
         result["status"], result["error"] = file_failure(rel_path, exc)
         return result
@@ -393,11 +387,7 @@ def obfuscate_project(config):
     }
     wall_ms["discover"] = (time.perf_counter() - started) * 1000.0
 
-    dump_root = (
-        dump_dir_for(config.output_root)
-        if (config.dump_renames or config.dump_scopes)
-        else None
-    )
+    dump_root = dump_dir_for(config.output_root) if config.dump_renames else None
     written = {}  # rel path -> bytes this run wrote there
     skipped = {}  # rel path -> (category, message); all copied verbatim
     summaries = []
@@ -420,8 +410,6 @@ def obfuscate_project(config):
         written[rel] = len(data)
         if "rename_dump" in result:
             _write_dump(dump_root / "renames" / (rel + ".tsv"), "\n".join(result["rename_dump"]))
-        if "scope_dump" in result:
-            _write_dump(dump_root / "scopes" / (rel + ".txt"), result["scope_dump"])
     wall_ms["files"] = (time.perf_counter() - t0) * 1000.0
     report["files_transformed"] = len(written)
 

@@ -9,11 +9,12 @@ program-wide) global scope; the tree keeps one Binding with
 var declarations hoist to the nearest function or module scope; let/const,
 class and (module code is strict) function declarations bind in the nearest
 enclosing block. A block gets a scope node only when it directly contains a
-lexical declaration. Scopes lexically containing eval, `with` or a Function
-constructor call are flagged dynamic, ancestors included.
+lexical declaration. A scope that directly contains eval, `with` or a
+Function constructor call is flagged dynamic. Code in it or below it may
+read any name on its scope chain: the renamer freezes the bindings of the
+dynamic scope and its ancestors, and the parser drops the transform
+candidates read in the dynamic scope or below it.
 """
-
-from bisect import bisect_right
 
 from .errors import UnknownScope, UnsupportedSyntax
 
@@ -155,58 +156,6 @@ class ScopeTree:
             yield sid
             stack.extend(reversed(self.nodes[sid].children))
 
-    def dynamic_upward(self, scope_id):
-        """True when the scope or an ancestor directly contains a dynamic
-        site, i.e. the position lies inside a dynamic scope's extent."""
-        sid = scope_id
-        while sid is not None:
-            if self.nodes[sid].is_dynamic:
-                return True
-            sid = self.nodes[sid].parent
-        return False
-
-    def dynamic_region(self):
-        """Predicate ``pos -> bool`` equal to ``dynamic_upward(scope_at(pos))``
-        for every position, built in one walk of the tree.
-
-        The walk carries each scope's reachable extent (its span clipped to
-        its ancestors', the positions at which ``scope_at`` descends into it)
-        and stops at the first dynamic scope on a path: all of that scope's
-        reachable extent is dynamic. The extents are merged into sorted,
-        disjoint intervals, so a query is one bisect.
-        """
-        if self.nodes[self.root].is_dynamic:
-            return lambda pos: True
-        extents = []
-        stack = [(self.root, float("-inf"), float("inf"))]
-        while stack:
-            sid, lo, hi = stack.pop()
-            for child in self.nodes[sid].children:
-                node = self.nodes[child]
-                child_lo = max(lo, node.start)
-                child_hi = min(hi, node.end)
-                if child_lo >= child_hi:
-                    continue
-                if node.is_dynamic:
-                    extents.append((child_lo, child_hi))
-                else:
-                    stack.append((child, child_lo, child_hi))
-        extents.sort()
-        starts = []
-        ends = []
-        for lo, hi in extents:
-            if ends and lo <= ends[-1]:
-                ends[-1] = max(ends[-1], hi)
-            else:
-                starts.append(lo)
-                ends.append(hi)
-
-        def inside(pos):
-            idx = bisect_right(starts, pos) - 1
-            return idx >= 0 and pos < ends[idx]
-
-        return inside
-
     def scopes_with_dynamic_inside(self):
         """Scopes whose subtree (self included) contains a dynamic scope.
 
@@ -222,23 +171,6 @@ class ScopeTree:
                 tainted.add(sid)
                 sid = self.nodes[sid].parent
         return tainted
-
-    def scope_at(self, pos):
-        """Innermost scope whose span contains ``pos``; a linear scan of each
-        level's children, so per-node callers use ``dynamic_region``."""
-        sid = self.root
-        while True:
-            found = None
-            for child in self.nodes[sid].children:
-                node = self.nodes[child]
-                if node.start <= pos < node.end:
-                    found = child
-                    break
-                if node.start > pos:
-                    break
-            if found is None:
-                return sid
-            sid = found
 
 
 class ScopeBuilder:
@@ -280,11 +212,14 @@ class ScopeBuilder:
             self.function = self.scope
 
     def leave(self, end, keep=True):
+        """Leave the current scope; returns whether a dynamic site is in
+        it, its elided blocks included."""
         node = self.scope
         node.end = end
         self.scope, self.function = self.outer.pop()
         if not keep:
             self._elide(node)
+        return node.is_dynamic
 
     def _elide(self, node):
         parent = self.scope  # the node is the last child entered in it
@@ -375,7 +310,7 @@ class ScopeBuilder:
 
 
 def format_scope_report(tree):
-    """Indented one-scope-per-line dump for the analyze/--dump-scopes CLI."""
+    """Indented one-scope-per-line dump for ``analyze --dump-scopes``."""
     lines = []
     stack = [(tree.root, 0)]
     while stack:

@@ -10,15 +10,14 @@ All preamble code is hoist-safe: the decoder and its state are function/var
 declarations, so calls from anywhere in the module (including code that runs
 before the preamble's position) behave correctly.
 
-Candidates inside a dynamic region (a scope containing ``eval``, ``with`` or
-a ``Function`` call, or nested in one) are skipped. Both transforms take the
-file's ``ScopeTree.dynamic_region`` predicate, built once per file, so they
-stay linear in the file size.
+The candidates come from the parser, which has already dropped those read
+in a scope containing ``eval``, ``with`` or a ``Function`` call, or nested
+in one: a dynamic site may read them as written.
 """
 
 import base64
 
-from .parser import _string_value
+from .parser import string_value
 from .patches import Patch
 
 INSTRUMENT_COUNTER = "__scopeshieldDecodes"
@@ -81,14 +80,13 @@ def decoder_preamble(table, key, names, instrument=False):
     return body + _DECODER_JS.format(X=x, K=key)
 
 
-def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, instrument=False):
+def encode_strings(key, fresh_names, source, candidates, instrument=False):
     """Encode the file's eligible string literals, ``candidates`` (the
     (start, end) spans of ``Candidates.strings``), into one table.
 
     Returns (patches, preamble text, the table's payloads or None).
     Literals shorter than 2 characters, literals with malformed or legacy
-    escapes, non-UTF-8-encodable values and anything inside a dynamic region
-    are skipped.
+    escapes and non-UTF-8-encodable values are skipped.
     """
     table = []
     index_of = {}
@@ -97,7 +95,7 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
     for start, end in candidates:
         raw = source[start:end]
         try:
-            value = _string_value(raw)
+            value = string_value(raw)
         except ValueError:
             continue
         if len(value) < 2:
@@ -105,8 +103,6 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            continue
-        if in_dynamic_region(start):
             continue
         picked.append((start, end, value))
     if not picked:
@@ -132,7 +128,7 @@ def encode_strings(key, fresh_names, in_dynamic_region, source, candidates, inst
     return patches, preamble, table
 
 
-def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
+def rewrite_property_access(fresh_names, candidates):
     """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (the
     (start, `.` start, end, property name) tuples of
     ``Candidates.accesses``), to ``obj[v]``.
@@ -144,9 +140,7 @@ def rewrite_property_access(fresh_names, in_dynamic_region, candidates):
     access_text = {}  # property name -> "[slot var]"
     slots = []
     patches = []
-    for start, dot, end, name in candidates:
-        if in_dynamic_region(start):
-            continue
+    for _start, dot, end, name in candidates:
         text = access_text.get(name)
         if text is None:
             var = next(fresh_names)

@@ -1,5 +1,6 @@
 """Every function, class and method in the package has a use in the package,
-and every ``__slots__`` entry is read somewhere in it.
+every ``__slots__`` entry is read somewhere in it, and no module imports
+another's private names.
 
 A name counts as used when some module of ``src/scopeshield`` mentions it as
 a bare name or as an attribute. Public names in ``__init__.__all__``, dunders
@@ -14,8 +15,6 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scopeshield"
 
 KEPT = {
-    "scope_at": "reference that test_scopes checks dynamic_region against",
-    "dynamic_upward": "reference that test_scopes checks dynamic_region against",
     "decode_payload": "Python mirror of the JS decoder, the round-trip oracle for encode_payload",
     "bzip2_compressor": "public second compressor for NID, next to the default LZMA one",
     "save_cases": "writes the case manifest that load_cases and `verify --cases` read",
@@ -77,3 +76,17 @@ def test_every_slot_is_read_in_the_package():
     assert slots, "no __slots__ found: the scan is broken"
     unread = {slot: where for slot, where in slots.items() if slot.split(".")[1] not in read}
     assert unread == {}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name another module needs is part of its interface: no underscore
+    private = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path, module in _modules()
+        for node in ast.walk(module)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "scopeshield")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -6,7 +6,7 @@ import pytest
 
 from scopeshield.errors import ParseError, UnsupportedSyntax
 from scopeshield.lexer import tokenize
-from scopeshield.parser import _string_value
+from scopeshield.parser import string_value
 from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import FUNCTION
 from scopeshield.tokens import PUNCT
@@ -136,6 +136,31 @@ def test_export_forms():
     assert all(local != "main" for local, _ in summary.export_pairs)
 
 
+# a bare `export {…}` reads module bindings, which no reserved word names;
+# one with `from` names the other module's exports, which may be any word
+EXPORTED_WORDS = [
+    ("export {if};", False),
+    ("export {default};", False),
+    ('export {default} from "./x.js";', True),
+    ('export {if as y} from "./x.js";', True),
+    ("var x; export {x as default};", True),
+]
+
+
+@pytest.mark.parametrize("src, ok", EXPORTED_WORDS)
+def test_a_bare_export_names_no_reserved_word(src, ok, tmp_path, node):
+    path = tmp_path / "m.mjs"
+    path.write_text(src, encoding="utf-8")
+    checked = subprocess.run([node, "--check", str(path)], capture_output=True, text=True)
+    assert (checked.returncode == 0) == ok
+    if ok:
+        parse_src(src)
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_src(src)
+        assert type(err.value) is ParseError and err.value.offset == src.index("{") + 1
+
+
 def test_reexport_counts_as_import_edge():
     _tree, _candidates, summary = parse_src('export {helper} from "./dep.js";')
     assert summary.imports == [("./dep.js", ["helper"])]
@@ -213,6 +238,8 @@ DYNAMIC_SNIPPETS = [
     "function outer(){ function inner(){ return eval(s); } return inner; }",
     "class C { m() { return eval(t); } }",
     "var h = () => eval(u);",
+    "function p(){ return (eval)(s); }",
+    "function q(){ return ((eval))(s); }",
     "for (var i = 0; i < 2; i++) { eval(body); }",
 ]
 
@@ -224,12 +251,12 @@ def test_every_dynamic_construct_detected():
 
 
 def test_string_value_decoding():
-    assert _string_value('"a\\nb"') == "a\nb"
-    assert _string_value("'it\\'s'") == "it's"
-    assert _string_value('"\\u0041\\u{1F600}"') == "A\U0001f600"
-    assert _string_value('"\\x41"') == "A"
+    assert string_value('"a\\nb"') == "a\nb"
+    assert string_value("'it\\'s'") == "it's"
+    assert string_value('"\\u0041\\u{1F600}"') == "A\U0001f600"
+    assert string_value('"\\x41"') == "A"
     with pytest.raises(ValueError):
-        _string_value('"\\7"')  # legacy octal stays unsupported
+        string_value('"\\7"')  # legacy octal stays unsupported
 
 
 # every place a binding name is read; NAME marks it, and the flag says
@@ -415,9 +442,9 @@ def test_get_and_set_prefix_one_rule_for_objects_and_classes():
 
 def test_line_continuations_join_the_lines():
     for terminator in ("\n", "\r", "\r\n", "\u2028", "\u2029"):
-        assert _string_value(f'"ab\\{terminator}cd"') == "abcd"
+        assert string_value(f'"ab\\{terminator}cd"') == "abcd"
     # unescaped, U+2028 and U+2029 are part of the string
-    assert _string_value('"a\u2028b\u2029c"') == "a\u2028b\u2029c"
+    assert string_value('"a\u2028b\u2029c"') == "a\u2028b\u2029c"
     src = 'var s = "a\u2028b";'
     _tree, candidates, _summary = parse_src(src)
     assert candidates.strings == [(8, len(src) - 1)]
@@ -490,3 +517,17 @@ def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node
     assert len(mutants) > 300 and node_accepts.count(False) > 300
     wrong = [text for text, ok in zip(mutants, node_accepts) if accepts(text) != ok]
     assert wrong == []
+
+
+PAREN_TARGETS = ["(1) = 2;", "(a + b) = 1;", "(a) = 1;", "((a)) = 1;", "(a.b) = 1;"]
+
+
+def test_a_parenthesized_expression_is_a_target_only_if_its_inside_is(node):
+    node_accepts = node_compiles(node, PAREN_TARGETS)
+    assert node_accepts == [False, False, True, True, True]
+    for src, ok in zip(PAREN_TARGETS, node_accepts):
+        if ok:
+            parse_src(src)
+            continue
+        with pytest.raises(ParseError, match="invalid assignment target"):
+            parse_src(src)

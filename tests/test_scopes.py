@@ -139,12 +139,12 @@ def test_function_expression_name_binds_in_own_scope():
     assert "self" not in tree.nodes[tree.root].declarations
 
 
-def test_scope_at_and_dynamic_upward():
-    src = "function f(){ eval(s); function inner(){ var q; } }"
-    tree = tree_of(src)
+def test_candidate_in_function_below_an_eval_scope_is_dropped():
+    src = 'function f(){ eval(s); function inner(){ var q = "deep"; return q.length; } } var k = "kept";'
+    tree, strings, accesses = candidates_of(src)
     inner = next(n for n in tree.nodes if "q" in n.declarations)
-    assert tree.scope_at(inner.start + 1) == inner.id
-    assert tree.dynamic_upward(inner.id)  # nested inside the eval scope
+    assert not inner.is_dynamic and tree.nodes[inner.parent].is_dynamic
+    assert strings == ['"kept"'] and accesses == []
 
 
 def test_var_redeclaring_catch_param_is_rejected():
@@ -157,72 +157,112 @@ def test_var_redeclaring_catch_param_is_rejected():
     tree_of("try { f(); } catch (e) { var other = 1; }")  # benign form is fine
 
 
-# ---- dynamic_region against the scope_at oracle ----
+# ---- candidates a dynamic site can see are dropped by the parser ----
 
-def assert_region_matches_oracle(tree, positions):
-    inside = tree.dynamic_region()
-    for pos in positions:
-        expected = tree.dynamic_upward(tree.scope_at(pos))
-        assert inside(pos) == expected, f"pos {pos} in {tree.file_id}"
-
-
-def test_dynamic_region_matches_oracle_on_random_trees():
-    rng = random.Random(0xD1CE)
-    for _ in range(300):
-        tree = random_scope_tree(rng, max_depth=6, max_bindings=20)
-        for node in tree.nodes:
-            node.is_dynamic = rng.random() < (0.02 if node.id == tree.root else 0.25)
-        positions = {occ.start for occ in tree.occurrences}
-        for node in tree.nodes:
-            for edge in (node.start, node.end):
-                positions.update((edge - 1, edge, edge + 1))
-        assert_region_matches_oracle(tree, sorted(positions))
-
-
-def program_positions(src, file_id):
-    """The tree and the positions the transforms query: each candidate's
-    start, plus each occurrence's."""
+def candidates_of(src, file_id="t.js"):
+    """The tree of ``src`` and the text of its string and access candidates."""
     _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
-    positions = [start for start, _end in candidates.strings]
-    positions += [start for start, _dot, _end, _name in candidates.accesses]
-    positions += [occ.start for occ in tree.occurrences]
-    return tree, positions
+    strings = [src[start:end] for start, end in candidates.strings]
+    accesses = [src[dot:end] for _start, dot, end, _name in candidates.accesses]
+    return tree, strings, accesses
 
 
-def test_dynamic_region_matches_oracle_on_programs():
-    rng = random.Random(41)
-    checked = 0
-    for _ in range(3):
-        for gen in GENERATORS:
-            for file_id, src in gen(rng).items():
-                tree, positions = program_positions(src, file_id)
-                assert_region_matches_oracle(tree, positions)
-                checked += len(positions)
-    assert checked > 0
+def test_candidate_in_an_elided_block_before_a_later_eval_is_dropped():
+    # the block holds no lexical declaration, so it is no scope; its
+    # candidates were read before the eval that makes f dynamic
+    src = 'function f(){ if (a) { x.y = "in-block"; } eval(s); } var k = "kept", n = k.length;'
+    tree, strings, accesses = candidates_of(src)
+    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION] and tree.nodes[1].is_dynamic
+    assert strings == ['"kept"'] and accesses == [".length"]
+    # an elided block holding the eval makes its parent dynamic, and with it
+    # a kept block read before it
+    src = 'function f(){ { let q; o.p = "a-b"; } { eval(s); } } o.r = "c-d";'
+    tree, strings, accesses = candidates_of(src)
+    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION, BLOCK]
+    assert strings == ['"c-d"'] and accesses == [".r"]
 
 
-def test_dynamic_region_nested_dynamic_scopes_sharing_a_start():
+def test_candidates_in_a_with_scope_are_dropped():
+    src = 'function g(o){ o.a = "before"; with (o) { o.k = "in-with"; } } var t = "out", u = t.length;'
+    _tree, strings, accesses = candidates_of(src)
+    assert strings == ['"out"'] and accesses == [".length"]
+
+
+def test_module_root_eval_drops_every_candidate():
     # the module (eval) and the function at offset 0 (with) are both dynamic
     # and start together; the literals after the function lie only in the
     # module's extent
     src = 'function f(o){with(o){o.k="in-with"}}eval("1");var s="after",t=s.length;'
-    tree, positions = program_positions(src, "shared.js")
-    fn = tree.nodes[1]
-    assert tree.nodes[tree.root].is_dynamic and fn.is_dynamic
-    assert tree.nodes[tree.root].start == fn.start == 0
-    assert any(pos > fn.end for pos in positions)
-    assert_region_matches_oracle(tree, positions)
-    assert all(tree.dynamic_region()(pos) for pos in positions)
-
+    tree, strings, accesses = candidates_of(src, "shared.js")
+    assert tree.nodes[tree.root].is_dynamic and tree.nodes[1].is_dynamic
+    assert strings == [] and accesses == []
     src = (
         'function f(){eval("a");function g(o){with(o){o.h="x"}}return "y".length}'
         'var z="out",w=z.length;'
     )
-    tree, positions = program_positions(src, "nested.js")
-    inside = tree.dynamic_region()
-    assert_region_matches_oracle(tree, positions)
-    assert inside(src.index('"x"')) and inside(src.index('"y"'))
-    assert not inside(src.index('"out"')) and not inside(src.index(".length;"))
+    _tree, strings, accesses = candidates_of(src, "nested.js")
+    assert strings == ['"out"'] and accesses == [".length"]
+
+
+def test_candidates_read_outside_the_dynamic_scope_holding_them_are_kept():
+    # a computed method key is read before the method's scope starts, and a
+    # member access on a function expression after it ends
+    _tree, strings, accesses = candidates_of('var o = {["k-1"]() { return eval(s); }};')
+    assert strings == ['"k-1"']
+    _tree, _strings, accesses = candidates_of("var r = function () { return eval(s); }.call(o);")
+    assert accesses == [".call"]
+
+
+# Same-length spellings that parse alike but are no dynamic site: `with (o)`
+# becomes `if   (o)`, and eval and Function other names.
+NEUTRAL = ((r"\bwith\b", "if  "), (r"\beval\b", "evax"), (r"\bFunction\b", "Functiox"))
+
+DYNAMIC_PROGRAMS = (
+    'function f(o){with(o){o.k="in-with"}}eval("1");var s="after",t=s.length;',
+    'function f(){eval("a");function g(o){with(o){o.h="x"}}return "y".length}var z="out",w=z.length;',
+    'function f(){ if (a) { x.y = "in-block"; } eval(s); } var k = "kept", n = k.length;',
+    'var m = new Function("a", "return a"); function h(){ return "body".length; }',
+    'function h(){ var g = Function("return 1"); { let b = "blk"; o.p = b; } } var c = "top".length;',
+    'var p = (x = "dflt") => { with (x) { return x.v; } }; for (let i of "abc") o.w = i.length;',
+)
+
+
+def under_dynamic_scope(tree, pos):
+    """Span oracle: whether the innermost scope whose span holds ``pos``, or
+    an ancestor of it, is dynamic."""
+    sid = tree.root
+    while not tree.nodes[sid].is_dynamic:
+        inner = [c for c in tree.nodes[sid].children if tree.nodes[c].start <= pos < tree.nodes[c].end]
+        if not inner:
+            return False
+        sid = inner[0]
+    return True
+
+
+def test_kept_candidates_match_a_span_oracle_on_programs():
+    # every candidate of the program with its dynamic sites neutralized,
+    # except those under a dynamic scope's span; the programs hold neither
+    # shape whose candidate is read outside the span holding it
+    import re
+
+    rng = random.Random(41)
+    programs = [(f"dyn{i}.js", src) for i, src in enumerate(DYNAMIC_PROGRAMS)]
+    for _ in range(3):
+        for gen in GENERATORS:
+            programs.extend(gen(rng).items())
+    dropped = 0
+    for file_id, src in programs:
+        tree, candidates = front_end(src, file_id, minify=False)[1:3]
+        neutral = src
+        for pattern, spelling in NEUTRAL:
+            neutral = re.sub(pattern, spelling, neutral)
+        every = front_end(neutral, file_id, minify=False)[2]
+        strings = [c for c in every.strings if not under_dynamic_scope(tree, c[0])]
+        accesses = [c for c in every.accesses if not under_dynamic_scope(tree, c[0])]
+        assert candidates.strings == strings, file_id
+        assert candidates.accesses == accesses, file_id
+        dropped += len(every.strings) + len(every.accesses) - len(strings) - len(accesses)
+    assert dropped >= 20
 
 
 # ---- each occurrence is resolved once, when the tree is built ----

@@ -1,6 +1,6 @@
 import random
 
-from scopeshield.parser import _string_value
+from scopeshield.parser import string_value
 from scopeshield.patches import Patch, emit
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
@@ -17,28 +17,25 @@ from corpusgen import GENERATORS
 
 
 def setup(src, file_id="t.js"):
-    """(Candidates, ScopeTree) of ``src`` as written."""
-    _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
-    return candidates, tree
+    """The Candidates of ``src`` as written."""
+    return front_end(src, file_id, minify=False)[2]
 
 
 def fresh():
     return name_sequence(excluded=frozenset())
 
 
-def encode(src, candidates, tree, key, instrument=False):
-    return encode_strings(
-        key, fresh(), tree.dynamic_region(), src, candidates.strings, instrument=instrument
-    )
+def encode(src, candidates, key, instrument=False):
+    return encode_strings(key, fresh(), src, candidates.strings, instrument=instrument)
 
 
-def rewrite_props(candidates, tree):
-    return rewrite_property_access(fresh(), tree.dynamic_region(), candidates.accesses)
+def rewrite_props(candidates):
+    return rewrite_property_access(fresh(), candidates.accesses)
 
 
 def apply_strings(src, instrument=False, key=7):
-    candidates, tree = setup(src)
-    patches, preamble, _table = encode(src, candidates, tree, key, instrument)
+    candidates = setup(src)
+    patches, preamble, _table = encode(src, candidates, key, instrument)
     if preamble:
         insert = candidates.preamble_offset
         patches.append(Patch(insert, insert, preamble + "\n"))
@@ -61,8 +58,8 @@ def test_payload_round_trip():
 
 def test_no_literals_no_preamble():
     src = "var count = 1 + 2;"
-    candidates, tree = setup(src)
-    patches, preamble, table = encode(src, candidates, tree, 7)
+    candidates = setup(src)
+    patches, preamble, table = encode(src, candidates, 7)
     assert patches == [] and preamble == "" and table is None
 
 
@@ -80,8 +77,8 @@ def test_decode_runs_once_for_thousand_calls():
 
 def test_duplicate_literals_share_one_table_entry():
     src = 'var a = "dup"; var b = "dup"; var c = "other";'
-    candidates, tree = setup(src)
-    _patches, _pre, table = encode(src, candidates, tree, 3)
+    candidates = setup(src)
+    _patches, _pre, table = encode(src, candidates, 3)
     # oracle: table length equals the number of distinct eligible literals
     distinct = {"dup", "other"}
     assert len(table) == len(distinct)
@@ -134,8 +131,8 @@ def test_unicode_survives_the_js_decoder():
 def test_property_access_rewritten_via_hoisted_slot():
     src = "player.score += 1;\nconsole.log(player.score);"
     src = "var player = {score: 41};\n" + src
-    candidates, tree = setup(src)
-    patches, preamble, slots = rewrite_props(candidates, tree)
+    candidates = setup(src)
+    patches, preamble, slots = rewrite_props(candidates)
     assert len(slots) == 2  # score, log
     assert slots == sorted(slots)
     score_var = next(var for var, prop in slots if prop == "score")
@@ -147,8 +144,8 @@ def test_property_access_rewritten_via_hoisted_slot():
 
 def test_no_member_accesses_no_patches():
     src = "var plain = 1 + 2;"
-    candidates, tree = setup(src)
-    patches, preamble, slots = rewrite_props(candidates, tree)
+    candidates = setup(src)
+    patches, preamble, slots = rewrite_props(candidates)
     assert patches == [] and preamble == "" and slots == []
 
 
@@ -158,8 +155,8 @@ def test_repeated_accesses_share_slot():
         "o.score += 1; o.score += 2; o.score += 3; o.score += 4; o.score *= 2;\n"
         "console.log(o.score);"
     )
-    candidates, tree = setup(src)
-    _patches, _pre, slots = rewrite_props(candidates, tree)
+    candidates = setup(src)
+    _patches, _pre, slots = rewrite_props(candidates)
     # count-oracle: one slot per distinct property name
     names = {name for _start, _dot, _end, name in candidates.accesses}
     assert len(slots) == len(names)
@@ -172,15 +169,15 @@ def test_candidates_in_source_order_without_super_or_delete_targets():
         "delete (o.a); delete ((o.b).c); delete o.d;\n"
         'o.e = "one" + "two";'
     )
-    candidates, _tree = setup(src)
+    candidates = setup(src)
     assert [src[start:end] for start, end in candidates.strings] == ['"key"', '"one"', '"two"']
     assert [name for _start, _dot, _end, name in candidates.accesses] == ["y", "b", "e"]
 
 
 def test_delete_targets_skipped():
     src = "var o = {a: 1, b: 2};\ndelete o.a;\nconsole.log(o.b, o.a);"
-    candidates, tree = setup(src)
-    patches, preamble, _slots = rewrite_props(candidates, tree)
+    candidates = setup(src)
+    patches, preamble, _slots = rewrite_props(candidates)
     out = emit(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
     assert "delete o.a" in out
     assert run_node(code=out) == "2 undefined\n"
@@ -191,28 +188,46 @@ def test_method_calls_keep_this_binding():
         "var counter = {n: 10, bump: function (d) { this.n += d; return this.n; }};\n"
         "console.log(counter.bump(5), counter.n);"
     )
-    candidates, tree = setup(src)
-    patches, preamble, _slots = rewrite_props(candidates, tree)
+    candidates = setup(src)
+    patches, preamble, _slots = rewrite_props(candidates)
     out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
     assert run_node(code=out) == "15 15\n"
 
 
-def test_every_candidate_outside_dynamic_regions_rewritten():
+def apply_both(src):
+    """``src`` with its accesses rewritten and its strings encoded."""
+    candidates = setup(src)
+    names = fresh()
+    patches, preamble, _slots = rewrite_property_access(names, candidates.accesses)
+    str_patches, str_pre, _table = encode_strings(7, names, src, candidates.strings)
+    insert = candidates.preamble_offset
+    return emit(src, patches + str_patches + [Patch(insert, insert, preamble + str_pre + "\n")])
+
+
+def test_candidates_read_outside_a_dynamic_scope_holding_them_are_rewritten():
+    # the computed key is read before the eval method's scope starts, and
+    # `.call` after the eval function's scope ends: both run in the outer scope
+    src = (
+        'var s = "1 + 1", o = {["key"]() { return eval(s); }};\n'
+        'var n = function () { return eval("this.v * 2"); }.call({v: 21});\n'
+        "console.log(o.key(), n);"
+    )
+    out = apply_both(src)
+    assert '["key"]' not in out and ".call(" not in out
+    assert '"this.v * 2"' in out  # read inside the eval function
+    assert run_node(code=out) == run_node(code=src) == "2 42\n"
+
+
+def test_every_candidate_rewritten_once():
     # one table and one slot map cover the whole file: each eligible
     # candidate is patched exactly once, whatever its position
     rng = random.Random(17)
     for gen in GENERATORS:
         for file_id, src in gen(rng).items():
-            candidates, tree = setup(src, file_id)
-            inside = tree.dynamic_region()
+            candidates = setup(src, file_id)
             strings, accesses = candidates.strings, candidates.accesses
-            props = [dot for start, dot, _end, _name in accesses if not inside(start)]
-            patches, _pre, _slots = rewrite_property_access(fresh(), inside, accesses)
-            assert sorted(p.start for p in patches) == sorted(props)
-            eligible = [
-                start
-                for start, end in strings
-                if not inside(start) and len(_string_value(src[start:end])) >= 2
-            ]
-            patches, _pre, _table = encode_strings(7, fresh(), inside, src, strings)
+            patches, _pre, _slots = rewrite_property_access(fresh(), accesses)
+            assert sorted(p.start for p in patches) == sorted(dot for _s, dot, _e, _n in accesses)
+            eligible = [start for start, end in strings if len(string_value(src[start:end])) >= 2]
+            patches, _pre, _table = encode_strings(7, fresh(), src, strings)
             assert sorted(p.start for p in patches) == sorted(eligible)
