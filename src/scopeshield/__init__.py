@@ -1,7 +1,8 @@
 """scopeshield: scope-aware parallel JavaScript obfuscator.
 
 Pipeline: one lexing pass that emits the significant tokens and minifies
-in the same pass, span-faithful patching, per-file scope analysis, boundary
+in the same pass, streamed into a parser that records facts, not a tree,
+span-faithful patching, per-file scope analysis, boundary
 names (exports, script globals) frozen per file, shortest-identifier
 renaming with an independent safety oracle, and performance-preserving
 string/property transforms, plus metrics and a differential equivalence

@@ -1,14 +1,17 @@
 """One-pass tokenizer and minifier for the supported JavaScript subset.
 
-``tokenize`` emits the significant tokens only and notes which of them a
-line break precedes; every run of whitespace and comments between two
-tokens is consumed as one gap and never becomes a token. The result also
-carries the text its spans index. Without ``minify`` that is the input,
-where each gap lexes to no token. With ``minify`` the same pass writes the
-minified text: the input runs between gaps are copied, each gap becomes one
-separator, and the spans are shifted to index that text. Template literals
-with interpolation are emitted as several ``template-literal`` chunks with
-the interpolated expressions lexed normally in between.
+``lex`` is the lexer: a generator that appends the significant tokens to a
+``TokenList`` a batch at a time, so a parser can read them while the file
+is still being lexed and no file's token list need exist in full. It notes
+which tokens a line break precedes; every run of whitespace and comments
+between two tokens is consumed as one gap and never becomes a token. When
+the stream ends the list carries the text its spans index. Without
+``minify`` that is the input, where each gap lexes to no token. With
+``minify`` the same pass writes the minified text: the input runs between
+gaps are copied, each gap becomes one separator, and the spans are shifted
+to index that text. Template literals with interpolation are emitted as
+several ``template-literal`` chunks with the interpolated expressions lexed
+normally in between. ``tokenize`` drains the generator into one list.
 """
 
 import re
@@ -91,8 +94,31 @@ _NO_REGEX_AFTER_PUNCT = frozenset({")", "]", "}", "++", "--"})
 _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 
 
+# Tokens the lexer appends between two yields. A consumer that drops what it
+# has read holds about one batch: some 130 KB of tokens, against some 30 MB
+# for the whole of a 1 MB minified file. A batch this size makes the cost of
+# resuming the generator negligible next to lexing its tokens.
+BATCH_TOKENS = 1000
+
+
 def tokenize(source, file_id="<input>", minify=False):
-    """The significant tokens of ``source``, as a TokenList.
+    """The significant tokens of ``source``, as one TokenList: ``lex``
+    drained."""
+    tokens = TokenList()
+    for _ in lex(tokens, source, file_id, minify):
+        pass
+    return tokens
+
+
+def lex(tokens, source, file_id="<input>", minify=False):
+    """Append the significant tokens of ``source`` to the TokenList
+    ``tokens``, yielding after every ``BATCH_TOKENS`` of them; set
+    ``tokens.text`` once the stream ends.
+
+    The consumer may delete tokens from the front of the list between
+    batches: ``tokens.nl_before`` holds stream positions (how many tokens
+    the stream appended before the one a line break precedes), not list
+    indexes. Each distinct word is one str object however often it occurs.
 
     Without ``minify`` the spans index ``source``. With ``minify``, comments
     are dropped and each gap between two tokens becomes ``"\\n"`` if it held
@@ -104,10 +130,12 @@ def tokenize(source, file_id="<input>", minify=False):
     Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter with
     the file id and the offset of the problem in ``source``.
     """
-    tokens = TokenList()
     tokens.nl_before = nl_before = set()
     append = tokens.append
     keywords = KEYWORDS
+    words = {}  # each distinct word's one str
+    count = 0  # tokens appended
+    batch_end = BATCH_TOKENS
     # Each entry: [`{` nesting depth inside one interpolation, template start]
     template_stack = []
     prev = None  # the last token
@@ -157,6 +185,7 @@ def tokenize(source, file_id="<input>", minify=False):
                                 template_stack.append([0, pos])
                             restart = True
             elif group == 3:
+                text = words.setdefault(text, text)
                 kind = KEYWORD if text in keywords else IDENT
             elif group == 4:
                 kind = NUMBER
@@ -200,7 +229,7 @@ def tokenize(source, file_id="<input>", minify=False):
                         delta += len(sep) - len(gap)
                     nl = sep == "\n"
                 if nl:
-                    nl_before.add(len(tokens))
+                    nl_before.add(count)
                     nl = False
                 gap = None
             if delta:
@@ -209,6 +238,10 @@ def tokenize(source, file_id="<input>", minify=False):
                 prev = Token(kind, text, pos, end)
             append(prev)
             pos = end
+            count += 1
+            if count == batch_end:
+                yield
+                batch_end += BATCH_TOKENS
             if restart:
                 break
 
@@ -221,7 +254,6 @@ def tokenize(source, file_id="<input>", minify=False):
         tokens.text = "".join(parts)
     else:
         tokens.text = source
-    return tokens
 
 
 def _regex_allowed(prev):

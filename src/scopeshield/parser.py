@@ -17,6 +17,14 @@ the facts the later layers read, and nothing else:
                   names and the free names the cross-file analysis reads,
                   and the branch points of the complexity metric
 
+The parser reads the tokens as the lexer streams them (``lexer.lex``). It
+pulls a batch of tokens when its cursor nears the end of what it holds, and
+at that point drops the tokens it has read past, so a file's tokens never
+exist all at once; only the arrow check (``is_arrow_ahead``) keeps the
+batches it scans until the parse reaches them. What needs the whole text
+(the sentinels, the end offset, the module scope's end) is set when the
+stream ends.
+
 Spans are half-open offsets into the text the tokens index. Expression
 productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
 is all a parent production reads; statement productions return their end,
@@ -58,6 +66,9 @@ Facts by construct:
                          access is the operand of `delete` (parenthesized
                          or not), or it is read in a dynamic scope or below
                          one
+  super                  no fact; `super.x` and `super[x]` parse only in a
+                         method or an arrow within one, `super(...)` only
+                         in the constructor of a class with `extends`
   branch points          if, each loop, catch, ?:, a case with a test, &&,
                          || and every function
 
@@ -75,6 +86,8 @@ verbatim): labeled statements, destructuring, generators, async/await,
 class fields, optional chaining, dynamic import(), computed class member
 names.
 """
+
+import sys
 
 from .errors import ParseError, UnsupportedSyntax
 from .scopes import BLOCK, FUNCTION, ScopeBuilder
@@ -164,13 +177,14 @@ class Candidates:
         self.preamble_offset = preamble_offset
 
 
-def parse(tokens, file_id="<input>"):
-    """Parse a ``tokenize`` result into (ScopeTree, Candidates, FileSummary).
+def parse(tokens, stream, file_id="<input>"):
+    """Parse the tokens the ``lexer.lex`` generator ``stream`` appends to the
+    TokenList ``tokens`` into (ScopeTree, Candidates, FileSummary).
 
-    The parse consumes ``tokens``: it drops each token soon after reading
-    it and leaves the list empty.
+    The parse drains ``stream`` unless it raises, and leaves ``tokens``
+    empty.
     """
-    parser = _Parser(tokens, file_id)
+    parser = _Parser(tokens, stream, file_id)
     try:
         preamble_offset = parser.parse_program()
     finally:
@@ -191,25 +205,34 @@ def parse(tokens, file_id="<input>"):
 
 # None sentinels after the last token let the cursor read without a bounds
 # check: the deepest lookahead is peek(1), and one more covers a cursor that
-# advanced onto the first sentinel
+# advanced onto the first sentinel. Before the stream ends, the parser pulls
+# batches so that it holds as many tokens past its cursor.
 _SENTINELS = (None, None, None)
+_LOOKAHEAD = len(_SENTINELS)
+# ``refill_at`` once the stream has ended: no cursor reaches it
+_NO_REFILL = sys.maxsize
 
 
 class _Parser:
-    def __init__(self, tokens, file_id):
+    def __init__(self, tokens, stream, file_id):
         self.file_id = file_id
-        self.n_toks = len(tokens)
-        tokens.extend(_SENTINELS)
         self.toks = tokens
-        self.i = 0
-        self.nl_before = tokens.nl_before
-        self.end_offset = len(tokens.text)
-        self.scopes = ScopeBuilder(file_id, self.end_offset)
+        self.stream = stream
+        self.i = 0  # the cursor: the list index of the next token
+        self.base = 0  # the stream position of the list's first token
+        self.refill_at = 0  # advancing from this index pulls a batch
+        self.end_offset = None  # the text's length, once the stream ends
+        self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary(file_id)
         self.strings = []
         self.accesses = []
         # the candidate counts when each open scope was entered
         self.marks = []
+        # whether super.x and super(...) may be read here: in a method, or
+        # in an arrow within one; super(...) only in a derived constructor
+        self.super_member = self.super_call = False
+        self.refill()
+        self.nl_before = tokens.nl_before  # set by the stream's first batch
 
     # ---- token helpers ----
 
@@ -224,11 +247,37 @@ class _Parser:
     def advance(self):
         i = self.i
         t = self.toks[i]
-        # the parser reads no token before the last one consumed, so the one
-        # before it is dropped: its memory is reused while the parse goes on
-        self.toks[i - 1] = None
         self.i = i + 1
+        if i >= self.refill_at:
+            self.refill()
         return t
+
+    def refill(self):
+        """Drop the tokens before the last one consumed, which the parser
+        reads no more, then pull batches until ``_LOOKAHEAD`` tokens (or the
+        sentinels) lie past the cursor."""
+        toks = self.toks
+        drop = max(self.i - 1, 0)
+        del toks[:drop]
+        self.base += drop
+        self.i -= drop
+        while len(toks) - self.i < _LOOKAHEAD and self.pull():
+            pass
+        if self.end_offset is None:
+            self.refill_at = len(toks) - _LOOKAHEAD
+
+    def pull(self):
+        """Lex one more batch onto the list; False once the stream has
+        ended, when the sentinels and what needs the whole text are set."""
+        if self.end_offset is not None:
+            return False
+        for _ in self.stream:
+            return True
+        self.toks.extend(_SENTINELS)
+        self.end_offset = len(self.toks.text)
+        self.scopes.nodes[0].end = self.end_offset
+        self.refill_at = _NO_REFILL
+        return False
 
     def last_end(self):
         """The end of the last token consumed."""
@@ -330,7 +379,7 @@ class _Parser:
         return self.literal_value(t)
 
     def newline_before_current(self):
-        return self.i in self.nl_before
+        return self.base + self.i in self.nl_before
 
     def consume_semicolon(self):
         t = self.peek()
@@ -496,8 +545,11 @@ class _Parser:
         self.enter_scope(FUNCTION, kw.start)
         if name_tok is not None and not decl:
             self.scopes.declare(name_tok, "fnexpr")
+        outer = self.super_member, self.super_call
+        self.super_member = self.super_call = False
         self.parse_params()
         self.leave_scope(self.parse_block(scoped=False))
+        self.super_member, self.super_call = outer
         return name_tok
 
     def parse_params(self):
@@ -522,7 +574,8 @@ class _Parser:
         name_tok = self.optional_name(decl, "expected class name")
         if decl:
             self.scopes.declare(name_tok, "lexical")
-        if self.at("extends"):
+        derived = self.at("extends")
+        if derived:
             self.advance()
             # a LeftHandSideExpression
             t = self.peek()
@@ -532,14 +585,16 @@ class _Parser:
             if self.at(";"):
                 self.advance()
                 continue
-            self.parse_class_member()
+            self.parse_class_member(derived)
         self.advance()
         return name_tok
 
-    def parse_class_member(self):
+    def parse_class_member(self, derived):
+        """One method of a class; ``derived``: the class has ``extends``."""
         start_tok = self.peek()
         nxt = self.peek(1)
-        if self.at("static") and not (nxt is not None and nxt.kind == PUNCT and nxt.text == "("):
+        static = self.at("static") and not (nxt is not None and nxt.kind == PUNCT and nxt.text == "(")
+        if static:
             self.advance()  # a modifier; `static(` names a method
         role = self.accessor_role() or "method"
         if self.at("*"):
@@ -554,14 +609,25 @@ class _Parser:
         self.advance()
         if not self.at("("):
             self.unsupported("class fields are not supported")
-        self.parse_method(start_tok.start, role)
+        constructor = (
+            derived
+            and not static
+            and role == "method"
+            and (self.literal_value(name_tok) if name_tok.kind == STRING else name_tok.text)
+            == "constructor"
+        )
+        self.parse_method(start_tok.start, role, constructor)
 
-    def parse_method(self, start, role):
+    def parse_method(self, start, role, derived_constructor=False):
         """Params and body of a class or object-literal method starting at
         ``start``; ``role`` is "method", "get" or "set". A getter takes no
-        parameter and a setter exactly one, which is not a rest parameter."""
+        parameter and a setter exactly one, which is not a rest parameter.
+        Only the constructor of a class with ``extends``
+        (``derived_constructor``) may call ``super(...)``."""
         self.summary.branch_points += 1
         self.enter_scope(FUNCTION, start)
+        outer = self.super_member, self.super_call
+        self.super_member, self.super_call = True, derived_constructor
         lparen = self.peek()
         rests = self.parse_params()
         if role == "get" and rests:
@@ -571,6 +637,7 @@ class _Parser:
                 "a setter takes exactly one parameter, not a rest one", self.file_id, lparen.start
             )
         self.leave_scope(self.parse_block(scoped=False))
+        self.super_member, self.super_call = outer
 
     def parse_if(self):
         self.expect("if")
@@ -971,7 +1038,12 @@ class _Parser:
                 return _OTHER
             if t.text == "super":
                 self.advance()
-                return _SUPER
+                nxt = self.toks[self.i]
+                if nxt is not None and nxt.kind == PUNCT and (
+                    self.super_call if nxt.text == "(" else self.super_member and nxt.text in (".", "[")
+                ):
+                    return _SUPER
+                raise ParseError("'super' keyword unexpected here", self.file_id, t.start)
             if t.text == "function":
                 self.parse_function(decl=False)
                 return _OTHER
@@ -1009,22 +1081,27 @@ class _Parser:
         self.error(f"unexpected token {t.text!r}")
 
     def is_arrow_ahead(self):
-        # at '(' : find the matching ')' and look for '=>'
+        # at '(' : find the matching ')' and look for '=>', pulling batches
+        # as the scan needs them; the parse reads them next
         depth = 0
         j = self.i
-        while j < self.n_toks:
-            text = self.toks[j].text
-            kind = self.toks[j].kind
-            if kind == PUNCT:
+        toks = self.toks
+        while True:
+            while j + 1 >= len(toks) and self.pull():
+                pass
+            t = toks[j]
+            if t is None:
+                return False
+            if t.kind == PUNCT:
+                text = t.text
                 if text == "(" or text == "[" or text == "{":
                     depth += 1
                 elif text == ")" or text == "]" or text == "}":
                     depth -= 1
                     if depth == 0:
-                        nxt = self.toks[j + 1]
+                        nxt = toks[j + 1]
                         return nxt is not None and nxt.kind == PUNCT and nxt.text == "=>"
             j += 1
-        return False
 
     def parse_arrow(self, single):
         """An arrow function whose parameter list is one identifier
@@ -1048,6 +1125,8 @@ class _Parser:
         if self.at("."):
             self.unsupported("new.target is not supported")
         t = self.peek()
+        if self.at("super") and self.peek(1) is not None and self.peek(1).text == "(":
+            self.error("'super' keyword unexpected here")  # no `new super()`
         if self.parse_call_member(self.parse_primary(), t.start, allow_call=False) == _CALLEE:
             self.scopes.mark_dynamic()
         if self.at("("):

@@ -3,15 +3,17 @@
 One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
 own summary (``depgraph.frozen_names``). Each file task lexes and minifies
-its file in one pass, which yields the significant tokens the parser reads,
-and parses it once: the parser builds no syntax tree but the file's facts,
-its scope tree, its transform candidates and its summary. The task then
-renames, transforms and emits it. On a process pool the largest-first file
-list goes out in consecutive chunks, one task each and about
-``TASKS_PER_WORKER`` tasks per worker, so that many small files do not cost
-the parent one future each. Outputs are written as they arrive and no text
-is retained, so output bytes are identical for any worker count or
-scheduling order. Once every summary is in, the unresolved imports are reported.
+its file in one pass, which streams the significant tokens into the parser
+a batch at a time, and parses it once: the parser builds no syntax tree but
+the file's facts, its scope tree, its transform candidates and its summary.
+The task then renames, transforms and emits it. On a process pool the
+largest-first file list goes out in consecutive chunks, one task each and
+about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
+cost the parent one future each. Outputs are written as they arrive and no
+text is retained, so output bytes are identical for any worker count or
+scheduling order. If a worker process dies, the files whose results are
+missing run again one at a time. Once every summary is in, the unresolved
+imports are reported.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -31,16 +33,18 @@ import time
 import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
-from .lexer import tokenize
+from .lexer import lex
 from .parser import parse
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
+from .tokens import TokenList
 from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
@@ -144,11 +148,14 @@ DEEP_RECURSION_LIMIT = 20_000
 
 
 def front_end(text, rel_path, minify):
-    """Lex (and, with ``minify``, minify) and parse one file.
+    """Lex (and, with ``minify``, minify) and parse one file; the parser
+    reads the tokens as the lexer streams them.
 
     Returns (the text the spans refer to, ScopeTree, Candidates,
     FileSummary); that text is the minified one when ``minify`` is set, else
-    ``text``. No token outlives the parse. A ParseError (UnsupportedSyntax
+    ``text``. No token outlives the parse, and at most a few batches of
+    them are alive at once. A lexical error is raised in preference to a
+    syntax error earlier in the file. A ParseError (UnsupportedSyntax
     included) always gives an offset into ``text`` as read, so it reads the
     same with and without ``minify``. A file that exceeds the recursion
     limit is parsed again on a deep stack.
@@ -172,9 +179,17 @@ def _front_end_offsets_as_read(text, rel_path, minify):
 
 
 def _front_end(text, rel_path, minify):
-    tokens = tokenize(text, rel_path, minify)
-    spans_text = tokens.text
-    return (spans_text, *parse(tokens, rel_path))
+    tokens = TokenList()
+    stream = lex(tokens, text, rel_path, minify)
+    try:
+        facts = parse(tokens, stream, rel_path)
+    except (ParseError, RecursionError):
+        # a lexical error anywhere in the file wins over a syntax error, as
+        # if the whole file were lexed before the parse began
+        for _ in stream:
+            del tokens[:]
+        raise
+    return (tokens.text, *facts)
 
 
 def _on_deep_stack(task, *args):
@@ -224,6 +239,7 @@ def process_file(config, allowlist, rel_path):
         text = (Path(config.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         mtext, tree, candidates, summary = front_end(text, rel_path, config.minify)
+        del text  # the spans index ``mtext``
         result["summary"] = summary
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
@@ -321,18 +337,52 @@ def _run_files(config, allowlist, workers, rel_paths):
     """Run ``process_file`` once per path and yield the results as they
     finish, each with the cyclic collector paused. In-process when
     workers == 1; otherwise on one process pool, one task per chunk of
-    consecutive paths."""
+    consecutive paths. If a worker dies, the files whose results have not
+    arrived run again one at a time (``_run_alone``)."""
     if workers <= 1:
         for rel in rel_paths:
             yield _gc_paused(process_file, config, allowlist, rel)
         return
+    pending = set(rel_paths)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_chunk_task, config, allowlist, chunk)
             for chunk in chunked(rel_paths, workers)
         ]
-        for future in as_completed(futures):
-            yield from future.result()
+        try:
+            for future in as_completed(futures):
+                for result in future.result():
+                    pending.discard(result["file"])
+                    yield result
+        except BrokenProcessPool:
+            pass
+    yield from _run_alone(config, allowlist, [rel for rel in rel_paths if rel in pending])
+
+
+def _run_alone(config, allowlist, rel_paths):
+    """Run each path as its own task on a one-worker pool, so a file that
+    kills its worker takes no other file with it: it becomes an
+    "internal-error", and a fresh pool runs the next file."""
+    pool = None
+    try:
+        for rel in rel_paths:
+            if pool is None:
+                pool = ProcessPoolExecutor(max_workers=1)
+            try:
+                (result,) = pool.submit(_chunk_task, config, allowlist, [rel]).result()
+            except BrokenProcessPool as exc:
+                pool.shutdown()
+                pool = None
+                result = {
+                    "file": rel,
+                    "status": "internal-error",
+                    "worker_ms": dict.fromkeys(WORKER_PHASES, 0.0),
+                    "error": f"{rel}: internal error: the worker process died: {exc}",
+                }
+            yield result
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _peak_memory_bytes(who):
@@ -388,6 +438,7 @@ def obfuscate_project(config):
     wall_ms["discover"] = (time.perf_counter() - started) * 1000.0
 
     dump_root = dump_dir_for(config.output_root) if config.dump_renames else None
+    made_dirs = {out_root}  # output directories that exist
     written = {}  # rel path -> bytes this run wrote there
     skipped = {}  # rel path -> (category, message); all copied verbatim
     summaries = []
@@ -403,8 +454,7 @@ def obfuscate_project(config):
         if result["status"] != "ok":
             skipped[rel] = (result["status"], result["error"])
             continue
-        target = out_root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
+        target = _output_path(out_root, rel, made_dirs)
         data = result["text"].encode("utf-8")
         target.write_bytes(data)
         written[rel] = len(data)
@@ -421,8 +471,7 @@ def obfuscate_project(config):
     # verbatim copies: non-JS files and any file a task refused
     t0 = time.perf_counter()
     for rel in other_files + sorted(skipped):
-        target = out_root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
+        target = _output_path(out_root, rel, made_dirs)
         shutil.copyfile(in_root / rel, target)
         written[rel] = sizes[rel]
         report["files_copied"] += 1
@@ -439,6 +488,17 @@ def obfuscate_project(config):
         report["peak_worker_memory_bytes"] = _peak_memory_bytes(resource.RUSAGE_CHILDREN)
     wall_ms["total"] = (time.perf_counter() - started) * 1000.0
     return report
+
+
+def _output_path(out_root, rel, made_dirs):
+    """``out_root / rel``, its directory made unless ``made_dirs`` holds it;
+    one mkdir per directory, not per file."""
+    target = out_root / rel
+    parent = target.parent
+    if parent not in made_dirs:
+        parent.mkdir(parents=True, exist_ok=True)
+        made_dirs.add(parent)
+    return target
 
 
 def _write_dump(path, text):

@@ -189,12 +189,13 @@ class ScopeBuilder:
     and moves the occurrences read in it to the parent.
     """
 
-    def __init__(self, file_id, end):
+    def __init__(self, file_id):
         self.file_id = file_id
         self.tree = ScopeTree(file_id)
         self.nodes = self.tree.nodes
         self.occurrences = self.tree.occurrences
-        self.scope = self.function = self.tree.new_scope(MODULE, None, 0, end)
+        # the module scope's end is set once the parser has read the file
+        self.scope = self.function = self.tree.new_scope(MODULE, None, 0, 0)
         self.outer = []  # (scope, function scope) of each scope entered
         self.order = 0
         self.elided = False

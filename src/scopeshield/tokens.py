@@ -21,9 +21,11 @@ class Token:
 
 
 class TokenList(list):
-    """A file's significant tokens. ``text`` is the text their spans index
-    and ``nl_before`` the set of indexes of the tokens a line break
-    precedes.
+    """A file's significant tokens, or the part of them not yet read.
+    ``text`` is the text their spans index, set once the lexer's stream
+    ends, and ``nl_before`` the set of stream positions of the tokens a line
+    break precedes: a token's position is its index in the list while
+    nothing has been deleted from the list's front.
 
     The flags live here, not in a fifth Token slot, which would move every
     Token from the 64-byte to the 80-byte allocator size class: peak RSS

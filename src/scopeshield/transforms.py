@@ -6,9 +6,13 @@ the cache. Static property accesses ``obj.prop`` become ``obj[v]`` with ``v``
 a hoisted variable holding the property name (one per distinct name in the
 file), so the rewritten access stays a direct variable lookup.
 
-All preamble code is hoist-safe: the decoder and its state are function/var
-declarations, so calls from anywhere in the module (including code that runs
-before the preamble's position) behave correctly.
+The decoder is hoist-safe: it and its state are function/var declarations
+and it fills its table on its first call, so calls from anywhere in the
+module (including code that runs before the preamble's position) behave
+correctly. The property slots are not: ``var v="prop"`` holds its value only
+once the preamble has run, so in an ES-module import cycle a function of
+this module that another module calls before this module's body has run
+reads ``obj[undefined]``.
 
 The candidates come from the parser, which has already dropped those read
 in a scope containing ``eval``, ``with`` or a ``Function`` call, or nested

@@ -4,8 +4,8 @@ import subprocess
 
 import pytest
 
-from scopeshield.errors import ParseError, UnsupportedSyntax
-from scopeshield.lexer import tokenize
+from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
+from scopeshield.lexer import BATCH_TOKENS, tokenize
 from scopeshield.parser import string_value
 from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import FUNCTION
@@ -531,3 +531,94 @@ def test_a_parenthesized_expression_is_a_target_only_if_its_inside_is(node):
             continue
         with pytest.raises(ParseError, match="invalid assignment target"):
             parse_src(src)
+
+
+SUPER_USES = [
+    "var y = super;",
+    "function f(){ return super.x; }",
+    "class A { m(){ return (super).x; } }",
+    "class A { m(){ super(); } }",
+    "class A extends B { m(){ function g(){ return super.x; } } }",
+    "class A extends B { constructor(){ new super(); } }",
+    "class A extends B { static constructor(){ super(); } }",
+    "({ constructor(){ super(); } })",
+    "class A { m(){ return super`x`; } }",
+    "({ m(){ return super.x; } })",
+    "class A extends B { m(){ var f = () => super.x; } }",
+    "class A extends B { constructor(){ super(); } }",
+    "class A extends B { 'constructor'(a = super()){ var f = () => super(); } }",
+    "class A extends B { m(a = super[0]){ class C extends super.x {} } }",
+    "({ get a(){ return super.x; } })",
+]
+
+
+def test_super_only_where_node_allows_it(node):
+    node_accepts = node_compiles(node, SUPER_USES)
+    assert node_accepts == [False] * 9 + [True] * 6
+    for src, ok in zip(SUPER_USES, node_accepts):
+        if ok:
+            parse_src(src)
+            continue
+        with pytest.raises(ParseError) as err:
+            parse_src(src)
+        assert type(err.value) is ParseError
+        assert "'super' keyword unexpected here" in str(err.value)
+        assert src.startswith("super", err.value.offset)
+
+
+# ---- the parser reads the tokens as the lexer streams them ----
+
+
+def filler(tokens):
+    """``tokens`` tokens of `x=1;` statements, one character each."""
+    assert tokens % 4 == 0
+    return "x=1;" * (tokens // 4)
+
+
+def test_arrow_head_closing_past_a_batch_boundary():
+    # the `(` is read in the first batch, its `)` and `=>` in the second
+    for before in (BATCH_TOKENS - 4, BATCH_TOKENS - 8):
+        params = ",".join(f"p{i}" for i in range(10))
+        src = filler(before) + f"var f = ({params}) => p0 + p9; var g = (x) + 1;"
+        tree, _candidates, summary = parse_src(src)
+        assert summary.declared_globals == ["f", "g"]
+        (arrow,) = [node for node in tree.nodes if node.kind == FUNCTION]
+        assert src[arrow.start : arrow.end] == f"({params}) => p0 + p9"
+        assert sorted(arrow.declarations) == sorted(f"p{i}" for i in range(10))
+
+
+@pytest.mark.parametrize("at", [BATCH_TOKENS - 1, BATCH_TOKENS, BATCH_TOKENS + 1])
+def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
+    # `x = 1 \n y = 2` needs the line break for semicolon insertion; the
+    # token after it, at stream position ``at``, is the last of a batch,
+    # the first of the next, or the one after that
+    src = filler(BATCH_TOKENS - 8) + ";" * (at - BATCH_TOKENS + 5) + "x=1\ny=2;"
+    assert tokenize(src).nl_before == {at}
+    for minify in (False, True):
+        _tree, _candidates, summary = front_end(src, "m.js", minify)[1:]
+        assert summary.free_names == ["x", "y"]
+    with pytest.raises(ParseError, match="expected ';'"):
+        parse_src(src.replace("\n", " "))
+
+
+@pytest.mark.parametrize("minify", [False, True])
+def test_a_lexical_error_after_a_syntax_error_is_reported(minify):
+    # the syntax error is read batches before the lexer reaches the `#`
+    src = "var a = ;\n" + filler(3 * BATCH_TOKENS) + "var b = 1 # 2;\n"
+    with pytest.raises(InvalidCharacter) as err:
+        front_end(src, "m.js", minify)
+    assert err.value.offset == src.index("#")
+    with pytest.raises(UnsupportedSyntax):  # without the `#`, the syntax error
+        front_end(src.replace("#", "+").replace("var a = ;", "l: ;"), "m.js", minify)
+
+
+@pytest.mark.parametrize("size", [0, 4, BATCH_TOKENS - 4, BATCH_TOKENS, 2 * BATCH_TOKENS])
+def test_an_error_at_end_of_input_keeps_its_offset(size):
+    # the end offset is known only once the stream has ended
+    src = filler(size) + "if (a) { f(); } else  "
+    for minify in (False, True):
+        with pytest.raises(ParseError, match="unexpected end of input") as err:
+            front_end(src, "m.js", minify)
+        assert err.value.offset == len(src)
+    tree, _candidates, _summary = parse_src(filler(size) + " ")
+    assert tree.nodes[tree.root].end == size + 1

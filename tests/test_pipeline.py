@@ -1,6 +1,7 @@
 import gc
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -15,7 +16,6 @@ import scopeshield.cli as cli
 import scopeshield.pipeline as pipeline
 from scopeshield.errors import FatalConfigError
 from scopeshield.externals import load_allowlist
-from scopeshield.lexer import tokenize
 from scopeshield.minify import minify
 from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
@@ -363,21 +363,35 @@ def test_memory_grows_sublinearly_with_corpus_size(tmp_path):
     assert peaks["2n"] < 1.8 * peaks["n"], peaks
 
 
-def test_output_tree_mirrors_input(tmp_path):
+def test_output_tree_mirrors_input(tmp_path, monkeypatch):
     write_project(
         tmp_path / "src",
         {
             "a.js": "var a=1;",
             "lib/nested/deep.js": "var d=2;",
+            "lib/nested/more.js": "var m=3;",
+            "lib/nested/broken.js": "var = 4;",
             "assets/logo.txt": "not js",
+            "assets/icon.txt": "not js either",
         },
     )
+    made = []
+    original_mkdir = Path.mkdir
+
+    def recording_mkdir(self, *args, **kwargs):
+        made.append(self.relative_to(tmp_path).as_posix())
+        return original_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", recording_mkdir)
     obfuscate_project(
         ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
     )
     src_files = {p.relative_to(tmp_path / "src").as_posix() for p in (tmp_path / "src").rglob("*") if p.is_file()}
     out_files = {p.relative_to(tmp_path / "out").as_posix() for p in (tmp_path / "out").rglob("*") if p.is_file()}
     assert src_files == out_files
+    # one mkdir per output directory, not one per file written or copied;
+    # making out/lib/nested makes out/lib first and then tries again
+    assert sorted(made) == ["out", "out/assets", "out/lib", "out/lib/nested", "out/lib/nested"]
 
 
 # ---- per-file faults never abort the run ----
@@ -480,13 +494,49 @@ def test_internal_error_copies_the_file_and_the_run_goes_on(tmp_path, monkeypatc
         assert (out / rel).read_text() != files[rel]
 
 
+def test_a_dead_worker_costs_only_its_file(tmp_path, monkeypatch):
+    # a pool worker is forked, so it inherits the patched task
+    assert multiprocessing.get_start_method() == "fork"
+    files = {
+        f"{folder}/m{i}.js": f"var local{i} = 'text {i}';\nconsole.log(local{i}.length + {i});\n"
+        for i, folder in enumerate(["a", "b", "c/d"] * 4)
+    }
+    # the largest file goes out first, so most files are still pending when
+    # its worker dies
+    files["dies.js"] = "function big(value) { return value + 'payload'; }\n" * 20
+    src = tmp_path / "src"
+    write_project(src, files)
+    clean = ["obfuscate", "--in", str(src), "--out", str(tmp_path / "clean"), "--threads", "2"]
+    assert cli.main(clean) == 0
+    parent = os.getpid()
+    original = pipeline.process_file
+
+    def dying(config, allowlist, rel_path):
+        if rel_path == "dies.js" and os.getpid() != parent:
+            os._exit(7)  # in a worker only: the run itself must survive
+        return original(config, allowlist, rel_path)
+
+    monkeypatch.setattr(pipeline, "process_file", dying)
+    out = tmp_path / "out"
+    assert cli.main(["obfuscate", "--in", str(src), "--out", str(out), "--threads", "2"]) == 2
+    report = json.loads((tmp_path / "out.report.json").read_text())
+    ((entry),) = report["errors"]
+    assert entry["file"] == "dies.js" and "internal error: the worker process died" in entry["error"]
+    assert report["files_transformed"] == len(files) - 1 and report["files_copied"] == 1
+    outputs, expected = read_tree(out), read_tree(tmp_path / "clean")
+    assert outputs.pop("dies.js") == files["dies.js"].encode("utf-8")
+    del expected["dies.js"]
+    assert outputs == expected
+
+
 def test_front_end_peak_memory_per_input_byte():
     # traced peak of one front end on a 256 KB minified module. With the
     # token list and an AST alive at once it was 59.4 B per input byte; a
     # parser that builds only the scope tree and the candidates, and drops
-    # each token once read, peaks at 30.7. The bound sits between the two:
-    # it fails if a tree-sized structure comes back, and leaves room for
-    # allocator noise.
+    # each token once read, peaked at 30.7, with the whole token list alive
+    # before the parse began. Streaming the tokens into the parser brings
+    # it to 18.1. The bound sits between the two: it fails if a file-sized
+    # token list comes back, and leaves room for allocator noise.
     text = minify(synth_module(5, 256 * 1024))
     gc.collect()
     tracemalloc.start()
@@ -495,7 +545,22 @@ def test_front_end_peak_memory_per_input_byte():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert facts and peak / len(text) < 45.0
+    assert facts and peak / len(text) < 25.0
+
+
+def test_front_end_transient_memory_is_small_on_a_large_file():
+    # the front end's traced peak less what it returns, on a 1 MB minified
+    # module: 12.9 MiB while the whole token list existed before the parse,
+    # 3.4 MiB with the tokens streamed a batch at a time
+    text = minify(synth_module(7, 1024 * 1024))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        facts = front_end(text, "m.js", minify=True)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert facts and (peak - retained) / 2**20 < 6.0
 
 
 # a statement cut off at end of input
@@ -593,13 +658,13 @@ def test_empty_file_gets_no_preamble(tmp_path):
 def test_gc_state_restored_and_paused_during_files(tmp_path, monkeypatch, enabled):
     write_project(tmp_path / "src", {"a.js": "var a = 1;", "b.js": "var b = 'two';"})
     seen = []
-    original = pipeline.tokenize
+    original = pipeline.lex
 
-    def recording_tokenize(*args, **kwargs):
+    def recording_lex(*args, **kwargs):
         seen.append(gc.isenabled())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "tokenize", recording_tokenize)
+    monkeypatch.setattr(pipeline, "lex", recording_lex)
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
