@@ -184,8 +184,8 @@ def _front_end(text, rel_path, minify):
     try:
         facts = parse(tokens, stream, rel_path)
     except (ParseError, RecursionError):
-        # a lexical error anywhere in the file wins over a syntax error, as
-        # if the whole file were lexed before the parse began
+        # a lexical error anywhere in the file wins over a syntax error or
+        # too deep a nesting, as if the whole file were lexed first
         for _ in stream:
             del tokens[:]
         raise
