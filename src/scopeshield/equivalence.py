@@ -137,7 +137,6 @@ def run_differential(
     engine="node {file}",
     workers=1,
     rename_dump_root=None,
-    lint=True,
 ):
     """Run every case against both trees; returns (verdicts, summary).
 
@@ -158,13 +157,10 @@ def run_differential(
 
     def evaluate(case):
         verdict = {"entry": case.entry, "status": "equivalent", "detail": ""}
-        if lint:
-            problems = lint_determinism(
-                (original_root / case.entry).read_text(encoding="utf-8")
-            )
-            if problems:
-                verdict.update(status="error", detail="; ".join(problems))
-                return verdict
+        problems = lint_determinism((original_root / case.entry).read_text(encoding="utf-8"))
+        if problems:
+            verdict.update(status="error", detail="; ".join(problems))
+            return verdict
         status_a, out_a, detail_a = _run_one(engine, original_root, case)
         status_b, out_b, detail_b = _run_one(engine, obfuscated_root, case)
         if status_a != "ok" or status_b != "ok":

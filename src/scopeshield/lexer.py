@@ -1,17 +1,17 @@
 """One-pass tokenizer and minifier for the supported JavaScript subset.
 
-``lex`` is the lexer: a generator that appends the significant tokens to a
-``TokenList`` a batch at a time, so a parser can read them while the file
-is still being lexed and no file's token list need exist in full. It notes
-which tokens a line break precedes; every run of whitespace and comments
-between two tokens is consumed as one gap and never becomes a token. When
-the stream ends the list carries the text its spans index. Without
-``minify`` that is the input, where each gap lexes to no token. With
-``minify`` the same pass writes the minified text: the input runs between
-gaps are copied, each gap becomes one separator, and the spans are shifted
-to index that text. Template literals with interpolation are emitted as
-several ``template-literal`` chunks with the interpolated expressions lexed
-normally in between. ``tokenize`` drains the generator into one list.
+``lex`` is the lexer: a generator that yields the significant tokens a
+batch at a time, so a parser can read them while the file is still being
+lexed and no file's token list need exist in full. Each token notes whether
+a line break precedes it; every run of whitespace and comments between two
+tokens is consumed as one gap and never becomes a token. The generator
+returns the text the spans index. Without ``minify`` that is the input,
+where each gap lexes to no token. With ``minify`` the same pass writes the
+minified text: the input runs between gaps are copied, each gap becomes one
+separator, and the spans are shifted to index that text. Template literals
+with interpolation are emitted as several ``template-literal`` chunks with
+the interpolated expressions lexed normally in between. ``tokenize`` drains
+the generator into one list.
 """
 
 import re
@@ -28,7 +28,6 @@ from .tokens import (
     STRING,
     TEMPLATE,
     Token,
-    TokenList,
 )
 
 _PUNCT_4 = frozenset({">>>="})
@@ -94,31 +93,25 @@ _NO_REGEX_AFTER_PUNCT = frozenset({")", "]", "}", "++", "--"})
 _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 
 
-# Tokens the lexer appends between two yields. A consumer that drops what it
-# has read holds about one batch: some 130 KB of tokens, against some 30 MB
-# for the whole of a 1 MB minified file. A batch this size makes the cost of
-# resuming the generator negligible next to lexing its tokens.
+# Tokens the lexer yields at once. A consumer that drops what it has read
+# holds about one batch: some 130 KB of tokens, against some 30 MB for the
+# whole of a 1 MB minified file. A batch this size makes the cost of resuming
+# the generator negligible next to lexing its tokens.
 BATCH_TOKENS = 1000
 
 
 def tokenize(source, file_id="<input>", minify=False):
-    """The significant tokens of ``source``, as one TokenList: ``lex``
-    drained."""
-    tokens = TokenList()
-    for _ in lex(tokens, source, file_id, minify):
-        pass
+    """The significant tokens of ``source``, as one list: ``lex`` drained."""
+    tokens = []
+    for batch in lex(source, file_id, minify):
+        tokens += batch
     return tokens
 
 
-def lex(tokens, source, file_id="<input>", minify=False):
-    """Append the significant tokens of ``source`` to the TokenList
-    ``tokens``, yielding after every ``BATCH_TOKENS`` of them; set
-    ``tokens.text`` once the stream ends.
-
-    The consumer may delete tokens from the front of the list between
-    batches: ``tokens.nl_before`` holds stream positions (how many tokens
-    the stream appended before the one a line break precedes), not list
-    indexes. Each distinct word is one str object however often it occurs.
+def lex(source, file_id="<input>", minify=False):
+    """Yield the significant tokens of ``source`` in lists of
+    ``BATCH_TOKENS`` (the last may be shorter); return the text their spans
+    index. Each distinct word is one str object however often it occurs.
 
     Without ``minify`` the spans index ``source``. With ``minify``, comments
     are dropped and each gap between two tokens becomes ``"\\n"`` if it held
@@ -130,12 +123,11 @@ def lex(tokens, source, file_id="<input>", minify=False):
     Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter with
     the file id and the offset of the problem in ``source``.
     """
-    tokens.nl_before = nl_before = set()
-    append = tokens.append
+    batch = []
+    append = batch.append
     keywords = KEYWORDS
     words = {}  # each distinct word's one str
-    count = 0  # tokens appended
-    batch_end = BATCH_TOKENS
+    room = BATCH_TOKENS  # tokens the batch has room for
     # Each entry: [`{` nesting depth inside one interpolation, template start]
     template_stack = []
     prev = None  # the last token
@@ -228,20 +220,20 @@ def lex(tokens, source, file_id="<input>", minify=False):
                         copied = pos
                         delta += len(sep) - len(gap)
                     nl = sep == "\n"
-                if nl:
-                    nl_before.add(count)
-                    nl = False
                 gap = None
             if delta:
-                prev = Token(kind, text, pos + delta, end + delta)
+                prev = Token(kind, text, pos + delta, end + delta, nl)
             else:  # no new int objects
-                prev = Token(kind, text, pos, end)
+                prev = Token(kind, text, pos, end, nl)
             append(prev)
+            nl = False
             pos = end
-            count += 1
-            if count == batch_end:
-                yield
-                batch_end += BATCH_TOKENS
+            room -= 1
+            if not room:
+                yield batch
+                batch = []
+                append = batch.append
+                room = BATCH_TOKENS
             if restart:
                 break
 
@@ -249,11 +241,12 @@ def lex(tokens, source, file_id="<input>", minify=False):
         raise UnterminatedTemplate(
             "unterminated template literal", file_id, template_stack[-1][1]
         )
+    if batch:
+        yield batch
     if minify:
         parts.append(source[copied : len(source) - len(gap or "")])
-        tokens.text = "".join(parts)
-    else:
-        tokens.text = source
+        return "".join(parts)
+    return source
 
 
 def _regex_allowed(prev):

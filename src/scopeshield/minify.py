@@ -3,13 +3,18 @@
 Comments are removed and whitespace runs collapsed, but line breaks between
 tokens are never deleted outright (only deduplicated), so automatic-semicolon
 insertion and restricted productions behave exactly as in the input. The
-result re-tokenizes to the same significant tokens. ``tokenize`` does the
-work, in the pass that lexes the file.
+result re-tokenizes to the same significant tokens. ``lex`` does the work,
+in the pass that lexes the file.
 """
 
-from .lexer import tokenize
+from .lexer import lex
 
 
 def minify(source, file_id="<input>"):
     """Minify source text; lexical errors propagate to the caller."""
-    return tokenize(source, file_id, minify=True).text
+    stream = lex(source, file_id, minify=True)
+    while True:
+        try:
+            next(stream)
+        except StopIteration as stop:
+            return stop.value

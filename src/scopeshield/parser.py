@@ -17,13 +17,12 @@ the facts the later layers read, and nothing else:
                   names and the free names the cross-file analysis reads,
                   and the branch points of the complexity metric
 
-The parser reads the tokens as the lexer streams them (``lexer.lex``). It
-pulls a batch of tokens when its cursor nears the end of what it holds, and
-at that point drops the tokens it has read past, so a file's tokens never
-exist all at once; only the arrow check (``is_arrow_ahead``) keeps the
-batches it scans until the parse reaches them. What needs the whole text
-(the sentinels, the end offset, the module scope's end) is set when the
-stream ends.
+The parser lexes the file as it reads it: it pulls a batch of tokens from
+``lexer.lex`` when its cursor nears the end of what it holds, and at that
+point drops the tokens it has read past, so a file's tokens never exist all
+at once. The arrow check (``arrow_head_error``) keeps the batches it scans
+until the parse reaches them, and it stops at the first token no parameter
+list can hold. The text the spans index is known once the stream ends.
 
 Spans are half-open offsets into the text the tokens index. Expression
 productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
@@ -90,6 +89,7 @@ names.
 import sys
 
 from .errors import ParseError, UnsupportedSyntax
+from .lexer import lex
 from .scopes import BLOCK, FUNCTION, ScopeBuilder
 from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
@@ -109,6 +109,10 @@ _PROPERTY_NAME_KINDS = frozenset({IDENT, KEYWORD, STRING, NUMBER})
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "**=", "<<=", ">>=", ">>>=", "&=", "|=", "^=", "&&=", "||=", "??="}
 )
+# the punctuators that may start an arrow parameter, and the keywords some
+# code reads as names
+_PARAMETER_STARTS = frozenset({"...", "{", "[", ")"})
+_CONTEXTUAL_WORDS = frozenset({"async", "await", "yield", "let", "static", "of"})
 # the first keyword of a statement that makes its block a scope
 _LEXICAL_STATEMENTS = frozenset({"let", "const", "class", "function"})
 
@@ -177,21 +181,25 @@ class Candidates:
         self.preamble_offset = preamble_offset
 
 
-def parse(tokens, stream, file_id="<input>"):
-    """Parse the tokens the ``lexer.lex`` generator ``stream`` appends to the
-    TokenList ``tokens`` into (ScopeTree, Candidates, FileSummary).
+def parse(source, file_id="<input>", minify=False):
+    """Lex (with ``minify``, minifying) and parse ``source``; returns (the
+    text the spans index, ScopeTree, Candidates, FileSummary).
 
-    The parse drains ``stream`` unless it raises, and leaves ``tokens``
-    empty.
+    A lexical error anywhere in the file is raised in preference to a syntax
+    error or too deep a nesting, as if the whole file were lexed first.
     """
-    parser = _Parser(tokens, stream, file_id)
+    stream = lex(source, file_id, minify)
+    parser = _Parser(stream, file_id)
     try:
         preamble_offset = parser.parse_program()
-    finally:
-        del tokens[:]
+    except (ParseError, RecursionError):
+        for _ in stream:
+            pass
+        raise
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
-    tree = parser.scopes.finish()
+    text = parser.text
+    tree = parser.scopes.finish(len(text))
     if tree.nodes[tree.root].is_dynamic:
         # a dynamic site at the top level sees every candidate
         del parser.strings[:], parser.accesses[:]
@@ -200,7 +208,7 @@ def parse(tokens, stream, file_id="<input>"):
     summary.free_names = sorted(tree.globals)
     # a.b.c records .b before .c; pre-order puts the wider access first
     parser.accesses.sort(key=lambda access: (access[0], -access[2]))
-    return tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
+    return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
 # None sentinels after the last token let the cursor read without a bounds
@@ -214,14 +222,13 @@ _NO_REFILL = sys.maxsize
 
 
 class _Parser:
-    def __init__(self, tokens, stream, file_id):
+    def __init__(self, stream, file_id):
         self.file_id = file_id
-        self.toks = tokens
         self.stream = stream
-        self.i = 0  # the cursor: the list index of the next token
-        self.base = 0  # the stream position of the list's first token
+        self.toks = []  # the tokens pulled and not yet dropped
+        self.i = 0  # the cursor: the index of the next token
         self.refill_at = 0  # advancing from this index pulls a batch
-        self.end_offset = None  # the text's length, once the stream ends
+        self.text = None  # the text the spans index, once the stream ends
         self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary(file_id)
         self.strings = []
@@ -232,7 +239,6 @@ class _Parser:
         # in an arrow within one; super(...) only in a derived constructor
         self.super_member = self.super_call = False
         self.refill()
-        self.nl_before = tokens.nl_before  # set by the stream's first batch
 
     # ---- token helpers ----
 
@@ -259,23 +265,23 @@ class _Parser:
         toks = self.toks
         drop = max(self.i - 1, 0)
         del toks[:drop]
-        self.base += drop
         self.i -= drop
         while len(toks) - self.i < _LOOKAHEAD and self.pull():
             pass
-        if self.end_offset is None:
+        if self.text is None:
             self.refill_at = len(toks) - _LOOKAHEAD
 
     def pull(self):
-        """Lex one more batch onto the list; False once the stream has
-        ended, when the sentinels and what needs the whole text are set."""
-        if self.end_offset is not None:
+        """Lex one more batch onto the window; False once the stream has
+        ended, when the sentinels and the text are set."""
+        if self.text is not None:
             return False
-        for _ in self.stream:
+        try:
+            self.toks += next(self.stream)
             return True
-        self.toks.extend(_SENTINELS)
-        self.end_offset = len(self.toks.text)
-        self.scopes.nodes[0].end = self.end_offset
+        except StopIteration as stop:
+            self.text = stop.value
+        self.toks += _SENTINELS
         self.refill_at = _NO_REFILL
         return False
 
@@ -290,7 +296,7 @@ class _Parser:
 
     def error(self, message, exc=ParseError):
         t = self.peek()
-        raise exc(message, self.file_id, t.start if t is not None else self.end_offset)
+        raise exc(message, self.file_id, t.start if t is not None else len(self.text))
 
     def literal_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
@@ -379,7 +385,7 @@ class _Parser:
         return self.literal_value(t)
 
     def newline_before_current(self):
-        return self.base + self.i in self.nl_before
+        return self.toks[self.i].nl
 
     def consume_semicolon(self):
         t = self.peek()
@@ -1062,11 +1068,15 @@ class _Parser:
             self.error(f"unexpected keyword {t.text!r}")
         if t.kind == PUNCT:
             if t.text == "(":
-                if self.is_arrow_ahead():
+                arrow_error = self.arrow_head_error()
+                if arrow_error is None:
                     return self.parse_arrow(single=False)
                 self.advance()
                 tag = self.parse_expression()
                 self.expect(")")
+                if self.at("=>"):
+                    exc, message, offset = arrow_error
+                    raise exc(message, self.file_id, offset)
                 if tag == _MEMBER or tag == _PAREN_MEMBER:
                     return _PAREN_MEMBER
                 if tag == _CALLEE:
@@ -1080,28 +1090,57 @@ class _Parser:
                 return _OTHER
         self.error(f"unexpected token {t.text!r}")
 
-    def is_arrow_ahead(self):
-        # at '(' : find the matching ')' and look for '=>', pulling batches
-        # as the scan needs them; the parse reads them next
-        depth = 0
-        j = self.i
+    def arrow_head_error(self):
+        """At `(`: None if a parameter list and `=>` follow, else the error
+        an arrow's parse would raise here, as (class, message, offset). The
+        scan pulls batches as it needs them, and the parse reads them next,
+        so it stops at the first token no parameter list can hold: where a
+        parameter may start, any but a name, `...`, `{`, `[` or `)`; after a
+        leading name, any punctuator but `,`, `=` or `)`."""
         toks = self.toks
+        j = self.i + 1
+        depth = 1
+        start = True  # a parameter may start at toks[j]
+        lead = False  # toks[j - 1] is a parameter's leading name
+        first = None  # the error of the first destructuring pattern
         while True:
             while j + 1 >= len(toks) and self.pull():
                 pass
             t = toks[j]
             if t is None:
-                return False
-            if t.kind == PUNCT:
+                break
+            kind = t.kind
+            if start:
+                start = False
+                if kind == IDENT or (kind == KEYWORD and t.text in _CONTEXTUAL_WORDS):
+                    lead = True
+                    j += 1
+                    continue
+                if kind != PUNCT or t.text not in _PARAMETER_STARTS:
+                    return first or (ParseError, "expected parameter name", t.start)
+                if t.text in ("{", "[") and first is None:
+                    first = (
+                        UnsupportedSyntax, "destructuring parameters are not supported", t.start
+                    )
+            elif lead:
+                lead = False
+                if kind == PUNCT and t.text not in (",", "=", ")"):
+                    return first or (ParseError, "expected ',' or ')'", t.start)
+            if kind == PUNCT:
                 text = t.text
                 if text == "(" or text == "[" or text == "{":
                     depth += 1
                 elif text == ")" or text == "]" or text == "}":
                     depth -= 1
                     if depth == 0:
-                        nxt = toks[j + 1]
-                        return nxt is not None and nxt.kind == PUNCT and nxt.text == "=>"
+                        t = toks[j + 1]
+                        if t is not None and t.kind == PUNCT and t.text == "=>":
+                            return None
+                        break
+                elif text == "," and depth == 1:
+                    start = True
             j += 1
+        return first or (ParseError, "expected '=>'", len(self.text) if t is None else t.start)
 
     def parse_arrow(self, single):
         """An arrow function whose parameter list is one identifier

@@ -2,10 +2,10 @@
 
 One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
-own summary (``depgraph.frozen_names``). Each file task lexes and minifies
-its file in one pass, which streams the significant tokens into the parser
-a batch at a time, and parses it once: the parser builds no syntax tree but
-the file's facts, its scope tree, its transform candidates and its summary.
+own summary (``depgraph.frozen_names``). Each file task parses its file
+once, and the parser lexes and minifies it as it reads, a batch of tokens at
+a time: it builds no syntax tree but the file's facts, its scope tree, its
+transform candidates and its summary.
 The task then renames, transforms and emits it. On a process pool the
 largest-first file list goes out in consecutive chunks, one task each and
 about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
@@ -40,11 +40,9 @@ from pathlib import Path
 from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
-from .lexer import lex
 from .parser import parse
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
-from .tokens import TokenList
 from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
@@ -169,27 +167,13 @@ def front_end(text, rel_path, minify):
 
 def _front_end_offsets_as_read(text, rel_path, minify):
     try:
-        return _front_end(text, rel_path, minify)
+        return parse(text, rel_path, minify)
     except ParseError:
         if minify:
             # minifying keeps the significant tokens and the line breaks
             # between them, so the text as read raises the same error
-            _front_end(text, rel_path, False)
+            parse(text, rel_path, False)
         raise
-
-
-def _front_end(text, rel_path, minify):
-    tokens = TokenList()
-    stream = lex(tokens, text, rel_path, minify)
-    try:
-        facts = parse(tokens, stream, rel_path)
-    except (ParseError, RecursionError):
-        # a lexical error anywhere in the file wins over a syntax error or
-        # too deep a nesting, as if the whole file were lexed first
-        for _ in stream:
-            del tokens[:]
-        raise
-    return (tokens.text, *facts)
 
 
 def _on_deep_stack(task, *args):

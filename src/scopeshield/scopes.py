@@ -194,14 +194,11 @@ class ScopeBuilder:
         self.tree = ScopeTree(file_id)
         self.nodes = self.tree.nodes
         self.occurrences = self.tree.occurrences
-        # the module scope's end is set once the parser has read the file
+        # the module scope's end is set by ``finish``
         self.scope = self.function = self.tree.new_scope(MODULE, None, 0, 0)
         self.outer = []  # (scope, function scope) of each scope entered
         self.order = 0
         self.elided = False
-        # an elision dropped a binding whose name its parent already held;
-        # its order number was given out, so finish closes the gap
-        self.renumber = False
         # the first `var` that redeclares a catch parameter; raised by the
         # parser only once the whole file has parsed
         self.catch_redeclared = None
@@ -233,10 +230,8 @@ class ScopeBuilder:
         decls = parent.declarations
         for name, binding in node.declarations.items():
             kept = decls.get(name)
-            if kept is not None:
-                self.renumber = True
-                if kept.order < binding.order:
-                    continue
+            if kept is not None and kept.order < binding.order:
+                continue
             binding.scope_id = parent.id
             decls[name] = binding
         node.kind = None
@@ -279,9 +274,11 @@ class ScopeBuilder:
         # direct presence only; freezing walks ancestors separately
         self.scope.is_dynamic = True
 
-    def finish(self):
-        """The tree, with elided blocks gone and every occurrence resolved."""
+    def finish(self, end):
+        """The tree, with the module scope ending at ``end``, elided blocks
+        gone and every occurrence resolved."""
         nodes = self.nodes
+        nodes[0].end = end
         if self.elided:
             remap = []  # scope id at entry -> id in the tree
             kept = []
@@ -301,11 +298,6 @@ class ScopeBuilder:
             nodes[:] = kept
             for occ in self.occurrences:
                 occ.scope_id = remap[occ.scope_id]
-        if self.renumber:
-            bindings = [b for node in nodes for b in node.declarations.values()]
-            bindings.sort(key=lambda b: b.order)
-            for order, binding in enumerate(bindings, 1):
-                binding.order = order
         self.tree.resolve_occurrences()
         return self.tree
 

@@ -99,7 +99,7 @@ def test_timeout_verdict(tmp_path, node):
     project(tmp_path / "orig", {"m.js": "for(;;){}"})
     project(tmp_path / "obf", {"m.js": "for(;;){}"})
     verdicts, _ = run_differential(
-        tmp_path / "orig", tmp_path / "obf", [TestCase(entry="m.js", timeout_s=1.0)], lint=False
+        tmp_path / "orig", tmp_path / "obf", [TestCase(entry="m.js", timeout_s=1.0)]
     )
     assert verdicts[0]["status"] == "timeout"
 

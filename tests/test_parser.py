@@ -587,13 +587,31 @@ def test_arrow_head_closing_past_a_batch_boundary():
         assert sorted(arrow.declarations) == sorted(f"p{i}" for i in range(10))
 
 
+@pytest.mark.parametrize(
+    "src, exc, at, message",
+    [
+        ("(i <= n) => 0", ParseError, "<=", "expected ',' or ')'"),
+        ("(1 + 2) => 0", ParseError, "1", "expected parameter name"),
+        ("({a}, b.c) => 0", UnsupportedSyntax, "{", "destructuring parameters"),
+    ],
+)
+def test_an_arrow_head_the_scan_stops_in_raises_the_parameter_error(src, exc, at, message):
+    # the arrow check stops at the first token no parameter list can hold;
+    # the parenthesized expression parses, and the `=>` after it raises the
+    # error the parameter list would
+    with pytest.raises(ParseError) as err:
+        parse_src(src)
+    assert type(err.value) is exc and err.value.offset == src.index(at)
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("at", [BATCH_TOKENS - 1, BATCH_TOKENS, BATCH_TOKENS + 1])
 def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
     # `x = 1 \n y = 2` needs the line break for semicolon insertion; the
     # token after it, at stream position ``at``, is the last of a batch,
     # the first of the next, or the one after that
     src = filler(BATCH_TOKENS - 8) + ";" * (at - BATCH_TOKENS + 5) + "x=1\ny=2;"
-    assert tokenize(src).nl_before == {at}
+    assert {i for i, t in enumerate(tokenize(src)) if t.nl} == {at}
     for minify in (False, True):
         _tree, _candidates, summary = front_end(src, "m.js", minify)[1:]
         assert summary.free_names == ["x", "y"]
