@@ -108,6 +108,16 @@ def tokenize(source, file_id="<input>", minify=False):
     return tokens
 
 
+def lexed_text(source, file_id="<input>", minify=False):
+    """The text the spans of ``lex`` index: ``lex`` drained."""
+    stream = lex(source, file_id, minify)
+    while True:
+        try:
+            next(stream)
+        except StopIteration as stop:
+            return stop.value
+
+
 def lex(source, file_id="<input>", minify=False):
     """Yield the significant tokens of ``source`` in lists of
     ``BATCH_TOKENS`` (the last may be shorter); return the text their spans

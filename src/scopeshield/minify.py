@@ -7,14 +7,9 @@ result re-tokenizes to the same significant tokens. ``lex`` does the work,
 in the pass that lexes the file.
 """
 
-from .lexer import lex
+from .lexer import lexed_text
 
 
 def minify(source, file_id="<input>"):
     """Minify source text; lexical errors propagate to the caller."""
-    stream = lex(source, file_id, minify=True)
-    while True:
-        try:
-            next(stream)
-        except StopIteration as stop:
-            return stop.value
+    return lexed_text(source, file_id, minify=True)

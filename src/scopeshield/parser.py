@@ -20,9 +20,11 @@ the facts the later layers read, and nothing else:
 The parser lexes the file as it reads it: it pulls a batch of tokens from
 ``lexer.lex`` when its cursor nears the end of what it holds, and at that
 point drops the tokens it has read past, so a file's tokens never exist all
-at once. The arrow check (``arrow_head_error``) keeps the batches it scans
+at once. The arrow check (``arrow_ahead``) keeps the batches it scans
 until the parse reaches them, and it stops at the first token no parameter
-list can hold. The text the spans index is known once the stream ends.
+list can hold. Where a `=>` follows the `)` after all, or the expression
+fails, ``raise_arrow_error`` lexes the file again to raise the error of the
+parameter list. The text the spans index is known once the stream ends.
 
 Spans are half-open offsets into the text the tokens index. Expression
 productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
@@ -87,6 +89,7 @@ names.
 """
 
 import sys
+from itertools import pairwise
 
 from .errors import ParseError, UnsupportedSyntax
 from .lexer import lex
@@ -109,10 +112,6 @@ _PROPERTY_NAME_KINDS = frozenset({IDENT, KEYWORD, STRING, NUMBER})
 _ASSIGN_OPS = frozenset(
     {"=", "+=", "-=", "*=", "/=", "%=", "**=", "<<=", ">>=", ">>>=", "&=", "|=", "^=", "&&=", "||=", "??="}
 )
-# the punctuators that may start an arrow parameter, and the keywords some
-# code reads as names
-_PARAMETER_STARTS = frozenset({"...", "{", "[", ")"})
-_CONTEXTUAL_WORDS = frozenset({"async", "await", "yield", "let", "static", "of"})
 # the first keyword of a statement that makes its block a scope
 _LEXICAL_STATEMENTS = frozenset({"let", "const", "class", "function"})
 
@@ -188,12 +187,11 @@ def parse(source, file_id="<input>", minify=False):
     A lexical error anywhere in the file is raised in preference to a syntax
     error or too deep a nesting, as if the whole file were lexed first.
     """
-    stream = lex(source, file_id, minify)
-    parser = _Parser(stream, file_id)
+    parser = _Parser(source, file_id, minify)
     try:
         preamble_offset = parser.parse_program()
     except (ParseError, RecursionError):
-        for _ in stream:
+        for _ in parser.stream:
             pass
         raise
     if parser.scopes.catch_redeclared is not None:
@@ -222,9 +220,10 @@ _NO_REFILL = sys.maxsize
 
 
 class _Parser:
-    def __init__(self, stream, file_id):
+    def __init__(self, source, file_id, minify):
         self.file_id = file_id
-        self.stream = stream
+        self.lexing = (source, file_id, minify)
+        self.stream = lex(source, file_id, minify)
         self.toks = []  # the tokens pulled and not yet dropped
         self.i = 0  # the cursor: the index of the next token
         self.refill_at = 0  # advancing from this index pulls a batch
@@ -238,6 +237,8 @@ class _Parser:
         # whether super.x and super(...) may be read here: in a method, or
         # in an arrow within one; super(...) only in a derived constructor
         self.super_member = self.super_call = False
+        # the open parenthesized expressions: (offset of `(`, super flags)
+        self.paren_heads = []
         self.refill()
 
     # ---- token helpers ----
@@ -1068,15 +1069,21 @@ class _Parser:
             self.error(f"unexpected keyword {t.text!r}")
         if t.kind == PUNCT:
             if t.text == "(":
-                arrow_error = self.arrow_head_error()
-                if arrow_error is None:
+                if self.arrow_ahead():
                     return self.parse_arrow(single=False)
+                heads = self.paren_heads
+                heads.append((t.start, self.super_member, self.super_call))
                 self.advance()
-                tag = self.parse_expression()
-                self.expect(")")
+                try:
+                    tag = self.parse_expression()
+                    self.expect(")")
+                except (ParseError, RecursionError):
+                    if heads[0][0] == t.start:  # the outermost open one
+                        self.raise_arrow_error(heads)
+                    raise
                 if self.at("=>"):
-                    exc, message, offset = arrow_error
-                    raise exc(message, self.file_id, offset)
+                    self.raise_arrow_error(heads)
+                heads.pop()
                 if tag == _MEMBER or tag == _PAREN_MEMBER:
                     return _PAREN_MEMBER
                 if tag == _CALLEE:
@@ -1090,42 +1097,37 @@ class _Parser:
                 return _OTHER
         self.error(f"unexpected token {t.text!r}")
 
-    def arrow_head_error(self):
-        """At `(`: None if a parameter list and `=>` follow, else the error
-        an arrow's parse would raise here, as (class, message, offset). The
-        scan pulls batches as it needs them, and the parse reads them next,
-        so it stops at the first token no parameter list can hold: where a
-        parameter may start, any but a name, `...`, `{`, `[` or `)`; after a
-        leading name, any punctuator but `,`, `=` or `)`."""
+    def arrow_ahead(self):
+        """At `(`: whether a parameter list and `=>` follow. The scan pulls
+        batches as it needs them, and the parse reads them next, so it stops
+        at the first token no parameter list can hold: where a parameter may
+        start, any but a name, `...` or `)`; after a leading name, any
+        punctuator but `,`, `=` or `)`. A destructuring pattern stops it too:
+        the parameter list would raise there."""
         toks = self.toks
         j = self.i + 1
         depth = 1
         start = True  # a parameter may start at toks[j]
         lead = False  # toks[j - 1] is a parameter's leading name
-        first = None  # the error of the first destructuring pattern
         while True:
             while j + 1 >= len(toks) and self.pull():
                 pass
             t = toks[j]
             if t is None:
-                break
+                return False
             kind = t.kind
             if start:
                 start = False
-                if kind == IDENT or (kind == KEYWORD and t.text in _CONTEXTUAL_WORDS):
+                if kind == IDENT:
                     lead = True
                     j += 1
                     continue
-                if kind != PUNCT or t.text not in _PARAMETER_STARTS:
-                    return first or (ParseError, "expected parameter name", t.start)
-                if t.text in ("{", "[") and first is None:
-                    first = (
-                        UnsupportedSyntax, "destructuring parameters are not supported", t.start
-                    )
+                if kind != PUNCT or (t.text != "..." and t.text != ")"):
+                    return False
             elif lead:
                 lead = False
                 if kind == PUNCT and t.text not in (",", "=", ")"):
-                    return first or (ParseError, "expected ',' or ')'", t.start)
+                    return False
             if kind == PUNCT:
                 text = t.text
                 if text == "(" or text == "[" or text == "{":
@@ -1134,13 +1136,41 @@ class _Parser:
                     depth -= 1
                     if depth == 0:
                         t = toks[j + 1]
-                        if t is not None and t.kind == PUNCT and t.text == "=>":
-                            return None
-                        break
+                        return t is not None and t.kind == PUNCT and t.text == "=>"
                 elif text == "," and depth == 1:
                     start = True
+            elif kind == TEMPLATE:  # an interpolation nests: `${` opens, `}` closes
+                depth += t.text.endswith("${") - t.text.startswith("}")
             j += 1
-        return first or (ParseError, "expected '=>'", len(self.text) if t is None else t.start)
+
+    def raise_arrow_error(self, heads):
+        """Raise the error of the outermost of ``heads``, the open
+        parenthesized expressions as (offset of `(`, super flags there), whose
+        matching `)` a `=>` follows, if one does: what a parse that looked
+        for the `=>` at each `(` before reading on would raise. The parse has
+        dropped the tokens between, so this lexes the file again, counting
+        brackets alone, and parses that arrow on a second parser."""
+        flags = {start: rest for start, *rest in heads}
+        opened = []  # the offsets of the open brackets
+        found = None
+        tokens = (t for batch in lex(*self.lexing) for t in batch if t.start >= heads[0][0])
+        for t, nxt in pairwise(tokens):
+            if t.kind != PUNCT:
+                continue
+            if t.text == "(" or t.text == "[" or t.text == "{":
+                opened.append(t.start)
+            elif t.text == ")" or t.text == "]" or t.text == "}":
+                start = opened.pop()
+                if start in flags and nxt.kind == PUNCT and nxt.text == "=>":
+                    found = start  # an outer head closes later
+                if not opened:
+                    break
+        if found is not None:
+            arrow = _Parser(*self.lexing)
+            while arrow.toks[arrow.i].start < found:
+                arrow.advance()
+            arrow.super_member, arrow.super_call = flags[found]
+            arrow.parse_arrow(single=False)  # raises where the scan stopped, or before
 
     def parse_arrow(self, single):
         """An arrow function whose parameter list is one identifier

@@ -21,6 +21,11 @@ def run_node(code=None, path=None, cwd=None, timeout=30):
     return proc.stdout
 
 
+def nl_before(tokens):
+    """The indexes of the tokens a line break precedes."""
+    return {i for i, t in enumerate(tokens) if t.nl}
+
+
 @pytest.fixture(scope="session")
 def node():
     if NODE is None:

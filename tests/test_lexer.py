@@ -3,30 +3,16 @@ import random
 import pytest
 
 from scopeshield.errors import InvalidCharacter, UnterminatedString, UnterminatedTemplate
-from scopeshield.lexer import lex, tokenize
+from scopeshield.lexer import lexed_text, tokenize
 from scopeshield.minify import minify
 from scopeshield.tokens import IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
+from conftest import nl_before
 from corpusgen import GENERATORS
 
 
 def kinds(tokens):
     return [t.kind for t in tokens]
-
-
-def lexed_text(source):
-    """The text ``lex`` returns once drained."""
-    stream = lex(source)
-    while True:
-        try:
-            next(stream)
-        except StopIteration as stop:
-            return stop.value
-
-
-def nl_before(tokens):
-    """The indexes of the tokens a line break precedes."""
-    return {i for i, t in enumerate(tokens) if t.nl}
 
 
 def gaps(text, tokens):

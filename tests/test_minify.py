@@ -9,7 +9,7 @@ from scopeshield.errors import LexError
 from scopeshield.minify import minify
 from scopeshield.lexer import tokenize
 
-from conftest import run_node
+from conftest import nl_before, run_node
 from corpusgen import GENERATORS
 
 
@@ -51,7 +51,7 @@ def assert_relexes_alike(text):
     assert [(t.kind, t.text, t.start, t.end) for t in relexed] == [
         (t.kind, t.text, t.start, t.end) for t in minified
     ]
-    assert {i for i, t in enumerate(relexed) if t.nl} == {i for i, t in enumerate(minified) if t.nl}
+    assert nl_before(relexed) == nl_before(minified)
     assert minify(out) == out
     assert significant(minified) == significant(tokenize(text))
 

@@ -11,6 +11,7 @@ from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import FUNCTION
 from scopeshield.tokens import PUNCT
 
+from conftest import nl_before
 from corpusgen import GENERATORS, build_corpus
 
 
@@ -593,16 +594,38 @@ def test_arrow_head_closing_past_a_batch_boundary():
         ("(i <= n) => 0", ParseError, "<=", "expected ',' or ')'"),
         ("(1 + 2) => 0", ParseError, "1", "expected parameter name"),
         ("({a}, b.c) => 0", UnsupportedSyntax, "{", "destructuring parameters"),
+        ("(x?.y) => 1", ParseError, "?.", "expected ',' or ')'"),
+        ("var f = (a + async) => 1;", ParseError, "+", "expected ',' or ')'"),
+        ("(a + b c) => 1", ParseError, "+", "expected ',' or ')'"),
+        ("((x?.y)) => 1", ParseError, "(x", "expected parameter name"),
+        ("(a + (b + (c?.d))) => 1", ParseError, "+", "expected ',' or ')'"),
+        ("(a + (b c)) => 1", ParseError, "+", "expected ',' or ')'"),
+        ("((a + b) => 1) => 2", ParseError, "(a", "expected parameter name"),
+        ("(a = b?.c, d + 1) => 1", UnsupportedSyntax, "?.", "optional chaining"),
+        ("(a = super.x, b + 1) => 1", ParseError, "super", "'super' keyword unexpected"),
+        ("class A { m() { (a = super.x, b + 1) => 1; } }", ParseError, "+", "expected ',' or ')'"),
     ],
 )
 def test_an_arrow_head_the_scan_stops_in_raises_the_parameter_error(src, exc, at, message):
     # the arrow check stops at the first token no parameter list can hold;
-    # the parenthesized expression parses, and the `=>` after it raises the
-    # error the parameter list would
+    # where a `=>` follows the `)` after all, the parameter list's own error
+    # wins over the parenthesized expression's, also where that expression,
+    # or one nested in it, raises before its `)`; of nested heads with a
+    # `=>`, the outermost one's
     with pytest.raises(ParseError) as err:
         parse_src(src)
     assert type(err.value) is exc and err.value.offset == src.index(at)
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "src",
+    ["(a = `${b, 1}`) => a", "(a = `${x, y + 1}`) => a", "(a = `x${1}y${`${b, c}`, d}`, e) => a + e"],
+)
+def test_a_comma_in_a_default_value_interpolation_ends_no_parameter(src):
+    tree, _candidates, _summary = parse_src(src)
+    (arrow,) = [node for node in tree.nodes if node.kind == FUNCTION]
+    assert src[arrow.start : arrow.end] == src
 
 
 @pytest.mark.parametrize("at", [BATCH_TOKENS - 1, BATCH_TOKENS, BATCH_TOKENS + 1])
@@ -611,7 +634,7 @@ def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
     # token after it, at stream position ``at``, is the last of a batch,
     # the first of the next, or the one after that
     src = filler(BATCH_TOKENS - 8) + ";" * (at - BATCH_TOKENS + 5) + "x=1\ny=2;"
-    assert {i for i, t in enumerate(tokenize(src)) if t.nl} == {at}
+    assert nl_before(tokenize(src)) == {at}
     for minify in (False, True):
         _tree, _candidates, summary = front_end(src, "m.js", minify)[1:]
         assert summary.free_names == ["x", "y"]
