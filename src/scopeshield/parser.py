@@ -22,9 +22,11 @@ The parser lexes the file as it reads it: it pulls a batch of tokens from
 point drops the tokens it has read past, so a file's tokens never exist all
 at once. The arrow check (``arrow_ahead``) keeps the batches it scans
 until the parse reaches them, and it stops at the first token no parameter
-list can hold. Where a `=>` follows the `)` after all, or the expression
-fails, ``raise_arrow_error`` lexes the file again to raise the error of the
-parameter list. The text the spans index is known once the stream ends.
+list can hold, which is exact on a valid file. Given the offsets
+``arrow_heads`` finds, the check is a lookup instead: a `(` is an arrow head
+exactly when a `=>` follows its matching `)`, so an invalid head raises the
+error of its parameter list. The text the spans index is known once the
+stream ends.
 
 Spans are half-open offsets into the text the tokens index. Expression
 productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
@@ -89,7 +91,6 @@ names.
 """
 
 import sys
-from itertools import pairwise
 
 from .errors import ParseError, UnsupportedSyntax
 from .lexer import lex
@@ -180,20 +181,17 @@ class Candidates:
         self.preamble_offset = preamble_offset
 
 
-def parse(source, file_id="<input>", minify=False):
+def parse(source, file_id="<input>", minify=False, arrow_heads=None):
     """Lex (with ``minify``, minifying) and parse ``source``; returns (the
     text the spans index, ScopeTree, Candidates, FileSummary).
 
-    A lexical error anywhere in the file is raised in preference to a syntax
-    error or too deep a nesting, as if the whole file were lexed first.
+    ``arrow_heads``, the set ``arrow_heads(source)`` gives, decides which
+    `(` starts an arrow; without it a bounded scan decides. The parse stops
+    at its first error, so a lexical error later in the file is not seen;
+    ``pipeline.front_end`` reports it in preference.
     """
-    parser = _Parser(source, file_id, minify)
-    try:
-        preamble_offset = parser.parse_program()
-    except (ParseError, RecursionError):
-        for _ in parser.stream:
-            pass
-        raise
+    parser = _Parser(source, file_id, minify, arrow_heads)
+    preamble_offset = parser.parse_program()
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
     text = parser.text
@@ -209,6 +207,29 @@ def parse(source, file_id="<input>", minify=False):
     return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
+def arrow_heads(source, file_id="<input>"):
+    """The offsets of the `(` tokens of ``source`` whose matching `)` a `=>`
+    follows: the arrow heads. One lex pass that counts brackets; it raises
+    the file's first lexical error."""
+    heads = set()
+    opened = []  # per open bracket: the offset of a `(`, None for `[` or `{`
+    closed = None  # the offset of the `(` the last token closed, if any
+    for batch in lex(source, file_id):
+        for t in batch:
+            after, closed = closed, None
+            if t.kind != PUNCT:
+                continue
+            text = t.text
+            if text == "(" or text == "[" or text == "{":
+                opened.append(t.start if text == "(" else None)
+            elif text == ")" or text == "]" or text == "}":
+                if opened:
+                    closed = opened.pop()
+            elif text == "=>" and after is not None:
+                heads.add(after)
+    return heads
+
+
 # None sentinels after the last token let the cursor read without a bounds
 # check: the deepest lookahead is peek(1), and one more covers a cursor that
 # advanced onto the first sentinel. Before the stream ends, the parser pulls
@@ -220,9 +241,9 @@ _NO_REFILL = sys.maxsize
 
 
 class _Parser:
-    def __init__(self, source, file_id, minify):
+    def __init__(self, source, file_id, minify, arrow_heads):
         self.file_id = file_id
-        self.lexing = (source, file_id, minify)
+        self.arrow_heads = arrow_heads
         self.stream = lex(source, file_id, minify)
         self.toks = []  # the tokens pulled and not yet dropped
         self.i = 0  # the cursor: the index of the next token
@@ -237,8 +258,6 @@ class _Parser:
         # whether super.x and super(...) may be read here: in a method, or
         # in an arrow within one; super(...) only in a derived constructor
         self.super_member = self.super_call = False
-        # the open parenthesized expressions: (offset of `(`, super flags)
-        self.paren_heads = []
         self.refill()
 
     # ---- token helpers ----
@@ -357,11 +376,11 @@ class _Parser:
         return items, self.advance()
 
     def paren_head(self):
-        """Read the ``( expression )`` after if, while, do-while, switch and
-        with."""
+        """Read ``( expression )``; returns the expression's kind tag."""
         self.expect("(")
-        self.parse_expression()
+        tag = self.parse_expression()
         self.expect(")")
+        return tag
 
     def accessor_role(self):
         """At ``get`` or ``set`` followed by a property name or ``[``:
@@ -1071,19 +1090,7 @@ class _Parser:
             if t.text == "(":
                 if self.arrow_ahead():
                     return self.parse_arrow(single=False)
-                heads = self.paren_heads
-                heads.append((t.start, self.super_member, self.super_call))
-                self.advance()
-                try:
-                    tag = self.parse_expression()
-                    self.expect(")")
-                except (ParseError, RecursionError):
-                    if heads[0][0] == t.start:  # the outermost open one
-                        self.raise_arrow_error(heads)
-                    raise
-                if self.at("=>"):
-                    self.raise_arrow_error(heads)
-                heads.pop()
+                tag = self.paren_head()
                 if tag == _MEMBER or tag == _PAREN_MEMBER:
                     return _PAREN_MEMBER
                 if tag == _CALLEE:
@@ -1098,13 +1105,16 @@ class _Parser:
         self.error(f"unexpected token {t.text!r}")
 
     def arrow_ahead(self):
-        """At `(`: whether a parameter list and `=>` follow. The scan pulls
-        batches as it needs them, and the parse reads them next, so it stops
-        at the first token no parameter list can hold: where a parameter may
-        start, any but a name, `...` or `)`; after a leading name, any
-        punctuator but `,`, `=` or `)`. A destructuring pattern stops it too:
-        the parameter list would raise there."""
+        """At `(`: whether a parameter list and `=>` follow. Given
+        ``arrow_heads``, whether this `(` is among them. Otherwise a scan
+        that pulls batches as it needs them, which the parse reads next, so
+        it stops at the first token no parameter list can hold: where a
+        parameter may start, any but a name, `...` or `)`; after a leading
+        name, any punctuator but `,`, `=` or `)`. A destructuring pattern
+        stops it too: the parameter list would raise there."""
         toks = self.toks
+        if self.arrow_heads is not None:
+            return toks[self.i].start in self.arrow_heads
         j = self.i + 1
         depth = 1
         start = True  # a parameter may start at toks[j]
@@ -1142,35 +1152,6 @@ class _Parser:
             elif kind == TEMPLATE:  # an interpolation nests: `${` opens, `}` closes
                 depth += t.text.endswith("${") - t.text.startswith("}")
             j += 1
-
-    def raise_arrow_error(self, heads):
-        """Raise the error of the outermost of ``heads``, the open
-        parenthesized expressions as (offset of `(`, super flags there), whose
-        matching `)` a `=>` follows, if one does: what a parse that looked
-        for the `=>` at each `(` before reading on would raise. The parse has
-        dropped the tokens between, so this lexes the file again, counting
-        brackets alone, and parses that arrow on a second parser."""
-        flags = {start: rest for start, *rest in heads}
-        opened = []  # the offsets of the open brackets
-        found = None
-        tokens = (t for batch in lex(*self.lexing) for t in batch if t.start >= heads[0][0])
-        for t, nxt in pairwise(tokens):
-            if t.kind != PUNCT:
-                continue
-            if t.text == "(" or t.text == "[" or t.text == "{":
-                opened.append(t.start)
-            elif t.text == ")" or t.text == "]" or t.text == "}":
-                start = opened.pop()
-                if start in flags and nxt.kind == PUNCT and nxt.text == "=>":
-                    found = start  # an outer head closes later
-                if not opened:
-                    break
-        if found is not None:
-            arrow = _Parser(*self.lexing)
-            while arrow.toks[arrow.i].start < found:
-                arrow.advance()
-            arrow.super_member, arrow.super_call = flags[found]
-            arrow.parse_arrow(single=False)  # raises where the scan stopped, or before
 
     def parse_arrow(self, single):
         """An arrow function whose parameter list is one identifier

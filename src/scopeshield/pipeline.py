@@ -40,7 +40,7 @@ from pathlib import Path
 from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
-from .parser import parse
+from .parser import arrow_heads, parse
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
 from .transforms import encode_strings, rewrite_property_access
@@ -136,11 +136,11 @@ def _file_key(rel_path):
     return zlib.crc32(f"{rel_path}:0".encode("utf-8")) & 0xFF
 
 
-# A file nested too deeply for the default recursion limit (about 60
-# callbacks `f(function(){...})` or 150 parentheses) is parsed again on one
-# helper thread with this much stack and this recursion limit: enough for
-# 1,000 nested callbacks. Deeper files still raise RecursionError and are
-# copied as unsupported.
+# The retry of a file that fails to parse runs on one helper thread with this
+# much stack and this recursion limit: enough for 1,000 nested callbacks,
+# where the default limit stops at about 60 callbacks `f(function(){...})` or
+# 150 parentheses. Deeper files still raise RecursionError and are copied as
+# unsupported.
 DEEP_STACK_BYTES = 256 * 1024 * 1024
 DEEP_RECURSION_LIMIT = 20_000
 
@@ -152,28 +152,29 @@ def front_end(text, rel_path, minify):
     Returns (the text the spans refer to, ScopeTree, Candidates,
     FileSummary); that text is the minified one when ``minify`` is set, else
     ``text``. No token outlives the parse, and at most a few batches of
-    them are alive at once. A lexical error is raised in preference to a
-    syntax error earlier in the file. A ParseError (UnsupportedSyntax
-    included) always gives an offset into ``text`` as read, so it reads the
-    same with and without ``minify``. A file that exceeds the recursion
-    limit is parsed again on a deep stack.
+    them are alive at once.
+
+    A file whose parse raises ParseError or RecursionError gets one retry,
+    on a deep stack: ``arrow_heads`` lexes it as written, so a lexical
+    error anywhere in it wins, and it is parsed again as written with a `(`
+    an arrow head exactly when a `=>` follows its `)`. That parse's error is
+    the file's, with an offset into ``text`` as read whether or not
+    ``minify`` is set. If it succeeds, the file was valid but too deep for
+    the default stack, and its front end comes from the deep stack.
     """
     try:
-        return _front_end_offsets_as_read(text, rel_path, minify)
-    except RecursionError:
-        pass  # retried outside the handler, so the first attempt is freed
-    return _on_deep_stack(_front_end_offsets_as_read, text, rel_path, minify)
-
-
-def _front_end_offsets_as_read(text, rel_path, minify):
-    try:
         return parse(text, rel_path, minify)
-    except ParseError:
-        if minify:
-            # minifying keeps the significant tokens and the line breaks
-            # between them, so the text as read raises the same error
-            parse(text, rel_path, False)
-        raise
+    except (ParseError, RecursionError):
+        pass  # retried outside the handler, so the first attempt is freed
+    return _on_deep_stack(_parse_again, text, rel_path, minify)
+
+
+def _parse_again(text, rel_path, minify):
+    facts = parse(text, rel_path, False, arrow_heads(text, rel_path))
+    if minify:
+        del facts  # not alive during the minified parse
+        facts = parse(text, rel_path, True)
+    return facts
 
 
 def _on_deep_stack(task, *args):
@@ -198,10 +199,16 @@ def _on_deep_stack(task, *args):
     finally:
         sys.setrecursionlimit(limit)
         threading.stack_size(stack_size)
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return value
+    # an exception's traceback holds ``run``'s frame, which holds ``outcome``,
+    # and once raised this frame, which holds ``value``: with the cyclic
+    # collector paused, either cycle would keep the failed parse alive
+    ok, value = outcome.pop()
+    try:
+        if not ok:
+            raise value
+        return value
+    finally:
+        del value
 
 
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
