@@ -22,11 +22,9 @@ The parser lexes the file as it reads it: it pulls a batch of tokens from
 point drops the tokens it has read past, so a file's tokens never exist all
 at once. The arrow check (``arrow_ahead``) keeps the batches it scans
 until the parse reaches them, and it stops at the first token no parameter
-list can hold, which is exact on a valid file. Given the offsets
-``arrow_heads`` finds, the check is a lookup instead: a `(` is an arrow head
-exactly when a `=>` follows its matching `)`, so an invalid head raises the
-error of its parameter list. The text the spans index is known once the
-stream ends.
+list can hold, which is exact on a valid file; given ``arrow_heads``, it
+looks each `(` up, so an invalid head raises its parameter list's error.
+The text the spans index is known once the stream ends.
 
 Spans are half-open offsets into the text the tokens index. Expression
 productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
@@ -209,8 +207,8 @@ def parse(source, file_id="<input>", minify=False, arrow_heads=None):
 
 def arrow_heads(source, file_id="<input>"):
     """The offsets of the `(` tokens of ``source`` whose matching `)` a `=>`
-    follows: the arrow heads. One lex pass that counts brackets; it raises
-    the file's first lexical error."""
+    follows with no line break between: the arrow heads. One lex pass that
+    counts brackets; it raises the file's first lexical error."""
     heads = set()
     opened = []  # per open bracket: the offset of a `(`, None for `[` or `{`
     closed = None  # the offset of the `(` the last token closed, if any
@@ -222,10 +220,9 @@ def arrow_heads(source, file_id="<input>"):
             text = t.text
             if text == "(" or text == "[" or text == "{":
                 opened.append(t.start if text == "(" else None)
-            elif text == ")" or text == "]" or text == "}":
-                if opened:
-                    closed = opened.pop()
-            elif text == "=>" and after is not None:
+            elif opened and (text == ")" or text == "]" or text == "}"):
+                closed = opened.pop()
+            elif text == "=>" and after is not None and not t.nl:
                 heads.add(after)
     return heads
 
@@ -1043,7 +1040,7 @@ class _Parser:
             self.error("unexpected end of input")
         if t.kind == IDENT:
             nxt = self.toks[self.i + 1]
-            if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>":
+            if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>" and not nxt.nl:
                 return self.parse_arrow(single=True)
             self.advance()
             self.scopes.reference(t)
@@ -1105,13 +1102,14 @@ class _Parser:
         self.error(f"unexpected token {t.text!r}")
 
     def arrow_ahead(self):
-        """At `(`: whether a parameter list and `=>` follow. Given
-        ``arrow_heads``, whether this `(` is among them. Otherwise a scan
-        that pulls batches as it needs them, which the parse reads next, so
-        it stops at the first token no parameter list can hold: where a
-        parameter may start, any but a name, `...` or `)`; after a leading
-        name, any punctuator but `,`, `=` or `)`. A destructuring pattern
-        stops it too: the parameter list would raise there."""
+        """At `(`: whether a parameter list follows, and after its `)` a
+        `=>` with no line break before it. Given ``arrow_heads``, whether
+        this `(` is among them. Otherwise a scan that pulls batches as it
+        needs them, which the parse reads next, so it stops at the first
+        token no parameter list can hold: where a parameter may start, any
+        but a name, `...` or `)`; after a leading name, any punctuator but
+        `,`, `=` or `)`. A destructuring pattern stops it too: the parameter
+        list would raise there."""
         toks = self.toks
         if self.arrow_heads is not None:
             return toks[self.i].start in self.arrow_heads
@@ -1146,7 +1144,7 @@ class _Parser:
                     depth -= 1
                     if depth == 0:
                         t = toks[j + 1]
-                        return t is not None and t.kind == PUNCT and t.text == "=>"
+                        return t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl
                 elif text == "," and depth == 1:
                     start = True
             elif kind == TEMPLATE:  # an interpolation nests: `${` opens, `}` closes

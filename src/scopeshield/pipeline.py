@@ -3,8 +3,9 @@
 One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
 own summary (``depgraph.frozen_names``). Each file task parses its file
-once, and the parser lexes and minifies it as it reads, a batch of tokens at
-a time: it builds no syntax tree but the file's facts, its scope tree, its
+once (a file that fails to parse gets one retry, see ``front_end``), and
+the parser lexes and minifies it as it reads, a batch of tokens at a time:
+it builds no syntax tree but the file's facts, its scope tree, its
 transform candidates and its summary.
 The task then renames, transforms and emits it. On a process pool the
 largest-first file list goes out in consecutive chunks, one task each and
@@ -136,11 +137,10 @@ def _file_key(rel_path):
     return zlib.crc32(f"{rel_path}:0".encode("utf-8")) & 0xFF
 
 
-# The retry of a file that fails to parse runs on one helper thread with this
-# much stack and this recursion limit: enough for 1,000 nested callbacks,
-# where the default limit stops at about 60 callbacks `f(function(){...})` or
-# 150 parentheses. Deeper files still raise RecursionError and are copied as
-# unsupported.
+# The retry of a file that fails to parse runs on one helper thread with
+# this much stack and this recursion limit: enough for 1,000 nested
+# callbacks, not 60 `f(function(){...})` or 150 parentheses as by default.
+# Deeper files still raise RecursionError and are copied as unsupported.
 DEEP_STACK_BYTES = 256 * 1024 * 1024
 DEEP_RECURSION_LIMIT = 20_000
 
@@ -152,15 +152,12 @@ def front_end(text, rel_path, minify):
     Returns (the text the spans refer to, ScopeTree, Candidates,
     FileSummary); that text is the minified one when ``minify`` is set, else
     ``text``. No token outlives the parse, and at most a few batches of
-    them are alive at once.
-
-    A file whose parse raises ParseError or RecursionError gets one retry,
-    on a deep stack: ``arrow_heads`` lexes it as written, so a lexical
-    error anywhere in it wins, and it is parsed again as written with a `(`
-    an arrow head exactly when a `=>` follows its `)`. That parse's error is
-    the file's, with an offset into ``text`` as read whether or not
-    ``minify`` is set. If it succeeds, the file was valid but too deep for
-    the default stack, and its front end comes from the deep stack.
+    them are alive at once. A file whose parse raises ParseError or
+    RecursionError is parsed once more, as written, on a deep stack, with
+    ``arrow_heads`` deciding each `(`: that lexes the whole file first, so a
+    lexical error anywhere wins. The second parse's error, with an offset
+    into ``text`` as read, is the file's; if it succeeds, the file was only
+    too deep for the default stack.
     """
     try:
         return parse(text, rel_path, minify)
@@ -199,9 +196,8 @@ def _on_deep_stack(task, *args):
     finally:
         sys.setrecursionlimit(limit)
         threading.stack_size(stack_size)
-    # an exception's traceback holds ``run``'s frame, which holds ``outcome``,
-    # and once raised this frame, which holds ``value``: with the cyclic
-    # collector paused, either cycle would keep the failed parse alive
+    # a traceback holds ``run``'s frame and, once raised, this one: if either
+    # held the exception, it would outlive the paused cyclic collector
     ok, value = outcome.pop()
     try:
         if not ok:

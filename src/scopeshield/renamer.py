@@ -16,7 +16,7 @@ any occurrence whose stored binding that walk does not reach.
 from itertools import product
 
 from .errors import OrderViolation
-from .scopes import Binding
+from .scopes import BLOCK, Binding
 from .tokens import RESERVED_WORDS
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -130,8 +130,10 @@ def frozen_bindings(tree, frozen_module_names=()):
 
     Frozen: every binding visible at a dynamic scope (the scope itself and
     all its ancestors, since evaluated code may reference anything in sight),
-    import bindings, and module-level names pinned by the cross-file link
-    (exports and shared implicit globals).
+    import bindings, module-level names pinned by the cross-file link
+    (exports and shared implicit globals), and each function declared in a
+    block with every binding of its name on the scope chain: sloppy code
+    also binds it in the enclosing function (Annex B.3.3).
     """
     frozen = set()
     pinned = set(frozen_module_names)
@@ -144,6 +146,13 @@ def frozen_bindings(tree, frozen_module_names=()):
                 or (node.id == tree.root and name in pinned)
             ):
                 frozen.add(binding)
+            if node.kind == BLOCK and binding.category == "function":
+                sid = node.id
+                while sid is not None:
+                    scope = tree.nodes[sid]
+                    if name in scope.declarations:
+                        frozen.add(scope.declarations[name])
+                    sid = scope.parent
     return frozen
 
 
@@ -152,7 +161,13 @@ def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, a
     rename_map = RenameMap()
     frozen = frozen_bindings(tree, frozen_module_names)
     anc_refs = ancestor_reference_map(tree, subtree_refs)
-    pool_excluded = frozenset(allowlist)
+    # the enclosing function's Annex B binding of a block function may
+    # capture or overwrite any other binding renamed to its name
+    pool_excluded = frozenset(allowlist).union(
+        b.name
+        for b in frozen
+        if b.category == "function" and tree.nodes[b.scope_id].kind == BLOCK
+    )
     for sid in tree.preorder():
         node = tree.nodes[sid]
         if not node.declarations:

@@ -7,8 +7,9 @@ program-wide) global scope; the tree keeps one Binding with
 ``scope_id == GLOBAL_SCOPE`` for each such name.
 
 var declarations hoist to the nearest function or module scope; let/const,
-class and (module code is strict) function declarations bind in the nearest
-enclosing block. A block gets a scope node only when it directly contains a
+class and function declarations bind in the nearest enclosing block (sloppy
+scripts also bind a block's function in its function: Annex B, for which
+the renamer keeps such names). A block gets a scope node only when it directly contains a
 lexical declaration. A scope that directly contains eval, `with` or a
 Function constructor call is flagged dynamic. Code in it or below it may
 read any name on its scope chain: the renamer freezes the bindings of the

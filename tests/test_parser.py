@@ -1,16 +1,18 @@
 import json
 import random
 import subprocess
+from collections import Counter
 
 import pytest
 
 from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
 from scopeshield.lexer import BATCH_TOKENS, tokenize
-from scopeshield.parser import string_value
+from scopeshield.parser import arrow_heads, parse, string_value
 from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import FUNCTION
 from scopeshield.tokens import PUNCT
 
+from arrowgen import arrow_snippets
 from conftest import nl_before
 from corpusgen import GENERATORS, build_corpus
 
@@ -616,6 +618,58 @@ def test_an_arrow_head_the_scan_stops_in_raises_the_parameter_error(src, exc, at
         parse_src(src)
     assert type(err.value) is exc and err.value.offset == src.index(at)
     assert message in str(err.value)
+
+
+LINE_BREAK_ARROWS = ["var f = (a)\n=> 1;", "var g = a\n=> 1;"]
+
+
+def test_a_line_break_before_the_arrow_is_a_syntax_error(node):
+    # ArrowParameters [no LineTerminator here] `=>`
+    assert node_compiles(node, LINE_BREAK_ARROWS) == [False, False]
+    for src in LINE_BREAK_ARROWS:
+        for minify in (False, True):
+            with pytest.raises(ParseError, match="unexpected token '=>'") as err:
+                front_end(src, "m.js", minify)
+            assert type(err.value) is ParseError and err.value.offset == src.index("=>")
+        assert parse_src(src.replace("\n", " "))[2].declared_globals == [src[4]]
+
+
+def all_facts(parsed):
+    """Everything ``parse`` returns, as comparable values."""
+    text, tree, candidates, summary = parsed
+    scopes = [
+        (node.kind, node.parent, node.start, node.end, node.is_dynamic,
+         sorted((b.name, b.category, b.span, b.order) for b in node.declarations.values()))
+        for node in tree.nodes
+    ]
+    occurrences = [
+        (occ.name, occ.start, occ.end, occ.scope_id, occ.style, occ.binding.scope_id)
+        for occ in tree.occurrences
+    ]
+    return (
+        text, scopes, occurrences, sorted(tree.globals),
+        candidates.strings, candidates.accesses, candidates.preamble_offset,
+        summary.declared_globals, summary.free_names, summary.branch_points,
+    )
+
+
+def test_arrow_heads_decide_as_the_scan_does_on_generated_heads():
+    # where the bounded scan decides each `(` and the parse succeeds, the
+    # parse that looks the `(` up in ``arrow_heads`` gives the same facts;
+    # where it fails, so does that parse
+    counts = Counter()
+    for src in arrow_snippets(1000):
+        heads = arrow_heads(src)
+        try:
+            expected = all_facts(parse(src))
+        except ParseError:
+            counts["fails"] += 1
+            with pytest.raises(ParseError):
+                parse(src, arrow_heads=heads)
+            continue
+        counts["parses"] += 1
+        assert all_facts(parse(src, arrow_heads=heads)) == expected
+    assert counts["parses"] > 200 and counts["fails"] > 200
 
 
 @pytest.mark.parametrize(
