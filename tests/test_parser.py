@@ -1,7 +1,6 @@
 import json
 import random
 import subprocess
-from collections import Counter
 
 import pytest
 
@@ -657,19 +656,18 @@ def test_arrow_heads_decide_as_the_scan_does_on_generated_heads():
     # where the bounded scan decides each `(` and the parse succeeds, the
     # parse that looks the `(` up in ``arrow_heads`` gives the same facts;
     # where it fails, so does that parse
-    counts = Counter()
+    fails = 0
     for src in arrow_snippets(1000):
         heads = arrow_heads(src)
         try:
             expected = all_facts(parse(src))
         except ParseError:
-            counts["fails"] += 1
+            fails += 1
             with pytest.raises(ParseError):
                 parse(src, arrow_heads=heads)
             continue
-        counts["parses"] += 1
         assert all_facts(parse(src, arrow_heads=heads)) == expected
-    assert counts["parses"] > 200 and counts["fails"] > 200
+    assert 200 < fails < 800
 
 
 @pytest.mark.parametrize(
