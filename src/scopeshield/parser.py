@@ -20,11 +20,10 @@ the facts the later layers read, and nothing else:
 The parser lexes the file as it reads it: it pulls a batch of tokens from
 ``lexer.lex`` when its cursor nears the end of what it holds, and at that
 point drops the tokens it has read past, so a file's tokens never exist all
-at once. The arrow check (``arrow_ahead``) keeps the batches it scans
-until the parse reaches them, and it stops at the first token no parameter
-list can hold, which is exact on a valid file; given ``arrow_heads``, it
-looks each `(` up, so an invalid head raises its parameter list's error.
-The text the spans index is known once the stream ends.
+at once. The text the spans index is known once the stream ends.
+
+A `(` in an expression is read once, as expressions, and only a `=>` after
+its `)` makes it an arrow head (``parse_parenthesized``).
 
 Spans are half-open offsets into the text the tokens index. Expression
 productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
@@ -83,9 +82,9 @@ comma list (``delimited``: one comma between items, one trailing comma
 allowed), every ``( expression )`` head and the get/set accessor prefix.
 
 Out of subset (raises UnsupportedSyntax so the file is copied through
-verbatim): labeled statements, destructuring, generators, async/await,
-class fields, optional chaining, dynamic import(), computed class member
-names.
+verbatim): labeled statements, destructuring (assignment too), generators,
+async/await, class fields, optional chaining, dynamic import(), computed
+class member names.
 """
 
 import sys
@@ -124,6 +123,9 @@ _PAREN_MEMBER = 4  # a parenthesized _MEMBER or _PAREN_MEMBER
 _TARGET = 5  # a computed access, a dot access on super, a parenthesized target
 _STRING = 6  # a string literal: the last string candidate recorded
 _SUPER = 7
+_LITERAL = 8  # an array or object literal: `=` would make it a pattern
+
+_REST_LAST = "a rest parameter must be the last, with no default or trailing comma"
 
 
 class FileSummary:
@@ -179,16 +181,14 @@ class Candidates:
         self.preamble_offset = preamble_offset
 
 
-def parse(source, file_id="<input>", minify=False, arrow_heads=None):
+def parse(source, file_id="<input>", minify=False):
     """Lex (with ``minify``, minifying) and parse ``source``; returns (the
     text the spans index, ScopeTree, Candidates, FileSummary).
 
-    ``arrow_heads``, the set ``arrow_heads(source)`` gives, decides which
-    `(` starts an arrow; without it a bounded scan decides. The parse stops
-    at its first error, so a lexical error later in the file is not seen;
-    ``pipeline.front_end`` reports it in preference.
+    The parse stops at its first error, so a lexical error later in the
+    file is not seen; ``pipeline.front_end`` reports it in preference.
     """
-    parser = _Parser(source, file_id, minify, arrow_heads)
+    parser = _Parser(source, file_id, minify)
     preamble_offset = parser.parse_program()
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
@@ -205,28 +205,6 @@ def parse(source, file_id="<input>", minify=False, arrow_heads=None):
     return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
-def arrow_heads(source, file_id="<input>"):
-    """The offsets of the `(` tokens of ``source`` whose matching `)` a `=>`
-    follows with no line break between: the arrow heads. One lex pass that
-    counts brackets; it raises the file's first lexical error."""
-    heads = set()
-    opened = []  # per open bracket: the offset of a `(`, None for `[` or `{`
-    closed = None  # the offset of the `(` the last token closed, if any
-    for batch in lex(source, file_id):
-        for t in batch:
-            after, closed = closed, None
-            if t.kind != PUNCT:
-                continue
-            text = t.text
-            if text == "(" or text == "[" or text == "{":
-                opened.append(t.start if text == "(" else None)
-            elif opened and (text == ")" or text == "]" or text == "}"):
-                closed = opened.pop()
-            elif text == "=>" and after is not None and not t.nl:
-                heads.add(after)
-    return heads
-
-
 # None sentinels after the last token let the cursor read without a bounds
 # check: the deepest lookahead is peek(1), and one more covers a cursor that
 # advanced onto the first sentinel. Before the stream ends, the parser pulls
@@ -238,9 +216,8 @@ _NO_REFILL = sys.maxsize
 
 
 class _Parser:
-    def __init__(self, source, file_id, minify, arrow_heads):
+    def __init__(self, source, file_id, minify):
         self.file_id = file_id
-        self.arrow_heads = arrow_heads
         self.stream = lex(source, file_id, minify)
         self.toks = []  # the tokens pulled and not yet dropped
         self.i = 0  # the cursor: the index of the next token
@@ -283,24 +260,14 @@ class _Parser:
         drop = max(self.i - 1, 0)
         del toks[:drop]
         self.i -= drop
-        while len(toks) - self.i < _LOOKAHEAD and self.pull():
-            pass
-        if self.text is None:
-            self.refill_at = len(toks) - _LOOKAHEAD
-
-    def pull(self):
-        """Lex one more batch onto the window; False once the stream has
-        ended, when the sentinels and the text are set."""
-        if self.text is not None:
-            return False
-        try:
-            self.toks += next(self.stream)
-            return True
-        except StopIteration as stop:
-            self.text = stop.value
-        self.toks += _SENTINELS
-        self.refill_at = _NO_REFILL
-        return False
+        while self.text is None and len(toks) - self.i < _LOOKAHEAD:
+            try:
+                toks += next(self.stream)
+            except StopIteration as stop:
+                # the stream has ended: the sentinels and the text are set
+                self.text = stop.value
+                toks += _SENTINELS
+        self.refill_at = len(toks) - _LOOKAHEAD if self.text is None else _NO_REFILL
 
     def last_end(self):
         """The end of the last token consumed."""
@@ -339,16 +306,23 @@ class _Parser:
         self.error(message, UnsupportedSyntax)
 
     def binding_name(self, message, pattern=None):
-        """Read the identifier token a binding declares. Where JS allows a
-        destructuring pattern there (``pattern`` names the site), `{` or `[`
-        is UnsupportedSyntax; any other token is a ParseError(``message``)."""
+        """Read the identifier token a binding declares; any other token
+        raises ``name_error``."""
         t = self.peek()
         if t is not None and t.kind == IDENT:
             self.advance()
             return t
-        if pattern is not None and t is not None and t.kind == PUNCT and t.text in ("{", "["):
-            self.unsupported(f"destructuring {pattern} are not supported")
-        self.error(message)
+        raise self.name_error(t, message, pattern)
+
+    def name_error(self, t, message, pattern=None):
+        """The error for ``t`` where a name must stand: UnsupportedSyntax for
+        `{` or `[` where JS allows a destructuring pattern (``pattern`` names
+        the site); else ParseError(``message``)."""
+        if t is None:
+            return ParseError(message, self.file_id, len(self.text))
+        if t.kind == PUNCT and pattern is not None and t.text in ("{", "["):
+            return UnsupportedSyntax(f"destructuring {pattern} are not supported", self.file_id, t.start)
+        return ParseError(message, self.file_id, t.start)
 
     def optional_name(self, decl, message):
         """The name token of a function or class: required for a declaration
@@ -401,17 +375,12 @@ class _Parser:
         self.advance()
         return self.literal_value(t)
 
-    def newline_before_current(self):
-        return self.toks[self.i].nl
-
     def consume_semicolon(self):
         t = self.peek()
         if t is not None and t.kind == PUNCT and t.text == ";":
             self.advance()
             return
-        if t is None or (t.kind == PUNCT and t.text == "}"):
-            return
-        if self.newline_before_current():
+        if t is None or t.nl or (t.kind == PUNCT and t.text == "}"):
             return
         self.error("expected ';'")
 
@@ -488,11 +457,8 @@ class _Parser:
                 return self.parse_return_like("throw", require_arg=True)
             if text == "break" or text == "continue":
                 tok = self.advance()
-                if (
-                    self.peek() is not None
-                    and self.peek().kind == IDENT
-                    and not self.newline_before_current()
-                ):
+                nxt = self.peek()
+                if nxt is not None and nxt.kind == IDENT and not nxt.nl:
                     self.unsupported("labeled break/continue is not supported")
                 self.consume_semicolon()
                 return tok.end
@@ -582,14 +548,26 @@ class _Parser:
     def parse_param(self):
         """One parameter: ``name``, ``name = default`` or ``...name``."""
         rest = self.at("...") and self.advance()
-        t = self.binding_name("expected parameter name", "parameters")
-        if rest and not self.at(")"):
-            self.error("a rest parameter must be the last, with no default or trailing comma")
-        self.scopes.declare(t, "param")
+        error = self.param_error(rest)
+        if error is not None:
+            raise error
+        self.scopes.declare(self.advance(), "param")
         if self.at("="):
             self.advance()
             self.parse_assign()
         return bool(rest)
+
+    def param_error(self, rest):
+        """None at a name a parameter may end with (followed by `,`, `)` or
+        `=`; after `...`, by `)`), else the error a parameter list raises
+        here. It reads two tokens."""
+        t, nxt = self.peek(), self.peek(1)
+        if t is None or t.kind != IDENT:
+            return self.name_error(t, "expected parameter name", "parameters")
+        if nxt is not None and nxt.kind == PUNCT and nxt.text in ((")",) if rest else (",", ")", "=")):
+            return None
+        message = _REST_LAST if rest else "expected ',' or ')'"
+        return ParseError(message, self.file_id, nxt.start if nxt is not None else len(self.text))
 
     def parse_class(self, decl):
         """Returns the name token or None."""
@@ -771,7 +749,7 @@ class _Parser:
         has_arg = not (
             t is None
             or (t.kind == PUNCT and t.text in (";", "}"))
-            or self.newline_before_current()
+            or t.nl
         )
         if require_arg and not has_arg:
             self.error(f"{kind} requires an argument")
@@ -913,6 +891,8 @@ class _Parser:
         t = self.toks[self.i]
         if t is not None and t.kind == PUNCT and t.text in _ASSIGN_OPS:
             if not _REF <= tag <= _TARGET:
+                if tag == _LITERAL and t.text == "=":
+                    self.unsupported("destructuring assignment is not supported")
                 self.error("invalid assignment target")
             self.advance()
             self.parse_assign(no_in=no_in)
@@ -975,12 +955,7 @@ class _Parser:
         t = self.toks[self.i]
         tag = self.parse_call_member(self.parse_primary(), t.start)
         t = self.toks[self.i]
-        if (
-            t is not None
-            and t.kind == PUNCT
-            and t.text in ("++", "--")
-            and not self.newline_before_current()
-        ):
+        if t is not None and t.kind == PUNCT and t.text in ("++", "--") and not t.nl:
             self.advance()
             return _OTHER
         return tag
@@ -1041,7 +1016,9 @@ class _Parser:
         if t.kind == IDENT:
             nxt = self.toks[self.i + 1]
             if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>" and not nxt.nl:
-                return self.parse_arrow(single=True)
+                self.enter_scope(FUNCTION, t.start)
+                self.scopes.declare(self.advance(), "param")
+                return self.parse_arrow_body()
             self.advance()
             self.scopes.reference(t)
             return _CALLEE if t.text == "eval" or t.text == "Function" else _REF
@@ -1075,92 +1052,76 @@ class _Parser:
                 return _OTHER
             if t.text == "new":
                 return self.parse_new()
-            if t.text in ("async", "await", "yield"):
-                self.unsupported(f"'{t.text}' is not supported")
             if t.text == "import":
                 nxt = self.peek(1)
                 if nxt is not None and nxt.text == ".":
                     self.unsupported("import.meta is not supported")
                 self.unsupported("dynamic import() is not supported")
+            if t.text in ("async", "await", "yield"):
+                self.unsupported(f"'{t.text}' is not supported")
             self.error(f"unexpected keyword {t.text!r}")
         if t.kind == PUNCT:
             if t.text == "(":
-                if self.arrow_ahead():
-                    return self.parse_arrow(single=False)
-                tag = self.paren_head()
-                if tag == _MEMBER or tag == _PAREN_MEMBER:
-                    return _PAREN_MEMBER
-                if tag == _CALLEE:
-                    return _CALLEE  # (eval)(s) is a direct eval too
-                return _TARGET if _REF <= tag <= _TARGET else _OTHER
+                return self.parse_parenthesized()
             if t.text == "[":
                 self.delimited("[", "]", self.parse_array_element)
-                return _OTHER
+                return _LITERAL
             if t.text == "{":
                 self.delimited("{", "}", self.parse_property)
-                return _OTHER
+                return _LITERAL
         self.error(f"unexpected token {t.text!r}")
 
-    def arrow_ahead(self):
-        """At `(`: whether a parameter list follows, and after its `)` a
-        `=>` with no line break before it. Given ``arrow_heads``, whether
-        this `(` is among them. Otherwise a scan that pulls batches as it
-        needs them, which the parse reads next, so it stops at the first
-        token no parameter list can hold: where a parameter may start, any
-        but a name, `...` or `)`; after a leading name, any punctuator but
-        `,`, `=` or `)`. A destructuring pattern stops it too: the parameter
-        list would raise there."""
-        toks = self.toks
-        if self.arrow_heads is not None:
-            return toks[self.i].start in self.arrow_heads
-        j = self.i + 1
-        depth = 1
-        start = True  # a parameter may start at toks[j]
-        lead = False  # toks[j - 1] is a parameter's leading name
-        while True:
-            while j + 1 >= len(toks) and self.pull():
-                pass
-            t = toks[j]
-            if t is None:
-                return False
-            kind = t.kind
-            if start:
-                start = False
-                if kind == IDENT:
-                    lead = True
-                    j += 1
-                    continue
-                if kind != PUNCT or (t.text != "..." and t.text != ")"):
-                    return False
-            elif lead:
-                lead = False
-                if kind == PUNCT and t.text not in (",", "=", ")"):
-                    return False
-            if kind == PUNCT:
-                text = t.text
-                if text == "(" or text == "[" or text == "{":
-                    depth += 1
-                elif text == ")" or text == "]" or text == "}":
-                    depth -= 1
-                    if depth == 0:
-                        t = toks[j + 1]
-                        return t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl
-                elif text == "," and depth == 1:
-                    start = True
-            elif kind == TEMPLATE:  # an interpolation nests: `${` opens, `}` closes
-                depth += t.text.endswith("${") - t.text.startswith("}")
-            j += 1
+    def parse_parenthesized(self):
+        """``( … )``, read once as ECMA-262's
+        CoverParenthesizedExpressionAndArrowParameterList: each item as an
+        assignment expression, after `...` as a spread. A `=>` after the `)`
+        makes it an arrow head: its first item that is no parameter raises
+        ``param_error``, and its names become the parameters of a scope that
+        takes over what the head recorded. Otherwise returns the tag of the
+        parenthesized expression."""
+        lparen = self.peek()
+        mark = self.scopes.mark()
+        candidates = len(self.strings), len(self.accesses)
+        params = []  # per item, the index of its name's occurrence
+        error = spread = None  # the first non-parameter's error; the first `...`
+        trailing = False  # a comma after the last item
 
-    def parse_arrow(self, single):
-        """An arrow function whose parameter list is one identifier
-        (``single``) or parenthesized."""
+        def item():
+            nonlocal error, spread, trailing
+            rest = self.at("...") and self.advance()
+            spread = spread or rest
+            if error is None:
+                error = self.param_error(rest)
+                params.append(len(self.scopes.occurrences))
+            tag = self.parse_assign()
+            trailing = self.at(",")
+            return tag
+
+        tags, rparen = self.delimited("(", ")", item)
+        t = self.peek()
+        if t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl:
+            if error is not None:
+                raise error
+            occurrences = [self.scopes.occurrences[index] for index in params]
+            self.scopes.enter_arrow(lparen.start, mark, occurrences)
+            self.marks.append(candidates)
+            return self.parse_arrow_body()
+        self.scopes.unmark(mark)
+        if spread or trailing or not tags:
+            t = spread or rparen
+            raise ParseError(f"unexpected token {t.text!r}", self.file_id, t.start)
+        tag = tags[0] if len(tags) == 1 else _OTHER
+        if tag == _MEMBER or tag == _PAREN_MEMBER:
+            return _PAREN_MEMBER
+        if tag == _CALLEE:
+            return _CALLEE  # (eval)(s) is a direct eval too
+        return _TARGET if _REF <= tag <= _TARGET else _OTHER
+
+    def parse_arrow_body(self):
+        """``=> body`` of an arrow whose scope, its parameters declared, the
+        parser has entered; leaves it."""
         self.summary.branch_points += 1
-        self.enter_scope(FUNCTION, self.peek().start)
-        if single:
-            self.parse_param()
-        else:
-            self.parse_params()
-        self.expect("=>")
+        self.advance()
         if self.at("{"):
             self.parse_block(scoped=False)
         else:

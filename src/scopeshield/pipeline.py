@@ -41,7 +41,8 @@ from pathlib import Path
 from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
-from .parser import arrow_heads, parse
+from .lexer import lexed_text
+from .parser import parse
 from .patches import Patch, emit
 from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
 from .transforms import encode_strings, rewrite_property_access
@@ -153,11 +154,11 @@ def front_end(text, rel_path, minify):
     FileSummary); that text is the minified one when ``minify`` is set, else
     ``text``. No token outlives the parse, and at most a few batches of
     them are alive at once. A file whose parse raises ParseError or
-    RecursionError is parsed once more, as written, on a deep stack, with
-    ``arrow_heads`` deciding each `(`: that lexes the whole file first, so a
-    lexical error anywhere wins. The second parse's error, with an offset
-    into ``text`` as read, is the file's; if it succeeds, the file was only
-    too deep for the default stack.
+    RecursionError is parsed once more, as written, on a deep stack, after
+    a pass that lexes the whole file, so a lexical error anywhere wins. The
+    second parse's error, with an offset into ``text`` as read, is the
+    file's; if it succeeds, the file was only too deep for the default
+    stack.
     """
     try:
         return parse(text, rel_path, minify)
@@ -167,7 +168,8 @@ def front_end(text, rel_path, minify):
 
 
 def _parse_again(text, rel_path, minify):
-    facts = parse(text, rel_path, False, arrow_heads(text, rel_path))
+    lexed_text(text, rel_path)
+    facts = parse(text, rel_path)
     if minify:
         del facts  # not alive during the minified parse
         facts = parse(text, rel_path, True)

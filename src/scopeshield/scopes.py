@@ -188,6 +188,10 @@ class ScopeBuilder:
     declarations (a lexical one nested in a bare `if` or `case` body) go to
     its parent, and ``finish`` renumbers the remaining scopes in pre-order
     and moves the occurrences read in it to the parent.
+
+    Whether a `(` heads an arrow is known only at the `=>` after its `)`, so
+    the head is read in the current scope; ``enter_arrow`` then moves what
+    it recorded into the arrow's scope.
     """
 
     def __init__(self, file_id):
@@ -199,7 +203,6 @@ class ScopeBuilder:
         self.scope = self.function = self.tree.new_scope(MODULE, None, 0, 0)
         self.outer = []  # (scope, function scope) of each scope entered
         self.order = 0
-        self.elided = False
         # the first `var` that redeclares a catch parameter; raised by the
         # parser only once the whole file has parsed
         self.catch_redeclared = None
@@ -235,8 +238,41 @@ class ScopeBuilder:
                 continue
             binding.scope_id = parent.id
             decls[name] = binding
-        node.kind = None
-        self.elided = True
+
+    def mark(self):
+        """At a `(` that may head an arrow: what ``enter_arrow`` takes. The
+        scope's dynamic flag is set aside, to tell whether the head sets it."""
+        scope = self.scope
+        mark = len(self.occurrences), len(scope.children), scope.is_dynamic
+        scope.is_dynamic = False
+        return mark
+
+    def unmark(self, mark):
+        """At the `)` of a parenthesized expression: put the flag back."""
+        self.scope.is_dynamic |= mark[2]
+
+    def enter_arrow(self, start, mark, params):
+        """Enter the scope of an arrow whose head, from ``start``, was read
+        since ``mark``: what the head recorded moves into it, and ``params``,
+        the occurrences of its parameter names, declare them."""
+        occurrences, children, dynamic = mark
+        outer = self.scope
+        self.enter(FUNCTION, start)
+        node = self.scope
+        node.is_dynamic, outer.is_dynamic = outer.is_dynamic, dynamic
+        node.children = outer.children[children:-1]
+        del outer.children[children:-1]
+        for child in node.children:  # entered before it: ``finish`` renumbers
+            self.nodes[child].parent = node.id
+        for occ in self.occurrences[occurrences:]:
+            if occ.scope_id == outer.id:
+                occ.scope_id = node.id
+        for occ in params:
+            occ.style = "decl"
+            self.order += 1
+            node.declarations[occ.name] = Binding(
+                self.file_id, node.id, occ.name, (occ.start, occ.end), "param", self.order
+            )
 
     def declare(self, tok, category):
         self._declare(self.scope, tok, category)
@@ -277,28 +313,27 @@ class ScopeBuilder:
 
     def finish(self, end):
         """The tree, with the module scope ending at ``end``, elided blocks
-        gone and every occurrence resolved."""
+        gone, the scope ids in pre-order and every occurrence resolved."""
         nodes = self.nodes
         nodes[0].end = end
-        if self.elided:
-            remap = []  # scope id at entry -> id in the tree
-            kept = []
-            for node in nodes:
-                if node.kind is None:
-                    remap.append(remap[node.parent])
-                else:
-                    remap.append(len(kept))
-                    kept.append(node)
-            for node in kept:
-                node.id = remap[node.id]
-                if node.parent is not None:
-                    node.parent = remap[node.parent]
-                node.children = [remap[child] for child in node.children]
-                for binding in node.declarations.values():
-                    binding.scope_id = node.id
-            nodes[:] = kept
-            for occ in self.occurrences:
-                occ.scope_id = remap[occ.scope_id]
+        remap = [None] * len(nodes)  # scope id at entry -> id in the tree
+        kept = []
+        for sid in self.tree.preorder():
+            remap[sid] = len(kept)
+            kept.append(nodes[sid])
+        for node in nodes:
+            if remap[node.id] is None:  # elided, after its parent
+                remap[node.id] = remap[node.parent]
+        for node in kept:
+            node.id = remap[node.id]
+            if node.parent is not None:
+                node.parent = remap[node.parent]
+            node.children = [remap[child] for child in node.children]
+            for binding in node.declarations.values():
+                binding.scope_id = node.id
+        nodes[:] = kept
+        for occ in self.occurrences:
+            occ.scope_id = remap[occ.scope_id]
         self.tree.resolve_occurrences()
         return self.tree
 

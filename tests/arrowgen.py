@@ -1,5 +1,5 @@
-"""Seeded generator of arrow heads, valid or not, for the parser's arrow
-check.
+"""Seeded generator of arrow heads, valid or not, for checking the parser's
+reading of `( … )` against node.
 
 Each snippet is a parenthesized head of 0 to 3 items, a tail and a context.
 Items are parameters (names, defaults, rest), destructuring patterns,

@@ -6,12 +6,11 @@ import pytest
 
 from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
 from scopeshield.lexer import BATCH_TOKENS, tokenize
-from scopeshield.parser import arrow_heads, parse, string_value
+from scopeshield.parser import string_value
 from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import FUNCTION
 from scopeshield.tokens import PUNCT
 
-from arrowgen import arrow_snippets
 from conftest import nl_before
 from corpusgen import GENERATORS, build_corpus
 
@@ -568,6 +567,35 @@ def test_super_only_where_node_allows_it(node):
         assert src.startswith("super", err.value.offset)
 
 
+DESTRUCTURING_ASSIGNMENTS = [
+    ("[a, b] = [b, a];", UnsupportedSyntax),
+    ("({a} = o);", UnsupportedSyntax),
+    ("x = [a] = y;", UnsupportedSyntax),
+    ("[a] += 1;", ParseError),
+    ("({a}) = 1;", ParseError),
+    ("[a].b = 1;", None),
+]
+
+
+@pytest.mark.parametrize("src, exc", DESTRUCTURING_ASSIGNMENTS)
+def test_destructuring_assignment_is_unsupported(src, exc):
+    if exc is None:
+        parse_src(src)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_src(src)
+    assert type(err.value) is exc
+    if exc is UnsupportedSyntax:
+        assert "destructuring assignment is not supported" in str(err.value)
+    else:
+        assert "invalid assignment target" in str(err.value)
+
+
+def test_node_accepts_exactly_the_destructuring_assignments(node):
+    node_accepts = node_compiles(node, [src for src, _exc in DESTRUCTURING_ASSIGNMENTS])
+    assert node_accepts == [exc is not ParseError for _src, exc in DESTRUCTURING_ASSIGNMENTS]
+
+
 # ---- the parser reads the tokens as the lexer streams them ----
 
 
@@ -589,34 +617,39 @@ def test_arrow_head_closing_past_a_batch_boundary():
         assert sorted(arrow.declarations) == sorted(f"p{i}" for i in range(10))
 
 
-@pytest.mark.parametrize(
-    "src, exc, at, message",
-    [
-        ("(i <= n) => 0", ParseError, "<=", "expected ',' or ')'"),
-        ("(1 + 2) => 0", ParseError, "1", "expected parameter name"),
-        ("({a}, b.c) => 0", UnsupportedSyntax, "{", "destructuring parameters"),
-        ("(x?.y) => 1", ParseError, "?.", "expected ',' or ')'"),
-        ("var f = (a + async) => 1;", ParseError, "+", "expected ',' or ')'"),
-        ("(a + b c) => 1", ParseError, "+", "expected ',' or ')'"),
-        ("((x?.y)) => 1", ParseError, "(x", "expected parameter name"),
-        ("(a + (b + (c?.d))) => 1", ParseError, "+", "expected ',' or ')'"),
-        ("(a + (b c)) => 1", ParseError, "+", "expected ',' or ')'"),
-        ("((a + b) => 1) => 2", ParseError, "(a", "expected parameter name"),
-        ("(a = b?.c, d + 1) => 1", UnsupportedSyntax, "?.", "optional chaining"),
-        ("(a = super.x, b + 1) => 1", ParseError, "super", "'super' keyword unexpected"),
-        ("class A { m() { (a = super.x, b + 1) => 1; } }", ParseError, "+", "expected ',' or ')'"),
-    ],
-)
+# invalid arrow heads: the source, and the class, place and message of its
+# error
+INVALID_HEADS = [
+    ("(i <= n) => 0", ParseError, "<=", "expected ',' or ')'"),
+    ("(1 + 2) => 0", ParseError, "1", "expected parameter name"),
+    ("({a}, b.c) => 0", UnsupportedSyntax, "{", "destructuring parameters"),
+    ("(x?.y) => 1", UnsupportedSyntax, "?.", "optional chaining"),
+    ("var f = (a + async) => 1;", UnsupportedSyntax, "async", "'async' is not supported"),
+    ("(a + b c) => 1", ParseError, "c", "expected ',' or ')'"),
+    ("((x?.y)) => 1", UnsupportedSyntax, "?.", "optional chaining"),
+    ("(a + (b + (c?.d))) => 1", UnsupportedSyntax, "?.", "optional chaining"),
+    ("(a + (b c)) => 1", ParseError, "c", "expected ',' or ')'"),
+    ("((a + b) => 1) => 2", ParseError, "+", "expected ',' or ')'"),
+    ("(a = b?.c, d + 1) => 1", UnsupportedSyntax, "?.", "optional chaining"),
+    ("(a = super.x, b + 1) => 1", ParseError, "super", "'super' keyword unexpected"),
+    ("class A { m() { (a = super.x, b + 1) => 1; } }", ParseError, "+", "expected ',' or ')'"),
+]
+
+
+@pytest.mark.parametrize("src, exc, at, message", INVALID_HEADS)
 def test_an_arrow_head_the_scan_stops_in_raises_the_parameter_error(src, exc, at, message):
-    # the arrow check stops at the first token no parameter list can hold;
-    # where a `=>` follows the `)` after all, the parameter list's own error
-    # wins over the parenthesized expression's, also where that expression,
-    # or one nested in it, raises before its `)`; of nested heads with a
-    # `=>`, the outermost one's
+    # a head is read once, as expressions, so an error inside it comes
+    # first, as in node; where the head reads without one, the `=>` raises
+    # the parameter list's error at the first item that is no parameter:
+    # of nested heads, the first to reach its `=>`
     with pytest.raises(ParseError) as err:
         parse_src(src)
     assert type(err.value) is exc and err.value.offset == src.index(at)
     assert message in str(err.value)
+
+
+def test_node_rejects_every_invalid_arrow_head(node):
+    assert node_compiles(node, [src for src, *_error in INVALID_HEADS]) == [False] * len(INVALID_HEADS)
 
 
 LINE_BREAK_ARROWS = ["var f = (a)\n=> 1;", "var g = a\n=> 1;"]
@@ -633,41 +666,60 @@ def test_a_line_break_before_the_arrow_is_a_syntax_error(node):
         assert parse_src(src.replace("\n", " "))[2].declared_globals == [src[4]]
 
 
-def all_facts(parsed):
-    """Everything ``parse`` returns, as comparable values."""
-    text, tree, candidates, summary = parsed
-    scopes = [
-        (node.kind, node.parent, node.start, node.end, node.is_dynamic,
-         sorted((b.name, b.category, b.span, b.order) for b in node.declarations.values()))
-        for node in tree.nodes
-    ]
-    occurrences = [
-        (occ.name, occ.start, occ.end, occ.scope_id, occ.style, occ.binding.scope_id)
-        for occ in tree.occurrences
-    ]
+def scope_facts(src):
+    """Per scope its (kind, parent, dynamic flag); per occurrence its (name,
+    style, declaring scope); and the texts of the string and access
+    candidates."""
+    tree, candidates, _summary = parse_src(src)
     return (
-        text, scopes, occurrences, sorted(tree.globals),
-        candidates.strings, candidates.accesses, candidates.preamble_offset,
-        summary.declared_globals, summary.free_names, summary.branch_points,
+        [(node.kind, node.parent, node.is_dynamic) for node in tree.nodes],
+        [(occ.name, occ.style, occ.binding.scope_id) for occ in tree.occurrences],
+        [src[start:end] for start, end in candidates.strings],
+        [src[start:end] for start, _dot, end, _name in candidates.accesses],
     )
 
 
-def test_arrow_heads_decide_as_the_scan_does_on_generated_heads():
-    # where the bounded scan decides each `(` and the parse succeeds, the
-    # parse that looks the `(` up in ``arrow_heads`` gives the same facts;
-    # where it fails, so does that parse
-    fails = 0
-    for src in arrow_snippets(1000):
-        heads = arrow_heads(src)
-        try:
-            expected = all_facts(parse(src))
-        except ParseError:
-            fails += 1
-            with pytest.raises(ParseError):
-                parse(src, arrow_heads=heads)
-            continue
-        assert all_facts(parse(src, arrow_heads=heads)) == expected
-    assert 200 < fails < 800
+MODULE = ("module", None, False)
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # a function in a default sits in the arrow, and reads its parameter
+        (
+            "var f = (a = function(){ return b; }, b) => a;",
+            (
+                [MODULE, ("function", 0, False), ("function", 1, False)],
+                [("f", "decl", 0), ("a", "decl", 1), ("b", None, 1), ("b", "decl", 1), ("a", None, 1)],
+                [],
+                [],
+            ),
+        ),
+        # a dynamic site in a default makes the arrow dynamic
+        (
+            '(a = eval("b")) => a',
+            ([MODULE, ("function", 0, True)], [("a", "decl", 1), ("eval", None, -1), ("a", None, 1)], [], []),
+        ),
+        # the candidates a default reads are kept
+        (
+            '(a = "s", b = o.p) => a + b',
+            (
+                [MODULE, ("function", 0, False)],
+                [("a", "decl", 1), ("b", "decl", 1), ("o", None, -1), ("a", None, 1), ("b", None, 1)],
+                ['"s"'],
+                ["o.p"],
+            ),
+        ),
+        # with no `=>`, what the parentheses hold stays where they are
+        (
+            "(b = function(){}, eval(c));",
+            ([("module", None, True), ("function", 0, False)], [("b", None, -1), ("eval", None, -1), ("c", None, -1)], [], []),
+        ),
+        ("(b = function(){})", ([MODULE, ("function", 0, False)], [("b", None, -1)], [], [])),
+    ],
+)
+def test_an_arrow_takes_over_what_its_head_read(src, expected):
+    assert scope_facts(src) == expected
 
 
 @pytest.mark.parametrize(

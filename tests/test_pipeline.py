@@ -593,8 +593,8 @@ def test_front_end_transient_memory_is_small_on_a_large_file():
     # module: 12.9 MiB while the whole token list existed before the parse,
     # 3.4 MiB with the tokens streamed a batch at a time. The same module
     # wrapped in `(function(){...})();`, the common bundle shape, peaked at
-    # 24.0 MiB while the arrow check scanned each parenthesized expression
-    # to its `)`; the check now stops at the `function`.
+    # 24.0 MiB while an arrow check scanned each parenthesized expression
+    # to its `)` ahead of the parse; a `(` is now read once, by the parse.
     module = minify(synth_module(7, 1024 * 1024))
     for text in (module, "(function(){" + module + "})();"):
         gc.collect()
