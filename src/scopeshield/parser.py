@@ -84,7 +84,8 @@ allowed), every ``( expression )`` head and the get/set accessor prefix.
 Out of subset (raises UnsupportedSyntax so the file is copied through
 verbatim): labeled statements, destructuring (assignment too), generators,
 async/await, class fields, optional chaining, dynamic import(), computed
-class member names.
+class member names, and the contextual words async, await, yield, let,
+static and of where a name stands.
 """
 
 import sys
@@ -125,6 +126,8 @@ _STRING = 6  # a string literal: the last string candidate recorded
 _SUPER = 7
 _LITERAL = 8  # an array or object literal: `=` would make it a pattern
 
+# the words the lexer makes keywords that JS also takes as names
+_CONTEXTUAL_WORDS = frozenset({"async", "await", "yield", "let", "static", "of"})
 _REST_LAST = "a rest parameter must be the last, with no default or trailing comma"
 
 
@@ -316,12 +319,14 @@ class _Parser:
 
     def name_error(self, t, message, pattern=None):
         """The error for ``t`` where a name must stand: UnsupportedSyntax for
-        `{` or `[` where JS allows a destructuring pattern (``pattern`` names
-        the site); else ParseError(``message``)."""
+        a contextual word, and for `{` or `[` where JS allows a destructuring
+        pattern (``pattern`` names the site); else ParseError(``message``)."""
         if t is None:
             return ParseError(message, self.file_id, len(self.text))
         if t.kind == PUNCT and pattern is not None and t.text in ("{", "["):
             return UnsupportedSyntax(f"destructuring {pattern} are not supported", self.file_id, t.start)
+        if t.kind == KEYWORD and t.text in _CONTEXTUAL_WORDS:
+            return UnsupportedSyntax(f"'{t.text}' is not supported", self.file_id, t.start)
         return ParseError(message, self.file_id, t.start)
 
     def optional_name(self, decl, message):
@@ -1057,9 +1062,7 @@ class _Parser:
                 if nxt is not None and nxt.text == ".":
                     self.unsupported("import.meta is not supported")
                 self.unsupported("dynamic import() is not supported")
-            if t.text in ("async", "await", "yield"):
-                self.unsupported(f"'{t.text}' is not supported")
-            self.error(f"unexpected keyword {t.text!r}")
+            raise self.name_error(t, f"unexpected keyword {t.text!r}")
         if t.kind == PUNCT:
             if t.text == "(":
                 return self.parse_parenthesized()

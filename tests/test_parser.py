@@ -567,6 +567,28 @@ def test_super_only_where_node_allows_it(node):
         assert src.startswith("super", err.value.offset)
 
 
+CONTEXTUAL_NAMES = [
+    "var of = 1;",
+    "function async(x) {}",
+    "var let = 1;",
+    "of + 1;",
+    "static;",
+    "var f = (a, of) => a;",
+    "var yield = 1;",
+    "var await = 1;",
+]
+
+
+def test_a_contextual_word_as_a_name_is_unsupported(node):
+    # valid JS that the lexer's keywords keep out of the subset: the file is
+    # copied as unsupported, not reported as invalid
+    assert node_compiles(node, CONTEXTUAL_NAMES) == [True] * len(CONTEXTUAL_NAMES)
+    for src in CONTEXTUAL_NAMES:
+        with pytest.raises(UnsupportedSyntax, match="is not supported") as err:
+            parse_src(src)
+        assert src[err.value.offset :].startswith(("of", "async", "let", "static", "yield", "await"))
+
+
 DESTRUCTURING_ASSIGNMENTS = [
     ("[a, b] = [b, a];", UnsupportedSyntax),
     ("({a} = o);", UnsupportedSyntax),
