@@ -546,21 +546,30 @@ class _Parser:
         self.super_member, self.super_call = outer
         return name_tok
 
-    def parse_params(self):
-        """Returns one flag per parameter: whether it is a rest parameter."""
-        return self.delimited("(", ")", self.parse_param)[0]
+    def parse_params(self, unique=False):
+        """Read a parameter list into the current scope; returns the kinds of
+        the parameters. As in ECMA-262, two may share a name only in a plain
+        list of names, and not in a ``unique`` one (a method's)."""
+        params = self.delimited("(", ")", self.parse_param)[0]
+        kinds = [kind for _t, kind in params]
+        if unique or any(kind != "name" for kind in kinds):
+            self.unique_params((t.text, t.start) for t, _kind in params)
+        return kinds
 
     def parse_param(self):
-        """One parameter: ``name``, ``name = default`` or ``...name``."""
+        """One parameter: ``name``, ``name = default`` or ``...name``;
+        returns its name token and its kind: "name", "default" or "rest"."""
         rest = self.at("...") and self.advance()
         error = self.param_error(rest)
         if error is not None:
             raise error
-        self.scopes.declare(self.advance(), "param")
-        if self.at("="):
-            self.advance()
-            self.parse_assign()
-        return bool(rest)
+        t = self.advance()
+        self.scopes.declare(t, "param")
+        if rest or not self.at("="):
+            return t, "rest" if rest else "name"
+        self.advance()
+        self.parse_assign()
+        return t, "default"
 
     def param_error(self, rest):
         """None at a name a parameter may end with (followed by `,`, `)` or
@@ -573,6 +582,15 @@ class _Parser:
             return None
         message = _REST_LAST if rest else "expected ',' or ')'"
         return ParseError(message, self.file_id, nxt.start if nxt is not None else len(self.text))
+
+    def unique_params(self, names):
+        """Raise at the second of two parameters of one name; ``names``
+        yields each parameter's (name, start)."""
+        seen = set()
+        for name, start in names:
+            if name in seen:
+                raise ParseError(f"duplicate parameter name {name!r}", self.file_id, start)
+            seen.add(name)
 
     def parse_class(self, decl):
         """Returns the name token or None."""
@@ -635,10 +653,10 @@ class _Parser:
         outer = self.super_member, self.super_call
         self.super_member, self.super_call = True, derived_constructor
         lparen = self.peek()
-        rests = self.parse_params()
-        if role == "get" and rests:
+        kinds = self.parse_params(unique=True)
+        if role == "get" and kinds:
             raise ParseError("a getter takes no parameters", self.file_id, lparen.start)
-        if role == "set" and rests != [False]:
+        if role == "set" and (len(kinds) != 1 or kinds[0] == "rest"):
             raise ParseError(
                 "a setter takes exactly one parameter, not a rest one", self.file_id, lparen.start
             )
@@ -1106,6 +1124,7 @@ class _Parser:
             if error is not None:
                 raise error
             occurrences = [self.scopes.occurrences[index] for index in params]
+            self.unique_params((occ.name, occ.start) for occ in occurrences)
             self.scopes.enter_arrow(lparen.start, mark, occurrences)
             self.marks.append(candidates)
             return self.parse_arrow_body()

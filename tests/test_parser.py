@@ -11,6 +11,7 @@ from scopeshield.pipeline import FILE_FAILURES, front_end
 from scopeshield.scopes import FUNCTION
 from scopeshield.tokens import PUNCT
 
+from arrowgen import arrow_snippets
 from conftest import nl_before
 from corpusgen import GENERATORS, build_corpus
 
@@ -567,6 +568,32 @@ def test_super_only_where_node_allows_it(node):
         assert src.startswith("super", err.value.offset)
 
 
+DUPLICATE_PARAMS = [
+    "(a, a) => 0",
+    "({m(a, a) {}})",
+    "class A { m(a, a) {} }",
+    "function f(a, a = 1) {}",
+    "(function(a, ...a){})",
+    "var g = (b, a, c = 1, a) => 0;",
+    "function f(a, a) {}",
+    "(function(a, b, a){})",
+]
+
+
+def test_duplicate_parameters_rejected_where_node_rejects_them(node):
+    # arrows, methods and lists with a default or a rest parameter; a
+    # sloppy function's list of plain names may repeat one
+    node_accepts = node_compiles(node, DUPLICATE_PARAMS)
+    assert node_accepts == [False] * 6 + [True] * 2
+    for src, ok in zip(DUPLICATE_PARAMS, node_accepts):
+        if ok:
+            parse_src(src)
+            continue
+        with pytest.raises(ParseError, match="duplicate parameter name 'a'") as err:
+            parse_src(src)
+        assert type(err.value) is ParseError and err.value.offset == src.rindex("a")
+
+
 CONTEXTUAL_NAMES = [
     "var of = 1;",
     "function async(x) {}",
@@ -686,6 +713,25 @@ def test_a_line_break_before_the_arrow_is_a_syntax_error(node):
                 front_end(src, "m.js", minify)
             assert type(err.value) is ParseError and err.value.offset == src.index("=>")
         assert parse_src(src.replace("\n", " "))[2].declared_globals == [src[4]]
+
+
+def test_arrow_heads_are_accepted_and_rejected_as_node_does(node):
+    # a snippet the front end accepts compiles under node, and one it
+    # rejects as invalid (not as unsupported) node rejects too
+    snippets = arrow_snippets(1200)
+    compiles = node_compiles(node, snippets)
+    invalid = 0
+    for src, ok in zip(snippets, compiles):
+        try:
+            front_end(src, "a.js", minify=False)
+        except UnsupportedSyntax:
+            continue
+        except ParseError as exc:
+            assert type(exc) is ParseError and not ok, src
+            invalid += 1
+            continue
+        assert ok, src
+    assert 200 < invalid < 900 and compiles.count(True) > 200
 
 
 def scope_facts(src):
