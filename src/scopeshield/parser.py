@@ -1212,10 +1212,12 @@ class _Parser:
             self.advance()
             self.parse_assign()
         else:
-            # shorthand { name }
+            # shorthand { name }; { name = value } only as a pattern
             if t.kind != IDENT:
                 self.error("expected ':' after property key")
             self.scopes.reference(t, "shorthand")
+            if self.at("="):
+                self.unsupported("destructuring patterns are not supported")
 
 
 _SIMPLE_ESCAPES = {
