@@ -26,7 +26,7 @@ A `(` in an expression is read once, as expressions, and only a `=>` after
 its `)` makes it an arrow head (``parse_parenthesized``).
 
 Spans are half-open offsets into the text the tokens index. Expression
-productions return only a kind tag (``_REF`` ... ``_SUPER`` below), which
+productions return only a kind tag (``_OTHER`` ... ``_LITERAL`` below), which
 is all a parent production reads; statement productions return their end,
 which excludes a semicolon they consumed.
 
@@ -1140,8 +1140,8 @@ class _Parser:
         return _TARGET if _REF <= tag <= _TARGET else _OTHER
 
     def parse_arrow_body(self):
-        """``=> body`` of an arrow whose scope, its parameters declared, the
-        parser has entered; leaves it."""
+        """``=> body``, read in the arrow's scope with its parameters
+        declared; leaves the scope."""
         self.summary.branch_points += 1
         self.advance()
         if self.at("{"):
