@@ -141,6 +141,7 @@ def lex(source, file_id="<input>", minify=False):
     # Each entry: [`{` nesting depth inside one interpolation, template start]
     template_stack = []
     prev = None  # the last token
+    before = None  # the token before it
     gap = None  # the whitespace and comments before the next token, if any
     nl = False  # a line break in that gap
     delta = 0  # offset in the output text minus offset in ``source``
@@ -195,7 +196,7 @@ def lex(source, file_id="<input>", minify=False):
                 kind = STRING
             elif group == 6:
                 kind = PUNCT
-                if _regex_allowed(prev):
+                if _regex_allowed(prev, before):
                     m = _REGEX_RE.match(source, pos)
                     if m is not None:
                         kind = REGEX
@@ -231,6 +232,7 @@ def lex(source, file_id="<input>", minify=False):
                         delta += len(sep) - len(gap)
                     nl = sep == "\n"
                 gap = None
+            before = prev
             if delta:
                 prev = Token(kind, text, pos + delta, end + delta, nl)
             else:  # no new int objects
@@ -259,14 +261,17 @@ def lex(source, file_id="<input>", minify=False):
     return source
 
 
-def _regex_allowed(prev):
-    """Whether a `/` after the token ``prev`` starts a regular expression."""
+def _regex_allowed(prev, before):
+    """Whether a `/` after the token ``prev``, which follows ``before``,
+    starts a regular expression. A keyword after `.` is a property name."""
     if prev is None:
         return True
     if prev.kind == PUNCT:
         return prev.text not in _NO_REGEX_AFTER_PUNCT
     if prev.kind == KEYWORD:
-        return prev.text in _REGEX_AFTER_KEYWORD
+        return prev.text in _REGEX_AFTER_KEYWORD and not (
+            before is not None and before.kind == PUNCT and before.text == "."
+        )
     return False
 
 

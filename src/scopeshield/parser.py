@@ -55,8 +55,7 @@ Facts by construct:
   catch                  a block scope from `catch` to its `}`; the
                          parameter is declared in it ("catch")
   import                 each local declared in the module scope ("import")
-  identifier             a reference; style "shorthand" in `{x}` and
-                         "export" for a local of a bare `export {x}`
+  identifier             a reference; style SHORTHAND in `{x}`
   eval(...), Function(...), new Function, with
                          the current scope is dynamic
   string literal         a candidate, unless it is an object key, a module
@@ -89,10 +88,11 @@ static and of where a name stands.
 """
 
 import sys
+from array import array
 
 from .errors import ParseError, UnsupportedSyntax
 from .lexer import lex
-from .scopes import BLOCK, FUNCTION, ScopeBuilder
+from .scopes import BLOCK, FUNCTION, SHORTHAND, ScopeBuilder
 from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
 # binary operator precedence; higher binds tighter
@@ -168,13 +168,50 @@ class FileSummary:
         )
 
 
+class Accesses:
+    """The rewritable ``obj.prop`` accesses as parallel columns: ``starts``,
+    ``dots`` and ``ends`` (int arrays: where each access starts, where its
+    `.` starts and where it ends) and ``names``, the property names."""
+
+    __slots__ = ("starts", "dots", "ends", "names")
+
+    def __init__(self):
+        self.starts = array("i")
+        self.dots = array("i")
+        self.ends = array("i")
+        self.names = []
+
+    def __len__(self):
+        return len(self.names)
+
+    def append(self, start, dot, end, name):
+        self.starts.append(start)
+        self.dots.append(dot)
+        self.ends.append(end)
+        self.names.append(name)
+
+    def truncate(self, count):
+        """Keep only the first ``count`` accesses."""
+        del self.starts[count:], self.dots[count:], self.ends[count:], self.names[count:]
+
+    def sort(self):
+        """Put the accesses in pre-order: by start, the wider one first
+        (`a.b.c` records `.b` before `.c`)."""
+        order = sorted(range(len(self.names)), key=self.ends.__getitem__, reverse=True)
+        order.sort(key=self.starts.__getitem__)  # stable: the wider stays first
+        self.starts = array("i", map(self.starts.__getitem__, order))
+        self.dots = array("i", map(self.dots.__getitem__, order))
+        self.ends = array("i", map(self.ends.__getitem__, order))
+        self.names = list(map(self.names.__getitem__, order))
+
+
 class Candidates:
     """What the transforms read: ``strings``, the (start, end) spans of the
-    encodable string literals, and ``accesses``, one (start of the access,
-    start of its `.`, end, property name) per rewritable ``obj.prop``, both
-    in pre-order and none read where a dynamic site can see it; and
-    ``preamble_offset``, where the preamble goes: after the directive
-    prologue, so an injected declaration cannot demote "use strict"."""
+    encodable string literals, and ``accesses``, the rewritable
+    ``obj.prop`` accesses (``Accesses``), both in pre-order and none read
+    where a dynamic site can see it; and ``preamble_offset``, where the
+    preamble goes: after the directive prologue, so an injected declaration
+    cannot demote "use strict"."""
 
     __slots__ = ("strings", "accesses", "preamble_offset")
 
@@ -199,12 +236,12 @@ def parse(source, file_id="<input>", minify=False):
     tree = parser.scopes.finish(len(text))
     if tree.nodes[tree.root].is_dynamic:
         # a dynamic site at the top level sees every candidate
-        del parser.strings[:], parser.accesses[:]
+        del parser.strings[:]
+        parser.accesses.truncate(0)
     summary = parser.summary
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
     summary.free_names = sorted(tree.globals)
-    # a.b.c records .b before .c; pre-order puts the wider access first
-    parser.accesses.sort(key=lambda access: (access[0], -access[2]))
+    parser.accesses.sort()
     return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
@@ -229,7 +266,7 @@ class _Parser:
         self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary(file_id)
         self.strings = []
-        self.accesses = []
+        self.accesses = Accesses()
         # the candidate counts when each open scope was entered
         self.marks = []
         # whether super.x and super(...) may be read here: in a method, or
@@ -303,7 +340,8 @@ class _Parser:
         may read them as written."""
         strings, accesses = self.marks.pop()
         if self.scopes.leave(end, keep):
-            del self.strings[strings:], self.accesses[accesses:]
+            del self.strings[strings:]
+            self.accesses.truncate(accesses)
 
     def unsupported(self, message):
         self.error(message, UnsupportedSyntax)
@@ -434,6 +472,8 @@ class _Parser:
         if t.kind == KEYWORD:
             text = t.text
             if text in ("var", "let", "const"):
+                if text == "let" and not self.let_declares():
+                    self.unsupported("'let' is not supported")
                 self.parse_var_decl()
                 end = self.last_end()
                 self.consume_semicolon()
@@ -505,6 +545,14 @@ class _Parser:
         if scoped:
             self.leave_scope(end, keep=lexical)
         return end
+
+    def let_declares(self):
+        """Whether the `let` at the cursor starts a declaration: ECMA-262
+        reads it so only before a name, `[` or `{`."""
+        nxt = self.peek(1)
+        return nxt is not None and (
+            nxt.kind in (IDENT, KEYWORD) or nxt.kind == PUNCT and nxt.text in ("[", "{")
+        )
 
     def parse_var_decl(self, no_in=False):
         """Returns the declared names."""
@@ -877,7 +925,7 @@ class _Parser:
                 if lt.kind == KEYWORD:
                     raise ParseError(f"cannot export reserved word {lt.text!r}", self.file_id, lt.start)
                 self.summary.export_pairs.append((lt.text, exported))
-                self.scopes.reference(lt, "export")
+                self.scopes.reference(lt)
             return
         self.error("unsupported export form")
 
@@ -966,7 +1014,8 @@ class _Parser:
             self.advance()
             tag = self.parse_unary()
             if t.text == "delete" and (tag == _MEMBER or tag == _PAREN_MEMBER):
-                self.accesses.pop()  # deleting obj[v] would delete the wrong name
+                # deleting obj[v] would delete the wrong name
+                self.accesses.truncate(len(self.accesses) - 1)
             return _OTHER
         if t is not None and t.kind == PUNCT and t.text in ("++", "--"):
             self.advance()
@@ -1001,7 +1050,7 @@ class _Parser:
                 if tag == _SUPER:
                     tag = _TARGET
                 else:
-                    self.accesses.append((start, dot.start, prop.end, prop.text))
+                    self.accesses.append(start, dot.start, prop.end, prop.text)
                     tag = _MEMBER
                 continue
             if t.kind == PUNCT and t.text == "[":
@@ -1123,9 +1172,9 @@ class _Parser:
         if t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl:
             if error is not None:
                 raise error
-            occurrences = [self.scopes.occurrences[index] for index in params]
-            self.unique_params((occ.name, occ.start) for occ in occurrences)
-            self.scopes.enter_arrow(lparen.start, mark, occurrences)
+            occ = self.scopes.occurrences
+            self.unique_params((occ.names[index], occ.starts[index]) for index in params)
+            self.scopes.enter_arrow(lparen.start, mark, params)
             self.marks.append(candidates)
             return self.parse_arrow_body()
         self.scopes.unmark(mark)
@@ -1215,7 +1264,7 @@ class _Parser:
             # shorthand { name }; { name = value } only as a pattern
             if t.kind != IDENT:
                 self.error("expected ':' after property key")
-            self.scopes.reference(t, "shorthand")
+            self.scopes.reference(t, SHORTHAND)
             if self.at("="):
                 self.unsupported("destructuring patterns are not supported")
 

@@ -2,9 +2,16 @@
 
 Transforms never rebuild source from an AST; they produce a list of byte-span
 replacements against the original text and ``emit`` applies them in one pass.
+Renames are not patches: ``emit`` reads them from the file's occurrence table
+as it goes, each occurrence's output name from the RenameMap, so a file holds
+no object per renamed identifier.
 """
 
+import operator
+from itertools import islice
+
 from .errors import OverlappingPatches
+from .scopes import SHORTHAND
 
 
 class Patch:
@@ -32,37 +39,72 @@ class Patch:
         )
 
 
-# text parts joined into one piece at a time: with a part per patch and per
-# gap between two, a 1 MB file's 100,000 patches would otherwise hold some
+# text parts joined into one piece at a time: with a part per edit and per
+# gap between two, a 1 MB file's 100,000 edits would otherwise hold some
 # 200,000 small str objects alive before the one join
 _PIECE_PARTS = 1024
 
 
-def emit(source, patches):
-    """Apply non-overlapping patches to ``source`` and return the new text.
+def emit(source, patches, occurrences=None, rename_map=None):
+    """Apply ``patches`` and, with a ``rename_map``, the renames of
+    ``occurrences`` (an ``Occurrences`` table) to ``source``; return the new
+    text.
 
-    Patches may arrive in any order; the list is sorted in place. Overlap
+    Patches may arrive in any order; the list is sorted in place. Each
+    occurrence whose binding ``rename_map`` gives another name is rewritten
+    to it, a shorthand `{x}` to `{x: y}`. All edits apply in (start, end)
+    order, so an insertion at an identifier's start goes before it. Overlap
     is an internal invariant violation and raises OverlappingPatches, which
     makes the caller abort the file rather than emit corrupt output.
     """
-    if not patches:
-        return source
-    patches.sort(key=lambda p: (p.start, p.end))
+    patches.sort(key=_span)
     pieces = []
     parts = []
     cursor = 0
-    for patch in patches:
-        if patch.start < cursor or patch.end < patch.start or patch.end > len(source):
+    for start, end, text in _edits(patches, occurrences, rename_map):
+        if start < cursor or end < start or end > len(source):
             raise OverlappingPatches(
-                f"patch [{patch.start},{patch.end}) overlaps text already "
-                f"emitted up to {cursor}"
+                f"patch [{start},{end}) overlaps text already emitted up to {cursor}"
             )
-        parts.append(source[cursor : patch.start])
-        parts.append(patch.replacement)
-        cursor = patch.end
+        parts.append(source[cursor:start])
+        parts.append(text)
+        cursor = end
         if len(parts) >= _PIECE_PARTS:
             pieces.append("".join(parts))
             parts = []
     parts.append(source[cursor:])
     pieces.append("".join(parts))
     return "".join(pieces)
+
+
+def _span(patch):
+    return patch.start, patch.end
+
+
+def _edits(patches, occurrences, rename_map):
+    """(start, end, text) of each of the sorted ``patches`` and each rename,
+    merged in (start, end) order."""
+    done = 0  # the patches yielded
+    if rename_map is not None:
+        names, starts = occurrences.names, occurrences.starts
+        styles, bindings = occurrences.styles, occurrences.bindings
+        order = range(len(names))
+        if any(map(operator.gt, starts, islice(starts, 1, None))):
+            order = sorted(order, key=starts.__getitem__)
+        output_name = rename_map.names.get  # None: the binding keeps its name
+        for index in order:
+            name = names[index]
+            new_name = output_name(bindings[index])
+            if new_name is None or new_name == name:
+                continue
+            start = starts[index]
+            end = start + len(name)
+            while done < len(patches):
+                patch = patches[done]
+                if patch.start > start or patch.start == start and patch.end >= end:
+                    break
+                yield patch.start, patch.end, patch.replacement
+                done += 1
+            yield start, end, f"{name}: {new_name}" if styles[index] == SHORTHAND else new_name
+    for patch in islice(patches, done, None):
+        yield patch.start, patch.end, patch.replacement

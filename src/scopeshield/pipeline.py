@@ -6,8 +6,10 @@ own summary (``depgraph.frozen_names``). Each file task parses its file
 once (a file that fails to parse gets one retry, see ``front_end``), and
 the parser lexes and minifies it as it reads, a batch of tokens at a time:
 it builds no syntax tree but the file's facts, its scope tree, its
-transform candidates and its summary.
-The task then renames, transforms and emits it. On a process pool the
+transform candidates and its summary. The task then renames, transforms
+and emits it. The emit writes the renames straight from the occurrence
+table, and the scope tree and the candidates are freed before it, so a
+file's peak memory is not the sum of every layer's. On a process pool the
 largest-first file list goes out in consecutive chunks, one task each and
 about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
 cost the parent one future each. Outputs are written as they arrive and no
@@ -44,7 +46,7 @@ from .externals import load_allowlist
 from .lexer import lexed_text
 from .parser import parse
 from .patches import Patch, emit
-from .renamer import RenameMap, check_safety, name_sequence, rename_patches, rename_tree
+from .renamer import RenameMap, check_safety, name_sequence, rename_tree
 from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
@@ -214,7 +216,9 @@ WORKER_PHASES = ("parse", "rename", "transform", "emit")
 
 def process_file(config, allowlist, rel_path):
     """Obfuscate one file: run its ``front_end`` once, then rename
-    (keeping the file's ``frozen_names``), transform and emit.
+    (keeping the file's ``frozen_names``), transform and emit. Of the
+    front end's facts, only the occurrence table and the summary live on
+    into the emit.
 
     Returns a dict with the file, its status, the worker milliseconds per
     phase, the FileSummary once the scope tree exists (even if a later phase
@@ -233,7 +237,6 @@ def process_file(config, allowlist, rel_path):
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        patches = []
         if config.rename:
             rmap = rename_tree(
                 tree, frozen_module_names=frozen_names(summary), allowlist=allowlist
@@ -243,17 +246,18 @@ def process_file(config, allowlist, rel_path):
                 raise ScopeShieldError(
                     f"internal rename safety violation: {violations[0]!r}"
                 )
-            patches.extend(rename_patches(tree, rmap))
         else:
             rmap = RenameMap()
+        occurrences = tree.occurrences
+        del tree  # its scopes are read no more
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
+        patches = []
         if config.encode_strings or config.rewrite_properties:
             used = set(allowlist)
-            for occ in tree.occurrences:
-                used.add(rmap.name_or_original(occ.binding))
-                used.add(occ.name)
+            used.update(occurrences.names)
+            used.update(map(rmap.name_or_original, occurrences.bindings))
             fresh = name_sequence(frozenset(used))
             preamble = ""
             # slot names are drawn before the string-table names
@@ -276,10 +280,11 @@ def process_file(config, allowlist, rel_path):
             if preamble:
                 offset = candidates.preamble_offset
                 patches.append(Patch(offset, offset, preamble + "\n"))
+        del candidates
         phases["transform"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        out_text = emit(mtext, patches)
+        out_text = emit(mtext, patches, occurrences, rmap)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
         if config.dump_renames:
             result["rename_dump"] = rmap.dump_lines()

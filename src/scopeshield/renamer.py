@@ -7,10 +7,13 @@ outer binding that is referenced anywhere in the scope's subtree (the subtree
 part closes the shadow-capture gap a naive "visible here" rule leaves open),
 plus every frozen name visible there.
 
-Every occurrence's binding is read from ``occ.binding``, which the scope
-tree resolved once. ``check_safety`` is an independent oracle: it resolves
-every occurrence again, by its own walk under the renamed names, and reports
-any occurrence whose stored binding that walk does not reach.
+Every occurrence's binding is read from the occurrence table's
+``bindings`` column, which the scope tree resolved once. ``check_safety``
+is an independent oracle: it resolves every occurrence again, by its own
+walk under the renamed names, and reports any occurrence whose stored
+binding that walk does not reach. The renamed text is written by
+``patches.emit``, which reads each occurrence's output name from the
+RenameMap.
 """
 
 from itertools import product
@@ -89,14 +92,13 @@ def ancestor_reference_map(tree, subtree_refs=True):
     reading) only to the occurrence's own scope.
     """
     refs = {sid: set() for sid in range(len(tree.nodes))}
-    for occ in tree.occurrences:
-        binding = occ.binding
-        if binding.scope_id == occ.scope_id and not binding.is_global():
+    occurrences = tree.occurrences
+    for sid, binding in zip(occurrences.scope_ids, occurrences.bindings):
+        if binding.scope_id == sid and not binding.is_global():
             continue
         if not subtree_refs:
-            refs[occ.scope_id].add(binding)
+            refs[sid].add(binding)
             continue
-        sid = occ.scope_id
         while sid is not None and sid != binding.scope_id:
             refs[sid].add(binding)
             sid = tree.nodes[sid].parent
@@ -227,11 +229,12 @@ def check_safety(trees, rename_map):
                     )
                 mapping[new_name] = binding
             renamed_decls.append(mapping)
-        for occ in tree.occurrences:
-            binding = occ.binding
+        occurrences = tree.occurrences
+        for name, start, sid, binding in zip(
+            occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
+        ):
             new_name = rename_map.name_or_original(binding)
             resolved = None
-            sid = occ.scope_id
             while sid is not None:
                 hit = renamed_decls[sid].get(new_name)
                 if hit is not None:
@@ -243,8 +246,8 @@ def check_safety(trees, rename_map):
                     violations.append(
                         SafetyViolation(
                             tree.file_id,
-                            occ.name,
-                            (occ.start, occ.end),
+                            name,
+                            (start, start + len(name)),
                             f"{new_name!r} no longer resolves to a declaration",
                         )
                     )
@@ -252,8 +255,8 @@ def check_safety(trees, rename_map):
                 violations.append(
                     SafetyViolation(
                         tree.file_id,
-                        occ.name,
-                        (occ.start, occ.end),
+                        name,
+                        (start, start + len(name)),
                         f"{new_name!r} is captured by scope {resolved.scope_id}",
                     )
                 )
@@ -264,22 +267,3 @@ def cost(rename_map):
     """Total weighted length: sum of |output name| * usage per binding."""
     return sum(len(name) * binding.usage for binding, name in rename_map.items())
 
-
-def rename_patches(tree, rename_map):
-    """Span patches rewriting every occurrence to its binding's output name.
-
-    Shorthand object properties `{x}` become `{x: y}` so the property key
-    keeps its public name.
-    """
-    from .patches import Patch
-
-    patches = []
-    for occ in tree.occurrences:
-        new_name = rename_map.name_or_original(occ.binding)
-        if new_name == occ.name:
-            continue
-        if occ.style == "shorthand":
-            patches.append(Patch(occ.start, occ.end, f"{occ.name}: {new_name}"))
-        else:
-            patches.append(Patch(occ.start, occ.end, new_name))
-    return patches

@@ -15,7 +15,13 @@ Function constructor call is flagged dynamic. Code in it or below it may
 read any name on its scope chain: the renamer freezes the bindings of the
 dynamic scope and its ancestors, and the parser drops the transform
 candidates read in the dynamic scope or below it.
+
+A tree keeps its identifier occurrences as one table of parallel columns
+(``Occurrences``), not as an object per occurrence: a large bundle holds
+tens of thousands of them from the parse to the emit.
 """
+
+from array import array
 
 from .errors import UnknownScope, UnsupportedSyntax
 
@@ -69,19 +75,39 @@ class Binding:
         return f"<{self.file_id}#{self.scope_id}:{self.name}>"
 
 
-class Occurrence:
-    """One identifier occurrence that may need rewriting; ``binding`` is set
-    by ``ScopeTree.resolve_occurrences``."""
+# occurrence styles
+REF = 0  # a reference
+DECL = 1  # the name a declaration binds
+SHORTHAND = 2  # a shorthand property `{x}`, emitted as `{x: y}` when renamed
 
-    __slots__ = ("name", "start", "end", "scope_id", "style", "binding")
 
-    def __init__(self, name, start, end, scope_id, style=None):
-        self.name = name
-        self.start = start
-        self.end = end
-        self.scope_id = scope_id
-        self.style = style  # None | "decl" | "shorthand"
-        self.binding = None
+class Occurrences:
+    """A file's identifier occurrences, in the order the parser read them,
+    as parallel columns: ``names`` (the lexer's one str per word),
+    ``starts`` and ``scope_ids`` (int arrays), ``styles`` (a byte each:
+    REF, DECL or SHORTHAND) and ``bindings``, each one's Binding, which
+    ``ScopeTree.resolve_occurrences`` fills. Identifiers lex ASCII-only, so
+    occurrence ``i`` spans ``[starts[i], starts[i] + len(names[i]))``.
+    """
+
+    __slots__ = ("names", "starts", "scope_ids", "styles", "bindings")
+
+    def __init__(self):
+        self.names = []
+        # 4-byte ints: a file task could not hold a 2 GiB file's facts
+        self.starts = array("i")
+        self.scope_ids = array("i")
+        self.styles = bytearray()
+        self.bindings = []
+
+    def __len__(self):
+        return len(self.names)
+
+    def add(self, name, start, scope_id, style=REF):
+        self.names.append(name)
+        self.starts.append(start)
+        self.scope_ids.append(scope_id)
+        self.styles.append(style)
 
 
 class ScopeNode:
@@ -114,7 +140,7 @@ class ScopeTree:
         self.file_id = file_id
         self.nodes = []
         self.root = 0
-        self.occurrences = []
+        self.occurrences = Occurrences()
         self.globals = {}  # name read free -> its global Binding
 
     def new_scope(self, kind, parent, start, end):
@@ -143,11 +169,12 @@ class ScopeTree:
         return binding
 
     def resolve_occurrences(self):
-        """Resolve every occurrence once, store its Binding in
-        ``occ.binding`` and count the occurrence in that Binding's usage."""
-        resolve = self.resolve
-        for occ in self.occurrences:
-            binding = occ.binding = resolve(occ.name, occ.scope_id)
+        """Resolve every occurrence once, store its Binding in the
+        ``bindings`` column and count the occurrence in that Binding's
+        usage."""
+        occ = self.occurrences
+        occ.bindings = list(map(self.resolve, occ.names, occ.scope_ids))
+        for binding in occ.bindings:
             binding.usage += 1
 
     def preorder(self):
@@ -254,7 +281,7 @@ class ScopeBuilder:
     def enter_arrow(self, start, mark, params):
         """Enter the scope of an arrow whose head, from ``start``, was read
         since ``mark``: what the head recorded moves into it, and ``params``,
-        the occurrences of its parameter names, declare them."""
+        the indices of its parameter names' occurrences, declare them."""
         occurrences, children, dynamic = mark
         outer = self.scope
         self.enter(FUNCTION, start)
@@ -264,14 +291,16 @@ class ScopeBuilder:
         del outer.children[children:-1]
         for child in node.children:  # entered before it: ``finish`` renumbers
             self.nodes[child].parent = node.id
-        for occ in self.occurrences[occurrences:]:
-            if occ.scope_id == outer.id:
-                occ.scope_id = node.id
-        for occ in params:
-            occ.style = "decl"
+        occ = self.occurrences
+        for index in range(occurrences, len(occ)):
+            if occ.scope_ids[index] == outer.id:
+                occ.scope_ids[index] = node.id
+        for index in params:
+            occ.styles[index] = DECL
+            name, start = occ.names[index], occ.starts[index]
             self.order += 1
-            node.declarations[occ.name] = Binding(
-                self.file_id, node.id, occ.name, (occ.start, occ.end), "param", self.order
+            node.declarations[name] = Binding(
+                self.file_id, node.id, name, (start, start + len(name)), "param", self.order
             )
 
     def declare(self, tok, category):
@@ -302,10 +331,10 @@ class ScopeBuilder:
             decls[name] = Binding(
                 self.file_id, node.id, name, (tok.start, tok.end), category, self.order
             )
-        self.occurrences.append(Occurrence(name, tok.start, tok.end, node.id, "decl"))
+        self.occurrences.add(name, tok.start, node.id, DECL)
 
-    def reference(self, tok, style=None):
-        self.occurrences.append(Occurrence(tok.text, tok.start, tok.end, self.scope.id, style))
+    def reference(self, tok, style=REF):
+        self.occurrences.add(tok.text, tok.start, self.scope.id, style)
 
     def mark_dynamic(self):
         # direct presence only; freezing walks ancestors separately
@@ -332,8 +361,8 @@ class ScopeBuilder:
             for binding in node.declarations.values():
                 binding.scope_id = node.id
         nodes[:] = kept
-        for occ in self.occurrences:
-            occ.scope_id = remap[occ.scope_id]
+        occ = self.occurrences
+        occ.scope_ids = array("i", map(remap.__getitem__, occ.scope_ids))
         self.tree.resolve_occurrences()
         return self.tree
 

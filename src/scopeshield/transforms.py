@@ -132,10 +132,9 @@ def encode_strings(key, fresh_names, source, candidates, instrument=False):
     return patches, preamble, table
 
 
-def rewrite_property_access(fresh_names, candidates):
-    """Rewrite the file's ``obj.prop`` accesses, ``candidates`` (the
-    (start, `.` start, end, property name) tuples of
-    ``Candidates.accesses``), to ``obj[v]``.
+def rewrite_property_access(fresh_names, accesses):
+    """Rewrite the file's ``obj.prop`` accesses (``Candidates.accesses``)
+    to ``obj[v]``: each span from the `.` to the end becomes ``[v]``.
 
     Returns (patches, preamble text, [(slot var, property name)] sorted by
     slot var); one slot per distinct property name in the file, declared by
@@ -144,7 +143,7 @@ def rewrite_property_access(fresh_names, candidates):
     access_text = {}  # property name -> "[slot var]"
     slots = []
     patches = []
-    for _start, dot, end, name in candidates:
+    for dot, end, name in zip(accesses.dots, accesses.ends, accesses.names):
         text = access_text.get(name)
         if text is None:
             var = next(fresh_names)

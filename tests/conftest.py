@@ -21,6 +21,12 @@ def run_node(code=None, path=None, cwd=None, timeout=30):
     return proc.stdout
 
 
+def access_rows(accesses):
+    """The (start, `.` start, end, property name) of each access of an
+    ``Accesses`` table."""
+    return list(zip(accesses.starts, accesses.dots, accesses.ends, accesses.names))
+
+
 def nl_before(tokens):
     """The indexes of the tokens a line break precedes."""
     return {i for i, t in enumerate(tokens) if t.nl}

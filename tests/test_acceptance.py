@@ -8,6 +8,7 @@ cannot provide it; its scaling-ratio half runs everywhere.
 
 import os
 import random
+import shutil
 import time
 from itertools import product
 from pathlib import Path
@@ -24,7 +25,6 @@ from scopeshield.renamer import (
     check_safety,
     cost,
     pool_name,
-    rename_patches,
     rename_tree,
 )
 from scopeshield.transforms import INSTRUMENT_COUNTER
@@ -117,7 +117,7 @@ def test_c2_oracle_flags_capture_when_tightening_disabled(node):
     naive = rename_tree(tree, subtree_refs=False)
     violations = check_safety([tree], naive)
     assert violations, "check_safety must flag the hand-built capture"
-    assert run_node(code=emit(src, rename_patches(tree, naive))) != run_node(code=src)
+    assert run_node(code=emit(src, [], tree.occurrences, naive)) != run_node(code=src)
     tightened = rename_tree(tree, subtree_refs=True)
     assert check_safety([tree], tightened) == []
     report(
@@ -230,8 +230,14 @@ def test_c5_near_linear_growth(scaling_corpus, tmp_path_factory):
     big = tmp_path_factory.mktemp("scaling4x") / "corpus"
     generate_scaling_corpus(big, 40 * 1024 * 1024, seed=5)
     workers = min(8, max(CORES, 1))
-    t_base = _timed_run(base, root / "ratio_base", workers)
-    t_big = _timed_run(big, root / "ratio_big", workers)
+    # the sizes alternate, twice each, and the fastest run of each counts,
+    # so a load that comes and goes on the host weighs on both sizes alike
+    times = {base: [], big: []}
+    for src in (base, big, base, big):
+        out = root / "ratio_out"
+        shutil.rmtree(out, ignore_errors=True)
+        times[src].append(_timed_run(src, out, workers))
+    t_base, t_big = min(times[base]), min(times[big])
     ratio = t_big / t_base
     assert ratio <= 6.0, f"time(4x)/time(1x) = {ratio:.2f} exceeds 6"
     report(

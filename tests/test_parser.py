@@ -8,17 +8,28 @@ from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
 from scopeshield.lexer import BATCH_TOKENS, tokenize
 from scopeshield.parser import string_value
 from scopeshield.pipeline import FILE_FAILURES, front_end
-from scopeshield.scopes import FUNCTION
+from scopeshield.scopes import DECL, FUNCTION, REF, SHORTHAND
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import nl_before
+from conftest import access_rows, nl_before
 from corpusgen import GENERATORS, build_corpus
 
 
 def parse_src(src, file_id="t.js"):
     """(ScopeTree, Candidates, FileSummary) of ``src`` as written."""
     return front_end(src, file_id, minify=False)[1:]
+
+
+_STYLE_NAMES = {REF: None, DECL: "decl", SHORTHAND: "shorthand"}
+
+
+def occurrence_rows(tree):
+    """The (name, start, style name, binding) of each occurrence of
+    ``tree``; the style name is None for a reference."""
+    occurrences = tree.occurrences
+    styles = [_STYLE_NAMES[style] for style in occurrences.styles]
+    return list(zip(occurrences.names, occurrences.starts, styles, occurrences.bindings))
 
 
 def dynamic_scopes(src, file_id="t.js"):
@@ -77,17 +88,18 @@ def test_span_containment_over_corpus():
                     assert node.start <= child.start <= child.end <= node.end, (
                         f"{child.kind} escapes {node.kind} in {text[:40]!r}"
                     )
-            for occ in tree.occurrences:
-                scope = tree.nodes[occ.scope_id]
-                assert scope.start <= occ.start < occ.end <= scope.end
-                assert text[occ.start : occ.end] == occ.name
+            occurrences = tree.occurrences
+            for name, start, sid in zip(occurrences.names, occurrences.starts, occurrences.scope_ids):
+                scope = tree.nodes[sid]
+                assert scope.start <= start < start + len(name) <= scope.end
+                assert text[start : start + len(name)] == name
             for start, end in candidates.strings:
                 assert text[start] == text[end - 1] and text[start] in "'\""
-            for start, dot, end, name in candidates.accesses:
+            for start, dot, end, name in access_rows(candidates.accesses):
                 assert start < dot < end and text[dot] == "." and text[dot:end].endswith(name)
             starts = [start for start, _end in candidates.strings]
             assert starts == sorted(starts)
-            keys = [(start, -end) for start, _dot, end, _name in candidates.accesses]
+            keys = [(start, -end) for start, _dot, end, _name in access_rows(candidates.accesses)]
             assert keys == sorted(keys)
 
 
@@ -199,14 +211,18 @@ def test_unsupported_constructs_raise(src):
 
 def test_shorthand_property_marked():
     tree, _candidates, _summary = parse_src("var x = 1; var o = {x};")
-    shorthand = [occ for occ in tree.occurrences if occ.style == "shorthand"]
-    assert [(occ.name, occ.start, occ.binding.name) for occ in shorthand] == [("x", 20, "x")]
+    shorthand = [
+        (name, start, binding.name)
+        for name, start, style, binding in occurrence_rows(tree)
+        if style == "shorthand"
+    ]
+    assert shorthand == [("x", 20, "x")]
 
 
 def test_member_access_patch_span():
     src = "player.score += 1;"
     _tree, candidates, _summary = parse_src(src)
-    ((start, dot, end, name),) = candidates.accesses
+    ((start, dot, end, name),) = access_rows(candidates.accesses)
     assert (start, name) == (0, "score")
     assert src[dot:end] == ".score"
 
@@ -388,7 +404,8 @@ def facts(src):
     tree, _candidates, _summary = parse_src(src)
     scopes = [(node.kind, node.start, node.end) for node in tree.nodes]
     occurrences = [
-        (occ.name, occ.start, occ.style, occ.binding.scope_id) for occ in tree.occurrences
+        (name, start, style, binding.scope_id)
+        for name, start, style, binding in occurrence_rows(tree)
     ]
     return scopes, occurrences
 
@@ -598,6 +615,8 @@ CONTEXTUAL_NAMES = [
     "var of = 1;",
     "function async(x) {}",
     "var let = 1;",
+    "let = 1;",
+    "let;",
     "of + 1;",
     "static;",
     "var f = (a, of) => a;",
@@ -614,6 +633,17 @@ def test_a_contextual_word_as_a_name_is_unsupported(node):
         with pytest.raises(UnsupportedSyntax, match="is not supported") as err:
             parse_src(src)
         assert src[err.value.offset :].startswith(("of", "async", "let", "static", "yield", "await"))
+
+
+KEYWORD_PROPERTIES_DIVIDED = ["var o = {return: 12}; o.return / 2 / 3;", "var a = {}; a.delete / 2;"]
+
+
+def test_a_slash_after_a_keyword_property_name_divides(node):
+    assert node_compiles(node, KEYWORD_PROPERTIES_DIVIDED) == [True, True]
+    for src in KEYWORD_PROPERTIES_DIVIDED:
+        tokens = tokenize(src)
+        assert [t.text for t in tokens if t.kind == PUNCT and t.text == "/"] == ["/"] * src.count("/")
+        parse_src(src)
 
 
 DESTRUCTURING_ASSIGNMENTS = [
@@ -739,9 +769,9 @@ def scope_facts(src):
     tree, candidates, _summary = parse_src(src)
     return (
         [(node.kind, node.parent, node.is_dynamic) for node in tree.nodes],
-        [(occ.name, occ.style, occ.binding.scope_id) for occ in tree.occurrences],
+        [(name, style, binding.scope_id) for name, _start, style, binding in occurrence_rows(tree)],
         [src[start:end] for start, end in candidates.strings],
-        [src[start:end] for start, _dot, end, _name in candidates.accesses],
+        [src[start:end] for start, _dot, end, _name in access_rows(candidates.accesses)],
     )
 
 

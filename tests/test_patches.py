@@ -4,6 +4,8 @@ import pytest
 
 from scopeshield.errors import OverlappingPatches
 from scopeshield.patches import Patch, emit
+from scopeshield.renamer import RenameMap
+from scopeshield.scopes import DECL, REF, SHORTHAND, Binding, Occurrences
 
 
 def naive_apply(source, patches):
@@ -58,3 +60,87 @@ def test_overlapping_patches_rejected():
 def test_out_of_range_patch_rejected():
     with pytest.raises(OverlappingPatches):
         emit("ab", [Patch(1, 5, "x")])
+
+
+# ---- renames read from an occurrence table ----
+
+def occurrence_table(source, rows):
+    """An Occurrences table of the (name, start, style, binding) ``rows``."""
+    table = Occurrences()
+    for name, start, style, binding in rows:
+        assert source[start : start + len(name)] == name
+        table.add(name, start, 0, style)
+        table.bindings.append(binding)
+    return table
+
+
+def renamed(pairs):
+    """A RenameMap giving each (binding, name) pair's binding that name."""
+    rename_map = RenameMap()
+    for binding, name in pairs:
+        rename_map.assign(binding, name)
+    return rename_map
+
+
+def rename_as_patches(table, rename_map):
+    """Oracle: the renames as one Patch per renamed occurrence."""
+    patches = []
+    for name, start, style, binding in zip(table.names, table.starts, table.styles, table.bindings):
+        new_name = rename_map.name_or_original(binding)
+        if new_name != name:
+            text = f"{name}: {new_name}" if style == SHORTHAND else new_name
+            patches.append(Patch(start, start + len(name), text))
+    return patches
+
+
+def test_renames_and_shorthands_from_the_occurrence_table():
+    src = "var total = 1; var o = {total}; keep(total);"
+    total, keep = Binding("t.js", 0, "total"), Binding("t.js", -1, "keep")
+    table = occurrence_table(
+        src,
+        [("total", 4, DECL, total), ("total", 24, SHORTHAND, total),
+         ("keep", 32, REF, keep), ("total", 37, REF, total)],
+    )
+    out = emit(src, [], table, renamed([(total, "a")]))
+    assert out == "var a = 1; var o = {total: a}; keep(a);"
+
+
+def test_an_insertion_at_an_identifier_start_goes_before_it():
+    src = "alpha(beta);"
+    alpha, beta = Binding("t.js", 0, "alpha"), Binding("t.js", 0, "beta")
+    table = occurrence_table(src, [("alpha", 0, REF, alpha), ("beta", 6, REF, beta)])
+    rename_map = renamed([(alpha, "a"), (beta, "b")])
+    patches = [Patch(6, 6, "["), Patch(0, 0, "var p;\n")]
+    assert emit(src, patches, table, rename_map) == "var p;\na([b);"
+
+
+@pytest.mark.parametrize("span", [(0, 3), (2, 7), (0, 5), (4, 9)])
+def test_a_patch_overlapping_a_rename_is_rejected(span):
+    src = "alpha.beta;"
+    alpha = Binding("t.js", 0, "alpha")
+    table = occurrence_table(src, [("alpha", 0, REF, alpha)])
+    with pytest.raises(OverlappingPatches):
+        emit(src, [Patch(*span, "x")], table, renamed([(alpha, "a")]))
+    # an occurrence that keeps its name is no edit
+    assert emit(src, [Patch(*span, "x")], table, RenameMap()) == naive_apply(src, [Patch(*span, "x")])
+
+
+def test_renames_and_patches_match_the_patch_oracle_in_any_table_order():
+    rng = random.Random(7)
+    bindings = [Binding("t.js", 0, name) for name in ("ab", "cd", "efg", "h")]
+    for _ in range(200):
+        words = [rng.choice(bindings).name for _ in range(rng.randrange(1, 12))]
+        src = " ".join(words)
+        rows, start = [], 0
+        for word in words:
+            binding = next(b for b in bindings if b.name == word)
+            rows.append((word, start, rng.choice((REF, DECL, SHORTHAND)), binding))
+            start += len(word) + 1
+        rng.shuffle(rows)  # the emit sorts a table out of start order
+        table = occurrence_table(src, rows)
+        rename_map = renamed((b, rng.choice(["x", b.name, "yy"])) for b in bindings)
+        # insertions at word starts and ends
+        edges = sorted({at for name, start, *_ in rows for at in (start, start + len(name))})
+        patches = [Patch(at, at, "+") for at in rng.sample(edges, min(3, len(edges)))]
+        expected = naive_apply(src, rename_as_patches(table, rename_map) + patches)
+        assert emit(src, list(patches), table, rename_map) == expected

@@ -14,7 +14,6 @@ from scopeshield.renamer import (
     forbidden_set,
     name_sequence,
     pool_name,
-    rename_patches,
     rename_tree,
 )
 from scopeshield.scopes import Binding
@@ -179,8 +178,8 @@ def test_naive_visibility_rule_creates_capture_caught_by_oracle():
     tight = rename_tree(tree, subtree_refs=True)
     assert check_safety([tree], tight) == []
     # and the damage is real: the naive output computes a different value
-    out_naive = run_node(code=emit(src, rename_patches(tree, naive)))
-    out_tight = run_node(code=emit(src, rename_patches(tree, tight)))
+    out_naive = run_node(code=emit(src, [], tree.occurrences, naive))
+    out_tight = run_node(code=emit(src, [], tree.occurrences, tight))
     original = run_node(code=src)
     assert out_tight == original
     assert out_naive != original

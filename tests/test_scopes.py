@@ -14,6 +14,7 @@ from scopeshield.scopes import (
 
 
 from corpusgen import GENERATORS, build_corpus
+from conftest import access_rows
 from treegen import random_scope_tree
 
 
@@ -43,7 +44,8 @@ def test_block_scope_only_for_direct_lexical_declarations():
     assert sorted(tree.nodes[1].declarations) == ["f", "q"]
     tree = tree_of("{ { let a; } b(); }")
     assert [(n.kind, n.parent) for n in tree.nodes] == [(MODULE, None), (BLOCK, 0)]
-    assert [(o.name, o.scope_id) for o in tree.occurrences] == [("a", 1), ("b", 0)]
+    occurrences = tree.occurrences
+    assert list(zip(occurrences.names, occurrences.scope_ids)) == [("a", 1), ("b", 0)]
     # the first declaration of a name in source order makes its binding
     tree = tree_of("function g(){ { if (a) function f(){} var f; } f(); var h; }")
     fn = tree.nodes[1]
@@ -162,7 +164,7 @@ def candidates_of(src, file_id="t.js"):
     """The tree of ``src`` and the text of its string and access candidates."""
     _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
     strings = [src[start:end] for start, end in candidates.strings]
-    accesses = [src[dot:end] for _start, dot, end, _name in candidates.accesses]
+    accesses = [src[dot:end] for dot, end in zip(candidates.accesses.dots, candidates.accesses.ends)]
     return tree, strings, accesses
 
 
@@ -257,9 +259,9 @@ def test_kept_candidates_match_a_span_oracle_on_programs():
             neutral = re.sub(pattern, spelling, neutral)
         every = front_end(neutral, file_id, minify=False)[2]
         strings = [c for c in every.strings if not under_dynamic_scope(tree, c[0])]
-        accesses = [c for c in every.accesses if not under_dynamic_scope(tree, c[0])]
+        accesses = [c for c in access_rows(every.accesses) if not under_dynamic_scope(tree, c[0])]
         assert candidates.strings == strings, file_id
-        assert candidates.accesses == accesses, file_id
+        assert access_rows(candidates.accesses) == accesses, file_id
         dropped += len(every.strings) + len(every.accesses) - len(strings) - len(accesses)
     assert dropped >= 20
 
@@ -267,9 +269,12 @@ def test_kept_candidates_match_a_span_oracle_on_programs():
 # ---- each occurrence is resolved once, when the tree is built ----
 
 def assert_stored_bindings_match_resolve(tree):
-    assert tree.occurrences
-    for occ in tree.occurrences:
-        assert occ.binding is tree.resolve(occ.name, occ.scope_id), (tree.file_id, occ.name, occ.start)
+    occurrences = tree.occurrences
+    assert len(occurrences)
+    for name, start, sid, binding in zip(
+        occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
+    ):
+        assert binding is tree.resolve(name, sid), (tree.file_id, name, start)
 
 
 def test_stored_binding_matches_resolve_on_corpus_programs(tmp_path):

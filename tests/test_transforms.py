@@ -158,7 +158,7 @@ def test_repeated_accesses_share_slot():
     candidates = setup(src)
     _patches, _pre, slots = rewrite_props(candidates)
     # count-oracle: one slot per distinct property name
-    names = {name for _start, _dot, _end, name in candidates.accesses}
+    names = set(candidates.accesses.names)
     assert len(slots) == len(names)
 
 
@@ -171,7 +171,7 @@ def test_candidates_in_source_order_without_super_or_delete_targets():
     )
     candidates = setup(src)
     assert [src[start:end] for start, end in candidates.strings] == ['"key"', '"one"', '"two"']
-    assert [name for _start, _dot, _end, name in candidates.accesses] == ["y", "b", "e"]
+    assert candidates.accesses.names == ["y", "b", "e"]
 
 
 def test_delete_targets_skipped():
@@ -227,7 +227,7 @@ def test_every_candidate_rewritten_once():
             candidates = setup(src, file_id)
             strings, accesses = candidates.strings, candidates.accesses
             patches, _pre, _slots = rewrite_property_access(fresh(), accesses)
-            assert sorted(p.start for p in patches) == sorted(dot for _s, dot, _e, _n in accesses)
+            assert sorted(p.start for p in patches) == sorted(accesses.dots)
             eligible = [start for start, end in strings if len(string_value(src[start:end])) >= 2]
             patches, _pre, _table = encode_strings(7, fresh(), src, strings)
             assert sorted(p.start for p in patches) == sorted(eligible)

@@ -6,7 +6,7 @@ consistent; usage counts follow the same convention as the real builder
 (the declaration site counts as an occurrence).
 """
 
-from scopeshield.scopes import MODULE, FUNCTION, BLOCK, Binding, Occurrence, ScopeTree
+from scopeshield.scopes import BLOCK, DECL, FUNCTION, MODULE, Binding, ScopeTree
 
 NAMES = ["item", "count", "value", "node", "temp", "data", "res", "key", "idx", "acc"]
 GLOBALS = ["console", "Math", "GameGlobal", "JSON"]
@@ -45,7 +45,7 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
         start = scope.start + len(scope.declarations) + 1
         category = rng.choice(["var", "lexical", "param"])
         scope.declarations[name] = Binding(file_id, scope.id, name, (start, start + len(name)), category, order)
-        tree.occurrences.append(Occurrence(name, start, start + len(name), scope.id, "decl"))
+        tree.occurrences.add(name, start, scope.id, DECL)
         placed += 1
 
     # references: visible names and the occasional global
@@ -61,7 +61,7 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
             else:
                 name = rng.choice(GLOBALS)
             pos = scope.start + rng.randrange(0, 80)
-            tree.occurrences.append(Occurrence(name, pos, pos + len(name), scope.id))
+            tree.occurrences.add(name, pos, scope.id)
 
     tree.resolve_occurrences()
     return tree
