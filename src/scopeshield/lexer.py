@@ -16,7 +16,7 @@ the generator into one list.
 
 import re
 
-from .errors import InvalidCharacter, UnterminatedString, UnterminatedTemplate
+from .errors import InvalidCharacter, UnsupportedSyntax, UnterminatedString, UnterminatedTemplate
 from .tokens import (
     IDENT,
     KEYWORD,
@@ -61,8 +61,10 @@ _TOKEN_RE = re.compile(
             r"((?:[ \t\v\f\xa0\ufeff{0}]+|//[^{0}]*|/\*[\s\S]*?\*/)+)".format(LINE_TERMINATORS),
             r"(/\*)",  # 2: a block comment that never closes
             r"([A-Za-z_$][A-Za-z0-9_$]*)",  # 3: an identifier or keyword
-            r"(0[xX][0-9a-fA-F]+n?|0[bB][01]+n?|0[oO][0-7]+n?"  # 4: a number
-            r"|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?n?)",
+            # 4: a number; a `_` may stand between two digits
+            r"(0[xX]{0}n?|0[bB]{1}n?|0[oO]{2}n?|(?:{3}\.?(?:{3})?|\.{3})(?:[eE][+-]?{3})?n?)".format(
+                *(f"[{d}]+(?:_[{d}]+)*" for d in ("0-9a-fA-F", "01", "0-7", "0-9"))
+            ),
             # 5: a string; U+2028 and U+2029 may stand in one unescaped
             r"""("(?:[^"\\\n\r]|\\[\s\S])*"|'(?:[^'\\\n\r]|\\[\s\S])*')""",
             r"(/=?)",  # 6: a regular expression when an operator precedes it
@@ -75,6 +77,7 @@ _TOKEN_RE = re.compile(
 _REGEX_RE = re.compile(
     r"/(?:[^/\\\[{0}]|\\[^{0}]|\[(?:[^\]\\{0}]|\\[^{0}])*\])+/[A-Za-z]*".format(LINE_TERMINATORS)
 )
+_IDENT_START_RE = re.compile(r"[A-Za-z_$]")
 _LINE_TERMINATOR_RE = re.compile("[%s]" % LINE_TERMINATORS)
 # the template chunk that resumes at the `}` closing an interpolation
 _TEMPLATE_RESUME = re.compile(r"\}" + _TEMPLATE_BODY)
@@ -87,7 +90,8 @@ _REGEX_AFTER_KEYWORD = frozenset(
     """.split()
 )
 # `)` `]` end value expressions; `}` is treated as ending one too, which is
-# right for object literals and harmless for blocks in practice.
+# right for object literals but wrong after a block: `if (s) {}` and then
+# `/a,b/.test(s)` on the next line is refused (ROADMAP item 4).
 _NO_REGEX_AFTER_PUNCT = frozenset({")", "]", "}", "++", "--"})
 
 _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
@@ -213,6 +217,8 @@ def lex(source, file_id="<input>", minify=False):
                 raise UnterminatedString("unterminated string literal", file_id, pos)
             elif text == "`":
                 raise UnterminatedTemplate("unterminated template literal", file_id, pos)
+            elif text == "#" and _IDENT_START_RE.match(source, end):
+                raise UnsupportedSyntax("private names are not supported", file_id, pos)
             else:
                 raise InvalidCharacter(f"unexpected character {text!r}", file_id, pos)
             if gap is not None:

@@ -9,7 +9,7 @@ the facts the later layers read, and nothing else:
                   file has parsed, because hoisting needs the whole file
   candidates      the string literals the string transform may encode and
                   the ``obj.prop`` accesses the property transform may
-                  rewrite, in pre-order, and the preamble offset; leaving
+                  rewrite, in source order, and the preamble offset; leaving
                   a scope that holds a dynamic site drops the candidates
                   read in it or below it, and the module scope is checked
                   once the file has parsed
@@ -82,7 +82,8 @@ allowed), every ``( expression )`` head and the get/set accessor prefix.
 
 Out of subset (raises UnsupportedSyntax so the file is copied through
 verbatim): labeled statements, destructuring (assignment too), generators,
-async/await, class fields, optional chaining, dynamic import(), computed
+async/await (async methods and `for await` too), class fields, static
+blocks and private names, optional chaining, dynamic import(), computed
 class member names, and the contextual words async, await, yield, let,
 static and of where a name stands.
 """
@@ -169,14 +170,14 @@ class FileSummary:
 
 
 class Accesses:
-    """The rewritable ``obj.prop`` accesses as parallel columns: ``starts``,
-    ``dots`` and ``ends`` (int arrays: where each access starts, where its
-    `.` starts and where it ends) and ``names``, the property names."""
+    """The rewritable ``obj.prop`` accesses, in the order the parser reads
+    their `.`, as parallel columns: ``dots`` and ``ends`` (int arrays: where
+    each access's `.` starts and where the access ends) and ``names``, the
+    property names."""
 
-    __slots__ = ("starts", "dots", "ends", "names")
+    __slots__ = ("dots", "ends", "names")
 
     def __init__(self):
-        self.starts = array("i")
         self.dots = array("i")
         self.ends = array("i")
         self.names = []
@@ -184,31 +185,20 @@ class Accesses:
     def __len__(self):
         return len(self.names)
 
-    def append(self, start, dot, end, name):
-        self.starts.append(start)
+    def append(self, dot, end, name):
         self.dots.append(dot)
         self.ends.append(end)
         self.names.append(name)
 
     def truncate(self, count):
         """Keep only the first ``count`` accesses."""
-        del self.starts[count:], self.dots[count:], self.ends[count:], self.names[count:]
-
-    def sort(self):
-        """Put the accesses in pre-order: by start, the wider one first
-        (`a.b.c` records `.b` before `.c`)."""
-        order = sorted(range(len(self.names)), key=self.ends.__getitem__, reverse=True)
-        order.sort(key=self.starts.__getitem__)  # stable: the wider stays first
-        self.starts = array("i", map(self.starts.__getitem__, order))
-        self.dots = array("i", map(self.dots.__getitem__, order))
-        self.ends = array("i", map(self.ends.__getitem__, order))
-        self.names = list(map(self.names.__getitem__, order))
+        del self.dots[count:], self.ends[count:], self.names[count:]
 
 
 class Candidates:
     """What the transforms read: ``strings``, the (start, end) spans of the
     encodable string literals, and ``accesses``, the rewritable
-    ``obj.prop`` accesses (``Accesses``), both in pre-order and none read
+    ``obj.prop`` accesses (``Accesses``), both in source order and none read
     where a dynamic site can see it; and ``preamble_offset``, where the
     preamble goes: after the directive prologue, so an injected declaration
     cannot demote "use strict"."""
@@ -241,7 +231,6 @@ def parse(source, file_id="<input>", minify=False):
     summary = parser.summary
     summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
     summary.free_names = sorted(tree.globals)
-    parser.accesses.sort()
     return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
@@ -608,9 +597,9 @@ class _Parser:
         """One parameter: ``name``, ``name = default`` or ``...name``;
         returns its name token and its kind: "name", "default" or "rest"."""
         rest = self.at("...") and self.advance()
-        error = self.param_error(rest)
-        if error is not None:
-            raise error
+        fault = self.param_fault(rest)
+        if fault is not None:
+            raise self.param_error(*fault)
         t = self.advance()
         self.scopes.declare(t, "param")
         if rest or not self.at("="):
@@ -619,15 +608,21 @@ class _Parser:
         self.parse_assign()
         return t, "default"
 
-    def param_error(self, rest):
+    def param_fault(self, rest):
         """None at a name a parameter may end with (followed by `,`, `)` or
-        `=`; after `...`, by `)`), else the error a parameter list raises
-        here. It reads two tokens."""
+        `=`; after `...`, by `)`), else what ``param_error`` builds the
+        error from: this token, the next and ``rest``. It reads two tokens."""
         t, nxt = self.peek(), self.peek(1)
+        ends = (")",) if rest else (",", ")", "=")
+        if t is not None and t.kind == IDENT and nxt is not None and nxt.kind == PUNCT and nxt.text in ends:
+            return None
+        return t, nxt, rest
+
+    def param_error(self, t, nxt, rest):
+        """The error a parameter list raises at ``t``, followed by ``nxt``
+        and after `...` if ``rest``, where ``param_fault`` found none."""
         if t is None or t.kind != IDENT:
             return self.name_error(t, "expected parameter name", "parameters")
-        if nxt is not None and nxt.kind == PUNCT and nxt.text in ((")",) if rest else (",", ")", "=")):
-            return None
         message = _REST_LAST if rest else "expected ',' or ')'"
         return ParseError(message, self.file_id, nxt.start if nxt is not None else len(self.text))
 
@@ -649,9 +644,7 @@ class _Parser:
         derived = self.at("extends")
         if derived:
             self.advance()
-            # a LeftHandSideExpression
-            t = self.peek()
-            self.parse_call_member(self.parse_primary(), t.start)
+            self.parse_call_member(self.parse_primary())  # a LeftHandSideExpression
         self.expect("{")
         while not self.at("}"):
             if self.at(";"):
@@ -668,9 +661,10 @@ class _Parser:
         static = self.at("static") and not (nxt is not None and nxt.kind == PUNCT and nxt.text == "(")
         if static:
             self.advance()  # a modifier; `static(` names a method
+            if self.at("{"):
+                self.unsupported("class static blocks are not supported")
         role = self.accessor_role() or "method"
-        if self.at("*"):
-            self.unsupported("generator methods are not supported")
+        self.method_prefix()
         name_tok = self.peek()
         if name_tok is None:
             self.error("unterminated class body")
@@ -689,6 +683,17 @@ class _Parser:
             == "constructor"
         )
         self.parse_method(start_tok.start, role, constructor)
+
+    def method_prefix(self):
+        """Raise at the `*` of a generator method or the `async` of an async
+        one."""
+        t, nxt = self.peek(), self.peek(1)
+        if t is not None and t.text == "*":
+            self.unsupported("generator methods are not supported")
+        if t is not None and t.text == "async" and nxt is not None and not nxt.nl and (
+            nxt.kind in _PROPERTY_NAME_KINDS or nxt.text in ("[", "*")
+        ):
+            self.unsupported("async methods are not supported")
 
     def parse_method(self, start, role, derived_constructor=False):
         """Params and body of a class or object-literal method starting at
@@ -723,6 +728,8 @@ class _Parser:
 
     def parse_for(self):
         kw = self.expect("for")
+        if self.at("await"):
+            self.unsupported("for await is not supported")
         self.summary.branch_points += 1
         self.expect("(")
         scoped = False
@@ -1024,17 +1031,16 @@ class _Parser:
         return self.parse_postfix()
 
     def parse_postfix(self):
-        t = self.toks[self.i]
-        tag = self.parse_call_member(self.parse_primary(), t.start)
+        tag = self.parse_call_member(self.parse_primary())
         t = self.toks[self.i]
         if t is not None and t.kind == PUNCT and t.text in ("++", "--") and not t.nl:
             self.advance()
             return _OTHER
         return tag
 
-    def parse_call_member(self, tag, start, allow_call=True):
+    def parse_call_member(self, tag, allow_call=True):
         """The member, call and tagged-template suffixes of the expression
-        with kind ``tag`` that starts at ``start``."""
+        with kind ``tag``."""
         while True:
             t = self.toks[self.i]
             if t is None:
@@ -1050,7 +1056,7 @@ class _Parser:
                 if tag == _SUPER:
                     tag = _TARGET
                 else:
-                    self.accesses.append(start, dot.start, prop.end, prop.text)
+                    self.accesses.append(dot.start, prop.end, prop.text)
                     tag = _MEMBER
                 continue
             if t.kind == PUNCT and t.text == "[":
@@ -1146,22 +1152,22 @@ class _Parser:
         CoverParenthesizedExpressionAndArrowParameterList: each item as an
         assignment expression, after `...` as a spread. A `=>` after the `)`
         makes it an arrow head: its first item that is no parameter raises
-        ``param_error``, and its names become the parameters of a scope that
-        takes over what the head recorded. Otherwise returns the tag of the
+        ``param_error`` there, and its names become the parameters of a scope
+        that takes over what the head recorded. Otherwise returns the tag of the
         parenthesized expression."""
         lparen = self.peek()
         mark = self.scopes.mark()
         candidates = len(self.strings), len(self.accesses)
         params = []  # per item, the index of its name's occurrence
-        error = spread = None  # the first non-parameter's error; the first `...`
+        fault = spread = None  # the first non-parameter's ``param_fault``; the first `...`
         trailing = False  # a comma after the last item
 
         def item():
-            nonlocal error, spread, trailing
+            nonlocal fault, spread, trailing
             rest = self.at("...") and self.advance()
             spread = spread or rest
-            if error is None:
-                error = self.param_error(rest)
+            if fault is None:
+                fault = self.param_fault(rest)
                 params.append(len(self.scopes.occurrences))
             tag = self.parse_assign()
             trailing = self.at(",")
@@ -1170,8 +1176,8 @@ class _Parser:
         tags, rparen = self.delimited("(", ")", item)
         t = self.peek()
         if t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl:
-            if error is not None:
-                raise error
+            if fault is not None:
+                raise self.param_error(*fault)
             occ = self.scopes.occurrences
             self.unique_params((occ.names[index], occ.starts[index]) for index in params)
             self.scopes.enter_arrow(lparen.start, mark, params)
@@ -1201,17 +1207,16 @@ class _Parser:
         return _OTHER
 
     def parse_new(self):
-        kw = self.expect("new")
+        self.expect("new")
         if self.at("."):
             self.unsupported("new.target is not supported")
-        t = self.peek()
         if self.at("super") and self.peek(1) is not None and self.peek(1).text == "(":
             self.error("'super' keyword unexpected here")  # no `new super()`
-        if self.parse_call_member(self.parse_primary(), t.start, allow_call=False) == _CALLEE:
+        if self.parse_call_member(self.parse_primary(), allow_call=False) == _CALLEE:
             self.scopes.mark_dynamic()
         if self.at("("):
             self.parse_arguments()
-        return self.parse_call_member(_OTHER, kw.start)
+        return self.parse_call_member(_OTHER)
 
     def parse_template(self):
         first = self.advance()
@@ -1242,6 +1247,7 @@ class _Parser:
         role = self.accessor_role()
         if role is not None:
             t = self.peek()
+        self.method_prefix()
         if t.kind == PUNCT and t.text == "[":
             self.advance()
             self.parse_assign()
@@ -1263,7 +1269,7 @@ class _Parser:
         else:
             # shorthand { name }; { name = value } only as a pattern
             if t.kind != IDENT:
-                self.error("expected ':' after property key")
+                raise self.name_error(t, "expected ':' after property key")
             self.scopes.reference(t, SHORTHAND)
             if self.at("="):
                 self.unsupported("destructuring patterns are not supported")

@@ -62,7 +62,6 @@ class ObfuscationConfig:
     rewrite_properties: bool = True
     minify: bool = True
     allowlist_path: str = None
-    instrument_decode: bool = False
     dump_renames: bool = False
 
     @classmethod
@@ -241,7 +240,7 @@ def process_file(config, allowlist, rel_path):
             rmap = rename_tree(
                 tree, frozen_module_names=frozen_names(summary), allowlist=allowlist
             )
-            violations = check_safety([tree], rmap)
+            violations = check_safety(tree, rmap)
             if violations:
                 raise ScopeShieldError(
                     f"internal rename safety violation: {violations[0]!r}"
@@ -269,11 +268,7 @@ def process_file(config, allowlist, rel_path):
                 preamble += prop_pre
             if config.encode_strings:
                 str_patches, str_pre, _table = encode_strings(
-                    _file_key(rel_path),
-                    fresh,
-                    mtext,
-                    candidates.strings,
-                    instrument=config.instrument_decode,
+                    _file_key(rel_path), fresh, mtext, candidates.strings
                 )
                 patches.extend(str_patches)
                 preamble += str_pre
@@ -287,7 +282,7 @@ def process_file(config, allowlist, rel_path):
         out_text = emit(mtext, patches, occurrences, rmap)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
         if config.dump_renames:
-            result["rename_dump"] = rmap.dump_lines()
+            result["rename_dump"] = rmap.dump_lines(rel_path)
     except FILE_FAILURES as exc:
         result["status"], result["error"] = file_failure(rel_path, exc)
         return result

@@ -16,6 +16,7 @@ binding that walk does not reach. The renamed text is written by
 RenameMap.
 """
 
+from collections import defaultdict
 from itertools import product
 
 from .errors import OrderViolation
@@ -74,24 +75,24 @@ class RenameMap:
     def items(self):
         return self.names.items()
 
-    def dump_lines(self):
-        """`scopeId<TAB>original<TAB>renamed` lines, deterministic order."""
-        rows = []
-        for binding, name in self.names.items():
-            scope = f"{binding.file_id}#{binding.scope_id}"
-            rows.append(f"{scope}\t{binding.name}\t{name}")
-        rows.sort()
-        return rows
+    def dump_lines(self, file_id):
+        """`file#scopeId<TAB>original<TAB>renamed` lines of the map of file
+        ``file_id``, deterministic order."""
+        return sorted(
+            f"{file_id}#{binding.scope_id}\t{binding.name}\t{name}"
+            for binding, name in self.names.items()
+        )
 
 
 def ancestor_reference_map(tree, subtree_refs=True):
-    """For each scope, the set of outer bindings its subtree references.
+    """For each scope whose subtree references an outer binding, the set of
+    those bindings.
 
     With ``subtree_refs`` the binding is charged to every scope between the
     occurrence and the declaring scope; without it (the naive visibility
     reading) only to the occurrence's own scope.
     """
-    refs = {sid: set() for sid in range(len(tree.nodes))}
+    refs = defaultdict(set)
     occurrences = tree.occurrences
     for sid, binding in zip(occurrences.scope_ids, occurrences.bindings):
         if binding.scope_id == sid and not binding.is_global():
@@ -114,7 +115,7 @@ def forbidden_set(tree, scope_id, rename_map, anc_refs=None, subtree_refs=True):
     if anc_refs is None:
         anc_refs = ancestor_reference_map(tree, subtree_refs)
     forbidden = set()
-    for binding in anc_refs[scope_id]:
+    for binding in anc_refs.get(scope_id, ()):
         if binding.is_global():
             forbidden.add(binding.name)
             continue
@@ -192,74 +193,77 @@ def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, a
 
 
 class SafetyViolation:
-    __slots__ = ("file_id", "name", "span", "reason")
+    """A name whose renaming breaks a resolution: ``where`` is the span of
+    the occurrence, or the scope that declares the name twice."""
 
-    def __init__(self, file_id, name, span, reason):
+    __slots__ = ("file_id", "name", "where", "reason")
+
+    def __init__(self, file_id, name, where, reason):
         self.file_id = file_id
         self.name = name
-        self.span = span
+        self.where = where
         self.reason = reason
 
     def __repr__(self):
-        return f"SafetyViolation({self.file_id}, {self.name!r} at {self.span}: {self.reason})"
+        return f"SafetyViolation({self.file_id}, {self.name!r} at {self.where}: {self.reason})"
 
 
-def check_safety(trees, rename_map):
-    """Resolve every occurrence again under the renamed names, by a walk of
-    its own, and compare the result with the occurrence's stored binding.
+def check_safety(tree, rename_map):
+    """Resolve every occurrence of ``tree`` again under the renamed names,
+    by a walk of its own, and compare the result with the occurrence's
+    stored binding.
 
     Returns a list of violations; empty means the renaming preserves every
     resolution. Also flags non-injective renaming within one scope.
     """
     violations = []
-    for tree in trees:
-        renamed_decls = []
-        for node in tree.nodes:
-            mapping = {}
-            for name, binding in node.declarations.items():
-                new_name = rename_map.name_or_original(binding)
-                if new_name in mapping:
-                    violations.append(
-                        SafetyViolation(
-                            tree.file_id,
-                            name,
-                            binding.span,
-                            f"scope {node.id} maps two declarations to {new_name!r}",
-                        )
-                    )
-                mapping[new_name] = binding
-            renamed_decls.append(mapping)
-        occurrences = tree.occurrences
-        for name, start, sid, binding in zip(
-            occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
-        ):
+    renamed_decls = []
+    for node in tree.nodes:
+        mapping = {}
+        for name, binding in node.declarations.items():
             new_name = rename_map.name_or_original(binding)
-            resolved = None
-            while sid is not None:
-                hit = renamed_decls[sid].get(new_name)
-                if hit is not None:
-                    resolved = hit
-                    break
-                sid = tree.nodes[sid].parent
-            if resolved is None:
-                if not binding.is_global():
-                    violations.append(
-                        SafetyViolation(
-                            tree.file_id,
-                            name,
-                            (start, start + len(name)),
-                            f"{new_name!r} no longer resolves to a declaration",
-                        )
+            if new_name in mapping:
+                violations.append(
+                    SafetyViolation(
+                        tree.file_id,
+                        name,
+                        f"scope {node.id}",
+                        f"two declarations map to {new_name!r}",
                     )
-            elif resolved is not binding:
+                )
+            mapping[new_name] = binding
+        renamed_decls.append(mapping)
+    occurrences = tree.occurrences
+    for name, start, sid, binding in zip(
+        occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
+    ):
+        new_name = rename_map.name_or_original(binding)
+        resolved = None
+        while sid is not None:
+            hit = renamed_decls[sid].get(new_name)
+            if hit is not None:
+                resolved = hit
+                break
+            sid = tree.nodes[sid].parent
+        if resolved is None:
+            if not binding.is_global():
                 violations.append(
                     SafetyViolation(
                         tree.file_id,
                         name,
                         (start, start + len(name)),
-                        f"{new_name!r} is captured by scope {resolved.scope_id}",
+                        f"{new_name!r} no longer resolves to a declaration",
                     )
                 )
+        elif resolved is not binding:
+            violations.append(
+                SafetyViolation(
+                    tree.file_id,
+                    name,
+                    (start, start + len(name)),
+                    f"{new_name!r} is captured by scope {resolved.scope_id}",
+                )
+            )
     return violations
 
 

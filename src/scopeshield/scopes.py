@@ -44,21 +44,19 @@ _CATEGORY_RANK = {
 
 
 class Binding:
-    """One declaration: the file, scope and name it binds, its declaring
-    span, category and order, and how many occurrences resolve to it.
+    """One declaration: the scope and name it binds, its category and
+    order, and how many occurrences resolve to it (the file is the tree's).
 
     A global (``scope_id == GLOBAL_SCOPE``) is the tree's one record of a
     name read free. Bindings compare by identity: a declaration has exactly
     one Binding, which its scope's ``declarations`` holds.
     """
 
-    __slots__ = ("file_id", "scope_id", "name", "span", "category", "order", "usage")
+    __slots__ = ("scope_id", "name", "category", "order", "usage")
 
-    def __init__(self, file_id, scope_id, name, span=None, category=None, order=0):
-        self.file_id = file_id
+    def __init__(self, scope_id, name, category=None, order=0):
         self.scope_id = scope_id
         self.name = name
-        self.span = span
         self.category = category
         self.order = order
         self.usage = 0
@@ -72,7 +70,7 @@ class Binding:
     def __repr__(self):
         if self.is_global():
             return f"<global:{self.name}>"
-        return f"<{self.file_id}#{self.scope_id}:{self.name}>"
+        return f"<#{self.scope_id}:{self.name}>"
 
 
 # occurrence styles
@@ -165,7 +163,7 @@ class ScopeTree:
             sid = node.parent
         binding = self.globals.get(name)
         if binding is None:
-            binding = self.globals[name] = Binding(self.file_id, GLOBAL_SCOPE, name)
+            binding = self.globals[name] = Binding(GLOBAL_SCOPE, name)
         return binding
 
     def resolve_occurrences(self):
@@ -297,11 +295,9 @@ class ScopeBuilder:
                 occ.scope_ids[index] = node.id
         for index in params:
             occ.styles[index] = DECL
-            name, start = occ.names[index], occ.starts[index]
+            name = occ.names[index]
             self.order += 1
-            node.declarations[name] = Binding(
-                self.file_id, node.id, name, (start, start + len(name)), "param", self.order
-            )
+            node.declarations[name] = Binding(node.id, name, "param", self.order)
 
     def declare(self, tok, category):
         self._declare(self.scope, tok, category)
@@ -328,9 +324,7 @@ class ScopeBuilder:
         decls = node.declarations
         if name not in decls:
             self.order += 1
-            decls[name] = Binding(
-                self.file_id, node.id, name, (tok.start, tok.end), category, self.order
-            )
+            decls[name] = Binding(node.id, name, category, self.order)
         self.occurrences.add(name, tok.start, node.id, DECL)
 
     def reference(self, tok, style=REF):

@@ -24,8 +24,6 @@ import base64
 from .parser import string_value
 from .patches import Patch
 
-INSTRUMENT_COUNTER = "__scopeshieldDecodes"
-
 
 def encode_payload(value, key):
     """XOR the UTF-8 bytes with a rolling key, then base64."""
@@ -62,7 +60,7 @@ _DECODER_JS = (
 )
 
 
-def decoder_preamble(table, key, names, instrument=False):
+def decoder_preamble(table, key, names):
     """Guard + cache + lazy table decode, all hoist-safe declarations.
 
     Locals inside the generated functions use $-suffixed names the rename
@@ -71,20 +69,15 @@ def decoder_preamble(table, key, names, instrument=False):
     """
     t, g, c, d, x = names
     payloads = ",".join('"' + payload + '"' for payload in table)
-    instr = (
-        f"globalThis.{INSTRUMENT_COUNTER}=(globalThis.{INSTRUMENT_COUNTER}||0)+1;"
-        if instrument
-        else ""
-    )
     body = (
         f"var {t},{g},{c};"
-        f"function {d}(n$){{if(!{g}){{{g}=1;{instr}{t}=[{payloads}];{c}=[];"
+        f"function {d}(n$){{if(!{g}){{{g}=1;{t}=[{payloads}];{c}=[];"
         f"for(var k$=0;k$<{t}.length;k$++){c}[k$]={x}({t}[k$]);}}return {c}[n$];}}"
     )
     return body + _DECODER_JS.format(X=x, K=key)
 
 
-def encode_strings(key, fresh_names, source, candidates, instrument=False):
+def encode_strings(key, fresh_names, source, candidates):
     """Encode the file's eligible string literals, ``candidates`` (the
     (start, end) spans of ``Candidates.strings``), into one table.
 
@@ -128,7 +121,7 @@ def encode_strings(key, fresh_names, source, candidates, instrument=False):
         if start > 0 and (source[start - 1].isalnum() or source[start - 1] in "_$"):
             call = " " + call
         patches.append(Patch(start, end, call))
-    preamble = decoder_preamble(table, key, names, instrument)
+    preamble = decoder_preamble(table, key, names)
     return patches, preamble, table
 
 

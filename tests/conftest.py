@@ -22,9 +22,18 @@ def run_node(code=None, path=None, cwd=None, timeout=30):
 
 
 def access_rows(accesses):
-    """The (start, `.` start, end, property name) of each access of an
+    """The (`.` start, end, property name) of each access of an
     ``Accesses`` table."""
-    return list(zip(accesses.starts, accesses.dots, accesses.ends, accesses.names))
+    return list(zip(accesses.dots, accesses.ends, accesses.names))
+
+
+# A script to run in front of a program: it counts the program's
+# String.fromCharCode calls and prints the count once the program has run.
+COUNT_FROM_CHAR_CODE = (
+    "(function(){var f=String.fromCharCode,n=0;"
+    "String.fromCharCode=function(){n++;return f.apply(String,arguments);};"
+    'process.on("exit",function(){console.log(n);});})();\n'
+)
 
 
 def nl_before(tokens):

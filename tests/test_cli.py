@@ -73,6 +73,7 @@ def test_obfuscate_exit_3_on_fatal(tmp_path):
         ("--config", b"{not json"),
         ("--config", b"7"),
         ("--config", b'{"engine": "node {file}"}'),
+        ("--config", b'{"instrument_decode": true}'),
         ("--config", b'{"workers": "two"}'),
         ("--config", b'{"workers": true}'),
         ("--config", b'{"rename": "no"}'),

@@ -7,13 +7,14 @@ import pytest
 from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
 from scopeshield.lexer import BATCH_TOKENS, tokenize
 from scopeshield.parser import string_value
-from scopeshield.pipeline import FILE_FAILURES, front_end
+from scopeshield.pipeline import FILE_FAILURES, ObfuscationConfig, front_end, obfuscate_project
 from scopeshield.scopes import DECL, FUNCTION, REF, SHORTHAND
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import access_rows, nl_before
+from conftest import access_rows, nl_before, run_node
 from corpusgen import GENERATORS, build_corpus
+from scalegen import synth_module
 
 
 def parse_src(src, file_id="t.js"):
@@ -75,7 +76,7 @@ def test_function_constructor_is_dynamic():
 
 def test_span_containment_over_corpus():
     # every scope lies in its parent, every occurrence in its scope, and the
-    # candidates are in pre-order: by start, the wider access first
+    # candidates are in source order: the accesses by their `.`
     rng = random.Random(11)
     for gen in GENERATORS:
         for text in gen(rng).values():
@@ -95,12 +96,12 @@ def test_span_containment_over_corpus():
                 assert text[start : start + len(name)] == name
             for start, end in candidates.strings:
                 assert text[start] == text[end - 1] and text[start] in "'\""
-            for start, dot, end, name in access_rows(candidates.accesses):
-                assert start < dot < end and text[dot] == "." and text[dot:end].endswith(name)
+            for dot, end, name in access_rows(candidates.accesses):
+                assert dot < end and text[dot] == "." and text[dot:end].endswith(name)
             starts = [start for start, _end in candidates.strings]
             assert starts == sorted(starts)
-            keys = [(start, -end) for start, _dot, end, _name in access_rows(candidates.accesses)]
-            assert keys == sorted(keys)
+            dots = candidates.accesses.dots
+            assert all(a < b for a, b in zip(dots, dots[1:]))
 
 
 def test_import_forms():
@@ -222,9 +223,8 @@ def test_shorthand_property_marked():
 def test_member_access_patch_span():
     src = "player.score += 1;"
     _tree, candidates, _summary = parse_src(src)
-    ((start, dot, end, name),) = access_rows(candidates.accesses)
-    assert (start, name) == (0, "score")
-    assert src[dot:end] == ".score"
+    ((dot, end, name),) = access_rows(candidates.accesses)
+    assert name == "score" and src[dot:end] == ".score"
 
 
 def test_directive_strings_marked():
@@ -635,6 +635,59 @@ def test_a_contextual_word_as_a_name_is_unsupported(node):
         assert src[err.value.offset :].startswith(("of", "async", "let", "static", "yield", "await"))
 
 
+# valid syntax outside the subset, each checked as a module
+OUT_OF_SUBSET = [
+    ("({async m(){}})", "async methods"),
+    ("({*m(){}})", "generator methods"),
+    ("({async *m(){}})", "async methods"),
+    ("for await (const x of xs) {}", "for await"),
+    ("class A { static {} }", "static blocks"),
+    ("class A { #p = 1 }", "private names"),
+    ("class A { async m(){} }", "async methods"),
+    ("({async})", "'async' is not supported"),
+]
+
+
+@pytest.mark.parametrize("src, message", OUT_OF_SUBSET)
+def test_valid_syntax_outside_the_subset_is_unsupported(src, message, tmp_path, node):
+    path = tmp_path / "m.mjs"
+    path.write_text(src, encoding="utf-8")
+    assert subprocess.run([node, "--check", str(path)], capture_output=True).returncode == 0
+    for minify in (False, True):
+        with pytest.raises(UnsupportedSyntax, match=message):
+            front_end(src, "m.js", minify)
+
+
+def test_a_numeric_separator_is_one_number(tmp_path, node):
+    src = "var n = 1_000, h = 0xf_f, e = 1_0.5e1_0; console.log(n + 1, h, e);\n"
+    assert [t.text for t in tokenize(src) if t.kind == "numeric-literal"] == ["1_000", "0xf_f", "1_0.5e1_0", "1"]
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "n.js").write_text(src, encoding="utf-8")
+    out = tmp_path / "out"
+    report = obfuscate_project(ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out)))
+    assert report["files_transformed"] == 1
+    assert run_node(path=out / "n.js") == run_node(code=src) == "1001 255 105000000000\n"
+
+
+def test_a_valid_module_builds_no_parse_error(monkeypatch):
+    # the first item of a `(` that heads no arrow and is no parameter keeps
+    # its tokens; a ParseError is built only at a `=>`
+    built = []
+    init = ParseError.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ParseError, "__init__", counting)
+    for minify in (False, True):  # the module in the common bundle shape
+        front_end("(function(){" + synth_module(3, 64 * 1024) + "})();", "m.js", minify)
+    assert built == []
+    with pytest.raises(ParseError, match="expected parameter name"):
+        front_end("(a, 1) => a", "m.js", True)
+    assert [args[0] for args in built] == ["expected parameter name"] * 2  # the parse, the retry
+
+
 KEYWORD_PROPERTIES_DIVIDED = ["var o = {return: 12}; o.return / 2 / 3;", "var a = {}; a.delete / 2;"]
 
 
@@ -771,7 +824,7 @@ def scope_facts(src):
         [(node.kind, node.parent, node.is_dynamic) for node in tree.nodes],
         [(name, style, binding.scope_id) for name, _start, style, binding in occurrence_rows(tree)],
         [src[start:end] for start, end in candidates.strings],
-        [src[start:end] for start, _dot, end, _name in access_rows(candidates.accesses)],
+        [src[dot:end] for dot, end, _name in access_rows(candidates.accesses)],
     )
 
 
@@ -803,7 +856,7 @@ MODULE = ("module", None, False)
                 [MODULE, ("function", 0, False)],
                 [("a", "decl", 1), ("b", "decl", 1), ("o", None, -1), ("a", None, 1), ("b", None, 1)],
                 ['"s"'],
-                ["o.p"],
+                [".p"],
             ),
         ),
         # with no `=>`, what the parentheses hold stays where they are

@@ -95,7 +95,7 @@ def rename_as_patches(table, rename_map):
 
 def test_renames_and_shorthands_from_the_occurrence_table():
     src = "var total = 1; var o = {total}; keep(total);"
-    total, keep = Binding("t.js", 0, "total"), Binding("t.js", -1, "keep")
+    total, keep = Binding(0, "total"), Binding(-1, "keep")
     table = occurrence_table(
         src,
         [("total", 4, DECL, total), ("total", 24, SHORTHAND, total),
@@ -107,7 +107,7 @@ def test_renames_and_shorthands_from_the_occurrence_table():
 
 def test_an_insertion_at_an_identifier_start_goes_before_it():
     src = "alpha(beta);"
-    alpha, beta = Binding("t.js", 0, "alpha"), Binding("t.js", 0, "beta")
+    alpha, beta = Binding(0, "alpha"), Binding(0, "beta")
     table = occurrence_table(src, [("alpha", 0, REF, alpha), ("beta", 6, REF, beta)])
     rename_map = renamed([(alpha, "a"), (beta, "b")])
     patches = [Patch(6, 6, "["), Patch(0, 0, "var p;\n")]
@@ -117,7 +117,7 @@ def test_an_insertion_at_an_identifier_start_goes_before_it():
 @pytest.mark.parametrize("span", [(0, 3), (2, 7), (0, 5), (4, 9)])
 def test_a_patch_overlapping_a_rename_is_rejected(span):
     src = "alpha.beta;"
-    alpha = Binding("t.js", 0, "alpha")
+    alpha = Binding(0, "alpha")
     table = occurrence_table(src, [("alpha", 0, REF, alpha)])
     with pytest.raises(OverlappingPatches):
         emit(src, [Patch(*span, "x")], table, renamed([(alpha, "a")]))
@@ -127,7 +127,7 @@ def test_a_patch_overlapping_a_rename_is_rejected(span):
 
 def test_renames_and_patches_match_the_patch_oracle_in_any_table_order():
     rng = random.Random(7)
-    bindings = [Binding("t.js", 0, name) for name in ("ab", "cd", "efg", "h")]
+    bindings = [Binding(0, name) for name in ("ab", "cd", "efg", "h")]
     for _ in range(200):
         words = [rng.choice(bindings).name for _ in range(rng.randrange(1, 12))]
         src = " ".join(words)

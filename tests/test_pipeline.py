@@ -507,10 +507,10 @@ def test_internal_error_copies_the_file_and_the_run_goes_on(tmp_path, monkeypatc
     assert multiprocessing.get_start_method() == "fork"
     original = pipeline.check_safety
 
-    def failing(trees, rename_map):
-        if trees[0].file_id == "bad.js":
+    def failing(tree, rename_map):
+        if tree.file_id == "bad.js":
             raise RuntimeError("injected layer failure")
-        return original(trees, rename_map)
+        return original(tree, rename_map)
 
     monkeypatch.setattr(pipeline, "check_safety", failing)
     files = {
@@ -608,6 +608,7 @@ def test_file_task_peak_memory_per_input_byte(tmp_path):
     assert result["status"] == "ok" and peak / len(text) < 18.0
 
 
+@pytest.mark.slow
 def test_front_end_transient_memory_is_small_on_a_large_file():
     # the front end's traced peak less what it returns, on a 1 MB minified
     # module: 12.9 MiB while the whole token list existed before the parse,
@@ -642,6 +643,7 @@ def traced_front_end(text, minify):
     return peak, retained
 
 
+@pytest.mark.slow
 def test_a_failing_front_end_peaks_near_a_valid_one():
     # a 1 MB minified module, and the same with a syntax error at its end.
     # While the parse as read ran inside the handler of the minified parse's

@@ -300,7 +300,7 @@ def test_each_declaration_is_one_binding_that_resolve_returns():
     for node in tree.nodes:
         for name, binding in node.declarations.items():
             assert isinstance(binding, Binding)
-            assert (binding.file_id, binding.scope_id, binding.name) == ("one.js", node.id, name)
+            assert (binding.scope_id, binding.name) == (node.id, name)
             assert tree.resolve(name, node.id) is binding
             for child in node.children:
                 if name not in tree.nodes[child].declarations:
@@ -309,7 +309,7 @@ def test_each_declaration_is_one_binding_that_resolve_returns():
     console = tree.resolve("console", 0)
     assert console.is_global() and console is tree.resolve("console", 1)
     assert tree.globals == {"console": console}
-    # bindings compare by identity, not by their (file, scope, name) triple
-    copy = Binding("one.js", 0, "x")
+    # bindings compare by identity, not by their (scope, name) pair
+    copy = Binding(0, "x")
     assert copy != tree.nodes[0].declarations["x"]
     assert len({copy, tree.nodes[0].declarations["x"]}) == 2

@@ -5,14 +5,13 @@ from scopeshield.patches import Patch, emit
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
 from scopeshield.transforms import (
-    INSTRUMENT_COUNTER,
     decode_payload,
     encode_payload,
     encode_strings,
     rewrite_property_access,
 )
 
-from conftest import run_node
+from conftest import COUNT_FROM_CHAR_CODE, run_node
 from corpusgen import GENERATORS
 
 
@@ -25,17 +24,17 @@ def fresh():
     return name_sequence(excluded=frozenset())
 
 
-def encode(src, candidates, key, instrument=False):
-    return encode_strings(key, fresh(), src, candidates.strings, instrument=instrument)
+def encode(src, candidates, key):
+    return encode_strings(key, fresh(), src, candidates.strings)
 
 
 def rewrite_props(candidates):
     return rewrite_property_access(fresh(), candidates.accesses)
 
 
-def apply_strings(src, instrument=False, key=7):
+def apply_strings(src, key=7):
     candidates = setup(src)
-    patches, preamble, _table = encode(src, candidates, key, instrument)
+    patches, preamble, _table = encode(src, candidates, key)
     if preamble:
         insert = candidates.preamble_offset
         patches.append(Patch(insert, insert, preamble + "\n"))
@@ -68,11 +67,12 @@ def test_decode_runs_once_for_thousand_calls():
         'function speak() { return "hi there"; }\n'
         "var out = [];\n"
         "for (var i = 0; i < 1000; i++) { out.push(speak()); }\n"
-        f"console.log(out[999], globalThis.{INSTRUMENT_COUNTER});\n"
+        "console.log(out[999]);\n"
     )
-    transformed = apply_strings(src, instrument=True)
+    transformed = apply_strings(src)
     assert '"hi there"' not in transformed
-    assert run_node(code=transformed) == "hi there 1\n"
+    # one String.fromCharCode call per decoded character: one table decode
+    assert run_node(code=COUNT_FROM_CHAR_CODE + transformed) == "hi there\n8\n"
 
 
 def test_duplicate_literals_share_one_table_entry():

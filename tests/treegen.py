@@ -44,7 +44,7 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
         order += 1
         start = scope.start + len(scope.declarations) + 1
         category = rng.choice(["var", "lexical", "param"])
-        scope.declarations[name] = Binding(file_id, scope.id, name, (start, start + len(name)), category, order)
+        scope.declarations[name] = Binding(scope.id, name, category, order)
         tree.occurrences.add(name, start, scope.id, DECL)
         placed += 1
 
