@@ -10,8 +10,7 @@ where each gap lexes to no token. With ``minify`` the same pass writes the
 minified text: the input runs between gaps are copied, each gap becomes one
 separator, and the spans are shifted to index that text. Template literals
 with interpolation are emitted as several ``template-literal`` chunks with
-the interpolated expressions lexed normally in between. ``tokenize`` drains
-the generator into one list.
+the interpolated expressions lexed normally in between.
 """
 
 import re
@@ -52,7 +51,7 @@ _OTHER_PUNCT = "|".join(
     ]
     + ["[%s]" % re.escape("".join(sorted(_PUNCT_1 - {"/"})))]
 )
-# One alternative per token class; ``tokenize`` dispatches on the group
+# One alternative per token class; ``lex`` dispatches on the group
 # number. Every character starts a match, so the matches are contiguous.
 _TOKEN_RE = re.compile(
     "|".join(
@@ -78,6 +77,8 @@ _REGEX_RE = re.compile(
     r"/(?:[^/\\\[{0}]|\\[^{0}]|\[(?:[^\]\\{0}]|\\[^{0}])*\])+/[A-Za-z]*".format(LINE_TERMINATORS)
 )
 _IDENT_START_RE = re.compile(r"[A-Za-z_$]")
+# a hashbang line, at offset 0 only
+_HASHBANG_RE = re.compile("#![^%s]*" % LINE_TERMINATORS)
 _LINE_TERMINATOR_RE = re.compile("[%s]" % LINE_TERMINATORS)
 # the template chunk that resumes at the `}` closing an interpolation
 _TEMPLATE_RESUME = re.compile(r"\}" + _TEMPLATE_BODY)
@@ -104,14 +105,6 @@ _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 BATCH_TOKENS = 1000
 
 
-def tokenize(source, file_id="<input>", minify=False):
-    """The significant tokens of ``source``, as one list: ``lex`` drained."""
-    tokens = []
-    for batch in lex(source, file_id, minify):
-        tokens += batch
-    return tokens
-
-
 def lexed_text(source, file_id="<input>", minify=False):
     """The text the spans of ``lex`` index: ``lex`` drained."""
     stream = lex(source, file_id, minify)
@@ -132,10 +125,13 @@ def lex(source, file_id="<input>", minify=False):
     a line break (so automatic semicolon insertion and restricted
     productions behave as in the input), else ``" "`` where the two tokens
     would merge or re-shape without one, else nothing; the spans index that
-    text, which re-tokenizes to the same tokens and line breaks.
+    text, which re-tokenizes to the same tokens and line breaks. A hashbang
+    line at offset 0 is kept as written either way, and a line break still
+    parts it from the first token.
 
-    Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter with
-    the file id and the offset of the problem in ``source``.
+    Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter, or
+    UnsupportedSyntax for a private name or a non-ASCII identifier, with the
+    file id and the offset of the problem in ``source``.
     """
     batch = []
     append = batch.append
@@ -151,9 +147,11 @@ def lex(source, file_id="<input>", minify=False):
     delta = 0  # offset in the output text minus offset in ``source``
     parts = []  # minify: the output text so far
     copied = 0  # minify: ``source`` is copied up to here
+    # a hashbang line is no token and stays as written, also when minified
+    hashbang = _HASHBANG_RE.match(source)
     # where the next token starts: the matches are contiguous, so this is the
     # end of the last match, and a token's start shares that int object
-    pos = 0
+    pos = hashbang.end() if hashbang else 0
     restart = True
     while restart:
         restart = False
@@ -219,11 +217,13 @@ def lex(source, file_id="<input>", minify=False):
                 raise UnterminatedTemplate("unterminated template literal", file_id, pos)
             elif text == "#" and _IDENT_START_RE.match(source, end):
                 raise UnsupportedSyntax("private names are not supported", file_id, pos)
+            elif ("_" + text).isidentifier():  # the ASCII ones matched group 3
+                raise UnsupportedSyntax("non-ASCII identifiers are not supported", file_id, pos)
             else:
                 raise InvalidCharacter(f"unexpected character {text!r}", file_id, pos)
             if gap is not None:
                 if minify:
-                    if prev is None:
+                    if prev is None and hashbang is None:
                         sep = ""
                     elif nl:
                         sep = "\n"

@@ -51,6 +51,8 @@ Facts by construct:
   block                  a block scope only if it directly holds a let,
                          const, class or function declaration; function
                          and catch bodies are their own scope's statements
+  switch                 a block scope from `{` to `}` only if one of its
+                         clauses directly holds such a declaration
   for (let / const ...)  a block scope from `for` to the end of the body
   catch                  a block scope from `catch` to its `}`; the
                          parameter is declared in it ("catch")
@@ -781,9 +783,13 @@ class _Parser:
         return self.last_end()
 
     def parse_switch(self):
+        """The case block is a scope if some clause directly holds a
+        lexical declaration, as a statement block is."""
         self.expect("switch")
         self.paren_head()
-        self.expect("{")
+        lbrace = self.expect("{")
+        lexical = False
+        self.enter_scope(BLOCK, lbrace.start)
         while not self.at("}"):
             if not (self.at("case") or self.at("default")):
                 self.error("expected 'case' or 'default'")
@@ -792,10 +798,15 @@ class _Parser:
                 self.summary.branch_points += 1
             self.expect(":")
             while not (self.at("case") or self.at("default") or self.at("}")):
-                if self.peek() is None:
+                t = self.peek()
+                if t is None:
                     self.error("unterminated switch body")
+                if t.kind == KEYWORD and t.text in _LEXICAL_STATEMENTS:
+                    lexical = True
                 self.parse_statement()
-        return self.advance().end
+        end = self.advance().end
+        self.leave_scope(end, keep=lexical)
+        return end
 
     def parse_try(self):
         self.expect("try")

@@ -3,11 +3,10 @@
 Transforms never rebuild source from an AST; they produce a list of byte-span
 replacements against the original text and ``emit`` applies them in one pass.
 Renames are not patches: ``emit`` reads them from the file's occurrence table
-as it goes, each occurrence's output name from the RenameMap, so a file holds
+as it goes, each occurrence's output name from the rename map, so a file holds
 no object per renamed identifier.
 """
 
-import operator
 from itertools import islice
 
 from .errors import OverlappingPatches
@@ -45,17 +44,19 @@ class Patch:
 _PIECE_PARTS = 1024
 
 
-def emit(source, patches, occurrences=None, rename_map=None):
-    """Apply ``patches`` and, with a ``rename_map``, the renames of
-    ``occurrences`` (an ``Occurrences`` table) to ``source``; return the new
-    text.
+def emit(source, patches, occurrences, rename_map):
+    """Apply ``patches`` and the renames of ``occurrences`` (an
+    ``Occurrences`` table, in start order as the parser reads it) to
+    ``source``; return the new text.
 
     Patches may arrive in any order; the list is sorted in place. Each
-    occurrence whose binding ``rename_map`` gives another name is rewritten
-    to it, a shorthand `{x}` to `{x: y}`. All edits apply in (start, end)
-    order, so an insertion at an identifier's start goes before it. Overlap
-    is an internal invariant violation and raises OverlappingPatches, which
-    makes the caller abort the file rather than emit corrupt output.
+    occurrence whose binding ``rename_map`` (``{Binding: output name}``)
+    gives another name is rewritten to it, a shorthand `{x}` to `{x: y}`.
+    All edits apply in (start, end) order, so an insertion at an
+    identifier's start goes before it. Overlap, or a renamed occurrence
+    out of start order, is an internal invariant violation and raises
+    OverlappingPatches, which makes the caller abort the file rather than
+    emit corrupt output.
     """
     patches.sort(key=_span)
     pieces = []
@@ -85,26 +86,21 @@ def _edits(patches, occurrences, rename_map):
     """(start, end, text) of each of the sorted ``patches`` and each rename,
     merged in (start, end) order."""
     done = 0  # the patches yielded
-    if rename_map is not None:
-        names, starts = occurrences.names, occurrences.starts
-        styles, bindings = occurrences.styles, occurrences.bindings
-        order = range(len(names))
-        if any(map(operator.gt, starts, islice(starts, 1, None))):
-            order = sorted(order, key=starts.__getitem__)
-        output_name = rename_map.names.get  # None: the binding keeps its name
-        for index in order:
-            name = names[index]
-            new_name = output_name(bindings[index])
-            if new_name is None or new_name == name:
-                continue
-            start = starts[index]
-            end = start + len(name)
-            while done < len(patches):
-                patch = patches[done]
-                if patch.start > start or patch.start == start and patch.end >= end:
-                    break
-                yield patch.start, patch.end, patch.replacement
-                done += 1
-            yield start, end, f"{name}: {new_name}" if styles[index] == SHORTHAND else new_name
+    names, starts = occurrences.names, occurrences.starts
+    styles, bindings = occurrences.styles, occurrences.bindings
+    output_name = rename_map.get  # None: the binding keeps its name
+    for index, name in enumerate(names):
+        new_name = output_name(bindings[index])
+        if new_name is None or new_name == name:
+            continue
+        start = starts[index]
+        end = start + len(name)
+        while done < len(patches):
+            patch = patches[done]
+            if patch.start > start or patch.start == start and patch.end >= end:
+                break
+            yield patch.start, patch.end, patch.replacement
+            done += 1
+        yield start, end, f"{name}: {new_name}" if styles[index] == SHORTHAND else new_name
     for patch in islice(patches, done, None):
         yield patch.start, patch.end, patch.replacement

@@ -46,7 +46,7 @@ from .externals import load_allowlist
 from .lexer import lexed_text
 from .parser import parse
 from .patches import Patch, emit
-from .renamer import RenameMap, check_safety, name_sequence, rename_tree
+from .renamer import check_safety, dump_lines, name_sequence, rename_tree
 from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
@@ -246,7 +246,7 @@ def process_file(config, allowlist, rel_path):
                     f"internal rename safety violation: {violations[0]!r}"
                 )
         else:
-            rmap = RenameMap()
+            rmap = {}
         occurrences = tree.occurrences
         del tree  # its scopes are read no more
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
@@ -256,7 +256,7 @@ def process_file(config, allowlist, rel_path):
         if config.encode_strings or config.rewrite_properties:
             used = set(allowlist)
             used.update(occurrences.names)
-            used.update(map(rmap.name_or_original, occurrences.bindings))
+            used.update(rmap.values())
             fresh = name_sequence(frozenset(used))
             preamble = ""
             # slot names are drawn before the string-table names
@@ -282,7 +282,7 @@ def process_file(config, allowlist, rel_path):
         out_text = emit(mtext, patches, occurrences, rmap)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
         if config.dump_renames:
-            result["rename_dump"] = rmap.dump_lines(rel_path)
+            result["rename_dump"] = dump_lines(rmap, rel_path)
     except FILE_FAILURES as exc:
         result["status"], result["error"] = file_failure(rel_path, exc)
         return result

@@ -13,7 +13,8 @@ is an independent oracle: it resolves every occurrence again, by its own
 walk under the renamed names, and reports any occurrence whose stored
 binding that walk does not reach. The renamed text is written by
 ``patches.emit``, which reads each occurrence's output name from the
-RenameMap.
+rename map, ``{Binding: output name}``; a binding absent from it keeps its
+name.
 """
 
 from collections import defaultdict
@@ -39,49 +40,13 @@ def name_sequence(excluded=frozenset(), alphabet=ALPHABET):
         length += 1
 
 
-def pool_name(index, excluded=frozenset(), alphabet=ALPHABET):
-    """The index-th name of the filtered pool."""
-    seq = name_sequence(excluded, alphabet)
-    for _ in range(index):
-        next(seq)
-    return next(seq)
-
-
-class RenameMap:
-    """Binding -> output name.
-
-    Bindings absent from the map are implicitly frozen to their original
-    name; ``name_or_original`` makes that total.
-    """
-
-    def __init__(self):
-        self.names = {}
-
-    def assign(self, binding, name):
-        self.names[binding] = name
-
-    def get(self, binding):
-        return self.names.get(binding)
-
-    def name_or_original(self, binding):
-        return self.names.get(binding, binding.name)
-
-    def __len__(self):
-        return len(self.names)
-
-    def __contains__(self, binding):
-        return binding in self.names
-
-    def items(self):
-        return self.names.items()
-
-    def dump_lines(self, file_id):
-        """`file#scopeId<TAB>original<TAB>renamed` lines of the map of file
-        ``file_id``, deterministic order."""
-        return sorted(
-            f"{file_id}#{binding.scope_id}\t{binding.name}\t{name}"
-            for binding, name in self.names.items()
-        )
+def dump_lines(rename_map, file_id):
+    """`file#scopeId<TAB>original<TAB>renamed` lines of the map of file
+    ``file_id``, deterministic order."""
+    return sorted(
+        f"{file_id}#{binding.scope_id}\t{binding.name}\t{name}"
+        for binding, name in rename_map.items()
+    )
 
 
 def ancestor_reference_map(tree, subtree_refs=True):
@@ -106,14 +71,13 @@ def ancestor_reference_map(tree, subtree_refs=True):
     return refs
 
 
-def forbidden_set(tree, scope_id, rename_map, anc_refs=None, subtree_refs=True):
-    """Names scope ``scope_id`` may not hand out.
+def forbidden_set(scope_id, rename_map, anc_refs):
+    """Names scope ``scope_id`` may not hand out, given the tree's
+    ``ancestor_reference_map``.
 
     Raises OrderViolation when an outer binding has not been renamed yet,
     which would mean scopes are being processed out of ancestor-first order.
     """
-    if anc_refs is None:
-        anc_refs = ancestor_reference_map(tree, subtree_refs)
     forbidden = set()
     for binding in anc_refs.get(scope_id, ()):
         if binding.is_global():
@@ -160,8 +124,9 @@ def frozen_bindings(tree, frozen_module_names=()):
 
 
 def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, alphabet=ALPHABET):
-    """Rename one file's tree; returns a RenameMap covering every binding."""
-    rename_map = RenameMap()
+    """Rename one file's tree; returns ``{Binding: output name}`` covering
+    every binding."""
+    rename_map = {}
     frozen = frozen_bindings(tree, frozen_module_names)
     anc_refs = ancestor_reference_map(tree, subtree_refs)
     # the enclosing function's Annex B binding of a block function may
@@ -175,20 +140,20 @@ def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, a
         node = tree.nodes[sid]
         if not node.declarations:
             continue
-        forbidden = forbidden_set(tree, sid, rename_map, anc_refs)
+        forbidden = forbidden_set(sid, rename_map, anc_refs)
         for name, binding in node.declarations.items():
             if binding in frozen:
                 forbidden.add(name)
         names = name_sequence(pool_excluded, alphabet)
         for binding in sorted(node.declarations.values(), key=Binding.rank):
             if binding in frozen:
-                rename_map.assign(binding, binding.name)
+                rename_map[binding] = binding.name
                 continue
             candidate = next(names)
             while candidate in forbidden:
                 candidate = next(names)
             forbidden.add(candidate)
-            rename_map.assign(binding, candidate)
+            rename_map[binding] = candidate
     return rename_map
 
 
@@ -221,7 +186,7 @@ def check_safety(tree, rename_map):
     for node in tree.nodes:
         mapping = {}
         for name, binding in node.declarations.items():
-            new_name = rename_map.name_or_original(binding)
+            new_name = rename_map.get(binding, binding.name)
             if new_name in mapping:
                 violations.append(
                     SafetyViolation(
@@ -237,7 +202,7 @@ def check_safety(tree, rename_map):
     for name, start, sid, binding in zip(
         occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
     ):
-        new_name = rename_map.name_or_original(binding)
+        new_name = rename_map.get(binding, binding.name)
         resolved = None
         while sid is not None:
             hit = renamed_decls[sid].get(new_name)
@@ -265,9 +230,4 @@ def check_safety(tree, rename_map):
                 )
             )
     return violations
-
-
-def cost(rename_map):
-    """Total weighted length: sum of |output name| * usage per binding."""
-    return sum(len(name) * binding.usage for binding, name in rename_map.items())
 

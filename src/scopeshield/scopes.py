@@ -9,12 +9,14 @@ program-wide) global scope; the tree keeps one Binding with
 var declarations hoist to the nearest function or module scope; let/const,
 class and function declarations bind in the nearest enclosing block (sloppy
 scripts also bind a block's function in its function: Annex B, for which
-the renamer keeps such names). A block gets a scope node only when it directly contains a
-lexical declaration. A scope that directly contains eval, `with` or a
-Function constructor call is flagged dynamic. Code in it or below it may
-read any name on its scope chain: the renamer freezes the bindings of the
-dynamic scope and its ancestors, and the parser drops the transform
-candidates read in the dynamic scope or below it.
+the renamer keeps such names). A block, or a switch's case block, gets a
+scope node only when it directly contains a lexical declaration. A
+declaration's occurrence stands in the scope where it is written, also a
+hoisted var's. A scope that directly contains eval, `with` or a Function
+constructor call is flagged dynamic. Code in it or below it may read any
+name on its scope chain: the renamer freezes the bindings of the dynamic
+scope and its ancestors, and the parser drops the transform candidates
+read in the dynamic scope or below it.
 
 A tree keeps its identifier occurrences as one table of parallel columns
 (``Occurrences``), not as an object per occurrence: a large bundle holds
@@ -45,21 +47,20 @@ _CATEGORY_RANK = {
 
 class Binding:
     """One declaration: the scope and name it binds, its category and
-    order, and how many occurrences resolve to it (the file is the tree's).
+    order (the file is the tree's).
 
     A global (``scope_id == GLOBAL_SCOPE``) is the tree's one record of a
     name read free. Bindings compare by identity: a declaration has exactly
     one Binding, which its scope's ``declarations`` holds.
     """
 
-    __slots__ = ("scope_id", "name", "category", "order", "usage")
+    __slots__ = ("scope_id", "name", "category", "order")
 
     def __init__(self, scope_id, name, category=None, order=0):
         self.scope_id = scope_id
         self.name = name
         self.category = category
         self.order = order
-        self.usage = 0
 
     def is_global(self):
         return self.scope_id == GLOBAL_SCOPE
@@ -167,13 +168,10 @@ class ScopeTree:
         return binding
 
     def resolve_occurrences(self):
-        """Resolve every occurrence once, store its Binding in the
-        ``bindings`` column and count the occurrence in that Binding's
-        usage."""
+        """Resolve every occurrence once and store its Binding in the
+        ``bindings`` column."""
         occ = self.occurrences
         occ.bindings = list(map(self.resolve, occ.names, occ.scope_ids))
-        for binding in occ.bindings:
-            binding.usage += 1
 
     def preorder(self):
         stack = [self.root]
@@ -207,12 +205,12 @@ class ScopeBuilder:
     scope), records references and marks the current scope dynamic.
     ``finish`` then resolves every occurrence once, as hoisting needs.
 
-    A statement block is entered like any scope, because whether it directly
-    holds a lexical declaration is known only at its `}`. Leaving it with
-    ``keep=False`` elides it: its child scopes, dynamic flag and
-    declarations (a lexical one nested in a bare `if` or `case` body) go to
-    its parent, and ``finish`` renumbers the remaining scopes in pre-order
-    and moves the occurrences read in it to the parent.
+    A statement block or a switch's case block is entered like any scope,
+    because whether it directly holds a lexical declaration is known only at
+    its `}`. Leaving it with ``keep=False`` elides it: its child scopes,
+    dynamic flag and declarations (a lexical one nested in a bare `if`
+    body) go to its parent, and ``finish`` renumbers the remaining scopes
+    in pre-order and moves the occurrences read in it to the parent.
 
     Whether a `(` heads an arrow is known only at the `=>` after its `)`, so
     the head is read in the current scope; ``enter_arrow`` then moves what
@@ -320,12 +318,15 @@ class ScopeBuilder:
         self._declare(self.function, tok, "var")
 
     def _declare(self, node, tok, category):
+        """Bind the name in ``node``; its occurrence stands in the current
+        scope, so the blocks between a ``var`` and its function forbid the
+        var's output name."""
         name = tok.text
         decls = node.declarations
         if name not in decls:
             self.order += 1
             decls[name] = Binding(node.id, name, category, self.order)
-        self.occurrences.add(name, tok.start, node.id, DECL)
+        self.occurrences.add(name, tok.start, self.scope.id, DECL)
 
     def reference(self, tok, style=REF):
         self.occurrences.add(tok.text, tok.start, self.scope.id, style)

@@ -5,6 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from scopeshield.lexer import lex
+from scopeshield.patches import emit
+from scopeshield.scopes import Occurrences
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 NODE = shutil.which("node")
@@ -34,6 +38,16 @@ COUNT_FROM_CHAR_CODE = (
     "String.fromCharCode=function(){n++;return f.apply(String,arguments);};"
     'process.on("exit",function(){console.log(n);});})();\n'
 )
+
+
+def lex_all(source, file_id="<input>", minify=False):
+    """The tokens of ``source``, as one list: ``lex`` drained."""
+    return [tok for batch in lex(source, file_id, minify) for tok in batch]
+
+
+def patched(source, patches):
+    """``source`` with ``patches`` applied by ``emit``, with no renames."""
+    return emit(source, patches, Occurrences(), {})
 
 
 def nl_before(tokens):

@@ -10,28 +10,22 @@ import os
 import random
 import shutil
 import time
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
 
 from scopeshield.equivalence import TestCase, run_differential
+from scopeshield.lexer import lexed_text
 from scopeshield.metrics import lzma_compressor, measure_tree_pair, nid
-from scopeshield.minify import minify
 from scopeshield.patches import emit
 from scopeshield.pipeline import ObfuscationConfig, front_end, obfuscate_project
-from scopeshield.renamer import (
-    RenameMap,
-    check_safety,
-    cost,
-    pool_name,
-    rename_tree,
-)
+from scopeshield.renamer import check_safety, name_sequence, rename_tree
 
 from conftest import COUNT_FROM_CHAR_CODE, run_node
 from corpusgen import build_corpus
 from scalegen import generate_scaling_corpus, synth_module
-from treegen import random_scope_tree, uniform_usage
+from treegen import random_scope_tree
 
 CORES = len(os.sched_getaffinity(0))
 
@@ -61,7 +55,7 @@ def desk_corpus(tmp_path_factory):
     src = root / "orig"
     src.mkdir()
     for idx, size in enumerate((50 * 1024, 150 * 1024, 600 * 1024, 5 * 1024 * 1024)):
-        text = minify(synth_module(7000 + idx, size))
+        text = lexed_text(synth_module(7000 + idx, size), minify=True)
         (src / f"app_{idx}.js").write_text(text, encoding="utf-8")
     obf = root / "obf"
     obfuscate_project(
@@ -127,17 +121,20 @@ def test_c2_oracle_flags_capture_when_tightening_disabled(node):
 
 # ---- criterion 3: greedy cost optimality at small scale ----
 
+def cost(rename_map):
+    """Sum of the output names' lengths: every binding weighs 1."""
+    return sum(len(name) for name in rename_map.values())
+
+
 def brute_force_min_cost(tree, alphabet="ab", pool_size=6):
     bindings = []
     for scope in tree.nodes:
         for name in sorted(scope.declarations):
             bindings.append(scope.declarations[name])
-    pool = [pool_name(i, alphabet=alphabet) for i in range(pool_size)]
+    pool = list(islice(name_sequence(alphabet=alphabet), pool_size))
     best = None
     for combo in product(pool, repeat=len(bindings)):
-        candidate = RenameMap()
-        for binding, new_name in zip(bindings, combo):
-            candidate.assign(binding, new_name)
+        candidate = dict(zip(bindings, combo))
         if check_safety(tree, candidate):
             continue
         total = cost(candidate)
@@ -150,7 +147,7 @@ def test_c3_greedy_matches_brute_force_minimum():
     rng = random.Random(31337)
     checked = 0
     while checked < 150:
-        tree = uniform_usage(random_scope_tree(rng, max_depth=3, max_bindings=4))
+        tree = random_scope_tree(rng, max_depth=3, max_bindings=4)
         bindings = sum(len(s.declarations) for s in tree.nodes)
         if not 1 <= bindings <= 4:
             continue

@@ -3,8 +3,8 @@ every ``__slots__`` entry is read somewhere in it, and no module imports
 another's private names.
 
 A name counts as used when some module of ``src/scopeshield`` mentions it as
-a bare name or as an attribute. Public names in ``__init__.__all__``, dunders
-and the few helpers listed in ``KEPT`` are exempt. A slot counts as read only
+a bare name or as an attribute; being exported is no use. Dunders and the
+few helpers listed in ``KEPT`` are exempt. A slot counts as read only
 when some module loads it as an attribute (``x.slot`` in a ``Load``
 context); a slot that is only ever written is state nothing reads.
 """
@@ -19,16 +19,6 @@ KEPT = {
     "bzip2_compressor": "public second compressor for NID, next to the default LZMA one",
     "save_cases": "writes the case manifest that load_cases and `verify --cases` read",
 }
-
-
-def _exported():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
 
 
 def _modules():
@@ -47,12 +37,11 @@ def test_every_definition_is_used_in_the_package():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    exempt = _exported() | set(KEPT)
     dead = {
         name: where
         for name, where in defined.items()
         if name not in used
-        and name not in exempt
+        and name not in KEPT
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert dead == {}

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
-from scopeshield.errors import InvalidCharacter, UnterminatedString, UnterminatedTemplate
-from scopeshield.lexer import lexed_text, tokenize
-from scopeshield.minify import minify
+from scopeshield.errors import (
+    InvalidCharacter,
+    UnsupportedSyntax,
+    UnterminatedString,
+    UnterminatedTemplate,
+)
+from scopeshield.lexer import lexed_text
 from scopeshield.tokens import IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
-from conftest import nl_before
+from conftest import lex_all, nl_before
 from corpusgen import GENERATORS
 
 
@@ -33,23 +37,23 @@ def assert_lossless(text, tokens):
         assert text[tok.start : tok.end] == tok.text
         end = tok.end
     between = gaps(text, tokens)
-    assert all(tokenize(gap) == [] for gap in between)
+    assert all(lex_all(gap) == [] for gap in between)
     assert nl_before(tokens) == {
         i for i, gap in enumerate(between[:-1]) if any(c in gap for c in "\n\r\u2028\u2029")
     }
 
 
 def test_simple_statement_token_kinds():
-    tokens = tokenize("var a=1;")
+    tokens = lex_all("var a=1;")
     assert kinds(tokens) == [KEYWORD, IDENT, PUNCT, NUMBER, PUNCT]
     assert [t.text for t in tokens] == ["var", "a", "=", "1", ";"]
     assert [(t.start, t.end) for t in tokens] == [(0, 3), (4, 5), (5, 6), (6, 7), (7, 8)]
 
 
 def test_empty_input_gives_empty_sequence():
-    assert tokenize("") == []
+    assert lex_all("") == []
     assert lexed_text("") == ""
-    assert tokenize("  // only a comment\n", minify=True) == []
+    assert lex_all("  // only a comment\n", minify=True) == []
 
 
 def test_round_trip_over_generated_corpus():
@@ -57,42 +61,42 @@ def test_round_trip_over_generated_corpus():
     for gen in GENERATORS:
         for _ in range(5):
             for text in gen(rng).values():
-                assert_lossless(text, tokenize(text))
+                assert_lossless(text, lex_all(text))
 
 
 def test_spans_are_monotonic_and_cover_input():
     src = 'function f(x) { return x + "one" + `t${x}` / 2; } // done'
-    tokens = tokenize(src)
+    tokens = lex_all(src)
     assert_lossless(src, tokens)
     assert set(gaps(src, tokens)) == {"", " ", " // done"}
 
 
 def test_line_break_flags():
     src = "a\n/* one\n */ b /* two */ c // three\r\n  d\re"
-    tokens = tokenize(src)
+    tokens = lex_all(src)
     assert [t.text for t in tokens] == ["a", "b", "c", "d", "e"]
     assert nl_before(tokens) == {1, 3, 4}
-    assert nl_before(tokenize("\n\nx")) == {0}
-    assert nl_before(tokenize("\n\nx", minify=True)) == set()
+    assert nl_before(lex_all("\n\nx")) == {0}
+    assert nl_before(lex_all("\n\nx", minify=True)) == set()
 
 
 def test_line_and_paragraph_separators_break_lines():
     src = "a\u2028b /* \u2029 */ c // d\u2028e"
-    tokens = tokenize(src)
+    tokens = lex_all(src)
     assert [t.text for t in tokens] == ["a", "b", "c", "e"]
     assert nl_before(tokens) == {1, 2, 3}
     assert_lossless(src, tokens)
-    assert minify(src) == "a\nb\nc\ne"
+    assert lexed_text(src, minify=True) == "a\nb\nc\ne"
     # a regular expression literal cannot hold one; a string literal can
-    assert REGEX not in kinds(tokenize("x = /a\u2028b/"))
+    assert REGEX not in kinds(lex_all("x = /a\u2028b/"))
     with pytest.raises(InvalidCharacter):
-        tokenize("x = /a\\\u2029b/")  # nor after a backslash
-    assert REGEX not in kinds(tokenize("x = /[\u2028]/"))
-    assert kinds(tokenize('"a\u2028b\u2029c"')) == [STRING]
+        lex_all("x = /a\\\u2029b/")  # nor after a backslash
+    assert REGEX not in kinds(lex_all("x = /[\u2028]/"))
+    assert kinds(lex_all('"a\u2028b\u2029c"')) == [STRING]
 
 
 def test_template_interpolation_is_chunked():
-    tokens = tokenize("`a${x}b${y}c`")
+    tokens = lex_all("`a${x}b${y}c`")
     assert kinds(tokens) == [TEMPLATE, IDENT, TEMPLATE, IDENT, TEMPLATE]
     assert tokens[0].text == "`a${"
     assert tokens[2].text == "}b${"
@@ -101,63 +105,86 @@ def test_template_interpolation_is_chunked():
 
 def test_template_with_nested_braces():
     src = "`v${ {a: 1}.a }w`"
-    tokens = tokenize(src)
+    tokens = lex_all(src)
     assert tokens[0].kind == TEMPLATE
     assert tokens[-1].kind == TEMPLATE
     assert_lossless(src, tokens)
 
 
 def test_regex_vs_division():
-    assert REGEX not in kinds(tokenize("a = b / c / d;"))
-    assert kinds(tokenize("a = /b+/g.test(s);"))[2] == REGEX
-    toks = tokenize("return /ab[/]c/;")
+    assert REGEX not in kinds(lex_all("a = b / c / d;"))
+    assert kinds(lex_all("a = /b+/g.test(s);"))[2] == REGEX
+    toks = lex_all("return /ab[/]c/;")
     assert kinds(toks)[1] == REGEX and toks[1].text == "/ab[/]c/"
     # a comment between a value and the `/` changes nothing
-    assert REGEX not in kinds(tokenize("a /* c */ / b / c"))
-    assert kinds(tokenize("x = /* c */ /b/g"))[2] == REGEX
+    assert REGEX not in kinds(lex_all("a /* c */ / b / c"))
+    assert kinds(lex_all("x = /* c */ /b/g"))[2] == REGEX
 
 
 def test_comments_and_strings():
     src = "/* block */ 'it\\'s' // tail"
-    toks = tokenize(src)
+    toks = lex_all(src)
     assert kinds(toks) == [STRING]
     assert (toks[0].text, toks[0].start, nl_before(toks)) == ("'it\\'s'", 12, set())
-    assert minify(src) == "'it\\'s'"
+    assert lexed_text(src, minify=True) == "'it\\'s'"
 
 
 def test_unterminated_string_reports_offset():
     with pytest.raises(UnterminatedString) as err:
-        tokenize('var a = "oops', file_id="f.js")
+        lex_all('var a = "oops', file_id="f.js")
     assert err.value.offset == 8
     assert err.value.file_id == "f.js"
 
 
 def test_unterminated_template_reports_offset():
     with pytest.raises(UnterminatedTemplate) as err:
-        tokenize("var t = `broken ${x", file_id="f.js")
+        lex_all("var t = `broken ${x", file_id="f.js")
     assert err.value.offset == 8  # points at the opening backtick
     with pytest.raises(UnterminatedTemplate):
-        tokenize("var t = `no close")
+        lex_all("var t = `no close")
 
 
 def test_invalid_character():
     with pytest.raises(InvalidCharacter) as err:
-        tokenize("var a = 1 # 2", file_id="f.js")
+        lex_all("var a = 1 # 2", file_id="f.js")
     assert err.value.offset == 10
     # a block comment that never closes is no regular expression either
     for src in ("a /* open", "x = /* open/"):
         with pytest.raises(InvalidCharacter) as err:
-            tokenize(src, minify=True)
+            lex_all(src, minify=True)
         assert err.value.offset == src.index("/*")
+
+
+def test_non_ascii_identifier_is_unsupported():
+    src = "var café = 1; console.log(café);"
+    with pytest.raises(UnsupportedSyntax) as err:
+        lex_all(src)
+    assert err.value.offset == src.index("é")
+    with pytest.raises(InvalidCharacter):  # not an identifier character
+        lex_all("var a = 1 \u2014 2;")
+
+
+def test_hashbang_line_is_kept_as_written():
+    src = "#!/usr/bin/env node --flag\n\n  // c\nvar a = 1;\n"
+    tokens = lex_all(src)
+    assert [t.text for t in tokens] == ["var", "a", "=", "1", ";"]
+    assert tokens[0].start == src.index("var") and tokens[0].nl
+    assert lexed_text(src) == src
+    assert lexed_text(src, minify=True) == "#!/usr/bin/env node --flag\nvar a=1;"
+    assert lexed_text("#!x", minify=True) == "#!x"
+    assert lex_all("#!x\r\n", minify=True) == []
+    # only at offset 0
+    with pytest.raises(InvalidCharacter):
+        lex_all(" #!x\n")
 
 
 def test_numeric_forms():
     src = "1 2.5 .5 1e3 0x1F 0b101 0o17 10n 1.e2"
-    toks = [t for t in tokenize(src) if t.kind == NUMBER]
+    toks = [t for t in lex_all(src) if t.kind == NUMBER]
     assert [t.text for t in toks] == ["1", "2.5", ".5", "1e3", "0x1F", "0b101", "0o17", "10n", "1.e2"]
 
 
 def test_question_dot_before_a_digit_is_a_conditional():
-    toks = tokenize("a?.5:b")
+    toks = lex_all("a?.5:b")
     assert [t.text for t in toks] == ["a", "?", ".5", ":", "b"]
-    assert [t.text for t in tokenize("a?.b")] == ["a", "?.", "b"]
+    assert [t.text for t in lex_all("a?.b")] == ["a", "?.", "b"]

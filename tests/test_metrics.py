@@ -11,9 +11,10 @@ from scopeshield.metrics import (
     nid,
     size_inflation,
 )
-from scopeshield.patches import emit
 from scopeshield.pipeline import front_end
 from scopeshield.scopes import FUNCTION
+
+from conftest import patched
 
 
 def test_inflation_basic():
@@ -22,7 +23,7 @@ def test_inflation_basic():
 
 def test_inflation_identity_is_zero():
     src = "var a = 1;"
-    assert size_inflation(len(src), len(emit(src, []))) == 0.0
+    assert size_inflation(len(src), len(patched(src, []))) == 0.0
 
 
 def test_inflation_zero_input_rejected():

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scopeshield.errors import LexError
-from scopeshield.minify import minify
-from scopeshield.lexer import tokenize
+from scopeshield.lexer import lexed_text
 
-from conftest import nl_before, run_node
+from conftest import lex_all, nl_before, run_node
 from corpusgen import GENERATORS
 
 
@@ -21,39 +20,39 @@ def significant(tokens):
 
 def test_strips_comments_and_indentation():
     src = "function f() {\n    // add\n    return 1 + 2;  /* done */\n}\n"
-    out = minify(src)
+    out = lexed_text(src, minify=True)
     assert "//" not in out and "/*" not in out
     assert "    " not in out
-    assert significant(tokenize(out)) == significant(tokenize(src))
+    assert significant(lex_all(out)) == significant(lex_all(src))
 
 
 def test_idempotent():
     src = "var a = 1;\n\n\nvar b = 2;   // x\n"
-    once = minify(src)
-    assert minify(once) == once
+    once = lexed_text(src, minify=True)
+    assert lexed_text(once, minify=True) == once
 
 
 def test_significant_tokens_preserved_across_corpus():
     rng = random.Random(3)
     for gen in GENERATORS:
         for text in gen(rng).values():
-            out = minify(text)
-            assert significant(tokenize(out)) == significant(tokenize(text))
+            out = lexed_text(text, minify=True)
+            assert significant(lex_all(out)) == significant(lex_all(text))
             assert len(out) <= len(text)
 
 
 def assert_relexes_alike(text):
     """The minified text lexes to the tokens, spans and line breaks the
     minifying pass gave, and minifying it again changes nothing."""
-    minified = tokenize(text, minify=True)
-    out = minify(text)
-    relexed = tokenize(out)
+    minified = lex_all(text, minify=True)
+    out = lexed_text(text, minify=True)
+    relexed = lex_all(out)
     assert [(t.kind, t.text, t.start, t.end) for t in relexed] == [
         (t.kind, t.text, t.start, t.end) for t in minified
     ]
     assert nl_before(relexed) == nl_before(minified)
-    assert minify(out) == out
-    assert significant(minified) == significant(tokenize(text))
+    assert lexed_text(out, minify=True) == out
+    assert significant(minified) == significant(lex_all(text))
 
 
 def test_minified_text_relexes_to_the_same_tokens():
@@ -62,6 +61,7 @@ def test_minified_text_relexes_to_the_same_tokens():
         for _ in range(3):
             for text in gen(rng).values():
                 assert_relexes_alike(text)
+                assert_relexes_alike("#!/usr/bin/env node\n" + text)
 
 
 # tokens and gaps whose neighbours can merge, re-shape or change the lexical
@@ -84,7 +84,7 @@ FRAGMENTS = [
 def test_minify_relexes_alike_on_fragment_soup(fragments):
     text = "".join(fragments)
     try:
-        tokenize(text)
+        lex_all(text)
     except LexError:
         return
     assert_relexes_alike(text)
@@ -92,30 +92,30 @@ def test_minify_relexes_alike_on_fragment_soup(fragments):
 
 def test_newlines_are_kept_for_asi():
     src = "function f() {\n  return\n  1;\n}\nconsole.log(f());\n"
-    out = minify(src)
+    out = lexed_text(src, minify=True)
     assert "return\n" in out  # removing this newline would change semantics
     assert run_node(code=src) == run_node(code=out)
 
 
 def test_keeps_space_between_wordlike_tokens():
-    assert minify("var x = typeof   value;") == "var x=typeof value;"
+    assert lexed_text("var x = typeof   value;", minify=True) == "var x=typeof value;"
 
 
 def test_keeps_space_between_hazardous_punctuators():
     src = "a = b + +c - -d;"
-    out = minify(src)
+    out = lexed_text(src, minify=True)
     assert "+ +" in out and "- -" in out
-    assert significant(tokenize(out)) == significant(tokenize(src))
+    assert significant(lex_all(out)) == significant(lex_all(src))
 
 
 def test_number_dot_hazard():
-    out = minify("var s = 1 .toString();")
+    out = lexed_text("var s = 1 .toString();", minify=True)
     assert "1 ." in out
 
 
 def test_template_content_untouched():
     src = "var t = `a  b\n\n c ${ x  +  1 }`;"
-    out = minify(src)
+    out = lexed_text(src, minify=True)
     assert "`a  b\n\n c ${" in out
 
 
@@ -128,4 +128,4 @@ def test_template_content_untouched():
 )
 def test_differential_execution(snippet, expected):
     assert run_node(code=snippet) == expected
-    assert run_node(code=minify(snippet)) == expected
+    assert run_node(code=lexed_text(snippet, minify=True)) == expected

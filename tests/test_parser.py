@@ -5,14 +5,14 @@ import subprocess
 import pytest
 
 from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
-from scopeshield.lexer import BATCH_TOKENS, tokenize
+from scopeshield.lexer import BATCH_TOKENS
 from scopeshield.parser import string_value
 from scopeshield.pipeline import FILE_FAILURES, ObfuscationConfig, front_end, obfuscate_project
 from scopeshield.scopes import DECL, FUNCTION, REF, SHORTHAND
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import access_rows, nl_before, run_node
+from conftest import access_rows, lex_all, nl_before, run_node
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
@@ -521,7 +521,7 @@ def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node
         text = path.read_text(encoding="utf-8")
         if front_end(text, "m.js", minify=False)[3].module_syntax:
             continue  # vm.Script compiles scripts only
-        for tok in tokenize(text):
+        for tok in lex_all(text):
             if tok.kind == PUNCT and tok.text == ",":
                 mutants.append(text[: tok.start] + text[tok.end :])
     node_accepts = node_compiles(node, mutants)
@@ -660,7 +660,7 @@ def test_valid_syntax_outside_the_subset_is_unsupported(src, message, tmp_path, 
 
 def test_a_numeric_separator_is_one_number(tmp_path, node):
     src = "var n = 1_000, h = 0xf_f, e = 1_0.5e1_0; console.log(n + 1, h, e);\n"
-    assert [t.text for t in tokenize(src) if t.kind == "numeric-literal"] == ["1_000", "0xf_f", "1_0.5e1_0", "1"]
+    assert [t.text for t in lex_all(src) if t.kind == "numeric-literal"] == ["1_000", "0xf_f", "1_0.5e1_0", "1"]
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "n.js").write_text(src, encoding="utf-8")
     out = tmp_path / "out"
@@ -694,7 +694,7 @@ KEYWORD_PROPERTIES_DIVIDED = ["var o = {return: 12}; o.return / 2 / 3;", "var a 
 def test_a_slash_after_a_keyword_property_name_divides(node):
     assert node_compiles(node, KEYWORD_PROPERTIES_DIVIDED) == [True, True]
     for src in KEYWORD_PROPERTIES_DIVIDED:
-        tokens = tokenize(src)
+        tokens = lex_all(src)
         assert [t.text for t in tokens if t.kind == PUNCT and t.text == "/"] == ["/"] * src.count("/")
         parse_src(src)
 
@@ -892,7 +892,7 @@ def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
     # token after it, at stream position ``at``, is the last of a batch,
     # the first of the next, or the one after that
     src = filler(BATCH_TOKENS - 8) + ";" * (at - BATCH_TOKENS + 5) + "x=1\ny=2;"
-    assert nl_before(tokenize(src)) == {at}
+    assert nl_before(lex_all(src)) == {at}
     for minify in (False, True):
         _tree, _candidates, summary = front_end(src, "m.js", minify)[1:]
         assert summary.free_names == ["x", "y"]

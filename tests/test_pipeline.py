@@ -16,7 +16,7 @@ import scopeshield.cli as cli
 import scopeshield.pipeline as pipeline
 from scopeshield.errors import FatalConfigError, ParseError
 from scopeshield.externals import load_allowlist
-from scopeshield.minify import minify
+from scopeshield.lexer import lexed_text
 from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
     ObfuscationConfig,
@@ -577,7 +577,7 @@ def test_front_end_peak_memory_per_input_byte():
     # before the parse began. Streaming the tokens into the parser brings
     # it to 18.1. The bound sits between the two: it fails if a file-sized
     # token list comes back, and leaves room for allocator noise.
-    text = minify(synth_module(5, 256 * 1024))
+    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
     gc.collect()
     tracemalloc.start()
     try:
@@ -595,7 +595,7 @@ def test_file_task_peak_memory_per_input_byte(tmp_path):
     # alive through the emit; 12.3 with the occurrences and the accesses
     # kept as columns, the renames emitted straight from them and the tree
     # and candidates freed before the emit. The bound sits between the two.
-    text = minify(synth_module(5, 256 * 1024))
+    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
     (tmp_path / "m.js").write_text(text, encoding="utf-8")
     config = ObfuscationConfig(input_root=str(tmp_path), output_root=str(tmp_path / "out"))
     gc.collect()
@@ -616,7 +616,7 @@ def test_front_end_transient_memory_is_small_on_a_large_file():
     # wrapped in `(function(){...})();`, the common bundle shape, peaked at
     # 24.0 MiB while an arrow check scanned each parenthesized expression
     # to its `)` ahead of the parse; a `(` is now read once, by the parse.
-    module = minify(synth_module(7, 1024 * 1024))
+    module = lexed_text(synth_module(7, 1024 * 1024), minify=True)
     for text in (module, "(function(){" + module + "})();"):
         gc.collect()
         tracemalloc.start()
@@ -649,7 +649,7 @@ def test_a_failing_front_end_peaks_near_a_valid_one():
     # While the parse as read ran inside the handler of the minified parse's
     # error, both parses' facts were alive at once: 36.3 MiB against 17.9
     # for the valid module. The retry after the handler peaks at 19.8.
-    module = minify(synth_module(7, 1024 * 1024))
+    module = lexed_text(synth_module(7, 1024 * 1024), minify=True)
     gc.collect()
     valid = traced_front_end(module, minify=True)[0]
     failing = traced_front_end(module + "\nvar = ;\n", minify=True)[0]
@@ -741,7 +741,7 @@ def test_preamble_offset_skips_directives():
 
 
 def test_one_decoder_and_slot_map_per_file(tmp_path):
-    text = minify(synth_module(11, 40 * 1024))
+    text = lexed_text(synth_module(11, 40 * 1024), minify=True)
     write_project(tmp_path / "src", {"app.js": '"use strict";' + text})
     out = tmp_path / "out"
     obfuscate_project(ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out)))
@@ -796,7 +796,7 @@ def test_per_file_time_grows_linearly(tmp_path):
     times = {}
     for label, size in (("256k", 256 * 1024), ("1m", 1024 * 1024), ("4m", 4 * 1024 * 1024)):
         src = tmp_path / f"src_{label}"
-        write_project(src, {"app.js": minify(synth_module(4242, size))})
+        write_project(src, {"app.js": lexed_text(synth_module(4242, size), minify=True)})
         runs = []
         for rep in range(2):
             out = tmp_path / f"out_{label}"
@@ -1016,7 +1016,7 @@ def test_chunked_pool_matches_in_process_run(tmp_path, monkeypatch):
 
 
 def test_process_file_resolves_each_occurrence_once(tmp_path, monkeypatch):
-    write_project(tmp_path / "src", {"app.js": minify(synth_module(5, 16 * 1024))})
+    write_project(tmp_path / "src", {"app.js": lexed_text(synth_module(5, 16 * 1024), minify=True)})
     calls = Counter()
     original_resolve = ScopeTree.resolve
 
@@ -1078,6 +1078,44 @@ def test_computed_accessors_run_the_same(tmp_path, node):
     out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
     assert "store" not in out
     assert run_node(code=out) == run_node(code=src) == "4 items,total\n"
+
+
+# ---- scopes the renamer must see ----
+
+def test_a_var_in_a_block_is_not_renamed_to_the_blocks_let(tmp_path, node):
+    src = (
+        "function f(){ { var v = 1; let w = 2; g(w); } return v; }\n"
+        'function g(x){ console.log("g", x); }\nconsole.log(f());\n'
+    )
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert "var v" not in out
+    assert run_node(code=out) == run_node(code=src) == "g 2\n1\n"
+
+
+def test_a_let_in_a_switch_case_is_scoped_to_the_case_block(tmp_path, node):
+    src = (
+        'function outer(){ let y = "outer-y";\n'
+        '  function f(k){ var extra = "!";\n'
+        '    switch (k) { case 1: let y = "case-y"; console.log(y + extra); }\n'
+        "    return y; }\n"
+        "  console.log(f(1)); }\nouter();\n"
+    )
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert "outer-y" not in out  # the strings are encoded
+    assert run_node(code=out) == run_node(code=src) == "case-y!\nouter-y\n"
+
+
+@pytest.mark.parametrize("minify", [True, False])
+def test_a_hashbang_line_is_kept_first(tmp_path, node, minify):
+    hashbang = "#!/usr/bin/env node"
+    src = hashbang + '\n\n// greet\nvar message = "hello";\nconsole.log(message.length, message);\n'
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src}, minify=minify)["a.js"]
+    first, rest = out.split("\n", 1)
+    # the preamble, the decoder among it, goes after the hashbang line
+    assert first == hashbang and "hello" not in rest
+    assert rest.index("function") < rest.index("var message")
+    (tmp_path / "run.js").write_text(out, encoding="utf-8")
+    assert run_node(path=tmp_path / "run.js") == run_node(code=src) == "5 hello\n"
 
 
 # ---- U+2028 and U+2029 are line terminators ----

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -7,20 +7,18 @@ from scopeshield.errors import OrderViolation
 from scopeshield.patches import emit
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import (
-    RenameMap,
+    ALPHABET,
     ancestor_reference_map,
     check_safety,
-    cost,
+    dump_lines,
     forbidden_set,
     name_sequence,
-    pool_name,
     rename_tree,
 )
-from scopeshield.scopes import Binding
 from scopeshield.tokens import RESERVED_WORDS
 
 from conftest import run_node
-from treegen import random_scope_tree, uniform_usage
+from treegen import random_scope_tree
 
 
 def tree_of(src, file_id="t.js"):
@@ -34,13 +32,17 @@ def declared(tree, scope_id, name):
 
 # ---- name pool ----
 
+def pool_names(size, excluded=frozenset(), alphabet=ALPHABET):
+    """The first ``size`` names of the filtered pool."""
+    return list(islice(name_sequence(excluded, alphabet), size))
+
+
 def test_pool_first_name():
-    assert pool_name(0) == "a"
+    assert pool_names(1) == ["a"]
 
 
 def test_pool_rolls_to_two_letters():
-    assert pool_name(25) == "z"
-    assert pool_name(26) == "aa"
+    assert pool_names(27)[25:] == ["z", "aa"]
 
 
 def test_pool_skips_reserved_words():
@@ -58,23 +60,21 @@ def test_pool_lengths_non_decreasing():
 
 
 def test_pool_respects_excluded():
-    assert pool_name(0, excluded={"a", "b"}) == "c"
+    assert pool_names(1, excluded={"a", "b"}) == ["c"]
 
 
 # ---- forbidden sets ----
 
 def test_forbidden_empty_for_root_without_markers():
     tree = tree_of("var a = 1;")
-    assert forbidden_set(tree, tree.root, RenameMap()) == set()
+    assert forbidden_set(tree.root, {}, ancestor_reference_map(tree)) == set()
 
 
 def test_forbidden_contains_renamed_ancestor_referenced_inside():
     tree = tree_of("var outer = 1; function f(){ return outer; }")
-    rmap = RenameMap()
-    rmap.assign(declared(tree, 0, "outer"), "a")
-    rmap.assign(declared(tree, 0, "f"), "b")
+    rmap = {declared(tree, 0, "outer"): "a", declared(tree, 0, "f"): "b"}
     fn_scope = 1
-    assert "a" in forbidden_set(tree, fn_scope, rmap)
+    assert "a" in forbidden_set(fn_scope, rmap, ancestor_reference_map(tree))
 
 
 def test_unreferenced_ancestor_name_is_reusable():
@@ -91,7 +91,7 @@ def test_unreferenced_ancestor_name_is_reusable():
 def test_order_violation_when_ancestor_unrenamed():
     tree = tree_of("var outer = 1; function f(){ return outer; }")
     with pytest.raises(OrderViolation):
-        forbidden_set(tree, 1, RenameMap())
+        forbidden_set(1, {}, ancestor_reference_map(tree))
 
 
 # ---- renaming ----
@@ -132,33 +132,28 @@ def test_deterministic():
     tree1, tree2 = tree_of(src), tree_of(src)
     m1 = rename_tree(tree1)
     m2 = rename_tree(tree2)
-    assert m1.dump_lines("t.js") == m2.dump_lines("t.js")
+    assert dump_lines(m1, "t.js") == dump_lines(m2, "t.js")
 
 
 # ---- safety oracle ----
 
 def test_identity_map_is_safe():
     tree = tree_of("var a = 1; function f(b){ return a + b; }")
-    assert check_safety(tree, RenameMap()) == []
+    assert check_safety(tree, {}) == []
 
 
 def test_capture_is_flagged():
     # outer x renamed to "a" while the inner scope declares "a" and still
     # references x: the reference now resolves to the inner declaration
     tree = tree_of("var x = 1; function f(){ var y = 2; return x + y; }")
-    bad = RenameMap()
-    bad.assign(declared(tree, 0, "x"), "a")
-    bad.assign(declared(tree, 0, "f"), "f")
-    bad.assign(declared(tree, 1, "y"), "a")
+    bad = {declared(tree, 0, "x"): "a", declared(tree, 0, "f"): "f", declared(tree, 1, "y"): "a"}
     violations = check_safety(tree, bad)
     assert violations and any("captured" in v.reason for v in violations)
 
 
 def test_non_injective_scope_is_flagged():
     tree = tree_of("var p = 1; var q = 2; console.log(p + q);")
-    bad = RenameMap()
-    bad.assign(declared(tree, 0, "p"), "a")
-    bad.assign(declared(tree, 0, "q"), "a")
+    bad = {declared(tree, 0, "p"): "a", declared(tree, 0, "q"): "a"}
     violations = check_safety(tree, bad)
     assert any("two declarations" in v.reason for v in violations)
 
@@ -193,25 +188,12 @@ def test_renamer_output_safe_on_random_trees():
         assert check_safety(tree, rmap) == []
 
 
-# ---- cost ----
+# ---- greedy optimality ----
 
-def used_binding(name, usage):
-    binding = Binding(0, name)
-    binding.usage = usage
-    return binding
-
-
-def test_cost_single_binding():
-    m = RenameMap()
-    m.assign(used_binding("x", 3), "a")
-    assert cost(m) == 3
-
-
-def test_cost_weighted_lengths():
-    m = RenameMap()
-    m.assign(used_binding("x", 2), "a")
-    m.assign(used_binding("y", 1), "aa")
-    assert cost(m) == 2 * 1 + 1 * 2
+def total_length(rename_map):
+    """Sum of the output names' lengths: the cost when every binding is
+    used once."""
+    return sum(len(name) for name in rename_map.values())
 
 
 def brute_force_min_cost(tree, alphabet="ab", pool_size=8):
@@ -221,15 +203,13 @@ def brute_force_min_cost(tree, alphabet="ab", pool_size=8):
     for node in tree.nodes:
         for name in sorted(node.declarations):
             bindings.append(node.declarations[name])
-    pool = [pool_name(i, alphabet=alphabet) for i in range(pool_size)]
+    pool = pool_names(pool_size, alphabet=alphabet)
     best = None
     for combo in product(pool, repeat=len(bindings)):
-        candidate = RenameMap()
-        for binding, new_name in zip(bindings, combo):
-            candidate.assign(binding, new_name)
+        candidate = dict(zip(bindings, combo))
         if check_safety(tree, candidate):
             continue
-        total = cost(candidate)
+        total = total_length(candidate)
         if best is None or total < best:
             best = total
     return best
@@ -239,13 +219,13 @@ def test_greedy_matches_brute_force_on_small_trees():
     rng = random.Random(99)
     checked = 0
     while checked < 60:
-        tree = uniform_usage(random_scope_tree(rng, max_depth=3, max_bindings=4))
+        tree = random_scope_tree(rng, max_depth=3, max_bindings=4)
         n_bindings = sum(len(n.declarations) for n in tree.nodes)
         if not 1 <= n_bindings <= 4:
             continue
         greedy = rename_tree(tree, alphabet="ab")
         assert check_safety(tree, greedy) == []
-        greedy_cost = cost(greedy)
+        greedy_cost = total_length(greedy)
         oracle = brute_force_min_cost(tree)
         assert oracle is not None
         assert greedy_cost == oracle, f"greedy {greedy_cost} != brute force {oracle}"

@@ -76,6 +76,26 @@ def test_var_hoists_to_function_scope():
     assert "hoisted" in fn.declarations
     block = tree.nodes[2]
     assert "kept" in block.declarations and "hoisted" not in block.declarations
+    # the var's declaring occurrence stands in the block, which therefore
+    # forbids the var's output name
+    occurrences = tree.occurrences
+    assert list(zip(occurrences.names, occurrences.scope_ids)) == [
+        ("f", 0), ("hoisted", 2), ("kept", 2),
+    ]
+    assert occurrences.bindings[1] is fn.declarations["hoisted"]
+
+
+def test_switch_case_block_is_a_scope_only_for_lexical_declarations():
+    tree = tree_of("function f(k){ switch (k) { case 1: g(); break; default: var v; } }")
+    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION]
+    assert sorted(tree.nodes[1].declarations) == ["k", "v"]
+    tree = tree_of("function f(k){ switch (k) { case 1: let y = k; g(y); } return y; }")
+    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION, BLOCK]
+    case_block = tree.nodes[2]
+    assert list(case_block.declarations) == ["y"]
+    ys = [b for name, b in zip(tree.occurrences.names, tree.occurrences.bindings) if name == "y"]
+    # the declaration and `g(y)` read the case block's y; `return y` a global
+    assert ys[0] is ys[1] is case_block.declarations["y"] and ys[2].is_global()
 
 
 def test_catch_and_for_let_scopes():
@@ -128,9 +148,10 @@ def test_unknown_scope_raises():
 def test_usage_counts_match_occurrences():
     tree = tree_of("function f(a){ a; a; return a + 1; } var z = 0;")
     fn = tree.nodes[1]
+    uses = tree.occurrences.bindings
     # 3 references + the declaration site itself
-    assert fn.declarations["a"].usage == 4
-    assert tree.nodes[tree.root].declarations["z"].usage == 1
+    assert sum(b is fn.declarations["a"] for b in uses) == 4
+    assert sum(b is tree.nodes[tree.root].declarations["z"] for b in uses) == 1
 
 
 def test_function_expression_name_binds_in_own_scope():
@@ -284,6 +305,14 @@ def test_stored_binding_matches_resolve_on_corpus_programs(tmp_path):
     for path in paths:
         rel = path.relative_to(tmp_path).as_posix()
         assert_stored_bindings_match_resolve(tree_of(path.read_text(encoding="utf-8"), rel))
+
+
+def test_occurrence_starts_are_in_source_order_on_corpus_programs(tmp_path):
+    # the emit writes renames in table order, so it needs this order
+    build_corpus(tmp_path, count=200)
+    for path in sorted(tmp_path.rglob("*.js")):
+        starts = tree_of(path.read_text(encoding="utf-8"), path.name).occurrences.starts
+        assert list(starts) == sorted(starts), path.name
 
 
 def test_stored_binding_matches_resolve_on_random_trees():

@@ -1,7 +1,7 @@
 import random
 
 from scopeshield.parser import string_value
-from scopeshield.patches import Patch, emit
+from scopeshield.patches import Patch
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
 from scopeshield.transforms import (
@@ -11,7 +11,7 @@ from scopeshield.transforms import (
     rewrite_property_access,
 )
 
-from conftest import COUNT_FROM_CHAR_CODE, run_node
+from conftest import COUNT_FROM_CHAR_CODE, patched, run_node
 from corpusgen import GENERATORS
 
 
@@ -38,7 +38,7 @@ def apply_strings(src, key=7):
     if preamble:
         insert = candidates.preamble_offset
         patches.append(Patch(insert, insert, preamble + "\n"))
-    return emit(src, patches)
+    return patched(src, patches)
 
 
 # ---- payload codec ----
@@ -137,7 +137,7 @@ def test_property_access_rewritten_via_hoisted_slot():
     assert slots == sorted(slots)
     score_var = next(var for var, prop in slots if prop == "score")
     assert f'{score_var}="score"' in preamble
-    out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
+    out = patched(src, patches + [Patch(0, 0, preamble + "\n")])
     assert f"player[{score_var}]+=1" in out.replace(" ", "")
     assert run_node(code=out) == "42\n"
 
@@ -178,7 +178,7 @@ def test_delete_targets_skipped():
     src = "var o = {a: 1, b: 2};\ndelete o.a;\nconsole.log(o.b, o.a);"
     candidates = setup(src)
     patches, preamble, _slots = rewrite_props(candidates)
-    out = emit(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
+    out = patched(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
     assert "delete o.a" in out
     assert run_node(code=out) == "2 undefined\n"
 
@@ -190,7 +190,7 @@ def test_method_calls_keep_this_binding():
     )
     candidates = setup(src)
     patches, preamble, _slots = rewrite_props(candidates)
-    out = emit(src, patches + [Patch(0, 0, preamble + "\n")])
+    out = patched(src, patches + [Patch(0, 0, preamble + "\n")])
     assert run_node(code=out) == "15 15\n"
 
 
@@ -201,7 +201,7 @@ def apply_both(src):
     patches, preamble, _slots = rewrite_property_access(names, candidates.accesses)
     str_patches, str_pre, _table = encode_strings(7, names, src, candidates.strings)
     insert = candidates.preamble_offset
-    return emit(src, patches + str_patches + [Patch(insert, insert, preamble + str_pre + "\n")])
+    return patched(src, patches + str_patches + [Patch(insert, insert, preamble + str_pre + "\n")])
 
 
 def test_candidates_read_outside_a_dynamic_scope_holding_them_are_rewritten():

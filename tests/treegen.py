@@ -2,8 +2,8 @@
 
 Builds synthetic trees directly (no JS source) so the shapes cover arbitrary
 nesting, shadowing and reference patterns. Spans are synthetic but
-consistent; usage counts follow the same convention as the real builder
-(the declaration site counts as an occurrence).
+consistent; as in ``ScopeBuilder``, each declaration site is an occurrence
+of its binding.
 """
 
 from scopeshield.scopes import BLOCK, DECL, FUNCTION, MODULE, Binding, ScopeTree
@@ -66,11 +66,3 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
     tree.resolve_occurrences()
     return tree
 
-
-def uniform_usage(tree, usage=1):
-    """Overwrite usage counts so every binding weighs the same (the
-    assumption behind the greedy-optimality property)."""
-    for node in tree.nodes:
-        for binding in node.declarations.values():
-            binding.usage = usage
-    return tree
