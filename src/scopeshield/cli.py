@@ -149,7 +149,7 @@ def cmd_analyze(args):
             print(format_scope_report(tree))
     graph = build_dependency_graph(summaries, allowlist)
     frozen_by_file = {s.file_id: frozen_names(s) for s in summaries}
-    print(format_graph_report(graph, unresolved_imports(summaries, js_files), frozen_by_file))
+    print(format_graph_report(graph, unresolved_imports(summaries, set(js_files)), frozen_by_file))
     return 2 if had_errors else 0
 
 

@@ -62,16 +62,15 @@ def frozen_names(summary):
     return dict.fromkeys(sorted({local for local, _exported in summary.export_pairs}), "export")
 
 
-def unresolved_imports(summaries, files):
+def unresolved_imports(summaries, known_files):
     """The (importer, path) pairs of the summaries that match none of
-    ``files``, the project's JS files (copied ones too), in file order;
-    their imports stay external."""
-    known = set(files)
+    ``known_files``, the set of the project's JS files (copied ones too), in
+    file order; their imports stay external."""
     return [
         (summary.file_id, path)
         for summary in sorted(summaries, key=lambda s: s.file_id)
         for path, _names in summary.imports
-        if resolve_import(summary.file_id, path, known) is None
+        if resolve_import(summary.file_id, path, known_files) is None
     ]
 
 

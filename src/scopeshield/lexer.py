@@ -90,10 +90,13 @@ _REGEX_AFTER_KEYWORD = frozenset(
     await
     """.split()
 )
-# `)` `]` end value expressions; `}` is treated as ending one too, which is
-# right for object literals but wrong after a block: `if (s) {}` and then
-# `/a,b/.test(s)` on the next line is refused (ROADMAP item 4).
+# `)` `]` end value expressions, except the `)` that closes the head of an
+# `if`, `while`, `for` or `with`: a statement starts behind it. `}` is
+# treated as ending one too, which is right for object literals but wrong
+# after a block: `if (s) {}` and then `/a,b/.test(s)` on the next line is
+# refused (ROADMAP item 4).
 _NO_REGEX_AFTER_PUNCT = frozenset({")", "]", "}", "++", "--"})
+_HEAD_KEYWORDS = frozenset({"if", "while", "for", "with"})
 
 _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 
@@ -140,6 +143,9 @@ def lex(source, file_id="<input>", minify=False):
     room = BATCH_TOKENS  # tokens the batch has room for
     # Each entry: [`{` nesting depth inside one interpolation, template start]
     template_stack = []
+    # one flag per open `(`: whether it opens a statement head
+    paren_heads = []
+    head_closed = False  # whether the last `)` closed a statement head
     prev = None  # the last token
     before = None  # the token before it
     gap = None  # the whitespace and comments before the next token, if any
@@ -169,7 +175,16 @@ def lex(source, file_id="<input>", minify=False):
             # the most frequent classes first: punctuators, then words
             if group == 7:
                 kind = PUNCT
-                if template_stack:
+                if text == "(":
+                    paren_heads.append(
+                        prev is not None
+                        and prev.kind == KEYWORD
+                        and prev.text in _HEAD_KEYWORDS
+                        and not _is_property_name(before)
+                    )
+                elif text == ")":
+                    head_closed = paren_heads.pop() if paren_heads else False
+                elif template_stack:
                     top = template_stack[-1]
                     if text == "{":
                         top[0] += 1
@@ -198,7 +213,7 @@ def lex(source, file_id="<input>", minify=False):
                 kind = STRING
             elif group == 6:
                 kind = PUNCT
-                if _regex_allowed(prev, before):
+                if (head_closed and prev.text == ")") or _regex_allowed(prev, before):
                     m = _REGEX_RE.match(source, pos)
                     if m is not None:
                         kind = REGEX
@@ -269,16 +284,20 @@ def lex(source, file_id="<input>", minify=False):
 
 def _regex_allowed(prev, before):
     """Whether a `/` after the token ``prev``, which follows ``before``,
-    starts a regular expression. A keyword after `.` is a property name."""
+    starts a regular expression (a `)` that closes a statement head aside)."""
     if prev is None:
         return True
     if prev.kind == PUNCT:
         return prev.text not in _NO_REGEX_AFTER_PUNCT
     if prev.kind == KEYWORD:
-        return prev.text in _REGEX_AFTER_KEYWORD and not (
-            before is not None and before.kind == PUNCT and before.text == "."
-        )
+        return prev.text in _REGEX_AFTER_KEYWORD and not _is_property_name(before)
     return False
+
+
+def _is_property_name(before):
+    """Whether a keyword after the token ``before`` is a property name: it
+    follows `.`."""
+    return before is not None and before.kind == PUNCT and before.text == "."
 
 
 def _needs_space(prev, kind, text):

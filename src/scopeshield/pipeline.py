@@ -12,11 +12,12 @@ table, and the scope tree and the candidates are freed before it, so a
 file's peak memory is not the sum of every layer's. On a process pool the
 largest-first file list goes out in consecutive chunks, one task each and
 about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
-cost the parent one future each. Outputs are written as they arrive and no
-text is retained, so output bytes are identical for any worker count or
-scheduling order. If a worker process dies, the files whose results are
-missing run again one at a time. Once every summary is in, the unresolved
-imports are reported.
+cost the parent one future each. Output bytes are identical for any worker
+count or scheduling order. The parent holds one chunk's results at a time:
+it writes each output as it arrives and keeps neither its text nor its
+summary, only the imports that match no JS file of the project, which it
+reports in file order once every file is done. If a worker process dies,
+the files whose results are missing run again one at a time.
 
 Each file gets one string table, one decoder and one property-slot map,
 injected together after the file's directive prologue. The cyclic garbage
@@ -326,18 +327,21 @@ def _run_files(config, allowlist, workers, rel_paths):
     """Run ``process_file`` once per path and yield the results as they
     finish, each with the cyclic collector paused. In-process when
     workers == 1; otherwise on one process pool, one task per chunk of
-    consecutive paths. If a worker dies, the files whose results have not
-    arrived run again one at a time (``_run_alone``)."""
+    consecutive paths, where a chunk's results are held only until they are
+    yielded. If a worker dies, the files whose results have not arrived run
+    again one at a time (``_run_alone``)."""
     if workers <= 1:
         for rel in rel_paths:
             yield _gc_paused(process_file, config, allowlist, rel)
         return
     pending = set(rel_paths)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
+        # no list of the futures: ``as_completed`` lets go of each one before
+        # yielding it, so a chunk's results are freed once they are yielded
+        futures = (
             pool.submit(_chunk_task, config, allowlist, chunk)
             for chunk in chunked(rel_paths, workers)
-        ]
+        )
         try:
             for future in as_completed(futures):
                 for result in future.result():
@@ -430,7 +434,8 @@ def obfuscate_project(config):
     made_dirs = {out_root}  # output directories that exist
     written = {}  # rel path -> bytes this run wrote there
     skipped = {}  # rel path -> (category, message); all copied verbatim
-    summaries = []
+    known = set(js_files)
+    unresolved = []  # (importer, path), in arrival order
     largest_first = sorted(js_files, key=lambda f: (-sizes[f], f))
     t0 = time.perf_counter()
     workers = config.workers if len(js_files) > 1 else 1
@@ -439,7 +444,7 @@ def obfuscate_project(config):
         for phase, ms in result["worker_ms"].items():
             worker_ms[phase] += ms
         if "summary" in result:
-            summaries.append(result["summary"])
+            unresolved += unresolved_imports([result["summary"]], known)
         if result["status"] != "ok":
             skipped[rel] = (result["status"], result["error"])
             continue
@@ -453,7 +458,8 @@ def obfuscate_project(config):
     report["files_transformed"] = len(written)
 
     t0 = time.perf_counter()
-    for importer, path in unresolved_imports(summaries, js_files):
+    # a stable sort: file order, and each file's imports in source order
+    for importer, path in sorted(unresolved, key=lambda pair: pair[0]):
         report["warnings"].append(f"{importer}: unresolved import {path!r} treated as external")
     wall_ms["link"] = (time.perf_counter() - t0) * 1000.0
 

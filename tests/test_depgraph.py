@@ -51,10 +51,10 @@ def test_self_contained_files_have_no_edges():
 def test_unresolved_import_recorded():
     a = make_summary("a.js", imports=[("./missing.js", ["gone"])])
     assert build_dependency_graph([a]).edges == {}
-    assert unresolved_imports([a], ["a.js"]) == [("a.js", "./missing.js")]
+    assert unresolved_imports([a], {"a.js"}) == [("a.js", "./missing.js")]
     # a project file resolves an import even when it has no summary (it
     # was copied verbatim)
-    assert unresolved_imports([a], ["a.js", "missing.js"]) == []
+    assert unresolved_imports([a], {"a.js", "missing.js"}) == []
 
 
 def test_only_scripts_with_declarations_share_script_globals():
@@ -89,8 +89,8 @@ def test_link_deterministic_under_input_order():
     backward = list(reversed(files))
     ids = [s.file_id for s in files]
     assert (
-        unresolved_imports(files, ids)
-        == unresolved_imports(backward, ids[::-1])
+        unresolved_imports(files, set(ids))
+        == unresolved_imports(backward, set(ids))
         == [("a.js", "./gone.js")]
     )
     graph = build_dependency_graph(files)
@@ -101,7 +101,7 @@ def test_link_deterministic_under_input_order():
 def test_marker_for_consumed_export():
     a = make_summary("a.js", imports=[("./b.js", ["f"])])
     b = make_summary("b.js", exports=["f"])
-    assert unresolved_imports([a, b], ["a.js", "b.js"]) == []
+    assert unresolved_imports([a, b], {"a.js", "b.js"}) == []
     assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {"f": "export"}}
 
 
@@ -123,7 +123,7 @@ def test_no_cross_names_means_no_markers():
     # modules without exports: every module-level name is renameable
     a = make_summary("a.js", imports=[("./b.js", [])], declared=["x"])
     b = make_summary("b.js", imports=[("./a.js", [])], declared=["y"])
-    assert unresolved_imports([a, b], ["a.js", "b.js"]) == []
+    assert unresolved_imports([a, b], {"a.js", "b.js"}) == []
     assert frozen_by_file([a, b]) == {"a.js": {}, "b.js": {}}
 
 
@@ -179,7 +179,7 @@ def test_graph_report_lists_frozen_names_with_reasons():
     c = make_summary("c.js", declared=["Registry"])
     summaries = [a, b, c]
     graph = build_dependency_graph(summaries)
-    unresolved = unresolved_imports(summaries, ["a.js", "b.js", "c.js"])
+    unresolved = unresolved_imports(summaries, {"a.js", "b.js", "c.js"})
     text = format_graph_report(graph, unresolved, frozen_by_file(summaries))
     assert "  unresolved: a.js imports './gone.js'" in text
     assert "a.js -> b.js: f" in text

@@ -121,6 +121,17 @@ def test_regex_vs_division():
     assert kinds(lex_all("x = /* c */ /b/g"))[2] == REGEX
 
 
+def test_regex_after_a_statement_head():
+    # the `)` of an `if`, `while`, `for` or `with` head ends no value
+    for src in ("if (s) /a/.test(s);", "while (f(x)) /a/g.exec(s);", "for (;x;) /a/.test(s);",
+                "with (o) /a/.test(s);", "if (s) x; else if ((a) / b) /c/.test(s);"):
+        assert kinds(lex_all(src)).count(REGEX) == 1, src
+    # any other `)` does: a call, a parenthesized value, a method named `if`
+    for src in ("f(x) / 2 / g;", "if (s) (a) / b / c;", "if ((a) / b / c) d;",
+                "o.if(x) / 2 / g;", "`${(a)}` / b / c;"):
+        assert REGEX not in kinds(lex_all(src)), src
+
+
 def test_comments_and_strings():
     src = "/* block */ 'it\\'s' // tail"
     toks = lex_all(src)

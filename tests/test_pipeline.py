@@ -25,6 +25,7 @@ from scopeshield.pipeline import (
     obfuscate_project,
     write_report,
 )
+from scopeshield.depgraph import unresolved_imports
 
 from conftest import NODE, run_node
 from corpusgen import build_corpus
@@ -897,6 +898,83 @@ def test_unresolved_import_warned_and_kept(tmp_path):
     assert "{helper}" in out.replace(" ", "") and "helper(1)" in out and "local" not in out
 
 
+# two importers whose unresolved imports are not in alphabetical order; the
+# larger one sorts last but is run first
+UNRESOLVED_IMPORTS_PROJECT = {
+    "a.js": (
+        'import {z} from "./zeta.js";\nimport {h} from "./helper";\n'
+        'import {b} from "./broken.js";\nimport {y} from "./alpha.js";\n'
+        "console.log(z, h, b, y);\n"
+    ),
+    "lib/z.js": (
+        'import {m} from "../missing/m.js";\nimport {h} from "../helper.js";\n'
+        'import {k} from "./b-missing.js";\n'
+        + "export function pad(value) { return value + 1; }\n" * 20
+    ),
+    "helper.js": "export var h = 1;\n",
+    # a syntax error: copied verbatim, yet still a file an import can match
+    "broken.js": "export var b = ;\n",
+}
+
+
+def test_unresolved_import_warnings_are_exact_at_any_worker_count(tmp_path):
+    src = tmp_path / "src"
+    write_project(src, UNRESOLVED_IMPORTS_PROJECT)
+    js_files, _others = pipeline.discover_files(src)
+    summaries = []
+    for rel in js_files:
+        try:
+            summaries.append(front_end((src / rel).read_text(), rel, minify=False)[3])
+        except ParseError:
+            assert rel == "broken.js"
+    expected = [
+        f"{importer}: unresolved import {path!r} treated as external"
+        for importer, path in unresolved_imports(summaries, set(js_files))
+    ]
+    assert expected == [
+        "a.js: unresolved import './zeta.js' treated as external",
+        "a.js: unresolved import './alpha.js' treated as external",
+        "lib/z.js: unresolved import '../missing/m.js' treated as external",
+        "lib/z.js: unresolved import './b-missing.js' treated as external",
+    ]
+    for workers in (1, 2):
+        report = obfuscate_project(
+            ObfuscationConfig(
+                input_root=str(src), output_root=str(tmp_path / f"out{workers}"), workers=workers
+            )
+        )
+        assert report["warnings"] == expected
+        assert [error["file"] for error in report["errors"]] == ["broken.js"]
+
+
+def test_the_pool_parent_keeps_no_result_it_has_yielded(tmp_path):
+    """On a pool, the parent holds a chunk's results only until it has
+    yielded them: at the last yield it holds a small share of the output.
+    (Holding every result reads about 150 %.)"""
+    from scalegen import generate_scaling_corpus
+
+    src = tmp_path / "src"
+    generate_scaling_corpus(src, 64 * 16384, file_bytes=16384)
+    rel_paths, _others = pipeline.discover_files(src)
+    assert len(rel_paths) == 64
+    config = ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "out"), workers=2)
+    output_chars = 0
+    try:
+        results = pipeline._run_files(config, load_allowlist(None), 2, rel_paths)
+        for count, result in enumerate(results, 1):
+            assert result["status"] == "ok", result
+            output_chars += len(result["text"])
+            del result
+            if count == 1:
+                # every task is submitted and the workers are forked, untraced
+                tracemalloc.start()
+            elif count == len(rel_paths):
+                held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 0.25 * output_chars, (held, output_chars)
+
+
 ANONYMOUS_DEFAULTS_PROJECT = {
     "package.json": '{"type": "module"}\n',
     "f.js": "export default function () { var base = 40; return base; }\n",
@@ -1116,6 +1194,29 @@ def test_a_hashbang_line_is_kept_first(tmp_path, node, minify):
     assert rest.index("function") < rest.index("var message")
     (tmp_path / "run.js").write_text(out, encoding="utf-8")
     assert run_node(path=tmp_path / "run.js") == run_node(code=src) == "5 hello\n"
+
+
+def test_a_regex_after_a_statement_head_runs_the_same(tmp_path, node):
+    # a regex and a division behind each `)` of an `if`, `while`, `for` and
+    # `with` head, and a division behind a call of a method named `if`
+    src = (
+        'var s = "ab", n = 8, d = 2, hits = [];\n'
+        'if (s) /a/.test(s) && hits.push("if");\n'
+        'if (n / d / 2 > 1) hits.push("if-div");\n'
+        "var i = 0;\n"
+        'while (i++ < 1) /b/.test(s) && hits.push("while");\n'
+        'while (n / d / 2 < 0) hits.push("never");\n'
+        'for (var k = 0; k < 1; k++) /a/g.test(s) && hits.push("for");\n'
+        'for (var j = n / d / 2; j < 3; j++) hits.push("for-div" + j);\n'
+        'function w(o) { with (o) /a/.test(s) && hits.push("with"); with (o) n / d / 2; }\n'
+        "var o = {if: function (x) { return x * 4; }};\n"
+        "w(o); hits.push(o.if(n) / d / 2, (n) / d / 2);\n"
+        'console.log(hits.join(","));\n'
+    )
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert '"if-div"' not in out  # the strings are encoded
+    printed = "if,if-div,while,for,for-div2,with,8,2\n"
+    assert run_node(code=out) == run_node(code=src) == printed
 
 
 # ---- U+2028 and U+2029 are line terminators ----
