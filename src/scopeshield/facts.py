@@ -1,0 +1,104 @@
+"""What a file's parse records besides its scope tree: the file's summary,
+which the cross-file analysis and the metrics read, and the candidates of
+the string and property transforms, kept as columns like the tree.
+"""
+
+from array import array
+
+
+class FileSummary:
+    """Per-file facts consumed by the cross-file analysis and the metrics.
+
+    ``imports`` holds (source path, [imported names]) pairs where a default
+    import appears as "default" and a namespace import as "*".
+    ``module_syntax`` is True when the file has an import or export
+    declaration. ``branch_points`` counts the decision points and functions
+    that ``metrics.cyclomatic_complexity`` adds to 1.
+    """
+
+    __slots__ = (
+        "file_id",
+        "declared_globals",
+        "free_names",
+        "imports",
+        "module_syntax",
+        "export_pairs",
+        "branch_points",
+    )
+
+    def __init__(self, file_id):
+        self.file_id = file_id
+        self.declared_globals = []
+        self.free_names = []
+        self.imports = []
+        self.module_syntax = False
+        self.export_pairs = []  # (local binding, exported name) for named exports
+        self.branch_points = 0
+
+    def __repr__(self):
+        return (
+            f"FileSummary({self.file_id}, globals={self.declared_globals}, "
+            f"free={self.free_names}, imports={self.imports}, "
+            f"module_syntax={self.module_syntax})"
+        )
+
+
+class Spans:
+    """Source spans, in the order the parser reads them, as two int
+    columns: ``starts`` and ``ends``."""
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self):
+        self.starts, self.ends = array("i"), array("i")
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __iter__(self):
+        return zip(self.starts, self.ends)
+
+    def append(self, start, end):
+        self.starts.append(start)
+        self.ends.append(end)
+
+    def truncate(self, count):
+        """Keep only the first ``count`` spans."""
+        del self.starts[count:], self.ends[count:]
+
+
+class Accesses(Spans):
+    """The rewritable ``obj.prop`` accesses, in the order the parser reads
+    their `.`: spans from the `.` to the access's end, and ``names``, the
+    property names."""
+
+    __slots__ = ("names",)
+
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def append(self, start, end, name):
+        self.starts.append(start)
+        self.ends.append(end)
+        self.names.append(name)
+
+    def truncate(self, count):
+        super().truncate(count)
+        del self.names[count:]
+
+
+class Candidates:
+    """What the transforms read: ``strings``, the spans of the encodable
+    string literals (``Spans``), and ``accesses``, the rewritable
+    ``obj.prop`` accesses (``Accesses``), both in source order and none read
+    where a dynamic site can see it; and ``preamble_offset``, where the
+    preamble goes: after the directive prologue, so an injected declaration
+    cannot demote "use strict"."""
+
+    __slots__ = ("strings", "accesses", "preamble_offset")
+
+    def __init__(self, strings, accesses, preamble_offset):
+        self.strings = strings
+        self.accesses = accesses
+        self.preamble_offset = preamble_offset

@@ -107,6 +107,11 @@ _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 # the generator negligible next to lexing its tokens.
 BATCH_TOKENS = 1000
 
+# ``minify`` grows its text in place (``+=`` on the one reference) by the
+# pieces copied since, joined once they hold this many characters or number
+# this many, and by each input run this long: the text is never held twice.
+MINIFY_PIECE_CHARS, MINIFY_PIECES = 1 << 16, 1024
+
 
 def lexed_text(source, file_id="<input>", minify=False):
     """The text the spans of ``lex`` index: ``lex`` drained."""
@@ -151,7 +156,9 @@ def lex(source, file_id="<input>", minify=False):
     gap = None  # the whitespace and comments before the next token, if any
     nl = False  # a line break in that gap
     delta = 0  # offset in the output text minus offset in ``source``
-    parts = []  # minify: the output text so far
+    minified = ""  # minify: the output text so far
+    pieces = []  # minify: the output text after ``minified``
+    held = 0  # minify: the characters of the input runs in ``pieces``
     copied = 0  # minify: ``source`` is copied up to here
     # a hashbang line is no token and stays as written, also when minified
     hashbang = _HASHBANG_RE.match(source)
@@ -247,8 +254,18 @@ def lex(source, file_id="<input>", minify=False):
                     else:
                         sep = ""
                     if gap != sep:  # a minified input needs no copy
-                        parts.append(source[copied : pos - len(gap)])
-                        parts.append(sep)
+                        run = pos - len(gap)
+                        if run - copied < MINIFY_PIECE_CHARS:
+                            pieces.append(source[copied:run])
+                            held += run - copied
+                        else:
+                            minified += "".join(pieces)
+                            minified += source[copied:run]
+                            pieces, held = [], 0
+                        pieces.append(sep)
+                        if held >= MINIFY_PIECE_CHARS or len(pieces) >= MINIFY_PIECES:
+                            minified += "".join(pieces)
+                            pieces, held = [], 0
                         copied = pos
                         delta += len(sep) - len(gap)
                     nl = sep == "\n"
@@ -277,8 +294,9 @@ def lex(source, file_id="<input>", minify=False):
     if batch:
         yield batch
     if minify:
-        parts.append(source[copied : len(source) - len(gap or "")])
-        return "".join(parts)
+        minified += "".join(pieces)
+        minified += source[copied : len(source) - len(gap or "")]
+        return minified
     return source
 
 

@@ -91,11 +91,13 @@ static and of where a name stands.
 """
 
 import sys
-from array import array
 
 from .errors import ParseError, UnsupportedSyntax
+from .facts import Accesses, Candidates, FileSummary, Spans
 from .lexer import lex
-from .scopes import BLOCK, FUNCTION, SHORTHAND, ScopeBuilder
+from .scopes import (
+    BLOCK, CATCH, FUNCTION, FUNCTION_DECL, FUNCTION_EXPR, IMPORT, LEXICAL, PARAM, SHORTHAND, ScopeBuilder,
+)
 from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
 # binary operator precedence; higher binds tighter
@@ -118,7 +120,8 @@ _ASSIGN_OPS = frozenset(
 _LEXICAL_STATEMENTS = frozenset({"let", "const", "class", "function"})
 
 # What an expression production tells its parent. _REF through _TARGET are
-# the assignment targets.
+# the assignment targets; a _CALL is one too, except of a logical
+# assignment (``_assignable``).
 _OTHER = 0
 _REF = 1  # an identifier reference
 _CALLEE = 2  # a reference to eval or Function: a call makes its scope dynamic
@@ -128,89 +131,19 @@ _TARGET = 5  # a computed access, a dot access on super, a parenthesized target
 _STRING = 6  # a string literal: the last string candidate recorded
 _SUPER = 7
 _LITERAL = 8  # an array or object literal: `=` would make it a pattern
+_CALL = 9  # a call, parenthesized or not: node compiles `f() = 1`, which throws when run
+_LOGICAL_ASSIGN_OPS = frozenset({"&&=", "||=", "??="})
+
+
+def _assignable(tag, op):
+    """Whether an expression of kind ``tag`` may be the target of the
+    assignment or update operator ``op``."""
+    return _REF <= tag <= _TARGET or tag == _CALL and op not in _LOGICAL_ASSIGN_OPS
+
 
 # the words the lexer makes keywords that JS also takes as names
 _CONTEXTUAL_WORDS = frozenset({"async", "await", "yield", "let", "static", "of"})
 _REST_LAST = "a rest parameter must be the last, with no default or trailing comma"
-
-
-class FileSummary:
-    """Per-file facts consumed by the cross-file analysis and the metrics.
-
-    ``imports`` holds (source path, [imported names]) pairs where a default
-    import appears as "default" and a namespace import as "*".
-    ``module_syntax`` is True when the file has an import or export
-    declaration. ``branch_points`` counts the decision points and functions
-    that ``metrics.cyclomatic_complexity`` adds to 1.
-    """
-
-    __slots__ = (
-        "file_id",
-        "declared_globals",
-        "free_names",
-        "imports",
-        "module_syntax",
-        "export_pairs",
-        "branch_points",
-    )
-
-    def __init__(self, file_id):
-        self.file_id = file_id
-        self.declared_globals = []
-        self.free_names = []
-        self.imports = []
-        self.module_syntax = False
-        self.export_pairs = []  # (local binding, exported name) for named exports
-        self.branch_points = 0
-
-    def __repr__(self):
-        return (
-            f"FileSummary({self.file_id}, globals={self.declared_globals}, "
-            f"free={self.free_names}, imports={self.imports}, "
-            f"module_syntax={self.module_syntax})"
-        )
-
-
-class Accesses:
-    """The rewritable ``obj.prop`` accesses, in the order the parser reads
-    their `.`, as parallel columns: ``dots`` and ``ends`` (int arrays: where
-    each access's `.` starts and where the access ends) and ``names``, the
-    property names."""
-
-    __slots__ = ("dots", "ends", "names")
-
-    def __init__(self):
-        self.dots = array("i")
-        self.ends = array("i")
-        self.names = []
-
-    def __len__(self):
-        return len(self.names)
-
-    def append(self, dot, end, name):
-        self.dots.append(dot)
-        self.ends.append(end)
-        self.names.append(name)
-
-    def truncate(self, count):
-        """Keep only the first ``count`` accesses."""
-        del self.dots[count:], self.ends[count:], self.names[count:]
-
-
-class Candidates:
-    """What the transforms read: ``strings``, the (start, end) spans of the
-    encodable string literals, and ``accesses``, the rewritable
-    ``obj.prop`` accesses (``Accesses``), both in source order and none read
-    where a dynamic site can see it; and ``preamble_offset``, where the
-    preamble goes: after the directive prologue, so an injected declaration
-    cannot demote "use strict"."""
-
-    __slots__ = ("strings", "accesses", "preamble_offset")
-
-    def __init__(self, strings, accesses, preamble_offset):
-        self.strings = strings
-        self.accesses = accesses
-        self.preamble_offset = preamble_offset
 
 
 def parse(source, file_id="<input>", minify=False):
@@ -226,12 +159,12 @@ def parse(source, file_id="<input>", minify=False):
         raise parser.scopes.catch_redeclared
     text = parser.text
     tree = parser.scopes.finish(len(text))
-    if tree.nodes[tree.root].is_dynamic:
+    if tree.dynamic[tree.root]:
         # a dynamic site at the top level sees every candidate
-        del parser.strings[:]
+        parser.strings.truncate(0)
         parser.accesses.truncate(0)
     summary = parser.summary
-    summary.declared_globals = sorted(tree.nodes[tree.root].declarations)
+    summary.declared_globals = sorted(tree.declarations[tree.root] or ())
     summary.free_names = sorted(tree.globals)
     return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
@@ -256,7 +189,7 @@ class _Parser:
         self.text = None  # the text the spans index, once the stream ends
         self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary(file_id)
-        self.strings = []
+        self.strings = Spans()
         self.accesses = Accesses()
         # the candidate counts when each open scope was entered
         self.marks = []
@@ -331,7 +264,7 @@ class _Parser:
         may read them as written."""
         strings, accesses = self.marks.pop()
         if self.scopes.leave(end, keep):
-            del self.strings[strings:]
+            self.strings.truncate(strings)
             self.accesses.truncate(accesses)
 
     def unsupported(self, message):
@@ -512,7 +445,7 @@ class _Parser:
                 self.unsupported("labeled statements are not supported")
         if self.parse_expression() == _STRING:
             # directive prologue candidates ("use strict") must stay verbatim
-            self.strings.pop()
+            self.strings.truncate(len(self.strings) - 1)
         end = self.last_end()
         self.consume_semicolon()
         return end
@@ -555,7 +488,7 @@ class _Parser:
             if kw.text == "var":
                 scopes.declare_var(name_tok)
             else:
-                scopes.declare(name_tok, "lexical")
+                scopes.declare(name_tok, LEXICAL)
             names.append(name_tok.text)
             if self.at("="):
                 self.advance()
@@ -573,11 +506,11 @@ class _Parser:
             self.unsupported("generator functions are not supported")
         name_tok = self.optional_name(decl, "expected function name")
         if decl:
-            self.scopes.declare(name_tok, "function")
+            self.scopes.declare(name_tok, FUNCTION_DECL)
         self.summary.branch_points += 1
         self.enter_scope(FUNCTION, kw.start)
         if name_tok is not None and not decl:
-            self.scopes.declare(name_tok, "fnexpr")
+            self.scopes.declare(name_tok, FUNCTION_EXPR)
         outer = self.super_member, self.super_call
         self.super_member = self.super_call = False
         self.parse_params()
@@ -603,7 +536,7 @@ class _Parser:
         if fault is not None:
             raise self.param_error(*fault)
         t = self.advance()
-        self.scopes.declare(t, "param")
+        self.scopes.declare(t, PARAM)
         if rest or not self.at("="):
             return t, "rest" if rest else "name"
         self.advance()
@@ -642,7 +575,7 @@ class _Parser:
         self.expect("class")
         name_tok = self.optional_name(decl, "expected class name")
         if decl:
-            self.scopes.declare(name_tok, "lexical")
+            self.scopes.declare(name_tok, LEXICAL)
         derived = self.at("extends")
         if derived:
             self.advance()
@@ -735,6 +668,7 @@ class _Parser:
         self.summary.branch_points += 1
         self.expect("(")
         scoped = False
+        target = None  # the kind of a head's expression
         t = self.peek()
         if self.at(";"):
             pass
@@ -744,9 +678,12 @@ class _Parser:
                 self.enter_scope(BLOCK, kw.start)
             self.parse_var_decl(no_in=True)
         else:
-            self.parse_expression(no_in=True)
+            target = self.parse_expression(no_in=True)
         t = self.peek()
         if t is not None and (t.text == "in" or t.text == "of"):
+            # an array or object literal is a destructuring target
+            if target is not None and target != _LITERAL and not _assignable(target, "="):
+                self.error(f"invalid left-hand side in for-{t.text} loop")
             self.advance()
             if t.text == "of":
                 self.parse_assign()
@@ -820,7 +757,7 @@ class _Parser:
                 self.advance()
                 t = self.binding_name("expected catch parameter name", "catch parameters")
                 self.expect(")")
-                self.scopes.declare(t, "catch")
+                self.scopes.declare(t, CATCH)
             end = self.parse_block(scoped=False)
             self.leave_scope(end)
             handled = True
@@ -863,14 +800,14 @@ class _Parser:
         if t is None or t.kind != STRING:
             if not (self.at("*") or self.at("{")):
                 t = self.binding_name("expected import binding")
-                self.scopes.declare(t, "import")
+                self.scopes.declare(t, IMPORT)
                 imported.append("default")
                 if self.at(","):
                     self.advance()
             if self.at("*"):
                 self.advance()
                 self.expect("as")
-                self.scopes.declare(self.binding_name("expected namespace alias"), "import")
+                self.scopes.declare(self.binding_name("expected namespace alias"), IMPORT)
                 imported.append("*")
             elif self.at("{"):
                 imported.extend(self.delimited("{", "}", self.parse_import_specifier)[0])
@@ -894,7 +831,7 @@ class _Parser:
             # the imported name is the local binding too
             local_tok = self.binding_name("expected 'as' after import specifier")
         ext_name = self.literal_value(ext) if ext.kind == STRING else ext.text
-        self.scopes.declare(local_tok, "import")
+        self.scopes.declare(local_tok, IMPORT)
         return ext_name
 
     def parse_export(self):
@@ -979,7 +916,7 @@ class _Parser:
         tag = self.parse_conditional(no_in=no_in)
         t = self.toks[self.i]
         if t is not None and t.kind == PUNCT and t.text in _ASSIGN_OPS:
-            if not _REF <= tag <= _TARGET:
+            if not _assignable(tag, t.text):
                 if tag == _LITERAL and t.text == "=":
                     self.unsupported("destructuring assignment is not supported")
                 self.error("invalid assignment target")
@@ -1037,7 +974,8 @@ class _Parser:
             return _OTHER
         if t is not None and t.kind == PUNCT and t.text in ("++", "--"):
             self.advance()
-            self.parse_unary()
+            if not _assignable(self.parse_unary(), t.text):
+                raise ParseError(f"invalid operand of prefix {t.text!r}", self.file_id, t.start)
             return _OTHER
         return self.parse_postfix()
 
@@ -1045,6 +983,8 @@ class _Parser:
         tag = self.parse_call_member(self.parse_primary())
         t = self.toks[self.i]
         if t is not None and t.kind == PUNCT and t.text in ("++", "--") and not t.nl:
+            if not _assignable(tag, t.text):
+                self.error(f"invalid operand of postfix {t.text!r}")
             self.advance()
             return _OTHER
         return tag
@@ -1080,7 +1020,7 @@ class _Parser:
                 if tag == _CALLEE:
                     self.scopes.mark_dynamic()
                 self.parse_arguments()
-                tag = _OTHER
+                tag = _CALL
                 continue
             if t.kind == TEMPLATE and t.text.startswith("`"):
                 self.parse_template()
@@ -1106,7 +1046,7 @@ class _Parser:
             nxt = self.toks[self.i + 1]
             if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>" and not nxt.nl:
                 self.enter_scope(FUNCTION, t.start)
-                self.scopes.declare(self.advance(), "param")
+                self.scopes.declare(self.advance(), PARAM)
                 return self.parse_arrow_body()
             self.advance()
             self.scopes.reference(t)
@@ -1116,7 +1056,7 @@ class _Parser:
             return _OTHER
         if t.kind == STRING:
             self.advance()
-            self.strings.append((t.start, t.end))
+            self.strings.append(t.start, t.end)
             return _STRING
         if t.kind == TEMPLATE:
             self.parse_template()
@@ -1203,6 +1143,8 @@ class _Parser:
             return _PAREN_MEMBER
         if tag == _CALLEE:
             return _CALLEE  # (eval)(s) is a direct eval too
+        if tag == _CALL:
+            return _CALL
         return _TARGET if _REF <= tag <= _TARGET else _OTHER
 
     def parse_arrow_body(self):

@@ -1,41 +1,42 @@
 """Span-based text patching.
 
-Transforms never rebuild source from an AST; they produce a list of byte-span
-replacements against the original text and ``emit`` applies them in one pass.
-Renames are not patches: ``emit`` reads them from the file's occurrence table
-as it goes, each occurrence's output name from the rename map, so a file holds
-no object per renamed identifier.
+Transforms never rebuild source from an AST; they produce span replacements
+against the original text as columns (``Edits``), and ``emit`` applies them
+in one pass. Renames are not edits: ``emit`` reads them from the file's
+occurrence table as it goes, each occurrence's output name from the rename
+map, a list of output names indexed by binding id. So a file holds no
+object per renamed identifier, per rewritten access or per encoded string.
 """
 
-from itertools import islice
+from array import array
+from heapq import merge
 
 from .errors import OverlappingPatches
 from .scopes import SHORTHAND
 
 
-class Patch:
-    """Replace the half-open span [start, end) with ``replacement``.
-
-    A zero-width span (start == end) is an insertion before ``start``.
+class Edits:
+    """Span replacements, in start order, as parallel columns: ``starts``
+    and ``ends`` (int arrays) and ``texts``. Edit ``i`` replaces the
+    half-open span ``[starts[i], ends[i])`` with ``texts[i]``; a zero-width
+    span is an insertion before ``starts[i]``. Edits that write the same
+    text share one str.
     """
 
-    __slots__ = ("start", "end", "replacement")
+    __slots__ = ("starts", "ends", "texts")
 
-    def __init__(self, start, end, replacement):
-        self.start = start
-        self.end = end
-        self.replacement = replacement
+    def __init__(self, starts=None, ends=None, texts=None):
+        self.starts = array("i") if starts is None else starts
+        self.ends = array("i") if ends is None else ends
+        self.texts = [] if texts is None else texts
 
-    def __repr__(self):
-        return f"Patch([{self.start},{self.end}) -> {self.replacement!r})"
+    def __len__(self):
+        return len(self.texts)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Patch)
-            and self.start == other.start
-            and self.end == other.end
-            and self.replacement == other.replacement
-        )
+    def append(self, start, end, text):
+        self.starts.append(start)
+        self.ends.append(end)
+        self.texts.append(text)
 
 
 # text parts joined into one piece at a time: with a part per edit and per
@@ -44,25 +45,23 @@ class Patch:
 _PIECE_PARTS = 1024
 
 
-def emit(source, patches, occurrences, rename_map):
-    """Apply ``patches`` and the renames of ``occurrences`` (an
-    ``Occurrences`` table, in start order as the parser reads it) to
-    ``source``; return the new text.
+def emit(source, edits, occurrences, outputs):
+    """Apply the ``Edits`` tables ``edits`` and the renames of
+    ``occurrences`` (an ``Occurrences`` table, in start order as the parser
+    reads it) to ``source``; return the new text.
 
-    Patches may arrive in any order; the list is sorted in place. Each
-    occurrence whose binding ``rename_map`` (``{Binding: output name}``)
-    gives another name is rewritten to it, a shorthand `{x}` to `{x: y}`.
-    All edits apply in (start, end) order, so an insertion at an
-    identifier's start goes before it. Overlap, or a renamed occurrence
-    out of start order, is an internal invariant violation and raises
+    Each occurrence whose binding ``outputs`` (the output name of each
+    binding id) gives another name is rewritten to it, a shorthand `{x}` to
+    `{x: y}`. All edits apply in (start, end) order, so an insertion at an
+    identifier's start goes before it. Overlap, or a renamed occurrence out
+    of start order, is an internal invariant violation and raises
     OverlappingPatches, which makes the caller abort the file rather than
     emit corrupt output.
     """
-    patches.sort(key=_span)
     pieces = []
     parts = []
     cursor = 0
-    for start, end, text in _edits(patches, occurrences, rename_map):
+    for start, end, text in _edits(edits, occurrences, outputs):
         if start < cursor or end < start or end > len(source):
             raise OverlappingPatches(
                 f"patch [{start},{end}) overlaps text already emitted up to {cursor}"
@@ -78,29 +77,23 @@ def emit(source, patches, occurrences, rename_map):
     return "".join(pieces)
 
 
-def _span(patch):
-    return patch.start, patch.end
-
-
-def _edits(patches, occurrences, rename_map):
-    """(start, end, text) of each of the sorted ``patches`` and each rename,
+def _edits(edits, occurrences, outputs):
+    """(start, end, text) of each edit of the tables and each rename,
     merged in (start, end) order."""
-    done = 0  # the patches yielded
+    merged = merge(*(zip(table.starts, table.ends, table.texts) for table in edits))
+    edit = next(merged, None)
     names, starts = occurrences.names, occurrences.starts
     styles, bindings = occurrences.styles, occurrences.bindings
-    output_name = rename_map.get  # None: the binding keeps its name
     for index, name in enumerate(names):
-        new_name = output_name(bindings[index])
-        if new_name is None or new_name == name:
+        new_name = outputs[bindings[index]]
+        if new_name == name:
             continue
         start = starts[index]
         end = start + len(name)
-        while done < len(patches):
-            patch = patches[done]
-            if patch.start > start or patch.start == start and patch.end >= end:
-                break
-            yield patch.start, patch.end, patch.replacement
-            done += 1
+        while edit is not None and (edit[0] < start or edit[0] == start and edit[1] < end):
+            yield edit
+            edit = next(merged, None)
         yield start, end, f"{name}: {new_name}" if styles[index] == SHORTHAND else new_name
-    for patch in islice(patches, done, None):
-        yield patch.start, patch.end, patch.replacement
+    if edit is not None:
+        yield edit
+        yield from merged

@@ -46,7 +46,7 @@ from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedS
 from .externals import load_allowlist
 from .lexer import lexed_text
 from .parser import parse
-from .patches import Patch, emit
+from .patches import Edits, emit
 from .renamer import check_safety, dump_lines, name_sequence, rename_tree
 from .transforms import encode_strings, rewrite_property_access
 
@@ -214,9 +214,45 @@ def _on_deep_stack(task, *args):
 WORKER_PHASES = ("parse", "rename", "transform", "emit")
 
 
+def rename_file(config, allowlist, tree, summary):
+    """The output name of each binding id of ``tree``: renamed, keeping the
+    file's ``frozen_names``, and checked by ``check_safety``; with renaming
+    off, the bindings' own names."""
+    if not config.rename:
+        return tree.bindings.names
+    outputs = rename_tree(tree, frozen_module_names=frozen_names(summary), allowlist=allowlist)
+    violations = check_safety(tree, outputs)
+    if violations:
+        raise ScopeShieldError(f"internal rename safety violation: {violations[0]!r}")
+    return outputs
+
+
+def transform_file(config, allowlist, rel_path, mtext, candidates, occurrences, outputs):
+    """The ``Edits`` tables of the enabled transforms, the preamble's
+    insertion among them; the fresh names they draw avoid every name the
+    file reads or writes."""
+    fresh = name_sequence(frozenset(allowlist).union(occurrences.names, outputs))
+    tables = []
+    preamble = ""
+    # slot names are drawn before the string-table names
+    if config.rewrite_properties:
+        edits, prop_pre, _slots = rewrite_property_access(fresh, candidates.accesses)
+        tables.append(edits)
+        preamble += prop_pre
+    if config.encode_strings:
+        edits, str_pre, _table = encode_strings(_file_key(rel_path), fresh, mtext, candidates.strings)
+        tables.append(edits)
+        preamble += str_pre
+    if preamble:
+        insertion = Edits()
+        insertion.append(candidates.preamble_offset, candidates.preamble_offset, preamble + "\n")
+        tables.append(insertion)
+    return tables
+
+
 def process_file(config, allowlist, rel_path):
     """Obfuscate one file: run its ``front_end`` once, then rename
-    (keeping the file's ``frozen_names``), transform and emit. Of the
+    (``rename_file``), transform (``transform_file``) and emit. Of the
     front end's facts, only the occurrence table and the summary live on
     into the emit.
 
@@ -237,53 +273,21 @@ def process_file(config, allowlist, rel_path):
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        if config.rename:
-            rmap = rename_tree(
-                tree, frozen_module_names=frozen_names(summary), allowlist=allowlist
-            )
-            violations = check_safety(tree, rmap)
-            if violations:
-                raise ScopeShieldError(
-                    f"internal rename safety violation: {violations[0]!r}"
-                )
-        else:
-            rmap = {}
+        outputs = rename_file(config, allowlist, tree, summary)
+        if config.dump_renames:
+            result["rename_dump"] = dump_lines(tree, outputs)
         occurrences = tree.occurrences
         del tree  # its scopes are read no more
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        patches = []
-        if config.encode_strings or config.rewrite_properties:
-            used = set(allowlist)
-            used.update(occurrences.names)
-            used.update(rmap.values())
-            fresh = name_sequence(frozenset(used))
-            preamble = ""
-            # slot names are drawn before the string-table names
-            if config.rewrite_properties:
-                prop_patches, prop_pre, _slots = rewrite_property_access(
-                    fresh, candidates.accesses
-                )
-                patches.extend(prop_patches)
-                preamble += prop_pre
-            if config.encode_strings:
-                str_patches, str_pre, _table = encode_strings(
-                    _file_key(rel_path), fresh, mtext, candidates.strings
-                )
-                patches.extend(str_patches)
-                preamble += str_pre
-            if preamble:
-                offset = candidates.preamble_offset
-                patches.append(Patch(offset, offset, preamble + "\n"))
+        edits = transform_file(config, allowlist, rel_path, mtext, candidates, occurrences, outputs)
         del candidates
         phases["transform"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        out_text = emit(mtext, patches, occurrences, rmap)
+        out_text = emit(mtext, edits, occurrences, outputs)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
-        if config.dump_renames:
-            result["rename_dump"] = dump_lines(rmap, rel_path)
     except FILE_FAILURES as exc:
         result["status"], result["error"] = file_failure(rel_path, exc)
         return result

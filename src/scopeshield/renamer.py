@@ -1,27 +1,29 @@
 """Scope-aware shortest-identifier renaming.
 
-Scopes are processed ancestor-first; each scope restarts assignment from the
-shortest pool name against its own forbidden set, so sibling scopes reuse the
-same short names. A scope's forbidden set contains the output name of every
-outer binding that is referenced anywhere in the scope's subtree (the subtree
-part closes the shadow-capture gap a naive "visible here" rule leaves open),
-plus every frozen name visible there.
+Scopes are processed ancestor-first, in scope id order, which is pre-order;
+each scope restarts assignment from the shortest pool name against its own
+forbidden set, so sibling scopes reuse the same short names. A scope's
+forbidden set contains the output name of every outer binding that is
+referenced anywhere in the scope's subtree (the subtree part closes the
+shadow-capture gap a naive "visible here" rule leaves open), plus every
+frozen name visible there.
 
-Every occurrence's binding is read from the occurrence table's
-``bindings`` column, which the scope tree resolved once. ``check_safety``
-is an independent oracle: it resolves every occurrence again, by its own
-walk under the renamed names, and reports any occurrence whose stored
-binding that walk does not reach. The renamed text is written by
-``patches.emit``, which reads each occurrence's output name from the
-rename map, ``{Binding: output name}``; a binding absent from it keeps its
-name.
+The rename map is a list of output names indexed by binding id. Every
+occurrence's binding id is read from the occurrence table's ``bindings``
+column, which the scope tree resolved once. ``check_safety`` is an independent oracle: it resolves
+every occurrence again, by its own walk under the renamed names, and
+reports any occurrence whose stored binding that walk does not reach. The
+renamed text is written by ``patches.emit``, which reads each occurrence's
+output name from the map.
 """
 
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from itertools import product
+from itertools import compress, product
 
 from .errors import OrderViolation
-from .scopes import BLOCK, Binding
+from .scopes import BLOCK, FUNCTION_DECL, GLOBAL, GLOBAL_SCOPE, IMPORT, RANKS
 from .tokens import RESERVED_WORDS
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -40,60 +42,64 @@ def name_sequence(excluded=frozenset(), alphabet=ALPHABET):
         length += 1
 
 
-def dump_lines(rename_map, file_id):
-    """`file#scopeId<TAB>original<TAB>renamed` lines of the map of file
-    ``file_id``, deterministic order."""
+def dump_lines(tree, outputs):
+    """`file#scopeId<TAB>original<TAB>renamed` lines of the declared
+    bindings of ``tree`` under ``outputs``, deterministic order."""
     return sorted(
-        f"{file_id}#{binding.scope_id}\t{binding.name}\t{name}"
-        for binding, name in rename_map.items()
+        f"{tree.file_id}#{sid}\t{name}\t{outputs[bid]}"
+        for sid, decls in enumerate(tree.declarations)
+        if decls is not None
+        for name, bid in decls.items()
     )
 
 
-def ancestor_reference_map(tree, subtree_refs=True):
-    """For each scope whose subtree references an outer binding, the set of
-    those bindings.
+def ancestor_references(tree, subtree_refs=True):
+    """The outer bindings each scope references, as two int arrays sorted
+    together by scope: (scope ids, binding ids).
 
-    With ``subtree_refs`` the binding is charged to every scope between the
-    occurrence and the declaring scope; without it (the naive visibility
-    reading) only to the occurrence's own scope.
+    With ``subtree_refs`` a binding is charged to every scope between an
+    occurrence of it and its declaring scope; without it (the naive
+    visibility reading) only to the occurrence's own scope. A global is
+    charged up to the module scope.
     """
-    refs = defaultdict(set)
-    occurrences = tree.occurrences
-    for sid, binding in zip(occurrences.scope_ids, occurrences.bindings):
-        if binding.scope_id == sid and not binding.is_global():
-            continue
-        if not subtree_refs:
-            refs[sid].add(binding)
-            continue
-        while sid is not None and sid != binding.scope_id:
-            refs[sid].add(binding)
-            sid = tree.nodes[sid].parent
-    return refs
+    count, home, parents = len(tree.bindings), tree.bindings.scope_ids, tree.parents
+    charged = set()  # scope id * count + binding id
+    for sid, bid in zip(tree.occurrences.scope_ids, tree.occurrences.bindings):
+        stop = home[bid]
+        while sid != stop:
+            key = sid * count + bid
+            if key in charged:  # and so is every scope up to ``stop``
+                break
+            charged.add(key)
+            if not subtree_refs:
+                break
+            sid = parents[sid]
+    keys = sorted(charged)
+    del charged
+    return array("i", [key // count for key in keys]), array("i", [key % count for key in keys])
 
 
-def forbidden_set(scope_id, rename_map, anc_refs):
+def forbidden_set(scope_id, outputs, refs):
     """Names scope ``scope_id`` may not hand out, given the tree's
-    ``ancestor_reference_map``.
+    ``ancestor_references`` and the output names decided so far (None for
+    a binding not renamed yet).
 
     Raises OrderViolation when an outer binding has not been renamed yet,
     which would mean scopes are being processed out of ancestor-first order.
     """
+    scopes, bindings = refs
     forbidden = set()
-    for binding in anc_refs.get(scope_id, ()):
-        if binding.is_global():
-            forbidden.add(binding.name)
-            continue
-        name = rename_map.get(binding)
+    lo, hi = bisect_left(scopes, scope_id), bisect_right(scopes, scope_id)
+    for bid in bindings[lo:hi]:
+        name = outputs[bid]
         if name is None:
-            raise OrderViolation(
-                f"scope {binding.scope_id} must be renamed before scope {scope_id}"
-            )
+            raise OrderViolation(f"binding {bid} must be renamed before scope {scope_id}")
         forbidden.add(name)
     return forbidden
 
 
 def frozen_bindings(tree, frozen_module_names=()):
-    """Bindings that keep their original names.
+    """A flag per binding id: 1 if the binding keeps its original name.
 
     Frozen: every binding visible at a dynamic scope (the scope itself and
     all its ancestors, since evaluated code may reference anything in sight),
@@ -102,59 +108,66 @@ def frozen_bindings(tree, frozen_module_names=()):
     block with every binding of its name on the scope chain: sloppy code
     also binds it in the enclosing function (Annex B.3.3).
     """
-    frozen = set()
+    frozen = bytearray(len(tree.bindings))
     pinned = set(frozen_module_names)
-    tainted = tree.scopes_with_dynamic_inside()
-    for node in tree.nodes:
-        for name, binding in node.declarations.items():
-            if (
-                node.id in tainted
-                or binding.category == "import"
-                or (node.id == tree.root and name in pinned)
-            ):
-                frozen.add(binding)
-            if node.kind == BLOCK and binding.category == "function":
-                sid = node.id
-                while sid is not None:
-                    scope = tree.nodes[sid]
-                    if name in scope.declarations:
-                        frozen.add(scope.declarations[name])
-                    sid = scope.parent
+    categories = tree.bindings.categories
+    declarations, parents = tree.declarations, tree.parents
+    tainted = bytearray(len(tree))  # the scopes with a dynamic scope in their subtree
+    for sid, dynamic in enumerate(tree.dynamic):
+        while dynamic and sid != GLOBAL_SCOPE and not tainted[sid]:
+            tainted[sid] = 1
+            sid = parents[sid]
+    for sid, decls in enumerate(declarations):
+        if decls is None:
+            continue
+        for name, bid in decls.items():
+            if tainted[sid] or categories[bid] == IMPORT or (sid == tree.root and name in pinned):
+                frozen[bid] = 1
+            if tree.kinds[sid] == BLOCK and categories[bid] == FUNCTION_DECL:
+                chain = sid
+                while chain != GLOBAL_SCOPE:
+                    held = declarations[chain]
+                    if held is not None and name in held:
+                        frozen[held[name]] = 1
+                    chain = parents[chain]
     return frozen
 
 
 def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, alphabet=ALPHABET):
-    """Rename one file's tree; returns ``{Binding: output name}`` covering
-    every binding."""
-    rename_map = {}
+    """Rename one file's tree; returns the output name of each binding id:
+    a global's name, or the name each declared binding is renamed to (its
+    own if frozen). A binding no scope holds, replaced by an earlier one of
+    its name when a block was elided, gets None."""
+    bindings = tree.bindings
+    names, categories = bindings.names, bindings.categories
+    outputs = [name if category == GLOBAL else None for name, category in zip(names, categories)]
     frozen = frozen_bindings(tree, frozen_module_names)
-    anc_refs = ancestor_reference_map(tree, subtree_refs)
+    refs = ancestor_references(tree, subtree_refs)
     # the enclosing function's Annex B binding of a block function may
     # capture or overwrite any other binding renamed to its name
     pool_excluded = frozenset(allowlist).union(
-        b.name
-        for b in frozen
-        if b.category == "function" and tree.nodes[b.scope_id].kind == BLOCK
+        names[bid]
+        for bid in compress(range(len(frozen)), frozen)
+        if categories[bid] == FUNCTION_DECL and tree.kinds[bindings.scope_ids[bid]] == BLOCK
     )
-    for sid in tree.preorder():
-        node = tree.nodes[sid]
-        if not node.declarations:
+    for sid, decls in enumerate(tree.declarations):
+        if decls is None:
             continue
-        forbidden = forbidden_set(sid, rename_map, anc_refs)
-        for name, binding in node.declarations.items():
-            if binding in frozen:
+        forbidden = forbidden_set(sid, outputs, refs)
+        for name, bid in decls.items():
+            if frozen[bid]:
                 forbidden.add(name)
-        names = name_sequence(pool_excluded, alphabet)
-        for binding in sorted(node.declarations.values(), key=Binding.rank):
-            if binding in frozen:
-                rename_map[binding] = binding.name
+        pool = name_sequence(pool_excluded, alphabet)
+        for bid in sorted(decls.values(), key=lambda bid: (RANKS[categories[bid]], bid)):
+            if frozen[bid]:
+                outputs[bid] = names[bid]
                 continue
-            candidate = next(names)
+            candidate = next(pool)
             while candidate in forbidden:
-                candidate = next(names)
+                candidate = next(pool)
             forbidden.add(candidate)
-            rename_map[binding] = candidate
-    return rename_map
+            outputs[bid] = candidate
+    return outputs
 
 
 class SafetyViolation:
@@ -173,61 +186,42 @@ class SafetyViolation:
         return f"SafetyViolation({self.file_id}, {self.name!r} at {self.where}: {self.reason})"
 
 
-def check_safety(tree, rename_map):
-    """Resolve every occurrence of ``tree`` again under the renamed names,
-    by a walk of its own, and compare the result with the occurrence's
-    stored binding.
+def check_safety(tree, outputs):
+    """Resolve every occurrence of ``tree`` again under the output names
+    ``outputs`` (one per binding id), by a walk of its own, and compare the
+    result with the occurrence's stored binding.
 
     Returns a list of violations; empty means the renaming preserves every
     resolution. Also flags non-injective renaming within one scope.
     """
     violations = []
-    renamed_decls = []
-    for node in tree.nodes:
-        mapping = {}
-        for name, binding in node.declarations.items():
-            new_name = rename_map.get(binding, binding.name)
-            if new_name in mapping:
-                violations.append(
-                    SafetyViolation(
-                        tree.file_id,
-                        name,
-                        f"scope {node.id}",
-                        f"two declarations map to {new_name!r}",
-                    )
-                )
-            mapping[new_name] = binding
-        renamed_decls.append(mapping)
+
+    def violation(name, where, reason):
+        violations.append(SafetyViolation(tree.file_id, name, where, reason))
+
+    declared = defaultdict(dict)  # output name -> {scope id: the binding declared there}
+    for sid, decls in enumerate(tree.declarations):
+        for name, bid in (decls or {}).items():
+            new_name = outputs[bid]
+            scopes = declared[new_name]
+            if sid in scopes:
+                violation(name, f"scope {sid}", f"two declarations map to {new_name!r}")
+            scopes[sid] = bid
+    home, parents = tree.bindings.scope_ids, tree.parents
     occurrences = tree.occurrences
-    for name, start, sid, binding in zip(
+    for name, start, sid, bid in zip(
         occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
     ):
-        new_name = rename_map.get(binding, binding.name)
+        new_name = outputs[bid]
+        scopes = declared[new_name]
         resolved = None
-        while sid is not None:
-            hit = renamed_decls[sid].get(new_name)
-            if hit is not None:
-                resolved = hit
-                break
-            sid = tree.nodes[sid].parent
+        while resolved is None and sid != GLOBAL_SCOPE:
+            resolved = scopes.get(sid)
+            sid = parents[sid]
+        span = (start, start + len(name))
         if resolved is None:
-            if not binding.is_global():
-                violations.append(
-                    SafetyViolation(
-                        tree.file_id,
-                        name,
-                        (start, start + len(name)),
-                        f"{new_name!r} no longer resolves to a declaration",
-                    )
-                )
-        elif resolved is not binding:
-            violations.append(
-                SafetyViolation(
-                    tree.file_id,
-                    name,
-                    (start, start + len(name)),
-                    f"{new_name!r} is captured by scope {resolved.scope_id}",
-                )
-            )
+            if home[bid] != GLOBAL_SCOPE:
+                violation(name, span, f"{new_name!r} no longer resolves to a declaration")
+        elif resolved != bid:
+            violation(name, span, f"{new_name!r} is captured by scope {home[resolved]}")
     return violations
-

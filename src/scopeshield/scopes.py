@@ -3,14 +3,14 @@
 The parser builds each file's tree as it reads, through a ``ScopeBuilder``;
 no syntax tree is walked. Each file gets its own tree rooted at a module
 scope. Names that resolve past the module root belong to the (implicit,
-program-wide) global scope; the tree keeps one Binding with
-``scope_id == GLOBAL_SCOPE`` for each such name.
+program-wide) global scope; the tree keeps one binding with scope
+``GLOBAL_SCOPE`` for each such name.
 
 var declarations hoist to the nearest function or module scope; let/const,
 class and function declarations bind in the nearest enclosing block (sloppy
 scripts also bind a block's function in its function: Annex B, for which
 the renamer keeps such names). A block, or a switch's case block, gets a
-scope node only when it directly contains a lexical declaration. A
+scope only when it directly contains a lexical declaration. A
 declaration's occurrence stands in the scope where it is written, also a
 hoisted var's. A scope that directly contains eval, `with` or a Function
 constructor call is flagged dynamic. Code in it or below it may read any
@@ -18,9 +18,10 @@ name on its scope chain: the renamer freezes the bindings of the dynamic
 scope and its ancestors, and the parser drops the transform candidates
 read in the dynamic scope or below it.
 
-A tree keeps its identifier occurrences as one table of parallel columns
-(``Occurrences``), not as an object per occurrence: a large bundle holds
-tens of thousands of them from the parse to the emit.
+A tree holds no object per scope, per declaration or per identifier
+occurrence: a large bundle has tens of thousands of each from the parse to
+the emit. Scopes, bindings and occurrences are each a table of parallel
+columns, and they refer to one another by id, an index into a table.
 """
 
 from array import array
@@ -29,49 +30,44 @@ from .errors import UnknownScope, UnsupportedSyntax
 
 GLOBAL_SCOPE = -1
 
-MODULE = "module"
-FUNCTION = "function"
-BLOCK = "block"
+# scope kinds
+MODULE = 0
+FUNCTION = 1
+BLOCK = 2
+KIND_NAMES = ("module", "function", "block")
 
-# assignment order within a scope: params, hoisted functions, var, lexical
-_CATEGORY_RANK = {
-    "import": 0,
-    "param": 1,
-    "function": 2,
-    "fnexpr": 2,
-    "var": 3,
-    "lexical": 4,
-    "catch": 1,
-}
+# binding categories: the parser's "import", "param", "catch", "function"
+# (a declaration), "fnexpr" (a function expression's own name), "var" and
+# "lexical"; GLOBAL is a name read free
+IMPORT, PARAM, CATCH, FUNCTION_DECL, FUNCTION_EXPR, VAR, LEXICAL, GLOBAL = range(8)
+# assignment order within a scope, by category: imports, params, hoisted
+# functions, var, lexical; then declaration order
+RANKS = (0, 1, 1, 2, 2, 3, 4, 4)
 
 
-class Binding:
-    """One declaration: the scope and name it binds, its category and
-    order (the file is the tree's).
-
-    A global (``scope_id == GLOBAL_SCOPE``) is the tree's one record of a
-    name read free. Bindings compare by identity: a declaration has exactly
-    one Binding, which its scope's ``declarations`` holds.
+class Bindings:
+    """A file's bindings as parallel columns indexed by binding id:
+    ``names``, ``scope_ids`` (an int array) and ``categories`` (a byte
+    each). Ids follow declaration order; a global's id is made when its
+    name is first resolved, after every declaration.
     """
 
-    __slots__ = ("scope_id", "name", "category", "order")
+    __slots__ = ("names", "scope_ids", "categories")
 
-    def __init__(self, scope_id, name, category=None, order=0):
-        self.scope_id = scope_id
-        self.name = name
-        self.category = category
-        self.order = order
+    def __init__(self):
+        self.names = []
+        self.scope_ids = array("i")
+        self.categories = bytearray()
 
-    def is_global(self):
-        return self.scope_id == GLOBAL_SCOPE
+    def __len__(self):
+        return len(self.names)
 
-    def rank(self):
-        return (_CATEGORY_RANK.get(self.category, 4), self.order)
-
-    def __repr__(self):
-        if self.is_global():
-            return f"<global:{self.name}>"
-        return f"<#{self.scope_id}:{self.name}>"
+    def add(self, name, scope_id, category):
+        """A new binding; returns its id."""
+        self.names.append(name)
+        self.scope_ids.append(scope_id)
+        self.categories.append(category)
+        return len(self.names) - 1
 
 
 # occurrence styles
@@ -84,9 +80,10 @@ class Occurrences:
     """A file's identifier occurrences, in the order the parser read them,
     as parallel columns: ``names`` (the lexer's one str per word),
     ``starts`` and ``scope_ids`` (int arrays), ``styles`` (a byte each:
-    REF, DECL or SHORTHAND) and ``bindings``, each one's Binding, which
-    ``ScopeTree.resolve_occurrences`` fills. Identifiers lex ASCII-only, so
-    occurrence ``i`` spans ``[starts[i], starts[i] + len(names[i]))``.
+    REF, DECL or SHORTHAND) and ``bindings``, each one's binding id, an int
+    array that ``ScopeTree.resolve_occurrences`` fills. Identifiers lex
+    ASCII-only, so occurrence ``i`` spans ``[starts[i], starts[i] +
+    len(names[i]))``.
     """
 
     __slots__ = ("names", "starts", "scope_ids", "styles", "bindings")
@@ -97,7 +94,7 @@ class Occurrences:
         self.starts = array("i")
         self.scope_ids = array("i")
         self.styles = bytearray()
-        self.bindings = []
+        self.bindings = array("i")
 
     def __len__(self):
         return len(self.names)
@@ -109,92 +106,77 @@ class Occurrences:
         self.styles.append(style)
 
 
-class ScopeNode:
-    __slots__ = (
-        "id",
-        "kind",
-        "parent",
-        "children",
-        "start",
-        "end",
-        "declarations",
-        "is_dynamic",
-    )
-
-    def __init__(self, id_, kind, parent, start, end):
-        self.id = id_
-        self.kind = kind
-        self.parent = parent
-        self.children = []
-        self.start = start
-        self.end = end
-        self.declarations = {}
-        self.is_dynamic = False
-
-
 class ScopeTree:
-    """Per-file scope tree plus the occurrence table of the file."""
+    """A file's scopes as parallel columns indexed by scope id, with its
+    bindings and its occurrence table.
+
+    Scope ``sid`` has ``parents[sid]`` (``GLOBAL_SCOPE`` for the module
+    scope, ``root``), ``kinds[sid]``, the span ``[starts[sid],
+    ends[sid])``, ``dynamic[sid]`` (1 if a dynamic site is directly in it)
+    and ``declarations[sid]``: ``{name: binding id}``, or None if it
+    declares nothing. Ids are in pre-order, so a scope's parent has a
+    smaller id. ``globals`` maps each name read free to its binding id.
+    """
+
+    root = 0
 
     def __init__(self, file_id):
         self.file_id = file_id
-        self.nodes = []
-        self.root = 0
+        self.parents = array("i")
+        self.kinds = bytearray()
+        self.starts = array("i")
+        self.ends = array("i")
+        self.dynamic = bytearray()
+        self.declarations = []
+        self.bindings = Bindings()
         self.occurrences = Occurrences()
-        self.globals = {}  # name read free -> its global Binding
+        self.globals = {}
+
+    def __len__(self):
+        return len(self.kinds)
 
     def new_scope(self, kind, parent, start, end):
-        node = ScopeNode(len(self.nodes), kind, parent, start, end)
-        self.nodes.append(node)
-        if parent is not None:
-            self.nodes[parent].children.append(node.id)
-        return node
+        """A new scope; returns its id."""
+        self.parents.append(parent)
+        self.kinds.append(kind)
+        self.starts.append(start)
+        self.ends.append(end)
+        self.dynamic.append(0)
+        self.declarations.append(None)
+        return len(self.kinds) - 1
+
+    def declare(self, sid, name, category):
+        """A new binding of ``name`` in scope ``sid``, in place of any it
+        held; returns its id."""
+        decls = self.declarations[sid] = self.declarations[sid] or {}
+        decls[name] = bid = self.bindings.add(name, sid, category)
+        return bid
 
     def resolve(self, name, scope_id):
-        """Def-style recursive resolution to the declaring scope's Binding;
-        falls through to the tree's global Binding for the name (made on
-        first use) when no scope on the chain declares it."""
-        if scope_id < 0 or scope_id >= len(self.nodes):
+        """Def-style recursive resolution to the id of the declaring scope's
+        binding; falls through to the tree's global binding for the name
+        (made on first use) when no scope on the chain declares it."""
+        if scope_id < 0 or scope_id >= len(self.kinds):
             raise UnknownScope(f"scope {scope_id} not in tree of {self.file_id}")
+        declarations, parents = self.declarations, self.parents
         sid = scope_id
-        while sid is not None:
-            node = self.nodes[sid]
-            binding = node.declarations.get(name)
-            if binding is not None:
-                return binding
-            sid = node.parent
-        binding = self.globals.get(name)
-        if binding is None:
-            binding = self.globals[name] = Binding(GLOBAL_SCOPE, name)
-        return binding
+        while sid != GLOBAL_SCOPE:
+            decls = declarations[sid]
+            if decls is not None:
+                bid = decls.get(name)
+                if bid is not None:
+                    return bid
+            sid = parents[sid]
+        bid = self.globals.get(name)
+        if bid is None:
+            bid = self.globals[name] = self.bindings.add(name, GLOBAL_SCOPE, GLOBAL)
+        return bid
 
     def resolve_occurrences(self):
-        """Resolve every occurrence once and store its Binding in the
+        """Resolve every occurrence once and store its binding id in the
         ``bindings`` column."""
         occ = self.occurrences
-        occ.bindings = list(map(self.resolve, occ.names, occ.scope_ids))
-
-    def preorder(self):
-        stack = [self.root]
-        while stack:
-            sid = stack.pop()
-            yield sid
-            stack.extend(reversed(self.nodes[sid].children))
-
-    def scopes_with_dynamic_inside(self):
-        """Scopes whose subtree (self included) contains a dynamic scope.
-
-        Bindings of these scopes are visible at some dynamic site, so the
-        renamer freezes them.
-        """
-        tainted = set()
-        for node in self.nodes:
-            if not node.is_dynamic:
-                continue
-            sid = node.id
-            while sid is not None and sid not in tainted:
-                tainted.add(sid)
-                sid = self.nodes[sid].parent
-        return tainted
+        occ.bindings = array("i", map(self.resolve, occ.names, occ.scope_ids))
 
 
 class ScopeBuilder:
@@ -207,95 +189,101 @@ class ScopeBuilder:
 
     A statement block or a switch's case block is entered like any scope,
     because whether it directly holds a lexical declaration is known only at
-    its `}`. Leaving it with ``keep=False`` elides it: its child scopes,
-    dynamic flag and declarations (a lexical one nested in a bare `if`
-    body) go to its parent, and ``finish`` renumbers the remaining scopes
-    in pre-order and moves the occurrences read in it to the parent.
+    its `}`. Leaving it with ``keep=False`` elides it: its dynamic flag and
+    declarations (a lexical one nested in a bare `if` body) go to its
+    parent, and ``finish`` drops it, moving its child scopes and the
+    occurrences read in it to the parent.
 
     Whether a `(` heads an arrow is known only at the `=>` after its `)`, so
     the head is read in the current scope; ``enter_arrow`` then moves what
-    it recorded into the arrow's scope.
+    it recorded into the arrow's scope. Scopes are numbered as entered, and
+    ``preorder`` lists them with each arrow moved before its head's scopes;
+    ``finish`` renumbers them in that order.
     """
 
     def __init__(self, file_id):
-        self.file_id = file_id
-        self.tree = ScopeTree(file_id)
-        self.nodes = self.tree.nodes
-        self.occurrences = self.tree.occurrences
+        self.tree = tree = ScopeTree(file_id)
+        self.occurrences = tree.occurrences
         # the module scope's end is set by ``finish``
-        self.scope = self.function = self.tree.new_scope(MODULE, None, 0, 0)
+        self.scope = self.function = tree.new_scope(MODULE, GLOBAL_SCOPE, 0, 0)
         self.outer = []  # (scope, function scope) of each scope entered
-        self.order = 0
+        self.preorder = array("i", [self.scope])
+        self.elided = bytearray(1)
         # the first `var` that redeclares a catch parameter; raised by the
         # parser only once the whole file has parsed
         self.catch_redeclared = None
 
     def enter(self, kind, start):
         self.outer.append((self.scope, self.function))
-        self.scope = self.tree.new_scope(kind, self.scope.id, start, start)
+        self.scope = self.tree.new_scope(kind, self.scope, start, start)
+        self.preorder.append(self.scope)
+        self.elided.append(0)
         if kind == FUNCTION:
             self.function = self.scope
 
     def leave(self, end, keep=True):
         """Leave the current scope; returns whether a dynamic site is in
         it, its elided blocks included."""
-        node = self.scope
-        node.end = end
+        sid = self.scope
+        self.tree.ends[sid] = end
         self.scope, self.function = self.outer.pop()
         if not keep:
-            self._elide(node)
-        return node.is_dynamic
+            self._elide(sid)
+        return self.tree.dynamic[sid]
 
-    def _elide(self, node):
-        parent = self.scope  # the node is the last child entered in it
-        parent.children.pop()
-        parent.children.extend(node.children)
-        for child in node.children:
-            self.nodes[child].parent = parent.id
-        if node.is_dynamic:
-            parent.is_dynamic = True
-        decls = parent.declarations
-        for name, binding in node.declarations.items():
+    def _elide(self, sid):
+        tree = self.tree
+        parent = self.scope
+        self.elided[sid] = 1
+        tree.dynamic[parent] |= tree.dynamic[sid]
+        moved, tree.declarations[sid] = tree.declarations[sid], None
+        if moved is None:
+            return
+        decls = tree.declarations[parent] = tree.declarations[parent] or {}
+        scope_ids = tree.bindings.scope_ids
+        for name, bid in moved.items():
             kept = decls.get(name)
-            if kept is not None and kept.order < binding.order:
+            if kept is not None and kept < bid:
                 continue
-            binding.scope_id = parent.id
-            decls[name] = binding
+            scope_ids[bid] = parent
+            decls[name] = bid
 
     def mark(self):
         """At a `(` that may head an arrow: what ``enter_arrow`` takes. The
         scope's dynamic flag is set aside, to tell whether the head sets it."""
-        scope = self.scope
-        mark = len(self.occurrences), len(scope.children), scope.is_dynamic
-        scope.is_dynamic = False
+        dynamic = self.tree.dynamic
+        mark = len(self.occurrences), len(dynamic), dynamic[self.scope]
+        dynamic[self.scope] = 0
         return mark
 
     def unmark(self, mark):
         """At the `)` of a parenthesized expression: put the flag back."""
-        self.scope.is_dynamic |= mark[2]
+        self.tree.dynamic[self.scope] |= mark[2]
 
     def enter_arrow(self, start, mark, params):
         """Enter the scope of an arrow whose head, from ``start``, was read
         since ``mark``: what the head recorded moves into it, and ``params``,
         the indices of its parameter names' occurrences, declare them."""
-        occurrences, children, dynamic = mark
+        occurrences, scopes, dynamic = mark
+        tree = self.tree
         outer = self.scope
         self.enter(FUNCTION, start)
-        node = self.scope
-        node.is_dynamic, outer.is_dynamic = outer.is_dynamic, dynamic
-        node.children = outer.children[children:-1]
-        del outer.children[children:-1]
-        for child in node.children:  # entered before it: ``finish`` renumbers
-            self.nodes[child].parent = node.id
+        arrow = self.scope
+        tree.dynamic[arrow], tree.dynamic[outer] = tree.dynamic[outer], dynamic
+        # the head's scopes, entered before the arrow, come after it
+        del self.preorder[-1]
+        self.preorder.insert(scopes, arrow)
+        parents = tree.parents
+        for sid in range(scopes, arrow):
+            if parents[sid] == outer:
+                parents[sid] = arrow
         occ = self.occurrences
         for index in range(occurrences, len(occ)):
-            if occ.scope_ids[index] == outer.id:
-                occ.scope_ids[index] = node.id
+            if occ.scope_ids[index] == outer:
+                occ.scope_ids[index] = arrow
         for index in params:
             occ.styles[index] = DECL
-            name = occ.names[index]
-            self.order += 1
-            node.declarations[name] = Binding(node.id, name, "param", self.order)
+            tree.declare(arrow, occ.names[index], PARAM)
 
     def declare(self, tok, category):
         self._declare(self.scope, tok, category)
@@ -306,71 +294,74 @@ class ScopeBuilder:
         would change behavior, so such a file takes the verbatim-copy
         path."""
         if self.catch_redeclared is None:
-            node = self.scope
-            while node is not self.function:
-                existing = node.declarations.get(tok.text)
-                if existing is not None and existing.category == "catch":
+            tree = self.tree
+            sid = self.scope
+            while sid != self.function:
+                existing = (tree.declarations[sid] or {}).get(tok.text)
+                if existing is not None and tree.bindings.categories[existing] == CATCH:
                     self.catch_redeclared = UnsupportedSyntax(
-                        f"var {tok.text!r} redeclares a catch parameter", self.file_id, tok.start
+                        f"var {tok.text!r} redeclares a catch parameter", tree.file_id, tok.start
                     )
                     break
-                node = self.nodes[node.parent]
-        self._declare(self.function, tok, "var")
+                sid = tree.parents[sid]
+        self._declare(self.function, tok, VAR)
 
-    def _declare(self, node, tok, category):
-        """Bind the name in ``node``; its occurrence stands in the current
-        scope, so the blocks between a ``var`` and its function forbid the
-        var's output name."""
+    def _declare(self, sid, tok, category):
+        """Bind the name in scope ``sid``; its occurrence stands in the
+        current scope, so the blocks between a ``var`` and its function
+        forbid the var's output name."""
         name = tok.text
-        decls = node.declarations
-        if name not in decls:
-            self.order += 1
-            decls[name] = Binding(node.id, name, category, self.order)
-        self.occurrences.add(name, tok.start, self.scope.id, DECL)
+        if name not in (self.tree.declarations[sid] or ()):
+            self.tree.declare(sid, name, category)
+        self.occurrences.add(name, tok.start, self.scope, DECL)
 
     def reference(self, tok, style=REF):
-        self.occurrences.add(tok.text, tok.start, self.scope.id, style)
+        self.occurrences.add(tok.text, tok.start, self.scope, style)
 
     def mark_dynamic(self):
         # direct presence only; freezing walks ancestors separately
-        self.scope.is_dynamic = True
+        self.tree.dynamic[self.scope] = 1
 
     def finish(self, end):
         """The tree, with the module scope ending at ``end``, elided blocks
         gone, the scope ids in pre-order and every occurrence resolved."""
-        nodes = self.nodes
-        nodes[0].end = end
-        remap = [None] * len(nodes)  # scope id at entry -> id in the tree
-        kept = []
-        for sid in self.tree.preorder():
-            remap[sid] = len(kept)
-            kept.append(nodes[sid])
-        for node in nodes:
-            if remap[node.id] is None:  # elided, after its parent
-                remap[node.id] = remap[node.parent]
-        for node in kept:
-            node.id = remap[node.id]
-            if node.parent is not None:
-                node.parent = remap[node.parent]
-            node.children = [remap[child] for child in node.children]
-            for binding in node.declarations.values():
-                binding.scope_id = node.id
-        nodes[:] = kept
-        occ = self.occurrences
+        tree = self.tree
+        tree.ends[0] = end
+        remap = array("i", bytes(4 * len(tree)))  # scope id at entry -> id in the tree
+        kept = array("i")  # the entry ids of the scopes kept, in pre-order
+        parents = array("i")
+        for sid in self.preorder:
+            parent = tree.parents[sid]
+            if parent != GLOBAL_SCOPE:
+                parent = remap[parent]  # an elided parent's is its own parent's
+            if self.elided[sid]:
+                remap[sid] = parent
+            else:
+                remap[sid] = len(kept)
+                kept.append(sid)
+                parents.append(parent)
+        tree.parents = parents
+        tree.kinds = bytearray(map(tree.kinds.__getitem__, kept))
+        tree.starts = array("i", map(tree.starts.__getitem__, kept))
+        tree.ends = array("i", map(tree.ends.__getitem__, kept))
+        tree.dynamic = bytearray(map(tree.dynamic.__getitem__, kept))
+        tree.declarations = list(map(tree.declarations.__getitem__, kept))
+        bindings, occ = tree.bindings, tree.occurrences
+        bindings.scope_ids = array("i", map(remap.__getitem__, bindings.scope_ids))
         occ.scope_ids = array("i", map(remap.__getitem__, occ.scope_ids))
-        self.tree.resolve_occurrences()
-        return self.tree
+        tree.resolve_occurrences()
+        return tree
 
 
 def format_scope_report(tree):
     """Indented one-scope-per-line dump for ``analyze --dump-scopes``."""
     lines = []
-    stack = [(tree.root, 0)]
-    while stack:
-        sid, depth = stack.pop()
-        node = tree.nodes[sid]
-        decls = ", ".join(sorted(node.declarations)) or "-"
-        dyn = " dynamic" if node.is_dynamic else ""
-        lines.append(f"{'  ' * depth}{node.kind}#{sid} [{node.start},{node.end}){dyn}: {decls}")
-        stack.extend((child, depth + 1) for child in reversed(node.children))
+    depths = []
+    for sid, parent in enumerate(tree.parents):
+        depth = 0 if parent == GLOBAL_SCOPE else depths[parent] + 1
+        depths.append(depth)
+        decls = ", ".join(sorted(tree.declarations[sid] or ())) or "-"
+        dyn = " dynamic" if tree.dynamic[sid] else ""
+        kind = KIND_NAMES[tree.kinds[sid]]
+        lines.append(f"{'  ' * depth}{kind}#{sid} [{tree.starts[sid]},{tree.ends[sid]}){dyn}: {decls}")
     return "\n".join(lines)

@@ -1,4 +1,5 @@
-"""Performance-preserving obfuscation transforms, applied per file as patches.
+"""Performance-preserving obfuscation transforms, applied per file as span
+edits.
 
 String literals are replaced by indexed calls into the file's one decoder,
 whose table is decoded exactly once behind a guard variable; later calls read
@@ -20,9 +21,10 @@ in one: a dynamic site may read them as written.
 """
 
 import base64
+from array import array
 
 from .parser import string_value
-from .patches import Patch
+from .patches import Edits
 
 
 def encode_payload(value, key):
@@ -79,20 +81,19 @@ def decoder_preamble(table, key, names):
 
 def encode_strings(key, fresh_names, source, candidates):
     """Encode the file's eligible string literals, ``candidates`` (the
-    (start, end) spans of ``Candidates.strings``), into one table.
+    ``Spans`` of ``Candidates.strings``), into one table.
 
-    Returns (patches, preamble text, the table's payloads or None).
-    Literals shorter than 2 characters, literals with malformed or legacy
-    escapes and non-UTF-8-encodable values are skipped.
+    Returns (``Edits``, preamble text, the table's payloads or None); the
+    edits of one table entry share its decoder call text. Literals shorter
+    than 2 characters, literals with malformed or legacy escapes and
+    non-UTF-8-encodable values are skipped.
     """
-    table = []
-    index_of = {}
-    patches = []
-    picked = []
+    starts, ends = array("i"), array("i")
+    indexes = array("i")  # the table index of each literal encoded
+    index_of = {}  # value -> table index
     for start, end in candidates:
-        raw = source[start:end]
         try:
-            value = string_value(raw)
+            value = string_value(source[start:end])
         except ValueError:
             continue
         if len(value) < 2:
@@ -101,50 +102,49 @@ def encode_strings(key, fresh_names, source, candidates):
             value.encode("utf-8")
         except UnicodeEncodeError:
             continue
-        picked.append((start, end, value))
-    if not picked:
-        return [], "", None
+        starts.append(start)
+        ends.append(end)
+        indexes.append(index_of.setdefault(value, len(index_of)))
+    if not starts:
+        return Edits(), "", None
 
     names = (next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names))
     decoder = names[3]  # names: table, guard, cache, decoder, transform
-    calls = []  # table index -> decoder call text
-    for start, end, value in picked:
-        idx = index_of.get(value)
-        if idx is None:
-            idx = len(table)
-            index_of[value] = idx
-            table.append(encode_payload(value, key))
-            calls.append(f"{decoder}({idx})")
-        call = calls[idx]
+    table = [encode_payload(value, key) for value in index_of]
+    calls = [f"{decoder}({idx})" for idx in range(len(table))]
+    spaced = {}  # table index -> its call after a space
+    texts = []
+    for start, idx in zip(starts, indexes):
         # a quote needs no separator from a preceding keyword (return"x"),
         # but the decoder call does
         if start > 0 and (source[start - 1].isalnum() or source[start - 1] in "_$"):
-            call = " " + call
-        patches.append(Patch(start, end, call))
-    preamble = decoder_preamble(table, key, names)
-    return patches, preamble, table
+            texts.append(spaced.setdefault(idx, " " + calls[idx]))
+        else:
+            texts.append(calls[idx])
+    return Edits(starts, ends, texts), decoder_preamble(table, key, names), table
 
 
 def rewrite_property_access(fresh_names, accesses):
     """Rewrite the file's ``obj.prop`` accesses (``Candidates.accesses``)
     to ``obj[v]``: each span from the `.` to the end becomes ``[v]``.
 
-    Returns (patches, preamble text, [(slot var, property name)] sorted by
-    slot var); one slot per distinct property name in the file, declared by
-    the preamble, which the caller injects at the module top.
+    Returns (``Edits`` over the accesses' own span columns, preamble text,
+    [(slot var, property name)] sorted by slot var); one slot per distinct
+    property name in the file, declared by the preamble, which the caller
+    injects at the module top. The edits of one name share its text.
     """
     access_text = {}  # property name -> "[slot var]"
     slots = []
-    patches = []
-    for dot, end, name in zip(accesses.dots, accesses.ends, accesses.names):
+    texts = []
+    for name in accesses.names:
         text = access_text.get(name)
         if text is None:
             var = next(fresh_names)
             slots.append((var, name))
             text = access_text[name] = f"[{var}]"
-        patches.append(Patch(dot, end, text))
+        texts.append(text)
     if not slots:
-        return [], "", []
+        return Edits(), "", []
     slots.sort()
     decls = ",".join(f'{var}="{prop}"' for var, prop in slots)
-    return patches, f"var {decls};", slots
+    return Edits(accesses.starts, accesses.ends, texts), f"var {decls};", slots

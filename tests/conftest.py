@@ -1,13 +1,16 @@
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
+from scopeshield import pipeline
 from scopeshield.lexer import lex
-from scopeshield.patches import emit
-from scopeshield.scopes import Occurrences
+from scopeshield.patches import Edits, emit
+from scopeshield.scopes import GLOBAL_SCOPE, Occurrences
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -28,7 +31,7 @@ def run_node(code=None, path=None, cwd=None, timeout=30):
 def access_rows(accesses):
     """The (`.` start, end, property name) of each access of an
     ``Accesses`` table."""
-    return list(zip(accesses.dots, accesses.ends, accesses.names))
+    return list(zip(accesses.starts, accesses.ends, accesses.names))
 
 
 # A script to run in front of a program: it counts the program's
@@ -45,14 +48,97 @@ def lex_all(source, file_id="<input>", minify=False):
     return [tok for batch in lex(source, file_id, minify) for tok in batch]
 
 
-def patched(source, patches):
-    """``source`` with ``patches`` applied by ``emit``, with no renames."""
-    return emit(source, patches, Occurrences(), {})
+def edits(*rows):
+    """An ``Edits`` table of (start, end, text) rows, given in start order."""
+    table = Edits()
+    for row in rows:
+        table.append(*row)
+    return table
+
+
+def edit_rows(table):
+    """The (start, end, text) rows of an ``Edits`` table."""
+    return list(zip(table.starts, table.ends, table.texts))
+
+
+def patched(source, rows):
+    """``source`` with the (start, end, text) ``rows``, in any order,
+    applied by ``emit``, with no renames: one ``Edits`` table per row."""
+    return emit(source, [edits(row) for row in rows], Occurrences(), [])
+
+
+ScopeView = namedtuple("ScopeView", "id kind parent start end dynamic declarations children")
+
+
+def scope_views(tree):
+    """A ScopeView of each scope of ``tree``, by id: its columns, its
+    declarations ({} for none) and the ids of its child scopes."""
+    children = [[] for _ in range(len(tree))]
+    for sid, parent in enumerate(tree.parents):
+        if parent != GLOBAL_SCOPE:
+            children[parent].append(sid)
+    return [
+        ScopeView(
+            sid, tree.kinds[sid], tree.parents[sid], tree.starts[sid], tree.ends[sid],
+            tree.dynamic[sid], tree.declarations[sid] or {}, children[sid],
+        )
+        for sid in range(len(tree))
+    ]
+
+
+def declared_bindings(tree):
+    """The ids of the bindings the scopes of ``tree`` declare, scope by
+    scope, each scope's by name."""
+    return [decls[name] for decls in tree.declarations if decls for name in sorted(decls)]
+
+
+def rename_cost(tree, outputs):
+    """Sum of the declared bindings' output names' lengths: every binding
+    weighs 1."""
+    return sum(len(outputs[bid]) for bid in declared_bindings(tree))
 
 
 def nl_before(tokens):
     """The indexes of the tokens a line break precedes."""
     return {i for i, t in enumerate(tokens) if t.nl}
+
+
+# the functions ``process_file`` calls for each phase, by phase
+PHASE_FUNCTIONS = {
+    "front end": "front_end",
+    "rename": "rename_file",  # rename_tree and check_safety
+    "transform": "transform_file",
+    "emit": "emit",
+}
+
+
+def phase_peaks(config, rel_path):
+    """(result, {phase: traced peak bytes}) of one ``process_file`` run on
+    ``rel_path``, with the cyclic collector paused as in a pool worker. A
+    phase's peak counts what the earlier phases left alive."""
+    peaks = {}
+
+    def traced(phase, function):
+        def run(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                peaks[phase] = tracemalloc.get_traced_memory()[1]
+
+        return run
+
+    originals = {name: getattr(pipeline, name) for name in PHASE_FUNCTIONS.values()}
+    for phase, name in PHASE_FUNCTIONS.items():
+        setattr(pipeline, name, traced(phase, originals[name]))
+    tracemalloc.start()
+    try:
+        result = pipeline._gc_paused(pipeline.process_file, config, frozenset(), rel_path)
+    finally:
+        tracemalloc.stop()
+        for name, function in originals.items():
+            setattr(pipeline, name, function)
+    return result, peaks
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from scopeshield.patches import emit
 from scopeshield.pipeline import ObfuscationConfig, front_end, obfuscate_project
 from scopeshield.renamer import check_safety, name_sequence, rename_tree
 
-from conftest import COUNT_FROM_CHAR_CODE, run_node
+from conftest import COUNT_FROM_CHAR_CODE, declared_bindings, rename_cost, run_node
 from corpusgen import build_corpus
 from scalegen import generate_scaling_corpus, synth_module
 from treegen import random_scope_tree
@@ -121,23 +121,17 @@ def test_c2_oracle_flags_capture_when_tightening_disabled(node):
 
 # ---- criterion 3: greedy cost optimality at small scale ----
 
-def cost(rename_map):
-    """Sum of the output names' lengths: every binding weighs 1."""
-    return sum(len(name) for name in rename_map.values())
-
-
 def brute_force_min_cost(tree, alphabet="ab", pool_size=6):
-    bindings = []
-    for scope in tree.nodes:
-        for name in sorted(scope.declarations):
-            bindings.append(scope.declarations[name])
+    bindings = declared_bindings(tree)
     pool = list(islice(name_sequence(alphabet=alphabet), pool_size))
+    candidate = list(tree.bindings.names)
     best = None
     for combo in product(pool, repeat=len(bindings)):
-        candidate = dict(zip(bindings, combo))
+        for bid, name in zip(bindings, combo):
+            candidate[bid] = name
         if check_safety(tree, candidate):
             continue
-        total = cost(candidate)
+        total = rename_cost(tree, candidate)
         if best is None or total < best:
             best = total
     return best
@@ -148,14 +142,14 @@ def test_c3_greedy_matches_brute_force_minimum():
     checked = 0
     while checked < 150:
         tree = random_scope_tree(rng, max_depth=3, max_bindings=4)
-        bindings = sum(len(s.declarations) for s in tree.nodes)
+        bindings = len(declared_bindings(tree))
         if not 1 <= bindings <= 4:
             continue
         greedy = rename_tree(tree, alphabet="ab")
         assert check_safety(tree, greedy) == []
         minimum = brute_force_min_cost(tree)
-        assert cost(greedy) == minimum, (
-            f"greedy cost {cost(greedy)} != brute-force minimum {minimum} "
+        assert rename_cost(tree, greedy) == minimum, (
+            f"greedy cost {rename_cost(tree, greedy)} != brute-force minimum {minimum} "
             f"on {bindings} bindings"
         )
         checked += 1

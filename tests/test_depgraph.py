@@ -5,7 +5,7 @@ from scopeshield.depgraph import (
     resolve_import,
     unresolved_imports,
 )
-from scopeshield.parser import FileSummary
+from scopeshield.facts import FileSummary
 
 
 def make_summary(file_id, imports=(), exports=(), declared=(), free=()):

@@ -42,7 +42,7 @@ def complexity_of_function(src):
     program's number less the 1 of the module body."""
     _text, tree, _candidates, summary = front_end(src, "t.js", minify=False)
     assert summary.declared_globals == ["f"]
-    assert [node.kind for node in tree.nodes].count(FUNCTION) == 1
+    assert list(tree.kinds).count(FUNCTION) == 1
     return cyclomatic_complexity(src) - 1
 
 

@@ -8,11 +8,11 @@ from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
 from scopeshield.lexer import BATCH_TOKENS
 from scopeshield.parser import string_value
 from scopeshield.pipeline import FILE_FAILURES, ObfuscationConfig, front_end, obfuscate_project
-from scopeshield.scopes import DECL, FUNCTION, REF, SHORTHAND
+from scopeshield.scopes import DECL, FUNCTION, GLOBAL_SCOPE, KIND_NAMES, MODULE, REF, SHORTHAND
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import access_rows, lex_all, nl_before, run_node
+from conftest import access_rows, lex_all, nl_before, run_node, scope_views
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
@@ -26,7 +26,7 @@ _STYLE_NAMES = {REF: None, DECL: "decl", SHORTHAND: "shorthand"}
 
 
 def occurrence_rows(tree):
-    """The (name, start, style name, binding) of each occurrence of
+    """The (name, start, style name, binding id) of each occurrence of
     ``tree``; the style name is None for a reference."""
     occurrences = tree.occurrences
     styles = [_STYLE_NAMES[style] for style in occurrences.styles]
@@ -35,12 +35,12 @@ def occurrence_rows(tree):
 
 def dynamic_scopes(src, file_id="t.js"):
     tree, _candidates, _summary = parse_src(src, file_id)
-    return [node for node in tree.nodes if node.is_dynamic]
+    return [node for node in scope_views(tree) if node.dynamic]
 
 
 def function_scope_texts(src):
     tree, _candidates, _summary = parse_src(src)
-    return [src[node.start : node.end] for node in tree.nodes if node.kind == FUNCTION]
+    return [src[node.start : node.end] for node in scope_views(tree) if node.kind == FUNCTION]
 
 
 def test_import_export_summary():
@@ -52,7 +52,7 @@ def test_import_export_summary():
 def test_eval_call_is_a_dynamic_site():
     src = "function g(){ eval(s) }"
     (scope,) = dynamic_scopes(src)
-    assert scope.kind == "function"
+    assert scope.kind == FUNCTION
     assert "eval(s)" in src[scope.start:scope.end]
 
 
@@ -65,13 +65,11 @@ def test_declared_globals_and_free_names():
 
 
 def test_with_statement_is_dynamic():
-    assert [scope.kind for scope in dynamic_scopes("with (o) { x = 1; }")] == ["module"]
+    assert [scope.kind for scope in dynamic_scopes("with (o) { x = 1; }")] == [MODULE]
 
 
 def test_function_constructor_is_dynamic():
-    assert [scope.kind for scope in dynamic_scopes('var f = new Function("return 1");')] == [
-        "module"
-    ]
+    assert [scope.kind for scope in dynamic_scopes('var f = new Function("return 1");')] == [MODULE]
 
 
 def test_span_containment_over_corpus():
@@ -81,17 +79,18 @@ def test_span_containment_over_corpus():
     for gen in GENERATORS:
         for text in gen(rng).values():
             tree, candidates, _summary = parse_src(text, "c.js")
-            assert tree.nodes[tree.root].start == 0 and tree.nodes[tree.root].end == len(text)
-            for node in tree.nodes:
+            scopes = scope_views(tree)
+            assert scopes[tree.root].start == 0 and scopes[tree.root].end == len(text)
+            for node in scopes:
                 for child in node.children:
-                    child = tree.nodes[child]
+                    child = scopes[child]
                     assert child.parent == node.id
                     assert node.start <= child.start <= child.end <= node.end, (
                         f"{child.kind} escapes {node.kind} in {text[:40]!r}"
                     )
             occurrences = tree.occurrences
             for name, start, sid in zip(occurrences.names, occurrences.starts, occurrences.scope_ids):
-                scope = tree.nodes[sid]
+                scope = scopes[sid]
                 assert scope.start <= start < start + len(name) <= scope.end
                 assert text[start : start + len(name)] == name
             for start, end in candidates.strings:
@@ -100,7 +99,7 @@ def test_span_containment_over_corpus():
                 assert dot < end and text[dot] == "." and text[dot:end].endswith(name)
             starts = [start for start, _end in candidates.strings]
             assert starts == sorted(starts)
-            dots = candidates.accesses.dots
+            dots = candidates.accesses.starts
             assert all(a < b for a, b in zip(dots, dots[1:]))
 
 
@@ -213,8 +212,8 @@ def test_unsupported_constructs_raise(src):
 def test_shorthand_property_marked():
     tree, _candidates, _summary = parse_src("var x = 1; var o = {x};")
     shorthand = [
-        (name, start, binding.name)
-        for name, start, style, binding in occurrence_rows(tree)
+        (name, start, tree.bindings.names[bid])
+        for name, start, style, bid in occurrence_rows(tree)
         if style == "shorthand"
     ]
     assert shorthand == [("x", 20, "x")]
@@ -329,7 +328,7 @@ def test_export_default_function_or_class_may_be_anonymous(src, name, functions)
     assert summary.module_syntax and summary.export_pairs == []
     # an anonymous default binds no name; a named one binds its name
     assert summary.declared_globals == ([name] if name else [])
-    assert [node.kind for node in tree.nodes].count(FUNCTION) == functions
+    assert list(tree.kinds).count(FUNCTION) == functions
     if src.endswith("(1);"):
         # `(1)` is a statement of its own, not a call of the function: in
         # its place `(a) = 2` parses, and a call is no assignment target
@@ -402,11 +401,9 @@ def facts(src):
     """The scopes (kind, start, end) and the occurrences (name, start,
     style, declaring scope) of ``src``."""
     tree, _candidates, _summary = parse_src(src)
-    scopes = [(node.kind, node.start, node.end) for node in tree.nodes]
-    occurrences = [
-        (name, start, style, binding.scope_id)
-        for name, start, style, binding in occurrence_rows(tree)
-    ]
+    scopes = [(KIND_NAMES[kind], start, end) for kind, start, end in zip(tree.kinds, tree.starts, tree.ends)]
+    home = tree.bindings.scope_ids
+    occurrences = [(name, start, style, home[bid]) for name, start, style, bid in occurrence_rows(tree)]
     return scopes, occurrences
 
 
@@ -466,7 +463,7 @@ def test_line_continuations_join_the_lines():
     assert string_value('"a\u2028b\u2029c"') == "a\u2028b\u2029c"
     src = 'var s = "a\u2028b";'
     _tree, candidates, _summary = parse_src(src)
-    assert candidates.strings == [(8, len(src) - 1)]
+    assert list(candidates.strings) == [(8, len(src) - 1)]
 
 
 # compiles each source of the JSON list on stdin as a script; prints whether each compiled
@@ -550,6 +547,67 @@ def test_a_parenthesized_expression_is_a_target_only_if_its_inside_is(node):
             continue
         with pytest.raises(ParseError, match="invalid assignment target"):
             parse_src(src)
+
+
+# (source, whether node compiles it). Node compiles a call as the target
+# of `=`, of an arithmetic compound assignment, of `++` and `--` and of a
+# for-in head (running it throws), but not of a logical assignment; nor
+# anything but a simple target as the operand of `++` and `--` or the
+# target of a for-in or for-of head.
+CALL_TARGETS_AND_UPDATE_OPERANDS = [
+    ("f() = 1;", True),
+    ("f() += 1;", True),
+    ("f() **= 1;", True),
+    ("(f()) = 1;", True),
+    ("a.b() = 1;", True),
+    ("f()++;", True),
+    ("++f();", True),
+    ("for (f() in o);", True),
+    ("++x; y--; ++(z); --a.b; a[0]++;", True),
+    ("f() &&= 1;", False),
+    ("f() ??= 1;", False),
+    ("new f() = 1;", False),
+    ("f()`x` = 1;", False),
+    ("++x++;", False),
+    ("x = ++y--;", False),
+    ("1++;", False),
+    ("++(a + b);", False),
+    ("++this;", False),
+    ("for (1 in o);", False),
+    ("for (a + b of o);", False),
+    ("for ((a) in o); for (a.b of o); for ([a, b] of o);", True),
+]
+
+
+def node_checks(node, path, text):
+    """Whether ``node --check`` compiles ``text`` as the file ``path``."""
+    path.write_text(text, encoding="utf-8")
+    return subprocess.run([node, "--check", str(path)], capture_output=True).returncode == 0
+
+
+@pytest.mark.parametrize("src, ok", CALL_TARGETS_AND_UPDATE_OPERANDS)
+def test_call_targets_and_update_operands_as_node_reads_them(src, ok, tmp_path, node):
+    # a script, a strict script and a module alike
+    assert node_checks(node, tmp_path / "s.js", src) == ok
+    assert node_checks(node, tmp_path / "strict.js", '"use strict";' + src) == ok
+    assert node_checks(node, tmp_path / "m.mjs", src) == ok
+    if ok:
+        parse_src(src)
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_src(src)
+        assert type(err.value) is ParseError
+
+
+def test_call_targets_and_update_operands_are_transformed(tmp_path, node):
+    src = "".join(f"function t{i}(f, a, o, x, y, z) {{ {text} }}\n" for i, (text, ok) in enumerate(
+        CALL_TARGETS_AND_UPDATE_OPERANDS) if ok)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "in" / "c.js").write_text(src, encoding="utf-8")
+    config = ObfuscationConfig(input_root=str(tmp_path / "in"), output_root=str(tmp_path / "out"))
+    assert obfuscate_project(config)["files_transformed"] == 1
+    out = (tmp_path / "out" / "c.js").read_text(encoding="utf-8")
+    assert out != src and "f()=1" not in out and node_checks(node, tmp_path / "check.js", out)
 
 
 SUPER_USES = [
@@ -742,7 +800,7 @@ def test_arrow_head_closing_past_a_batch_boundary():
         src = filler(before) + f"var f = ({params}) => p0 + p9; var g = (x) + 1;"
         tree, _candidates, summary = parse_src(src)
         assert summary.declared_globals == ["f", "g"]
-        (arrow,) = [node for node in tree.nodes if node.kind == FUNCTION]
+        (arrow,) = [node for node in scope_views(tree) if node.kind == FUNCTION]
         assert src[arrow.start : arrow.end] == f"({params}) => p0 + p9"
         assert sorted(arrow.declarations) == sorted(f"p{i}" for i in range(10))
 
@@ -821,14 +879,17 @@ def scope_facts(src):
     candidates."""
     tree, candidates, _summary = parse_src(src)
     return (
-        [(node.kind, node.parent, node.is_dynamic) for node in tree.nodes],
-        [(name, style, binding.scope_id) for name, _start, style, binding in occurrence_rows(tree)],
+        [
+            (KIND_NAMES[kind], None if parent == GLOBAL_SCOPE else parent, bool(dynamic))
+            for kind, parent, dynamic in zip(tree.kinds, tree.parents, tree.dynamic)
+        ],
+        [(name, style, tree.bindings.scope_ids[bid]) for name, _start, style, bid in occurrence_rows(tree)],
         [src[start:end] for start, end in candidates.strings],
         [src[dot:end] for dot, end, _name in access_rows(candidates.accesses)],
     )
 
 
-MODULE = ("module", None, False)
+MODULE_SCOPE = ("module", None, False)
 
 
 @pytest.mark.parametrize(
@@ -838,7 +899,7 @@ MODULE = ("module", None, False)
         (
             "var f = (a = function(){ return b; }, b) => a;",
             (
-                [MODULE, ("function", 0, False), ("function", 1, False)],
+                [MODULE_SCOPE, ("function", 0, False), ("function", 1, False)],
                 [("f", "decl", 0), ("a", "decl", 1), ("b", None, 1), ("b", "decl", 1), ("a", None, 1)],
                 [],
                 [],
@@ -847,13 +908,13 @@ MODULE = ("module", None, False)
         # a dynamic site in a default makes the arrow dynamic
         (
             '(a = eval("b")) => a',
-            ([MODULE, ("function", 0, True)], [("a", "decl", 1), ("eval", None, -1), ("a", None, 1)], [], []),
+            ([MODULE_SCOPE, ("function", 0, True)], [("a", "decl", 1), ("eval", None, -1), ("a", None, 1)], [], []),
         ),
         # the candidates a default reads are kept
         (
             '(a = "s", b = o.p) => a + b',
             (
-                [MODULE, ("function", 0, False)],
+                [MODULE_SCOPE, ("function", 0, False)],
                 [("a", "decl", 1), ("b", "decl", 1), ("o", None, -1), ("a", None, 1), ("b", None, 1)],
                 ['"s"'],
                 [".p"],
@@ -869,7 +930,7 @@ MODULE = ("module", None, False)
                 [],
             ),
         ),
-        ("(b = function(){})", ([MODULE, ("function", 0, False)], [("b", None, -1)], [], [])),
+        ("(b = function(){})", ([MODULE_SCOPE, ("function", 0, False)], [("b", None, -1)], [], [])),
     ],
 )
 def test_an_arrow_takes_over_what_its_head_read(src, expected):
@@ -882,7 +943,7 @@ def test_an_arrow_takes_over_what_its_head_read(src, expected):
 )
 def test_a_comma_in_a_default_value_interpolation_ends_no_parameter(src):
     tree, _candidates, _summary = parse_src(src)
-    (arrow,) = [node for node in tree.nodes if node.kind == FUNCTION]
+    (arrow,) = [node for node in scope_views(tree) if node.kind == FUNCTION]
     assert src[arrow.start : arrow.end] == src
 
 
@@ -920,4 +981,4 @@ def test_an_error_at_end_of_input_keeps_its_offset(size):
             front_end(src, "m.js", minify)
         assert err.value.offset == len(src)
     tree, _candidates, _summary = parse_src(filler(size) + " ")
-    assert tree.nodes[tree.root].end == size + 1
+    assert tree.ends[tree.root] == size + 1

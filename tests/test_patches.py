@@ -3,21 +3,22 @@ import random
 import pytest
 
 from scopeshield.errors import OverlappingPatches
-from scopeshield.patches import Patch, emit
-from scopeshield.scopes import DECL, REF, SHORTHAND, Binding, Occurrences
+from scopeshield.patches import emit
+from scopeshield.scopes import DECL, REF, SHORTHAND, Occurrences
 
-from conftest import patched
+from conftest import edits, patched
 
 
-def naive_apply(source, patches):
-    """Independent oracle: apply patches one at a time, end to start."""
-    for patch in sorted(patches, key=lambda p: p.start, reverse=True):
-        source = source[: patch.start] + patch.replacement + source[patch.end :]
+def naive_apply(source, rows):
+    """Independent oracle: apply (start, end, text) rows one at a time, end
+    to start."""
+    for start, end, text in sorted(rows, key=lambda row: row[0], reverse=True):
+        source = source[:start] + text + source[end:]
     return source
 
 
 def test_single_substitution():
-    assert patched("var alpha;", [Patch(4, 9, "a")]) == "var a;"
+    assert patched("var alpha;", [(4, 9, "a")]) == "var a;"
 
 
 def test_empty_patch_list_is_identity():
@@ -27,8 +28,8 @@ def test_empty_patch_list_is_identity():
 
 def test_adjacent_patches_match_sequential_oracle():
     src = "abcdef"
-    patches = [Patch(0, 2, "X"), Patch(2, 4, "YY")]
-    assert patched(src, patches) == naive_apply(src, patches) == "XYYef"
+    rows = [(0, 2, "X"), (2, 4, "YY")]
+    assert patched(src, rows) == naive_apply(src, rows) == "XYYef"
 
 
 def test_random_patch_sets_match_naive_oracle():
@@ -36,37 +37,56 @@ def test_random_patch_sets_match_naive_oracle():
     for _ in range(200):
         src = "".join(rng.choice("abcdefgh ;,()") for _ in range(rng.randrange(5, 60)))
         cuts = sorted(rng.sample(range(len(src) + 1), rng.randrange(2, min(8, len(src)))))
-        patches = []
+        rows = []
         for lo, hi in zip(cuts, cuts[1:]):
             if rng.random() < 0.5:
                 span_hi = rng.randrange(lo, hi + 1)
-                patches.append(Patch(lo, span_hi, rng.choice(["", "Z", "QQ"])))
-        rng.shuffle(patches)
-        assert patched(src, patches) == naive_apply(src, patches)
+                rows.append((lo, span_hi, rng.choice(["", "Z", "QQ"])))
+        rng.shuffle(rows)
+        assert patched(src, rows) == naive_apply(src, rows)
+
+
+def test_edit_tables_are_merged_in_start_order():
+    # each table in start order, the tables interleaved in the text
+    rng = random.Random(5)
+    for _ in range(100):
+        src = "".join(rng.choice("abc;") for _ in range(40))
+        spans = sorted(rng.sample(range(40), 12))
+        rows = [(at, at + 1, rng.choice(["", "X", "YY"])) for at in spans]
+        tables = [[], [], []]
+        for row in rows:
+            rng.choice(tables).append(row)
+        out = emit(src, [edits(*table) for table in tables], Occurrences(), [])
+        assert out == naive_apply(src, rows)
 
 
 def test_insertion_patch():
-    assert patched("ab", [Patch(1, 1, "X")]) == "aXb"
+    assert patched("ab", [(1, 1, "X")]) == "aXb"
 
 
 def test_insertion_before_replacement_at_same_offset():
-    assert patched("ab", [Patch(1, 2, "Y"), Patch(1, 1, "X")]) == "aXY"
+    assert patched("ab", [(1, 2, "Y"), (1, 1, "X")]) == "aXY"
 
 
 def test_overlapping_patches_rejected():
     with pytest.raises(OverlappingPatches):
-        patched("abcdef", [Patch(0, 3, "x"), Patch(2, 4, "y")])
+        patched("abcdef", [(0, 3, "x"), (2, 4, "y")])
+
+
+def test_a_table_out_of_start_order_is_rejected():
+    with pytest.raises(OverlappingPatches):
+        emit("abcdef", [edits((3, 4, "x"), (0, 1, "y"))], Occurrences(), [])
 
 
 def test_out_of_range_patch_rejected():
     with pytest.raises(OverlappingPatches):
-        patched("ab", [Patch(1, 5, "x")])
+        patched("ab", [(1, 5, "x")])
 
 
 # ---- renames read from an occurrence table ----
 
 def occurrence_table(source, rows):
-    """An Occurrences table of the (name, start, style, binding) ``rows``."""
+    """An Occurrences table of the (name, start, style, binding id) ``rows``."""
     table = Occurrences()
     for name, start, style, binding in rows:
         assert source[start : start + len(name)] == name
@@ -75,74 +95,73 @@ def occurrence_table(source, rows):
     return table
 
 
-def rename_as_patches(table, rename_map):
-    """Oracle: the renames as one Patch per renamed occurrence."""
-    patches = []
+def rename_rows(table, outputs):
+    """Oracle: the renames as one (start, end, text) row per renamed
+    occurrence."""
+    rows = []
     for name, start, style, binding in zip(table.names, table.starts, table.styles, table.bindings):
-        new_name = rename_map.get(binding, binding.name)
+        new_name = outputs[binding]
         if new_name != name:
             text = f"{name}: {new_name}" if style == SHORTHAND else new_name
-            patches.append(Patch(start, start + len(name), text))
-    return patches
+            rows.append((start, start + len(name), text))
+    return rows
 
 
 def test_renames_and_shorthands_from_the_occurrence_table():
     src = "var total = 1; var o = {total}; keep(total);"
-    total, keep = Binding(0, "total"), Binding(-1, "keep")
+    total, keep = 0, 1  # binding ids
     table = occurrence_table(
         src,
         [("total", 4, DECL, total), ("total", 24, SHORTHAND, total),
          ("keep", 32, REF, keep), ("total", 37, REF, total)],
     )
-    out = emit(src, [], table, {total: "a"})
+    out = emit(src, [], table, ["a", "keep"])
     assert out == "var a = 1; var o = {total: a}; keep(a);"
 
 
 def test_an_insertion_at_an_identifier_start_goes_before_it():
     src = "alpha(beta);"
-    alpha, beta = Binding(0, "alpha"), Binding(0, "beta")
+    alpha, beta = 0, 1
     table = occurrence_table(src, [("alpha", 0, REF, alpha), ("beta", 6, REF, beta)])
-    rename_map = {alpha: "a", beta: "b"}
-    patches = [Patch(6, 6, "["), Patch(0, 0, "var p;\n")]
-    assert emit(src, patches, table, rename_map) == "var p;\na([b);"
+    rows = [(6, 6, "["), (0, 0, "var p;\n")]
+    assert emit(src, [edits(row) for row in rows], table, ["a", "b"]) == "var p;\na([b);"
 
 
 @pytest.mark.parametrize("span", [(0, 3), (2, 7), (0, 5), (4, 9)])
 def test_a_patch_overlapping_a_rename_is_rejected(span):
     src = "alpha.beta;"
-    alpha = Binding(0, "alpha")
-    table = occurrence_table(src, [("alpha", 0, REF, alpha)])
+    table = occurrence_table(src, [("alpha", 0, REF, 0)])
+    row = (*span, "x")
     with pytest.raises(OverlappingPatches):
-        emit(src, [Patch(*span, "x")], table, {alpha: "a"})
+        emit(src, [edits(row)], table, ["a"])
     # an occurrence that keeps its name is no edit
-    assert emit(src, [Patch(*span, "x")], table, {}) == naive_apply(src, [Patch(*span, "x")])
+    assert emit(src, [edits(row)], table, ["alpha"]) == naive_apply(src, [row])
 
 
 def test_a_rename_out_of_start_order_is_rejected():
     src = "alpha(beta);"
-    alpha, beta = Binding(0, "alpha"), Binding(0, "beta")
+    alpha, beta = 0, 1
     table = occurrence_table(src, [("beta", 6, REF, beta), ("alpha", 0, REF, alpha)])
     with pytest.raises(OverlappingPatches):
-        emit(src, [], table, {alpha: "a", beta: "b"})
+        emit(src, [], table, ["a", "b"])
     # occurrences that keep their names are no edits, in any order
-    assert emit(src, [], table, {alpha: "a"}) == "a(beta);"
+    assert emit(src, [], table, ["a", "beta"]) == "a(beta);"
 
 
 def test_renames_and_patches_match_the_patch_oracle_on_tables_in_start_order():
     rng = random.Random(7)
-    bindings = [Binding(0, name) for name in ("ab", "cd", "efg", "h")]
+    names = ("ab", "cd", "efg", "h")  # the name of each binding id
     for _ in range(200):
-        words = [rng.choice(bindings).name for _ in range(rng.randrange(1, 12))]
+        words = [rng.choice(names) for _ in range(rng.randrange(1, 12))]
         src = " ".join(words)
         rows, start = [], 0
         for word in words:
-            binding = next(b for b in bindings if b.name == word)
-            rows.append((word, start, rng.choice((REF, DECL, SHORTHAND)), binding))
+            rows.append((word, start, rng.choice((REF, DECL, SHORTHAND)), names.index(word)))
             start += len(word) + 1
         table = occurrence_table(src, rows)
-        rename_map = {b: rng.choice(["x", b.name, "yy"]) for b in bindings}
+        outputs = [rng.choice(["x", name, "yy"]) for name in names]
         # insertions at word starts and ends
         edges = sorted({at for name, start, *_ in rows for at in (start, start + len(name))})
-        patches = [Patch(at, at, "+") for at in rng.sample(edges, min(3, len(edges)))]
-        expected = naive_apply(src, rename_as_patches(table, rename_map) + patches)
-        assert emit(src, list(patches), table, rename_map) == expected
+        insertions = [(at, at, "+") for at in sorted(rng.sample(edges, min(3, len(edges))))]
+        expected = naive_apply(src, rename_rows(table, outputs) + insertions)
+        assert emit(src, [edits(*insertions)], table, outputs) == expected

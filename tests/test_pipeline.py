@@ -2,6 +2,7 @@ import gc
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -27,7 +28,7 @@ from scopeshield.pipeline import (
 )
 from scopeshield.depgraph import unresolved_imports
 
-from conftest import NODE, run_node
+from conftest import NODE, phase_peaks, run_node
 from corpusgen import build_corpus
 from scalegen import synth_module
 
@@ -595,7 +596,9 @@ def test_file_task_peak_memory_per_input_byte(tmp_path):
     # object per occurrence, per access and per rename patch, and the tree
     # alive through the emit; 12.3 with the occurrences and the accesses
     # kept as columns, the renames emitted straight from them and the tree
-    # and candidates freed before the emit. The bound sits between the two.
+    # and candidates freed before the emit; 5.9 with the scopes, the
+    # bindings, the rename map and the transform edits as columns too. The
+    # bound sits between the last two.
     text = lexed_text(synth_module(5, 256 * 1024), minify=True)
     (tmp_path / "m.js").write_text(text, encoding="utf-8")
     config = ObfuscationConfig(input_root=str(tmp_path), output_root=str(tmp_path / "out"))
@@ -606,7 +609,41 @@ def test_file_task_peak_memory_per_input_byte(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result["status"] == "ok" and peak / len(text) < 18.0
+    assert result["status"] == "ok" and peak / len(text) < 9.0
+
+
+# traced peak per input byte of each phase of one file task on a 256 KB
+# minified module, with the scopes, bindings and transform edits an object
+# each (front end 9.7, rename 7.9, transform 10.1, emit 10.7) and as int
+# columns (5.6, 5.9, 4.8, 4.7); each bound sits between the two
+PHASE_PEAK_BOUNDS = {"front end": 7.5, "rename": 7.0, "transform": 7.0, "emit": 7.0}
+
+
+def test_each_phase_peak_memory_per_input_byte(tmp_path):
+    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
+    (tmp_path / "m.js").write_text(text, encoding="utf-8")
+    config = ObfuscationConfig(input_root=str(tmp_path), output_root=str(tmp_path / "out"))
+    gc.collect()
+    result, peaks = phase_peaks(config, "m.js")
+    assert result["status"] == "ok"
+    per_byte = {phase: peak / len(text) for phase, peak in peaks.items()}
+    assert per_byte.keys() == PHASE_PEAK_BOUNDS.keys()
+    for phase, bound in PHASE_PEAK_BOUNDS.items():
+        assert per_byte[phase] < bound, (phase, per_byte)
+
+
+def test_one_files_facts_pickle_small():
+    # what a file's front end returns besides its text, pickled, per input
+    # byte of a 256 KB minified module: 2.18 with an object per scope, per
+    # binding and per string candidate, 1.64 as int columns. Shipping the
+    # facts between processes costs this much.
+    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
+    facts = front_end(text, "m.js", minify=True)[1:]  # tree, candidates, summary
+    data = pickle.dumps(facts, protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(data) / len(text) < 1.9
+    tree, copy = facts[0], pickle.loads(data)[0]
+    assert copy.occurrences.bindings == tree.occurrences.bindings
+    assert copy.declarations == tree.declarations and copy.parents == tree.parents
 
 
 @pytest.mark.slow

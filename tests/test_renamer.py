@@ -8,7 +8,7 @@ from scopeshield.patches import emit
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import (
     ALPHABET,
-    ancestor_reference_map,
+    ancestor_references,
     check_safety,
     dump_lines,
     forbidden_set,
@@ -17,7 +17,7 @@ from scopeshield.renamer import (
 )
 from scopeshield.tokens import RESERVED_WORDS
 
-from conftest import run_node
+from conftest import declared_bindings, rename_cost, run_node
 from treegen import random_scope_tree
 
 
@@ -26,8 +26,28 @@ def tree_of(src, file_id="t.js"):
 
 
 def declared(tree, scope_id, name):
-    """The Binding scope ``scope_id`` holds for ``name``."""
-    return tree.nodes[scope_id].declarations[name]
+    """The id of the binding scope ``scope_id`` holds for ``name``."""
+    return tree.declarations[scope_id][name]
+
+
+def outputs_of(tree, renamed):
+    """Output names: the ``renamed`` {binding id: name}, every other binding
+    unrenamed (None) or, for a global, its name."""
+    outputs = [None] * len(tree.bindings)
+    for name, bid in tree.globals.items():
+        outputs[bid] = name
+    for bid, name in renamed.items():
+        outputs[bid] = name
+    return outputs
+
+
+def identity(tree, renamed=()):
+    """Output names: each binding's own, but for the ``renamed`` {binding
+    id: name}."""
+    outputs = list(tree.bindings.names)
+    for bid, name in dict(renamed).items():
+        outputs[bid] = name
+    return outputs
 
 
 # ---- name pool ----
@@ -67,14 +87,14 @@ def test_pool_respects_excluded():
 
 def test_forbidden_empty_for_root_without_markers():
     tree = tree_of("var a = 1;")
-    assert forbidden_set(tree.root, {}, ancestor_reference_map(tree)) == set()
+    assert forbidden_set(tree.root, outputs_of(tree, {}), ancestor_references(tree)) == set()
 
 
 def test_forbidden_contains_renamed_ancestor_referenced_inside():
     tree = tree_of("var outer = 1; function f(){ return outer; }")
-    rmap = {declared(tree, 0, "outer"): "a", declared(tree, 0, "f"): "b"}
+    outputs = outputs_of(tree, {declared(tree, 0, "outer"): "a", declared(tree, 0, "f"): "b"})
     fn_scope = 1
-    assert "a" in forbidden_set(fn_scope, rmap, ancestor_reference_map(tree))
+    assert "a" in forbidden_set(fn_scope, outputs, ancestor_references(tree))
 
 
 def test_unreferenced_ancestor_name_is_reusable():
@@ -83,15 +103,15 @@ def test_unreferenced_ancestor_name_is_reusable():
     rmap = rename_tree(tree)
     # neither module binding is referenced inside f, so f restarts at "a"
     # even though a module binding already took it
-    assert rmap.get(declared(tree, 1, "mine")) == "a"
-    assert "a" in {rmap.get(declared(tree, 0, "f")), rmap.get(declared(tree, 0, "outer"))}
+    assert rmap[declared(tree, 1, "mine")] == "a"
+    assert "a" in {rmap[declared(tree, 0, "f")], rmap[declared(tree, 0, "outer")]}
     assert check_safety(tree, rmap) == []
 
 
 def test_order_violation_when_ancestor_unrenamed():
     tree = tree_of("var outer = 1; function f(){ return outer; }")
     with pytest.raises(OrderViolation):
-        forbidden_set(1, {}, ancestor_reference_map(tree))
+        forbidden_set(1, outputs_of(tree, {}), ancestor_references(tree))
 
 
 # ---- renaming ----
@@ -99,31 +119,31 @@ def test_order_violation_when_ancestor_unrenamed():
 def test_params_then_vars_get_shortest_names():
     tree = tree_of("function f(alpha){var beta=alpha; return beta}")
     rmap = rename_tree(tree)
-    assert rmap.get(declared(tree, 1, "alpha")) == "a"
-    assert rmap.get(declared(tree, 1, "beta")) == "b"
-    assert rmap.get(declared(tree, 0, "f")) == "a"  # module level, not exported
+    assert rmap[declared(tree, 1, "alpha")] == "a"
+    assert rmap[declared(tree, 1, "beta")] == "b"
+    assert rmap[declared(tree, 0, "f")] == "a"  # module level, not exported
     assert check_safety(tree, rmap) == []
 
 
 def test_sibling_functions_reuse_the_same_short_name():
     tree = tree_of("function f(){ var one; } function g(){ var two; }")
     rmap = rename_tree(tree)
-    assert rmap.get(declared(tree, 1, "one")) == "a"
-    assert rmap.get(declared(tree, 2, "two")) == "a"
+    assert rmap[declared(tree, 1, "one")] == "a"
+    assert rmap[declared(tree, 2, "two")] == "a"
 
 
 def test_dynamic_scope_keeps_names():
     tree = tree_of("function f(){ var secret = 1; return eval('secret'); }")
     rmap = rename_tree(tree)
-    assert rmap.get(declared(tree, 1, "secret")) == "secret"
-    assert rmap.get(declared(tree, 0, "f")) == "f"  # visible at the eval
+    assert rmap[declared(tree, 1, "secret")] == "secret"
+    assert rmap[declared(tree, 0, "f")] == "f"  # visible at the eval
 
 
 def test_frozen_module_names_and_allowlist():
     tree = tree_of("var keep = 1; var ren = 2; console.log(keep + ren);")
     rmap = rename_tree(tree, frozen_module_names={"keep"}, allowlist={"console"})
-    assert rmap.get(declared(tree, 0, "keep")) == "keep"
-    assert rmap.get(declared(tree, 0, "ren")) == "a"
+    assert rmap[declared(tree, 0, "keep")] == "keep"
+    assert rmap[declared(tree, 0, "ren")] == "a"
     assert check_safety(tree, rmap) == []
 
 
@@ -132,28 +152,29 @@ def test_deterministic():
     tree1, tree2 = tree_of(src), tree_of(src)
     m1 = rename_tree(tree1)
     m2 = rename_tree(tree2)
-    assert dump_lines(m1, "t.js") == dump_lines(m2, "t.js")
+    assert dump_lines(tree1, m1) == dump_lines(tree2, m2)
+    assert dump_lines(tree1, m1)[:2] == ["t.js#0\tf\ta", "t.js#1\ta1\ta"]
 
 
 # ---- safety oracle ----
 
 def test_identity_map_is_safe():
     tree = tree_of("var a = 1; function f(b){ return a + b; }")
-    assert check_safety(tree, {}) == []
+    assert check_safety(tree, identity(tree)) == []
 
 
 def test_capture_is_flagged():
     # outer x renamed to "a" while the inner scope declares "a" and still
     # references x: the reference now resolves to the inner declaration
     tree = tree_of("var x = 1; function f(){ var y = 2; return x + y; }")
-    bad = {declared(tree, 0, "x"): "a", declared(tree, 0, "f"): "f", declared(tree, 1, "y"): "a"}
+    bad = identity(tree, {declared(tree, 0, "x"): "a", declared(tree, 1, "y"): "a"})
     violations = check_safety(tree, bad)
     assert violations and any("captured" in v.reason for v in violations)
 
 
 def test_non_injective_scope_is_flagged():
     tree = tree_of("var p = 1; var q = 2; console.log(p + q);")
-    bad = {declared(tree, 0, "p"): "a", declared(tree, 0, "q"): "a"}
+    bad = identity(tree, {declared(tree, 0, "p"): "a", declared(tree, 0, "q"): "a"})
     violations = check_safety(tree, bad)
     assert any("two declarations" in v.reason for v in violations)
 
@@ -190,26 +211,19 @@ def test_renamer_output_safe_on_random_trees():
 
 # ---- greedy optimality ----
 
-def total_length(rename_map):
-    """Sum of the output names' lengths: the cost when every binding is
-    used once."""
-    return sum(len(name) for name in rename_map.values())
-
-
 def brute_force_min_cost(tree, alphabet="ab", pool_size=8):
     """Enumerate every safe assignment from a finite pool; independent of the
     greedy path."""
-    bindings = []
-    for node in tree.nodes:
-        for name in sorted(node.declarations):
-            bindings.append(node.declarations[name])
+    bindings = declared_bindings(tree)
     pool = pool_names(pool_size, alphabet=alphabet)
+    candidate = list(tree.bindings.names)
     best = None
     for combo in product(pool, repeat=len(bindings)):
-        candidate = dict(zip(bindings, combo))
+        for bid, name in zip(bindings, combo):
+            candidate[bid] = name
         if check_safety(tree, candidate):
             continue
-        total = total_length(candidate)
+        total = rename_cost(tree, candidate)
         if best is None or total < best:
             best = total
     return best
@@ -220,12 +234,12 @@ def test_greedy_matches_brute_force_on_small_trees():
     checked = 0
     while checked < 60:
         tree = random_scope_tree(rng, max_depth=3, max_bindings=4)
-        n_bindings = sum(len(n.declarations) for n in tree.nodes)
+        n_bindings = len(declared_bindings(tree))
         if not 1 <= n_bindings <= 4:
             continue
         greedy = rename_tree(tree, alphabet="ab")
         assert check_safety(tree, greedy) == []
-        greedy_cost = total_length(greedy)
+        greedy_cost = rename_cost(tree, greedy)
         oracle = brute_force_min_cost(tree)
         assert oracle is not None
         assert greedy_cost == oracle, f"greedy {greedy_cost} != brute force {oracle}"

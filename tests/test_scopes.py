@@ -4,17 +4,20 @@ import pytest
 
 from scopeshield.errors import UnknownScope
 from scopeshield.pipeline import front_end
+from scopeshield.renamer import frozen_bindings
 from scopeshield.scopes import (
     BLOCK,
     FUNCTION,
+    FUNCTION_DECL,
     GLOBAL_SCOPE,
     MODULE,
-    Binding,
+    RANKS,
+    VAR,
 )
 
 
 from corpusgen import GENERATORS, build_corpus
-from conftest import access_rows
+from conftest import access_rows, scope_views
 from treegen import random_scope_tree
 
 
@@ -22,11 +25,17 @@ def tree_of(src, file_id="t.js"):
     return front_end(src, file_id, minify=False)[1]
 
 
+def ranked(tree, bindings):
+    """The (name, category) of ``bindings``, ids, in renaming order."""
+    b = tree.bindings
+    order = sorted(bindings, key=lambda bid: (RANKS[b.categories[bid]], bid))
+    return [(b.names[bid], b.categories[bid]) for bid in order]
+
+
 def test_nested_function_and_block_scopes():
     tree = tree_of("function f(){ let x; { let y; } }")
-    kinds = [n.kind for n in tree.nodes]
-    assert kinds == [MODULE, FUNCTION, BLOCK]
-    module, fn, block = tree.nodes
+    assert list(tree.kinds) == [MODULE, FUNCTION, BLOCK]
+    module, fn, block = scope_views(tree)
     assert "f" in module.declarations
     assert "x" in fn.declarations and "y" not in fn.declarations
     assert "y" in block.declarations
@@ -37,89 +46,84 @@ def test_block_scope_only_for_direct_lexical_declarations():
     # a block is a scope only if a let/const/class/function statement is
     # directly in it; a declaration nested deeper binds in the scope around
     tree = tree_of("{ if (a) function f(){} }")
-    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION]
-    assert tree.nodes[0].declarations["f"].category == "function"
+    assert list(tree.kinds) == [MODULE, FUNCTION]
+    assert tree.bindings.categories[tree.declarations[0]["f"]] == FUNCTION_DECL
     tree = tree_of("{ if (a) function f(){} let q; }")
-    assert [n.kind for n in tree.nodes] == [MODULE, BLOCK, FUNCTION]
-    assert sorted(tree.nodes[1].declarations) == ["f", "q"]
+    assert list(tree.kinds) == [MODULE, BLOCK, FUNCTION]
+    assert sorted(tree.declarations[1]) == ["f", "q"]
     tree = tree_of("{ { let a; } b(); }")
-    assert [(n.kind, n.parent) for n in tree.nodes] == [(MODULE, None), (BLOCK, 0)]
+    assert list(zip(tree.kinds, tree.parents)) == [(MODULE, GLOBAL_SCOPE), (BLOCK, 0)]
     occurrences = tree.occurrences
     assert list(zip(occurrences.names, occurrences.scope_ids)) == [("a", 1), ("b", 0)]
     # the first declaration of a name in source order makes its binding
     tree = tree_of("function g(){ { if (a) function f(){} var f; } f(); var h; }")
-    fn = tree.nodes[1]
-    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION, FUNCTION]
-    assert [(b.name, b.category) for b in sorted(fn.declarations.values(), key=Binding.rank)] == [
-        ("f", "function"), ("h", "var"),
-    ]
-    assert tree.nodes[0].declarations["g"].order == 1
+    assert list(tree.kinds) == [MODULE, FUNCTION, FUNCTION]
+    assert ranked(tree, tree.declarations[1].values()) == [("f", FUNCTION_DECL), ("h", VAR)]
+    # binding ids follow declaration order
+    assert tree.declarations[0]["g"] == 0
 
 
 def test_file_without_functions_has_single_module_scope():
     tree = tree_of("var a = 1; let b = 2; const c = a + b;")
-    assert len(tree.nodes) == 1
-    assert sorted(tree.nodes[0].declarations) == ["a", "b", "c"]
+    assert len(tree) == 1
+    assert sorted(tree.declarations[0]) == ["a", "b", "c"]
 
 
 def test_eval_marks_the_containing_scope_dynamic():
     tree = tree_of("function f(){ eval(s) }")
-    fn = tree.nodes[1]
-    assert fn.kind == FUNCTION and fn.is_dynamic
-    assert not tree.nodes[tree.root].is_dynamic  # direct presence only
-    assert tree.root in tree.scopes_with_dynamic_inside()
+    assert tree.kinds[1] == FUNCTION and tree.dynamic[1]
+    assert not tree.dynamic[tree.root]  # direct presence only
+    # the module's f is visible at the eval, so it keeps its name
+    assert frozen_bindings(tree)[tree.declarations[tree.root]["f"]]
 
 
 def test_var_hoists_to_function_scope():
     tree = tree_of("function f(){ { var hoisted = 1; let kept = 2; } }")
-    fn = tree.nodes[1]
-    assert "hoisted" in fn.declarations
-    block = tree.nodes[2]
-    assert "kept" in block.declarations and "hoisted" not in block.declarations
+    fn, block = tree.declarations[1], tree.declarations[2]
+    assert "hoisted" in fn
+    assert "kept" in block and "hoisted" not in block
     # the var's declaring occurrence stands in the block, which therefore
     # forbids the var's output name
     occurrences = tree.occurrences
     assert list(zip(occurrences.names, occurrences.scope_ids)) == [
         ("f", 0), ("hoisted", 2), ("kept", 2),
     ]
-    assert occurrences.bindings[1] is fn.declarations["hoisted"]
+    assert occurrences.bindings[1] == fn["hoisted"]
 
 
 def test_switch_case_block_is_a_scope_only_for_lexical_declarations():
     tree = tree_of("function f(k){ switch (k) { case 1: g(); break; default: var v; } }")
-    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION]
-    assert sorted(tree.nodes[1].declarations) == ["k", "v"]
+    assert list(tree.kinds) == [MODULE, FUNCTION]
+    assert sorted(tree.declarations[1]) == ["k", "v"]
     tree = tree_of("function f(k){ switch (k) { case 1: let y = k; g(y); } return y; }")
-    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION, BLOCK]
-    case_block = tree.nodes[2]
-    assert list(case_block.declarations) == ["y"]
+    assert list(tree.kinds) == [MODULE, FUNCTION, BLOCK]
+    case_block = tree.declarations[2]
+    assert list(case_block) == ["y"]
     ys = [b for name, b in zip(tree.occurrences.names, tree.occurrences.bindings) if name == "y"]
     # the declaration and `g(y)` read the case block's y; `return y` a global
-    assert ys[0] is ys[1] is case_block.declarations["y"] and ys[2].is_global()
+    assert ys[0] == ys[1] == case_block["y"]
+    assert tree.bindings.scope_ids[ys[2]] == GLOBAL_SCOPE
 
 
 def test_catch_and_for_let_scopes():
     tree = tree_of("try { f(); } catch (e) { e; } for (let i = 0; i < 2; i++) { g(i); }")
-    kinds = [n.kind for n in tree.nodes]
-    assert kinds.count(BLOCK) == 2
-    catch_scope = tree.nodes[1]
-    assert "e" in catch_scope.declarations
-    loop_scope = tree.nodes[2]
-    assert "i" in loop_scope.declarations
+    assert list(tree.kinds).count(BLOCK) == 2
+    catch_scope, loop_scope = tree.declarations[1:]
+    assert "e" in catch_scope
+    assert "i" in loop_scope
 
 
 def test_resolve_in_own_scope():
     tree = tree_of("function f(){ var x; x; }")
-    fn = tree.nodes[1]
-    binding = tree.resolve("x", fn.id)
-    assert binding.scope_id == fn.id and binding.name == "x"
+    binding = tree.resolve("x", 1)
+    assert tree.bindings.scope_ids[binding] == 1 and tree.bindings.names[binding] == "x"
 
 
 def test_resolve_falls_through_to_global():
     tree = tree_of("function f(){ missing; }")
     binding = tree.resolve("missing", 1)
-    assert binding.is_global()
-    assert binding.scope_id == GLOBAL_SCOPE
+    assert tree.bindings.scope_ids[binding] == GLOBAL_SCOPE
+    assert tree.globals == {"missing": binding}
 
 
 def test_resolve_picks_nearest_declaration():
@@ -127,16 +131,17 @@ def test_resolve_picks_nearest_declaration():
     # must reach f's x. Oracle: walk the parent chain by hand.
     src = "var x = 1; function f(){ var x = 2; { let y = x; } }"
     tree = tree_of(src)
-    block = next(n for n in tree.nodes if n.kind == BLOCK)
+    scopes = scope_views(tree)
+    block = next(n for n in scopes if n.kind == BLOCK)
     binding = tree.resolve("x", block.id)
     chain = [block.id]
     sid = block.parent
-    while sid is not None:
+    while sid != GLOBAL_SCOPE:
         chain.append(sid)
-        sid = tree.nodes[sid].parent
-    first_declaring = next(s for s in chain if "x" in tree.nodes[s].declarations)
-    assert binding.scope_id == first_declaring
-    assert tree.nodes[binding.scope_id].kind == FUNCTION
+        sid = scopes[sid].parent
+    first_declaring = next(s for s in chain if "x" in scopes[s].declarations)
+    assert tree.bindings.scope_ids[binding] == first_declaring
+    assert tree.kinds[first_declaring] == FUNCTION
 
 
 def test_unknown_scope_raises():
@@ -147,25 +152,24 @@ def test_unknown_scope_raises():
 
 def test_usage_counts_match_occurrences():
     tree = tree_of("function f(a){ a; a; return a + 1; } var z = 0;")
-    fn = tree.nodes[1]
-    uses = tree.occurrences.bindings
+    uses = list(tree.occurrences.bindings)
     # 3 references + the declaration site itself
-    assert sum(b is fn.declarations["a"] for b in uses) == 4
-    assert sum(b is tree.nodes[tree.root].declarations["z"] for b in uses) == 1
+    assert uses.count(tree.declarations[1]["a"]) == 4
+    assert uses.count(tree.declarations[tree.root]["z"]) == 1
 
 
 def test_function_expression_name_binds_in_own_scope():
     tree = tree_of("var p = function self(n){ return n > 0 ? self(n - 1) : 0; };")
-    fn = next(n for n in tree.nodes if n.kind == FUNCTION)
+    fn = next(n for n in scope_views(tree) if n.kind == FUNCTION)
     assert "self" in fn.declarations
-    assert "self" not in tree.nodes[tree.root].declarations
+    assert "self" not in tree.declarations[tree.root]
 
 
 def test_candidate_in_function_below_an_eval_scope_is_dropped():
     src = 'function f(){ eval(s); function inner(){ var q = "deep"; return q.length; } } var k = "kept";'
     tree, strings, accesses = candidates_of(src)
-    inner = next(n for n in tree.nodes if "q" in n.declarations)
-    assert not inner.is_dynamic and tree.nodes[inner.parent].is_dynamic
+    inner = next(n for n in scope_views(tree) if "q" in n.declarations)
+    assert not inner.dynamic and tree.dynamic[inner.parent]
     assert strings == ['"kept"'] and accesses == []
 
 
@@ -185,7 +189,7 @@ def candidates_of(src, file_id="t.js"):
     """The tree of ``src`` and the text of its string and access candidates."""
     _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
     strings = [src[start:end] for start, end in candidates.strings]
-    accesses = [src[dot:end] for dot, end in zip(candidates.accesses.dots, candidates.accesses.ends)]
+    accesses = [src[dot:end] for dot, end, _name in access_rows(candidates.accesses)]
     return tree, strings, accesses
 
 
@@ -194,13 +198,13 @@ def test_candidate_in_an_elided_block_before_a_later_eval_is_dropped():
     # candidates were read before the eval that makes f dynamic
     src = 'function f(){ if (a) { x.y = "in-block"; } eval(s); } var k = "kept", n = k.length;'
     tree, strings, accesses = candidates_of(src)
-    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION] and tree.nodes[1].is_dynamic
+    assert list(tree.kinds) == [MODULE, FUNCTION] and tree.dynamic[1]
     assert strings == ['"kept"'] and accesses == [".length"]
     # an elided block holding the eval makes its parent dynamic, and with it
     # a kept block read before it
     src = 'function f(){ { let q; o.p = "a-b"; } { eval(s); } } o.r = "c-d";'
     tree, strings, accesses = candidates_of(src)
-    assert [n.kind for n in tree.nodes] == [MODULE, FUNCTION, BLOCK]
+    assert list(tree.kinds) == [MODULE, FUNCTION, BLOCK]
     assert strings == ['"c-d"'] and accesses == [".r"]
 
 
@@ -216,7 +220,7 @@ def test_module_root_eval_drops_every_candidate():
     # module's extent
     src = 'function f(o){with(o){o.k="in-with"}}eval("1");var s="after",t=s.length;'
     tree, strings, accesses = candidates_of(src, "shared.js")
-    assert tree.nodes[tree.root].is_dynamic and tree.nodes[1].is_dynamic
+    assert tree.dynamic[tree.root] and tree.dynamic[1]
     assert strings == [] and accesses == []
     src = (
         'function f(){eval("a");function g(o){with(o){o.h="x"}}return "y".length}'
@@ -252,9 +256,10 @@ DYNAMIC_PROGRAMS = (
 def under_dynamic_scope(tree, pos):
     """Span oracle: whether the innermost scope whose span holds ``pos``, or
     an ancestor of it, is dynamic."""
+    scopes = scope_views(tree)
     sid = tree.root
-    while not tree.nodes[sid].is_dynamic:
-        inner = [c for c in tree.nodes[sid].children if tree.nodes[c].start <= pos < tree.nodes[c].end]
+    while not scopes[sid].dynamic:
+        inner = [c for c in scopes[sid].children if scopes[c].start <= pos < scopes[c].end]
         if not inner:
             return False
         sid = inner[0]
@@ -281,7 +286,7 @@ def test_kept_candidates_match_a_span_oracle_on_programs():
         every = front_end(neutral, file_id, minify=False)[2]
         strings = [c for c in every.strings if not under_dynamic_scope(tree, c[0])]
         accesses = [c for c in access_rows(every.accesses) if not under_dynamic_scope(tree, c[0])]
-        assert candidates.strings == strings, file_id
+        assert list(candidates.strings) == strings, file_id
         assert access_rows(candidates.accesses) == accesses, file_id
         dropped += len(every.strings) + len(every.accesses) - len(strings) - len(accesses)
     assert dropped >= 20
@@ -295,7 +300,7 @@ def assert_stored_bindings_match_resolve(tree):
     for name, start, sid, binding in zip(
         occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
     ):
-        assert binding is tree.resolve(name, sid), (tree.file_id, name, start)
+        assert binding == tree.resolve(name, sid), (tree.file_id, name, start)
 
 
 def test_stored_binding_matches_resolve_on_corpus_programs(tmp_path):
@@ -324,21 +329,17 @@ def test_stored_binding_matches_resolve_on_random_trees():
 def test_each_declaration_is_one_binding_that_resolve_returns():
     src = "var x = 1; function f(x){ var y = x; { let x = y; x; } return console.log(x); } f(x);"
     tree = tree_of(src, "one.js")
-    declared = [b for node in tree.nodes for b in node.declarations.values()]
-    assert len(declared) == len({id(b) for b in declared}) == 5
-    for node in tree.nodes:
-        for name, binding in node.declarations.items():
-            assert isinstance(binding, Binding)
-            assert (binding.scope_id, binding.name) == (node.id, name)
-            assert tree.resolve(name, node.id) is binding
+    declared = [bid for node in scope_views(tree) for bid in node.declarations.values()]
+    assert sorted(declared) == list(range(5))  # ids in declaration order
+    names, scope_ids = tree.bindings.names, tree.bindings.scope_ids
+    for node in scope_views(tree):
+        for name, bid in node.declarations.items():
+            assert (scope_ids[bid], names[bid]) == (node.id, name)
+            assert tree.resolve(name, node.id) == bid
             for child in node.children:
-                if name not in tree.nodes[child].declarations:
-                    assert tree.resolve(name, child) is binding
-    # a name read free resolves to the tree's one global Binding, wherever it is read
+                if name not in (tree.declarations[child] or ()):
+                    assert tree.resolve(name, child) == bid
+    # a name read free resolves to the tree's one global binding, wherever it is read
     console = tree.resolve("console", 0)
-    assert console.is_global() and console is tree.resolve("console", 1)
-    assert tree.globals == {"console": console}
-    # bindings compare by identity, not by their (scope, name) pair
-    copy = Binding(0, "x")
-    assert copy != tree.nodes[0].declarations["x"]
-    assert len({copy, tree.nodes[0].declarations["x"]}) == 2
+    assert scope_ids[console] == GLOBAL_SCOPE and console == tree.resolve("console", 1)
+    assert tree.globals == {"console": console} and console == len(tree.bindings) - 1

@@ -1,7 +1,6 @@
 import random
 
 from scopeshield.parser import string_value
-from scopeshield.patches import Patch
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
 from scopeshield.transforms import (
@@ -11,7 +10,7 @@ from scopeshield.transforms import (
     rewrite_property_access,
 )
 
-from conftest import COUNT_FROM_CHAR_CODE, patched, run_node
+from conftest import COUNT_FROM_CHAR_CODE, edit_rows, patched, run_node
 from corpusgen import GENERATORS
 
 
@@ -34,11 +33,12 @@ def rewrite_props(candidates):
 
 def apply_strings(src, key=7):
     candidates = setup(src)
-    patches, preamble, _table = encode(src, candidates, key)
+    edits, preamble, _table = encode(src, candidates, key)
+    rows = edit_rows(edits)
     if preamble:
         insert = candidates.preamble_offset
-        patches.append(Patch(insert, insert, preamble + "\n"))
-    return patched(src, patches)
+        rows.append((insert, insert, preamble + "\n"))
+    return patched(src, rows)
 
 
 # ---- payload codec ----
@@ -58,8 +58,8 @@ def test_payload_round_trip():
 def test_no_literals_no_preamble():
     src = "var count = 1 + 2;"
     candidates = setup(src)
-    patches, preamble, table = encode(src, candidates, 7)
-    assert patches == [] and preamble == "" and table is None
+    edits, preamble, table = encode(src, candidates, 7)
+    assert len(edits) == 0 and preamble == "" and table is None
 
 
 def test_decode_runs_once_for_thousand_calls():
@@ -78,7 +78,7 @@ def test_decode_runs_once_for_thousand_calls():
 def test_duplicate_literals_share_one_table_entry():
     src = 'var a = "dup"; var b = "dup"; var c = "other";'
     candidates = setup(src)
-    _patches, _pre, table = encode(src, candidates, 3)
+    _edits, _pre, table = encode(src, candidates, 3)
     # oracle: table length equals the number of distinct eligible literals
     distinct = {"dup", "other"}
     assert len(table) == len(distinct)
@@ -132,12 +132,12 @@ def test_property_access_rewritten_via_hoisted_slot():
     src = "player.score += 1;\nconsole.log(player.score);"
     src = "var player = {score: 41};\n" + src
     candidates = setup(src)
-    patches, preamble, slots = rewrite_props(candidates)
+    edits, preamble, slots = rewrite_props(candidates)
     assert len(slots) == 2  # score, log
     assert slots == sorted(slots)
     score_var = next(var for var, prop in slots if prop == "score")
     assert f'{score_var}="score"' in preamble
-    out = patched(src, patches + [Patch(0, 0, preamble + "\n")])
+    out = patched(src, edit_rows(edits) + [(0, 0, preamble + "\n")])
     assert f"player[{score_var}]+=1" in out.replace(" ", "")
     assert run_node(code=out) == "42\n"
 
@@ -145,8 +145,8 @@ def test_property_access_rewritten_via_hoisted_slot():
 def test_no_member_accesses_no_patches():
     src = "var plain = 1 + 2;"
     candidates = setup(src)
-    patches, preamble, slots = rewrite_props(candidates)
-    assert patches == [] and preamble == "" and slots == []
+    edits, preamble, slots = rewrite_props(candidates)
+    assert len(edits) == 0 and preamble == "" and slots == []
 
 
 def test_repeated_accesses_share_slot():
@@ -156,7 +156,7 @@ def test_repeated_accesses_share_slot():
         "console.log(o.score);"
     )
     candidates = setup(src)
-    _patches, _pre, slots = rewrite_props(candidates)
+    _edits, _pre, slots = rewrite_props(candidates)
     # count-oracle: one slot per distinct property name
     names = set(candidates.accesses.names)
     assert len(slots) == len(names)
@@ -177,8 +177,8 @@ def test_candidates_in_source_order_without_super_or_delete_targets():
 def test_delete_targets_skipped():
     src = "var o = {a: 1, b: 2};\ndelete o.a;\nconsole.log(o.b, o.a);"
     candidates = setup(src)
-    patches, preamble, _slots = rewrite_props(candidates)
-    out = patched(src, patches + ([Patch(0, 0, preamble + "\n")] if preamble else []))
+    edits, preamble, _slots = rewrite_props(candidates)
+    out = patched(src, edit_rows(edits) + ([(0, 0, preamble + "\n")] if preamble else []))
     assert "delete o.a" in out
     assert run_node(code=out) == "2 undefined\n"
 
@@ -189,8 +189,8 @@ def test_method_calls_keep_this_binding():
         "console.log(counter.bump(5), counter.n);"
     )
     candidates = setup(src)
-    patches, preamble, _slots = rewrite_props(candidates)
-    out = patched(src, patches + [Patch(0, 0, preamble + "\n")])
+    edits, preamble, _slots = rewrite_props(candidates)
+    out = patched(src, edit_rows(edits) + [(0, 0, preamble + "\n")])
     assert run_node(code=out) == "15 15\n"
 
 
@@ -198,10 +198,11 @@ def apply_both(src):
     """``src`` with its accesses rewritten and its strings encoded."""
     candidates = setup(src)
     names = fresh()
-    patches, preamble, _slots = rewrite_property_access(names, candidates.accesses)
-    str_patches, str_pre, _table = encode_strings(7, names, src, candidates.strings)
+    edits, preamble, _slots = rewrite_property_access(names, candidates.accesses)
+    str_edits, str_pre, _table = encode_strings(7, names, src, candidates.strings)
     insert = candidates.preamble_offset
-    return patched(src, patches + str_patches + [Patch(insert, insert, preamble + str_pre + "\n")])
+    rows = edit_rows(edits) + edit_rows(str_edits) + [(insert, insert, preamble + str_pre + "\n")]
+    return patched(src, rows)
 
 
 def test_candidates_read_outside_a_dynamic_scope_holding_them_are_rewritten():
@@ -226,8 +227,8 @@ def test_every_candidate_rewritten_once():
         for file_id, src in gen(rng).items():
             candidates = setup(src, file_id)
             strings, accesses = candidates.strings, candidates.accesses
-            patches, _pre, _slots = rewrite_property_access(fresh(), accesses)
-            assert sorted(p.start for p in patches) == sorted(accesses.dots)
+            edits, _pre, _slots = rewrite_property_access(fresh(), accesses)
+            assert edits.starts == accesses.starts
             eligible = [start for start, end in strings if len(string_value(src[start:end])) >= 2]
-            patches, _pre, _table = encode_strings(7, fresh(), src, strings)
-            assert sorted(p.start for p in patches) == sorted(eligible)
+            edits, _pre, _table = encode_strings(7, fresh(), src, strings)
+            assert list(edits.starts) == eligible

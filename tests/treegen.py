@@ -1,12 +1,23 @@
 """Random ScopeTree generator for renamer property tests.
 
-Builds synthetic trees directly (no JS source) so the shapes cover arbitrary
-nesting, shadowing and reference patterns. Spans are synthetic but
-consistent; as in ``ScopeBuilder``, each declaration site is an occurrence
-of its binding.
+Builds synthetic trees directly as the tree's tables (no JS source), so the
+shapes cover arbitrary nesting, shadowing and reference patterns. Scopes
+are made in pre-order, as ``ScopeBuilder.finish`` numbers them. Spans are
+synthetic but consistent; as in ``ScopeBuilder``, each declaration site is
+an occurrence of its binding.
 """
 
-from scopeshield.scopes import BLOCK, DECL, FUNCTION, MODULE, Binding, ScopeTree
+from scopeshield.scopes import (
+    BLOCK,
+    DECL,
+    FUNCTION,
+    GLOBAL_SCOPE,
+    LEXICAL,
+    MODULE,
+    PARAM,
+    VAR,
+    ScopeTree,
+)
 
 NAMES = ["item", "count", "value", "node", "temp", "data", "res", "key", "idx", "acc"]
 GLOBALS = ["console", "Math", "GameGlobal", "JSON"]
@@ -15,9 +26,7 @@ GLOBALS = ["console", "Math", "GameGlobal", "JSON"]
 def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
     tree = ScopeTree(file_id)
     span = 0
-    order = 0
-    root = tree.new_scope(MODULE, None, 0, 1 << 20)
-    scopes = [root]
+    root = tree.new_scope(MODULE, GLOBAL_SCOPE, 0, 1 << 20)
     budget = rng.randrange(1, max_bindings + 1)
 
     def grow(parent, depth):
@@ -27,42 +36,39 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
         for _ in range(rng.randrange(0, 3)):
             span += 100
             kind = FUNCTION if rng.random() < 0.7 else BLOCK
-            child = tree.new_scope(kind, parent.id, span, span + 90)
-            scopes.append(child)
-            grow(child, depth + 1)
+            grow(tree.new_scope(kind, parent, span, span + 90), depth + 1)
 
     grow(root, 1)
+    scopes = range(len(tree))
 
     # declarations: names repeat across scopes to force shadowing
     placed = 0
     while placed < budget:
-        scope = rng.choice(scopes)
+        sid = rng.choice(scopes)
         name = rng.choice(NAMES)
-        if name in scope.declarations:
+        decls = tree.declarations[sid] or {}
+        if name in decls:
             placed += 1  # avoid livelock on tiny trees
             continue
-        order += 1
-        start = scope.start + len(scope.declarations) + 1
-        category = rng.choice(["var", "lexical", "param"])
-        scope.declarations[name] = Binding(scope.id, name, category, order)
-        tree.occurrences.add(name, start, scope.id, DECL)
+        start = tree.starts[sid] + len(decls) + 1
+        tree.declare(sid, name, rng.choice([VAR, LEXICAL, PARAM]))
+        tree.occurrences.add(name, start, sid, DECL)
         placed += 1
 
     # references: visible names and the occasional global
-    for scope in scopes:
+    for sid in scopes:
         visible = []
-        sid = scope.id
-        while sid is not None:
-            visible.extend(tree.nodes[sid].declarations)
-            sid = tree.nodes[sid].parent
+        chain = sid
+        while chain != GLOBAL_SCOPE:
+            visible.extend(tree.declarations[chain] or ())
+            chain = tree.parents[chain]
         for _ in range(rng.randrange(0, 5)):
             if visible and rng.random() < 0.8:
                 name = rng.choice(visible)
             else:
                 name = rng.choice(GLOBALS)
-            pos = scope.start + rng.randrange(0, 80)
-            tree.occurrences.add(name, pos, scope.id)
+            pos = tree.starts[sid] + rng.randrange(0, 80)
+            tree.occurrences.add(name, pos, sid)
 
     tree.resolve_occurrences()
     return tree
-
