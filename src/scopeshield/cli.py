@@ -135,8 +135,7 @@ def cmd_analyze(args):
     for rel in js_files:
         try:
             text = (root / rel).read_text(encoding="utf-8")
-            # unminified, so --dump-scopes spans are offsets into the file as written
-            _text, tree, _candidates, summary = front_end(text, rel, minify=False)
+            _gaps, tree, _candidates, summary = front_end(text, rel)
         except FILE_FAILURES as exc:
             # as in obfuscate: an unsupported file is a warning, not an error
             status, message = file_failure(rel, exc)

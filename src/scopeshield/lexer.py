@@ -1,21 +1,23 @@
-"""One-pass tokenizer and minifier for the supported JavaScript subset.
+"""One-pass tokenizer of the supported JavaScript subset; it also finds
+what minifying would change.
 
 ``lex`` is the lexer: a generator that yields the significant tokens a
 batch at a time, so a parser can read them while the file is still being
 lexed and no file's token list need exist in full. Each token notes whether
 a line break precedes it; every run of whitespace and comments between two
-tokens is consumed as one gap and never becomes a token. The generator
-returns the text the spans index. Without ``minify`` that is the input,
-where each gap lexes to no token. With ``minify`` the same pass writes the
-minified text: the input runs between gaps are copied, each gap becomes one
-separator, and the spans are shifted to index that text. Template literals
-with interpolation are emitted as several ``template-literal`` chunks with
-the interpolated expressions lexed normally in between.
+tokens is consumed as one gap and never becomes a token. Every span indexes
+the file as written. Minifying is no second text: the generator returns the
+gap table, an ``Edits`` table that replaces each gap with the one separator
+it needs, which ``patches.emit`` applies together with the transforms'
+edits. Template literals with interpolation are emitted as several
+``template-literal`` chunks with the interpolated expressions lexed
+normally in between.
 """
 
 import re
 
 from .errors import InvalidCharacter, UnsupportedSyntax, UnterminatedString, UnterminatedTemplate
+from .patches import Edits
 from .tokens import (
     IDENT,
     KEYWORD,
@@ -107,35 +109,22 @@ _WORDLIKE = frozenset({IDENT, KEYWORD, NUMBER})
 # the generator negligible next to lexing its tokens.
 BATCH_TOKENS = 1000
 
-# ``minify`` grows its text in place (``+=`` on the one reference) by the
-# pieces copied since, joined once they hold this many characters or number
-# this many, and by each input run this long: the text is never held twice.
-MINIFY_PIECE_CHARS, MINIFY_PIECES = 1 << 16, 1024
 
-
-def lexed_text(source, file_id="<input>", minify=False):
-    """The text the spans of ``lex`` index: ``lex`` drained."""
-    stream = lex(source, file_id, minify)
-    while True:
-        try:
-            next(stream)
-        except StopIteration as stop:
-            return stop.value
-
-
-def lex(source, file_id="<input>", minify=False):
+def lex(source, file_id="<input>"):
     """Yield the significant tokens of ``source`` in lists of
-    ``BATCH_TOKENS`` (the last may be shorter); return the text their spans
-    index. Each distinct word is one str object however often it occurs.
+    ``BATCH_TOKENS`` (the last may be shorter); return the gap table. Each
+    distinct word is one str object however often it occurs.
 
-    Without ``minify`` the spans index ``source``. With ``minify``, comments
-    are dropped and each gap between two tokens becomes ``"\\n"`` if it held
-    a line break (so automatic semicolon insertion and restricted
-    productions behave as in the input), else ``" "`` where the two tokens
-    would merge or re-shape without one, else nothing; the spans index that
-    text, which re-tokenizes to the same tokens and line breaks. A hashbang
-    line at offset 0 is kept as written either way, and a line break still
-    parts it from the first token.
+    The gap table minifies: applied to ``source``, it drops the comments and
+    makes each gap between two tokens ``"\\n"`` if it held a line break (so
+    automatic semicolon insertion and restricted productions behave as in
+    the input), else ``" "`` where the two tokens would merge or re-shape
+    without one, else nothing; the leading and trailing gaps go. It holds a
+    row only for a gap that differs from its separator, and none for a gap
+    after a `.`, which a property access's edit may span (``a. b`` becomes
+    ``a[v]``). The text it makes re-tokenizes to the same tokens and line
+    breaks. A hashbang line at offset 0 is no token and stays as written,
+    and a line break still parts it from the first token.
 
     Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter, or
     UnsupportedSyntax for a private name or a non-ASCII identifier, with the
@@ -155,12 +144,8 @@ def lex(source, file_id="<input>", minify=False):
     before = None  # the token before it
     gap = None  # the whitespace and comments before the next token, if any
     nl = False  # a line break in that gap
-    delta = 0  # offset in the output text minus offset in ``source``
-    minified = ""  # minify: the output text so far
-    pieces = []  # minify: the output text after ``minified``
-    held = 0  # minify: the characters of the input runs in ``pieces``
-    copied = 0  # minify: ``source`` is copied up to here
-    # a hashbang line is no token and stays as written, also when minified
+    gaps = Edits()
+    # a hashbang line is no token and stays as written
     hashbang = _HASHBANG_RE.match(source)
     # where the next token starts: the matches are contiguous, so this is the
     # end of the last match, and a token's start shares that int object
@@ -244,37 +229,19 @@ def lex(source, file_id="<input>", minify=False):
             else:
                 raise InvalidCharacter(f"unexpected character {text!r}", file_id, pos)
             if gap is not None:
-                if minify:
-                    if prev is None and hashbang is None:
-                        sep = ""
-                    elif nl:
-                        sep = "\n"
-                    elif _needs_space(prev, kind, text):
-                        sep = " "
-                    else:
-                        sep = ""
-                    if gap != sep:  # a minified input needs no copy
-                        run = pos - len(gap)
-                        if run - copied < MINIFY_PIECE_CHARS:
-                            pieces.append(source[copied:run])
-                            held += run - copied
-                        else:
-                            minified += "".join(pieces)
-                            minified += source[copied:run]
-                            pieces, held = [], 0
-                        pieces.append(sep)
-                        if held >= MINIFY_PIECE_CHARS or len(pieces) >= MINIFY_PIECES:
-                            minified += "".join(pieces)
-                            pieces, held = [], 0
-                        copied = pos
-                        delta += len(sep) - len(gap)
-                    nl = sep == "\n"
+                if prev is None and hashbang is None:
+                    sep = ""
+                elif nl:
+                    sep = "\n"
+                elif _needs_space(prev, kind, text):
+                    sep = " "
+                else:
+                    sep = ""
+                if gap != sep and (prev is None or prev.text != "."):
+                    gaps.append(pos - len(gap), pos, sep)
                 gap = None
             before = prev
-            if delta:
-                prev = Token(kind, text, pos + delta, end + delta, nl)
-            else:  # no new int objects
-                prev = Token(kind, text, pos, end, nl)
+            prev = Token(kind, text, pos, end, nl)
             append(prev)
             nl = False
             pos = end
@@ -293,11 +260,9 @@ def lex(source, file_id="<input>", minify=False):
         )
     if batch:
         yield batch
-    if minify:
-        minified += "".join(pieces)
-        minified += source[copied : len(source) - len(gap or "")]
-        return minified
-    return source
+    if gap is not None:
+        gaps.append(len(source) - len(gap), len(source), "")
+    return gaps
 
 
 def _regex_allowed(prev, before):

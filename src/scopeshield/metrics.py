@@ -33,7 +33,7 @@ def cyclomatic_complexity(text, file_id="<input>"):
     This equals the sum of every function's McCabe number plus the module
     body's.
     """
-    return 1 + front_end(text, file_id, minify=False)[3].branch_points
+    return 1 + front_end(text, file_id)[3].branch_points
 
 
 def bzip2_compressor(data):

@@ -20,15 +20,15 @@ the facts the later layers read, and nothing else:
 The parser lexes the file as it reads it: it pulls a batch of tokens from
 ``lexer.lex`` when its cursor nears the end of what it holds, and at that
 point drops the tokens it has read past, so a file's tokens never exist all
-at once. The text the spans index is known once the stream ends.
+at once. The lexer's gap table is known once the stream ends.
 
 A `(` in an expression is read once, as expressions, and only a `=>` after
 its `)` makes it an arrow head (``parse_parenthesized``).
 
-Spans are half-open offsets into the text the tokens index. Expression
-productions return only a kind tag (``_OTHER`` ... ``_LITERAL`` below), which
-is all a parent production reads; statement productions return their end,
-which excludes a semicolon they consumed.
+Spans, like every error offset, are half-open offsets into the file as
+written. Expression productions return only a kind tag (``_OTHER`` ...
+``_LITERAL`` below), which is all a parent production reads; statement
+productions return their end, which excludes a semicolon they consumed.
 
 Facts by construct:
 
@@ -146,19 +146,20 @@ _CONTEXTUAL_WORDS = frozenset({"async", "await", "yield", "let", "static", "of"}
 _REST_LAST = "a rest parameter must be the last, with no default or trailing comma"
 
 
-def parse(source, file_id="<input>", minify=False):
-    """Lex (with ``minify``, minifying) and parse ``source``; returns (the
-    text the spans index, ScopeTree, Candidates, FileSummary).
-
-    The parse stops at its first error, so a lexical error later in the
-    file is not seen; ``pipeline.front_end`` reports it in preference.
-    """
-    parser = _Parser(source, file_id, minify)
-    preamble_offset = parser.parse_program()
+def parse(source, file_id="<input>"):
+    """Lex and parse ``source``; returns (the lexer's gap table, ScopeTree,
+    Candidates, FileSummary). After a syntax error the lexer still runs to
+    the end of the file, so a lexical error later in the file wins."""
+    parser = _Parser(source, file_id)
+    try:
+        preamble_offset = parser.parse_program()
+    except ParseError:
+        for _batch in parser.stream:
+            pass
+        raise
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
-    text = parser.text
-    tree = parser.scopes.finish(len(text))
+    tree = parser.scopes.finish(len(source))
     if tree.dynamic[tree.root]:
         # a dynamic site at the top level sees every candidate
         parser.strings.truncate(0)
@@ -166,7 +167,7 @@ def parse(source, file_id="<input>", minify=False):
     summary = parser.summary
     summary.declared_globals = sorted(tree.declarations[tree.root] or ())
     summary.free_names = sorted(tree.globals)
-    return text, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
+    return parser.gaps, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
 # None sentinels after the last token let the cursor read without a bounds
@@ -180,13 +181,14 @@ _NO_REFILL = sys.maxsize
 
 
 class _Parser:
-    def __init__(self, source, file_id, minify):
+    def __init__(self, source, file_id):
         self.file_id = file_id
-        self.stream = lex(source, file_id, minify)
+        self.size = len(source)  # the offset of an error at the end of input
+        self.stream = lex(source, file_id)
         self.toks = []  # the tokens pulled and not yet dropped
         self.i = 0  # the cursor: the index of the next token
         self.refill_at = 0  # advancing from this index pulls a batch
-        self.text = None  # the text the spans index, once the stream ends
+        self.gaps = None  # the lexer's gap table, once the stream ends
         self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary(file_id)
         self.strings = Spans()
@@ -224,14 +226,14 @@ class _Parser:
         drop = max(self.i - 1, 0)
         del toks[:drop]
         self.i -= drop
-        while self.text is None and len(toks) - self.i < _LOOKAHEAD:
+        while self.gaps is None and len(toks) - self.i < _LOOKAHEAD:
             try:
                 toks += next(self.stream)
             except StopIteration as stop:
-                # the stream has ended: the sentinels and the text are set
-                self.text = stop.value
+                # the stream has ended: the sentinels and the gaps are set
+                self.gaps = stop.value
                 toks += _SENTINELS
-        self.refill_at = len(toks) - _LOOKAHEAD if self.text is None else _NO_REFILL
+        self.refill_at = len(toks) - _LOOKAHEAD if self.gaps is None else _NO_REFILL
 
     def last_end(self):
         """The end of the last token consumed."""
@@ -244,7 +246,7 @@ class _Parser:
 
     def error(self, message, exc=ParseError):
         t = self.peek()
-        raise exc(message, self.file_id, t.start if t is not None else len(self.text))
+        raise exc(message, self.file_id, t.start if t is not None else self.size)
 
     def literal_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
@@ -284,7 +286,7 @@ class _Parser:
         a contextual word, and for `{` or `[` where JS allows a destructuring
         pattern (``pattern`` names the site); else ParseError(``message``)."""
         if t is None:
-            return ParseError(message, self.file_id, len(self.text))
+            return ParseError(message, self.file_id, self.size)
         if t.kind == PUNCT and pattern is not None and t.text in ("{", "["):
             return UnsupportedSyntax(f"destructuring {pattern} are not supported", self.file_id, t.start)
         if t.kind == KEYWORD and t.text in _CONTEXTUAL_WORDS:
@@ -424,10 +426,10 @@ class _Parser:
                 return self.parse_return_like("return")
             if text == "throw":
                 return self.parse_return_like("throw", require_arg=True)
-            if text == "break" or text == "continue":
+            if text in ("break", "continue", "debugger"):
                 tok = self.advance()
                 nxt = self.peek()
-                if nxt is not None and nxt.kind == IDENT and not nxt.nl:
+                if text != "debugger" and nxt is not None and nxt.kind == IDENT and not nxt.nl:
                     self.unsupported("labeled break/continue is not supported")
                 self.consume_semicolon()
                 return tok.end
@@ -435,10 +437,6 @@ class _Parser:
                 return self.parse_with()
             if text == "export" or (text == "import" and not self.is_import_expression()):
                 self.error(f"'{text}' is only allowed at the top level of a module")
-            if text == "debugger":
-                tok = self.advance()
-                self.consume_semicolon()
-                return tok.end
         if t.kind == IDENT:
             nxt = self.peek(1)
             if nxt is not None and nxt.kind == PUNCT and nxt.text == ":":
@@ -559,7 +557,7 @@ class _Parser:
         if t is None or t.kind != IDENT:
             return self.name_error(t, "expected parameter name", "parameters")
         message = _REST_LAST if rest else "expected ',' or ')'"
-        return ParseError(message, self.file_id, nxt.start if nxt is not None else len(self.text))
+        return ParseError(message, self.file_id, nxt.start if nxt is not None else self.size)
 
     def unique_params(self, names):
         """Raise at the second of two parameters of one name; ``names``
@@ -1129,8 +1127,8 @@ class _Parser:
         if t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl:
             if fault is not None:
                 raise self.param_error(*fault)
-            occ = self.scopes.occurrences
-            self.unique_params((occ.names[index], occ.starts[index]) for index in params)
+            names, starts = self.scopes.names, self.scopes.occurrences.starts
+            self.unique_params((names[index], starts[index]) for index in params)
             self.scopes.enter_arrow(lparen.start, mark, params)
             self.marks.append(candidates)
             return self.parse_arrow_body()

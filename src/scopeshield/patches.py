@@ -1,11 +1,12 @@
 """Span-based text patching.
 
-Transforms never rebuild source from an AST; they produce span replacements
-against the original text as columns (``Edits``), and ``emit`` applies them
-in one pass. Renames are not edits: ``emit`` reads them from the file's
-occurrence table as it goes, each occurrence's output name from the rename
-map, a list of output names indexed by binding id. So a file holds no
-object per renamed identifier, per rewritten access or per encoded string.
+Nothing rebuilds source from an AST. The lexer's gap table (minifying) and
+the transforms are span replacements against the file as written, as
+columns (``Edits``), and ``emit`` applies them in one pass. Renames are not
+edits: ``emit`` reads them from the file's occurrence table as it goes,
+each occurrence's output name from the rename map, a list of output names
+indexed by binding id. So a file holds no object per renamed identifier,
+per rewritten access, per encoded string or per gap.
 """
 
 from array import array
@@ -45,23 +46,23 @@ class Edits:
 _PIECE_PARTS = 1024
 
 
-def emit(source, edits, occurrences, outputs):
+def emit(source, edits, occurrences, names, outputs):
     """Apply the ``Edits`` tables ``edits`` and the renames of
     ``occurrences`` (an ``Occurrences`` table, in start order as the parser
     reads it) to ``source``; return the new text.
 
     Each occurrence whose binding ``outputs`` (the output name of each
-    binding id) gives another name is rewritten to it, a shorthand `{x}` to
-    `{x: y}`. All edits apply in (start, end) order, so an insertion at an
-    identifier's start goes before it. Overlap, or a renamed occurrence out
-    of start order, is an internal invariant violation and raises
-    OverlappingPatches, which makes the caller abort the file rather than
-    emit corrupt output.
+    binding id) gives another name than ``names`` (each binding id's own
+    name) is rewritten to it, a shorthand `{x}` to `{x: y}`. All edits apply
+    in (start, end) order, so an insertion at an identifier's start goes
+    before it. Overlap, or a renamed occurrence out of start order, is an
+    internal invariant violation and raises OverlappingPatches, which makes
+    the caller abort the file rather than emit corrupt output.
     """
     pieces = []
     parts = []
     cursor = 0
-    for start, end, text in _edits(edits, occurrences, outputs):
+    for start, end, text in _edits(edits, occurrences, names, outputs):
         if start < cursor or end < start or end > len(source):
             raise OverlappingPatches(
                 f"patch [{start},{end}) overlaps text already emitted up to {cursor}"
@@ -77,23 +78,20 @@ def emit(source, edits, occurrences, outputs):
     return "".join(pieces)
 
 
-def _edits(edits, occurrences, outputs):
+def _edits(edits, occurrences, names, outputs):
     """(start, end, text) of each edit of the tables and each rename,
     merged in (start, end) order."""
     merged = merge(*(zip(table.starts, table.ends, table.texts) for table in edits))
     edit = next(merged, None)
-    names, starts = occurrences.names, occurrences.starts
-    styles, bindings = occurrences.styles, occurrences.bindings
-    for index, name in enumerate(names):
-        new_name = outputs[bindings[index]]
+    for start, style, bid in zip(occurrences.starts, occurrences.styles, occurrences.bindings):
+        name, new_name = names[bid], outputs[bid]
         if new_name == name:
             continue
-        start = starts[index]
         end = start + len(name)
         while edit is not None and (edit[0] < start or edit[0] == start and edit[1] < end):
             yield edit
             edit = next(merged, None)
-        yield start, end, f"{name}: {new_name}" if styles[index] == SHORTHAND else new_name
+        yield start, end, f"{name}: {new_name}" if style == SHORTHAND else new_name
     if edit is not None:
         yield edit
         yield from merged

@@ -3,13 +3,15 @@
 One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
 own summary (``depgraph.frozen_names``). Each file task parses its file
-once (a file that fails to parse gets one retry, see ``front_end``), and
-the parser lexes and minifies it as it reads, a batch of tokens at a time:
-it builds no syntax tree but the file's facts, its scope tree, its
-transform candidates and its summary. The task then renames, transforms
-and emits it. The emit writes the renames straight from the occurrence
-table, and the scope tree and the candidates are freed before it, so a
-file's peak memory is not the sum of every layer's. On a process pool the
+once (a file too deeply nested for the default stack gets one retry, see
+``front_end``), and the parser lexes it as it reads, a batch of tokens at a
+time: it builds no syntax tree but the file's facts, its scope tree, its
+transform candidates, its summary and the lexer's gap table, which
+minifies. Every span indexes the file as written. The task then renames,
+transforms and emits it; the emit applies the gap table, when minifying,
+with the transforms' edits, and writes the renames straight from the
+occurrence table. The scope tree and the candidates are freed before it, so
+a file's peak memory is not the sum of every layer's. On a process pool the
 largest-first file list goes out in consecutive chunks, one task each and
 about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
 cost the parent one future each. Output bytes are identical for any worker
@@ -42,9 +44,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .depgraph import frozen_names, unresolved_imports
-from .errors import FatalConfigError, ParseError, ScopeShieldError, UnsupportedSyntax
+from .errors import FatalConfigError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
-from .lexer import lexed_text
 from .parser import parse
 from .patches import Edits, emit
 from .renamer import check_safety, dump_lines, name_sequence, rename_tree
@@ -140,42 +141,29 @@ def _file_key(rel_path):
     return zlib.crc32(f"{rel_path}:0".encode("utf-8")) & 0xFF
 
 
-# The retry of a file that fails to parse runs on one helper thread with
-# this much stack and this recursion limit: enough for 1,000 nested
-# callbacks, not 60 `f(function(){...})` or 150 parentheses as by default.
-# Deeper files still raise RecursionError and are copied as unsupported.
+# The retry of a file too deep to parse runs on one helper thread with this
+# much stack and this recursion limit: enough for 1,000 nested callbacks,
+# not 60 `f(function(){...})` or 150 parentheses as by default. Deeper
+# files still raise RecursionError and are copied as unsupported.
 DEEP_STACK_BYTES = 256 * 1024 * 1024
 DEEP_RECURSION_LIMIT = 20_000
 
 
-def front_end(text, rel_path, minify):
-    """Lex (and, with ``minify``, minify) and parse one file; the parser
-    reads the tokens as the lexer streams them.
+def front_end(text, rel_path):
+    """Lex and parse one file; the parser reads the tokens as the lexer
+    streams them.
 
-    Returns (the text the spans refer to, ScopeTree, Candidates,
-    FileSummary); that text is the minified one when ``minify`` is set, else
-    ``text``. No token outlives the parse, and at most a few batches of
-    them are alive at once. A file whose parse raises ParseError or
-    RecursionError is parsed once more, as written, on a deep stack, after
-    a pass that lexes the whole file, so a lexical error anywhere wins. The
-    second parse's error, with an offset into ``text`` as read, is the
-    file's; if it succeeds, the file was only too deep for the default
-    stack.
+    Returns (the lexer's gap table, ScopeTree, Candidates, FileSummary),
+    every span and error offset into ``text``. No token outlives the parse,
+    and at most a few batches of them are alive at once. A file whose parse
+    raises RecursionError is parsed once more on a deep stack; if that
+    succeeds, the file was only too deep for the default stack.
     """
     try:
-        return parse(text, rel_path, minify)
-    except (ParseError, RecursionError):
+        return parse(text, rel_path)
+    except RecursionError:
         pass  # retried outside the handler, so the first attempt is freed
-    return _on_deep_stack(_parse_again, text, rel_path, minify)
-
-
-def _parse_again(text, rel_path, minify):
-    lexed_text(text, rel_path)
-    facts = parse(text, rel_path)
-    if minify:
-        del facts  # not alive during the minified parse
-        facts = parse(text, rel_path, True)
-    return facts
+    return _on_deep_stack(parse, text, rel_path)
 
 
 def _on_deep_stack(task, *args):
@@ -227,11 +215,12 @@ def rename_file(config, allowlist, tree, summary):
     return outputs
 
 
-def transform_file(config, allowlist, rel_path, mtext, candidates, occurrences, outputs):
+def transform_file(config, allowlist, rel_path, text, gaps, candidates, names, outputs):
     """The ``Edits`` tables of the enabled transforms, the preamble's
     insertion among them; the fresh names they draw avoid every name the
-    file reads or writes."""
-    fresh = name_sequence(frozenset(allowlist).union(occurrences.names, outputs))
+    file reads or writes (``names``, each binding's, and ``outputs``). The
+    string edits space themselves from what the gap edits ``gaps`` leave."""
+    fresh = name_sequence(frozenset(allowlist).union(names, outputs))
     tables = []
     preamble = ""
     # slot names are drawn before the string-table names
@@ -240,7 +229,8 @@ def transform_file(config, allowlist, rel_path, mtext, candidates, occurrences, 
         tables.append(edits)
         preamble += prop_pre
     if config.encode_strings:
-        edits, str_pre, _table = encode_strings(_file_key(rel_path), fresh, mtext, candidates.strings)
+        key = _file_key(rel_path)
+        edits, str_pre, _table = encode_strings(key, fresh, text, gaps, candidates.strings)
         tables.append(edits)
         preamble += str_pre
     if preamble:
@@ -252,8 +242,9 @@ def transform_file(config, allowlist, rel_path, mtext, candidates, occurrences, 
 
 def process_file(config, allowlist, rel_path):
     """Obfuscate one file: run its ``front_end`` once, then rename
-    (``rename_file``), transform (``transform_file``) and emit. Of the
-    front end's facts, only the occurrence table and the summary live on
+    (``rename_file``), transform (``transform_file``) and emit, with the gap
+    table if ``config.minify``. Of the front end's facts, only the gap
+    table, the occurrence table, the binding names and the summary live on
     into the emit.
 
     Returns a dict with the file, its status, the worker milliseconds per
@@ -267,8 +258,9 @@ def process_file(config, allowlist, rel_path):
     try:
         text = (Path(config.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
-        mtext, tree, candidates, summary = front_end(text, rel_path, config.minify)
-        del text  # the spans index ``mtext``
+        gaps, tree, candidates, summary = front_end(text, rel_path)
+        if not config.minify:
+            gaps = Edits()
         result["summary"] = summary
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
@@ -276,17 +268,18 @@ def process_file(config, allowlist, rel_path):
         outputs = rename_file(config, allowlist, tree, summary)
         if config.dump_renames:
             result["rename_dump"] = dump_lines(tree, outputs)
-        occurrences = tree.occurrences
+        occurrences, names = tree.occurrences, tree.bindings.names
         del tree  # its scopes are read no more
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        edits = transform_file(config, allowlist, rel_path, mtext, candidates, occurrences, outputs)
+        edits = transform_file(config, allowlist, rel_path, text, gaps, candidates, names, outputs)
+        edits.append(gaps)
         del candidates
         phases["transform"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        out_text = emit(mtext, edits, occurrences, outputs)
+        out_text = emit(text, edits, occurrences, names, outputs)
         phases["emit"] = (time.perf_counter() - t0) * 1000.0
     except FILE_FAILURES as exc:
         result["status"], result["error"] = file_failure(rel_path, exc)

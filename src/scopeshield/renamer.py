@@ -207,12 +207,10 @@ def check_safety(tree, outputs):
             if sid in scopes:
                 violation(name, f"scope {sid}", f"two declarations map to {new_name!r}")
             scopes[sid] = bid
-    home, parents = tree.bindings.scope_ids, tree.parents
+    names, home, parents = tree.bindings.names, tree.bindings.scope_ids, tree.parents
     occurrences = tree.occurrences
-    for name, start, sid, bid in zip(
-        occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
-    ):
-        new_name = outputs[bid]
+    for start, sid, bid in zip(occurrences.starts, occurrences.scope_ids, occurrences.bindings):
+        name, new_name = names[bid], outputs[bid]
         scopes = declared[new_name]
         resolved = None
         while resolved is None and sid != GLOBAL_SCOPE:

@@ -78,18 +78,17 @@ SHORTHAND = 2  # a shorthand property `{x}`, emitted as `{x: y}` when renamed
 
 class Occurrences:
     """A file's identifier occurrences, in the order the parser read them,
-    as parallel columns: ``names`` (the lexer's one str per word),
-    ``starts`` and ``scope_ids`` (int arrays), ``styles`` (a byte each:
-    REF, DECL or SHORTHAND) and ``bindings``, each one's binding id, an int
-    array that ``ScopeTree.resolve_occurrences`` fills. Identifiers lex
+    as parallel columns: ``starts`` and ``scope_ids`` (int arrays),
+    ``styles`` (a byte each: REF, DECL or SHORTHAND) and ``bindings``, each
+    one's binding id, an int array that ``ScopeTree.resolve_occurrences``
+    fills. An occurrence's name is its binding's, and identifiers lex
     ASCII-only, so occurrence ``i`` spans ``[starts[i], starts[i] +
-    len(names[i]))``.
+    len(name))``.
     """
 
-    __slots__ = ("names", "starts", "scope_ids", "styles", "bindings")
+    __slots__ = ("starts", "scope_ids", "styles", "bindings")
 
     def __init__(self):
-        self.names = []
         # 4-byte ints: a file task could not hold a 2 GiB file's facts
         self.starts = array("i")
         self.scope_ids = array("i")
@@ -97,10 +96,9 @@ class Occurrences:
         self.bindings = array("i")
 
     def __len__(self):
-        return len(self.names)
+        return len(self.starts)
 
-    def add(self, name, start, scope_id, style=REF):
-        self.names.append(name)
+    def add(self, start, scope_id, style=REF):
         self.starts.append(start)
         self.scope_ids.append(scope_id)
         self.styles.append(style)
@@ -172,11 +170,11 @@ class ScopeTree:
             bid = self.globals[name] = self.bindings.add(name, GLOBAL_SCOPE, GLOBAL)
         return bid
 
-    def resolve_occurrences(self):
-        """Resolve every occurrence once and store its binding id in the
-        ``bindings`` column."""
+    def resolve_occurrences(self, names):
+        """Resolve every occurrence once, given the name of each, and store
+        its binding id in the ``bindings`` column."""
         occ = self.occurrences
-        occ.bindings = array("i", map(self.resolve, occ.names, occ.scope_ids))
+        occ.bindings = array("i", map(self.resolve, names, occ.scope_ids))
 
 
 class ScopeBuilder:
@@ -185,7 +183,8 @@ class ScopeBuilder:
     The parser enters and leaves scopes, declares names (a ``var`` into the
     nearest function or module scope, everything else into the current
     scope), records references and marks the current scope dynamic.
-    ``finish`` then resolves every occurrence once, as hoisting needs.
+    ``finish`` then resolves every occurrence once, as hoisting needs; until
+    then the builder keeps each occurrence's name in ``names``.
 
     A statement block or a switch's case block is entered like any scope,
     because whether it directly holds a lexical declaration is known only at
@@ -204,6 +203,7 @@ class ScopeBuilder:
     def __init__(self, file_id):
         self.tree = tree = ScopeTree(file_id)
         self.occurrences = tree.occurrences
+        self.names = []  # each occurrence's name (the lexer's one str per word)
         # the module scope's end is set by ``finish``
         self.scope = self.function = tree.new_scope(MODULE, GLOBAL_SCOPE, 0, 0)
         self.outer = []  # (scope, function scope) of each scope entered
@@ -283,7 +283,7 @@ class ScopeBuilder:
                 occ.scope_ids[index] = arrow
         for index in params:
             occ.styles[index] = DECL
-            tree.declare(arrow, occ.names[index], PARAM)
+            tree.declare(arrow, self.names[index], PARAM)
 
     def declare(self, tok, category):
         self._declare(self.scope, tok, category)
@@ -313,10 +313,12 @@ class ScopeBuilder:
         name = tok.text
         if name not in (self.tree.declarations[sid] or ()):
             self.tree.declare(sid, name, category)
-        self.occurrences.add(name, tok.start, self.scope, DECL)
+        self.names.append(name)
+        self.occurrences.add(tok.start, self.scope, DECL)
 
     def reference(self, tok, style=REF):
-        self.occurrences.add(tok.text, tok.start, self.scope, style)
+        self.names.append(tok.text)
+        self.occurrences.add(tok.start, self.scope, style)
 
     def mark_dynamic(self):
         # direct presence only; freezing walks ancestors separately
@@ -349,7 +351,7 @@ class ScopeBuilder:
         bindings, occ = tree.bindings, tree.occurrences
         bindings.scope_ids = array("i", map(remap.__getitem__, bindings.scope_ids))
         occ.scope_ids = array("i", map(remap.__getitem__, occ.scope_ids))
-        tree.resolve_occurrences()
+        tree.resolve_occurrences(self.names)
         return tree
 
 

@@ -4,8 +4,9 @@
 class Token:
     """One significant lexical token.
 
-    ``text`` is the exact slice of the file text the spans index: half-open
-    offsets into it. ``nl`` is whether a line break comes before the token.
+    ``text`` is the exact slice of the file that ``start`` and ``end``, its
+    half-open offsets into the file as written, name. ``nl`` is whether a
+    line break comes before the token.
     """
 
     __slots__ = ("kind", "text", "start", "end", "nl")

@@ -22,6 +22,7 @@ in one: a dynamic site may read them as written.
 
 import base64
 from array import array
+from bisect import bisect_left
 
 from .parser import string_value
 from .patches import Edits
@@ -79,9 +80,11 @@ def decoder_preamble(table, key, names):
     return body + _DECODER_JS.format(X=x, K=key)
 
 
-def encode_strings(key, fresh_names, source, candidates):
+def encode_strings(key, fresh_names, source, gaps, candidates):
     """Encode the file's eligible string literals, ``candidates`` (the
-    ``Spans`` of ``Candidates.strings``), into one table.
+    ``Spans`` of ``Candidates.strings``), into one table. ``gaps`` are the
+    gap edits the emit applies with these: a decoder call spaces itself from
+    what the output holds before it.
 
     Returns (``Edits``, preamble text, the table's payloads or None); the
     edits of one table entry share its decoder call text. Literals shorter
@@ -117,11 +120,24 @@ def encode_strings(key, fresh_names, source, candidates):
     for start, idx in zip(starts, indexes):
         # a quote needs no separator from a preceding keyword (return"x"),
         # but the decoder call does
-        if start > 0 and (source[start - 1].isalnum() or source[start - 1] in "_$"):
+        before = _output_before(source, gaps, start)
+        if before.isalnum() or before in ("_", "$"):
             texts.append(spaced.setdefault(idx, " " + calls[idx]))
         else:
             texts.append(calls[idx])
     return Edits(starts, ends, texts), decoder_preamble(table, key, names), table
+
+
+def _output_before(source, gaps, start):
+    """The character the output holds before offset ``start`` of ``source``,
+    a token's start, under the gap edits ``gaps`` ("" at the output's start):
+    the text of a gap edit that ends there, else the character before it."""
+    index = bisect_left(gaps.ends, start)
+    if index < len(gaps) and gaps.ends[index] == start:
+        if gaps.texts[index]:
+            return gaps.texts[index]
+        start = gaps.starts[index]
+    return source[start - 1] if start > 0 else ""
 
 
 def rewrite_property_access(fresh_names, accesses):

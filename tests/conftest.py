@@ -43,9 +43,29 @@ COUNT_FROM_CHAR_CODE = (
 )
 
 
-def lex_all(source, file_id="<input>", minify=False):
+def lex_all(source, file_id="<input>"):
     """The tokens of ``source``, as one list: ``lex`` drained."""
-    return [tok for batch in lex(source, file_id, minify) for tok in batch]
+    return [tok for batch in lex(source, file_id) for tok in batch]
+
+
+def gap_table(source, file_id="<input>"):
+    """The gap table ``lex`` returns for ``source``."""
+    stream = lex(source, file_id)
+    while True:
+        try:
+            next(stream)
+        except StopIteration as stop:
+            return stop.value
+
+
+def minified(source):
+    """``source`` minified: its gap table applied by ``emit``."""
+    return emit(source, [gap_table(source)], Occurrences(), [], [])
+
+
+def occurrence_names(tree):
+    """The name of each occurrence of ``tree``: its binding's."""
+    return [tree.bindings.names[bid] for bid in tree.occurrences.bindings]
 
 
 def edits(*rows):
@@ -64,7 +84,7 @@ def edit_rows(table):
 def patched(source, rows):
     """``source`` with the (start, end, text) ``rows``, in any order,
     applied by ``emit``, with no renames: one ``Edits`` table per row."""
-    return emit(source, [edits(row) for row in rows], Occurrences(), [])
+    return emit(source, [edits(row) for row in rows], Occurrences(), [], [])
 
 
 ScopeView = namedtuple("ScopeView", "id kind parent start end dynamic declarations children")

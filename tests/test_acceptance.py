@@ -16,13 +16,12 @@ from pathlib import Path
 import pytest
 
 from scopeshield.equivalence import TestCase, run_differential
-from scopeshield.lexer import lexed_text
 from scopeshield.metrics import lzma_compressor, measure_tree_pair, nid
 from scopeshield.patches import emit
 from scopeshield.pipeline import ObfuscationConfig, front_end, obfuscate_project
 from scopeshield.renamer import check_safety, name_sequence, rename_tree
 
-from conftest import COUNT_FROM_CHAR_CODE, declared_bindings, rename_cost, run_node
+from conftest import COUNT_FROM_CHAR_CODE, declared_bindings, minified, rename_cost, run_node
 from corpusgen import build_corpus
 from scalegen import generate_scaling_corpus, synth_module
 from treegen import random_scope_tree
@@ -55,7 +54,7 @@ def desk_corpus(tmp_path_factory):
     src = root / "orig"
     src.mkdir()
     for idx, size in enumerate((50 * 1024, 150 * 1024, 600 * 1024, 5 * 1024 * 1024)):
-        text = lexed_text(synth_module(7000 + idx, size), minify=True)
+        text = minified(synth_module(7000 + idx, size))
         (src / f"app_{idx}.js").write_text(text, encoding="utf-8")
     obf = root / "obf"
     obfuscate_project(
@@ -106,11 +105,11 @@ def test_c2_oracle_flags_capture_when_tightening_disabled(node):
         "function f() { var local = 2; function g() { return outer; } return g() + local; }\n"
         "console.log(f());\n"
     )
-    tree = front_end(src, "cap.js", minify=False)[1]
+    tree = front_end(src, "cap.js")[1]
     naive = rename_tree(tree, subtree_refs=False)
     violations = check_safety(tree, naive)
     assert violations, "check_safety must flag the hand-built capture"
-    assert run_node(code=emit(src, [], tree.occurrences, naive)) != run_node(code=src)
+    assert run_node(code=emit(src, [], tree.occurrences, tree.bindings.names, naive)) != run_node(code=src)
     tightened = rename_tree(tree, subtree_refs=True)
     assert check_safety(tree, tightened) == []
     report(

@@ -1,6 +1,6 @@
 """Every function, class and method in the package has a use in the package,
-every ``__slots__`` entry is read somewhere in it, and no module imports
-another's private names.
+every ``__slots__`` entry and every module-level name is read somewhere in
+it, and no module imports another's private names.
 
 A name counts as used when some module of ``src/scopeshield`` mentions it as
 a bare name or as an attribute; being exported is no use. Dunders and the
@@ -64,6 +64,39 @@ def test_every_slot_is_read_in_the_package():
                 read.add(node.attr)
     assert slots, "no __slots__ found: the scan is broken"
     unread = {slot: where for slot, where in slots.items() if slot.split(".")[1] not in read}
+    assert unread == {}
+
+
+def _assigned_names(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for item in target.elts:
+            yield from _assigned_names(item)
+
+
+def test_every_module_level_name_is_read_in_the_package():
+    assigned = {}
+    read = set()
+    for path, module in _modules():
+        for stmt in module.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+            if isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            for target in targets:
+                for name in _assigned_names(target):
+                    assigned.setdefault(name, f"{path.name}:{stmt.lineno}")
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert assigned, "no module-level assignment found: the scan is broken"
+    unread = {
+        name: where
+        for name, where in assigned.items()
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    }
     assert unread == {}
 
 

@@ -193,9 +193,9 @@ def test_empty_export_and_mjs_make_a_module():
     from scopeshield.pipeline import front_end
 
     text = "function helperFunction() {}\n"
-    assert frozen_names(front_end(text, "a.js", minify=False)[3]) == {
+    assert frozen_names(front_end(text, "a.js")[3]) == {
         "helperFunction": "script global"
     }
     for src, rel in ((text + "export {};\n", "a.js"), (text, "a.mjs"), (text, "lib/a.mjs")):
-        summary = front_end(src, rel, minify=False)[3]
+        summary = front_end(src, rel)[3]
         assert frozen_names(summary) == {}

@@ -8,10 +8,9 @@ from scopeshield.errors import (
     UnterminatedString,
     UnterminatedTemplate,
 )
-from scopeshield.lexer import lexed_text
 from scopeshield.tokens import IDENT, KEYWORD, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
-from conftest import lex_all, nl_before
+from conftest import gap_table, lex_all, minified, nl_before
 from corpusgen import GENERATORS
 
 
@@ -28,9 +27,9 @@ def gaps(text, tokens):
 
 def assert_lossless(text, tokens):
     """Every token is the slice of ``text`` its span names, the spans are
-    in order, and every gap around them lexes to no token; ``nl_before``
-    names the tokens whose gap holds a line break."""
-    assert lexed_text(text) == text
+    in order, every gap around them lexes to no token, and each row of the
+    gap table spans one whole gap; ``nl_before`` names the tokens whose gap
+    holds a line break."""
     end = 0
     for tok in tokens:
         assert end <= tok.start < tok.end
@@ -38,6 +37,8 @@ def assert_lossless(text, tokens):
         end = tok.end
     between = gaps(text, tokens)
     assert all(lex_all(gap) == [] for gap in between)
+    table = gap_table(text)
+    assert all(text[start:end] in between for start, end in zip(table.starts, table.ends))
     assert nl_before(tokens) == {
         i for i, gap in enumerate(between[:-1]) if any(c in gap for c in "\n\r\u2028\u2029")
     }
@@ -52,8 +53,9 @@ def test_simple_statement_token_kinds():
 
 def test_empty_input_gives_empty_sequence():
     assert lex_all("") == []
-    assert lexed_text("") == ""
-    assert lex_all("  // only a comment\n", minify=True) == []
+    assert len(gap_table("")) == 0
+    assert lex_all("  // only a comment\n") == []
+    assert minified("  // only a comment\n") == ""
 
 
 def test_round_trip_over_generated_corpus():
@@ -77,7 +79,7 @@ def test_line_break_flags():
     assert [t.text for t in tokens] == ["a", "b", "c", "d", "e"]
     assert nl_before(tokens) == {1, 3, 4}
     assert nl_before(lex_all("\n\nx")) == {0}
-    assert nl_before(lex_all("\n\nx", minify=True)) == set()
+    assert minified("\n\nx") == "x"
 
 
 def test_line_and_paragraph_separators_break_lines():
@@ -86,7 +88,7 @@ def test_line_and_paragraph_separators_break_lines():
     assert [t.text for t in tokens] == ["a", "b", "c", "e"]
     assert nl_before(tokens) == {1, 2, 3}
     assert_lossless(src, tokens)
-    assert lexed_text(src, minify=True) == "a\nb\nc\ne"
+    assert minified(src) == "a\nb\nc\ne"
     # a regular expression literal cannot hold one; a string literal can
     assert REGEX not in kinds(lex_all("x = /a\u2028b/"))
     with pytest.raises(InvalidCharacter):
@@ -137,7 +139,7 @@ def test_comments_and_strings():
     toks = lex_all(src)
     assert kinds(toks) == [STRING]
     assert (toks[0].text, toks[0].start, nl_before(toks)) == ("'it\\'s'", 12, set())
-    assert lexed_text(src, minify=True) == "'it\\'s'"
+    assert minified(src) == "'it\\'s'"
 
 
 def test_unterminated_string_reports_offset():
@@ -162,7 +164,7 @@ def test_invalid_character():
     # a block comment that never closes is no regular expression either
     for src in ("a /* open", "x = /* open/"):
         with pytest.raises(InvalidCharacter) as err:
-            lex_all(src, minify=True)
+            lex_all(src)
         assert err.value.offset == src.index("/*")
 
 
@@ -180,10 +182,9 @@ def test_hashbang_line_is_kept_as_written():
     tokens = lex_all(src)
     assert [t.text for t in tokens] == ["var", "a", "=", "1", ";"]
     assert tokens[0].start == src.index("var") and tokens[0].nl
-    assert lexed_text(src) == src
-    assert lexed_text(src, minify=True) == "#!/usr/bin/env node --flag\nvar a=1;"
-    assert lexed_text("#!x", minify=True) == "#!x"
-    assert lex_all("#!x\r\n", minify=True) == []
+    assert minified(src) == "#!/usr/bin/env node --flag\nvar a=1;"
+    assert minified("#!x") == "#!x"
+    assert lex_all("#!x\r\n") == [] and minified("#!x\r\n") == "#!x"
     # only at offset 0
     with pytest.raises(InvalidCharacter):
         lex_all(" #!x\n")

@@ -40,7 +40,7 @@ def test_inflation_two_decimal_exactness():
 def complexity_of_function(src):
     """The McCabe number of the one function ``src`` declares: the
     program's number less the 1 of the module body."""
-    _text, tree, _candidates, summary = front_end(src, "t.js", minify=False)
+    _text, tree, _candidates, summary = front_end(src, "t.js")
     assert summary.declared_globals == ["f"]
     assert list(tree.kinds).count(FUNCTION) == 1
     return cyclomatic_complexity(src) - 1

@@ -6,9 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scopeshield.errors import LexError
-from scopeshield.lexer import lexed_text
-
-from conftest import lex_all, nl_before, run_node
+from conftest import gap_table, lex_all, minified, run_node
 from corpusgen import GENERATORS
 
 
@@ -20,7 +18,7 @@ def significant(tokens):
 
 def test_strips_comments_and_indentation():
     src = "function f() {\n    // add\n    return 1 + 2;  /* done */\n}\n"
-    out = lexed_text(src, minify=True)
+    out = minified(src)
     assert "//" not in out and "/*" not in out
     assert "    " not in out
     assert significant(lex_all(out)) == significant(lex_all(src))
@@ -28,31 +26,44 @@ def test_strips_comments_and_indentation():
 
 def test_idempotent():
     src = "var a = 1;\n\n\nvar b = 2;   // x\n"
-    once = lexed_text(src, minify=True)
-    assert lexed_text(once, minify=True) == once
+    once = minified(src)
+    assert minified(once) == once
 
 
 def test_significant_tokens_preserved_across_corpus():
     rng = random.Random(3)
     for gen in GENERATORS:
         for text in gen(rng).values():
-            out = lexed_text(text, minify=True)
+            out = minified(text)
             assert significant(lex_all(out)) == significant(lex_all(text))
             assert len(out) <= len(text)
 
 
+def shifted(tokens, table):
+    """(kind, text, start, end) of each token at its offset in the text
+    that the gap table ``table`` makes."""
+    rows = list(zip(table.starts, table.ends, table.texts))
+    delta = index = 0
+    spans = []
+    for t in tokens:
+        while index < len(rows) and rows[index][1] <= t.start:
+            start, end, sep = rows[index]
+            delta += len(sep) - (end - start)
+            index += 1
+        spans.append((t.kind, t.text, t.start + delta, t.end + delta))
+    return spans
+
+
 def assert_relexes_alike(text):
-    """The minified text lexes to the tokens, spans and line breaks the
-    minifying pass gave, and minifying it again changes nothing."""
-    minified = lex_all(text, minify=True)
-    out = lexed_text(text, minify=True)
+    """The minified text lexes to the tokens and line breaks of ``text``,
+    each at its offset shifted by the gap edits before it, and minifying it
+    again changes nothing."""
+    tokens = lex_all(text)
+    out = minified(text)
     relexed = lex_all(out)
-    assert [(t.kind, t.text, t.start, t.end) for t in relexed] == [
-        (t.kind, t.text, t.start, t.end) for t in minified
-    ]
-    assert nl_before(relexed) == nl_before(minified)
-    assert lexed_text(out, minify=True) == out
-    assert significant(minified) == significant(lex_all(text))
+    assert [(t.kind, t.text, t.start, t.end) for t in relexed] == shifted(tokens, gap_table(text))
+    assert significant(relexed) == significant(tokens)
+    assert minified(out) == out
 
 
 def test_minified_text_relexes_to_the_same_tokens():
@@ -92,30 +103,30 @@ def test_minify_relexes_alike_on_fragment_soup(fragments):
 
 def test_newlines_are_kept_for_asi():
     src = "function f() {\n  return\n  1;\n}\nconsole.log(f());\n"
-    out = lexed_text(src, minify=True)
+    out = minified(src)
     assert "return\n" in out  # removing this newline would change semantics
     assert run_node(code=src) == run_node(code=out)
 
 
 def test_keeps_space_between_wordlike_tokens():
-    assert lexed_text("var x = typeof   value;", minify=True) == "var x=typeof value;"
+    assert minified("var x = typeof   value;") == "var x=typeof value;"
 
 
 def test_keeps_space_between_hazardous_punctuators():
     src = "a = b + +c - -d;"
-    out = lexed_text(src, minify=True)
+    out = minified(src)
     assert "+ +" in out and "- -" in out
     assert significant(lex_all(out)) == significant(lex_all(src))
 
 
 def test_number_dot_hazard():
-    out = lexed_text("var s = 1 .toString();", minify=True)
+    out = minified("var s = 1 .toString();")
     assert "1 ." in out
 
 
 def test_template_content_untouched():
     src = "var t = `a  b\n\n c ${ x  +  1 }`;"
-    out = lexed_text(src, minify=True)
+    out = minified(src)
     assert "`a  b\n\n c ${" in out
 
 
@@ -128,4 +139,4 @@ def test_template_content_untouched():
 )
 def test_differential_execution(snippet, expected):
     assert run_node(code=snippet) == expected
-    assert run_node(code=lexed_text(snippet, minify=True)) == expected
+    assert run_node(code=minified(snippet)) == expected

@@ -4,22 +4,23 @@ import subprocess
 
 import pytest
 
+from scopeshield import pipeline
 from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
 from scopeshield.lexer import BATCH_TOKENS
-from scopeshield.parser import string_value
+from scopeshield.parser import parse, string_value
 from scopeshield.pipeline import FILE_FAILURES, ObfuscationConfig, front_end, obfuscate_project
 from scopeshield.scopes import DECL, FUNCTION, GLOBAL_SCOPE, KIND_NAMES, MODULE, REF, SHORTHAND
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import access_rows, lex_all, nl_before, run_node, scope_views
+from conftest import access_rows, lex_all, nl_before, occurrence_names, run_node, scope_views
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
 
 def parse_src(src, file_id="t.js"):
     """(ScopeTree, Candidates, FileSummary) of ``src`` as written."""
-    return front_end(src, file_id, minify=False)[1:]
+    return front_end(src, file_id)[1:]
 
 
 _STYLE_NAMES = {REF: None, DECL: "decl", SHORTHAND: "shorthand"}
@@ -30,7 +31,7 @@ def occurrence_rows(tree):
     ``tree``; the style name is None for a reference."""
     occurrences = tree.occurrences
     styles = [_STYLE_NAMES[style] for style in occurrences.styles]
-    return list(zip(occurrences.names, occurrences.starts, styles, occurrences.bindings))
+    return list(zip(occurrence_names(tree), occurrences.starts, styles, occurrences.bindings))
 
 
 def dynamic_scopes(src, file_id="t.js"):
@@ -89,7 +90,8 @@ def test_span_containment_over_corpus():
                         f"{child.kind} escapes {node.kind} in {text[:40]!r}"
                     )
             occurrences = tree.occurrences
-            for name, start, sid in zip(occurrences.names, occurrences.starts, occurrences.scope_ids):
+            names = occurrence_names(tree)
+            for name, start, sid in zip(names, occurrences.starts, occurrences.scope_ids):
                 scope = scopes[sid]
                 assert scope.start <= start < start + len(name) <= scope.end
                 assert text[start : start + len(name)] == name
@@ -500,10 +502,10 @@ def test_accessor_arity_checked_where_node_checks_it(node):
     assert node_accepts.count(False) == 6
     for src, ok in zip(ACCESSORS, node_accepts):
         if ok:
-            front_end(src, "a.js", minify=True)
+            front_end(src, "a.js")
             continue
         with pytest.raises(ParseError) as err:
-            front_end(src, "a.js", minify=True)
+            front_end(src, "a.js")
         assert type(err.value) is ParseError
         assert "takes" in str(err.value)
         # at the parameter list: the `(` after the accessor's name
@@ -516,7 +518,7 @@ def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node
     mutants = []
     for path in sorted(tmp_path.rglob("*.js")):
         text = path.read_text(encoding="utf-8")
-        if front_end(text, "m.js", minify=False)[3].module_syntax:
+        if front_end(text, "m.js")[3].module_syntax:
             continue  # vm.Script compiles scripts only
         for tok in lex_all(text):
             if tok.kind == PUNCT and tok.text == ",":
@@ -525,7 +527,7 @@ def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node
 
     def accepts(text):
         try:
-            front_end(text, "m.js", minify=True)
+            front_end(text, "m.js")
         except FILE_FAILURES:
             return False
         return True
@@ -711,9 +713,8 @@ def test_valid_syntax_outside_the_subset_is_unsupported(src, message, tmp_path, 
     path = tmp_path / "m.mjs"
     path.write_text(src, encoding="utf-8")
     assert subprocess.run([node, "--check", str(path)], capture_output=True).returncode == 0
-    for minify in (False, True):
-        with pytest.raises(UnsupportedSyntax, match=message):
-            front_end(src, "m.js", minify)
+    with pytest.raises(UnsupportedSyntax, match=message):
+        front_end(src, "m.js")
 
 
 def test_a_numeric_separator_is_one_number(tmp_path, node):
@@ -738,12 +739,12 @@ def test_a_valid_module_builds_no_parse_error(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(ParseError, "__init__", counting)
-    for minify in (False, True):  # the module in the common bundle shape
-        front_end("(function(){" + synth_module(3, 64 * 1024) + "})();", "m.js", minify)
+    # the module in the common bundle shape
+    front_end("(function(){" + synth_module(3, 64 * 1024) + "})();", "m.js")
     assert built == []
     with pytest.raises(ParseError, match="expected parameter name"):
-        front_end("(a, 1) => a", "m.js", True)
-    assert [args[0] for args in built] == ["expected parameter name"] * 2  # the parse, the retry
+        front_end("(a, 1) => a", "m.js")
+    assert [args[0] for args in built] == ["expected parameter name"]
 
 
 KEYWORD_PROPERTIES_DIVIDED = ["var o = {return: 12}; o.return / 2 / 3;", "var a = {}; a.delete / 2;"]
@@ -847,10 +848,9 @@ def test_a_line_break_before_the_arrow_is_a_syntax_error(node):
     # ArrowParameters [no LineTerminator here] `=>`
     assert node_compiles(node, LINE_BREAK_ARROWS) == [False, False]
     for src in LINE_BREAK_ARROWS:
-        for minify in (False, True):
-            with pytest.raises(ParseError, match="unexpected token '=>'") as err:
-                front_end(src, "m.js", minify)
-            assert type(err.value) is ParseError and err.value.offset == src.index("=>")
+        with pytest.raises(ParseError, match="unexpected token '=>'") as err:
+            front_end(src, "m.js")
+        assert type(err.value) is ParseError and err.value.offset == src.index("=>")
         assert parse_src(src.replace("\n", " "))[2].declared_globals == [src[4]]
 
 
@@ -862,7 +862,7 @@ def test_generated_heads_are_accepted_and_rejected_as_node_does(node):
     invalid = 0
     for src, ok in zip(snippets, compiles):
         try:
-            front_end(src, "a.js", minify=False)
+            front_end(src, "a.js")
         except UnsupportedSyntax:
             continue
         except ParseError as exc:
@@ -954,31 +954,53 @@ def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
     # the first of the next, or the one after that
     src = filler(BATCH_TOKENS - 8) + ";" * (at - BATCH_TOKENS + 5) + "x=1\ny=2;"
     assert nl_before(lex_all(src)) == {at}
-    for minify in (False, True):
-        _tree, _candidates, summary = front_end(src, "m.js", minify)[1:]
-        assert summary.free_names == ["x", "y"]
+    assert parse_src(src)[2].free_names == ["x", "y"]
     with pytest.raises(ParseError, match="expected ';'"):
         parse_src(src.replace("\n", " "))
 
 
-@pytest.mark.parametrize("minify", [False, True])
-def test_a_lexical_error_after_a_syntax_error_is_reported(minify):
+def test_a_lexical_error_after_a_syntax_error_is_reported():
     # the syntax error is read batches before the lexer reaches the `#`
     src = "var a = ;\n" + filler(3 * BATCH_TOKENS) + "var b = 1 # 2;\n"
     with pytest.raises(InvalidCharacter) as err:
-        front_end(src, "m.js", minify)
+        front_end(src, "m.js")
     assert err.value.offset == src.index("#")
     with pytest.raises(UnsupportedSyntax):  # without the `#`, the syntax error
-        front_end(src.replace("#", "+").replace("var a = ;", "l: ;"), "m.js", minify)
+        front_end(src.replace("#", "+").replace("var a = ;", "l: ;"), "m.js")
+
+
+# files that fail after gaps minifying would change: (error class, file, the
+# text at the error's offset); the last fails only once the whole file has
+# parsed, and the lexical error comes batches after the syntax error
+FAILING_FILES = [
+    (ParseError, "/* c */\n  var a = 1;\n\n  f(a  2);\n", "2);"),
+    (UnsupportedSyntax, "// a comment\nvar a = 1;\n  /* c */ loop: for (;;) { break loop; }\n", "loop:"),
+    (UnsupportedSyntax, "try {}  // c\n  catch (e) {\n    var e = 1;\n}\n", "e = 1"),
+    (InvalidCharacter, "var a =  ;\n" + filler(3 * BATCH_TOKENS) + "var b = 1  # 2;\n", "#"),
+]
+
+
+@pytest.mark.parametrize("error, src, at", FAILING_FILES)
+def test_a_failing_file_is_parsed_once_at_offsets_as_written(error, src, at, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(pipeline, "parse", counting)
+    with pytest.raises(error) as err:
+        front_end(src, "m.js")
+    assert type(err.value) is error and err.value.offset == src.index(at)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("size", [0, 4, BATCH_TOKENS - 4, BATCH_TOKENS, 2 * BATCH_TOKENS])
 def test_an_error_at_end_of_input_keeps_its_offset(size):
     # the end offset is known only once the stream has ended
     src = filler(size) + "if (a) { f(); } else  "
-    for minify in (False, True):
-        with pytest.raises(ParseError, match="unexpected end of input") as err:
-            front_end(src, "m.js", minify)
-        assert err.value.offset == len(src)
+    with pytest.raises(ParseError, match="unexpected end of input") as err:
+        front_end(src, "m.js")
+    assert err.value.offset == len(src)
     tree, _candidates, _summary = parse_src(filler(size) + " ")
     assert tree.ends[tree.root] == size + 1

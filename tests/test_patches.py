@@ -56,7 +56,7 @@ def test_edit_tables_are_merged_in_start_order():
         tables = [[], [], []]
         for row in rows:
             rng.choice(tables).append(row)
-        out = emit(src, [edits(*table) for table in tables], Occurrences(), [])
+        out = emit(src, [edits(*table) for table in tables], Occurrences(), [], [])
         assert out == naive_apply(src, rows)
 
 
@@ -75,7 +75,7 @@ def test_overlapping_patches_rejected():
 
 def test_a_table_out_of_start_order_is_rejected():
     with pytest.raises(OverlappingPatches):
-        emit("abcdef", [edits((3, 4, "x"), (0, 1, "y"))], Occurrences(), [])
+        emit("abcdef", [edits((3, 4, "x"), (0, 1, "y"))], Occurrences(), [], [])
 
 
 def test_out_of_range_patch_rejected():
@@ -86,21 +86,24 @@ def test_out_of_range_patch_rejected():
 # ---- renames read from an occurrence table ----
 
 def occurrence_table(source, rows):
-    """An Occurrences table of the (name, start, style, binding id) ``rows``."""
+    """An Occurrences table of the (name, start, style, binding id) ``rows``,
+    and the name of each binding id."""
     table = Occurrences()
+    names = {}
     for name, start, style, binding in rows:
         assert source[start : start + len(name)] == name
-        table.add(name, start, 0, style)
+        assert names.setdefault(binding, name) == name
+        table.add(start, 0, style)
         table.bindings.append(binding)
-    return table
+    return table, [names.get(binding) for binding in range(max(names, default=-1) + 1)]
 
 
-def rename_rows(table, outputs):
+def rename_rows(table, names, outputs):
     """Oracle: the renames as one (start, end, text) row per renamed
     occurrence."""
     rows = []
-    for name, start, style, binding in zip(table.names, table.starts, table.styles, table.bindings):
-        new_name = outputs[binding]
+    for start, style, binding in zip(table.starts, table.styles, table.bindings):
+        name, new_name = names[binding], outputs[binding]
         if new_name != name:
             text = f"{name}: {new_name}" if style == SHORTHAND else new_name
             rows.append((start, start + len(name), text))
@@ -110,42 +113,42 @@ def rename_rows(table, outputs):
 def test_renames_and_shorthands_from_the_occurrence_table():
     src = "var total = 1; var o = {total}; keep(total);"
     total, keep = 0, 1  # binding ids
-    table = occurrence_table(
+    table, names = occurrence_table(
         src,
         [("total", 4, DECL, total), ("total", 24, SHORTHAND, total),
          ("keep", 32, REF, keep), ("total", 37, REF, total)],
     )
-    out = emit(src, [], table, ["a", "keep"])
+    out = emit(src, [], table, names, ["a", "keep"])
     assert out == "var a = 1; var o = {total: a}; keep(a);"
 
 
 def test_an_insertion_at_an_identifier_start_goes_before_it():
     src = "alpha(beta);"
     alpha, beta = 0, 1
-    table = occurrence_table(src, [("alpha", 0, REF, alpha), ("beta", 6, REF, beta)])
+    table, names = occurrence_table(src, [("alpha", 0, REF, alpha), ("beta", 6, REF, beta)])
     rows = [(6, 6, "["), (0, 0, "var p;\n")]
-    assert emit(src, [edits(row) for row in rows], table, ["a", "b"]) == "var p;\na([b);"
+    assert emit(src, [edits(row) for row in rows], table, names, ["a", "b"]) == "var p;\na([b);"
 
 
 @pytest.mark.parametrize("span", [(0, 3), (2, 7), (0, 5), (4, 9)])
 def test_a_patch_overlapping_a_rename_is_rejected(span):
     src = "alpha.beta;"
-    table = occurrence_table(src, [("alpha", 0, REF, 0)])
+    table, names = occurrence_table(src, [("alpha", 0, REF, 0)])
     row = (*span, "x")
     with pytest.raises(OverlappingPatches):
-        emit(src, [edits(row)], table, ["a"])
+        emit(src, [edits(row)], table, names, ["a"])
     # an occurrence that keeps its name is no edit
-    assert emit(src, [edits(row)], table, ["alpha"]) == naive_apply(src, [row])
+    assert emit(src, [edits(row)], table, names, ["alpha"]) == naive_apply(src, [row])
 
 
 def test_a_rename_out_of_start_order_is_rejected():
     src = "alpha(beta);"
     alpha, beta = 0, 1
-    table = occurrence_table(src, [("beta", 6, REF, beta), ("alpha", 0, REF, alpha)])
+    table, names = occurrence_table(src, [("beta", 6, REF, beta), ("alpha", 0, REF, alpha)])
     with pytest.raises(OverlappingPatches):
-        emit(src, [], table, ["a", "b"])
+        emit(src, [], table, names, ["a", "b"])
     # occurrences that keep their names are no edits, in any order
-    assert emit(src, [], table, ["a", "beta"]) == "a(beta);"
+    assert emit(src, [], table, names, ["a", "beta"]) == "a(beta);"
 
 
 def test_renames_and_patches_match_the_patch_oracle_on_tables_in_start_order():
@@ -158,10 +161,10 @@ def test_renames_and_patches_match_the_patch_oracle_on_tables_in_start_order():
         for word in words:
             rows.append((word, start, rng.choice((REF, DECL, SHORTHAND)), names.index(word)))
             start += len(word) + 1
-        table = occurrence_table(src, rows)
+        table, _names = occurrence_table(src, rows)
         outputs = [rng.choice(["x", name, "yy"]) for name in names]
         # insertions at word starts and ends
         edges = sorted({at for name, start, *_ in rows for at in (start, start + len(name))})
         insertions = [(at, at, "+") for at in sorted(rng.sample(edges, min(3, len(edges))))]
-        expected = naive_apply(src, rename_rows(table, outputs) + insertions)
-        assert emit(src, [edits(*insertions)], table, outputs) == expected
+        expected = naive_apply(src, rename_rows(table, names, outputs) + insertions)
+        assert emit(src, [edits(*insertions)], table, names, outputs) == expected

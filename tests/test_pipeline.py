@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import random
 import subprocess
 import sys
 import threading
@@ -17,7 +18,6 @@ import scopeshield.cli as cli
 import scopeshield.pipeline as pipeline
 from scopeshield.errors import FatalConfigError, ParseError
 from scopeshield.externals import load_allowlist
-from scopeshield.lexer import lexed_text
 from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
     ObfuscationConfig,
@@ -28,8 +28,8 @@ from scopeshield.pipeline import (
 )
 from scopeshield.depgraph import unresolved_imports
 
-from conftest import NODE, phase_peaks, run_node
-from corpusgen import build_corpus
+from conftest import NODE, minified, phase_peaks, run_node
+from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
 
@@ -579,11 +579,11 @@ def test_front_end_peak_memory_per_input_byte():
     # before the parse began. Streaming the tokens into the parser brings
     # it to 18.1. The bound sits between the two: it fails if a file-sized
     # token list comes back, and leaves room for allocator noise.
-    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
+    text = minified(synth_module(5, 256 * 1024))
     gc.collect()
     tracemalloc.start()
     try:
-        facts = front_end(text, "m.js", minify=True)
+        facts = front_end(text, "m.js")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -599,7 +599,7 @@ def test_file_task_peak_memory_per_input_byte(tmp_path):
     # and candidates freed before the emit; 5.9 with the scopes, the
     # bindings, the rename map and the transform edits as columns too. The
     # bound sits between the last two.
-    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
+    text = minified(synth_module(5, 256 * 1024))
     (tmp_path / "m.js").write_text(text, encoding="utf-8")
     config = ObfuscationConfig(input_root=str(tmp_path), output_root=str(tmp_path / "out"))
     gc.collect()
@@ -612,6 +612,39 @@ def test_file_task_peak_memory_per_input_byte(tmp_path):
     assert result["status"] == "ok" and peak / len(text) < 9.0
 
 
+def formatted_module(size):
+    """About ``size`` characters of indented, commented script code: the
+    corpus generators' scripts, each in a function of one function body."""
+    rng = random.Random(13)
+    parts = ["(function () {\n"]
+    while sum(map(len, parts)) < size:
+        for text in rng.choice(GENERATORS)(rng).values():
+            if "import " not in text and "export " not in text:
+                body = "".join(f"    {line}  // line\n" for line in text.splitlines())
+                parts.append(f"  (function () {{\n{body}  }})();\n")
+    return "".join(parts) + "})();\n"
+
+
+def test_file_task_peak_memory_per_input_byte_on_formatted_input(tmp_path):
+    # traced peak of one file task on about 256 KB of indented, commented
+    # code, which minifies to some 40 % of it. While the parse wrote the
+    # minified text the peak was 5.3 B per input byte; the gap table, 16 B
+    # for each of the 0.1 gaps per input byte that minifying changes, takes
+    # it to 6.4. The bound fails if the gap edits become an object each.
+    text = formatted_module(256 * 1024)
+    (tmp_path / "m.js").write_text(text, encoding="utf-8")
+    config = ObfuscationConfig(input_root=str(tmp_path), output_root=str(tmp_path / "out"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = pipeline._gc_paused(pipeline.process_file, config, frozenset(), "m.js")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result["status"] == "ok" and len(result["text"]) < 0.5 * len(text)
+    assert peak / len(text) < 8.0
+
+
 # traced peak per input byte of each phase of one file task on a 256 KB
 # minified module, with the scopes, bindings and transform edits an object
 # each (front end 9.7, rename 7.9, transform 10.1, emit 10.7) and as int
@@ -620,7 +653,7 @@ PHASE_PEAK_BOUNDS = {"front end": 7.5, "rename": 7.0, "transform": 7.0, "emit": 
 
 
 def test_each_phase_peak_memory_per_input_byte(tmp_path):
-    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
+    text = minified(synth_module(5, 256 * 1024))
     (tmp_path / "m.js").write_text(text, encoding="utf-8")
     config = ObfuscationConfig(input_root=str(tmp_path), output_root=str(tmp_path / "out"))
     gc.collect()
@@ -637,8 +670,8 @@ def test_one_files_facts_pickle_small():
     # byte of a 256 KB minified module: 2.18 with an object per scope, per
     # binding and per string candidate, 1.64 as int columns. Shipping the
     # facts between processes costs this much.
-    text = lexed_text(synth_module(5, 256 * 1024), minify=True)
-    facts = front_end(text, "m.js", minify=True)[1:]  # tree, candidates, summary
+    text = minified(synth_module(5, 256 * 1024))
+    facts = front_end(text, "m.js")[1:]  # tree, candidates, summary
     data = pickle.dumps(facts, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(data) / len(text) < 1.9
     tree, copy = facts[0], pickle.loads(data)[0]
@@ -654,25 +687,25 @@ def test_front_end_transient_memory_is_small_on_a_large_file():
     # wrapped in `(function(){...})();`, the common bundle shape, peaked at
     # 24.0 MiB while an arrow check scanned each parenthesized expression
     # to its `)` ahead of the parse; a `(` is now read once, by the parse.
-    module = lexed_text(synth_module(7, 1024 * 1024), minify=True)
+    module = minified(synth_module(7, 1024 * 1024))
     for text in (module, "(function(){" + module + "})();"):
         gc.collect()
         tracemalloc.start()
         try:
-            facts = front_end(text, "m.js", minify=True)
+            facts = front_end(text, "m.js")
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert facts and (peak - retained) / 2**20 < 6.0
 
 
-def traced_front_end(text, minify):
+def traced_front_end(text):
     """(peak, retained) traced bytes of ``front_end`` on ``text``; a
     ParseError it raises is dropped before the retained bytes are read."""
     tracemalloc.start()
     try:
         try:
-            front_end(text, "m.js", minify)
+            front_end(text, "m.js")
         except ParseError:
             pass
         retained, peak = tracemalloc.get_traced_memory()
@@ -687,10 +720,10 @@ def test_a_failing_front_end_peaks_near_a_valid_one():
     # While the parse as read ran inside the handler of the minified parse's
     # error, both parses' facts were alive at once: 36.3 MiB against 17.9
     # for the valid module. The retry after the handler peaks at 19.8.
-    module = lexed_text(synth_module(7, 1024 * 1024), minify=True)
+    module = minified(synth_module(7, 1024 * 1024))
     gc.collect()
-    valid = traced_front_end(module, minify=True)[0]
-    failing = traced_front_end(module + "\nvar = ;\n", minify=True)[0]
+    valid = traced_front_end(module)[0]
+    failing = traced_front_end(module + "\nvar = ;\n")[0]
     assert failing / valid <= 1.25
 
 
@@ -705,7 +738,7 @@ def test_a_front_end_that_fails_on_the_deep_stack_frees_its_parse():
     gc.collect()
     gc.disable()
     try:
-        retained = traced_front_end(text, minify=False)[1]
+        retained = traced_front_end(text)[1]
     finally:
         gc.enable()
     assert retained < 2**20
@@ -771,7 +804,7 @@ def test_bad_escapes_do_not_abort_the_run(tmp_path, workers):
 
 def test_preamble_offset_skips_directives():
     def offset(src):
-        return front_end(src, "t.js", minify=False)[2].preamble_offset
+        return front_end(src, "t.js")[2].preamble_offset
 
     src = '"use strict";\n"use asm";\nvar x = 1;'
     assert offset(src) == src.index("var")
@@ -779,7 +812,7 @@ def test_preamble_offset_skips_directives():
 
 
 def test_one_decoder_and_slot_map_per_file(tmp_path):
-    text = lexed_text(synth_module(11, 40 * 1024), minify=True)
+    text = minified(synth_module(11, 40 * 1024))
     write_project(tmp_path / "src", {"app.js": '"use strict";' + text})
     out = tmp_path / "out"
     obfuscate_project(ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(out)))
@@ -834,7 +867,7 @@ def test_per_file_time_grows_linearly(tmp_path):
     times = {}
     for label, size in (("256k", 256 * 1024), ("1m", 1024 * 1024), ("4m", 4 * 1024 * 1024)):
         src = tmp_path / f"src_{label}"
-        write_project(src, {"app.js": lexed_text(synth_module(4242, size), minify=True)})
+        write_project(src, {"app.js": minified(synth_module(4242, size))})
         runs = []
         for rep in range(2):
             out = tmp_path / f"out_{label}"
@@ -961,7 +994,7 @@ def test_unresolved_import_warnings_are_exact_at_any_worker_count(tmp_path):
     summaries = []
     for rel in js_files:
         try:
-            summaries.append(front_end((src / rel).read_text(), rel, minify=False)[3])
+            summaries.append(front_end((src / rel).read_text(), rel)[3])
         except ParseError:
             assert rel == "broken.js"
     expected = [
@@ -1047,7 +1080,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
         result = pipeline.process_file(config, allowlist, rel)
         assert result["status"] == "ok", result
         text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
-        _text, _tree, _candidates, expected = pipeline.front_end(text, rel, minify=False)
+        _gaps, _tree, _candidates, expected = pipeline.front_end(text, rel)
         got = result["summary"]
         for field in ("imports", "module_syntax", "export_pairs", "declared_globals", "free_names"):
             assert getattr(got, field) == getattr(expected, field), (rel, field)
@@ -1131,7 +1164,7 @@ def test_chunked_pool_matches_in_process_run(tmp_path, monkeypatch):
 
 
 def test_process_file_resolves_each_occurrence_once(tmp_path, monkeypatch):
-    write_project(tmp_path / "src", {"app.js": lexed_text(synth_module(5, 16 * 1024), minify=True)})
+    write_project(tmp_path / "src", {"app.js": minified(synth_module(5, 16 * 1024))})
     calls = Counter()
     original_resolve = ScopeTree.resolve
 
@@ -1231,6 +1264,53 @@ def test_a_hashbang_line_is_kept_first(tmp_path, node, minify):
     assert rest.index("function") < rest.index("var message")
     (tmp_path / "run.js").write_text(out, encoding="utf-8")
     assert run_node(path=tmp_path / "run.js") == run_node(code=src) == "5 hello\n"
+
+
+# Where the gap table meets the transforms. An encoded string after a word,
+# across a gap that minifying empties: its decoder call needs a space. A `.`
+# with a gap after it: the access's edit spans the gap, and a `delete`
+# operand or an access in an eval scope, which keep their `.`, keep it.
+GAP_SEAMS = """\
+var out = [];
+function r() { return "ab"; }
+function c() { return/*c*/"cd"; }
+function s(k) { switch (k) { case "ef": return 1; } return 0; }
+out.push(r(), c(), s("ef"), typeof "gh", void "ij");
+for (var i in  "kl") out.push(i);
+for (var ch of/*c*/"mn") out.push(ch);
+try { throw  "op"; } catch (e) { out.push(e); }
+try { "q" in  "rs"; } catch (e) { out.push(e instanceof TypeError); }
+var o = {p: 1, q: 2, r: 3};
+out.push(o. p, o./*c*/q, o.
+  r);
+delete o. p; delete o./*c*/q; delete (o.
+  r);
+out.push(JSON.stringify(o));
+function e(x) { var o = {p: x}; return eval("o. p") + o. p + o./*c*/p + o.
+  p; }
+out.push(e(4));
+console.log(out.join(","));
+"""
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"rename": False}, {"encode_strings": False}, {"rewrite_properties": False}, {"minify": False}],
+    ids=["all", "no-rename", "no-strings", "no-prop-access", "no-minify"],
+)
+def test_gap_edits_meet_string_and_property_edits(tmp_path, node, options):
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": GAP_SEAMS}, **options)["a.js"]
+    assert run_node(code=out) == run_node(code=GAP_SEAMS) == (
+        "ab,cd,1,string,,0,1,m,n,op,true,1,2,3,{},16\n"
+    )
+    if options.get("encode_strings", True):
+        assert '"cd"' not in out
+    if options.get("minify", True):
+        # the comments go, but for those behind a `.` that no edit covers
+        assert "return/*c*/" not in out and "of/*c*/" not in out
+        assert "delete o./*c*/q" in out and "o./*c*/p" in out
+    else:
+        assert "return/*c*/" in out and "of/*c*/" in out
 
 
 def test_a_regex_after_a_statement_head_runs_the_same(tmp_path, node):

@@ -22,7 +22,7 @@ from treegen import random_scope_tree
 
 
 def tree_of(src, file_id="t.js"):
-    return front_end(src, file_id, minify=False)[1]
+    return front_end(src, file_id)[1]
 
 
 def declared(tree, scope_id, name):
@@ -194,8 +194,8 @@ def test_naive_visibility_rule_creates_capture_caught_by_oracle():
     tight = rename_tree(tree, subtree_refs=True)
     assert check_safety(tree, tight) == []
     # and the damage is real: the naive output computes a different value
-    out_naive = run_node(code=emit(src, [], tree.occurrences, naive))
-    out_tight = run_node(code=emit(src, [], tree.occurrences, tight))
+    out_naive = run_node(code=emit(src, [], tree.occurrences, tree.bindings.names, naive))
+    out_tight = run_node(code=emit(src, [], tree.occurrences, tree.bindings.names, tight))
     original = run_node(code=src)
     assert out_tight == original
     assert out_naive != original

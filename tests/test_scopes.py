@@ -17,12 +17,12 @@ from scopeshield.scopes import (
 
 
 from corpusgen import GENERATORS, build_corpus
-from conftest import access_rows, scope_views
+from conftest import access_rows, occurrence_names, scope_views
 from treegen import random_scope_tree
 
 
 def tree_of(src, file_id="t.js"):
-    return front_end(src, file_id, minify=False)[1]
+    return front_end(src, file_id)[1]
 
 
 def ranked(tree, bindings):
@@ -53,8 +53,7 @@ def test_block_scope_only_for_direct_lexical_declarations():
     assert sorted(tree.declarations[1]) == ["f", "q"]
     tree = tree_of("{ { let a; } b(); }")
     assert list(zip(tree.kinds, tree.parents)) == [(MODULE, GLOBAL_SCOPE), (BLOCK, 0)]
-    occurrences = tree.occurrences
-    assert list(zip(occurrences.names, occurrences.scope_ids)) == [("a", 1), ("b", 0)]
+    assert list(zip(occurrence_names(tree), tree.occurrences.scope_ids)) == [("a", 1), ("b", 0)]
     # the first declaration of a name in source order makes its binding
     tree = tree_of("function g(){ { if (a) function f(){} var f; } f(); var h; }")
     assert list(tree.kinds) == [MODULE, FUNCTION, FUNCTION]
@@ -84,11 +83,10 @@ def test_var_hoists_to_function_scope():
     assert "kept" in block and "hoisted" not in block
     # the var's declaring occurrence stands in the block, which therefore
     # forbids the var's output name
-    occurrences = tree.occurrences
-    assert list(zip(occurrences.names, occurrences.scope_ids)) == [
+    assert list(zip(occurrence_names(tree), tree.occurrences.scope_ids)) == [
         ("f", 0), ("hoisted", 2), ("kept", 2),
     ]
-    assert occurrences.bindings[1] == fn["hoisted"]
+    assert tree.occurrences.bindings[1] == fn["hoisted"]
 
 
 def test_switch_case_block_is_a_scope_only_for_lexical_declarations():
@@ -99,7 +97,7 @@ def test_switch_case_block_is_a_scope_only_for_lexical_declarations():
     assert list(tree.kinds) == [MODULE, FUNCTION, BLOCK]
     case_block = tree.declarations[2]
     assert list(case_block) == ["y"]
-    ys = [b for name, b in zip(tree.occurrences.names, tree.occurrences.bindings) if name == "y"]
+    ys = [b for name, b in zip(occurrence_names(tree), tree.occurrences.bindings) if name == "y"]
     # the declaration and `g(y)` read the case block's y; `return y` a global
     assert ys[0] == ys[1] == case_block["y"]
     assert tree.bindings.scope_ids[ys[2]] == GLOBAL_SCOPE
@@ -187,7 +185,7 @@ def test_var_redeclaring_catch_param_is_rejected():
 
 def candidates_of(src, file_id="t.js"):
     """The tree of ``src`` and the text of its string and access candidates."""
-    _text, tree, candidates, _summary = front_end(src, file_id, minify=False)
+    _text, tree, candidates, _summary = front_end(src, file_id)
     strings = [src[start:end] for start, end in candidates.strings]
     accesses = [src[dot:end] for dot, end, _name in access_rows(candidates.accesses)]
     return tree, strings, accesses
@@ -279,11 +277,11 @@ def test_kept_candidates_match_a_span_oracle_on_programs():
             programs.extend(gen(rng).items())
     dropped = 0
     for file_id, src in programs:
-        tree, candidates = front_end(src, file_id, minify=False)[1:3]
+        tree, candidates = front_end(src, file_id)[1:3]
         neutral = src
         for pattern, spelling in NEUTRAL:
             neutral = re.sub(pattern, spelling, neutral)
-        every = front_end(neutral, file_id, minify=False)[2]
+        every = front_end(neutral, file_id)[2]
         strings = [c for c in every.strings if not under_dynamic_scope(tree, c[0])]
         accesses = [c for c in access_rows(every.accesses) if not under_dynamic_scope(tree, c[0])]
         assert list(candidates.strings) == strings, file_id
@@ -298,7 +296,7 @@ def assert_stored_bindings_match_resolve(tree):
     occurrences = tree.occurrences
     assert len(occurrences)
     for name, start, sid, binding in zip(
-        occurrences.names, occurrences.starts, occurrences.scope_ids, occurrences.bindings
+        occurrence_names(tree), occurrences.starts, occurrences.scope_ids, occurrences.bindings
     ):
         assert binding == tree.resolve(name, sid), (tree.file_id, name, start)
 

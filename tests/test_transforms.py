@@ -1,6 +1,7 @@
 import random
 
 from scopeshield.parser import string_value
+from scopeshield.patches import Edits
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
 from scopeshield.transforms import (
@@ -16,7 +17,7 @@ from corpusgen import GENERATORS
 
 def setup(src, file_id="t.js"):
     """The Candidates of ``src`` as written."""
-    return front_end(src, file_id, minify=False)[2]
+    return front_end(src, file_id)[2]
 
 
 def fresh():
@@ -24,7 +25,7 @@ def fresh():
 
 
 def encode(src, candidates, key):
-    return encode_strings(key, fresh(), src, candidates.strings)
+    return encode_strings(key, fresh(), src, Edits(), candidates.strings)
 
 
 def rewrite_props(candidates):
@@ -199,7 +200,7 @@ def apply_both(src):
     candidates = setup(src)
     names = fresh()
     edits, preamble, _slots = rewrite_property_access(names, candidates.accesses)
-    str_edits, str_pre, _table = encode_strings(7, names, src, candidates.strings)
+    str_edits, str_pre, _table = encode_strings(7, names, src, Edits(), candidates.strings)
     insert = candidates.preamble_offset
     rows = edit_rows(edits) + edit_rows(str_edits) + [(insert, insert, preamble + str_pre + "\n")]
     return patched(src, rows)
@@ -230,5 +231,5 @@ def test_every_candidate_rewritten_once():
             edits, _pre, _slots = rewrite_property_access(fresh(), accesses)
             assert edits.starts == accesses.starts
             eligible = [start for start, end in strings if len(string_value(src[start:end])) >= 2]
-            edits, _pre, _table = encode_strings(7, fresh(), src, strings)
+            edits, _pre, _table = encode_strings(7, fresh(), src, Edits(), strings)
             assert list(edits.starts) == eligible

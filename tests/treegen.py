@@ -42,6 +42,7 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
     scopes = range(len(tree))
 
     # declarations: names repeat across scopes to force shadowing
+    names = []  # each occurrence's name
     placed = 0
     while placed < budget:
         sid = rng.choice(scopes)
@@ -52,7 +53,8 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
             continue
         start = tree.starts[sid] + len(decls) + 1
         tree.declare(sid, name, rng.choice([VAR, LEXICAL, PARAM]))
-        tree.occurrences.add(name, start, sid, DECL)
+        names.append(name)
+        tree.occurrences.add(start, sid, DECL)
         placed += 1
 
     # references: visible names and the occasional global
@@ -68,7 +70,8 @@ def random_scope_tree(rng, max_depth=6, max_bindings=30, file_id="gen.js"):
             else:
                 name = rng.choice(GLOBALS)
             pos = tree.starts[sid] + rng.randrange(0, 80)
-            tree.occurrences.add(name, pos, sid)
+            names.append(name)
+            tree.occurrences.add(pos, sid)
 
-    tree.resolve_occurrences()
+    tree.resolve_occurrences(names)
     return tree
