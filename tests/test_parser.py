@@ -959,14 +959,22 @@ def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
         parse_src(src.replace("\n", " "))
 
 
-def test_a_lexical_error_after_a_syntax_error_is_reported():
-    # the syntax error is read batches before the lexer reaches the `#`
+@pytest.mark.parametrize("minify", [False, True])
+def test_a_lexical_error_after_a_syntax_error_is_reported(minify, tmp_path):
+    # the syntax error is read batches before the lexer reaches the `#`;
+    # the file task reports it alike whether or not it minifies
     src = "var a = ;\n" + filler(3 * BATCH_TOKENS) + "var b = 1 # 2;\n"
     with pytest.raises(InvalidCharacter) as err:
         front_end(src, "m.js")
     assert err.value.offset == src.index("#")
-    with pytest.raises(UnsupportedSyntax):  # without the `#`, the syntax error
-        front_end(src.replace("#", "+").replace("var a = ;", "l: ;"), "m.js")
+    unsupported = src.replace("#", "+").replace("var a = ;", "l: ;")
+    with pytest.raises(UnsupportedSyntax) as syntax:  # without the `#`, the syntax error
+        front_end(unsupported, "m.js")
+    config = ObfuscationConfig(input_root=str(tmp_path), minify=minify)
+    for text, status, exc in [(src, "error", err.value), (unsupported, "unsupported", syntax.value)]:
+        (tmp_path / "m.js").write_text(text, encoding="utf-8")
+        result = pipeline.process_file(config, frozenset(), "m.js")
+        assert (result["status"], result["error"]) == (status, str(exc))
 
 
 # files that fail after gaps minifying would change: (error class, file, the
