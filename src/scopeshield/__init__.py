@@ -10,30 +10,10 @@ of output names indexed by binding id, checked by an independent safety
 oracle; string and property transforms as span edit columns; and one emit
 that applies the gap table and the edits and writes the renames from the
 occurrence table. Plus metrics and a differential equivalence harness.
+
+Import the API (``ObfuscationConfig``, ``obfuscate_project``) from
+``scopeshield.pipeline``; this package imports no module, so a run loads
+only those it uses.
 """
-
-from .equivalence import TestCase, run_differential
-from .errors import ScopeShieldError
-from .metrics import cyclomatic_complexity, nid, size_inflation
-from .patches import Edits, emit
-from .pipeline import ObfuscationConfig, obfuscate_project
-from .renamer import check_safety, rename_tree
-from .scopes import ScopeTree
-
-__all__ = [
-    "Edits",
-    "ObfuscationConfig",
-    "ScopeShieldError",
-    "ScopeTree",
-    "TestCase",
-    "check_safety",
-    "cyclomatic_complexity",
-    "emit",
-    "nid",
-    "obfuscate_project",
-    "rename_tree",
-    "run_differential",
-    "size_inflation",
-]
 
 __version__ = "0.1.0"

@@ -11,16 +11,8 @@ import os
 import sys
 from pathlib import Path
 
-from .depgraph import (
-    build_dependency_graph,
-    format_graph_report,
-    frozen_names,
-    unresolved_imports,
-)
-from .equivalence import load_cases, run_differential, write_verdicts
 from .errors import EngineNotFound, FatalConfigError
 from .externals import load_allowlist
-from .metrics import measure_tree_pair
 from .pipeline import (
     FILE_FAILURES,
     ObfuscationConfig,
@@ -31,7 +23,6 @@ from .pipeline import (
     obfuscate_project,
     write_report,
 )
-from .scopes import format_scope_report
 
 USAGE_EXIT = 64
 
@@ -120,6 +111,9 @@ def cmd_obfuscate(args):
 
 
 def cmd_analyze(args):
+    from .depgraph import build_dependency_graph, format_graph_report, frozen_names, unresolved_imports
+    from .scopes import format_scope_report
+
     try:
         allowlist = load_allowlist(args.allowlist)
     except FatalConfigError as exc:
@@ -153,6 +147,8 @@ def cmd_analyze(args):
 
 
 def cmd_metrics(args):
+    from .metrics import measure_tree_pair
+
     report = measure_tree_pair(args.orig, args.obf)
     print(report.to_table())
     json_path = Path(args.obf).parent / (Path(args.obf).name + ".metrics.json")
@@ -162,6 +158,8 @@ def cmd_metrics(args):
 
 
 def cmd_verify(args):
+    from .equivalence import load_cases, run_differential, write_verdicts
+
     try:
         cases = load_cases(args.cases)
         verdicts, summary = run_differential(

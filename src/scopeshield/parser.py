@@ -151,12 +151,18 @@ def parse(source, file_id="<input>"):
     Candidates, FileSummary). After a syntax error the lexer still runs to
     the end of the file, so a lexical error later in the file wins."""
     parser = _Parser(source, file_id)
+    failure = None
     try:
         preamble_offset = parser.parse_program()
-    except ParseError:
-        for _batch in parser.stream:
+    except ParseError as exc:
+        failure = exc.with_traceback(None)  # its frames hold the parser
+    if failure is not None:
+        # outside the handler and with the parser dropped: nothing the failed
+        # parse built is alive while the lexer drains
+        stream, parser = parser.stream, None
+        for _batch in stream:
             pass
-        raise
+        raise failure
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
     tree = parser.scopes.finish(len(source))

@@ -36,11 +36,7 @@ import shutil
 import sys
 import threading
 import time
-import traceback
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .depgraph import frozen_names, unresolved_imports
@@ -54,17 +50,27 @@ from .transforms import encode_strings, rewrite_property_access
 JS_SUFFIXES = (".js", ".mjs")
 
 
-@dataclass
 class ObfuscationConfig:
-    input_root: str = ""
-    output_root: str = ""
-    workers: int = 1
-    rename: bool = True
-    encode_strings: bool = True
-    rewrite_properties: bool = True
-    minify: bool = True
-    allowlist_path: str = None
-    dump_renames: bool = False
+    """One run's settings: the ``FIELDS``, by keyword, each left out at its default."""
+
+    # name -> (type, default); a config file may give null only where the default is None
+    FIELDS = {
+        "input_root": (str, ""),
+        "output_root": (str, ""),
+        "workers": (int, 1),
+        "rename": (bool, True),
+        "encode_strings": (bool, True),
+        "rewrite_properties": (bool, True),
+        "minify": (bool, True),
+        "allowlist_path": (str, None),
+        "dump_renames": (bool, False),
+    }
+
+    def __init__(self, **values):
+        for name, (_type, default) in self.FIELDS.items():
+            setattr(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"unknown config fields: {sorted(values)}")
 
     @classmethod
     def from_file(cls, path, **defaults):
@@ -79,25 +85,21 @@ class ObfuscationConfig:
             raise FatalConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise FatalConfigError(f"config {path} must hold a JSON object")
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
+        unknown = set(data) - set(cls.FIELDS)
         if unknown:
             raise FatalConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, value in data.items():
-            field = fields[key]
+            kind, default = cls.FIELDS[key]
             # exact type: a bool is no int; null only where it is the default
-            if type(value) is not field.type and not (value is None and field.default is None):
+            if type(value) is not kind and not (value is None and default is None):
                 raise FatalConfigError(
-                    f"config key {key!r} must be {field.type.__name__}, not {json.dumps(value)}"
+                    f"config key {key!r} must be {kind.__name__}, not {json.dumps(value)}"
                 )
         return cls(**{**defaults, **data})
 
     def merged(self, overrides):
-        data = asdict(self)
-        for key, value in overrides.items():
-            if value is not None:
-                data[key] = value
-        return ObfuscationConfig(**data)
+        kept = {key: value for key, value in overrides.items() if value is not None}
+        return ObfuscationConfig(**{**vars(self), **kept})
 
 
 def discover_files(input_root):
@@ -285,6 +287,8 @@ def process_file(config, allowlist, rel_path):
         result["status"], result["error"] = file_failure(rel_path, exc)
         return result
     except Exception as exc:
+        import traceback  # here, so that a run without internal errors never loads it
+
         result["status"] = "internal-error"
         result["error"] = f"{rel_path}: internal error: {exc!r}\n{traceback.format_exc()}"
         return result
@@ -325,12 +329,17 @@ def _run_files(config, allowlist, workers, rel_paths):
     finish, each with the cyclic collector paused. In-process when
     workers == 1; otherwise on one process pool, one task per chunk of
     consecutive paths, where a chunk's results are held only until they are
-    yielded. If a worker dies, the files whose results have not arrived run
-    again one at a time (``_run_alone``)."""
+    yielded. If a worker dies, each file whose result has not arrived runs
+    again as its own task on a one-worker pool, so that a file that kills
+    its worker takes no other file with it: it becomes an "internal-error",
+    and a fresh pool runs the next file."""
     if workers <= 1:
         for rel in rel_paths:
             yield _gc_paused(process_file, config, allowlist, rel)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed  # only a pooled run loads them
+    from concurrent.futures.process import BrokenProcessPool
+
     pending = set(rel_paths)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # no list of the futures: ``as_completed`` lets go of each one before
@@ -346,16 +355,9 @@ def _run_files(config, allowlist, workers, rel_paths):
                     yield result
         except BrokenProcessPool:
             pass
-    yield from _run_alone(config, allowlist, [rel for rel in rel_paths if rel in pending])
-
-
-def _run_alone(config, allowlist, rel_paths):
-    """Run each path as its own task on a one-worker pool, so a file that
-    kills its worker takes no other file with it: it becomes an
-    "internal-error", and a fresh pool runs the next file."""
     pool = None
     try:
-        for rel in rel_paths:
+        for rel in [rel for rel in rel_paths if rel in pending]:
             if pool is None:
                 pool = ProcessPoolExecutor(max_workers=1)
             try:
@@ -405,9 +407,7 @@ def obfuscate_project(config):
     out_root.mkdir(parents=True, exist_ok=True)
 
     js_files, other_files = discover_files(config.input_root)
-    sizes = {}
-    for rel in js_files + other_files:
-        sizes[rel] = (in_root / rel).stat().st_size
+    sizes = {rel: (in_root / rel).stat().st_size for rel in js_files + other_files}
 
     wall_ms = dict.fromkeys(("discover", "files", "link", "copy", "total"), 0.0)
     worker_ms = dict.fromkeys(WORKER_PHASES, 0.0)
@@ -423,7 +423,7 @@ def obfuscate_project(config):
         "input_bytes": sum(sizes.values()),
         "errors": [],
         "warnings": [],
-        "config": asdict(config),
+        "config": dict(vars(config)),
     }
     wall_ms["discover"] = (time.perf_counter() - started) * 1000.0
 

@@ -19,7 +19,6 @@ output name from the map.
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from itertools import compress, product
 
 from .errors import OrderViolation
@@ -193,29 +192,45 @@ def check_safety(tree, outputs):
 
     Returns a list of violations; empty means the renaming preserves every
     resolution. Also flags non-injective renaming within one scope.
+
+    The walk holds a map {output name: binding id} only for each scope on
+    the chain open at the current occurrence. Occurrences come in source
+    order and scope ids in pre-order, so the chain mostly changes at its
+    inner end; a scope left and met again gets its map built again.
     """
     violations = []
 
     def violation(name, where, reason):
         violations.append(SafetyViolation(tree.file_id, name, where, reason))
 
-    declared = defaultdict(dict)  # output name -> {scope id: the binding declared there}
-    for sid, decls in enumerate(tree.declarations):
+    declarations, parents = tree.declarations, tree.parents
+    for sid, decls in enumerate(declarations):
+        seen = set()
         for name, bid in (decls or {}).items():
             new_name = outputs[bid]
-            scopes = declared[new_name]
-            if sid in scopes:
+            if new_name in seen:
                 violation(name, f"scope {sid}", f"two declarations map to {new_name!r}")
-            scopes[sid] = bid
-    names, home, parents = tree.bindings.names, tree.bindings.scope_ids, tree.parents
-    occurrences = tree.occurrences
+            seen.add(new_name)
+    names, home, occurrences = tree.bindings.names, tree.bindings.scope_ids, tree.occurrences
+    chain = {GLOBAL_SCOPE: {}}  # the open chain, outermost first: scope id -> its map
+    top = GLOBAL_SCOPE
     for start, sid, bid in zip(occurrences.starts, occurrences.scope_ids, occurrences.bindings):
+        if sid != top:
+            entered = []
+            scope = top = sid
+            while scope not in chain:
+                entered.append(scope)
+                scope = parents[scope]
+            while next(reversed(chain)) != scope:
+                chain.popitem()
+            for scope in reversed(entered):
+                chain[scope] = {outputs[b]: b for b in (declarations[scope] or {}).values()}
         name, new_name = names[bid], outputs[bid]
-        scopes = declared[new_name]
         resolved = None
-        while resolved is None and sid != GLOBAL_SCOPE:
-            resolved = scopes.get(sid)
-            sid = parents[sid]
+        for by_output in reversed(chain.values()):
+            resolved = by_output.get(new_name)
+            if resolved is not None:
+                break
         span = (start, start + len(name))
         if resolved is None:
             if home[bid] != GLOBAL_SCOPE:

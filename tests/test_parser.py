@@ -1,11 +1,14 @@
+import gc
 import json
 import random
 import subprocess
+import weakref
 
 import pytest
 
+import scopeshield.parser as parser_module
 from scopeshield import pipeline
-from scopeshield.errors import InvalidCharacter, ParseError, UnsupportedSyntax
+from scopeshield.errors import InvalidCharacter, LexError, ParseError, UnsupportedSyntax, UnterminatedString
 from scopeshield.lexer import BATCH_TOKENS
 from scopeshield.parser import parse, string_value
 from scopeshield.pipeline import FILE_FAILURES, ObfuscationConfig, front_end, obfuscate_project
@@ -975,6 +978,42 @@ def test_a_lexical_error_after_a_syntax_error_is_reported(minify, tmp_path):
         (tmp_path / "m.js").write_text(text, encoding="utf-8")
         result = pipeline.process_file(config, frozenset(), "m.js")
         assert (result["status"], result["error"]) == (status, str(exc))
+
+
+def test_a_failed_parse_is_freed_before_the_lexer_drains(monkeypatch):
+    # the string is unterminated batches after the syntax error: no parser
+    # of the file may be alive when the lexer reaches it, and the lexical
+    # error may not carry the syntax error, and its frames, as its context
+    src = "var a = ;\n" + "var b = 1;\n" * 3000 + 'var c = "unterminated\n'
+    parsers = weakref.WeakSet()
+    alive = []
+    init, lex = parser_module._Parser.__init__, parser_module.lex
+
+    def recording_init(self, *args):
+        parsers.add(self)
+        init(self, *args)
+
+    def watched_lex(*args):
+        try:
+            return (yield from lex(*args))
+        except LexError:
+            alive.append(len(parsers))
+            raise
+
+    monkeypatch.setattr(parser_module._Parser, "__init__", recording_init)
+    monkeypatch.setattr(parser_module, "lex", watched_lex)
+    enabled = gc.isenabled()
+    gc.disable()  # as in a file task: only reference counting frees it
+    try:
+        with pytest.raises(UnterminatedString) as err:
+            parse(src, "m.js")
+    finally:
+        if enabled:
+            gc.enable()
+    offset = src.index('"unterminated')
+    assert (str(err.value), err.value.offset) == (f"m.js:{offset}: unterminated string literal", offset)
+    assert err.value.__context__ is None
+    assert alive == [0]
 
 
 # files that fail after gaps minifying would change: (error class, file, the
