@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from .errors import EngineNotFound, FatalConfigError
-from .externals import load_allowlist
 from .pipeline import (
     FILE_FAILURES,
     ObfuscationConfig,
@@ -60,9 +59,8 @@ def build_parser():
     ob.add_argument("--allowlist", help="external-name allowlist file")
     ob.add_argument("--dump-renames", action="store_true")
 
-    an = sub.add_parser("analyze", help="scope/dependency diagnostics")
+    an = sub.add_parser("analyze", help="scope and frozen-name diagnostics")
     an.add_argument("--in", dest="input_root", required=True)
-    an.add_argument("--allowlist")
     an.add_argument("--dump-scopes", action="store_true", help="print per-file scope trees")
 
     me = sub.add_parser("metrics", help="size/complexity/NID report")
@@ -111,20 +109,17 @@ def cmd_obfuscate(args):
 
 
 def cmd_analyze(args):
-    from .depgraph import build_dependency_graph, format_graph_report, frozen_names, unresolved_imports
+    from .depgraph import format_analyze_report, frozen_names, unresolved_imports
     from .scopes import format_scope_report
 
-    try:
-        allowlist = load_allowlist(args.allowlist)
-    except FatalConfigError as exc:
-        print(f"fatal: {exc}", file=sys.stderr)
-        return 3
     root = Path(args.input_root)
     if not root.is_dir():
         print(f"fatal: {root} is not a directory", file=sys.stderr)
         return 3
     js_files, _others = discover_files(args.input_root)
-    summaries = []
+    known = set(js_files)
+    frozen_by_file = {}
+    unresolved = []
     had_errors = False
     for rel in js_files:
         try:
@@ -136,20 +131,25 @@ def cmd_analyze(args):
             print(message)
             had_errors = had_errors or status == "error"
             continue
-        summaries.append(summary)
+        frozen_by_file[rel] = frozen_names(summary)
+        unresolved += unresolved_imports(rel, summary.imports, known)
         if args.dump_scopes:
             print(f"== {rel}")
             print(format_scope_report(tree))
-    graph = build_dependency_graph(summaries, allowlist)
-    frozen_by_file = {s.file_id: frozen_names(s) for s in summaries}
-    print(format_graph_report(graph, unresolved_imports(summaries, set(js_files)), frozen_by_file))
+    # a stable sort: file order, and each file's imports in source order
+    unresolved.sort(key=lambda pair: pair[0])
+    print(format_analyze_report(unresolved, frozen_by_file))
     return 2 if had_errors else 0
 
 
 def cmd_metrics(args):
     from .metrics import measure_tree_pair
 
-    report = measure_tree_pair(args.orig, args.obf)
+    try:
+        report = measure_tree_pair(args.orig, args.obf)
+    except FatalConfigError as exc:
+        print(f"fatal: {exc}", file=sys.stderr)
+        return 3
     print(report.to_table())
     json_path = Path(args.obf).parent / (Path(args.obf).name + ".metrics.json")
     json_path.write_text(report.to_json(), encoding="utf-8")

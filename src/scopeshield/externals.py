@@ -1,7 +1,7 @@
 """Environment (host) names that always keep their spelling.
 
-These resolve to the global marker and are never renamed, never used as pool
-names, and never create implicit-global dependency edges. The set ships as a
+These resolve to the global marker and are never renamed, and no name the
+renamer or the transforms draw spells one of them. The set ships as a
 default and can be replaced by an allowlist file (one name per line, '#'
 comments).
 """

@@ -1,46 +1,34 @@
 """What a file's parse records besides its scope tree: the file's summary,
-which the cross-file analysis and the metrics read, and the candidates of
-the string and property transforms, kept as columns like the tree.
+which frozen names, unresolved imports and the metrics read, and the
+candidates of the string and property transforms, kept as columns like the
+tree.
 """
 
 from array import array
 
 
 class FileSummary:
-    """Per-file facts consumed by the cross-file analysis and the metrics.
+    """Per-file facts that frozen names, unresolved imports and the metrics
+    read.
 
-    ``imports`` holds (source path, [imported names]) pairs where a default
-    import appears as "default" and a namespace import as "*".
-    ``module_syntax`` is True when the file has an import or export
-    declaration. ``branch_points`` counts the decision points and functions
-    that ``metrics.cyclomatic_complexity`` adds to 1.
+    ``imports`` holds the source path of each import and re-export, in
+    source order. ``export_locals`` holds the local binding behind each
+    named export. ``module_syntax`` is True when the file has an import or
+    export declaration. ``branch_points`` counts the decision points and
+    functions that ``metrics.cyclomatic_complexity`` adds to 1.
     """
 
     __slots__ = (
-        "file_id",
-        "declared_globals",
-        "free_names",
-        "imports",
-        "module_syntax",
-        "export_pairs",
-        "branch_points",
+        "file_id", "declared_globals", "imports", "module_syntax", "export_locals", "branch_points",
     )
 
     def __init__(self, file_id):
         self.file_id = file_id
         self.declared_globals = []
-        self.free_names = []
         self.imports = []
         self.module_syntax = False
-        self.export_pairs = []  # (local binding, exported name) for named exports
+        self.export_locals = []
         self.branch_points = 0
-
-    def __repr__(self):
-        return (
-            f"FileSummary({self.file_id}, globals={self.declared_globals}, "
-            f"free={self.free_names}, imports={self.imports}, "
-            f"module_syntax={self.module_syntax})"
-        )
 
 
 class Spans:

@@ -2,19 +2,18 @@
 
 NID is the compression-based information distance
     (C(x+y) - min(C(x), C(y))) / max(C(x), C(y))
-computed with LZMA by default; bzip2 is available but its weaker long-range
-deduplication pushes nid(x,x) to 0.2+ on realistic sources, violating the
-identical-input bound this suite holds itself to. Any deterministic lossless
-compressor can be injected; the report records which one was used. Aggregate
-NID over a corpus is the byte-size-weighted mean.
+computed with LZMA by default. Any deterministic lossless compressor can be
+injected; the report records which one was used. Pick one with long-range
+deduplication: bzip2, for one, pushes nid(x,x) to 0.2+ on realistic
+sources, far from the 0 that identical inputs should score. Aggregate NID
+over a corpus is the byte-size-weighted mean.
 """
 
-import bz2
 import json
 import lzma
 from pathlib import Path
 
-from .errors import CompressorFailure, ZeroInput
+from .errors import CompressorFailure, FatalConfigError, ZeroInput
 from .pipeline import JS_SUFFIXES, front_end
 
 
@@ -34,10 +33,6 @@ def cyclomatic_complexity(text, file_id="<input>"):
     body's.
     """
     return 1 + front_end(text, file_id)[3].branch_points
-
-
-def bzip2_compressor(data):
-    return bz2.compress(data, 9)
 
 
 def lzma_compressor(data):
@@ -125,10 +120,14 @@ class MetricsReport:
 
 def measure_tree_pair(original_root, obfuscated_root, compressor=lzma_compressor, with_complexity=True):
     """Compare two mirrored trees file by file (JS files only). The report
-    names the compressor after its function, less a ``_compressor`` suffix."""
-    report = MetricsReport(getattr(compressor, "__name__", "custom").removesuffix("_compressor"))
+    names the compressor after its function, less a ``_compressor`` suffix.
+    FatalConfigError if either root is not a directory."""
     orig = Path(original_root)
     obf = Path(obfuscated_root)
+    for root in (orig, obf):
+        if not root.is_dir():
+            raise FatalConfigError(f"{root} is not a directory")
+    report = MetricsReport(getattr(compressor, "__name__", "custom").removesuffix("_compressor"))
     for path in sorted(orig.rglob("*")):
         if not path.is_file() or path.suffix not in JS_SUFFIXES:
             continue

@@ -13,9 +13,9 @@ the facts the later layers read, and nothing else:
                   a scope that holds a dynamic site drops the candidates
                   read in it or below it, and the module scope is checked
                   once the file has parsed
-  summary         imports, exports, ``module_syntax``, the module-level
-                  names and the free names the cross-file analysis reads,
-                  and the branch points of the complexity metric
+  summary         each import's path, each export's local, ``module_syntax``
+                  and the module-level names, which ``depgraph`` reads, and
+                  the branch points of the complexity metric
 
 The parser lexes the file as it reads it: it pulls a batch of tokens from
 ``lexer.lex`` when its cursor nears the end of what it holds, and at that
@@ -172,7 +172,6 @@ def parse(source, file_id="<input>"):
         parser.accesses.truncate(0)
     summary = parser.summary
     summary.declared_globals = sorted(tree.declarations[tree.root] or ())
-    summary.free_names = sorted(tree.globals)
     return parser.gaps, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
 
 
@@ -799,30 +798,27 @@ class _Parser:
 
     def parse_import(self):
         self.expect("import")
-        imported = []
         t = self.peek()
         if t is None or t.kind != STRING:
             if not (self.at("*") or self.at("{")):
                 t = self.binding_name("expected import binding")
                 self.scopes.declare(t, IMPORT)
-                imported.append("default")
                 if self.at(","):
                     self.advance()
             if self.at("*"):
                 self.advance()
                 self.expect("as")
                 self.scopes.declare(self.binding_name("expected namespace alias"), IMPORT)
-                imported.append("*")
             elif self.at("{"):
-                imported.extend(self.delimited("{", "}", self.parse_import_specifier)[0])
+                self.delimited("{", "}", self.parse_import_specifier)
             self.expect("from")
         source = self.module_path()
         self.consume_semicolon()
-        self.summary.imports.append((source, imported))
+        self.summary.imports.append(source)
 
     def parse_import_specifier(self):
-        """``name`` or ``name as local``; declares the local and returns the
-        imported name."""
+        """``name`` or ``name as local``; declares the local. A string name
+        must still be a valid literal."""
         ext = self.peek()
         if ext is None or ext.kind not in (IDENT, KEYWORD, STRING):
             self.error("expected import specifier")
@@ -834,9 +830,9 @@ class _Parser:
         else:
             # the imported name is the local binding too
             local_tok = self.binding_name("expected 'as' after import specifier")
-        ext_name = self.literal_value(ext) if ext.kind == STRING else ext.text
+        if ext.kind == STRING:
+            self.literal_value(ext)
         self.scopes.declare(local_tok, IMPORT)
-        return ext_name
 
     def parse_export(self):
         self.expect("export")
@@ -866,44 +862,42 @@ class _Parser:
             else:
                 names = self.parse_var_decl()
                 self.consume_semicolon()
-            for name in names:
-                self.summary.export_pairs.append((name, name))
+            self.summary.export_locals += names
             return
         if t.text == "{":
             specifiers = self.delimited("{", "}", self.parse_export_specifier)[0]
             if self.at("from"):
                 self.advance()
-                source = self.module_path()
-                self.summary.imports.append((source, [lt.text for lt, _ in specifiers]))
+                self.summary.imports.append(self.module_path())
                 self.consume_semicolon()
                 return
             self.consume_semicolon()
-            for lt, exported in specifiers:
+            for lt in specifiers:
                 # bare `export {a, b}`: the locals are references to module
                 # bindings, which no reserved word can name
                 if lt.kind == KEYWORD:
                     raise ParseError(f"cannot export reserved word {lt.text!r}", self.file_id, lt.start)
-                self.summary.export_pairs.append((lt.text, exported))
+                self.summary.export_locals.append(lt.text)
                 self.scopes.reference(lt)
             return
         self.error("unsupported export form")
 
     def parse_export_specifier(self):
-        """``name`` or ``name as exported``; returns (the local token, the
-        exported name)."""
+        """``name`` or ``name as exported``; returns the local token. A
+        string alias must still be a valid literal."""
         lt = self.peek()
         if lt is None or lt.kind not in (IDENT, KEYWORD):
             self.error("expected export specifier")
         self.advance()
-        exported = lt.text
         if self.at("as"):
             self.advance()
             et = self.peek()
             if et is None or et.kind not in (IDENT, KEYWORD, STRING):
                 self.error("expected export alias")
             self.advance()
-            exported = self.literal_value(et) if et.kind == STRING else et.text
-        return lt, exported
+            if et.kind == STRING:
+                self.literal_value(et)
+        return lt
 
     # ---- expressions: each returns its kind tag ----
 

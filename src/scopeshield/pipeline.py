@@ -17,8 +17,8 @@ about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
 cost the parent one future each. Output bytes are identical for any worker
 count or scheduling order. The parent holds one chunk's results at a time:
 it writes each output as it arrives and keeps neither its text nor its
-summary, only the imports that match no JS file of the project, which it
-reports in file order once every file is done. If a worker process dies,
+import paths, only the imports that match no JS file of the project, which
+it reports in file order once every file is done. If a worker process dies,
 the files whose results are missing run again one at a time.
 
 Each file gets one string table, one decoder and one property-slot map,
@@ -246,14 +246,15 @@ def process_file(config, allowlist, rel_path):
     """Obfuscate one file: run its ``front_end`` once, then rename
     (``rename_file``), transform (``transform_file``) and emit, with the gap
     table if ``config.minify``. Of the front end's facts, only the gap
-    table, the occurrence table, the binding names and the summary live on
-    into the emit.
+    table, the occurrence table and the binding names live on into the
+    emit.
 
     Returns a dict with the file, its status, the worker milliseconds per
-    phase, the FileSummary once the scope tree exists (even if a later phase
-    fails), and either the output text or the error. Any other exception
-    than the ``FILE_FAILURES`` is an "internal-error" whose error keeps the
-    traceback; the file is copied verbatim like any failed file.
+    phase, ``imports``, the path of each import and re-export, once the
+    file has parsed (even if a later phase fails), and either the output
+    text or the error. Any other exception than the ``FILE_FAILURES`` is an
+    "internal-error" whose error keeps the traceback; the file is copied
+    verbatim like any failed file.
     """
     phases = dict.fromkeys(WORKER_PHASES, 0.0)
     result = {"file": rel_path, "status": "ok", "worker_ms": phases}
@@ -263,7 +264,7 @@ def process_file(config, allowlist, rel_path):
         gaps, tree, candidates, summary = front_end(text, rel_path)
         if not config.minify:
             gaps = Edits()
-        result["summary"] = summary
+        result["imports"] = summary.imports
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
@@ -404,6 +405,10 @@ def obfuscate_project(config):
 
     in_root = Path(config.input_root)
     out_root = Path(config.output_root)
+    in_real, out_real = in_root.resolve(), out_root.resolve()
+    if out_real.is_relative_to(in_real) or in_real.is_relative_to(out_real):
+        # the run would overwrite its input, or read its own output back
+        raise FatalConfigError(f"output root {config.output_root!r} overlaps input root {config.input_root!r}")
     out_root.mkdir(parents=True, exist_ok=True)
 
     js_files, other_files = discover_files(config.input_root)
@@ -440,8 +445,8 @@ def obfuscate_project(config):
         rel = result["file"]
         for phase, ms in result["worker_ms"].items():
             worker_ms[phase] += ms
-        if "summary" in result:
-            unresolved += unresolved_imports([result["summary"]], known)
+        if "imports" in result:
+            unresolved += unresolved_imports(rel, result["imports"], known)
         if result["status"] != "ok":
             skipped[rel] = (result["status"], result["error"])
             continue

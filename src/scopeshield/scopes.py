@@ -118,6 +118,11 @@ class ScopeTree:
 
     root = 0
 
+    __slots__ = (
+        "file_id", "parents", "kinds", "starts", "ends", "dynamic",
+        "declarations", "bindings", "occurrences", "globals",
+    )
+
     def __init__(self, file_id):
         self.file_id = file_id
         self.parents = array("i")

@@ -64,6 +64,44 @@ def test_obfuscate_exit_3_on_fatal(tmp_path):
     assert rc == 3
 
 
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "input_rel, output_rel", [("src", "src"), ("src", "src/dist"), ("out/src", "out")]
+)
+def test_obfuscate_refuses_an_output_root_that_overlaps_the_input(
+    tmp_path, capsys, input_rel, output_rel
+):
+    # overwriting the input loses it; an output inside the input is read
+    # back by the next run; an input inside the output gets outputs mixed in
+    src = tmp_path / input_rel
+    project(src, {"a.js": "var value = 1;\nconsole.log(value);", "b.txt": "data"})
+    before = tree_bytes(tmp_path)
+    rc = cli.main(
+        ["obfuscate", "--in", str(src), "--out", str(tmp_path / output_rel), "--threads", "1"]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("fatal: output root")
+    assert tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("missing", ["--orig", "--obf"])
+def test_metrics_exit_3_on_a_missing_root(tmp_path, capsys, missing):
+    project(tmp_path / "src", {"a.js": "var alpha = 1;"})
+    project(tmp_path / "obf", {"a.js": "var a=1;"})
+    roots = {"--orig": tmp_path / "src", "--obf": tmp_path / "obf"}
+    roots[missing] = tmp_path / "nope"
+    before = tree_bytes(tmp_path)
+    rc = cli.main(["metrics", "--orig", str(roots["--orig"]), "--obf", str(roots["--obf"])])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fatal: ") and "nope" in captured.err
+    assert captured.out == ""
+    assert tree_bytes(tmp_path) == before  # no metrics JSON
+
+
 @pytest.mark.parametrize(
     "flag, content",
     [
@@ -90,13 +128,6 @@ def test_obfuscate_exit_3_on_bad_config_or_allowlist(tmp_path, capsys, flag, con
     )
     assert rc == 3
     assert capsys.readouterr().err.startswith("fatal: ")
-
-
-def test_analyze_exit_3_on_missing_allowlist(tmp_path, capsys):
-    project(tmp_path / "src", {"a.js": "var a = 1;"})
-    rc = cli.main(["analyze", "--in", str(tmp_path / "src"), "--allowlist", str(tmp_path / "missing.txt")])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("fatal: cannot read allowlist")
 
 
 def test_flag_overrides_win_over_config(tmp_path):
@@ -262,17 +293,18 @@ def test_analyze_subcommand(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "module#0" in out
-    assert "a.js -> b.js: f" in out
-    assert "a.js -> c.js: Registry" in out
-    assert "frozen names: 2" in out
+    assert "files: 3\n  a.js\n  b.js\n  c.js\nfrozen names: 2\n" in out
+    assert "edges:" not in out and " -> " not in out
     assert "  b.js: f (export)" in out
     assert "  c.js: Registry (script global)" in out
     assert "b.js: Registry" not in out  # module scope is not global
     assert "partition" not in out and "marker" not in out
-    # the worker count only fed the partitioner, which is gone
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze", "--in", str(tmp_path / "src"), "--threads", "2"])
-    assert exc.value.code == cli.USAGE_EXIT
+    # the worker count only fed the partitioner, and the allowlist only the
+    # implicit-global edges: both are gone
+    for flag, value in (("--threads", "2"), ("--allowlist", "x")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--in", str(tmp_path / "src"), flag, value])
+        assert exc.value.code == cli.USAGE_EXIT
 
 
 def test_analyze_scripts_declaring_one_global_keep_it_in_each(tmp_path, capsys):

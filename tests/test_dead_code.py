@@ -16,7 +16,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scopeshield"
 
 KEPT = {
     "decode_payload": "Python mirror of the JS decoder, the round-trip oracle for encode_payload",
-    "bzip2_compressor": "public second compressor for NID, next to the default LZMA one",
     "save_cases": "writes the case manifest that load_cases and `verify --cases` read",
 }
 

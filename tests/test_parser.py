@@ -49,7 +49,8 @@ def function_scope_texts(src):
 
 def test_import_export_summary():
     _tree, _candidates, summary = parse_src('import {x} from "./a.js"; export function f(){}')
-    assert summary.imports == [("./a.js", ["x"])]
+    assert summary.imports == ["./a.js"]
+    assert summary.export_locals == ["f"]
     assert summary.module_syntax
 
 
@@ -63,9 +64,9 @@ def test_eval_call_is_a_dynamic_site():
 def test_declared_globals_and_free_names():
     # manual scope walk: q is declared at module scope; console resolves
     # nowhere on the chain, so it is the only free name
-    _tree, _candidates, summary = parse_src("var q = 1; console.log(q)")
+    tree, _candidates, summary = parse_src("var q = 1; console.log(q)")
     assert summary.declared_globals == ["q"]
-    assert summary.free_names == ["console"]
+    assert sorted(tree.globals) == ["console"]
 
 
 def test_with_statement_is_dynamic():
@@ -115,13 +116,9 @@ def test_import_forms():
         'import {one, two as alias} from "./c.js";\n'
         'import "./side.js";\n'
     )
-    _tree, _candidates, summary = parse_src(src)
-    assert summary.imports == [
-        ("./a.js", ["default"]),
-        ("./b.js", ["*"]),
-        ("./c.js", ["one", "two"]),
-        ("./side.js", []),
-    ]
+    tree, _candidates, summary = parse_src(src)
+    assert summary.imports == ["./a.js", "./b.js", "./c.js", "./side.js"]
+    assert sorted(tree.declarations[tree.root]) == ["alias", "def", "ns", "one"]
 
 
 @pytest.mark.parametrize("src", ['import {default} from "./a.js";', 'import {"a-b"} from "./a.js";'])
@@ -151,8 +148,7 @@ def test_export_forms():
     )
     _tree, _candidates, summary = parse_src(src)
     assert summary.module_syntax and summary.imports == []
-    assert summary.export_pairs == [("a", "a"), ("b", "b"), ("K", "K"), ("inner", "out")]
-    assert all(local != "main" for local, _ in summary.export_pairs)
+    assert summary.export_locals == ["a", "b", "K", "inner"]
 
 
 # a bare `export {…}` reads module bindings, which no reserved word names;
@@ -182,8 +178,8 @@ def test_a_bare_export_names_no_reserved_word(src, ok, tmp_path, node):
 
 def test_reexport_counts_as_import_edge():
     _tree, _candidates, summary = parse_src('export {helper} from "./dep.js";')
-    assert summary.imports == [("./dep.js", ["helper"])]
-    assert summary.module_syntax and summary.export_pairs == []
+    assert summary.imports == ["./dep.js"]
+    assert summary.module_syntax and summary.export_locals == []
 
 
 def test_parse_error_offset_and_fail_safe_contract():
@@ -330,7 +326,7 @@ def test_every_binding_position_reads_one_identifier(site, pattern_allowed):
 )
 def test_export_default_function_or_class_may_be_anonymous(src, name, functions):
     tree, _candidates, summary = parse_src(src)
-    assert summary.module_syntax and summary.export_pairs == []
+    assert summary.module_syntax and summary.export_locals == []
     # an anonymous default binds no name; a named one binds its name
     assert summary.declared_globals == ([name] if name else [])
     assert list(tree.kinds).count(FUNCTION) == functions
@@ -434,9 +430,10 @@ def test_trailing_commas_and_holes(src, expected):
 
 
 def test_trailing_commas_in_module_specifier_lists():
-    _tree, _candidates, summary = parse_src('import {a, b as c,} from "./x.js";\nvar d;\nexport {d, c as e,};')
-    assert summary.imports == [("./x.js", ["a", "b"])]
-    assert summary.export_pairs == [("d", "d"), ("c", "e")]
+    tree, _candidates, summary = parse_src('import {a, b as c,} from "./x.js";\nvar d;\nexport {d, c as e,};')
+    assert summary.imports == ["./x.js"]
+    assert sorted(tree.declarations[tree.root]) == ["a", "c", "d"]
+    assert summary.export_locals == ["d", "c"]
 
 
 def test_get_and_set_prefix_one_rule_for_objects_and_classes():
@@ -957,7 +954,7 @@ def test_a_line_break_at_a_batch_boundary_ends_a_statement(at):
     # the first of the next, or the one after that
     src = filler(BATCH_TOKENS - 8) + ";" * (at - BATCH_TOKENS + 5) + "x=1\ny=2;"
     assert nl_before(lex_all(src)) == {at}
-    assert parse_src(src)[2].free_names == ["x", "y"]
+    assert sorted(parse_src(src)[0].globals) == ["x", "y"]
     with pytest.raises(ParseError, match="expected ';'"):
         parse_src(src.replace("\n", " "))
 

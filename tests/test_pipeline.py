@@ -980,8 +980,9 @@ def test_script_keeps_its_globals_and_matches_direct_run(tmp_path):
     assert "next" not in out["a.js"]
     config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "unused"))
     direct = pipeline.process_file(config, load_allowlist(None), "a.js")
-    assert direct["text"] == out["a.js"]
-    assert direct["summary"].declared_globals == ["bump", "shared"]
+    assert direct["text"] == out["a.js"] and direct["imports"] == []
+    summary = pipeline.front_end(SHARED_GLOBAL_PROJECT["a.js"], "a.js")[3]
+    assert summary.declared_globals == ["bump", "shared"]
 
 
 def test_concatenated_scripts_keep_their_globals_apart(tmp_path, node):
@@ -1040,15 +1041,17 @@ def test_unresolved_import_warnings_are_exact_at_any_worker_count(tmp_path):
     src = tmp_path / "src"
     write_project(src, UNRESOLVED_IMPORTS_PROJECT)
     js_files, _others = pipeline.discover_files(src)
-    summaries = []
-    for rel in js_files:
+    unresolved = []
+    for rel in js_files:  # in file order
         try:
-            summaries.append(front_end((src / rel).read_text(), rel)[3])
+            summary = front_end((src / rel).read_text(), rel)[3]
         except ParseError:
             assert rel == "broken.js"
+            continue
+        unresolved += unresolved_imports(rel, summary.imports, set(js_files))
     expected = [
         f"{importer}: unresolved import {path!r} treated as external"
-        for importer, path in unresolved_imports(summaries, set(js_files))
+        for importer, path in unresolved
     ]
     assert expected == [
         "a.js: unresolved import './zeta.js' treated as external",
@@ -1094,6 +1097,39 @@ def test_the_pool_parent_keeps_no_result_it_has_yielded(tmp_path):
     assert held < 0.25 * output_chars, (held, output_chars)
 
 
+def test_pool_results_carry_import_paths_not_summaries(tmp_path):
+    """What crosses the pool is the file, its status, its phase times, its
+    import paths once it has parsed, and its text, error or rename dump;
+    never the parser's FileSummary."""
+    src = tmp_path / "src"
+    write_project(
+        src,
+        {
+            **{
+                f"m{i}.js": f'import {{h}} from "./h.js";\nimport "./gone{i}.js";\nexport var v{i} = h + {i};\n'
+                for i in range(6)
+            },
+            "h.js": "export var h = 1;\n",
+            "broken.js": "export var b = ;\n",
+            "weird.js": "outer: for(;;) { break outer; }\n",
+        },
+    )
+    rel_paths, _others = pipeline.discover_files(src)
+    config = ObfuscationConfig(
+        input_root=str(src), output_root=str(tmp_path / "out"), workers=2, dump_renames=True
+    )
+    allowed = {"file", "status", "worker_ms", "imports", "text", "error", "rename_dump"}
+    results = {r["file"]: r for r in pipeline._run_files(config, load_allowlist(None), 2, rel_paths)}
+    assert set(results) == set(rel_paths)
+    for rel, result in results.items():
+        assert set(result) <= allowed, (rel, sorted(result))
+        assert not any(type(value).__name__ == "FileSummary" for value in result.values())
+    assert results["m3.js"]["imports"] == ["./h.js", "./gone3.js"]
+    assert results["h.js"]["imports"] == []
+    assert "imports" not in results["broken.js"]
+    assert results["weird.js"]["status"] == "unsupported"
+
+
 ANONYMOUS_DEFAULTS_PROJECT = {
     "package.json": '{"type": "module"}\n',
     "f.js": "export default function () { var base = 40; return base; }\n",
@@ -1130,9 +1166,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
         assert result["status"] == "ok", result
         text = (tmp_path / "src" / rel).read_text(encoding="utf-8")
         _gaps, _tree, _candidates, expected = pipeline.front_end(text, rel)
-        got = result["summary"]
-        for field in ("imports", "module_syntax", "export_pairs", "declared_globals", "free_names"):
-            assert getattr(got, field) == getattr(expected, field), (rel, field)
+        assert result["imports"] == expected.imports, rel
 
 
 # ---- the pool runs chunks of files; each occurrence is resolved once ----
