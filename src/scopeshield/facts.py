@@ -55,34 +55,14 @@ class Spans:
         del self.starts[count:], self.ends[count:]
 
 
-class Accesses(Spans):
-    """The rewritable ``obj.prop`` accesses, in the order the parser reads
-    their `.`: spans from the `.` to the access's end, and ``names``, the
-    property names."""
-
-    __slots__ = ("names",)
-
-    def __init__(self):
-        super().__init__()
-        self.names = []
-
-    def append(self, start, end, name):
-        self.starts.append(start)
-        self.ends.append(end)
-        self.names.append(name)
-
-    def truncate(self, count):
-        super().truncate(count)
-        del self.names[count:]
-
-
 class Candidates:
     """What the transforms read: ``strings``, the spans of the encodable
     string literals (``Spans``), and ``accesses``, the rewritable
-    ``obj.prop`` accesses (``Accesses``), both in source order and none read
-    where a dynamic site can see it; and ``preamble_offset``, where the
-    preamble goes: after the directive prologue, so an injected declaration
-    cannot demote "use strict"."""
+    ``obj.prop`` accesses (an ``Edits`` table: each span from the `.` to
+    the access's end, its text the property name), both in source order and
+    none read where a dynamic site can see it; and ``preamble_offset``, where
+    the preamble goes: after the directive prologue, so an injected
+    declaration cannot demote "use strict"."""
 
     __slots__ = ("strings", "accesses", "preamble_offset")
 

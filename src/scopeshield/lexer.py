@@ -118,8 +118,8 @@ def lex(source, file_id="<input>"):
     The gap table minifies: applied to ``source``, it drops the comments and
     makes each gap between two tokens ``"\\n"`` if it held a line break (so
     automatic semicolon insertion and restricted productions behave as in
-    the input), else ``" "`` where the two tokens would merge or re-shape
-    without one, else nothing; the leading and trailing gaps go. It holds a
+    the input), else ``" "`` where ``_needs_space`` asks for one, else
+    nothing; the leading and trailing gaps go. It holds a
     row only for a gap that differs from its separator, and none for a gap
     after a `.`, which a property access's edit may span (``a. b`` becomes
     ``a[v]``). The text it makes re-tokenizes to the same tokens and line
@@ -286,9 +286,11 @@ def _is_property_name(before):
 def _needs_space(prev, kind, text):
     """True when dropping all whitespace between the token ``prev`` and the
     next token (``kind``, ``text``) would merge or re-shape tokens on a
-    later re-tokenization."""
+    later re-tokenization, or would write `<!--`, a comment in a script. A
+    word keeps its space before a string literal too, so that a decoder call
+    that replaces the literal needs no other space (``return "x"``)."""
     if prev.kind in _WORDLIKE or prev.kind == REGEX:
-        if kind in _WORDLIKE:
+        if kind in _WORDLIKE or kind == STRING:
             return True
     if prev.kind == NUMBER and text.startswith("."):
         return True
@@ -298,6 +300,8 @@ def _needs_space(prev, kind, text):
     if a.endswith("/") and (text.startswith("/") or text.startswith("*")):
         return True
     if prev.kind == PUNCT and kind in (PUNCT, REGEX):
+        if a == "<" and text == "!":
+            return True
         joined = a + text
         for size, table in ((4, _PUNCT_4), (3, _PUNCT_3), (2, _PUNCT_2)):
             if len(a) < size <= len(joined) and joined[:size] in table:

@@ -93,8 +93,9 @@ static and of where a name stands.
 import sys
 
 from .errors import ParseError, UnsupportedSyntax
-from .facts import Accesses, Candidates, FileSummary, Spans
+from .facts import Candidates, FileSummary, Spans
 from .lexer import lex
+from .patches import Edits
 from .scopes import (
     BLOCK, CATCH, FUNCTION, FUNCTION_DECL, FUNCTION_EXPR, IMPORT, LEXICAL, PARAM, SHORTHAND, ScopeBuilder,
 )
@@ -197,7 +198,7 @@ class _Parser:
         self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary(file_id)
         self.strings = Spans()
-        self.accesses = Accesses()
+        self.accesses = Edits()  # text: the property name
         # the candidate counts when each open scope was entered
         self.marks = []
         # whether super.x and super(...) may be read here: in a method, or

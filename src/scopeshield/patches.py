@@ -39,6 +39,10 @@ class Edits:
         self.ends.append(end)
         self.texts.append(text)
 
+    def truncate(self, count):
+        """Keep only the first ``count`` edits."""
+        del self.starts[count:], self.ends[count:], self.texts[count:]
+
 
 # text parts joined into one piece at a time: with a part per edit and per
 # gap between two, a 1 MB file's 100,000 edits would otherwise hold some

@@ -2,31 +2,34 @@
 
 One pass per file. A file's output is a pure function of the file: its
 frozen names, the module-level names that keep their spelling, come from its
-own summary (``depgraph.frozen_names``). Each file task parses its file
-once (a file too deeply nested for the default stack gets one retry, see
+own summary (``depgraph.frozen_names``). Each file task parses its file once
+(a file too deeply nested for the default stack gets one retry, see
 ``front_end``), and the parser lexes it as it reads, a batch of tokens at a
 time: it builds no syntax tree but the file's facts, its scope tree, its
-transform candidates, its summary and the lexer's gap table, which
-minifies. Every span indexes the file as written. The task then renames,
-transforms and emits it; the emit applies the gap table, when minifying,
-with the transforms' edits, and writes the renames straight from the
-occurrence table. The scope tree and the candidates are freed before it, so
-a file's peak memory is not the sum of every layer's. On a process pool the
-largest-first file list goes out in consecutive chunks, one task each and
-about ``TASKS_PER_WORKER`` tasks per worker, so that many small files do not
-cost the parent one future each. Output bytes are identical for any worker
-count or scheduling order. The parent holds one chunk's results at a time:
-it writes each output as it arrives and keeps neither its text nor its
-import paths, only the imports that match no JS file of the project, which
-it reports in file order once every file is done. If a worker process dies,
-the files whose results are missing run again one at a time.
+transform candidates, its summary and the lexer's gap table, which minifies.
+Every span indexes the file as written. The task then renames, transforms
+and emits it. The transforms read only their candidates and the file, the
+same with minifying on or off: the gap table keeps a space between a word
+and a string literal, which is all a decoder call needs. The emit applies
+the gap table, when minifying, with the transforms' edits, and writes the
+renames straight from the occurrence table. The scope tree and the
+candidates are freed before it, so a file's peak memory is not the sum of
+every layer's. On a process pool the largest-first file list goes out in
+consecutive chunks, one task each and about ``TASKS_PER_WORKER`` tasks per
+worker, so that many small files do not cost the parent one future each.
+Output bytes are identical for any worker count or scheduling order. The
+parent holds one chunk's results at a time: it writes each output as it
+arrives and keeps neither its text nor its import paths, only the imports
+that match no JS file of the project, which it reports in file order once
+every file is done. If a worker process dies, the files whose results are
+missing run again one at a time.
 
-Each file gets one string table, one decoder and one property-slot map,
-injected together after the file's directive prologue. The cyclic garbage
-collector is paused while a file is processed and restored to its prior
-state afterwards: scope trees are acyclic and freed by reference counting,
-while collections triggered mid-file would rescan a heap that grows with
-the file.
+Each file gets one string table, held by its decoder's one state variable,
+and one property-slot map, injected together after the file's directive
+prologue. The cyclic garbage collector is paused while a file is processed
+and restored to its prior state afterwards: scope trees are acyclic and
+freed by reference counting, while collections triggered mid-file would
+rescan a heap that grows with the file.
 """
 
 import gc
@@ -217,11 +220,10 @@ def rename_file(config, allowlist, tree, summary):
     return outputs
 
 
-def transform_file(config, allowlist, rel_path, text, gaps, candidates, names, outputs):
+def transform_file(config, allowlist, rel_path, text, candidates, names, outputs):
     """The ``Edits`` tables of the enabled transforms, the preamble's
     insertion among them; the fresh names they draw avoid every name the
-    file reads or writes (``names``, each binding's, and ``outputs``). The
-    string edits space themselves from what the gap edits ``gaps`` leave."""
+    file reads or writes (``names``, each binding's, and ``outputs``)."""
     fresh = name_sequence(frozenset(allowlist).union(names, outputs))
     tables = []
     preamble = ""
@@ -232,7 +234,7 @@ def transform_file(config, allowlist, rel_path, text, gaps, candidates, names, o
         preamble += prop_pre
     if config.encode_strings:
         key = _file_key(rel_path)
-        edits, str_pre, _table = encode_strings(key, fresh, text, gaps, candidates.strings)
+        edits, str_pre, _table = encode_strings(key, fresh, text, candidates.strings)
         tables.append(edits)
         preamble += str_pre
     if preamble:
@@ -262,8 +264,6 @@ def process_file(config, allowlist, rel_path):
         text = (Path(config.input_root) / rel_path).read_text(encoding="utf-8")
         t0 = time.perf_counter()
         gaps, tree, candidates, summary = front_end(text, rel_path)
-        if not config.minify:
-            gaps = Edits()
         result["imports"] = summary.imports
         phases["parse"] = (time.perf_counter() - t0) * 1000.0
 
@@ -276,8 +276,9 @@ def process_file(config, allowlist, rel_path):
         phases["rename"] = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
-        edits = transform_file(config, allowlist, rel_path, text, gaps, candidates, names, outputs)
-        edits.append(gaps)
+        edits = transform_file(config, allowlist, rel_path, text, candidates, names, outputs)
+        if config.minify:
+            edits.append(gaps)
         del candidates
         phases["transform"] = (time.perf_counter() - t0) * 1000.0
 

@@ -1,19 +1,22 @@
 """Performance-preserving obfuscation transforms, applied per file as span
-edits.
+edits that read only their candidates and the file as written.
 
-String literals are replaced by indexed calls into the file's one decoder,
-whose table is decoded exactly once behind a guard variable; later calls read
-the cache. Static property accesses ``obj.prop`` become ``obj[v]`` with ``v``
-a hoisted variable holding the property name (one per distinct name in the
-file), so the rewritten access stays a direct variable lookup.
+String literals become indexed calls into the file's one decoder, whose one
+state variable holds the string table: the payloads until the first call
+decodes them in place, so the table is decoded exactly once. A call right
+after a word (``return"x"``) gets a space; any gap there keeps one anyway
+(lexer), so the edits are the same with minifying on or off. Static property
+accesses ``obj.prop`` become ``obj[v]`` with ``v`` a hoisted variable
+holding the property name (one per distinct name in the file), so the
+rewritten access stays a direct variable lookup.
 
-The decoder is hoist-safe: it and its state are function/var declarations
-and it fills its table on its first call, so calls from anywhere in the
-module (including code that runs before the preamble's position) behave
-correctly. The property slots are not: ``var v="prop"`` holds its value only
-once the preamble has run, so in an ES-module import cycle a function of
-this module that another module calls before this module's body has run
-reads ``obj[undefined]``.
+The decoder is hoist-safe: it and its state are function/var declarations,
+the ``var`` has no initializer and the decoder fills the table on its first
+call, so calls from anywhere in the module (including code that runs before
+the preamble's position) behave correctly. The property slots are not:
+``var v="prop"`` holds its value only once the preamble has run, so in an
+ES-module import cycle a function of this module that another module calls
+before this module's body has run reads ``obj[undefined]``.
 
 The candidates come from the parser, which has already dropped those read
 in a scope containing ``eval``, ``with`` or a ``Function`` call, or nested
@@ -22,7 +25,6 @@ in one: a dynamic site may read them as written.
 
 import base64
 from array import array
-from bisect import bisect_left
 
 from .parser import string_value
 from .patches import Edits
@@ -64,27 +66,24 @@ _DECODER_JS = (
 
 
 def decoder_preamble(table, key, names):
-    """Guard + cache + lazy table decode, all hoist-safe declarations.
+    """The table variable and a decoder that decodes it in place on its
+    first call, all hoist-safe declarations.
 
     Locals inside the generated functions use $-suffixed names the rename
-    pool can never produce, so they cannot shadow the injected table, guard,
-    cache or transform names.
+    pool can never produce, so they cannot shadow the injected table or
+    transform names.
     """
-    t, g, c, d, x = names
+    c, d, x = names
     payloads = ",".join('"' + payload + '"' for payload in table)
-    body = (
-        f"var {t},{g},{c};"
-        f"function {d}(n$){{if(!{g}){{{g}=1;{t}=[{payloads}];{c}=[];"
-        f"for(var k$=0;k$<{t}.length;k$++){c}[k$]={x}({t}[k$]);}}return {c}[n$];}}"
-    )
-    return body + _DECODER_JS.format(X=x, K=key)
+    return (
+        f"var {c};function {d}(n$){{if(!{c}){{{c}=[{payloads}];"
+        f"for(var k$=0;k$<{c}.length;k$++){c}[k$]={x}({c}[k$]);}}return {c}[n$];}}"
+    ) + _DECODER_JS.format(X=x, K=key)
 
 
-def encode_strings(key, fresh_names, source, gaps, candidates):
+def encode_strings(key, fresh_names, source, candidates):
     """Encode the file's eligible string literals, ``candidates`` (the
-    ``Spans`` of ``Candidates.strings``), into one table. ``gaps`` are the
-    gap edits the emit applies with these: a decoder call spaces itself from
-    what the output holds before it.
+    ``Spans`` of ``Candidates.strings``), into one table.
 
     Returns (``Edits``, preamble text, the table's payloads or None); the
     edits of one table entry share its decoder call text. Literals shorter
@@ -111,16 +110,15 @@ def encode_strings(key, fresh_names, source, gaps, candidates):
     if not starts:
         return Edits(), "", None
 
-    names = (next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names), next(fresh_names))
-    decoder = names[3]  # names: table, guard, cache, decoder, transform
+    names = [next(fresh_names) for _ in range(3)]  # table, decoder, transform
     table = [encode_payload(value, key) for value in index_of]
-    calls = [f"{decoder}({idx})" for idx in range(len(table))]
+    calls = [f"{names[1]}({idx})" for idx in range(len(table))]
     spaced = {}  # table index -> its call after a space
     texts = []
     for start, idx in zip(starts, indexes):
-        # a quote needs no separator from a preceding keyword (return"x"),
-        # but the decoder call does
-        before = _output_before(source, gaps, start)
+        # a quote needs no separator from a word just before it (return"x"),
+        # but the decoder call does; a gap there keeps a space (lexer)
+        before = source[start - 1] if start else ""
         if before.isalnum() or before in ("_", "$"):
             texts.append(spaced.setdefault(idx, " " + calls[idx]))
         else:
@@ -128,21 +126,10 @@ def encode_strings(key, fresh_names, source, gaps, candidates):
     return Edits(starts, ends, texts), decoder_preamble(table, key, names), table
 
 
-def _output_before(source, gaps, start):
-    """The character the output holds before offset ``start`` of ``source``,
-    a token's start, under the gap edits ``gaps`` ("" at the output's start):
-    the text of a gap edit that ends there, else the character before it."""
-    index = bisect_left(gaps.ends, start)
-    if index < len(gaps) and gaps.ends[index] == start:
-        if gaps.texts[index]:
-            return gaps.texts[index]
-        start = gaps.starts[index]
-    return source[start - 1] if start > 0 else ""
-
-
 def rewrite_property_access(fresh_names, accesses):
-    """Rewrite the file's ``obj.prop`` accesses (``Candidates.accesses``)
-    to ``obj[v]``: each span from the `.` to the end becomes ``[v]``.
+    """Rewrite the file's ``obj.prop`` accesses (``Candidates.accesses``,
+    an ``Edits`` table of each access's span from the `.` and its property
+    name) to ``obj[v]``.
 
     Returns (``Edits`` over the accesses' own span columns, preamble text,
     [(slot var, property name)] sorted by slot var); one slot per distinct
@@ -152,7 +139,7 @@ def rewrite_property_access(fresh_names, accesses):
     access_text = {}  # property name -> "[slot var]"
     slots = []
     texts = []
-    for name in accesses.names:
+    for name in accesses.texts:
         text = access_text.get(name)
         if text is None:
             var = next(fresh_names)

@@ -28,12 +28,6 @@ def run_node(code=None, path=None, cwd=None, timeout=30):
     return proc.stdout
 
 
-def access_rows(accesses):
-    """The (`.` start, end, property name) of each access of an
-    ``Accesses`` table."""
-    return list(zip(accesses.starts, accesses.ends, accesses.names))
-
-
 # A script to run in front of a program: it counts the program's
 # String.fromCharCode calls and prints the count once the program has run.
 COUNT_FROM_CHAR_CODE = (

@@ -1,6 +1,7 @@
 """Every function, class and method in the package has a use in the package,
 every ``__slots__`` entry and every module-level name is read somewhere in
-it, and no module imports another's private names.
+it, every parameter is read in its function, and no module imports
+another's private names.
 
 A name counts as used when some module of ``src/scopeshield`` mentions it as
 a bare name or as an attribute; being exported is no use. Dunders and the
@@ -97,6 +98,33 @@ def test_every_module_level_name_is_read_in_the_package():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     }
     assert unread == {}
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is an argument every caller computes for nothing
+    functions = 0
+    unread = []
+    for path, module in _modules():
+        for node in ast.walk(module):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            functions += 1
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                arg for arg in (args.vararg, args.kwarg) if arg is not None
+            ]
+            read = {
+                name.id
+                for name in ast.walk(node)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            unread += [
+                f"{path.name}:{node.lineno} {param.arg}"
+                for param in params
+                if param.arg not in ("self", "cls") and param.arg not in read
+            ]
+    assert functions, "no function found: the scan is broken"
+    assert unread == []
 
 
 def test_no_module_imports_a_private_name_of_another():

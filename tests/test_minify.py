@@ -119,6 +119,19 @@ def test_keeps_space_between_hazardous_punctuators():
     assert significant(lex_all(out)) == significant(lex_all(src))
 
 
+def test_keeps_space_between_a_word_and_a_string():
+    src = 'var s = typeof  "ab", t = typeof"cd"; throw/*c*/"ef";'
+    assert minified(src) == 'var s=typeof "ab",t=typeof"cd";throw "ef";'
+
+
+def test_keeps_space_between_lt_and_bang():
+    # `<!--` starts a comment to the end of the line in a script
+    src = "function f(a,b){var r = a < ! --b; return [r,b];} console.log(f(1,1));"
+    out = minified(src)
+    assert "a< !--b" in out
+    assert run_node(code=out) == run_node(code=src) == "[ false, 0 ]\n"
+
+
 def test_number_dot_hazard():
     out = minified("var s = 1 .toString();")
     assert "1 ." in out

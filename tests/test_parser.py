@@ -16,7 +16,7 @@ from scopeshield.scopes import DECL, FUNCTION, GLOBAL_SCOPE, KIND_NAMES, MODULE,
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import access_rows, lex_all, nl_before, occurrence_names, run_node, scope_views
+from conftest import edit_rows, lex_all, nl_before, occurrence_names, run_node, scope_views
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
@@ -101,7 +101,7 @@ def test_span_containment_over_corpus():
                 assert text[start : start + len(name)] == name
             for start, end in candidates.strings:
                 assert text[start] == text[end - 1] and text[start] in "'\""
-            for dot, end, name in access_rows(candidates.accesses):
+            for dot, end, name in edit_rows(candidates.accesses):
                 assert dot < end and text[dot] == "." and text[dot:end].endswith(name)
             starts = [start for start, _end in candidates.strings]
             assert starts == sorted(starts)
@@ -223,7 +223,7 @@ def test_shorthand_property_marked():
 def test_member_access_patch_span():
     src = "player.score += 1;"
     _tree, candidates, _summary = parse_src(src)
-    ((dot, end, name),) = access_rows(candidates.accesses)
+    ((dot, end, name),) = edit_rows(candidates.accesses)
     assert name == "score" and src[dot:end] == ".score"
 
 
@@ -885,7 +885,7 @@ def scope_facts(src):
         ],
         [(name, style, tree.bindings.scope_ids[bid]) for name, _start, style, bid in occurrence_rows(tree)],
         [src[start:end] for start, end in candidates.strings],
-        [src[dot:end] for dot, end, _name in access_rows(candidates.accesses)],
+        [src[dot:end] for dot, end, _name in edit_rows(candidates.accesses)],
     )
 
 

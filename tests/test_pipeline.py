@@ -28,7 +28,7 @@ from scopeshield.pipeline import (
 )
 from scopeshield.depgraph import unresolved_imports
 
-from conftest import NODE, minified, phase_peaks, run_node
+from conftest import NODE, edit_rows, minified, phase_peaks, run_node
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
@@ -959,16 +959,17 @@ CONCATENATED_SCRIPTS = {
 
 def _outputs_at_workers_1_and_2(tmp_path, files, **options):
     """Run ``files`` at workers 1 and 2, check that both runs transform every
-    file without errors and emit the same bytes; return the output tree."""
+    JS file without errors and emit the same bytes; return the output tree."""
     src = tmp_path / "src"
     write_project(src, files)
+    js_files = [name for name in files if name.endswith(pipeline.JS_SUFFIXES)]
     outputs = []
     for workers in (1, 2):
         out = tmp_path / f"out{workers}"
         report = obfuscate_project(
             ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers, **options)
         )
-        assert report["files_transformed"] == len(files) and report["errors"] == []
+        assert report["files_transformed"] == len(js_files) and report["errors"] == []
         outputs.append(read_tree(out))
     assert outputs[0] == outputs[1]
     return {rel: data.decode("utf-8") for rel, data in outputs[0].items()}
@@ -1394,6 +1395,79 @@ def test_gap_edits_meet_string_and_property_edits(tmp_path, node, options):
         assert "delete o./*c*/q" in out and "o./*c*/p" in out
     else:
         assert "return/*c*/" in out and "of/*c*/" in out
+
+
+def test_the_transforms_do_not_depend_on_minify():
+    # the gap table keeps a word and a string literal apart, so the string
+    # edits read only the file: `return/*c*/"cd"` gets the same call either way
+    rng = random.Random(29)
+    programs = [("seams.js", GAP_SEAMS)]
+    programs += [item for gen in GENERATORS for item in gen(rng).items()]
+    allowlist = load_allowlist(None)
+    for file_id, src in programs:
+        tables = []
+        for minify in (True, False):
+            config = ObfuscationConfig(minify=minify)
+            _gaps, tree, candidates, summary = front_end(src, file_id)
+            outputs = pipeline.rename_file(config, allowlist, tree, summary)
+            edits = pipeline.transform_file(
+                config, allowlist, file_id, src, candidates, tree.bindings.names, outputs
+            )
+            tables.append([edit_rows(table) for table in edits])
+        assert tables[0] == tables[1], file_id
+
+
+# a module path after a word and a comment: minifying keeps the space
+COMMENT_GAP_MODULES = {
+    "main.mjs": 'import/*c*/"./b.mjs";\nimport {x, y} from/*c*/"./c.mjs";\n'
+    "console.log(x, y, globalThis.seen);\n",
+    "b.mjs": 'export var x = "from b";\nglobalThis.seen = typeof/*c*/"b ran";\n',
+    "c.mjs": 'export {x} from/*c*/"./b.mjs";\nexport var y = "from c";\n',
+}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"rename": False}, {"encode_strings": False}, {"rewrite_properties": False}, {"minify": False}],
+    ids=["all", "no-rename", "no-strings", "no-prop-access", "no-minify"],
+)
+def test_a_module_path_after_a_comment_gap_runs_the_same(tmp_path, node, options):
+    out = _outputs_at_workers_1_and_2(tmp_path, COMMENT_GAP_MODULES, **options)
+    if options.get("minify", True):
+        assert 'import "./b.mjs";' in out["main.mjs"]
+        assert 'export{x}from "./b.mjs";' in out["c.mjs"]
+    else:
+        assert 'import/*c*/"./b.mjs";' in out["main.mjs"]
+    expected = run_node(path=tmp_path / "src" / "main.mjs", cwd=tmp_path / "src")
+    assert expected == "from b from c string\n"
+    assert run_node(path=tmp_path / "out1" / "main.mjs", cwd=tmp_path / "out1") == expected
+
+
+def test_a_less_than_before_a_not_is_no_html_comment(tmp_path, node):
+    # `a<!--b` would read as `a<` and a comment to the end of the line
+    src = "function f(a,b){var r = a < ! --b; return [r,b];} console.log(f(1,1));\n"
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert "<!--" not in out and "< !--" in out
+    assert run_node(code=out) == run_node(code=src) == "[ false, 0 ]\n"
+
+
+# An import cycle: b.js calls a function of a.js while a.js's body, and so
+# its preamble, has not run yet. The decoder fills its table on that call,
+# and the preamble's `var` must not reset it.
+HOIST_CYCLE_PROJECT = {
+    "package.json": '{"type": "module"}\n',
+    "a.js": 'import "./b.js";\nexport function greet() { return "hello from a"; }\n'
+    'console.log(greet(), "again");\n',
+    "b.js": 'import {greet} from "./a.js";\nconsole.log("b sees", greet());\n',
+}
+
+
+def test_the_decoder_runs_before_its_preamble_in_an_import_cycle(tmp_path, node):
+    out = _outputs_at_workers_1_and_2(tmp_path, HOIST_CYCLE_PROJECT)
+    assert "hello from a" not in out["a.js"]
+    expected = run_node(path=tmp_path / "src" / "a.js", cwd=tmp_path / "src")
+    assert expected == "b sees hello from a\nhello from a again\n"
+    assert run_node(path=tmp_path / "out1" / "a.js", cwd=tmp_path / "out1") == expected
 
 
 def test_a_regex_after_a_statement_head_runs_the_same(tmp_path, node):

@@ -17,7 +17,7 @@ from scopeshield.scopes import (
 
 
 from corpusgen import GENERATORS, build_corpus
-from conftest import access_rows, occurrence_names, scope_views
+from conftest import edit_rows, occurrence_names, scope_views
 from treegen import random_scope_tree
 
 
@@ -187,7 +187,7 @@ def candidates_of(src, file_id="t.js"):
     """The tree of ``src`` and the text of its string and access candidates."""
     _text, tree, candidates, _summary = front_end(src, file_id)
     strings = [src[start:end] for start, end in candidates.strings]
-    accesses = [src[dot:end] for dot, end, _name in access_rows(candidates.accesses)]
+    accesses = [src[dot:end] for dot, end, _name in edit_rows(candidates.accesses)]
     return tree, strings, accesses
 
 
@@ -283,9 +283,9 @@ def test_kept_candidates_match_a_span_oracle_on_programs():
             neutral = re.sub(pattern, spelling, neutral)
         every = front_end(neutral, file_id)[2]
         strings = [c for c in every.strings if not under_dynamic_scope(tree, c[0])]
-        accesses = [c for c in access_rows(every.accesses) if not under_dynamic_scope(tree, c[0])]
+        accesses = [c for c in edit_rows(every.accesses) if not under_dynamic_scope(tree, c[0])]
         assert list(candidates.strings) == strings, file_id
-        assert access_rows(candidates.accesses) == accesses, file_id
+        assert edit_rows(candidates.accesses) == accesses, file_id
         dropped += len(every.strings) + len(every.accesses) - len(strings) - len(accesses)
     assert dropped >= 20
 

@@ -1,7 +1,6 @@
 import random
 
 from scopeshield.parser import string_value
-from scopeshield.patches import Edits
 from scopeshield.pipeline import front_end
 from scopeshield.renamer import name_sequence
 from scopeshield.transforms import (
@@ -25,7 +24,7 @@ def fresh():
 
 
 def encode(src, candidates, key):
-    return encode_strings(key, fresh(), src, Edits(), candidates.strings)
+    return encode_strings(key, fresh(), src, candidates.strings)
 
 
 def rewrite_props(candidates):
@@ -159,7 +158,7 @@ def test_repeated_accesses_share_slot():
     candidates = setup(src)
     _edits, _pre, slots = rewrite_props(candidates)
     # count-oracle: one slot per distinct property name
-    names = set(candidates.accesses.names)
+    names = set(candidates.accesses.texts)
     assert len(slots) == len(names)
 
 
@@ -172,7 +171,7 @@ def test_candidates_in_source_order_without_super_or_delete_targets():
     )
     candidates = setup(src)
     assert [src[start:end] for start, end in candidates.strings] == ['"key"', '"one"', '"two"']
-    assert candidates.accesses.names == ["y", "b", "e"]
+    assert candidates.accesses.texts == ["y", "b", "e"]
 
 
 def test_delete_targets_skipped():
@@ -200,7 +199,7 @@ def apply_both(src):
     candidates = setup(src)
     names = fresh()
     edits, preamble, _slots = rewrite_property_access(names, candidates.accesses)
-    str_edits, str_pre, _table = encode_strings(7, names, src, Edits(), candidates.strings)
+    str_edits, str_pre, _table = encode_strings(7, names, src, candidates.strings)
     insert = candidates.preamble_offset
     rows = edit_rows(edits) + edit_rows(str_edits) + [(insert, insert, preamble + str_pre + "\n")]
     return patched(src, rows)
@@ -231,5 +230,5 @@ def test_every_candidate_rewritten_once():
             edits, _pre, _slots = rewrite_property_access(fresh(), accesses)
             assert edits.starts == accesses.starts
             eligible = [start for start, end in strings if len(string_value(src[start:end])) >= 2]
-            edits, _pre, _table = encode_strings(7, fresh(), src, Edits(), strings)
+            edits, _pre, _table = encode_strings(7, fresh(), src, strings)
             assert list(edits.starts) == eligible
