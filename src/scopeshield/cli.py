@@ -20,8 +20,10 @@ from .pipeline import (
     file_failure,
     front_end,
     obfuscate_project,
+    unresolved_imports,
     write_report,
 )
+from .renamer import frozen_names
 
 USAGE_EXIT = 64
 
@@ -109,7 +111,6 @@ def cmd_obfuscate(args):
 
 
 def cmd_analyze(args):
-    from .depgraph import format_analyze_report, frozen_names, unresolved_imports
     from .scopes import format_scope_report
 
     root = Path(args.input_root)
@@ -131,7 +132,7 @@ def cmd_analyze(args):
             print(message)
             had_errors = had_errors or status == "error"
             continue
-        frozen_by_file[rel] = frozen_names(summary)
+        frozen_by_file[rel] = frozen_names(tree, summary)
         unresolved += unresolved_imports(rel, summary.imports, known)
         if args.dump_scopes:
             print(f"== {rel}")
@@ -140,6 +141,20 @@ def cmd_analyze(args):
     unresolved.sort(key=lambda pair: pair[0])
     print(format_analyze_report(unresolved, frozen_by_file))
     return 2 if had_errors else 0
+
+
+def format_analyze_report(unresolved, frozen_by_file):
+    """Plain-text report for the analyze subcommand: the files it parsed,
+    the ``pipeline.unresolved_imports`` and each file's
+    ``renamer.frozen_names``."""
+    files = sorted(frozen_by_file)
+    lines = [f"files: {len(files)}"] + [f"  {f}" for f in files]
+    lines += (f"  unresolved: {importer} imports {path!r}" for importer, path in unresolved)
+    lines.append(f"frozen names: {sum(len(names) for names in frozen_by_file.values())}")
+    for f in files:
+        for name, reason in sorted(frozen_by_file[f].items()):
+            lines.append(f"  {f}: {name} ({reason})")
+    return "\n".join(lines)
 
 
 def cmd_metrics(args):

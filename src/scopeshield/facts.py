@@ -11,22 +11,20 @@ class FileSummary:
     """Per-file facts that frozen names, unresolved imports and the metrics
     read.
 
-    ``imports`` holds the source path of each import and re-export, in
-    source order. ``export_locals`` holds the local binding behind each
-    named export. ``module_syntax`` is True when the file has an import or
-    export declaration. ``branch_points`` counts the decision points and
-    functions that ``metrics.cyclomatic_complexity`` adds to 1.
+    ``kind`` is "esm" for an ``.mjs`` file and for a file with an import or
+    export declaration (``export {}`` too), else "script"; only
+    ``renamer.frozen_names`` reads it. ``imports`` holds the source path of
+    each import and re-export, in source order. ``export_locals`` holds the
+    local binding behind each named export. ``branch_points`` counts the
+    decision points and functions that ``metrics.cyclomatic_complexity``
+    adds to 1.
     """
 
-    __slots__ = (
-        "file_id", "declared_globals", "imports", "module_syntax", "export_locals", "branch_points",
-    )
+    __slots__ = ("kind", "imports", "export_locals", "branch_points")
 
-    def __init__(self, file_id):
-        self.file_id = file_id
-        self.declared_globals = []
+    def __init__(self, kind):
+        self.kind = kind
         self.imports = []
-        self.module_syntax = False
         self.export_locals = []
         self.branch_points = 0
 
@@ -58,7 +56,7 @@ class Spans:
 class Candidates:
     """What the transforms read: ``strings``, the spans of the encodable
     string literals (``Spans``), and ``accesses``, the rewritable
-    ``obj.prop`` accesses (an ``Edits`` table: each span from the `.` to
+    `obj.prop` accesses (an ``Edits`` table: each span from the `.` to
     the access's end, its text the property name), both in source order and
     none read where a dynamic site can see it; and ``preamble_offset``, where
     the preamble goes: after the directive prologue, so an injected

@@ -127,8 +127,9 @@ def lex(source, file_id="<input>"):
     and a line break still parts it from the first token.
 
     Raises UnterminatedString / UnterminatedTemplate / InvalidCharacter, or
-    UnsupportedSyntax for a private name or a non-ASCII identifier, with the
-    file id and the offset of the problem in ``source``.
+    UnsupportedSyntax for a private name or a non-ASCII identifier once the
+    tokens before it are yielded, with the file id and the offset of the
+    problem in ``source``.
     """
     batch = []
     append = batch.append
@@ -222,10 +223,14 @@ def lex(source, file_id="<input>"):
                 raise UnterminatedString("unterminated string literal", file_id, pos)
             elif text == "`":
                 raise UnterminatedTemplate("unterminated template literal", file_id, pos)
-            elif text == "#" and _IDENT_START_RE.match(source, end):
-                raise UnsupportedSyntax("private names are not supported", file_id, pos)
-            elif ("_" + text).isidentifier():  # the ASCII ones matched group 3
-                raise UnsupportedSyntax("non-ASCII identifiers are not supported", file_id, pos)
+            elif text == "#" and _IDENT_START_RE.match(source, end) or ("_" + text).isidentifier():
+                # a private name, or a non-ASCII identifier (the ASCII ones
+                # matched group 3); the tokens before it go out first, since a
+                # syntax error among them outranks it
+                if batch:
+                    yield batch
+                what = "private names" if text == "#" else "non-ASCII identifiers"
+                raise UnsupportedSyntax(f"{what} are not supported", file_id, pos)
             else:
                 raise InvalidCharacter(f"unexpected character {text!r}", file_id, pos)
             if gap is not None:

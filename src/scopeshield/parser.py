@@ -8,14 +8,16 @@ the facts the later layers read, and nothing else:
                   dynamic; the builder resolves the occurrences once the
                   file has parsed, because hoisting needs the whole file
   candidates      the string literals the string transform may encode and
-                  the ``obj.prop`` accesses the property transform may
+                  the `obj.prop` accesses the property transform may
                   rewrite, in source order, and the preamble offset; leaving
                   a scope that holds a dynamic site drops the candidates
                   read in it or below it, and the module scope is checked
                   once the file has parsed
-  summary         each import's path, each export's local, ``module_syntax``
-                  and the module-level names, which ``depgraph`` reads, and
-                  the branch points of the complexity metric
+  summary         the file's kind, "esm" from its first import or export
+                  declaration or an ``.mjs`` name, else "script", which
+                  ``renamer.frozen_names`` reads; each import's path and each
+                  export's local; and the branch points of the complexity
+                  metric
 
 The parser lexes the file as it reads it: it pulls a batch of tokens from
 ``lexer.lex`` when its cursor nears the end of what it holds, and at that
@@ -43,6 +45,10 @@ Facts by construct:
                          its name or `[` in an object literal
   parameter              declared in the function scope ("param"); its
                          default is read in that scope
+  function body          with a parameter default, a body scope from `{` to
+                         `}` below the parameters' scope; its `var`s bind in
+                         it, except one named like a parameter, which is the
+                         parameter (ECMA-262 FunctionDeclarationInstantiation)
   var / let / const      `var` declares in the nearest function or module
                          scope ("var"), let/const in the current one
                          ("lexical"); each name before its initializer
@@ -97,7 +103,8 @@ from .facts import Candidates, FileSummary, Spans
 from .lexer import lex
 from .patches import Edits
 from .scopes import (
-    BLOCK, CATCH, FUNCTION, FUNCTION_DECL, FUNCTION_EXPR, IMPORT, LEXICAL, PARAM, SHORTHAND, ScopeBuilder,
+    BLOCK, BODY, CATCH, FUNCTION, FUNCTION_DECL, FUNCTION_EXPR, IMPORT, LEXICAL, PARAM, SHORTHAND,
+    ScopeBuilder,
 )
 from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
@@ -150,20 +157,29 @@ _REST_LAST = "a rest parameter must be the last, with no default or trailing com
 def parse(source, file_id="<input>"):
     """Lex and parse ``source``; returns (the lexer's gap table, ScopeTree,
     Candidates, FileSummary). After a syntax error the lexer still runs to
-    the end of the file, so a lexical error later in the file wins."""
+    the end of the file, so a lexical error later in the file wins; a token
+    the lexer does not support does not. The parser reads the tokens before
+    such a token first, so a syntax error among them wins too."""
     parser = _Parser(source, file_id)
     failure = None
     try:
         preamble_offset = parser.parse_program()
     except ParseError as exc:
         failure = exc.with_traceback(None)  # its frames hold the parser
+    unsupported = parser.lex_unsupported
     if failure is not None:
         # outside the handler and with the parser dropped: nothing the failed
         # parse built is alive while the lexer drains
         stream, parser = parser.stream, None
-        for _batch in stream:
-            pass
-        raise failure
+        try:
+            for _batch in stream:
+                pass
+        except UnsupportedSyntax:
+            pass  # after the syntax error
+        # the parse ran out of tokens at the unsupported one, if it got there
+        raise unsupported if unsupported is not None and unsupported.offset <= failure.offset else failure
+    if unsupported is not None:
+        raise unsupported
     if parser.scopes.catch_redeclared is not None:
         raise parser.scopes.catch_redeclared
     tree = parser.scopes.finish(len(source))
@@ -171,9 +187,7 @@ def parse(source, file_id="<input>"):
         # a dynamic site at the top level sees every candidate
         parser.strings.truncate(0)
         parser.accesses.truncate(0)
-    summary = parser.summary
-    summary.declared_globals = sorted(tree.declarations[tree.root] or ())
-    return parser.gaps, tree, Candidates(parser.strings, parser.accesses, preamble_offset), summary
+    return parser.gaps, tree, Candidates(parser.strings, parser.accesses, preamble_offset), parser.summary
 
 
 # None sentinels after the last token let the cursor read without a bounds
@@ -195,8 +209,9 @@ class _Parser:
         self.i = 0  # the cursor: the index of the next token
         self.refill_at = 0  # advancing from this index pulls a batch
         self.gaps = None  # the lexer's gap table, once the stream ends
+        self.lex_unsupported = None  # the UnsupportedSyntax that ended the stream
         self.scopes = ScopeBuilder(file_id)
-        self.summary = FileSummary(file_id)
+        self.summary = FileSummary("esm" if file_id.endswith(".mjs") else "script")
         self.strings = Spans()
         self.accesses = Edits()  # text: the property name
         # the candidate counts when each open scope was entered
@@ -238,6 +253,11 @@ class _Parser:
             except StopIteration as stop:
                 # the stream has ended: the sentinels and the gaps are set
                 self.gaps = stop.value
+                toks += _SENTINELS
+            except UnsupportedSyntax as exc:
+                # the tokens before it are read as a file that ends there
+                self.lex_unsupported = exc.with_traceback(None)
+                self.gaps = Edits()
                 toks += _SENTINELS
         self.refill_at = len(toks) - _LOOKAHEAD if self.gaps is None else _NO_REFILL
 
@@ -371,10 +391,10 @@ class _Parser:
             t = self.peek()
             if self.at("export"):
                 self.parse_export()
-                self.summary.module_syntax = True
+                self.summary.kind = "esm"
             elif self.at("import") and not self.is_import_expression():
                 self.parse_import()
-                self.summary.module_syntax = True
+                self.summary.kind = "esm"
             else:
                 end = self.parse_statement()
                 if prologue and t.kind == STRING and end == t.end:
@@ -398,7 +418,7 @@ class _Parser:
             self.error("unexpected end of input")
         if t.kind == PUNCT:
             if t.text == "{":
-                return self.parse_block(scoped=True)
+                return self.parse_block(BLOCK)
             if t.text == ";":
                 return self.advance().end
         if t.kind == KEYWORD:
@@ -454,14 +474,15 @@ class _Parser:
         self.consume_semicolon()
         return end
 
-    def parse_block(self, scoped):
+    def parse_block(self, kind=None):
         """Read ``{ statements }``; returns the end of the `}`. A statement
-        block (``scoped``) is a scope if it directly holds a lexical
-        declaration; a function or catch body is its scope's statements."""
+        block (``kind`` BLOCK) is a scope if it directly holds a lexical
+        declaration, the body of a function with a parameter default (BODY)
+        always; any other function or catch body is its scope's statements."""
         lbrace = self.expect("{")
         lexical = False
-        if scoped:
-            self.enter_scope(BLOCK, lbrace.start)
+        if kind is not None:
+            self.enter_scope(kind, lbrace.start)
         while not self.at("}"):
             t = self.peek()
             if t is None:
@@ -470,8 +491,8 @@ class _Parser:
                 lexical = True
             self.parse_statement()
         end = self.advance().end
-        if scoped:
-            self.leave_scope(end, keep=lexical)
+        if kind is not None:
+            self.leave_scope(end, keep=lexical or kind == BODY)
         return end
 
     def let_declares(self):
@@ -517,8 +538,8 @@ class _Parser:
             self.scopes.declare(name_tok, FUNCTION_EXPR)
         outer = self.super_member, self.super_call
         self.super_member = self.super_call = False
-        self.parse_params()
-        self.leave_scope(self.parse_block(scoped=False))
+        kinds = self.parse_params()
+        self.leave_scope(self.parse_block(BODY if "default" in kinds else None))
         self.super_member, self.super_call = outer
         return name_tok
 
@@ -652,7 +673,7 @@ class _Parser:
             raise ParseError(
                 "a setter takes exactly one parameter, not a rest one", self.file_id, lparen.start
             )
-        self.leave_scope(self.parse_block(scoped=False))
+        self.leave_scope(self.parse_block(BODY if "default" in kinds else None))
         self.super_member, self.super_call = outer
 
     def parse_if(self):
@@ -751,7 +772,7 @@ class _Parser:
 
     def parse_try(self):
         self.expect("try")
-        end = self.parse_block(scoped=True)
+        end = self.parse_block(BLOCK)
         handled = False
         if self.at("catch"):
             ck = self.advance()
@@ -762,12 +783,12 @@ class _Parser:
                 t = self.binding_name("expected catch parameter name", "catch parameters")
                 self.expect(")")
                 self.scopes.declare(t, CATCH)
-            end = self.parse_block(scoped=False)
+            end = self.parse_block()
             self.leave_scope(end)
             handled = True
         if self.at("finally"):
             self.advance()
-            end = self.parse_block(scoped=True)
+            end = self.parse_block(BLOCK)
             handled = True
         if not handled:
             self.error("try requires catch or finally")
@@ -1110,15 +1131,16 @@ class _Parser:
         candidates = len(self.strings), len(self.accesses)
         params = []  # per item, the index of its name's occurrence
         fault = spread = None  # the first non-parameter's ``param_fault``; the first `...`
-        trailing = False  # a comma after the last item
+        trailing = defaults = False  # a comma after the last item; a parameter's default
 
         def item():
-            nonlocal fault, spread, trailing
+            nonlocal fault, spread, trailing, defaults
             rest = self.at("...") and self.advance()
             spread = spread or rest
             if fault is None:
                 fault = self.param_fault(rest)
                 params.append(len(self.scopes.occurrences))
+                defaults = defaults or fault is None and self.peek(1).text == "="
             tag = self.parse_assign()
             trailing = self.at(",")
             return tag
@@ -1132,7 +1154,7 @@ class _Parser:
             self.unique_params((names[index], starts[index]) for index in params)
             self.scopes.enter_arrow(lparen.start, mark, params)
             self.marks.append(candidates)
-            return self.parse_arrow_body()
+            return self.parse_arrow_body(defaults)
         self.scopes.unmark(mark)
         if spread or trailing or not tags:
             t = spread or rparen
@@ -1146,13 +1168,13 @@ class _Parser:
             return _CALL
         return _TARGET if _REF <= tag <= _TARGET else _OTHER
 
-    def parse_arrow_body(self):
+    def parse_arrow_body(self, defaults=False):
         """``=> body``, read in the arrow's scope with its parameters
-        declared; leaves the scope."""
+        declared (``defaults``: one has a default); leaves the scope."""
         self.summary.branch_points += 1
         self.advance()
         if self.at("{"):
-            self.parse_block(scoped=False)
+            self.parse_block(BODY if defaults else None)
         else:
             self.parse_assign()
         self.leave_scope(self.last_end())

@@ -1,8 +1,8 @@
 """End-to-end obfuscation pipeline.
 
 One pass per file. A file's output is a pure function of the file: its
-frozen names, the module-level names that keep their spelling, come from its
-own summary (``depgraph.frozen_names``). Each file task parses its file once
+frozen names, the module-level names that keep their spelling, follow from
+its own facts (``renamer.frozen_names``). Each file task parses its file once
 (a file too deeply nested for the default stack gets one retry, see
 ``front_end``), and the parser lexes it as it reads, a batch of tokens at a
 time: it builds no syntax tree but the file's facts, its scope tree, its
@@ -34,6 +34,7 @@ rescan a heap that grows with the file.
 
 import gc
 import json
+import posixpath
 import resource
 import shutil
 import sys
@@ -42,12 +43,11 @@ import time
 import zlib
 from pathlib import Path
 
-from .depgraph import frozen_names, unresolved_imports
 from .errors import FatalConfigError, ScopeShieldError, UnsupportedSyntax
 from .externals import load_allowlist
 from .parser import parse
 from .patches import Edits, emit
-from .renamer import check_safety, dump_lines, name_sequence, rename_tree
+from .renamer import check_safety, dump_lines, frozen_names, name_sequence, rename_tree
 from .transforms import encode_strings, rewrite_property_access
 
 JS_SUFFIXES = (".js", ".mjs")
@@ -213,7 +213,7 @@ def rename_file(config, allowlist, tree, summary):
     off, the bindings' own names."""
     if not config.rename:
         return tree.bindings.names
-    outputs = rename_tree(tree, frozen_module_names=frozen_names(summary), allowlist=allowlist)
+    outputs = rename_tree(tree, frozen_module_names=frozen_names(tree, summary), allowlist=allowlist)
     violations = check_safety(tree, outputs)
     if violations:
         raise ScopeShieldError(f"internal rename safety violation: {violations[0]!r}")
@@ -296,6 +296,20 @@ def process_file(config, allowlist, rel_path):
         return result
     result["text"] = out_text
     return result
+
+
+def unresolved_imports(importer, paths, known_files):
+    """The (importer, path) pairs of one file's import ``paths`` that match
+    none of ``known_files``, the project's JS files (copied ones too), in
+    source order; these imports stay external. Only a relative path matches:
+    the file it names, or that name with ``.js`` appended."""
+    base = posixpath.dirname(importer)
+    unresolved = []
+    for path in paths:
+        target = posixpath.normpath(posixpath.join(base, path))
+        if not (path.startswith(".") and (target in known_files or target + ".js" in known_files)):
+            unresolved.append((importer, path))
+    return unresolved
 
 
 def _gc_paused(task, *args):

@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from itertools import compress, product
 
 from .errors import OrderViolation
-from .scopes import BLOCK, FUNCTION_DECL, GLOBAL, GLOBAL_SCOPE, IMPORT, RANKS
+from .scopes import BLOCK, BODY, FUNCTION_DECL, GLOBAL, GLOBAL_SCOPE, IMPORT, RANKS
 from .tokens import RESERVED_WORDS
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
@@ -97,15 +97,26 @@ def forbidden_set(scope_id, outputs, refs):
     return forbidden
 
 
+def frozen_names(tree, summary):
+    """{name: reason} for the module-level names of one file that keep their
+    spelling: each module-level declaration of a script ("script global"),
+    since all scripts share one global namespace (Terser and UglifyJS keep
+    them by default too), and an ES module's export locals ("export"). Import
+    bindings need no entry: ``frozen_bindings`` keeps them."""
+    if summary.kind == "script":
+        return dict.fromkeys(tree.declarations[tree.root] or (), "script global")
+    return dict.fromkeys(summary.export_locals, "export")
+
+
 def frozen_bindings(tree, frozen_module_names=()):
     """A flag per binding id: 1 if the binding keeps its original name.
 
     Frozen: every binding visible at a dynamic scope (the scope itself and
     all its ancestors, since evaluated code may reference anything in sight),
-    import bindings, module-level names pinned by the cross-file link
-    (exports and shared implicit globals), and each function declared in a
-    block with every binding of its name on the scope chain: sloppy code
-    also binds it in the enclosing function (Annex B.3.3).
+    import bindings, the module-level ``frozen_module_names`` (a file's
+    ``frozen_names``), and each function declared in a block with every
+    binding of its name on the scope chain: sloppy code also binds it in the
+    enclosing function (Annex B.3.3).
     """
     frozen = bytearray(len(tree.bindings))
     pinned = set(frozen_module_names)
@@ -153,6 +164,10 @@ def rename_tree(tree, frozen_module_names=(), allowlist=(), subtree_refs=True, a
         if decls is None:
             continue
         forbidden = forbidden_set(sid, outputs, refs)
+        if tree.kinds[sid] == BODY:
+            # a body declaration of a parameter's output name would start
+            # from the parameter's value, or clash with it as a let
+            forbidden.update(outputs[bid] for bid in tree.declarations[tree.parents[sid]].values())
         for name, bid in decls.items():
             if frozen[bid]:
                 forbidden.add(name)
@@ -191,7 +206,8 @@ def check_safety(tree, outputs):
     result with the occurrence's stored binding.
 
     Returns a list of violations; empty means the renaming preserves every
-    resolution. Also flags non-injective renaming within one scope.
+    resolution. Also flags non-injective renaming within one scope, a body
+    scope and its parameters' scope counting as one.
 
     The walk holds a map {output name: binding id} only for each scope on
     the chain open at the current occurrence. Occurrences come in source
@@ -204,14 +220,15 @@ def check_safety(tree, outputs):
         violations.append(SafetyViolation(tree.file_id, name, where, reason))
 
     declarations, parents = tree.declarations, tree.parents
+    names, home, occurrences = tree.bindings.names, tree.bindings.scope_ids, tree.occurrences
     for sid, decls in enumerate(declarations):
-        seen = set()
+        seen = {}  # output name -> the name it renames
+        if tree.kinds[sid] == BODY:  # a body may reuse a parameter's name only as written
+            seen = {outputs[b]: names[b] for b in declarations[parents[sid]].values()}
         for name, bid in (decls or {}).items():
             new_name = outputs[bid]
-            if new_name in seen:
+            if seen.setdefault(new_name, name) != name:
                 violation(name, f"scope {sid}", f"two declarations map to {new_name!r}")
-            seen.add(new_name)
-    names, home, occurrences = tree.bindings.names, tree.bindings.scope_ids, tree.occurrences
     chain = {GLOBAL_SCOPE: {}}  # the open chain, outermost first: scope id -> its map
     top = GLOBAL_SCOPE
     for start, sid, bid in zip(occurrences.starts, occurrences.scope_ids, occurrences.bindings):

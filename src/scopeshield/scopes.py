@@ -10,13 +10,15 @@ var declarations hoist to the nearest function or module scope; let/const,
 class and function declarations bind in the nearest enclosing block (sloppy
 scripts also bind a block's function in its function: Annex B, for which
 the renamer keeps such names). A block, or a switch's case block, gets a
-scope only when it directly contains a lexical declaration. A
-declaration's occurrence stands in the scope where it is written, also a
-hoisted var's. A scope that directly contains eval, `with` or a Function
-constructor call is flagged dynamic. Code in it or below it may read any
-name on its scope chain: the renamer freezes the bindings of the dynamic
-scope and its ancestors, and the parser drops the transform candidates
-read in the dynamic scope or below it.
+scope only when it directly contains a lexical declaration. The body of a
+function with a parameter default is a scope (BODY) below the parameters',
+where its vars hoist, as ECMA-262 makes it; a body var named like a
+parameter is that parameter. A declaration's occurrence stands in the scope
+where it is written, also a hoisted var's. A scope that directly contains
+eval, `with` or a Function constructor call is flagged dynamic. Code in it
+or below it may read any name on its scope chain: the renamer freezes the
+bindings of the dynamic scope and its ancestors, and the parser drops the
+transform candidates read in the dynamic scope or below it.
 
 A tree holds no object per scope, per declaration or per identifier
 occurrence: a large bundle has tens of thousands of each from the parse to
@@ -34,7 +36,8 @@ GLOBAL_SCOPE = -1
 MODULE = 0
 FUNCTION = 1
 BLOCK = 2
-KIND_NAMES = ("module", "function", "block")
+BODY = 3  # a function body below its parameters' scope
+KIND_NAMES = ("module", "function", "block", "body")
 
 # binding categories: the parser's "import", "param", "catch", "function"
 # (a declaration), "fnexpr" (a function expression's own name), "var" and
@@ -223,7 +226,7 @@ class ScopeBuilder:
         self.scope = self.tree.new_scope(kind, self.scope, start, start)
         self.preorder.append(self.scope)
         self.elided.append(0)
-        if kind == FUNCTION:
+        if kind == FUNCTION or kind == BODY:
             self.function = self.scope
 
     def leave(self, end, keep=True):
@@ -294,12 +297,13 @@ class ScopeBuilder:
         self._declare(self.scope, tok, category)
 
     def declare_var(self, tok):
-        """A ``var`` name binds in the function scope. `catch (e) { var e }`
-        writes the catch binding, not the hoisted var; renaming the two apart
-        would change behavior, so such a file takes the verbatim-copy
-        path."""
+        """A ``var`` name binds in the function scope, and in a body scope
+        only if the parameters' scope does not hold the name. `catch (e) {
+        var e }` writes the catch binding, not the hoisted var; renaming the
+        two apart would change behavior, so such a file takes the
+        verbatim-copy path."""
+        tree = self.tree
         if self.catch_redeclared is None:
-            tree = self.tree
             sid = self.scope
             while sid != self.function:
                 existing = (tree.declarations[sid] or {}).get(tok.text)
@@ -309,7 +313,10 @@ class ScopeBuilder:
                     )
                     break
                 sid = tree.parents[sid]
-        self._declare(self.function, tok, VAR)
+        sid = self.function
+        if tree.kinds[sid] == BODY and tok.text in tree.declarations[tree.parents[sid]]:
+            sid = tree.parents[sid]
+        self._declare(sid, tok, VAR)
 
     def _declare(self, sid, tok, category):
         """Bind the name in scope ``sid``; its occurrence stands in the

@@ -6,7 +6,7 @@ state variable holds the string table: the payloads until the first call
 decodes them in place, so the table is decoded exactly once. A call right
 after a word (``return"x"``) gets a space; any gap there keeps one anyway
 (lexer), so the edits are the same with minifying on or off. Static property
-accesses ``obj.prop`` become ``obj[v]`` with ``v`` a hoisted variable
+accesses `obj.prop` become ``obj[v]`` with ``v`` a hoisted variable
 holding the property name (one per distinct name in the file), so the
 rewritten access stays a direct variable lookup.
 
@@ -127,7 +127,7 @@ def encode_strings(key, fresh_names, source, candidates):
 
 
 def rewrite_property_access(fresh_names, accesses):
-    """Rewrite the file's ``obj.prop`` accesses (``Candidates.accesses``,
+    """Rewrite the file's `obj.prop` accesses (``Candidates.accesses``,
     an ``Edits`` table of each access's span from the `.` and its property
     name) to ``obj[v]``.
 

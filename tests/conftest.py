@@ -100,6 +100,11 @@ def scope_views(tree):
     ]
 
 
+def module_names(tree):
+    """The sorted names the module scope of ``tree`` declares."""
+    return sorted(tree.declarations[tree.root] or ())
+
+
 def declared_bindings(tree):
     """The ids of the bindings the scopes of ``tree`` declare, scope by
     scope, each scope's by name."""

@@ -307,6 +307,28 @@ def test_analyze_subcommand(tmp_path, capsys):
         assert exc.value.code == cli.USAGE_EXIT
 
 
+def test_analyze_lists_files_unresolved_imports_and_frozen_names(tmp_path, capsys):
+    project(
+        tmp_path / "src",
+        {
+            "a.js": 'import {f} from "./b.js";\nimport "./gone.js";\nconsole.log(f());',
+            "b.js": "export function f(){ return Registry; }\nvar Registry = {};",
+            "c.js": "var Registry = {};",
+        },
+    )
+    assert cli.main(["analyze", "--in", str(tmp_path / "src")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "files: 3",
+        "  a.js",
+        "  b.js",
+        "  c.js",
+        "  unresolved: a.js imports './gone.js'",
+        "frozen names: 2",
+        "  b.js: f (export)",
+        "  c.js: Registry (script global)",
+    ]
+
+
 def test_analyze_scripts_declaring_one_global_keep_it_in_each(tmp_path, capsys):
     project(
         tmp_path / "src",

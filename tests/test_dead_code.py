@@ -1,7 +1,8 @@
 """Every function, class and method in the package has a use in the package,
 every ``__slots__`` entry and every module-level name is read somewhere in
-it, every parameter is read in its function, and no module imports
-another's private names.
+it, every parameter is read in its function, no module imports another's
+private names, and every ``module.name`` a docstring or comment cites
+exists.
 
 A name counts as used when some module of ``src/scopeshield`` mentions it as
 a bare name or as an attribute; being exported is no use. Dunders and the
@@ -11,6 +12,7 @@ context); a slot that is only ever written is state nothing reads.
 """
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scopeshield"
@@ -139,3 +141,62 @@ def test_no_module_imports_a_private_name_of_another():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+# a double-backticked ``word.name`` in the package's sources
+_DOTTED_REFERENCE = re.compile(r"``([a-z_][a-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)``")
+
+
+def _top_level_names(module):
+    names = set()
+    for stmt in module.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                names.update(_assigned_names(target))
+    return names
+
+
+def _bound_names(module):
+    """Every name ``module`` binds anywhere: its parameters, variables,
+    functions, classes and imports."""
+    bound = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    return bound
+
+
+def test_every_cited_module_name_exists():
+    # ``module.name`` in a docstring or comment: a word the citing module
+    # binds (``config.minify``) is a value, not a module; any other word
+    # names a package module, which must exist and define ``name`` at its
+    # top level. ``scopeshield.module`` names a module of the package.
+    modules = {path.stem: module for path, module in _modules()}
+    top_level = {stem: _top_level_names(module) for stem, module in modules.items()}
+    cited = 0
+    unresolved = []
+    for path, module in _modules():
+        bound = _bound_names(module)
+        for match in _DOTTED_REFERENCE.finditer(path.read_text(encoding="utf-8")):
+            word, name = match.groups()
+            if word in bound:
+                continue
+            cited += 1
+            if word == PACKAGE.name:
+                found = name in modules
+            else:
+                found = name in top_level.get(word, ())
+            if not found:
+                unresolved.append(f"{path.name}: {match.group()}")
+    assert cited, "no module reference found: the scan is broken"
+    assert unresolved == []

@@ -16,7 +16,7 @@ from scopeshield.scopes import DECL, FUNCTION, GLOBAL_SCOPE, KIND_NAMES, MODULE,
 from scopeshield.tokens import PUNCT
 
 from arrowgen import arrow_snippets
-from conftest import edit_rows, lex_all, nl_before, occurrence_names, run_node, scope_views
+from conftest import edit_rows, lex_all, module_names, nl_before, occurrence_names, run_node, scope_views
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
@@ -51,7 +51,7 @@ def test_import_export_summary():
     _tree, _candidates, summary = parse_src('import {x} from "./a.js"; export function f(){}')
     assert summary.imports == ["./a.js"]
     assert summary.export_locals == ["f"]
-    assert summary.module_syntax
+    assert summary.kind == "esm"
 
 
 def test_eval_call_is_a_dynamic_site():
@@ -64,8 +64,8 @@ def test_eval_call_is_a_dynamic_site():
 def test_declared_globals_and_free_names():
     # manual scope walk: q is declared at module scope; console resolves
     # nowhere on the chain, so it is the only free name
-    tree, _candidates, summary = parse_src("var q = 1; console.log(q)")
-    assert summary.declared_globals == ["q"]
+    tree, _candidates, _summary = parse_src("var q = 1; console.log(q)")
+    assert module_names(tree) == ["q"]
     assert sorted(tree.globals) == ["console"]
 
 
@@ -147,7 +147,7 @@ def test_export_forms():
         "export default function main() { return a; }\n"
     )
     _tree, _candidates, summary = parse_src(src)
-    assert summary.module_syntax and summary.imports == []
+    assert summary.kind == "esm" and summary.imports == []
     assert summary.export_locals == ["a", "b", "K", "inner"]
 
 
@@ -179,7 +179,7 @@ def test_a_bare_export_names_no_reserved_word(src, ok, tmp_path, node):
 def test_reexport_counts_as_import_edge():
     _tree, _candidates, summary = parse_src('export {helper} from "./dep.js";')
     assert summary.imports == ["./dep.js"]
-    assert summary.module_syntax and summary.export_locals == []
+    assert summary.kind == "esm" and summary.export_locals == []
 
 
 def test_parse_error_offset_and_fail_safe_contract():
@@ -242,8 +242,8 @@ def test_object_keys_marked():
 
 def test_asi_without_semicolons():
     src = "var a = 1\nvar b = 2\nconsole.log(a + b)"
-    _tree, _candidates, summary = parse_src(src)
-    assert summary.declared_globals == ["a", "b"]
+    tree, _candidates, _summary = parse_src(src)
+    assert module_names(tree) == ["a", "b"]
 
 
 DYNAMIC_SNIPPETS = [
@@ -326,9 +326,9 @@ def test_every_binding_position_reads_one_identifier(site, pattern_allowed):
 )
 def test_export_default_function_or_class_may_be_anonymous(src, name, functions):
     tree, _candidates, summary = parse_src(src)
-    assert summary.module_syntax and summary.export_locals == []
+    assert summary.kind == "esm" and summary.export_locals == []
     # an anonymous default binds no name; a named one binds its name
-    assert summary.declared_globals == ([name] if name else [])
+    assert module_names(tree) == ([name] if name else [])
     assert list(tree.kinds).count(FUNCTION) == functions
     if src.endswith("(1);"):
         # `(1)` is a statement of its own, not a call of the function: in
@@ -419,7 +419,8 @@ def facts(src):
         (
             "(function (a, b = 1,) {})",
             (
-                [("module", 0, 25), ("function", 1, 24)],
+                # a parameter default gives the body a scope of its own
+                [("module", 0, 25), ("function", 1, 24), ("body", 22, 24)],
                 [("a", 11, "decl", 1), ("b", 14, "decl", 1)],
             ),
         ),
@@ -518,7 +519,7 @@ def test_comma_deletions_rejected_exactly_where_node_rejects_them(tmp_path, node
     mutants = []
     for path in sorted(tmp_path.rglob("*.js")):
         text = path.read_text(encoding="utf-8")
-        if front_end(text, "m.js")[3].module_syntax:
+        if front_end(text, "m.js")[3].kind == "esm":
             continue  # vm.Script compiles scripts only
         for tok in lex_all(text):
             if tok.kind == PUNCT and tok.text == ",":
@@ -799,8 +800,8 @@ def test_arrow_head_closing_past_a_batch_boundary():
     for before in (BATCH_TOKENS - 4, BATCH_TOKENS - 8):
         params = ",".join(f"p{i}" for i in range(10))
         src = filler(before) + f"var f = ({params}) => p0 + p9; var g = (x) + 1;"
-        tree, _candidates, summary = parse_src(src)
-        assert summary.declared_globals == ["f", "g"]
+        tree, _candidates, _summary = parse_src(src)
+        assert module_names(tree) == ["f", "g"]
         (arrow,) = [node for node in scope_views(tree) if node.kind == FUNCTION]
         assert src[arrow.start : arrow.end] == f"({params}) => p0 + p9"
         assert sorted(arrow.declarations) == sorted(f"p{i}" for i in range(10))
@@ -851,7 +852,7 @@ def test_a_line_break_before_the_arrow_is_a_syntax_error(node):
         with pytest.raises(ParseError, match="unexpected token '=>'") as err:
             front_end(src, "m.js")
         assert type(err.value) is ParseError and err.value.offset == src.index("=>")
-        assert parse_src(src.replace("\n", " "))[2].declared_globals == [src[4]]
+        assert module_names(parse_src(src.replace("\n", " "))[0]) == [src[4]]
 
 
 def test_generated_heads_are_accepted_and_rejected_as_node_does(node):

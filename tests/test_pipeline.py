@@ -16,19 +16,20 @@ import pytest
 
 import scopeshield.cli as cli
 import scopeshield.pipeline as pipeline
-from scopeshield.errors import FatalConfigError, ParseError
+from scopeshield.errors import FatalConfigError, ParseError, UnsupportedSyntax
 from scopeshield.externals import load_allowlist
+from scopeshield.renamer import frozen_names
 from scopeshield.scopes import ScopeTree
 from scopeshield.pipeline import (
     ObfuscationConfig,
     dump_dir_for,
     front_end,
     obfuscate_project,
+    unresolved_imports,
     write_report,
 )
-from scopeshield.depgraph import unresolved_imports
 
-from conftest import NODE, edit_rows, minified, phase_peaks, run_node
+from conftest import NODE, edit_rows, minified, module_names, phase_peaks, run_node
 from corpusgen import GENERATORS, build_corpus
 from scalegen import synth_module
 
@@ -982,8 +983,8 @@ def test_script_keeps_its_globals_and_matches_direct_run(tmp_path):
     config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "unused"))
     direct = pipeline.process_file(config, load_allowlist(None), "a.js")
     assert direct["text"] == out["a.js"] and direct["imports"] == []
-    summary = pipeline.front_end(SHARED_GLOBAL_PROJECT["a.js"], "a.js")[3]
-    assert summary.declared_globals == ["bump", "shared"]
+    tree = pipeline.front_end(SHARED_GLOBAL_PROJECT["a.js"], "a.js")[1]
+    assert module_names(tree) == ["bump", "shared"]
 
 
 def test_concatenated_scripts_keep_their_globals_apart(tmp_path, node):
@@ -1017,6 +1018,28 @@ def test_unresolved_import_warned_and_kept(tmp_path):
     assert report["warnings"] == ["app.js: unresolved import './missing.js' treated as external"]
     out = (tmp_path / "out" / "app.js").read_text()
     assert "{helper}" in out.replace(" ", "") and "helper(1)" in out and "local" not in out
+
+
+def test_unresolved_imports_are_the_paths_no_project_file_matches():
+    files = {
+        "main.js": 'import {u} from "./lib/util.js";\nimport "./lib/util";\nimport "left-pad";\n'
+        'import "./missing.js";\nexport {h} from "./copied.js";\n',
+        "lib/util.js": 'import "../main.js";\nimport "../lib/../gone.js";\nexport var u = 1;\n',
+    }
+    # copied.js has no summary (it was copied verbatim), yet it is a project file
+    known = {"main.js", "lib/util.js", "copied.js"}
+    imports = {rel: front_end(text, rel)[3].imports for rel, text in files.items()}
+    assert {rel: unresolved_imports(rel, paths, known) for rel, paths in imports.items()} == {
+        "main.js": [("main.js", "left-pad"), ("main.js", "./missing.js")],
+        "lib/util.js": [("lib/util.js", "../lib/../gone.js")],
+    }
+    # each file's pairs follow from the file alone: sorted stably by
+    # importer, as the run reports them, they do not depend on file order
+    reports = [
+        sorted((pair for rel in order for pair in unresolved_imports(rel, imports[rel], known)), key=lambda p: p[0])
+        for order in (list(files), list(reversed(files)))
+    ]
+    assert reports[0] == reports[1]
 
 
 # two importers whose unresolved imports are not in alphabetical order; the
@@ -1510,6 +1533,40 @@ def test_line_continuation_at_a_line_separator(tmp_path, node):
 
 # ---- `export {}` and `.mjs` make a file a module ----
 
+# one source as a script, as an `.mjs` module and as a module by `export {}`:
+# (file, the text appended, its kind, its frozen names)
+ONE_SOURCE = "function helperFunction(value) { return value * 2; }\nvar answer = helperFunction(21);\nconsole.log(answer);\n"
+ONE_SOURCE_KINDS = [
+    pytest.param(
+        "a.js", "", "script", {"answer": "script global", "helperFunction": "script global"}, id="script"
+    ),
+    pytest.param("a.mjs", "", "esm", {}, id="mjs"),
+    pytest.param("a.js", "export {};\n", "esm", {}, id="empty-export"),
+]
+
+
+@pytest.mark.parametrize("rel, suffix, kind, frozen", ONE_SOURCE_KINDS)
+def test_one_file_through_each_kind(tmp_path, capsys, rel, suffix, kind, frozen):
+    text = ONE_SOURCE + suffix
+    _gaps, tree, _candidates, summary = front_end(text, rel)
+    assert summary.kind == kind and frozen_names(tree, summary) == frozen
+    # node reads a `.js` file with `export` as a module only under "type": "module"
+    files = {rel: text, **({"package.json": '{"type": "module"}\n'} if suffix else {})}
+    out = _outputs_at_workers_1_and_2(tmp_path, files)
+    assert ("helperFunction" in out[rel]) == (kind == "script")
+    assert cli.main(["analyze", "--in", str(tmp_path / "src")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index(f"frozen names: {len(frozen)}") + 1 :] == [
+        f"  {rel}: {name} ({reason})" for name, reason in sorted(frozen.items())
+    ]
+    if NODE is not None:
+        expected = run_node(path=tmp_path / "src" / rel, cwd=tmp_path / "src")
+        assert expected == "42\n"
+        for workers in (1, 2):
+            out_root = tmp_path / f"out{workers}"
+            assert run_node(path=out_root / rel, cwd=out_root) == expected
+
+
 EMPTY_EXPORT_PROJECT = {
     "package.json": '{"type": "module"}\n',
     "a.js": "function helperFunction(value) { return value * 2; }\n"
@@ -1538,3 +1595,73 @@ def test_empty_export_and_mjs_files_are_modules(tmp_path):
         expected = run_node(path=src / "main.mjs", cwd=src)
         assert expected == "42\n2\n"
         assert run_node(path=out / "main.mjs", cwd=out) == expected
+
+
+# ---- a function body with a parameter default is a scope of its own ----
+
+# each program and what node prints for it: a closure in a default cannot
+# see the body's vars; a body var named like a parameter starts from its
+# value; one of another name starts undefined, and a body let may not take a
+# parameter's name
+PARAMETER_SCOPES = [
+    pytest.param(
+        'var x = "outer"; function f(a = () => x) { var x = "inner"; return a(); } console.log(f());',
+        "outer\n", id="function-default-reads-outer",
+    ),
+    pytest.param(
+        "function f(a, b = () => a) { var a = 2; return [a, b()]; } console.log(f(1));",
+        "[ 2, 1 ]\n", id="function",
+    ),
+    pytest.param(
+        "var o = { m(a, b = () => a) { var a = 2; return [a, b()]; } }; console.log(o.m(1));\n"
+        "class C { m(a, b = () => a) { var a = 2; return [a, b()]; } } console.log(new C().m(1));",
+        "[ 2, 1 ]\n[ 2, 1 ]\n", id="method",
+    ),
+    pytest.param(
+        "var f = (a, b = () => a) => { var a = 2; return [a, b()]; }; console.log(f(1));",
+        "[ 2, 1 ]\n", id="arrow",
+    ),
+    pytest.param(
+        "function m(a, b = () => a) { var a; return [a, b()]; } console.log(m(1));\n"
+        "function k(p, q = 1) { var v; return v; } console.log(k(5));\n"
+        "function l(p = 1) { let v = 2; return v; } console.log(l());\n"
+        "var g = function named(p = 1) { var named; return typeof named; }; console.log(g());",
+        "[ 1, 1 ]\nundefined\n2\nundefined\n", id="body-names",
+    ),
+]
+
+
+@pytest.mark.parametrize("src, printed", PARAMETER_SCOPES)
+def test_a_body_with_a_parameter_default_is_its_own_scope(tmp_path, node, src, printed):
+    out = _outputs_at_workers_1_and_2(tmp_path, {"a.js": src})["a.js"]
+    assert run_node(code=out) == run_node(code=src) == printed
+
+
+# a syntax error, then a token outside the subset: (source, the class of the
+# error, its offset); the syntax error wins at any distance
+ERROR_BEFORE_UNSUPPORTED = {
+    "cafe.js": ("var = 1;\nvar café = 2;", ParseError, 4),
+    "private.js": ("var = 1;\nclass A { #x = 1 }", ParseError, 4),
+    "same-batch.js": ("var = café;", ParseError, 4),
+    "later-batch.js": ("var = 1;\n" + "f();" * 600 + "\nvar café = 2;", ParseError, 4),
+    "no-error.js": ("f();\ncafé;", UnsupportedSyntax, 8),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_unsupported_token_outranks_only_later_errors(tmp_path, workers):
+    src = tmp_path / "src"
+    write_project(src, {rel: text for rel, (text, _exc, _offset) in ERROR_BEFORE_UNSUPPORTED.items()})
+    for rel, (text, exc, offset) in ERROR_BEFORE_UNSUPPORTED.items():
+        with pytest.raises(ParseError) as err:
+            front_end(text, rel)
+        assert (type(err.value), err.value.offset) == (exc, offset)
+        if NODE is not None:
+            checked = subprocess.run([NODE, "--check", str(src / rel)], capture_output=True)
+            assert (checked.returncode == 0) == (exc is UnsupportedSyntax)
+    report = obfuscate_project(ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "out"), workers=workers))
+    assert report["files_copied"] == len(ERROR_BEFORE_UNSUPPORTED)
+    assert [error["error"].split(": ")[0] for error in report["errors"]] == [
+        f"{rel}:4" for rel in ("cafe.js", "later-batch.js", "private.js", "same-batch.js")
+    ]
+    assert report["warnings"] == ["copied verbatim: no-error.js:8: non-ASCII identifiers are not supported"]

@@ -6,7 +6,6 @@ from itertools import islice, product
 
 import pytest
 
-from scopeshield.depgraph import frozen_names
 from scopeshield.errors import OrderViolation
 from scopeshield.patches import emit
 from scopeshield.pipeline import front_end
@@ -16,10 +15,11 @@ from scopeshield.renamer import (
     check_safety,
     dump_lines,
     forbidden_set,
+    frozen_names,
     name_sequence,
     rename_tree,
 )
-from scopeshield.scopes import GLOBAL_SCOPE
+from scopeshield.scopes import GLOBAL_SCOPE, IMPORT
 from scopeshield.tokens import RESERVED_WORDS
 
 from conftest import declared_bindings, minified, rename_cost, run_node
@@ -153,6 +153,58 @@ def test_frozen_module_names_and_allowlist():
     assert check_safety(tree, rmap) == []
 
 
+# (file, source, its frozen names): a script keeps every module-level
+# declaration, a module its export locals; a name read free is no
+# declaration, and allowlisted names are no exception
+FROZEN_NAMES = [
+    pytest.param(
+        "s.js", "var counter = 1; function helper() {}",
+        {"counter": "script global", "helper": "script global"}, id="script-declarations",
+    ),
+    pytest.param(
+        "r.js", "GameGlobal.level = 1; console.log(GameGlobal, Shared);", {}, id="script-reading-free-names",
+    ),
+    pytest.param(
+        "w.js", "var Math = 1; var console = 2;",
+        {"Math": "script global", "console": "script global"}, id="script-declaring-allowlisted-names",
+    ),
+    pytest.param(
+        "e.js", "export var api = 1; var Registry = {}; export function tool() {}",
+        {"api": "export", "tool": "export"}, id="module-export-locals",
+    ),
+    pytest.param("b.js", "var impl = 1;\nexport {impl as api};", {"impl": "export"}, id="export-under-local-name"),
+    pytest.param(
+        "i.js", 'import {api} from "./e.js";\nvar local = api;\nconsole.log(local);', {}, id="module-without-exports",
+    ),
+]
+
+
+@pytest.mark.parametrize("file_id, src, frozen", FROZEN_NAMES)
+def test_frozen_names_follow_from_the_file_alone(file_id, src, frozen):
+    _gaps, tree, _candidates, summary = front_end(src, file_id)
+    assert frozen_names(tree, summary) == frozen
+    # the renamer keeps exactly these module-level names and the imports
+    outputs = rename_tree(tree, frozen_module_names=frozen_names(tree, summary), allowlist={"console"})
+    root = tree.declarations[tree.root] or {}
+    kept = {name for name, bid in root.items() if outputs[bid] == name}
+    imports = {name for name, bid in root.items() if tree.bindings.categories[bid] == IMPORT}
+    assert kept == set(frozen) | imports
+    assert check_safety(tree, outputs) == []
+
+
+def test_a_body_declaration_takes_no_parameter_name():
+    # p is not read in the body, yet v may not take its name: a body var of
+    # a parameter's output name would start from the parameter's value
+    tree = tree_of("function f(p, q = 1) { var v; return v + q; }")
+    params, body = tree.declarations[1], tree.declarations[2]
+    outputs = rename_tree(tree)
+    assert outputs[body["v"]] not in {outputs[bid] for bid in params.values()}
+    assert check_safety(tree, outputs) == []
+    bad = list(outputs)
+    bad[body["v"]] = outputs[params["p"]]
+    assert [v.reason for v in check_safety(tree, bad)] == [f"two declarations map to {outputs[params['p']]!r}"]
+
+
 def test_deterministic():
     src = "function f(a1){var b1; function g(){let c1; return a1;} return g()+b1;}"
     tree1, tree2 = tree_of(src), tree_of(src)
@@ -209,7 +261,7 @@ def test_safety_check_memory_follows_nesting_not_bindings():
     # maps for the open scope chain only
     text = minified(synth_module(5, 256 * 1024))
     _gaps, tree, _candidates, summary = front_end(text, "m.js")
-    outputs = rename_tree(tree, frozen_module_names=frozen_names(summary))
+    outputs = rename_tree(tree, frozen_module_names=frozen_names(tree, summary))
     gc.collect()
     tracemalloc.start()
     try:

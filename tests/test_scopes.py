@@ -7,6 +7,7 @@ from scopeshield.pipeline import front_end
 from scopeshield.renamer import frozen_bindings
 from scopeshield.scopes import (
     BLOCK,
+    BODY,
     FUNCTION,
     FUNCTION_DECL,
     GLOBAL_SCOPE,
@@ -40,6 +41,31 @@ def test_nested_function_and_block_scopes():
     assert "x" in fn.declarations and "y" not in fn.declarations
     assert "y" in block.declarations
     assert block.parent == fn.id and fn.parent == module.id
+
+
+def test_a_parameter_default_gives_the_body_its_own_scope():
+    # FunctionDeclarationInstantiation: the body's vars and functions bind
+    # below the parameters, where a default's closure cannot see them; a
+    # body var named like a parameter is that parameter
+    for src in (
+        "function f(a, b = () => x) { var a, x; function g() {} }",
+        "({m(a, b = () => x) { var a, x; function g() {} }})",
+        "(a, b = () => x) => { var a, x; function g() {} }",
+    ):
+        tree = tree_of(src)
+        body = tree.kinds.index(BODY)
+        params = tree.parents[body]
+        assert tree.kinds[params] == FUNCTION and list(tree.kinds).count(BODY) == 1
+        assert sorted(tree.declarations[params]) == ["a", "b"]
+        assert sorted(tree.declarations[body]) == ["g", "x"]
+        names, bindings = occurrence_names(tree), tree.occurrences.bindings
+        homes = {(name, tree.bindings.scope_ids[bid]) for name, bid in zip(names, bindings)}
+        assert {("a", params), ("x", body)} <= homes and ("a", body) not in homes
+        # the default's `x` reads the global, not the body's var
+        assert ("x", GLOBAL_SCOPE) in homes
+    # without a default, one scope holds the parameters and the body's names
+    tree = tree_of("function f(a, b) { var a, x; }")
+    assert list(tree.kinds) == [MODULE, FUNCTION] and sorted(tree.declarations[1]) == ["a", "b", "x"]
 
 
 def test_block_scope_only_for_direct_lexical_declarations():
