@@ -117,7 +117,7 @@ def cmd_analyze(args):
     if not root.is_dir():
         print(f"fatal: {root} is not a directory", file=sys.stderr)
         return 3
-    js_files, _others = discover_files(args.input_root)
+    js_files, _others, _sizes = discover_files(args.input_root)
     known = set(js_files)
     frozen_by_file = {}
     unresolved = []

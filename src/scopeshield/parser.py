@@ -19,13 +19,26 @@ the facts the later layers read, and nothing else:
                   export's local; and the branch points of the complexity
                   metric
 
-The parser lexes the file as it reads it: it pulls a batch of tokens from
-``lexer.lex`` when its cursor nears the end of what it holds, and at that
-point drops the tokens it has read past, so a file's tokens never exist all
-at once. The lexer's gap table is known once the stream ends.
+The parser lexes the file as it reads it, through a two-token cursor on
+the stream of ``lexer.lex``: ``tok``, the token at the cursor, ``nxt``, the
+one after it, and ``prev``, the last one consumed. It keeps no token list,
+so a file's tokens never exist all at once. Tokens are the tuples
+``tokens`` lays out; the stream ends in an end-of-input token, repeated,
+whose start is the offset of an error at the end and whose line-break flag
+ends a statement there, so no read checks for a missing token. A
+punctuator or a word is asked for by its text alone: no literal's text is
+one. The lexer's gap table is full once the stream ends.
 
 A `(` in an expression is read once, as expressions, and only a `=>` after
 its `)` makes it an arrow head (``parse_parenthesized``).
+
+Unary expressions joined by binary operators are read as one flat chain
+(``parse_binary``), not a tree by precedence. No fact depends on the
+grouping: a reference, a candidate or a branch point is recorded the same
+under any grouping, and the chain's kind tag is no assignment target
+either way. Two early errors do depend on it, and each is one test over
+the chain's operators: a unary expression as the left operand of `**`
+(`-a ** b`) and `??` in a chain with `||` or `&&` (`a ?? b || c`).
 
 Spans, like every error offset, are half-open offsets into the file as
 written. Expression productions return only a kind tag (``_OTHER`` ...
@@ -51,12 +64,15 @@ Facts by construct:
                          parameter (ECMA-262 FunctionDeclarationInstantiation)
   var / let / const      `var` declares in the nearest function or module
                          scope ("var"), let/const in the current one
-                         ("lexical"); each name before its initializer
+                         ("lexical"); each name before its initializer; a
+                         lexical redeclaration is a ParseError, as in node
   class declaration      name declared in the current scope ("lexical");
                          a class expression's name binds nothing
   block                  a block scope only if it directly holds a let,
                          const, class or function declaration; function
-                         and catch bodies are their own scope's statements
+                         and catch bodies are their own scope's statements;
+                         a function declaration as an `if` or `else` body
+                         binds in the scope around, but is lexical in none
   switch                 a block scope from `{` to `}` only if one of its
                          clauses directly holds such a declaration
   for (let / const ...)  a block scope from `for` to the end of the body
@@ -96,7 +112,7 @@ class member names, and the contextual words async, await, yield, let,
 static and of where a name stands.
 """
 
-import sys
+from itertools import chain, repeat
 
 from .errors import ParseError, UnsupportedSyntax
 from .facts import Candidates, FileSummary, Spans
@@ -106,19 +122,17 @@ from .scopes import (
     BLOCK, BODY, CATCH, FUNCTION, FUNCTION_DECL, FUNCTION_EXPR, IMPORT, LEXICAL, PARAM, SHORTHAND,
     ScopeBuilder,
 )
-from .tokens import IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
+from .tokens import EOF, IDENT, KEYWORD, LINE_TERMINATORS, NUMBER, PUNCT, REGEX, STRING, TEMPLATE
 
-# binary operator precedence; higher binds tighter
-_BINARY_PREC = {
-    "??": 1, "||": 1, "&&": 2,
-    "|": 3, "^": 4, "&": 5,
-    "==": 6, "!=": 6, "===": 6, "!==": 6,
-    "<": 7, ">": 7, "<=": 7, ">=": 7, "in": 7, "instanceof": 7,
-    "<<": 8, ">>": 8, ">>>": 8,
-    "+": 9, "-": 9,
-    "*": 10, "/": 10, "%": 10,
-    "**": 11,
-}
+# the binary operators, read alike in one flat chain (``parse_binary``)
+_BINARY_OPS = frozenset(
+    """
+    ?? || && | ^ & == != === !== < > <= >= in instanceof << >> >>> + - * / % **
+    """.split()
+)
+_UNARY_OPS = frozenset({"!", "~", "+", "-", "typeof", "void", "delete"})
+# the tokens after a name or number that make it more than a lone operand
+_SUFFIXES = frozenset({".", "?.", "[", "(", "++", "--", "=>"})
 # the tokens that may name a property or method
 _PROPERTY_NAME_KINDS = frozenset({IDENT, KEYWORD, STRING, NUMBER})
 _ASSIGN_OPS = frozenset(
@@ -140,6 +154,7 @@ _STRING = 6  # a string literal: the last string candidate recorded
 _SUPER = 7
 _LITERAL = 8  # an array or object literal: `=` would make it a pattern
 _CALL = 9  # a call, parenthesized or not: node compiles `f() = 1`, which throws when run
+_UNARY = 10  # a unary operator's expression, which `**` may not follow
 _LOGICAL_ASSIGN_OPS = frozenset({"&&=", "||=", "??="})
 
 
@@ -166,16 +181,13 @@ def parse(source, file_id="<input>"):
         preamble_offset = parser.parse_program()
     except ParseError as exc:
         failure = exc.with_traceback(None)  # its frames hold the parser
-    unsupported = parser.lex_unsupported
+    unsupported = parser.lex_unsupported[0] if parser.lex_unsupported else None
     if failure is not None:
         # outside the handler and with the parser dropped: nothing the failed
         # parse built is alive while the lexer drains
         stream, parser = parser.stream, None
-        try:
-            for _batch in stream:
-                pass
-        except UnsupportedSyntax:
-            pass  # after the syntax error
+        for _batch in stream:
+            pass
         # the parse ran out of tokens at the unsupported one, if it got there
         raise unsupported if unsupported is not None and unsupported.offset <= failure.offset else failure
     if unsupported is not None:
@@ -190,26 +202,29 @@ def parse(source, file_id="<input>"):
     return parser.gaps, tree, Candidates(parser.strings, parser.accesses, preamble_offset), parser.summary
 
 
-# None sentinels after the last token let the cursor read without a bounds
-# check: the deepest lookahead is peek(1), and one more covers a cursor that
-# advanced onto the first sentinel. Before the stream ends, the parser pulls
-# batches so that it holds as many tokens past its cursor.
-_SENTINELS = (None, None, None)
-_LOOKAHEAD = len(_SENTINELS)
-# ``refill_at`` once the stream has ended: no cursor reaches it
-_NO_REFILL = sys.maxsize
+def _until_unsupported(stream, unsupported):
+    """The batches of the lexer's ``stream``; an UnsupportedSyntax ends
+    them and goes to the list ``unsupported``, so the tokens before it read
+    as a file that ends there."""
+    try:
+        yield from stream
+    except UnsupportedSyntax as exc:
+        unsupported.append(exc.with_traceback(None))
 
 
 class _Parser:
     def __init__(self, source, file_id):
         self.file_id = file_id
-        self.size = len(source)  # the offset of an error at the end of input
-        self.stream = lex(source, file_id)
-        self.toks = []  # the tokens pulled and not yet dropped
-        self.i = 0  # the cursor: the index of the next token
-        self.refill_at = 0  # advancing from this index pulls a batch
-        self.gaps = None  # the lexer's gap table, once the stream ends
-        self.lex_unsupported = None  # the UnsupportedSyntax that ended the stream
+        self.gaps = Edits()  # the lexer's gap table, full once the stream ends
+        self.lex_unsupported = []  # the UnsupportedSyntax that ended the stream
+        self.stream = _until_unsupported(lex(source, self.gaps, file_id), self.lex_unsupported)
+        end = len(source)
+        # the cursor: the token before it, at it and after it; past the last
+        # token the stream repeats the end-of-input token
+        self.next_token = chain(chain.from_iterable(self.stream), repeat((EOF, "", end, end, True))).__next__
+        self.prev = None
+        self.tok = self.next_token()
+        self.nxt = self.next_token()
         self.scopes = ScopeBuilder(file_id)
         self.summary = FileSummary("esm" if file_id.endswith(".mjs") else "script")
         self.strings = Spans()
@@ -219,68 +234,34 @@ class _Parser:
         # whether super.x and super(...) may be read here: in a method, or
         # in an arrow within one; super(...) only in a derived constructor
         self.super_member = self.super_call = False
-        self.refill()
 
     # ---- token helpers ----
 
-    def peek(self, k=0):
-        return self.toks[self.i + k]
-
-    def at(self, text):
-        # contextual keywords (from, as, get, set) lex as identifiers
-        t = self.toks[self.i]
-        return t is not None and t.text == text and t.kind in (PUNCT, KEYWORD, IDENT)
-
     def advance(self):
-        i = self.i
-        t = self.toks[i]
-        self.i = i + 1
-        if i >= self.refill_at:
-            self.refill()
+        t = self.prev = self.tok
+        self.tok = self.nxt
+        self.nxt = self.next_token()
         return t
 
-    def refill(self):
-        """Drop the tokens before the last one consumed, which the parser
-        reads no more, then pull batches until ``_LOOKAHEAD`` tokens (or the
-        sentinels) lie past the cursor."""
-        toks = self.toks
-        drop = max(self.i - 1, 0)
-        del toks[:drop]
-        self.i -= drop
-        while self.gaps is None and len(toks) - self.i < _LOOKAHEAD:
-            try:
-                toks += next(self.stream)
-            except StopIteration as stop:
-                # the stream has ended: the sentinels and the gaps are set
-                self.gaps = stop.value
-                toks += _SENTINELS
-            except UnsupportedSyntax as exc:
-                # the tokens before it are read as a file that ends there
-                self.lex_unsupported = exc.with_traceback(None)
-                self.gaps = Edits()
-                toks += _SENTINELS
-        self.refill_at = len(toks) - _LOOKAHEAD if self.gaps is None else _NO_REFILL
-
-    def last_end(self):
-        """The end of the last token consumed."""
-        return self.toks[self.i - 1].end
-
     def expect(self, text):
-        if not self.at(text):
+        t = self.tok
+        if t[1] != text:
             self.error(f"expected {text!r}")
-        return self.advance()
+        self.prev = t
+        self.tok = self.nxt
+        self.nxt = self.next_token()
+        return t
 
     def error(self, message, exc=ParseError):
-        t = self.peek()
-        raise exc(message, self.file_id, t.start if t is not None else self.size)
+        raise exc(message, self.file_id, self.tok[2])
 
     def literal_value(self, t):
         """Value of the string token ``t``; a malformed escape in it is a
         ParseError."""
         try:
-            return string_value(t.text)
+            return string_value(t[1])
         except ValueError as exc:
-            raise ParseError(f"bad string literal: {exc}", self.file_id, t.start) from None
+            raise ParseError(f"bad string literal: {exc}", self.file_id, t[2]) from None
 
     def enter_scope(self, kind, start):
         self.scopes.enter(kind, start)
@@ -301,8 +282,8 @@ class _Parser:
     def binding_name(self, message, pattern=None):
         """Read the identifier token a binding declares; any other token
         raises ``name_error``."""
-        t = self.peek()
-        if t is not None and t.kind == IDENT:
+        t = self.tok
+        if t[0] == IDENT:
             self.advance()
             return t
         raise self.name_error(t, message, pattern)
@@ -311,19 +292,17 @@ class _Parser:
         """The error for ``t`` where a name must stand: UnsupportedSyntax for
         a contextual word, and for `{` or `[` where JS allows a destructuring
         pattern (``pattern`` names the site); else ParseError(``message``)."""
-        if t is None:
-            return ParseError(message, self.file_id, self.size)
-        if t.kind == PUNCT and pattern is not None and t.text in ("{", "["):
-            return UnsupportedSyntax(f"destructuring {pattern} are not supported", self.file_id, t.start)
-        if t.kind == KEYWORD and t.text in _CONTEXTUAL_WORDS:
-            return UnsupportedSyntax(f"'{t.text}' is not supported", self.file_id, t.start)
-        return ParseError(message, self.file_id, t.start)
+        kind, text, start = t[0], t[1], t[2]
+        if kind == PUNCT and pattern is not None and text in ("{", "["):
+            return UnsupportedSyntax(f"destructuring {pattern} are not supported", self.file_id, start)
+        if kind == KEYWORD and text in _CONTEXTUAL_WORDS:
+            return UnsupportedSyntax(f"'{text}' is not supported", self.file_id, start)
+        return ParseError(message, self.file_id, start)
 
     def optional_name(self, decl, message):
         """The name token of a function or class: required for a declaration
         (``decl``), optional for an expression (None when absent)."""
-        t = self.peek()
-        if decl or (t is not None and t.kind == IDENT):
+        if decl or self.tok[0] == IDENT:
             return self.binding_name(message)
         return None
 
@@ -333,11 +312,11 @@ class _Parser:
         ``close`` token)."""
         self.expect(open_)
         items = []
-        while not self.at(close):
+        while self.tok[1] != close:
             items.append(item())
-            if self.at(","):
+            if self.tok[1] == ",":
                 self.advance()
-            elif not self.at(close):
+            elif self.tok[1] != close:
                 self.error(f"expected ',' or {close!r}")
         return items, self.advance()
 
@@ -352,32 +331,28 @@ class _Parser:
         """At ``get`` or ``set`` followed by a property name or ``[``:
         consume it and return "get" or "set". Otherwise None, and the word
         (if any) is a property name itself."""
-        t = self.peek()
-        if t is not None and t.kind == IDENT and t.text in ("get", "set"):
-            nxt = self.peek(1)
-            if nxt is not None and (
-                nxt.kind in _PROPERTY_NAME_KINDS or (nxt.kind == PUNCT and nxt.text == "[")
-            ):
+        text = self.tok[1]
+        if text in ("get", "set"):
+            nxt = self.nxt
+            if nxt[0] in _PROPERTY_NAME_KINDS or nxt[1] == "[":
                 self.advance()
-                return t.text
+                return text
         return None
 
     def module_path(self):
         """Read a module path string; returns its value."""
-        t = self.peek()
-        if t is None or t.kind != STRING:
+        if self.tok[0] != STRING:
             self.error("expected module path string")
-        self.advance()
-        return self.literal_value(t)
+        return self.literal_value(self.advance())
 
     def consume_semicolon(self):
-        t = self.peek()
-        if t is not None and t.kind == PUNCT and t.text == ";":
+        """A `;`, or else a line break before the next token, a `}` or the
+        end of input."""
+        t = self.tok
+        if t[1] == ";":
             self.advance()
-            return
-        if t is None or t.nl or (t.kind == PUNCT and t.text == "}"):
-            return
-        self.error("expected ';'")
+        elif not t[4] and t[1] != "}":
+            self.error("expected ';'")
 
     # ---- program / statements ----
 
@@ -387,121 +362,76 @@ class _Parser:
         last directive, else 0."""
         offset = 0
         prologue = True
-        while self.peek() is not None:
-            t = self.peek()
-            if self.at("export"):
+        while self.tok[0] != EOF:
+            t = self.tok
+            if t[1] == "export":
                 self.parse_export()
                 self.summary.kind = "esm"
-            elif self.at("import") and not self.is_import_expression():
+            elif t[1] == "import" and not self.is_import_expression():
                 self.parse_import()
                 self.summary.kind = "esm"
             else:
                 end = self.parse_statement()
-                if prologue and t.kind == STRING and end == t.end:
+                if prologue and t[0] == STRING and end == t[3]:
                     offset = end
                     continue
             if prologue:
-                offset = t.start
+                offset = t[2]
                 prologue = False
         return offset
 
     def is_import_expression(self):
         # at `import`: dynamic import() and import.meta are expressions
-        nxt = self.peek(1)
-        return nxt is not None and nxt.kind == PUNCT and nxt.text in ("(", ".")
+        return self.nxt[1] in ("(", ".")
 
     def parse_statement(self):
         """Read one statement; returns its end, which excludes a `;` it
         consumed."""
-        t = self.peek()
-        if t is None:
-            self.error("unexpected end of input")
-        if t.kind == PUNCT:
-            if t.text == "{":
-                return self.parse_block(BLOCK)
-            if t.text == ";":
-                return self.advance().end
-        if t.kind == KEYWORD:
-            text = t.text
-            if text in ("var", "let", "const"):
-                if text == "let" and not self.let_declares():
-                    self.unsupported("'let' is not supported")
-                self.parse_var_decl()
-                end = self.last_end()
-                self.consume_semicolon()
-                return end
-            if text == "function":
-                self.parse_function(decl=True)
-                return self.last_end()
-            if text == "class":
-                self.parse_class(decl=True)
-                return self.last_end()
-            if text == "if":
-                return self.parse_if()
-            if text == "for":
-                return self.parse_for()
-            if text == "while":
-                return self.parse_while()
-            if text == "do":
-                return self.parse_do_while()
-            if text == "switch":
-                return self.parse_switch()
-            if text == "try":
-                return self.parse_try()
-            if text == "return":
-                return self.parse_return_like("return")
-            if text == "throw":
-                return self.parse_return_like("throw", require_arg=True)
-            if text in ("break", "continue", "debugger"):
-                tok = self.advance()
-                nxt = self.peek()
-                if text != "debugger" and nxt is not None and nxt.kind == IDENT and not nxt.nl:
-                    self.unsupported("labeled break/continue is not supported")
-                self.consume_semicolon()
-                return tok.end
-            if text == "with":
-                return self.parse_with()
-            if text == "export" or (text == "import" and not self.is_import_expression()):
-                self.error(f"'{text}' is only allowed at the top level of a module")
-        if t.kind == IDENT:
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == PUNCT and nxt.text == ":":
-                self.unsupported("labeled statements are not supported")
+        t = self.tok
+        statement = _STATEMENTS.get(t[1])
+        if statement is not None:
+            return statement(self)
+        if t[0] == IDENT and self.nxt[1] == ":":
+            self.unsupported("labeled statements are not supported")
         if self.parse_expression() == _STRING:
             # directive prologue candidates ("use strict") must stay verbatim
             self.strings.truncate(len(self.strings) - 1)
-        end = self.last_end()
+        end = self.prev[3]
         self.consume_semicolon()
         return end
 
-    def parse_block(self, kind=None):
+    def parse_block(self, kind=BLOCK):
         """Read ``{ statements }``; returns the end of the `}`. A statement
         block (``kind`` BLOCK) is a scope if it directly holds a lexical
         declaration, the body of a function with a parameter default (BODY)
-        always; any other function or catch body is its scope's statements."""
+        always; any other function or catch body (None) is its scope's
+        statements."""
         lbrace = self.expect("{")
         lexical = False
         if kind is not None:
-            self.enter_scope(kind, lbrace.start)
-        while not self.at("}"):
-            t = self.peek()
-            if t is None:
-                self.error("unterminated block")
-            if t.kind == KEYWORD and t.text in _LEXICAL_STATEMENTS:
+            self.enter_scope(kind, lbrace[2])
+        while self.tok[1] != "}":
+            if self.tok[1] in _LEXICAL_STATEMENTS:
                 lexical = True
             self.parse_statement()
-        end = self.advance().end
+        end = self.advance()[3]
         if kind is not None:
             self.leave_scope(end, keep=lexical or kind == BODY)
+        return end
+
+    def parse_var_statement(self):
+        if self.tok[1] == "let" and not self.let_declares():
+            self.unsupported("'let' is not supported")
+        self.parse_var_decl()
+        end = self.prev[3]
+        self.consume_semicolon()
         return end
 
     def let_declares(self):
         """Whether the `let` at the cursor starts a declaration: ECMA-262
         reads it so only before a name, `[` or `{`."""
-        nxt = self.peek(1)
-        return nxt is not None and (
-            nxt.kind in (IDENT, KEYWORD) or nxt.kind == PUNCT and nxt.text in ("[", "{")
-        )
+        nxt = self.nxt
+        return nxt[0] == IDENT or nxt[0] == KEYWORD or nxt[1] in ("[", "{")
 
     def parse_var_decl(self, no_in=False):
         """Returns the declared names."""
@@ -510,38 +440,38 @@ class _Parser:
         names = []
         while True:
             name_tok = self.binding_name("expected identifier in declaration", "declarations")
-            if kw.text == "var":
+            if kw[1] == "var":
                 scopes.declare_var(name_tok)
             else:
                 scopes.declare(name_tok, LEXICAL)
-            names.append(name_tok.text)
-            if self.at("="):
+            names.append(name_tok[1])
+            if self.tok[1] == "=":
                 self.advance()
-                self.parse_assign(no_in=no_in)
-            if self.at(","):
-                self.advance()
-                continue
-            return names
+                self.parse_assign(no_in)
+            if self.tok[1] != ",":
+                return names
+            self.advance()
 
     def parse_function(self, decl):
         """A function declaration (``decl``; its name is required) or
-        expression (name optional); returns the name token or None."""
+        expression (name optional); returns its end."""
         kw = self.expect("function")
-        if self.at("*"):
+        if self.tok[1] == "*":
             self.unsupported("generator functions are not supported")
         name_tok = self.optional_name(decl, "expected function name")
         if decl:
             self.scopes.declare(name_tok, FUNCTION_DECL)
         self.summary.branch_points += 1
-        self.enter_scope(FUNCTION, kw.start)
+        self.enter_scope(FUNCTION, kw[2])
         if name_tok is not None and not decl:
             self.scopes.declare(name_tok, FUNCTION_EXPR)
         outer = self.super_member, self.super_call
         self.super_member = self.super_call = False
         kinds = self.parse_params()
-        self.leave_scope(self.parse_block(BODY if "default" in kinds else None))
+        end = self.parse_block(BODY if "default" in kinds else None)
+        self.leave_scope(end)
         self.super_member, self.super_call = outer
-        return name_tok
+        return end
 
     def parse_params(self, unique=False):
         """Read a parameter list into the current scope; returns the kinds of
@@ -550,19 +480,19 @@ class _Parser:
         params = self.delimited("(", ")", self.parse_param)[0]
         kinds = [kind for _t, kind in params]
         if unique or any(kind != "name" for kind in kinds):
-            self.unique_params((t.text, t.start) for t, _kind in params)
+            self.unique_params((t[1], t[2]) for t, _kind in params)
         return kinds
 
     def parse_param(self):
         """One parameter: ``name``, ``name = default`` or ``...name``;
         returns its name token and its kind: "name", "default" or "rest"."""
-        rest = self.at("...") and self.advance()
+        rest = self.tok[1] == "..." and self.advance()
         fault = self.param_fault(rest)
         if fault is not None:
             raise self.param_error(*fault)
         t = self.advance()
         self.scopes.declare(t, PARAM)
-        if rest or not self.at("="):
+        if rest or self.tok[1] != "=":
             return t, "rest" if rest else "name"
         self.advance()
         self.parse_assign()
@@ -572,19 +502,17 @@ class _Parser:
         """None at a name a parameter may end with (followed by `,`, `)` or
         `=`; after `...`, by `)`), else what ``param_error`` builds the
         error from: this token, the next and ``rest``. It reads two tokens."""
-        t, nxt = self.peek(), self.peek(1)
-        ends = (")",) if rest else (",", ")", "=")
-        if t is not None and t.kind == IDENT and nxt is not None and nxt.kind == PUNCT and nxt.text in ends:
+        t, nxt = self.tok, self.nxt
+        if t[0] == IDENT and (nxt[1] == ")" or not rest and nxt[1] in (",", "=")):
             return None
         return t, nxt, rest
 
     def param_error(self, t, nxt, rest):
         """The error a parameter list raises at ``t``, followed by ``nxt``
         and after `...` if ``rest``, where ``param_fault`` found none."""
-        if t is None or t.kind != IDENT:
+        if t[0] != IDENT:
             return self.name_error(t, "expected parameter name", "parameters")
-        message = _REST_LAST if rest else "expected ',' or ')'"
-        return ParseError(message, self.file_id, nxt.start if nxt is not None else self.size)
+        return ParseError(_REST_LAST if rest else "expected ',' or ')'", self.file_id, nxt[2])
 
     def unique_params(self, names):
         """Raise at the second of two parameters of one name; ``names``
@@ -596,63 +524,58 @@ class _Parser:
             seen.add(name)
 
     def parse_class(self, decl):
-        """Returns the name token or None."""
+        """Returns its end."""
         self.expect("class")
         name_tok = self.optional_name(decl, "expected class name")
         if decl:
             self.scopes.declare(name_tok, LEXICAL)
-        derived = self.at("extends")
+        derived = self.tok[1] == "extends"
         if derived:
             self.advance()
             self.parse_call_member(self.parse_primary())  # a LeftHandSideExpression
         self.expect("{")
-        while not self.at("}"):
-            if self.at(";"):
+        while self.tok[1] != "}":
+            if self.tok[1] == ";":
                 self.advance()
                 continue
             self.parse_class_member(derived)
-        self.advance()
-        return name_tok
+        return self.advance()[3]
 
     def parse_class_member(self, derived):
         """One method of a class; ``derived``: the class has ``extends``."""
-        start_tok = self.peek()
-        nxt = self.peek(1)
-        static = self.at("static") and not (nxt is not None and nxt.kind == PUNCT and nxt.text == "(")
+        start_tok = self.tok
+        static = start_tok[1] == "static" and self.nxt[1] != "("
         if static:
             self.advance()  # a modifier; `static(` names a method
-            if self.at("{"):
+            if self.tok[1] == "{":
                 self.unsupported("class static blocks are not supported")
         role = self.accessor_role() or "method"
         self.method_prefix()
-        name_tok = self.peek()
-        if name_tok is None:
+        name_tok = self.tok
+        if name_tok[0] == EOF:
             self.error("unterminated class body")
-        if name_tok.kind == PUNCT and name_tok.text == "[":
+        if name_tok[1] == "[":
             self.unsupported("computed method names are not supported")
-        if name_tok.kind not in _PROPERTY_NAME_KINDS:
+        if name_tok[0] not in _PROPERTY_NAME_KINDS:
             self.error("expected method name")
         self.advance()
-        if not self.at("("):
+        if self.tok[1] != "(":
             self.unsupported("class fields are not supported")
         constructor = (
             derived
             and not static
             and role == "method"
-            and (self.literal_value(name_tok) if name_tok.kind == STRING else name_tok.text)
-            == "constructor"
+            and (self.literal_value(name_tok) if name_tok[0] == STRING else name_tok[1]) == "constructor"
         )
-        self.parse_method(start_tok.start, role, constructor)
+        self.parse_method(start_tok[2], role, constructor)
 
     def method_prefix(self):
         """Raise at the `*` of a generator method or the `async` of an async
         one."""
-        t, nxt = self.peek(), self.peek(1)
-        if t is not None and t.text == "*":
+        text, nxt = self.tok[1], self.nxt
+        if text == "*":
             self.unsupported("generator methods are not supported")
-        if t is not None and t.text == "async" and nxt is not None and not nxt.nl and (
-            nxt.kind in _PROPERTY_NAME_KINDS or nxt.text in ("[", "*")
-        ):
+        if text == "async" and not nxt[4] and (nxt[0] in _PROPERTY_NAME_KINDS or nxt[1] in ("[", "*")):
             self.unsupported("async methods are not supported")
 
     def parse_method(self, start, role, derived_constructor=False):
@@ -665,62 +588,70 @@ class _Parser:
         self.enter_scope(FUNCTION, start)
         outer = self.super_member, self.super_call
         self.super_member, self.super_call = True, derived_constructor
-        lparen = self.peek()
+        lparen = self.tok[2]
         kinds = self.parse_params(unique=True)
         if role == "get" and kinds:
-            raise ParseError("a getter takes no parameters", self.file_id, lparen.start)
+            raise ParseError("a getter takes no parameters", self.file_id, lparen)
         if role == "set" and (len(kinds) != 1 or kinds[0] == "rest"):
-            raise ParseError(
-                "a setter takes exactly one parameter, not a rest one", self.file_id, lparen.start
-            )
+            raise ParseError("a setter takes exactly one parameter, not a rest one", self.file_id, lparen)
         self.leave_scope(self.parse_block(BODY if "default" in kinds else None))
         self.super_member, self.super_call = outer
 
     def parse_if(self):
-        self.expect("if")
+        self.advance()
         self.summary.branch_points += 1
         self.paren_head()
-        end = self.parse_statement()
-        if self.at("else"):
+        end = self.parse_clause()
+        if self.tok[1] == "else":
             self.advance()
-            end = self.parse_statement()
+            end = self.parse_clause()
+        return end
+
+    def parse_clause(self):
+        """An `if` or `else` body. A function declaration there is in a block
+        of its own (Annex B.3.4), elided: it binds around, lexical in none."""
+        if self.tok[1] != "function":
+            return self.parse_statement()
+        self.enter_scope(BLOCK, self.tok[2])
+        end = self.parse_statement()
+        self.leave_scope(end, keep=False)
         return end
 
     def parse_for(self):
-        kw = self.expect("for")
-        if self.at("await"):
+        kw = self.advance()
+        if self.tok[1] == "await":
             self.unsupported("for await is not supported")
         self.summary.branch_points += 1
         self.expect("(")
         scoped = False
         target = None  # the kind of a head's expression
-        t = self.peek()
-        if self.at(";"):
+        text = self.tok[1]
+        if text == ";":
             pass
-        elif t is not None and t.kind == KEYWORD and t.text in ("var", "let", "const"):
-            if t.text != "var":
+        elif text in ("var", "let", "const"):
+            if text != "var":
                 scoped = True
-                self.enter_scope(BLOCK, kw.start)
+                self.enter_scope(BLOCK, kw[2])
             self.parse_var_decl(no_in=True)
         else:
             target = self.parse_expression(no_in=True)
-        t = self.peek()
-        if t is not None and (t.text == "in" or t.text == "of"):
+        t = self.tok
+        if t[1] == "in" or t[1] == "of":
             # an array or object literal is a destructuring target
             if target is not None and target != _LITERAL and not _assignable(target, "="):
-                self.error(f"invalid left-hand side in for-{t.text} loop")
+                self.error(f"invalid left-hand side in for-{t[1]} loop")
             self.advance()
-            if t.text == "of":
+            if t[1] == "of":
                 self.parse_assign()
             else:
                 self.parse_expression()
             self.expect(")")
         else:
             self.expect(";")
-            if not self.at(";"):
+            if self.tok[1] != ";":
                 self.parse_expression()
             self.expect(";")
-            if not self.at(")"):
+            if self.tok[1] != ")":
                 self.parse_expression()
             self.expect(")")
         end = self.parse_statement()
@@ -729,109 +660,120 @@ class _Parser:
         return end
 
     def parse_while(self):
-        self.expect("while")
+        self.advance()
         self.summary.branch_points += 1
         self.paren_head()
         return self.parse_statement()
 
     def parse_do_while(self):
-        self.expect("do")
+        self.advance()
         self.summary.branch_points += 1
         self.parse_statement()
         self.expect("while")
         self.paren_head()
-        if self.at(";"):
+        if self.tok[1] == ";":
             self.advance()
-        return self.last_end()
+        return self.prev[3]
 
     def parse_switch(self):
         """The case block is a scope if some clause directly holds a
         lexical declaration, as a statement block is."""
-        self.expect("switch")
+        self.advance()
         self.paren_head()
         lbrace = self.expect("{")
         lexical = False
-        self.enter_scope(BLOCK, lbrace.start)
-        while not self.at("}"):
-            if not (self.at("case") or self.at("default")):
+        self.enter_scope(BLOCK, lbrace[2])
+        while self.tok[1] != "}":
+            if self.tok[1] not in ("case", "default"):
                 self.error("expected 'case' or 'default'")
-            if self.advance().text == "case":
+            if self.advance()[1] == "case":
                 self.parse_expression()
                 self.summary.branch_points += 1
             self.expect(":")
-            while not (self.at("case") or self.at("default") or self.at("}")):
-                t = self.peek()
-                if t is None:
-                    self.error("unterminated switch body")
-                if t.kind == KEYWORD and t.text in _LEXICAL_STATEMENTS:
+            while self.tok[1] not in ("case", "default", "}"):
+                if self.tok[1] in _LEXICAL_STATEMENTS:
                     lexical = True
                 self.parse_statement()
-        end = self.advance().end
+        end = self.advance()[3]
         self.leave_scope(end, keep=lexical)
         return end
 
     def parse_try(self):
-        self.expect("try")
-        end = self.parse_block(BLOCK)
+        self.advance()
+        end = self.parse_block()
         handled = False
-        if self.at("catch"):
+        if self.tok[1] == "catch":
             ck = self.advance()
             self.summary.branch_points += 1
-            self.enter_scope(BLOCK, ck.start)
-            if self.at("("):
+            self.enter_scope(BLOCK, ck[2])
+            if self.tok[1] == "(":
                 self.advance()
                 t = self.binding_name("expected catch parameter name", "catch parameters")
                 self.expect(")")
                 self.scopes.declare(t, CATCH)
-            end = self.parse_block()
+            end = self.parse_block(None)
             self.leave_scope(end)
             handled = True
-        if self.at("finally"):
+        if self.tok[1] == "finally":
             self.advance()
-            end = self.parse_block(BLOCK)
+            end = self.parse_block()
             handled = True
         if not handled:
             self.error("try requires catch or finally")
         return end
 
-    def parse_return_like(self, kind, require_arg=False):
-        self.advance()
-        t = self.peek()
-        has_arg = not (
-            t is None
-            or (t.kind == PUNCT and t.text in (";", "}"))
-            or t.nl
-        )
-        if require_arg and not has_arg:
-            self.error(f"{kind} requires an argument")
+    def parse_return(self):
+        """`return`, or `throw`, which requires an argument."""
+        kw = self.advance()[1]
+        t = self.tok
+        has_arg = not (t[4] or t[1] == ";" or t[1] == "}")
+        if kw == "throw" and not has_arg:
+            self.error("throw requires an argument")
         if has_arg:
             self.parse_expression()
-        end = self.last_end()
+        end = self.prev[3]
         self.consume_semicolon()
         return end
 
+    def parse_jump(self):
+        """`break`, `continue` or `debugger`."""
+        tok = self.advance()
+        nxt = self.tok
+        if tok[1] != "debugger" and nxt[0] == IDENT and not nxt[4]:
+            self.unsupported("labeled break/continue is not supported")
+        self.consume_semicolon()
+        return tok[3]
+
     def parse_with(self):
-        self.expect("with")
+        self.advance()
         self.scopes.mark_dynamic()
         self.paren_head()
         return self.parse_statement()
 
+    def parse_module_item(self):
+        """A statement that starts with `export` or `import`: a declaration
+        only at a module's top level (``parse_program``), and `import(` and
+        `import.meta` are not supported."""
+        text = self.tok[1]
+        if text == "export" or not self.is_import_expression():
+            self.error(f"'{text}' is only allowed at the top level of a module")
+        self.parse_primary()  # raises: import() and import.meta are not supported
+
     # ---- modules ----
 
     def parse_import(self):
-        self.expect("import")
-        t = self.peek()
-        if t is None or t.kind != STRING:
-            if not (self.at("*") or self.at("{")):
+        self.advance()
+        if self.tok[0] != STRING:
+            if self.tok[1] not in ("*", "{"):
                 t = self.binding_name("expected import binding")
                 self.scopes.declare(t, IMPORT)
-                if self.at(","):
+                if self.tok[1] == ",":
                     self.advance()
-            if self.at("*"):
+            if self.tok[1] == "*":
                 self.advance()
                 self.expect("as")
                 self.scopes.declare(self.binding_name("expected namespace alias"), IMPORT)
-            elif self.at("{"):
+            elif self.tok[1] == "{":
                 self.delimited("{", "}", self.parse_import_specifier)
             self.expect("from")
         source = self.module_path()
@@ -841,32 +783,31 @@ class _Parser:
     def parse_import_specifier(self):
         """``name`` or ``name as local``; declares the local. A string name
         must still be a valid literal."""
-        ext = self.peek()
-        if ext is None or ext.kind not in (IDENT, KEYWORD, STRING):
+        ext = self.tok
+        if ext[0] not in (IDENT, KEYWORD, STRING):
             self.error("expected import specifier")
-        nxt = self.peek(1)
-        if nxt is not None and nxt.kind == IDENT and nxt.text == "as":
+        if self.nxt[1] == "as":
             self.advance()
             self.advance()
             local_tok = self.binding_name("expected local alias")
         else:
             # the imported name is the local binding too
             local_tok = self.binding_name("expected 'as' after import specifier")
-        if ext.kind == STRING:
+        if ext[0] == STRING:
             self.literal_value(ext)
         self.scopes.declare(local_tok, IMPORT)
 
     def parse_export(self):
-        self.expect("export")
-        t = self.peek()
-        if t is None:
+        self.advance()
+        t = self.tok
+        text = t[1]
+        if t[0] == EOF:
             self.error("unterminated export")
-        if t.text == "default" and t.kind == KEYWORD:
+        if text == "default":
             self.advance()
-            if self.at("function") or self.at("class"):
+            if self.tok[1] in ("function", "class"):
                 # a declaration, so no call or member suffix; an anonymous one binds no name
-                nxt = self.peek(1)
-                if nxt is not None and nxt.kind == IDENT:
+                if self.nxt[0] == IDENT:
                     self.parse_statement()
                 else:
                     self.parse_primary()
@@ -874,21 +815,22 @@ class _Parser:
                 self.parse_expression()
                 self.consume_semicolon()
             return
-        if t.kind == KEYWORD and t.text in ("var", "let", "const", "function", "class", "async"):
-            if t.text == "function":
-                names = [self.parse_function(decl=True).text]
-            elif t.text == "class":
-                names = [self.parse_class(decl=True).text]
-            elif t.text == "async":
+        if text in ("var", "let", "const", "function", "class", "async"):
+            names = [self.nxt[1]]  # a declaration's name, once it parses
+            if text == "function":
+                self.parse_function(decl=True)
+            elif text == "class":
+                self.parse_class(decl=True)
+            elif text == "async":
                 self.unsupported("'async' is not supported")
             else:
                 names = self.parse_var_decl()
                 self.consume_semicolon()
             self.summary.export_locals += names
             return
-        if t.text == "{":
+        if text == "{":
             specifiers = self.delimited("{", "}", self.parse_export_specifier)[0]
-            if self.at("from"):
+            if self.tok[1] == "from":
                 self.advance()
                 self.summary.imports.append(self.module_path())
                 self.consume_semicolon()
@@ -897,9 +839,9 @@ class _Parser:
             for lt in specifiers:
                 # bare `export {a, b}`: the locals are references to module
                 # bindings, which no reserved word can name
-                if lt.kind == KEYWORD:
-                    raise ParseError(f"cannot export reserved word {lt.text!r}", self.file_id, lt.start)
-                self.summary.export_locals.append(lt.text)
+                if lt[0] == KEYWORD:
+                    raise ParseError(f"cannot export reserved word {lt[1]!r}", self.file_id, lt[2])
+                self.summary.export_locals.append(lt[1])
                 self.scopes.reference(lt)
             return
         self.error("unsupported export form")
@@ -907,104 +849,108 @@ class _Parser:
     def parse_export_specifier(self):
         """``name`` or ``name as exported``; returns the local token. A
         string alias must still be a valid literal."""
-        lt = self.peek()
-        if lt is None or lt.kind not in (IDENT, KEYWORD):
+        if self.tok[0] not in (IDENT, KEYWORD):
             self.error("expected export specifier")
-        self.advance()
-        if self.at("as"):
+        lt = self.advance()
+        if self.tok[1] == "as":
             self.advance()
-            et = self.peek()
-            if et is None or et.kind not in (IDENT, KEYWORD, STRING):
+            if self.tok[0] not in (IDENT, KEYWORD, STRING):
                 self.error("expected export alias")
-            self.advance()
-            if et.kind == STRING:
+            et = self.advance()
+            if et[0] == STRING:
                 self.literal_value(et)
         return lt
 
     # ---- expressions: each returns its kind tag ----
 
     def parse_expression(self, no_in=False):
-        tag = self.parse_assign(no_in=no_in)
-        if not self.at(","):
+        tag = self.parse_assign(no_in)
+        if self.tok[1] != ",":
             return tag
-        while self.at(","):
+        while self.tok[1] == ",":
             self.advance()
-            self.parse_assign(no_in=no_in)
+            self.parse_assign(no_in)
         return _OTHER
 
     def parse_assign(self, no_in=False):
-        tag = self.parse_conditional(no_in=no_in)
-        t = self.toks[self.i]
-        if t is not None and t.kind == PUNCT and t.text in _ASSIGN_OPS:
-            if not _assignable(tag, t.text):
-                if tag == _LITERAL and t.text == "=":
-                    self.unsupported("destructuring assignment is not supported")
-                self.error("invalid assignment target")
-            self.advance()
-            self.parse_assign(no_in=no_in)
-            return _OTHER
-        return tag
-
-    def parse_conditional(self, no_in=False):
-        tag = self.parse_binary(1, no_in=no_in)
-        if self.at("?"):
+        """An assignment or conditional expression, or a ``parse_binary``
+        chain."""
+        tag = self.parse_unary()
+        op = self.tok[1]
+        if op in _BINARY_OPS and not (op == "in" and no_in):
+            tag = self.parse_binary(tag, op, no_in)
+            op = self.tok[1]
+        if op == "?":
             self.advance()
             self.summary.branch_points += 1
             self.parse_assign()
             self.expect(":")
-            self.parse_assign(no_in=no_in)
+            self.parse_assign(no_in)
+            return _OTHER
+        if op in _ASSIGN_OPS:
+            if not _assignable(tag, op):
+                if tag == _LITERAL and op == "=":
+                    self.unsupported("destructuring assignment is not supported")
+                self.error("invalid assignment target")
+            self.advance()
+            self.parse_assign(no_in)
             return _OTHER
         return tag
 
-    def parse_binary(self, min_prec, no_in=False):
-        tag = self.parse_unary()
+    def parse_binary(self, tag, op, no_in):
+        """The flat chain of unary expressions and binary operators that
+        goes on at ``op`` after one of kind ``tag``, and its early errors."""
+        logical = coalesce = False  # a `||` or `&&` in the chain; a `??`
         while True:
-            t = self.toks[self.i]
-            if t is None:
-                return tag
-            op = t.text
-            if op == "in" and no_in:
-                return tag
-            if t.kind == PUNCT or (t.kind == KEYWORD and op in ("in", "instanceof")):
-                prec = _BINARY_PREC.get(op)
-                if prec is None or prec < min_prec:
-                    return tag
-                self.advance()
-                if op == "**":
-                    self.parse_binary(prec, no_in=no_in)  # right-assoc
-                else:
-                    self.parse_binary(prec + 1, no_in=no_in)
-                if op == "&&" or op == "||":
-                    self.summary.branch_points += 1
-                tag = _OTHER
-                continue
-            return tag
+            if op == "&&" or op == "||":
+                self.summary.branch_points += 1
+                logical = True
+            elif op == "??":
+                coalesce = True
+            elif op == "**" and tag == _UNARY:
+                self.error("a unary operator before '**' needs parentheses")
+            if logical and coalesce:
+                self.error("'??' beside '||' or '&&' needs parentheses")
+            self.prev = self.tok
+            self.tok = self.nxt
+            self.nxt = self.next_token()
+            tag = self.parse_unary()
+            op = self.tok[1]
+            if op not in _BINARY_OPS or op == "in" and no_in:
+                return _OTHER
 
     def parse_unary(self):
-        t = self.toks[self.i]
-        if t is not None and (
-            (t.kind == PUNCT and t.text in ("!", "~", "+", "-"))
-            or (t.kind == KEYWORD and t.text in ("typeof", "void", "delete"))
-        ):
+        """A unary, update or lone operand expression with its suffixes."""
+        t = self.tok
+        kind, text = t[0], t[1]
+        if kind == IDENT or kind == NUMBER:
+            nxt = self.nxt
+            if nxt[1] not in _SUFFIXES and nxt[0] != TEMPLATE:
+                # a lone name or number
+                self.prev = t
+                self.tok = nxt
+                self.nxt = self.next_token()
+                if kind == NUMBER:
+                    return _OTHER
+                self.scopes.reference(t)
+                return _CALLEE if text == "eval" or text == "Function" else _REF
+        elif text in _UNARY_OPS:
             self.advance()
             tag = self.parse_unary()
-            if t.text == "delete" and (tag == _MEMBER or tag == _PAREN_MEMBER):
+            if text == "delete" and (tag == _MEMBER or tag == _PAREN_MEMBER):
                 # deleting obj[v] would delete the wrong name
                 self.accesses.truncate(len(self.accesses) - 1)
-            return _OTHER
-        if t is not None and t.kind == PUNCT and t.text in ("++", "--"):
+            return _UNARY
+        elif text == "++" or text == "--":
             self.advance()
-            if not _assignable(self.parse_unary(), t.text):
-                raise ParseError(f"invalid operand of prefix {t.text!r}", self.file_id, t.start)
+            if not _assignable(self.parse_unary(), text):
+                raise ParseError(f"invalid operand of prefix {text!r}", self.file_id, t[2])
             return _OTHER
-        return self.parse_postfix()
-
-    def parse_postfix(self):
         tag = self.parse_call_member(self.parse_primary())
-        t = self.toks[self.i]
-        if t is not None and t.kind == PUNCT and t.text in ("++", "--") and not t.nl:
-            if not _assignable(tag, t.text):
-                self.error(f"invalid operand of postfix {t.text!r}")
+        t = self.tok
+        if (t[1] == "++" or t[1] == "--") and not t[4]:
+            if not _assignable(tag, t[1]):
+                self.error(f"invalid operand of postfix {t[1]!r}")
             self.advance()
             return _OTHER
         return tag
@@ -1013,40 +959,38 @@ class _Parser:
         """The member, call and tagged-template suffixes of the expression
         with kind ``tag``."""
         while True:
-            t = self.toks[self.i]
-            if t is None:
-                return tag
-            if t.kind == PUNCT and t.text == "?.":
-                self.unsupported("optional chaining is not supported")
-            if t.kind == PUNCT and t.text == ".":
-                dot = self.advance()
-                prop = self.toks[self.i]
-                if prop is None or prop.kind not in (IDENT, KEYWORD):
+            t = self.tok
+            text = t[1]
+            if text == ".":
+                prop = self.nxt
+                if prop[0] != IDENT and prop[0] != KEYWORD:
+                    self.advance()
                     self.error("expected property name")
-                self.advance()
+                self.prev = prop
+                self.tok = self.next_token()
+                self.nxt = self.next_token()
                 if tag == _SUPER:
                     tag = _TARGET
                 else:
-                    self.accesses.append(dot.start, prop.end, prop.text)
+                    self.accesses.append(t[2], prop[3], prop[1])
                     tag = _MEMBER
-                continue
-            if t.kind == PUNCT and t.text == "[":
-                self.advance()
-                self.parse_expression()
-                self.expect("]")
-                tag = _TARGET
-                continue
-            if allow_call and t.kind == PUNCT and t.text == "(":
+            elif text == "(" and allow_call:
                 if tag == _CALLEE:
                     self.scopes.mark_dynamic()
                 self.parse_arguments()
                 tag = _CALL
-                continue
-            if t.kind == TEMPLATE and t.text.startswith("`"):
+            elif text == "[":
+                self.advance()
+                self.parse_expression()
+                self.expect("]")
+                tag = _TARGET
+            elif t[0] == TEMPLATE and text[0] == "`":
                 self.parse_template()
                 tag = _OTHER
-                continue
-            return tag
+            elif text == "?.":
+                self.unsupported("optional chaining is not supported")
+            else:
+                return tag
 
     def parse_arguments(self):
         """The arguments of a call or ``new``."""
@@ -1054,69 +998,66 @@ class _Parser:
 
     def parse_element(self):
         """An argument or array element: an expression or a ``...`` spread."""
-        if self.at("..."):
+        if self.tok[1] == "...":
             self.advance()
         self.parse_assign()
 
     def parse_primary(self):
-        t = self.toks[self.i]
-        if t is None:
-            self.error("unexpected end of input")
-        if t.kind == IDENT:
-            nxt = self.toks[self.i + 1]
-            if nxt is not None and nxt.kind == PUNCT and nxt.text == "=>" and not nxt.nl:
-                self.enter_scope(FUNCTION, t.start)
+        t = self.tok
+        kind, text = t[0], t[1]
+        if kind == IDENT:
+            nxt = self.nxt
+            if nxt[1] == "=>" and not nxt[4]:
+                self.enter_scope(FUNCTION, t[2])
                 self.scopes.declare(self.advance(), PARAM)
                 return self.parse_arrow_body()
             self.advance()
             self.scopes.reference(t)
-            return _CALLEE if t.text == "eval" or t.text == "Function" else _REF
-        if t.kind == NUMBER or t.kind == REGEX:
+            return _CALLEE if text == "eval" or text == "Function" else _REF
+        if kind == NUMBER or kind == REGEX:
             self.advance()
             return _OTHER
-        if t.kind == STRING:
+        if kind == STRING:
             self.advance()
-            self.strings.append(t.start, t.end)
+            self.strings.append(t[2], t[3])
             return _STRING
-        if t.kind == TEMPLATE:
+        if kind == TEMPLATE:
             self.parse_template()
             return _OTHER
-        if t.kind == KEYWORD:
-            if t.text in ("true", "false", "null", "this"):
+        if kind == KEYWORD:
+            if text in ("true", "false", "null", "this"):
                 self.advance()
                 return _OTHER
-            if t.text == "super":
+            if text == "super":
                 self.advance()
-                nxt = self.toks[self.i]
-                if nxt is not None and nxt.kind == PUNCT and (
-                    self.super_call if nxt.text == "(" else self.super_member and nxt.text in (".", "[")
-                ):
+                after = self.tok[1]
+                if self.super_call if after == "(" else self.super_member and after in (".", "["):
                     return _SUPER
-                raise ParseError("'super' keyword unexpected here", self.file_id, t.start)
-            if t.text == "function":
+                raise ParseError("'super' keyword unexpected here", self.file_id, t[2])
+            if text == "function":
                 self.parse_function(decl=False)
                 return _OTHER
-            if t.text == "class":
+            if text == "class":
                 self.parse_class(decl=False)
                 return _OTHER
-            if t.text == "new":
+            if text == "new":
                 return self.parse_new()
-            if t.text == "import":
-                nxt = self.peek(1)
-                if nxt is not None and nxt.text == ".":
+            if text == "import":
+                if self.nxt[1] == ".":
                     self.unsupported("import.meta is not supported")
                 self.unsupported("dynamic import() is not supported")
-            raise self.name_error(t, f"unexpected keyword {t.text!r}")
-        if t.kind == PUNCT:
-            if t.text == "(":
-                return self.parse_parenthesized()
-            if t.text == "[":
-                self.delimited("[", "]", self.parse_array_element)
-                return _LITERAL
-            if t.text == "{":
-                self.delimited("{", "}", self.parse_property)
-                return _LITERAL
-        self.error(f"unexpected token {t.text!r}")
+            raise self.name_error(t, f"unexpected keyword {text!r}")
+        if text == "(":
+            return self.parse_parenthesized()
+        if text == "[":
+            self.delimited("[", "]", self.parse_array_element)
+            return _LITERAL
+        if text == "{":
+            self.delimited("{", "}", self.parse_property)
+            return _LITERAL
+        if kind == EOF:
+            self.error("unexpected end of input")
+        self.error(f"unexpected token {text!r}")
 
     def parse_parenthesized(self):
         """``( … )``, read once as ECMA-262's
@@ -1126,7 +1067,7 @@ class _Parser:
         ``param_error`` there, and its names become the parameters of a scope
         that takes over what the head recorded. Otherwise returns the tag of the
         parenthesized expression."""
-        lparen = self.peek()
+        lparen = self.tok
         mark = self.scopes.mark()
         candidates = len(self.strings), len(self.accesses)
         params = []  # per item, the index of its name's occurrence
@@ -1135,30 +1076,30 @@ class _Parser:
 
         def item():
             nonlocal fault, spread, trailing, defaults
-            rest = self.at("...") and self.advance()
+            rest = self.tok[1] == "..." and self.advance()
             spread = spread or rest
             if fault is None:
                 fault = self.param_fault(rest)
                 params.append(len(self.scopes.occurrences))
-                defaults = defaults or fault is None and self.peek(1).text == "="
+                defaults = defaults or fault is None and self.nxt[1] == "="
             tag = self.parse_assign()
-            trailing = self.at(",")
+            trailing = self.tok[1] == ","
             return tag
 
         tags, rparen = self.delimited("(", ")", item)
-        t = self.peek()
-        if t is not None and t.kind == PUNCT and t.text == "=>" and not t.nl:
+        t = self.tok
+        if t[1] == "=>" and not t[4]:
             if fault is not None:
                 raise self.param_error(*fault)
             names, starts = self.scopes.names, self.scopes.occurrences.starts
             self.unique_params((names[index], starts[index]) for index in params)
-            self.scopes.enter_arrow(lparen.start, mark, params)
+            self.scopes.enter_arrow(lparen[2], mark, params)
             self.marks.append(candidates)
             return self.parse_arrow_body(defaults)
         self.scopes.unmark(mark)
         if spread or trailing or not tags:
             t = spread or rparen
-            raise ParseError(f"unexpected token {t.text!r}", self.file_id, t.start)
+            raise ParseError(f"unexpected token {t[1]!r}", self.file_id, t[2])
         tag = tags[0] if len(tags) == 1 else _OTHER
         if tag == _MEMBER or tag == _PAREN_MEMBER:
             return _PAREN_MEMBER
@@ -1173,80 +1114,105 @@ class _Parser:
         declared (``defaults``: one has a default); leaves the scope."""
         self.summary.branch_points += 1
         self.advance()
-        if self.at("{"):
+        if self.tok[1] == "{":
             self.parse_block(BODY if defaults else None)
         else:
             self.parse_assign()
-        self.leave_scope(self.last_end())
+        self.leave_scope(self.prev[3])
         return _OTHER
 
     def parse_new(self):
-        self.expect("new")
-        if self.at("."):
+        self.advance()
+        if self.tok[1] == ".":
             self.unsupported("new.target is not supported")
-        if self.at("super") and self.peek(1) is not None and self.peek(1).text == "(":
+        if self.tok[1] == "super" and self.nxt[1] == "(":
             self.error("'super' keyword unexpected here")  # no `new super()`
         if self.parse_call_member(self.parse_primary(), allow_call=False) == _CALLEE:
             self.scopes.mark_dynamic()
-        if self.at("("):
+        if self.tok[1] == "(":
             self.parse_arguments()
         return self.parse_call_member(_OTHER)
 
     def parse_template(self):
-        first = self.advance()
-        if first.text.endswith("`") and len(first.text) >= 2:
+        first = self.advance()[1]
+        if first.endswith("`") and len(first) >= 2:
             return
         # chunk ends with "${": expressions follow until a chunk closes with `
         while True:
             self.parse_expression()
-            t = self.peek()
-            if t is None or t.kind != TEMPLATE:
+            if self.tok[0] != TEMPLATE:
                 self.error("unterminated template literal")
-            self.advance()
-            if t.text.endswith("`"):
+            if self.advance()[1].endswith("`"):
                 return
 
     def parse_array_element(self):
-        if not self.at(","):  # else a hole
+        if self.tok[1] != ",":  # else a hole
             self.parse_element()
 
     def parse_property(self):
-        t = self.peek()
-        if t is None:
+        t = self.tok
+        if t[0] == EOF:
             self.error("unterminated object literal")
-        if t.kind == PUNCT and t.text == "...":
+        if t[1] == "...":
             self.advance()
             self.parse_assign()
             return
         role = self.accessor_role()
         if role is not None:
-            t = self.peek()
+            t = self.tok
         self.method_prefix()
-        if t.kind == PUNCT and t.text == "[":
+        if t[1] == "[":
             self.advance()
             self.parse_assign()
             self.expect("]")
-            if role is not None or self.at("("):
-                self.parse_method(t.start, role or "method")
+            if role is not None or self.tok[1] == "(":
+                self.parse_method(t[2], role or "method")
             else:
                 self.expect(":")
                 self.parse_assign()
             return
-        if t.kind not in _PROPERTY_NAME_KINDS:
+        if t[0] not in _PROPERTY_NAME_KINDS:
             self.error("expected property key")
         self.advance()  # a key, never a string candidate
-        if role is not None or self.at("("):
-            self.parse_method(t.start, role or "method")
-        elif self.at(":"):
+        if role is not None or self.tok[1] == "(":
+            self.parse_method(t[2], role or "method")
+        elif self.tok[1] == ":":
             self.advance()
             self.parse_assign()
         else:
             # shorthand { name }; { name = value } only as a pattern
-            if t.kind != IDENT:
+            if t[0] != IDENT:
                 raise self.name_error(t, "expected ':' after property key")
             self.scopes.reference(t, SHORTHAND)
-            if self.at("="):
+            if self.tok[1] == "=":
                 self.unsupported("destructuring patterns are not supported")
+
+
+# the statements a keyword or punctuator starts, by its text; any other is
+# an expression statement
+_STATEMENTS = {
+    "{": _Parser.parse_block,
+    ";": lambda parser: parser.advance()[3],
+    "var": _Parser.parse_var_statement,
+    "let": _Parser.parse_var_statement,
+    "const": _Parser.parse_var_statement,
+    "function": lambda parser: parser.parse_function(decl=True),
+    "class": lambda parser: parser.parse_class(decl=True),
+    "if": _Parser.parse_if,
+    "for": _Parser.parse_for,
+    "while": _Parser.parse_while,
+    "do": _Parser.parse_do_while,
+    "switch": _Parser.parse_switch,
+    "try": _Parser.parse_try,
+    "return": _Parser.parse_return,
+    "throw": _Parser.parse_return,
+    "break": _Parser.parse_jump,
+    "continue": _Parser.parse_jump,
+    "debugger": _Parser.parse_jump,
+    "with": _Parser.parse_with,
+    "export": _Parser.parse_module_item,
+    "import": _Parser.parse_module_item,
+}
 
 
 _SIMPLE_ESCAPES = {

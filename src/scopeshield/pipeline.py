@@ -34,9 +34,11 @@ rescan a heap that grows with the file.
 
 import gc
 import json
+import os
 import posixpath
 import resource
 import shutil
+import stat
 import sys
 import threading
 import time
@@ -106,22 +108,33 @@ class ObfuscationConfig:
 
 
 def discover_files(input_root):
-    """All files under the root, split into JS sources and the rest.
+    """All files under the root, split into JS sources and the rest, and
+    the size of each: (JS paths, other paths, {path: bytes}), in one walk.
 
-    Paths are '/'-separated and relative to the root, sorted.
+    Paths are '/'-separated and relative to the root, sorted by their
+    components, as ``pathlib`` sorts them (`a/x.js` before `a-b/x.js`). A
+    symlink to a file counts as that file; the walk does not enter a
+    symlink to a directory, and skips a broken link.
     """
-    root = Path(input_root)
+    sizes = {}
+    for dirpath, _dirnames, filenames in os.walk(input_root):
+        rel_dir = os.path.relpath(dirpath, input_root)
+        prefix = "" if rel_dir == "." else rel_dir.replace(os.sep, "/") + "/"
+        for name in filenames:
+            try:
+                info = os.stat(os.path.join(dirpath, name))
+            except OSError:
+                continue
+            if stat.S_ISREG(info.st_mode):
+                sizes[prefix + name] = info.st_size
     js_files = []
     other_files = []
-    for path in sorted(root.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(root).as_posix()
-        if path.suffix in JS_SUFFIXES:
-            js_files.append(rel)
-        else:
-            other_files.append(rel)
-    return js_files, other_files
+    for rel in sorted(sizes, key=lambda rel: rel.split("/")):
+        dot = rel.rfind(".")
+        # ``PurePath.suffix``: a name's last dot, unless it leads or ends it
+        suffix = rel[dot:] if rel.rfind("/") + 1 < dot < len(rel) - 1 else ""
+        (js_files if suffix in JS_SUFFIXES else other_files).append(rel)
+    return js_files, other_files, sizes
 
 
 # per-file problems: the file is copied verbatim and the run goes on; any
@@ -426,8 +439,7 @@ def obfuscate_project(config):
         raise FatalConfigError(f"output root {config.output_root!r} overlaps input root {config.input_root!r}")
     out_root.mkdir(parents=True, exist_ok=True)
 
-    js_files, other_files = discover_files(config.input_root)
-    sizes = {rel: (in_root / rel).stat().st_size for rel in js_files + other_files}
+    js_files, other_files, sizes = discover_files(config.input_root)
 
     wall_ms = dict.fromkeys(("discover", "files", "link", "copy", "total"), 0.0)
     worker_ms = dict.fromkeys(WORKER_PHASES, 0.0)

@@ -28,7 +28,7 @@ columns, and they refer to one another by id, an index into a table.
 
 from array import array
 
-from .errors import UnknownScope, UnsupportedSyntax
+from .errors import ParseError, UnknownScope, UnsupportedSyntax
 
 GLOBAL_SCOPE = -1
 
@@ -220,6 +220,8 @@ class ScopeBuilder:
         # the first `var` that redeclares a catch parameter; raised by the
         # parser only once the whole file has parsed
         self.catch_redeclared = None
+        self.block_vars = {}  # block scope id -> the var names written in or below it
+        self.nested = set()  # bindings passed up by an elided block (an `if` body's function)
 
     def enter(self, kind, start):
         self.outer.append((self.scope, self.function))
@@ -255,6 +257,7 @@ class ScopeBuilder:
                 continue
             scope_ids[bid] = parent
             decls[name] = bid
+            self.nested.add(bid)
 
     def mark(self):
         """At a `(` that may head an arrow: what ``enter_arrow`` takes. The
@@ -298,39 +301,72 @@ class ScopeBuilder:
 
     def declare_var(self, tok):
         """A ``var`` name binds in the function scope, and in a body scope
-        only if the parameters' scope does not hold the name. `catch (e) {
-        var e }` writes the catch binding, not the hoisted var; renaming the
-        two apart would change behavior, so such a file takes the
-        verbatim-copy path."""
+        only if the parameters' scope does not hold the name; a block on the
+        way that declares it lexically is an early error. `catch (e) { var e
+        }` writes the catch binding, not the hoisted var; renaming the two
+        apart would change behavior, so such a file is copied verbatim."""
         tree = self.tree
-        if self.catch_redeclared is None:
-            sid = self.scope
-            while sid != self.function:
-                existing = (tree.declarations[sid] or {}).get(tok.text)
-                if existing is not None and tree.bindings.categories[existing] == CATCH:
+        name = tok[1]
+        sid = self.scope
+        while sid != self.function:
+            bid = (tree.declarations[sid] or {}).get(name)
+            if bid is not None and bid not in self.nested:
+                if tree.bindings.categories[bid] != CATCH:
+                    raise self._redeclared(tok)
+                if self.catch_redeclared is None:
                     self.catch_redeclared = UnsupportedSyntax(
-                        f"var {tok.text!r} redeclares a catch parameter", tree.file_id, tok.start
+                        f"var {name!r} redeclares a catch parameter", tree.file_id, tok[2]
                     )
-                    break
-                sid = tree.parents[sid]
-        sid = self.function
-        if tree.kinds[sid] == BODY and tok.text in tree.declarations[tree.parents[sid]]:
+            self.block_vars.setdefault(sid, set()).add(name)
+            sid = tree.parents[sid]
+        if tree.kinds[sid] == BODY and name in tree.declarations[tree.parents[sid]]:
             sid = tree.parents[sid]
         self._declare(sid, tok, VAR)
 
     def _declare(self, sid, tok, category):
-        """Bind the name in scope ``sid``; its occurrence stands in the
-        current scope, so the blocks between a ``var`` and its function
+        """Bind the name in scope ``sid``, unless ``_clashes`` finds an early
+        error or the scope holds the name already; its occurrence stands in
+        the current scope, so the blocks between a ``var`` and its function
         forbid the var's output name."""
-        name = tok.text
-        if name not in (self.tree.declarations[sid] or ()):
+        name = tok[1]
+        bid = (self.tree.declarations[sid] or {}).get(name)
+        # only a lexical declaration clashes where the name is not bound
+        maybe = bid is not None or category == LEXICAL or category == FUNCTION_DECL
+        if maybe and self._clashes(sid, name, category, bid):
+            raise self._redeclared(tok)
+        if bid is None:
             self.tree.declare(sid, name, category)
         self.names.append(name)
-        self.occurrences.add(tok.start, self.scope, DECL)
+        self.occurrences.add(tok[2], self.scope, DECL)
+
+    def _clashes(self, sid, name, category, bid):
+        """Whether declaring ``name`` as ``category`` in scope ``sid``, where
+        it is bound to ``bid`` (or None), is an early error: a lexical
+        declaration (let, const, class, a function in a block) shares its
+        scope with no other declaration, no var written in or below it and,
+        in a body, no parameter. A function expression's name and an `if`
+        body's function clash with nothing, nor two functions (sloppy)."""
+        tree = self.tree
+        kinds, categories = tree.kinds, tree.bindings.categories
+        lexical = category == LEXICAL or category == FUNCTION_DECL and kinds[sid] == BLOCK
+        if bid is None or bid in self.nested:
+            if not lexical:
+                return False
+            if kinds[sid] == BODY:
+                param = tree.declarations[tree.parents[sid]].get(name)
+                return param is not None and categories[param] == PARAM
+            return name in self.block_vars.get(sid, ())
+        held = categories[bid]
+        if held == FUNCTION_EXPR or held == category == FUNCTION_DECL:
+            return False
+        return lexical or held == LEXICAL or held == FUNCTION_DECL and kinds[sid] == BLOCK
+
+    def _redeclared(self, tok):
+        return ParseError(f"{tok[1]!r} has already been declared", self.tree.file_id, tok[2])
 
     def reference(self, tok, style=REF):
-        self.names.append(tok.text)
-        self.occurrences.add(tok.start, self.scope, style)
+        self.names.append(tok[1])
+        self.occurrences.add(tok[2], self.scope, style)
 
     def mark_dynamic(self):
         # direct presence only; freezing walks ancestors separately

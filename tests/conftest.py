@@ -37,19 +37,22 @@ COUNT_FROM_CHAR_CODE = (
 )
 
 
+# a named view of a token tuple
+TokenView = namedtuple("TokenView", "kind text start end nl")
+
+
 def lex_all(source, file_id="<input>"):
-    """The tokens of ``source``, as one list: ``lex`` drained."""
-    return [tok for batch in lex(source, file_id) for tok in batch]
+    """The tokens of ``source``, as one list of ``TokenView``: ``lex``
+    drained."""
+    return [TokenView(*tok) for batch in lex(source, Edits(), file_id) for tok in batch]
 
 
 def gap_table(source, file_id="<input>"):
-    """The gap table ``lex`` returns for ``source``."""
-    stream = lex(source, file_id)
-    while True:
-        try:
-            next(stream)
-        except StopIteration as stop:
-            return stop.value
+    """The gap table ``lex`` fills for ``source``."""
+    gaps = Edits()
+    for _batch in lex(source, gaps, file_id):
+        pass
+    return gaps
 
 
 def minified(source):

@@ -345,7 +345,7 @@ def test_analyze_reports_bad_files_and_goes_on(tmp_path, capsys):
     project(
         src,
         {
-            "deep.js": "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+            "deep.js": "var x=" + "(" * 5000 + "1" + ")" * 5000 + ";\n",
             "cut.js": "if (a) { f(); } else",
             "octal.js": 'import x from "./a\\1.js";',
             "brace.js": 'import x from "./\\u{zz}.js";',
@@ -371,7 +371,7 @@ def test_analyze_unsupported_only_exits_0(tmp_path, capsys):
         src,
         {
             "labeled.js": "outer: for(;;) { break outer; }",
-            "deep.js": "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n",
+            "deep.js": "var x=" + "(" * 5000 + "1" + ")" * 5000 + ";\n",
             "good.js": "var fine = 1;\nconsole.log(fine);",
         },
     )
@@ -382,10 +382,10 @@ def test_analyze_unsupported_only_exits_0(tmp_path, capsys):
 
 
 def test_analyze_parses_deep_callbacks_as_obfuscate_does(tmp_path, capsys):
-    # 500 nested callbacks parse on a deep stack in both commands; 3,000
+    # 500 nested callbacks parse on a deep stack in both commands; 5,000
     # parentheses are still too deep for either
     deep = "f(function () {\n" * 500 + "g();\n" + "});\n" * 500
-    parens = "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n"
+    parens = "var x=" + "(" * 5000 + "1" + ")" * 5000 + ";\n"
     src = tmp_path / "src"
     project(src, {"deep.js": deep, "parens.js": parens})
     assert cli.main(["analyze", "--in", str(src)]) == 0

@@ -200,3 +200,91 @@ def test_question_dot_before_a_digit_is_a_conditional():
     toks = lex_all("a?.5:b")
     assert [t.text for t in toks] == ["a", "?", ".5", ":", "b"]
     assert [t.text for t in lex_all("a?.b")] == ["a", "?.", "b"]
+
+
+# ---- every short string over the punctuator characters ----
+
+# the punctuators, written out independently of the lexer's tables
+PUNCTUATORS = frozenset(
+    """
+    { } ( ) [ ] ; , < > + - * / % & | ^ ! ~ ? : = . ... == != === !== <= >=
+    && || ?? ?. => ** ++ -- += -= *= /= %= &= |= ^= <<= >>= >>>= **= &&= ||=
+    ??= << >> >>>
+    """.split()
+)
+# after these a `/` is division; after any other punctuator, or at the
+# start, it starts a regular expression
+ENDS_A_VALUE = frozenset({")", "]", "}", "++", "--"})
+
+
+def reference_tokens(text):
+    """The (kind, text, start) tokens of ``text``, a string over the
+    punctuator characters, a space, `q` and `7`, by longest match; or the
+    (error class, offset) the lexer must raise."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        c, rest = text[i], text[i:]
+        if c == " ":
+            i += 1
+            continue
+        if rest.startswith("//"):
+            break
+        if rest.startswith("/*"):
+            close = text.find("*/", i + 2)
+            if close < 0:
+                return InvalidCharacter, i
+            i = close + 2
+            continue
+        if c == "q":
+            word = len(rest) - len(rest.lstrip("q7"))
+            tokens.append((IDENT, rest[:word], i))
+        elif c == "7" or rest[:2] in (".7",):
+            digits = len(rest) - len(rest.lstrip("7."))
+            number = rest[:digits]
+            # one dot at most, and `.` alone is no number
+            if number.count(".") > 1:
+                number = number[: number.index(".", number.index(".") + 1)]
+            tokens.append((NUMBER, number, i))
+        elif c == "/" and (not tokens or tokens[-1][0] == PUNCT and tokens[-1][1] not in ENDS_A_VALUE):
+            regex = reference_regex(rest)
+            if regex:
+                tokens.append((REGEX, regex, i))
+            else:
+                tokens.append((PUNCT, "/=" if rest.startswith("/=") else "/", i))
+        else:
+            size = max(n for n in range(1, 5) if rest[:n] in PUNCTUATORS)
+            if rest[:2] == "?." and rest[2:3] == "7":
+                size = 1  # `?` and the number `.7`
+            tokens.append((PUNCT, rest[:size], i))
+        i += len(tokens[-1][1])
+    return tokens
+
+
+def reference_regex(rest):
+    """The regular expression literal ``rest`` starts with, or ''."""
+    i, in_class = 1, False
+    while i < len(rest):
+        c = rest[i]
+        if c == "/" and not in_class:
+            if i == 1:
+                return ""  # an empty body is a comment
+            flags = len(rest[i + 1 :]) - len(rest[i + 1 :].lstrip("q"))
+            return rest[: i + 1 + flags]
+        in_class = (in_class or c == "[") and c != "]"
+        i += 1
+    return ""
+
+
+def test_every_short_punctuator_string_lexes_by_longest_match():
+    alphabet = "=!<>+-*/%&|^?.:;,[](){}~ q7"
+    texts = [""]
+    for _length in range(4):
+        texts = [text + c for text in texts for c in alphabet]
+        for text in texts:
+            expected = reference_tokens(text)
+            try:
+                got = [(t.kind, t.text, t.start) for t in lex_all(text)]
+            except InvalidCharacter as exc:
+                got = (InvalidCharacter, exc.offset)
+            assert got == expected, text

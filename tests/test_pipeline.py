@@ -418,7 +418,7 @@ def test_invalid_utf8_file_copied_verbatim_and_reported(tmp_path, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_too_deep_nesting_copied_verbatim_as_unsupported(tmp_path, workers):
-    deep = "var x=" + "(" * 3000 + "1" + ")" * 3000 + ";\n"
+    deep = "var x=" + "(" * 5000 + "1" + ")" * 5000 + ";\n"
     src = tmp_path / "src"
     write_project(src, {"deep.js": deep, "good.js": "var fine = 1;\nconsole.log(fine);"})
     out = tmp_path / "out"
@@ -1064,7 +1064,7 @@ UNRESOLVED_IMPORTS_PROJECT = {
 def test_unresolved_import_warnings_are_exact_at_any_worker_count(tmp_path):
     src = tmp_path / "src"
     write_project(src, UNRESOLVED_IMPORTS_PROJECT)
-    js_files, _others = pipeline.discover_files(src)
+    js_files, _others, _sizes = pipeline.discover_files(src)
     unresolved = []
     for rel in js_files:  # in file order
         try:
@@ -1101,7 +1101,7 @@ def test_the_pool_parent_keeps_no_result_it_has_yielded(tmp_path):
 
     src = tmp_path / "src"
     generate_scaling_corpus(src, 64 * 16384, file_bytes=16384)
-    rel_paths, _others = pipeline.discover_files(src)
+    rel_paths, _others, _sizes = pipeline.discover_files(src)
     assert len(rel_paths) == 64
     config = ObfuscationConfig(input_root=str(src), output_root=str(tmp_path / "out"), workers=2)
     output_chars = 0
@@ -1138,7 +1138,7 @@ def test_pool_results_carry_import_paths_not_summaries(tmp_path):
             "weird.js": "outer: for(;;) { break outer; }\n",
         },
     )
-    rel_paths, _others = pipeline.discover_files(src)
+    rel_paths, _others, _sizes = pipeline.discover_files(src)
     config = ObfuscationConfig(
         input_root=str(src), output_root=str(tmp_path / "out"), workers=2, dump_renames=True
     )
@@ -1183,7 +1183,7 @@ def test_single_pass_summary_matches_parse_of_unminified_source(tmp_path):
     build_corpus(tmp_path / "src", count=200)
     config = ObfuscationConfig(input_root=str(tmp_path / "src"), output_root=str(tmp_path / "out"))
     allowlist = load_allowlist(None)
-    js_files, _others = pipeline.discover_files(config.input_root)
+    js_files, _others, _sizes = pipeline.discover_files(config.input_root)
     assert len(js_files) >= 200
     for rel in js_files:
         result = pipeline.process_file(config, allowlist, rel)
@@ -1665,3 +1665,86 @@ def test_an_unsupported_token_outranks_only_later_errors(tmp_path, workers):
         f"{rel}:4" for rel in ("cafe.js", "later-batch.js", "private.js", "same-batch.js")
     ]
     assert report["warnings"] == ["copied verbatim: no-error.js:8: non-ASCII identifiers are not supported"]
+
+
+# early errors node reports: (file, the text at the error's offset); each
+# file's last line would print if it ran
+EARLY_ERRORS = {
+    # a unary expression as the left operand of `**`
+    "neg-pow.js": ("var a = 2, b = 3;\nconsole.log(-a ** b);\n", "** b"),
+    "typeof-pow.js": ("var a = 2;\nconsole.log(typeof a ** 2);\n", "** 2"),
+    "nested-pow.js": ("var b = 3, c = 2;\nconsole.log(2 ** -b ** c);\n", "** c"),
+    # `??` beside `||` or `&&` without parentheses
+    "coalesce-or.js": ("var a = null, b = 0, c = 5;\nconsole.log(a ?? b || c);\n", "|| c"),
+    "or-coalesce.js": ("var a = null, b = 0, c = 5;\nconsole.log(a || b ?? c);\n", "?? c"),
+    "and-coalesce.js": ("var a = null, b = 0, c = 5;\nconsole.log(a && b ?? c);\n", "?? c"),
+    # a lexical declaration beside another declaration of its name
+    "param-let.js": ("function f(a) { let a; }\nconsole.log(f(1));\n", "a; }"),
+    "let-var.js": ("let x;\nvar x;\nconsole.log(x);\n", "x;\nc"),
+    "body-let-var.js": ("function g() { let y; var y; }\nconsole.log(g());\n", "y; }"),
+    "arrow-const.js": ("var h = (a) => { const a = 1; };\nconsole.log(h(2));\n", "a = 1"),
+    "catch-let.js": ("try {} catch (e) { let e; }\nconsole.log(1);\n", "e; }"),
+    "default-let.js": ("function k(a = 1) { let a; }\nconsole.log(k());\n", "a; }"),
+    "block-function-let.js": ("{ function m() {} let m; }\nconsole.log(1);\n", "m; }"),
+    "var-through-block.js": ("{ let s; { var s; } }\nconsole.log(1);\n", "s; } }"),
+    "var-then-let.js": ("{ var r; let r; }\nconsole.log(1);\n", "r; }"),
+}
+# their valid neighbors, each run the same after obfuscation
+NOT_EARLY_ERRORS = {
+    "pow.js": "var a = 2, b = 3;\nconsole.log((-a) ** b, 2 ** -b, a ** -b, ++a ** 2, a++ ** 2);\n",
+    "coalesce.js": (
+        "var a = null, b = 0, c = 5;\n"
+        "console.log(a ?? (b || c), (a || b) ?? c, a ?? b ?? c, a ?? b | c, a ?? b ? c || a : b && c);\n"
+    ),
+    "redeclare.js": (
+        "function n() { return 1; }\nvar n;\nvar p = 2;\nvar p;\n"
+        "function q(a) { var a; function b() {} var b; return typeof b + a; }\n"
+        "var r = (function r() { let r = 3; return r; })();\n"
+        "{ function t() { return 4; } function t() { return 5; } }\n"
+        "try { throw 6; } catch (e) { { let e = 7; console.log(e); } }\n"
+        "{ let u = 8; console.log(u); }\nvar u = 9;\n"
+        "{ if (p) function v() { return 10; } var v; }\n"
+        "{ if (p) function w() { return 11; } let w = 12; console.log(w); }\n"
+        "console.log(n(), p, q(1), r, u, v());\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_early_errors_node_reports_are_errors(tmp_path, node, workers):
+    src = tmp_path / "src"
+    write_project(src, {rel: text for rel, (text, _at) in EARLY_ERRORS.items()})
+    for rel, (text, at) in EARLY_ERRORS.items():
+        with pytest.raises(ParseError) as err:
+            front_end(text, rel)
+        assert (type(err.value), err.value.offset) == (ParseError, text.index(at)), rel
+        checked = subprocess.run([node, "--check", str(src / rel)], capture_output=True, text=True)
+        assert checked.returncode != 0 and "SyntaxError" in checked.stderr, rel
+    out = tmp_path / "out"
+    report = obfuscate_project(ObfuscationConfig(input_root=str(src), output_root=str(out), workers=workers))
+    assert report["files_transformed"] == 0 and report["warnings"] == []
+    assert sorted(error["file"] for error in report["errors"]) == sorted(EARLY_ERRORS)
+    assert read_tree(out) == read_tree(src)  # copied verbatim
+
+
+def test_the_valid_neighbors_of_early_errors_run_the_same(tmp_path, node):
+    out = _outputs_at_workers_1_and_2(tmp_path, NOT_EARLY_ERRORS)
+    for rel, text in NOT_EARLY_ERRORS.items():
+        assert run_node(code=out[rel]) == run_node(code=text), rel
+
+
+def test_discovery_sees_files_as_pathlib_does(tmp_path):
+    # a symlinked file counts; a symlinked directory is not entered and a
+    # broken link is skipped; paths sort by component (`a/` before `a-b/`)
+    root = tmp_path / "src"
+    write_project(root, {"a/x.js": "1;", "a-b/x.js": "22;", "a.b/y.mjs": "3;", "b.js": "4;", "real/r.txt": "55"})
+    (root / "link.js").symlink_to("b.js")
+    (root / "dirlink").symlink_to("real", target_is_directory=True)
+    (root / "broken.js").symlink_to("nowhere.js")
+    js_files, other_files, sizes = pipeline.discover_files(root)
+    assert js_files == ["a/x.js", "a-b/x.js", "a.b/y.mjs", "b.js", "link.js"]
+    assert other_files == ["real/r.txt"]
+    assert sizes == {"a/x.js": 2, "a-b/x.js": 3, "a.b/y.mjs": 2, "b.js": 2, "link.js": 2, "real/r.txt": 2}
+    expected = [path.relative_to(root).as_posix() for path in sorted(root.rglob("*")) if path.is_file()]
+    assert js_files == [rel for rel in expected if rel.endswith(pipeline.JS_SUFFIXES)]
+    assert other_files == [rel for rel in expected if not rel.endswith(pipeline.JS_SUFFIXES)]
